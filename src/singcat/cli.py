@@ -535,7 +535,6 @@ def _cmd_example(args, loader: Loader) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--horizon", type=int, default=24)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None,
                         help="write the JSON report to this path")
     common.add_argument("--length-bound", type=int, default=None,

@@ -185,37 +185,35 @@ class BoundQuiverAlgebra:
         return self.mult.get((key, arrow_id), {})
 
     def vec_times_arrow(self, vec: dict[PathKey, object], arrow_id: str) -> dict[PathKey, object]:
-        f = self.field
-        out: dict[PathKey, object] = {}
-        for key, c in vec.items():
-            for k2, c2 in self.mult_by_arrow(key, arrow_id).items():
-                cur = out.get(k2, f.zero)
-                cur = f.add(cur, f.mul(c, c2))
-                if cur:
-                    out[k2] = cur
-                elif k2 in out:
-                    del out[k2]
-        return out
+        return _walk(self.field, self.mult, vec, (arrow_id,))
 
     def word_vector(self, src: str, arrows: Sequence[str]) -> dict[PathKey, object]:
         """Normal form of an arbitrary path word, as a sparse basis vector."""
-        vec: dict[PathKey, object] = {(src, ()): self.field.one}
-        for aid in arrows:
-            vec = self.vec_times_arrow(vec, aid)
-            if not vec:
-                return {}
-        return vec
+        return _walk(self.field, self.mult, {(src, ()): self.field.one}, arrows)
 
     def product(self, k1: PathKey, k2: PathKey) -> dict[PathKey, object]:
         """Product of two basis paths: zero unless they compose."""
         if self._key_tgt[k1] != k2[0]:
             return {}
-        vec: dict[PathKey, object] = {k1: self.field.one}
-        for aid in k2[1]:
-            vec = self.vec_times_arrow(vec, aid)
-            if not vec:
-                return {}
-        return vec
+        return _walk(self.field, self.mult, {k1: self.field.one}, k2[1])
+
+
+def _walk(field: Field, mult: dict[tuple[PathKey, str], dict[PathKey, object]],
+          vec: dict[PathKey, object], arrows: Sequence[str]) -> dict[PathKey, object]:
+    """Multiply a sparse basis vector along an arrow word through ``mult``."""
+    for aid in arrows:
+        nxt: dict[PathKey, object] = {}
+        for k, c in vec.items():
+            for k2, c2 in mult.get((k, aid), {}).items():
+                cur = field.add(nxt.get(k2, field.zero), field.mul(c, c2))
+                if cur:
+                    nxt[k2] = cur
+                elif k2 in nxt:
+                    del nxt[k2]
+        vec = nxt
+        if not vec:
+            break
+    return vec
 
 
 def _lex_key(quiver: Quiver, key: PathKey) -> tuple:
@@ -247,24 +245,6 @@ def compute_basis(quiver: Quiver, relations: Sequence[RelationElement],
     def key_tgt(key: PathKey) -> str:
         return quiver.arrow_by_id[key[1][-1]].tgt if key[1] else key[0]
 
-    def walk(start: PathKey, arrows: Sequence[str], upto: int) -> dict[PathKey, object]:
-        # multiply a basis path by the first `upto` arrows of a word
-        vec: dict[PathKey, object] = {start: field.one}
-        for aid in arrows[:upto]:
-            nxt: dict[PathKey, object] = {}
-            for k, c in vec.items():
-                for k2, c2 in mult.get((k, aid), {}).items():
-                    cur = nxt.get(k2, field.zero)
-                    cur = field.add(cur, field.mul(c, c2))
-                    if cur:
-                        nxt[k2] = cur
-                    elif k2 in nxt:
-                        del nxt[k2]
-            vec = nxt
-            if not vec:
-                break
-        return vec
-
     length = 0
     while by_len[-1]:
         length += 1
@@ -294,7 +274,8 @@ def compute_basis(quiver: Quiver, relations: Sequence[RelationElement],
                     row = [field.zero] * len(cands)
                     nonzero = False
                     for coef, path in r.terms:
-                        head = walk(bkey, path.arrows, len(path.arrows) - 1)
+                        head = _walk(field, mult, {bkey: field.one},
+                                     path.arrows[:-1])
                         last = path.arrows[-1]
                         for k, c in head.items():
                             col = col_of.get((k, last))
@@ -475,8 +456,8 @@ def _build_grid_algebra(kupisch: Sequence[int], field: Field,
             relations.append(RelationElement([(one, p_down)]))
         else:
             relations.append(RelationElement([(one, p_left)]))
-    bound = len(verts) * (max(kupisch) + 1)
-    alg = compute_basis(quiver, relations, field, bound)
+    alg = compute_basis(quiver, relations, field,
+                        default_length_bound(quiver, kupisch))
     alg.meta = {"coords": {scheme.vid(a, b): scheme.canon(a, b)
                            for a, b in vertex_domain},
                 "arrow_step": arrow_step}

@@ -13,13 +13,7 @@ import random
 from typing import Sequence
 
 from .exact_linalg import Field, Matrix, kernel_basis, rank, rref, solve_left
-from .quiver_algebra import (
-    BoundQuiverAlgebra,
-    PathKey,
-    orbit_grid_algebra,
-    valid_triple,
-    valid_triples_window,
-)
+from .quiver_algebra import BoundQuiverAlgebra, PathKey, valid_triple
 
 
 class AlgebraMismatch(ValueError):
@@ -28,10 +22,6 @@ class AlgebraMismatch(ValueError):
 
 class InvalidTriple(ValueError):
     pass
-
-
-class CalibrationFailure(RuntimeError):
-    """No unique support rule passed the calibration oracles."""
 
 
 class Representation:
@@ -185,13 +175,49 @@ class RepMorphism:
                             for v in rep.dims}, check=False)
 
 
-def _vec_offsets(M: Representation, N: Representation) -> tuple[dict[str, int], int]:
+def _commuting_system(M: Representation, N: Representation, spare: int = 0,
+                      ) -> tuple[list[list], int, dict[str, int]]:
+    """Dense commuting constraints on the morphisms M -> N.
+
+    Rows are the unknowns, the entries of the per-vertex matrices laid out
+    vertex by vertex from ``off[v]``; columns are the nonzero scalar
+    constraints of each arrow.  Returns (rows, constraint count, off); each
+    row has ``spare`` zero columns after the constraints for the caller.
+    """
+    f = M.algebra.field
     off = {}
     total = 0
     for v in M.algebra.quiver.vertices:
         off[v] = total
         total += M.dims[v] * N.dims[v]
-    return off, total
+    ncols = 0
+    data = [[] for _ in range(total)]
+    for a in M.algebra.quiver.arrows:
+        u, w = a.src, a.tgt
+        Ma, Na = M.action[a.id], N.action[a.id]
+        du, dw, eu, ew = M.dims[u], M.dims[w], N.dims[u], N.dims[w]
+        for i in range(du):
+            for k in range(ew):
+                col = {}
+                for j in range(dw):
+                    if Ma.entries[i][j]:
+                        idx = off[w] + j * ew + k
+                        col[idx] = f.add(col.get(idx, f.zero), Ma.entries[i][j])
+                for j2 in range(eu):
+                    if Na.entries[j2][k]:
+                        idx = off[u] + i * eu + j2
+                        col[idx] = f.sub(col.get(idx, f.zero), Na.entries[j2][k])
+                if col:
+                    for idx, val in col.items():
+                        data[idx].append((ncols, val))
+                    ncols += 1
+    rows = []
+    for idx in range(total):
+        row = [f.zero] * (ncols + spare)
+        for c, val in data[idx]:
+            row[c] = f.add(row[c], val)
+        rows.append(row)
+    return rows, ncols, off
 
 
 def _morphism_to_vec(f: RepMorphism) -> list:
@@ -222,38 +248,10 @@ class HomSpace:
         f = alg.field
         self.src = M
         self.tgt = N
-        off, total = _vec_offsets(M, N)
-        # one column per scalar commuting constraint; rows are unknowns
-        ncols = 0
-        data = [[] for _ in range(total)]
-        for a in alg.quiver.arrows:
-            u, w = a.src, a.tgt
-            Ma, Na = M.action[a.id], N.action[a.id]
-            du, dw, eu, ew = M.dims[u], M.dims[w], N.dims[u], N.dims[w]
-            for i in range(du):
-                for k in range(ew):
-                    col = {}
-                    for j in range(dw):
-                        if Ma.entries[i][j]:
-                            idx = off[w] + j * ew + k
-                            col[idx] = f.add(col.get(idx, f.zero), Ma.entries[i][j])
-                    for j2 in range(eu):
-                        if Na.entries[j2][k]:
-                            idx = off[u] + i * eu + j2
-                            col[idx] = f.sub(col.get(idx, f.zero), Na.entries[j2][k])
-                    if col:
-                        for idx, val in col.items():
-                            data[idx].append((ncols, val))
-                        ncols += 1
-        rows = []
-        for idx in range(total):
-            row = [f.zero] * ncols
-            for c, val in data[idx]:
-                row[c] = f.add(row[c], val)
-            rows.append(row)
+        rows, ncols, _ = _commuting_system(M, N)
         ct = Matrix.from_rows(f, rows, ncols)
         vecs = kernel_basis(ct)
-        self._bmat = Matrix.from_rows(f, [list(v) for v in vecs], total)
+        self._bmat = Matrix.from_rows(f, [list(v) for v in vecs], len(rows))
         self.basis = [_morphism_from_vec(M, N, v) for v in vecs]
 
     @property
@@ -337,10 +335,12 @@ def cokernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
     alg = f.src.algebra
     fld = alg.field
     proj_mats = {}
+    nonpivs = {}
     for v in alg.quiver.vertices:
         red, piv = rref(f.mats[v])
         n = f.tgt.dims[v]
-        nonpiv = [j for j in range(n) if j not in set(piv)]
+        pivset = set(piv)
+        nonpiv = nonpivs[v] = [j for j in range(n) if j not in pivset]
         # reduce mod the image row space, then read the complement coords
         cols = []
         for j in range(n):
@@ -359,10 +359,8 @@ def cokernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
     for a in alg.quiver.arrows:
         # quotient action: lift complement coords, act, project back
         n_src = f.tgt.dims[a.src]
-        redm, piv = rref(f.mats[a.src])
-        nonpiv = [j for j in range(n_src) if j not in set(piv)]
         rows = []
-        for q in nonpiv:
+        for q in nonpivs[a.src]:
             e = [fld.zero] * n_src
             e[q] = fld.one
             acted = Matrix.from_rows(fld, [e], n_src).mul(f.tgt.action[a.id])
@@ -533,6 +531,32 @@ def is_projective(M: Representation) -> bool:
 # add-membership and stable isomorphism
 
 
+def universal_right_approximation(gens: Sequence[Representation],
+                                  N: Representation) -> RepMorphism:
+    """The universal map onto N from a sum of generator copies.
+
+    One copy of G per basis element of hom(G, N); every morphism from a
+    generator to N factors through it by construction.  The source is the
+    zero module when no generator maps to N.
+    """
+    alg = N.algebra
+    pieces: list[RepMorphism] = []
+    srcs: list[Representation] = []
+    for g in gens:
+        for b in hom(g, N).basis:
+            pieces.append(b)
+            srcs.append(g)
+    if not pieces:
+        return RepMorphism(zero_rep(alg), N, {}, check=False)
+    mats = {}
+    for v in alg.quiver.vertices:
+        m = pieces[0].mats[v]
+        for b in pieces[1:]:
+            m = m.vstack(b.mats[v])
+        mats[v] = m
+    return RepMorphism(direct_sum(srcs), N, mats, check=False)
+
+
 def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:
     """Is M a direct summand of a finite sum of copies of the given modules?
 
@@ -545,73 +569,27 @@ def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:
         return False
     alg = _same_algebra(M, *gens)
     f = alg.field
-    pieces: list[RepMorphism] = []
-    srcs: list[Representation] = []
-    for g in gens:
-        H = hom(g, M)
-        for b in H.basis:
-            pieces.append(b)
-            srcs.append(g)
-    if not pieces:
+    e = universal_right_approximation(gens, M)
+    S = e.src
+    if S.total_dim == 0:
         return False
-    S = direct_sum(srcs)
-    emats = {}
     for v in alg.quiver.vertices:
-        m = Matrix.zeros(f, 0, M.dims[v])
-        for b in pieces:
-            m = m.vstack(b.mats[v])
-        emats[v] = m
-    for v in alg.quiver.vertices:
-        if rank(emats[v]) != M.dims[v]:
+        if rank(e.mats[v]) != M.dims[v]:
             return False
-    e = RepMorphism(S, M, emats, check=False)
     # splitting s with s.e = id, solved together with the commuting constraints
-    off, total = _vec_offsets(M, S)
-    rows_data = [[] for _ in range(total)]
-    ncols = 0
-    for a in alg.quiver.arrows:
-        u, w = a.src, a.tgt
-        Ma, Na = M.action[a.id], S.action[a.id]
-        for i in range(M.dims[u]):
-            for k in range(S.dims[w]):
-                col = {}
-                for j in range(M.dims[w]):
-                    if Ma.entries[i][j]:
-                        idx = off[w] + j * S.dims[w] + k
-                        col[idx] = f.add(col.get(idx, f.zero), Ma.entries[i][j])
-                for j2 in range(S.dims[u]):
-                    if Na.entries[j2][k]:
-                        idx = off[u] + i * S.dims[u] + j2
-                        col[idx] = f.sub(col.get(idx, f.zero), Na.entries[j2][k])
-                if col:
-                    for idx, val in col.items():
-                        rows_data[idx].append((ncols, val))
-                    ncols += 1
-    rhs_cols = []
+    width_rhs = sum(d * d for d in M.dims.values())
+    rows, ncols, off = _commuting_system(M, S, spare=width_rhs)
+    target = [f.zero] * ncols
     for v in alg.quiver.vertices:
-        E = emats[v]
+        E = e.mats[v]
         for i in range(M.dims[v]):
             for k in range(M.dims[v]):
-                col = {}
                 for j in range(S.dims[v]):
                     if E.entries[j][k]:
-                        idx = off[v] + i * S.dims[v] + j
-                        col[idx] = E.entries[j][k]
-                rhs_cols.append((col, f.one if i == k else f.zero))
-    width = ncols + len(rhs_cols)
-    rows = []
-    for idx in range(total):
-        row = [f.zero] * width
-        for c, val in rows_data[idx]:
-            row[c] = f.add(row[c], val)
-        rows.append(row)
-    target = [f.zero] * ncols
-    for t, (col, want) in enumerate(rhs_cols):
-        for idx, val in col.items():
-            rows[idx][ncols + t] = f.add(rows[idx][ncols + t], val)
-        target.append(want)
-    A = Matrix.from_rows(f, rows, width)
-    b = Matrix.from_rows(f, [target], width)
+                        rows[off[v] + i * S.dims[v] + j][len(target)] = E.entries[j][k]
+                target.append(f.one if i == k else f.zero)
+    A = Matrix.from_rows(f, rows, len(target))
+    b = Matrix.from_rows(f, [target], len(target))
     return solve_left(A, b) is not None
 
 
@@ -665,145 +643,17 @@ def is_isomorphic(M: Representation, N: Representation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# interval modules and calibration
-
-
-def _rule_holds(idx: int, t: tuple[int, int, int], x: int, y: int) -> bool:
-    l1, l2, l3 = t
-    if idx == 0:
-        return l1 <= x <= l2 and l2 <= y <= l3
-    if idx == 1:
-        return l1 <= y <= l2 and l2 <= x <= l3
-    if idx == 2:
-        return -l3 <= x <= -l2 and -l2 <= y <= -l1
-    return -l3 <= y <= -l2 and -l2 <= x <= -l1
-
-
-def _interval_by_rule(alg: BoundQuiverAlgebra, t: tuple[int, int, int],
-                      rule: int, check: bool) -> Representation:
-    coords = alg.meta["coords"]
-    wrapn = alg.meta["wrap"]
-    f = alg.field
-    if wrapn:
-        K = 3 + (abs(t[0]) + abs(t[2])) // wrapn
-        shifts = range(-K, K + 1)
-    else:
-        shifts = (0,)
-    layers: dict[str, list[int]] = {}
-    for v in alg.quiver.vertices:
-        a, b = coords[v]
-        ks = [k for k in shifts
-              if _rule_holds(rule, t, a + k * (wrapn or 0), b + k * (wrapn or 0))]
-        layers[v] = ks
-    dims = {v: len(layers[v]) for v in layers}
-    action = {}
-    for arr in alg.quiver.arrows:
-        a, b = coords[arr.src]
-        a2, b2 = coords[arr.tgt]
-        step = alg.meta["arrow_step"][arr.id]
-        src_ks = layers[arr.src]
-        tgt_pos = {k: i for i, k in enumerate(layers[arr.tgt])}
-        rows = []
-        for k in src_ks:
-            n = wrapn or 0
-            if step == "down":
-                ga, gb = a + k * n, b + k * n - 1
-            else:
-                ga, gb = a + k * n - 1, b + k * n
-            k2 = (ga - a2) // wrapn if wrapn else 0
-            assert (a2 + k2 * n, b2 + k2 * n) == (ga, gb)
-            row = [f.zero] * len(tgt_pos)
-            if k2 in tgt_pos:
-                row[tgt_pos[k2]] = f.one
-            rows.append(row)
-        action[arr.id] = Matrix.from_rows(f, rows, len(tgt_pos))
-    return Representation(alg, dims, action, check=check)
-
-
-def _canon_vertex(kupisch: Sequence[int], a: int, b: int) -> str:
-    n = len(kupisch)
-    s = (a % n) - a
-    return f"({a + s},{b + s})"
-
-
-def _sigma_triple(kupisch: Sequence[int], t: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Where two syzygy steps send a non-projective interval, normalized."""
-    n = len(kupisch)
-    l1, l2, l3 = t
-    s = (l3 + 1 - kupisch[l3 % n], l1 - 1, l2 - 1)
-    shift = (s[0] % n) - s[0]
-    return (s[0] + shift, s[1] + shift, s[2] + shift)
-
-
-def _passes_calibration(orbit: BoundQuiverAlgebra, rule: int) -> bool:
-    ks = list(orbit.meta["kupisch"])
-    n = len(ks)
-    triples = valid_triples_window(ks, 0, n)
-    mods = {}
-    for t in triples:
-        try:
-            m = _interval_by_rule(orbit, t, rule, check=True)
-        except ValueError:
-            return False
-        if m.total_dim == 0:
-            return False
-        mods[t] = m
-    projs = dict(projectives(orbit))
-    for t in triples:
-        if t[0] == t[2] + 1 - ks[t[2] % n]:
-            vid = _canon_vertex(ks, t[1], t[2])
-            if vid not in projs or not is_isomorphic(mods[t], projs[vid]):
-                return False
-    from .homology import syzygy
-
-    for t in triples:
-        if t[0] == t[2] + 1 - ks[t[2] % n] or t[0] >= n:
-            continue
-        m2 = syzygy(syzygy(mods[t]))
-        target = _sigma_triple(ks, t)
-        probe = mods.get(target)
-        if probe is None:
-            probe = _interval_by_rule(orbit, target, rule, check=True)
-        if not stable_iso(m2, probe):
-            return False
-    for s in triples:
-        for t in triples:
-            expected = 0
-            for k in range(-2, 3):
-                u = (t[0] + k * n, t[1] + k * n, t[2] + k * n)
-                if (s[0] <= u[0] <= s[1] <= u[1] <= s[2] <= u[2]):
-                    expected += 1
-            if hom(mods[s], mods[t]).dim != expected:
-                return False
-    return True
-
-
-_CALIB_CACHE: dict[tuple, int] = {}
-
-
-def _calibrated_rule(alg: BoundQuiverAlgebra) -> int:
-    key = (tuple(alg.meta["kupisch"]), alg.field)
-    if key in _CALIB_CACHE:
-        return _CALIB_CACHE[key]
-    if alg.meta["kind"] == "nakayama2-orbit":
-        orbit = alg
-    else:
-        orbit = orbit_grid_algebra(alg.meta["kupisch"], alg.field)
-    survivors = [r for r in range(4) if _passes_calibration(orbit, r)]
-    if len(survivors) != 1:
-        raise CalibrationFailure(
-            f"{len(survivors)} support rules passed the calibration oracles")
-    _CALIB_CACHE[key] = survivors[0]
-    return survivors[0]
+# interval modules
 
 
 def interval_module(alg: BoundQuiverAlgebra, triple: Sequence[int]) -> Representation:
     """The interval module of a valid triple over a grid algebra.
 
-    The support rule is calibrated once per (length series, field) against
-    three oracles: projective triples must land on the indecomposable
-    projectives, two syzygy steps must realize the index shift formula, and
-    hom dimensions between intervals must match the interlacing count.
+    The triple (l1, l2, l3) is supported on the grid points (x, y) with
+    l1 <= x <= l2 <= y <= l3, modulo the period on the orbit algebra: a
+    vertex carries one basis vector per period shift that lands in the
+    support.  Each arrow sends a support point to its neighbour by 1 when
+    the neighbour is in the support, and to 0 otherwise.
     """
     if alg.meta.get("kind") not in ("nakayama2-orbit", "nakayama2-window"):
         raise InvalidTriple("interval modules require a grid algebra")
@@ -813,8 +663,41 @@ def interval_module(alg: BoundQuiverAlgebra, triple: Sequence[int]) -> Represent
     ks = list(alg.meta["kupisch"])
     if not (t[0] <= t[1] <= t[2]) or not valid_triple(ks, t):
         raise InvalidTriple(f"{t} is not a valid triple for series {ks}")
-    rule = _calibrated_rule(alg)
-    m = _interval_by_rule(alg, t, rule, check=True)
+    l1, l2, l3 = t
+    coords = alg.meta["coords"]
+    n = alg.meta["wrap"] or 0
+    f = alg.field
+    if n:
+        K = 3 + (abs(l1) + abs(l3)) // n
+        shifts = range(-K, K + 1)
+    else:
+        shifts = (0,)
+    layers: dict[str, list[int]] = {}
+    for v in alg.quiver.vertices:
+        a, b = coords[v]
+        layers[v] = [k for k in shifts
+                     if l1 <= a + k * n <= l2 <= b + k * n <= l3]
+    dims = {v: len(layers[v]) for v in layers}
+    action = {}
+    for arr in alg.quiver.arrows:
+        a, b = coords[arr.src]
+        a2, b2 = coords[arr.tgt]
+        step = alg.meta["arrow_step"][arr.id]
+        tgt_pos = {k: i for i, k in enumerate(layers[arr.tgt])}
+        rows = []
+        for k in layers[arr.src]:
+            if step == "down":
+                ga, gb = a + k * n, b + k * n - 1
+            else:
+                ga, gb = a + k * n - 1, b + k * n
+            k2 = (ga - a2) // n if n else 0
+            assert (a2 + k2 * n, b2 + k2 * n) == (ga, gb)
+            row = [f.zero] * len(tgt_pos)
+            if k2 in tgt_pos:
+                row[tgt_pos[k2]] = f.one
+            rows.append(row)
+        action[arr.id] = Matrix.from_rows(f, rows, len(tgt_pos))
+    m = Representation(alg, dims, action, check=True)
     if m.total_dim == 0:
         raise InvalidTriple(f"support of {t} misses the window")
     return m

@@ -30,6 +30,7 @@ from .rep import (
     kernel,
     projectives,
     simple_module,
+    universal_right_approximation,
     zero_rep,
 )
 from .homology import ext, is_stably_zero_module, resolve, syzygy
@@ -110,31 +111,13 @@ class CTReport:
 
 
 def right_approximation(spec: SubcatSpec, N: Representation) -> RepMorphism:
-    """The universal map onto N from a sum of generator copies.
+    """The universal map onto N from a sum of copies of the generators.
 
-    One copy of G per basis element of hom(G, N); every morphism from a
-    generator to N factors through it by construction.
+    See ``rep.universal_right_approximation``.
     """
-    alg = spec.algebra
-    if N.algebra is not alg:
+    if N.algebra is not spec.algebra:
         raise AlgebraMismatch("target lives over a different algebra")
-    f = alg.field
-    pieces: list[RepMorphism] = []
-    srcs: list[Representation] = []
-    for g in spec.generators:
-        for b in hom(g, N).basis:
-            pieces.append(b)
-            srcs.append(g)
-    if not pieces:
-        return RepMorphism(zero_rep(alg), N, {}, check=False)
-    S = direct_sum(srcs)
-    mats = {}
-    for v in alg.quiver.vertices:
-        m = pieces[0].mats[v]
-        for b in pieces[1:]:
-            m = m.vstack(b.mats[v])
-        mats[v] = m
-    return RepMorphism(S, N, mats, check=False)
+    return universal_right_approximation(spec.generators, N)
 
 
 def left_approximation(spec: SubcatSpec, N: Representation) -> RepMorphism:

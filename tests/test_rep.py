@@ -1,11 +1,20 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
 from singcat.exact_linalg import prime_field, rational_field
-from singcat.quiver_algebra import nakayama_cyclic, orbit_grid_algebra, valid_triples_window
+from singcat.homology import syzygy
+from singcat.quiver_algebra import (
+    MAX_RELATION_LENGTH,
+    nakayama2_infinite,
+    nakayama_cyclic,
+    orbit_grid_algebra,
+    truncate,
+    valid_triples_window,
+)
 from singcat.rep import (
     AlgebraMismatch,
     InvalidTriple,
@@ -33,10 +42,15 @@ from singcat.rep import (
 KS = (3, 2, 3, 3)
 
 
-def proj_vertex(t):
+def _canon(ks, a, b):
+    """Orbit vertex of the grid point (a, b): a reduced mod the period."""
+    s = (a % len(ks)) - a
+    return f"({a + s},{b + s})"
+
+
+def proj_vertex(t, ks=KS):
     # a projective triple (l1,l2,l3) is the projective at the grid point (l2,l3)
-    shift = (t[1] % 4) - t[1]
-    return f"({t[1] + shift},{t[2] + shift})"
+    return _canon(ks, t[1], t[2])
 
 
 def test_projective_supports(orbit):
@@ -143,6 +157,58 @@ def test_interval_hom_interlacing(orbit):
                 1 for k in range(-2, 3)
                 if s[0] <= t[0] + 4 * k <= s[1] <= t[1] + 4 * k <= s[2] <= t[2] + 4 * k)
             assert hom(mods[s], mods[t]).dim == expected, (s, t)
+
+
+SERIES = [ks for length in range(1, 5) for ks in product((2, 3), repeat=length)]
+
+
+def _double_syzygy_triple(ks, t):
+    """Where two syzygy steps send a non-projective interval, normalized."""
+    n = len(ks)
+    l1, l2, l3 = t
+    s = (l3 + 1 - ks[l3 % n], l1 - 1, l2 - 1)
+    shift = (s[0] % n) - s[0]
+    return (s[0] + shift, s[1] + shift, s[2] + shift)
+
+
+@pytest.mark.parametrize("field", [rational_field(), prime_field(2)],
+                         ids=["Q", "F2"])
+@pytest.mark.parametrize("ks", SERIES, ids=lambda ks: "".join(map(str, ks)))
+def test_interval_support_rule_oracles(ks, field):
+    """Projectives, the double syzygy shift and interlacing hom counts."""
+    orbit = orbit_grid_algebra(ks, field)
+    n = len(ks)
+    trs = valid_triples_window(ks, 0, n)
+    mods = {t: interval_module(orbit, t) for t in trs}
+    for t in trs:
+        if t[0] == t[2] + 1 - ks[t[2] % n]:
+            P = projective_module(orbit, proj_vertex(t, ks))
+            assert is_isomorphic(mods[t], P), t
+        elif t[0] < n:
+            target = _double_syzygy_triple(ks, t)
+            probe = mods.get(target) or interval_module(orbit, target)
+            assert stable_iso(syzygy(mods[t], 2), probe), t
+    for s in trs:
+        for t in trs:
+            expected = sum(
+                1 for k in range(-2, 3)
+                if s[0] <= t[0] + k * n <= s[1] <= t[1] + k * n <= s[2] <= t[2] + k * n)
+            assert hom(mods[s], mods[t]).dim == expected, (s, t)
+
+
+def test_interval_on_window_matches_orbit(orbit, QQ):
+    window, safe = truncate(nakayama2_infinite(KS, QQ), 3)
+    margin = MAX_RELATION_LENGTH * window.meta["depth"]
+    trs = valid_triples_window(KS, window.meta["lo"] + margin,
+                               window.meta["hi"] - margin)
+    assert len(trs) == 16
+    for t in trs:
+        W = interval_module(window, t)
+        support = {v for v, d in W.dims.items() if d}
+        assert support <= safe, t
+        folded = {_canon(KS, *window.meta["coords"][v]): W.dims[v] for v in support}
+        O = interval_module(orbit, t)
+        assert folded == {v: d for v, d in O.dims.items() if d}, t
 
 
 def test_interval_validation(orbit):
