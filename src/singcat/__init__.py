@@ -7,7 +7,14 @@ functor, all in exact arithmetic over Q or a prime field.
 
 from __future__ import annotations
 
-from .exact_linalg import Field, FieldError, Matrix, prime_field, rational_field
+from .exact_linalg import (
+    Field,
+    FieldError,
+    InternalCheckFailed,
+    Matrix,
+    prime_field,
+    rational_field,
+)
 from .homology import (
     ExtSpace,
     PdCertificate,

@@ -1,9 +1,13 @@
-"""Exact scalar arithmetic and the dense matrix kernel everything else reduces to.
+"""Exact scalar arithmetic and the matrix kernel everything else reduces to.
 
 Two field kinds: the rationals (fractions.Fraction) and prime fields F_p
-(ints reduced into [0, p)).  No floating point anywhere.  All eliminations
-use the same canonical pivot order (leftmost nonzero column, topmost row),
-so ranks, kernels and particular solutions are deterministic.
+(ints reduced into [0, p)).  No floating point anywhere.  Matrices are
+stored dense; the one elimination routine, _rref, works on sparse rows.
+Results are deterministic because the reduced row echelon form of a matrix
+is unique: ranks, kernels and particular solutions (free variables set to
+zero) are functions of the input alone, whatever the elimination order.
+Pivots are taken in the canonical order (leftmost nonzero column, topmost
+unused row).
 """
 
 from __future__ import annotations
@@ -14,6 +18,14 @@ from typing import Iterable, Sequence
 
 class FieldError(ValueError):
     pass
+
+
+class InternalCheckFailed(RuntimeError):
+    """A computed result failed the exact check that guards it.
+
+    This is a fault of the program, not of its input, so it is not a
+    ValueError (which the CLI reports as malformed input).
+    """
 
 
 def _is_prime(p: int) -> bool:
@@ -36,7 +48,7 @@ class Field:
     The methods keep every value in canonical reduced form.
     """
 
-    __slots__ = ("kind", "p")
+    __slots__ = ("kind", "p", "zero", "one")
 
     def __init__(self, kind: str, p: int | None = None):
         if kind == "rational":
@@ -49,6 +61,8 @@ class Field:
             raise FieldError(f"unknown field kind {kind!r}")
         self.kind = kind
         self.p = p
+        self.zero = Fraction(0) if kind == "rational" else 0
+        self.one = Fraction(1) if kind == "rational" else 1
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Field) and (self.kind, self.p) == (other.kind, other.p)
@@ -58,14 +72,6 @@ class Field:
 
     def __repr__(self) -> str:
         return "Field(rational)" if self.kind == "rational" else f"Field(F_{self.p})"
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == "rational" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == "rational" else 1
 
     def of_int(self, n: int):
         return Fraction(n) if self.kind == "rational" else n % self.p
@@ -236,34 +242,73 @@ def _dot(f: Field, u: Sequence, v: Sequence):
 def _rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
     """In-place reduced row echelon form; returns (rows, pivot column list).
 
-    Pivot choice is the canonical one: scan columns left to right, take the
-    topmost unused row with a nonzero entry.
+    Storage stays dense but elimination is sparse: each row becomes a
+    {column: value} dict of its nonzeros, so only the rows with a nonzero in
+    the pivot column are updated, and only at the pivot row's nonzeros.  The
+    reduced form is unique, so the result does not depend on how it is
+    reached; the pivot choice is the canonical one (scan columns left to
+    right, take the topmost unused row with a nonzero entry).  On return
+    every row of the argument list is rewritten as a dense list padded with
+    field.zero, pivot rows first in pivot order.
     """
     if not rows:
         return rows, []
-    ncols = len(rows[0])
+    n, ncols = len(rows), len(rows[0])
+    z, one, p = field.zero, field.one, field.p
+    # most zeros are the shared field.zero; the identity test skips their
+    # Fraction.__bool__
+    sp = [{c: x for c, x in enumerate(row) if x is not z and x} for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                sel = i
+        for sel in range(r, n):
+            if c in sp[sel]:
                 break
-        if sel is None:
+        else:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                ci = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(ci, y))
-                           for x, y in zip(rows[i], rows[r])]
+        prow = sp[sel]
+        sp[sel] = sp[r]
+        lead = prow.pop(c)
+        if p is None:
+            inv = one / lead
+            prow = {j: x * inv for j, x in prow.items()}
+        else:
+            inv = pow(lead, p - 2, p)
+            prow = {j: x * inv % p for j, x in prow.items()}
+        sp[r] = prow  # without column c until every other row is cleared
+        for row in sp:
+            if c not in row:
+                continue
+            nci = -row.pop(c)
+            if p is None:
+                for j, y in prow.items():
+                    x = row.get(j)
+                    if x is None:
+                        row[j] = nci * y
+                    else:
+                        x += nci * y
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
+            else:
+                nci %= p
+                for j, y in prow.items():
+                    x = (row.get(j, 0) + nci * y) % p
+                    if x:
+                        row[j] = x
+                    else:
+                        row.pop(j, None)
+        prow[c] = one
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == n:
             break
+    for i, d in enumerate(sp):
+        row = [z] * ncols
+        for j, x in d.items():
+            row[j] = x
+        rows[i] = row
     return rows, pivots
 
 
@@ -286,13 +331,9 @@ def kernel_basis(m: Matrix) -> list[tuple]:
     f = m.field
     aug = [list(m.entries[i]) + [f.one if j == i else f.zero for j in range(m.rows)]
            for i in range(m.rows)]
-    aug, _ = _rref(f, aug)
-    z = f.zero
-    out = []
-    for row in aug:
-        if all(x == z for x in row[:m.cols]):
-            out.append(tuple(row[m.cols:]))
-    return out
+    aug, pivots = _rref(f, aug)
+    # [m | I] has full row rank; a row's m-part vanished iff its pivot is in I
+    return [tuple(aug[r][m.cols:]) for r, c in enumerate(pivots) if c >= m.cols]
 
 
 def solve_right(a: Matrix, b: Matrix) -> Matrix | None:
@@ -306,13 +347,10 @@ def solve_right(a: Matrix, b: Matrix) -> Matrix | None:
     f = a.field
     aug = [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)]
     aug, pivots = _rref(f, aug)
-    pivots = [c for c in pivots if c < a.cols]
-    z = f.zero
-    # any pivot landing in the b-block marks an inconsistent row
-    for row in aug:
-        if all(x == z for x in row[:a.cols]) and any(x != z for x in row[a.cols:]):
-            return None
-    x = [[z] * b.cols for _ in range(a.cols)]
+    # a pivot landing in the b-block marks an inconsistent row
+    if pivots and pivots[-1] >= a.cols:
+        return None
+    x = [[f.zero] * b.cols for _ in range(a.cols)]
     for r, c in enumerate(pivots):
         x[c] = list(aug[r][a.cols:])
     return Matrix(f, a.cols, b.cols, x)

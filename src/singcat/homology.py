@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_linalg import Matrix, kernel_basis, rank, rref, solve_left
+from .exact_linalg import (
+    InternalCheckFailed, Matrix, kernel_basis, rank, rref, solve_left,
+)
 from .rep import (
     Cover,
     RepMorphism,
@@ -107,14 +109,16 @@ def _omega1(f: RepMorphism) -> RepMorphism:
         v, row = coverM.gen_row(j)
         y = Matrix.from_rows(fld, [list(comp.mats[v].entries[row])], N.dims[v])
         x = solve_left(epsN.mats[v], y)
-        assert x is not None, "augmentation is not onto"
+        if x is None:
+            raise InternalCheckFailed("augmentation is not onto")
         xs.append(x)
     lam = _cover_map_from_gen_images(coverM, coverN.rep, xs)
     mats = {}
     for v in M.algebra.quiver.vertices:
         rhs = incM.mats[v].mul(lam.mats[v])
         sol = solve_left(incN.mats[v], rhs)
-        assert sol is not None, "lift does not preserve the kernel"
+        if sol is None:
+            raise InternalCheckFailed("lift does not preserve the kernel")
         mats[v] = sol
     return RepMorphism(KM, KN, mats, check=False)
 
@@ -232,7 +236,8 @@ class StableHomSpace:
             factor = c[p]
             if factor:
                 c = [fld.sub(ci, fld.mul(factor, rj)) for ci, rj in zip(c, row)]
-        assert all(not c[p] for p in self._piv)
+        if any(c[p] for p in self._piv):
+            raise InternalCheckFailed("coordinates not reduced at a pivot")
         return tuple(c[q] for q in self._nonpiv)
 
     def class_rep(self, qcoords) -> RepMorphism:

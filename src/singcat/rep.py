@@ -12,7 +12,9 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .exact_linalg import Field, Matrix, kernel_basis, rank, rref, solve_left
+from .exact_linalg import (
+    Field, InternalCheckFailed, Matrix, kernel_basis, rank, rref, solve_left,
+)
 from .quiver_algebra import BoundQuiverAlgebra, PathKey, valid_triple
 
 
@@ -298,7 +300,8 @@ def kernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
     for a in alg.quiver.arrows:
         rhs = inc_mats[a.src].mul(f.src.action[a.id])
         sol = solve_left(inc_mats[a.tgt], rhs)
-        assert sol is not None, "kernel is not arrow-stable"
+        if sol is None:
+            raise InternalCheckFailed("kernel is not arrow-stable")
         action[a.id] = sol
     K = Representation(alg, dims, action, check=False)
     return K, RepMorphism(K, f.src, inc_mats, check=False)
@@ -319,13 +322,15 @@ def image(f: RepMorphism) -> tuple[Representation, RepMorphism, RepMorphism]:
     for a in alg.quiver.arrows:
         rhs = inc_mats[a.src].mul(f.tgt.action[a.id])
         sol = solve_left(inc_mats[a.tgt], rhs)
-        assert sol is not None, "image is not arrow-stable"
+        if sol is None:
+            raise InternalCheckFailed("image is not arrow-stable")
         action[a.id] = sol
     I = Representation(alg, dims, action, check=False)
     onto_mats = {}
     for v in alg.quiver.vertices:
         sol = solve_left(inc_mats[v], f.mats[v])
-        assert sol is not None
+        if sol is None:
+            raise InternalCheckFailed("map does not factor through its image")
         onto_mats[v] = sol
     return (I, RepMorphism(I, f.tgt, inc_mats, check=False),
             RepMorphism(f.src, I, onto_mats, check=False))
@@ -517,7 +522,8 @@ def projective_cover(M: Representation) -> tuple[Cover, RepMorphism]:
         mats[w] = Matrix.from_rows(f, [list(r) for r in blocks[w]], M.dims[w])
     eps = RepMorphism(cover.rep, M, mats, check=False)
     for w in alg.quiver.vertices:
-        assert rank(eps.mats[w]) == M.dims[w], "cover map is not onto"
+        if rank(eps.mats[w]) != M.dims[w]:
+            raise InternalCheckFailed("cover map is not onto")
     return cover, eps
 
 
@@ -691,7 +697,9 @@ def interval_module(alg: BoundQuiverAlgebra, triple: Sequence[int]) -> Represent
             else:
                 ga, gb = a + k * n - 1, b + k * n
             k2 = (ga - a2) // n if n else 0
-            assert (a2 + k2 * n, b2 + k2 * n) == (ga, gb)
+            if (a2 + k2 * n, b2 + k2 * n) != (ga, gb):
+                raise InternalCheckFailed(
+                    f"arrow {arr.id} does not map layer {k} to a shifted layer")
             row = [f.zero] * len(tgt_pos)
             if k2 in tgt_pos:
                 row[tgt_pos[k2]] = f.one

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_linalg import rank
+from .exact_linalg import InternalCheckFailed, rank
 from .quiver_algebra import BoundQuiverAlgebra
 from .rep import (
     AlgebraMismatch,
@@ -328,7 +328,8 @@ def d_resolution(spec: SubcatSpec, E: Representation) -> DResolution:
         nxt = approx[i + 1]
         diffs.append(incs[i] if nxt is None else nxt.compose(incs[i]))
     res = DResolution(terms, approx[0], diffs)
-    assert _resolution_exact(res), "assembled resolution failed exactness"
+    if not _resolution_exact(res):
+        raise InternalCheckFailed("assembled resolution failed exactness")
     return res
 
 
@@ -385,7 +386,8 @@ def d_coresolution(spec: SubcatSpec, E: Representation) -> DCoresolution:
         nxt = approx[i + 1]
         diffs.append(projs[i] if nxt is None else projs[i].compose(nxt))
     cores = DCoresolution(terms, approx[0], diffs)
-    assert _coresolution_exact(cores), "assembled coresolution failed exactness"
+    if not _coresolution_exact(cores):
+        raise InternalCheckFailed("assembled coresolution failed exactness")
     return cores
 
 
@@ -439,11 +441,12 @@ def standard_angle(spec: SubcatSpec, X: Representation,
     maps = [res.incs[d - 1]] \
         + [res.diff(i) for i in range(d - 1, 0, -1)] + [res.eps[0]]
     for i in range(len(maps) - 1):
-        assert maps[i].compose(maps[i + 1]).is_zero(), "angle does not compose to zero"
+        if not maps[i].compose(maps[i + 1]).is_zero():
+            raise InternalCheckFailed("angle does not compose to zero")
     for i in range(1, len(objects) - 1):
         lhs = maps[i]
         rhs = maps[i - 1]
         for v in objects[i].dims:
-            assert objects[i].dims[v] - rank(lhs.mats[v]) == rank(rhs.mats[v]), \
-                "angle fails exactness"
+            if objects[i].dims[v] - rank(lhs.mats[v]) != rank(rhs.mats[v]):
+                raise InternalCheckFailed("angle fails exactness")
     return Angle(objects, maps, d)

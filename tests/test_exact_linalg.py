@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singcat.exact_linalg import (
-    Field, FieldError, Matrix, kernel_basis, prime_field, rank,
+    Field, FieldError, Matrix, _rref, kernel_basis, prime_field, rank,
     rational_field, rref, solve_left, solve_right,
 )
 
@@ -140,3 +142,141 @@ def test_empty_shapes_are_legal():
     assert len(kernel_basis(n)) == 3
     prod = m.mul(n)
     assert (prod.rows, prod.cols) == (0, 0)
+
+
+# -- differential test of the sparse kernel against dense Gauss-Jordan ----
+
+FIELDS = (rational_field(), prime_field(2), prime_field(101))
+
+
+def _dense_rref(f, rows):
+    """Textbook dense Gauss-Jordan with the canonical pivot order."""
+    rows = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                ci = rows[i][c]
+                rows[i] = [f.sub(x, f.mul(ci, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _dense_kernel(m):
+    f = m.field
+    aug = [list(m.entries[i]) + [f.one if j == i else f.zero for j in range(m.rows)]
+           for i in range(m.rows)]
+    aug, _ = _dense_rref(f, aug)
+    return [tuple(row[m.cols:]) for row in aug if not any(row[:m.cols])]
+
+
+def _dense_solve_right(a, b):
+    f = a.field
+    aug, pivots = _dense_rref(f, [list(ra) + list(rb)
+                                  for ra, rb in zip(a.entries, b.entries)])
+    for row in aug:
+        if not any(row[:a.cols]) and any(row[a.cols:]):
+            return None
+    x = [[f.zero] * b.cols for _ in range(a.cols)]
+    for r, c in enumerate(c for c in pivots if c < a.cols):
+        x[c] = list(aug[r][a.cols:])
+    return Matrix(f, a.cols, b.cols, x)
+
+
+def _dense_solve_left(a, b):
+    xt = _dense_solve_right(a.transpose(), b.transpose())
+    return None if xt is None else xt.transpose()
+
+
+@st.composite
+def _matrices(draw, field=None, rows=None, cols=None):
+    f = draw(st.sampled_from(FIELDS)) if field is None else field
+    r = draw(st.integers(0, 8)) if rows is None else rows
+    c = draw(st.integers(0, 8)) if cols is None else cols
+    percent = draw(st.sampled_from((0, 10, 25, 50, 75, 100)))
+
+    def cell():
+        if draw(st.integers(0, 99)) >= percent:
+            return f.zero
+        n = draw(st.integers(-6, 6))
+        if f.kind == "rational":
+            return Fraction(n, draw(st.integers(1, 3)))
+        return f.of_int(n)
+
+    return Matrix(f, r, c, [[cell() for _ in range(c)] for _ in range(r)])
+
+
+@st.composite
+def _systems(draw, left):
+    """(a, b) for a.x = b (left=False) or x.a = b (left=True), half consistent."""
+    a = draw(_matrices())
+    k = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        if left:
+            return a, draw(_matrices(a.field, k, a.rows)).mul(a)
+        return a, a.mul(draw(_matrices(a.field, a.cols, k)))
+    if left:
+        return a, draw(_matrices(a.field, k, a.cols))
+    return a, draw(_matrices(a.field, a.rows, k))
+
+
+def _assert_canonical_scalars(m):
+    for row in m.entries:
+        for x in row:
+            if m.field.kind == "rational":
+                assert type(x) is Fraction
+            else:
+                assert type(x) is int and 0 <= x < m.field.p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_rref_rank_kernel_match_dense_reference(m):
+    want_rows, want_piv = _dense_rref(m.field, m.entries)
+    got, piv = rref(m)
+    assert piv == want_piv
+    assert got.entries == tuple(tuple(r) for r in want_rows)
+    _assert_canonical_scalars(got)
+    assert rank(m) == len(want_piv)
+    ker = kernel_basis(m)
+    assert ker == _dense_kernel(m)
+    if ker:
+        _assert_canonical_scalars(Matrix.from_rows(m.field, ker, m.rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices())
+def test_rref_rewrites_its_argument_in_place(m):
+    rows = [list(r) for r in m.entries]
+    out, piv = _rref(m.field, rows)
+    assert out is rows
+    assert (rows, piv) == _dense_rref(m.field, m.entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems(left=False))
+def test_solve_right_matches_dense_reference(ab):
+    a, b = ab
+    got, want = solve_right(a, b), _dense_solve_right(a, b)
+    assert got == want
+    if got is not None:
+        _assert_canonical_scalars(got)
+        assert a.mul(got) == b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems(left=True))
+def test_solve_left_matches_dense_reference(ab):
+    a, b = ab
+    got, want = solve_left(a, b), _dense_solve_left(a, b)
+    assert got == want
+    if got is not None:
+        _assert_canonical_scalars(got)
+        assert got.mul(a) == b

@@ -1,0 +1,34 @@
+"""Guards on computed results must survive ``python -O``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import singcat
+from singcat import rep
+from singcat.exact_linalg import InternalCheckFailed
+
+PACKAGE = Path(singcat.__file__).resolve().parent
+
+
+def test_package_has_no_assert_statements():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements vanish under python -O: {found}"
+
+
+def test_internal_check_is_not_reported_as_malformed_input():
+    # cli.main maps ValueError to exit 3, "malformed input"
+    assert issubclass(InternalCheckFailed, RuntimeError)
+    assert not issubclass(InternalCheckFailed, ValueError)
+
+
+def test_failed_kernel_check_raises(monkeypatch, kx4):
+    P = rep.projective_module(kx4, kx4.quiver.vertices[0])
+    monkeypatch.setattr(rep, "solve_left", lambda a, b: None)
+    with pytest.raises(InternalCheckFailed, match="arrow-stable"):
+        rep.kernel(rep.RepMorphism.identity(P))
