@@ -181,13 +181,18 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         f = self.field
+        # row i accumulates a * (row k of other) over the nonzero
+        # a = self[i][k]: the terms of each entry are added in increasing k
+        # and zero factors are skipped, exactly as in a dot product
         out = []
-        for i in range(self.rows):
-            ri = self.entries[i]
-            out.append([
-                _dot(f, ri, [other.entries[k][j] for k in range(other.rows)])
-                for j in range(other.cols)
-            ])
+        for ri in self.entries:
+            acc = [f.zero] * other.cols
+            for a, rk in zip(ri, other.entries):
+                if a:
+                    for j, b in enumerate(rk):
+                        if b:
+                            acc[j] = f.add(acc[j], f.mul(a, b))
+            out.append(acc)
         return Matrix(f, self.rows, other.cols, out)
 
     def add(self, other: Matrix) -> Matrix:
@@ -229,14 +234,6 @@ class Matrix:
     def _same_shape(self, other: Matrix) -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-
-
-def _dot(f: Field, u: Sequence, v: Sequence):
-    acc = f.zero
-    for a, b in zip(u, v):
-        if a and b:
-            acc = f.add(acc, f.mul(a, b))
-    return acc
 
 
 def _rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:

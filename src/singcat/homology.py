@@ -2,14 +2,26 @@
 
 The single-step data (cover, augmentation, kernel, inclusion) is cached on
 each module instance, so iterated syzygies, morphism lifts, and orbit walks
-all see the same representative objects.  Ext is computed in generator
-coordinates: a map out of a cover is determined by the images of the summand
-generators, which keeps every dual differential a small dense matrix.
+all see the same representative objects.  The cache keeps the augmentation's
+matrices, not the augmentation itself, and rebuilds it on each call: the
+augmentation's target is the module, so storing it would put every resolved
+module in a reference cycle that only the cyclic garbage collector frees.
+The inclusion points into the cover, never back at the module.
+
+Stable Hom dimensions and stable-class verdicts are memoised per ordered
+module pair (``_pair_memo``).  The memo on the first module is weak-keyed by
+the second and holds only ints and bools, so an entry neither keeps its key
+alive nor closes a reference cycle.
+
+Ext is computed in generator coordinates: a map out of a cover is determined
+by the images of the summand generators, which keeps every dual differential
+a small dense matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 from .exact_linalg import (
     InternalCheckFailed, Matrix, kernel_basis, rank, rref, solve_left,
@@ -26,14 +38,36 @@ from .rep import (
 
 
 def _step(M: Representation):
-    """Cached (cover, eps, syzygy, inclusion) for one resolution step."""
+    """Cached (cover, eps, syzygy, inclusion) for one resolution step.
+
+    The cache holds eps's matrices and rebuilds eps on each call, so nothing
+    cached on M points back at M.
+    """
     data = getattr(M, "_syzygy_step", None)
     if data is None:
         cover, eps = projective_cover(M)
         K, inc = kernel(eps)
-        data = (cover, eps, K, inc)
-        M._syzygy_step = data
-    return data
+        M._syzygy_step = (cover, eps.mats, K, inc)
+        return cover, eps, K, inc
+    cover, mats, K, inc = data
+    return cover, RepMorphism(cover.rep, M, mats, check=False), K, inc
+
+
+def _pair_memo(attr: str, A: Representation, B: Representation, compute):
+    """compute(A, B), a plain int or bool, memoised per ordered module pair.
+
+    The memo lives on A under ``attr`` and is weak-keyed by B, so it keeps
+    no module alive and closes no reference cycle.
+    """
+    memo = getattr(A, attr, None)
+    if memo is None:
+        memo = WeakKeyDictionary()
+        setattr(A, attr, memo)
+    val = memo.get(B)
+    if val is None:
+        val = compute(A, B)
+        memo[B] = val
+    return val
 
 
 class ProjectiveResolution:
@@ -257,12 +291,19 @@ def stable_hom(M: Representation, N: Representation) -> StableHomSpace:
     return StableHomSpace(M, N)
 
 
+def _stable_dim(A: Representation, B: Representation) -> int:
+    """dim of stable Hom(A, B), memoised per module pair."""
+    return _pair_memo("_stable_dims", A, B,
+                      lambda A, B: stable_hom(A, B).dim)
+
+
 def stable_end_dim(M: Representation) -> int:
-    cached = getattr(M, "_st_end_dim", None)
-    if cached is None:
-        cached = stable_hom(M, M).dim
-        M._st_end_dim = cached
-    return cached
+    """dim of the stable endomorphism space of M.
+
+    The diagonal of the stable-dimension memo, so it is computed once per
+    module and shared with every stable Hom dimension asked of (M, M).
+    """
+    return _stable_dim(M, M)
 
 
 def is_stably_zero_module(M: Representation) -> bool:
@@ -276,12 +317,14 @@ def is_stably_zero_module(M: Representation) -> bool:
 def _likely_stable_iso(A: Representation, B: Representation) -> bool:
     if stable_end_dim(A) != stable_end_dim(B):
         return False
-    return stable_hom(A, B).dim > 0 and stable_hom(B, A).dim > 0
+    return _stable_dim(A, B) > 0 and _stable_dim(B, A) > 0
 
 
 def _matches_stably(A: Representation, B: Representation) -> bool:
+    """Do A and B lie in one stable class?  Memoised per module pair."""
     from .rep import stable_iso
-    return _likely_stable_iso(A, B) and stable_iso(A, B)
+    return _pair_memo("_stable_matches", A, B,
+                      lambda A, B: _likely_stable_iso(A, B) and stable_iso(A, B))
 
 
 @dataclass

@@ -611,8 +611,8 @@ def stable_iso(M: Representation, N: Representation) -> bool:
         return False
     if not add_membership(N, [M] + P):
         return False
-    from .homology import stable_hom
-    return stable_hom(M, M).dim == stable_hom(N, N).dim
+    from .homology import stable_end_dim
+    return stable_end_dim(M) == stable_end_dim(N)
 
 
 def is_isomorphic(M: Representation, N: Representation) -> bool:

@@ -32,14 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
+from .exact_linalg import InternalCheckFailed
 from .homology import (
     PdCertificate,
     _matches_stably,
+    _stable_dim,
     ext,
     is_stably_zero_module,
     omega_stabilizes,
     pd_certificate,
-    stable_hom,
     syzygy,
 )
 from .quiver_algebra import BoundQuiverAlgebra, opposite_algebra
@@ -128,14 +129,14 @@ def stab_hom(x: StableObject, y: StableObject, spec: SubcatSpec,
         criterion = all(_ext1_clean(r, alg) for r in cyc)
         if criterion:
             s = osx["preperiod"]
-            v = stable_hom(syzygy(X, s), syzygy(Y, s)).dim
+            v = _stable_dim(syzygy(X, s), syzygy(Y, s))
             return StabHom("certified", v, "orthogonal_tail", s, True,
                            horizon)
 
     if ox["kind"] == "cycle" and oy["kind"] == "cycle":
         t0 = max(ox["preperiod"], oy["preperiod"])
         w = lcm(ox["period"], oy["period"])
-        window = [stable_hom(syzygy(X, j * d), syzygy(Y, j * d)).dim
+        window = [_stable_dim(syzygy(X, j * d), syzygy(Y, j * d))
                   for j in range(t0, t0 + w)]
         if 0 in window:
             return StabHom("certified", 0, "zero_tail", t0 * d, criterion,
@@ -465,7 +466,7 @@ def gp_certificate(M: Representation, horizon: int = 24) -> GpCertificate:
     if orb["kind"] == "zero":
         # finite positive pd forces a nonzero Ext against the last cover,
         # so a clean scan ending in a vanishing orbit cannot happen
-        raise RuntimeError("vanishing orbit with clean Ext scan")
+        raise InternalCheckFailed("vanishing orbit with clean Ext scan")
     return GpCertificate("undetermined", None, None, None, horizon)
 
 

@@ -280,3 +280,34 @@ def test_solve_left_matches_dense_reference(ab):
     if got is not None:
         _assert_canonical_scalars(got)
         assert got.mul(a) == b
+
+
+def _triple_loop_mul(a, b):
+    f = a.field
+    out = [[f.zero] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                out[i][j] = f.add(out[i][j], f.mul(a.entries[i][k], b.entries[k][j]))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mul_matches_triple_loop_reference(data):
+    a = data.draw(_matrices())
+    b = data.draw(_matrices(a.field, a.cols))
+    got = a.mul(b)
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert got.entries == tuple(tuple(r) for r in _triple_loop_mul(a, b))
+    _assert_canonical_scalars(got)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=("Q", "F2", "F101"))
+@pytest.mark.parametrize("r,k,c", [(0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0)])
+def test_mul_empty_shapes(f, r, k, c):
+    a = Matrix(f, r, k, [[f.of_int(i + j + 1) for j in range(k)] for i in range(r)])
+    b = Matrix(f, k, c, [[f.of_int(i - j) for j in range(c)] for i in range(k)])
+    got = a.mul(b)
+    assert (got.rows, got.cols) == (r, c)
+    assert got.entries == tuple(tuple(row) for row in _triple_loop_mul(a, b))

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
+from singcat import homology, rep
 from singcat.exact_linalg import prime_field, rational_field
-from singcat.quiver_algebra import orbit_grid_algebra, valid_triples_window
+from singcat.quiver_algebra import (
+    nakayama_cyclic, orbit_grid_algebra, valid_triples_window,
+)
 from singcat.rep import (
     Representation,
     hom,
@@ -16,15 +21,20 @@ from singcat.rep import (
     stable_iso,
 )
 from singcat.homology import (
+    _matches_stably,
+    _stable_dim,
     ext,
     is_stably_zero_module,
     omega_stabilizes,
     pd_certificate,
     resolve,
+    stable_end_dim,
     stable_hom,
     syzygy,
     syzygy_morphism,
 )
+from singcat.stab import skeleton
+from singcat.tilting import SubcatSpec
 
 KS = (3, 2, 3, 3)
 
@@ -228,3 +238,72 @@ def test_hereditary_a2_homology(hereditary_a2):
     assert is_isomorphic(syzygy(Su), Pv)
     assert ext(Su, Pv, 1).dim == 1
     assert ext(Su, Su, 1).dim == 0
+
+
+def test_operation_graph_freed_without_cyclic_gc():
+    """Generators and their syzygies die by reference counting alone."""
+    alg = nakayama_cyclic((4,), rational_field())
+    gens = [jordan_module(alg, i) for i in range(1, 5)]
+    gc.disable()
+    try:
+        report = skeleton(SubcatSpec(alg, gens, 1))
+        assert report.count == 3
+        refs = [weakref.ref(m) for g in gens for m in (g, syzygy(g, 1))]
+        del report, gens
+        alive = sum(r() is not None for r in refs)
+        assert alive == 0, f"{alive} of {len(refs)} modules kept alive"
+    finally:
+        gc.enable()
+
+
+def _kx4_modules(fld):
+    """The Jordan modules over a fresh k[x]/(x^4), then their first syzygies."""
+    alg = nakayama_cyclic((4,), fld)
+    gens = [jordan_module(alg, i) for i in range(1, 5)]
+    return gens + [syzygy(g, 1) for g in gens]
+
+
+@pytest.mark.parametrize("fld", [rational_field(), prime_field(2)],
+                         ids=["Q", "F2"])
+def test_pair_memos_match_fresh_computation(fld, monkeypatch):
+    n = len(_kx4_modules(fld))
+    want = {}
+    for i in range(n):
+        for j in range(n):
+            fresh = _kx4_modules(fld)
+            A, B = fresh[i], fresh[j]
+            assert getattr(A, "_stable_dims", None) is None
+            assert getattr(A, "_stable_matches", None) is None
+            want[i, j] = (stable_hom(A, B).dim, _matches_stably(A, B))
+    mods = _kx4_modules(fld)
+    # first calls: every stable dimension, then every verdict
+    for (i, j), (dim, _) in want.items():
+        assert _stable_dim(mods[i], mods[j]) == dim
+    for (i, j), (_, match) in want.items():
+        assert _matches_stably(mods[i], mods[j]) == match
+    # repeat calls are served from the memos alone
+    def recomputed(*args):
+        raise AssertionError("memoised pair recomputed")
+    monkeypatch.setattr(homology, "stable_hom", recomputed)
+    monkeypatch.setattr(rep, "stable_iso", recomputed)
+    for (i, j), (dim, match) in want.items():
+        assert _stable_dim(mods[i], mods[j]) == dim
+        assert _matches_stably(mods[i], mods[j]) == match
+        if i == j:
+            assert stable_end_dim(mods[i]) == dim
+
+
+def test_pair_memo_does_not_keep_its_key_alive():
+    alg = nakayama_cyclic((4,), rational_field())
+    A, B = jordan_module(alg, 1), jordan_module(alg, 3)
+    gc.disable()
+    try:
+        assert _stable_dim(A, B) == 1
+        assert _matches_stably(A, B) is False
+        ref = weakref.ref(B)
+        del B
+        assert ref() is None
+        assert list(A._stable_dims) == [A]
+        assert len(A._stable_matches) == 0
+    finally:
+        gc.enable()

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 import singcat
-from singcat import rep
+from singcat import rep, stab
 from singcat.exact_linalg import InternalCheckFailed
+from singcat.homology import ExtSpace
 
 PACKAGE = Path(singcat.__file__).resolve().parent
 
@@ -32,3 +33,13 @@ def test_failed_kernel_check_raises(monkeypatch, kx4):
     monkeypatch.setattr(rep, "solve_left", lambda a, b: None)
     with pytest.raises(InternalCheckFailed, match="arrow-stable"):
         rep.kernel(rep.RepMorphism.identity(P))
+
+
+def test_gp_certificate_vanishing_orbit_with_clean_scan_raises(monkeypatch, kx4):
+    S = rep.simple_module(kx4, kx4.quiver.vertices[0])
+    monkeypatch.setattr(stab, "omega_stabilizes",
+                        lambda M, horizon, step: {"kind": "zero", "steps": 1,
+                                                  "reps": [M]})
+    monkeypatch.setattr(stab, "ext", lambda M, N, i: ExtSpace(0, []))
+    with pytest.raises(InternalCheckFailed, match="clean Ext scan"):
+        stab.gp_certificate(S)
