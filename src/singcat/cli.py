@@ -13,17 +13,21 @@ File formats (canonical key order, coefficients as decimal strings):
              "claims": ["skeleton_count=4", ...]}
 
 Exit codes: 0 computed or verified, 1 refuted, 2 undetermined at the
-horizon, 3 malformed input.
+horizon, 3 malformed input, 4 internal error (a computed result failed the
+exact check that guards it; a fault of the program, not of the input).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
-from .exact_linalg import Field, FieldError, Matrix, prime_field, rational_field
+from .exact_linalg import (
+    Field, FieldError, InternalCheckFailed, Matrix, prime_field, rational_field,
+)
 from .homology import PdCertificate, ext, pd_certificate, resolve, syzygy
 from .quiver_algebra import (
     Arrow,
@@ -59,6 +63,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_UNDETERMINED = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(ValueError):
@@ -197,6 +202,12 @@ class Loader:
             self._algebras[path] = algebra_from_json(_read_json(path),
                                                      self.length_bound)
         return self._algebras[path]
+
+    def release(self) -> None:
+        """Forget the loaded algebras and clear their caches."""
+        for alg in self._algebras.values():
+            alg.clear_cache()
+        self._algebras.clear()
 
     def module(self, path: Path,
                alg: BoundQuiverAlgebra | None = None) -> Representation:
@@ -609,11 +620,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     loader = Loader(getattr(args, "length_bound", None))
     try:
         return args.run(args, loader)
+    except InternalCheckFailed as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
@@ -627,6 +646,8 @@ def main(argv: list[str] | None = None) -> int:
     except OrbitNotResolved as e:
         print(f"undetermined: {e}", file=sys.stderr)
         return EXIT_UNDETERMINED
+    finally:
+        loader.release()
 
 
 if __name__ == "__main__":

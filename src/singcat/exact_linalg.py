@@ -123,7 +123,9 @@ def prime_field(p: int) -> Field:
 class Matrix:
     """Dense exact matrix over a Field, row-major tuple-of-tuples storage.
 
-    Immutable after construction.  A 0xN or Nx0 matrix is legal and shows up
+    Immutable after construction: the rows are tuples, so a row tuple passed
+    in is kept as it is and may be shared between matrices (``zeros`` uses
+    one row for all of its rows).  A 0xN or Nx0 matrix is legal and shows up
     constantly (zero modules, empty Hom spaces).
     """
 
@@ -131,9 +133,12 @@ class Matrix:
 
     def __init__(self, field: Field, rows: int, cols: int,
                  entries: Iterable[Iterable]):
-        ent = tuple(tuple(row) for row in entries)
-        if len(ent) != rows or any(len(r) != cols for r in ent):
+        ent = tuple(map(tuple, entries))
+        if len(ent) != rows:
             raise ValueError(f"entry shape does not match {rows}x{cols}")
+        for r in ent:
+            if len(r) != cols:
+                raise ValueError(f"entry shape does not match {rows}x{cols}")
         self.field = field
         self.rows = rows
         self.cols = cols
@@ -141,8 +146,7 @@ class Matrix:
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> Matrix:
-        z = field.zero
-        return Matrix(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return Matrix(field, rows, cols, [(field.zero,) * cols] * rows)
 
     @staticmethod
     def identity(field: Field, n: int) -> Matrix:
@@ -218,18 +222,6 @@ class Matrix:
         return Matrix(self.field, self.cols, self.rows,
                       [[self.entries[i][j] for i in range(self.rows)]
                        for j in range(self.cols)])
-
-    def hstack(self, other: Matrix) -> Matrix:
-        if self.rows != other.rows:
-            raise ValueError("hstack row mismatch")
-        return Matrix(self.field, self.rows, self.cols + other.cols,
-                      [ra + rb for ra, rb in zip(self.entries, other.entries)])
-
-    def vstack(self, other: Matrix) -> Matrix:
-        if self.cols != other.cols:
-            raise ValueError("vstack col mismatch")
-        return Matrix(self.field, self.rows + other.rows, self.cols,
-                      self.entries + other.entries)
 
     def _same_shape(self, other: Matrix) -> None:
         if self.rows != other.rows or self.cols != other.cols:

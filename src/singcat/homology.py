@@ -283,9 +283,6 @@ class StableHomSpace:
     def basis_classes(self) -> list[RepMorphism]:
         return [self.hom.basis[q] for q in self._nonpiv]
 
-    def is_stably_zero(self, f: RepMorphism) -> bool:
-        return all(not x for x in self.coords_mod(f))
-
 
 def stable_hom(M: Representation, N: Representation) -> StableHomSpace:
     return StableHomSpace(M, N)

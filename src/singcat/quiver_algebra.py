@@ -143,6 +143,9 @@ class BoundQuiverAlgebra:
     Immutable after compute_basis.  ``mult`` maps (basis key, arrow id) to a
     sparse vector {basis key: coefficient} one degree up; walking a word
     through ``mult`` is how all products and module actions are evaluated.
+    ``cache`` holds objects derived from the algebra (its projective and
+    injective modules, its opposite); they point back at the algebra, so
+    ``clear_cache`` lets the algebra be freed without the cyclic collector.
     """
 
     def __init__(self, quiver: Quiver, relations: Sequence[RelationElement],
@@ -163,6 +166,14 @@ class BoundQuiverAlgebra:
                 self._by_pair.setdefault((key[0], tgt), []).append(key)
                 self._from[key[0]].append(key)
         self.meta: dict = {}
+        self.cache: dict = {}
+
+    def clear_cache(self) -> None:
+        """Drop the derived objects, and those of the cached opposite."""
+        cache, self.cache = self.cache, {}
+        op = cache.get("opposite")
+        if op is not None:
+            op.clear_cache()
 
     def _target_of(self, key: PathKey) -> str:
         src, arrows = key
@@ -183,9 +194,6 @@ class BoundQuiverAlgebra:
 
     def mult_by_arrow(self, key: PathKey, arrow_id: str) -> dict[PathKey, object]:
         return self.mult.get((key, arrow_id), {})
-
-    def vec_times_arrow(self, vec: dict[PathKey, object], arrow_id: str) -> dict[PathKey, object]:
-        return _walk(self.field, self.mult, vec, (arrow_id,))
 
     def word_vector(self, src: str, arrows: Sequence[str]) -> dict[PathKey, object]:
         """Normal form of an arbitrary path word, as a sparse basis vector."""
@@ -326,7 +334,7 @@ def opposite_algebra(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
     Cached both ways, so the opposite of the opposite is the original
     instance.
     """
-    cached = getattr(alg, "_op", None)
+    cached = alg.cache.get("opposite")
     if cached is not None:
         return cached
     q = alg.quiver
@@ -339,8 +347,8 @@ def opposite_algebra(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
     # any nonzero path length is bounded by the dimension
     op = compute_basis(opq, rels, alg.field, alg.dimension + 1)
     op.meta = {"kind": "opposite", "of": alg.meta.get("kind")}
-    alg._op = op
-    op._op = alg
+    alg.cache["opposite"] = op
+    op.cache["opposite"] = alg
     return op
 
 

@@ -96,22 +96,21 @@ def direct_sum(reps: Sequence[Representation]) -> Representation:
     if not reps:
         raise ValueError("empty direct sum needs an algebra; use zero_rep")
     alg = _same_algebra(*reps)
-    f = alg.field
+    z = alg.field.zero
     dims = {v: sum(r.dims[v] for r in reps) for v in alg.quiver.vertices}
     action = {}
     for a in alg.quiver.arrows:
+        # block diagonal: each summand's rows padded by the columns of the
+        # summands before and after it
+        width = dims[a.tgt]
         rows = []
-        for i, r in enumerate(reps):
-            left = sum(x.dims[a.tgt] for x in reps[:i])
-            right = dims[a.tgt] - left - r.dims[a.tgt]
-            block = Matrix.zeros(f, r.dims[a.src], left).hstack(
-                r.action[a.id]).hstack(
-                Matrix.zeros(f, r.dims[a.src], right))
-            rows.append(block)
-        m = Matrix.zeros(f, 0, dims[a.tgt])
-        for b in rows:
-            m = m.vstack(b)
-        action[a.id] = m
+        left = 0
+        for r in reps:
+            pre = (z,) * left
+            left += r.dims[a.tgt]
+            post = (z,) * (width - left)
+            rows.extend(pre + row + post for row in r.action[a.id].entries)
+        action[a.id] = Matrix(alg.field, dims[a.src], width, rows)
     return Representation(alg, dims, action, check=False)
 
 
@@ -406,23 +405,11 @@ class Cover:
         # the trivial path is first in the length-graded order
         return v, self._offsets[j][v] + paths.index((v, ()))
 
-    def summand_paths(self, j: int) -> list[PathKey]:
-        return self.algebra.paths_from(self.vertices[j])
-
-    def row_of_path(self, j: int, key: PathKey) -> tuple[str, int]:
-        w = self.algebra.key_target(key)
-        group = [k for k in self.algebra.paths_from(self.vertices[j])
-                 if self.algebra.key_target(k) == w]
-        return w, self._offsets[j][w] + group.index(key)
-
 
 def projective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
-    cache = getattr(algebra, "_proj_cache", None)
-    if cache is None:
-        cache = {}
-        algebra._proj_cache = cache
-    if v in cache:
-        return cache[v]
+    P = algebra.cache.get(("projective", v))
+    if P is not None:
+        return P
     if v not in algebra.quiver.arrows_from:
         raise AlgebraMismatch(f"unknown vertex {v!r}")
     f = algebra.field
@@ -444,7 +431,7 @@ def projective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
             rows.append(row)
         action[a.id] = Matrix.from_rows(f, rows, len(tgt_keys))
     P = Representation(algebra, dims, action, check=False)
-    cache[v] = P
+    algebra.cache[("projective", v)] = P
     return P
 
 
@@ -471,15 +458,12 @@ def dual_module(algebra: BoundQuiverAlgebra, M: Representation) -> Representatio
 
 def injective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
     """Indecomposable injective with socle at v."""
-    cache = getattr(algebra, "_inj_cache", None)
-    if cache is None:
-        cache = {}
-        algebra._inj_cache = cache
-    if v not in cache:
+    key = ("injective", v)
+    if key not in algebra.cache:
         from .quiver_algebra import opposite_algebra
         op = opposite_algebra(algebra)
-        cache[v] = dual_module(algebra, projective_module(op, v))
-    return cache[v]
+        algebra.cache[key] = dual_module(algebra, projective_module(op, v))
+    return algebra.cache[key]
 
 
 def injectives(algebra: BoundQuiverAlgebra) -> list[tuple[str, Representation]]:
@@ -492,10 +476,9 @@ def top_generators(M: Representation) -> list[tuple[str, list]]:
     f = alg.field
     out = []
     for v in alg.quiver.vertices:
-        stacked = Matrix.zeros(f, 0, M.dims[v])
-        for a in alg.quiver.arrows_into[v]:
-            stacked = stacked.vstack(M.action[a.id])
-        red, piv = rref(stacked)
+        # the radical at v is spanned by the rows of the incoming arrows
+        rows = [r for a in alg.quiver.arrows_into[v] for r in M.action[a.id].entries]
+        _, piv = rref(Matrix(f, len(rows), M.dims[v], rows))
         pivset = set(piv)
         for j in range(M.dims[v]):
             if j not in pivset:
@@ -554,13 +537,11 @@ def universal_right_approximation(gens: Sequence[Representation],
             srcs.append(g)
     if not pieces:
         return RepMorphism(zero_rep(alg), N, {}, check=False)
-    mats = {}
-    for v in alg.quiver.vertices:
-        m = pieces[0].mats[v]
-        for b in pieces[1:]:
-            m = m.vstack(b.mats[v])
-        mats[v] = m
-    return RepMorphism(direct_sum(srcs), N, mats, check=False)
+    S = direct_sum(srcs)
+    mats = {v: Matrix(alg.field, S.dims[v], N.dims[v],
+                      [r for b in pieces for r in b.mats[v].entries])
+            for v in alg.quiver.vertices}
+    return RepMorphism(S, N, mats, check=False)
 
 
 def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:

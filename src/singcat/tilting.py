@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_linalg import InternalCheckFailed, rank
+from .exact_linalg import InternalCheckFailed, Matrix, rank
 from .quiver_algebra import BoundQuiverAlgebra
 from .rep import (
     AlgebraMismatch,
@@ -134,12 +134,11 @@ def left_approximation(spec: SubcatSpec, N: Representation) -> RepMorphism:
     if not pieces:
         return RepMorphism(N, zero_rep(alg), {}, check=False)
     T = direct_sum(tgts)
-    mats = {}
-    for v in alg.quiver.vertices:
-        m = pieces[0].mats[v]
-        for b in pieces[1:]:
-            m = m.hstack(b.mats[v])
-        mats[v] = m
+    # row i of the map at v joins row i of every piece
+    mats = {v: Matrix(alg.field, N.dims[v], T.dims[v],
+                      [[x for r in rs for x in r]
+                       for rs in zip(*(b.mats[v].entries for b in pieces))])
+            for v in alg.quiver.vertices}
     return RepMorphism(N, T, mats, check=False)
 
 

@@ -144,6 +144,34 @@ def test_empty_shapes_are_legal():
     assert (prod.rows, prod.cols) == (0, 0)
 
 
+@pytest.mark.parametrize("rows,cols,entries", [
+    (2, 3, [[1, 2, 3], [4, 5]]),       # ragged row
+    (2, 3, [[1, 2], [4, 5, 6]]),       # ragged first row
+    (2, 3, [[1, 2, 3]]),               # too few rows
+    (1, 3, [[1, 2, 3], [4, 5, 6]]),    # too many rows
+    (0, 3, [[]]),                      # a row where none is declared
+    (2, 0, [[], [0]]),                 # a nonempty row in an Nx0 matrix
+])
+def test_matrix_rejects_wrong_shape(rows, cols, entries):
+    f = prime_field(7)
+    with pytest.raises(ValueError):
+        Matrix(f, rows, cols, entries)
+
+
+@pytest.mark.parametrize("f", (rational_field(), prime_field(2)), ids=("Q", "F2"))
+@pytest.mark.parametrize("r,c", [(0, 3), (3, 0), (0, 0), (2, 3)])
+def test_zeros_shapes(f, r, c):
+    m = Matrix.zeros(f, r, c)
+    assert (m.rows, m.cols) == (r, c)
+    assert m.entries == ((f.zero,) * c,) * r
+    assert all(type(row) is tuple for row in m.entries)
+    # the rows are immutable, so one row tuple serves them all
+    assert len({id(row) for row in m.entries}) == min(r, 1)
+    assert m.is_zero() and rank(m) == 0
+    assert len(kernel_basis(m)) == r
+    assert m == Matrix(f, r, c, [[f.zero] * c for _ in range(r)])
+
+
 # -- differential test of the sparse kernel against dense Gauss-Jordan ----
 
 FIELDS = (rational_field(), prime_field(2), prime_field(101))

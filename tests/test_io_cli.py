@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+import singcat.cli as cli
 from singcat.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_REFUTED,
     EXIT_UNDETERMINED,
@@ -24,7 +28,7 @@ from singcat.cli import (
     module_from_json,
     module_to_json,
 )
-from singcat.exact_linalg import prime_field, rational_field
+from singcat.exact_linalg import InternalCheckFailed, prime_field, rational_field
 from singcat.homology import syzygy
 from singcat.rep import is_isomorphic, projective_module, simple_module
 
@@ -190,6 +194,40 @@ def test_exit_undetermined_skeleton(tilde_dir):
     rc = main(["sing", "skeleton", "--subcat", str(tilde_dir / "subcat.json"),
                "--horizon", "1"])
     assert rc == EXIT_UNDETERMINED
+
+
+def test_exit_internal_on_failed_check(kx2_dir, monkeypatch, capsys):
+    def broken(M, N):
+        raise InternalCheckFailed("kernel is not arrow-stable")
+    monkeypatch.setattr(cli, "hom", broken)
+    rc = main(["mod", "hom", str(kx2_dir / "m_S.json"), str(kx2_dir / "m_P.json")])
+    assert rc == EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: kernel is not arrow-stable\n"
+
+
+def test_cli_operation_freed_without_cyclic_gc(tmp_path, monkeypatch):
+    # everything an operation builds hangs off the algebras it loads; once
+    # main returns, reference counting alone must free them
+    assert main(["example", "a2-tilde-3233", "--out", str(tmp_path)]) == EXIT_OK
+    refs = []
+    load = Loader.algebra
+
+    def recording(self, path):
+        alg = load(self, path)
+        refs.append(weakref.ref(alg))
+        return alg
+    monkeypatch.setattr(Loader, "algebra", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        rc = main(["ct", "verify", "--subcat", str(tmp_path / "subcat.json")])
+        alive = [r() is not None for r in refs]
+    finally:
+        gc.enable()
+    assert rc == EXIT_OK
+    assert alive and not any(alive)
 
 
 def test_exit_input_missing_file(tmp_path):

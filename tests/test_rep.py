@@ -5,11 +5,12 @@ from itertools import product
 
 import pytest
 
-from singcat.exact_linalg import prime_field, rational_field
+from singcat.exact_linalg import Matrix, prime_field, rational_field
 from singcat.homology import syzygy
 from singcat.quiver_algebra import (
     MAX_RELATION_LENGTH,
     nakayama2_infinite,
+    nakayama2_tilde,
     nakayama_cyclic,
     orbit_grid_algebra,
     truncate,
@@ -36,8 +37,10 @@ from singcat.rep import (
     projectives,
     simple_module,
     stable_iso,
+    universal_right_approximation,
     zero_rep,
 )
+from singcat.tilting import SubcatSpec, left_approximation
 
 KS = (3, 2, 3, 3)
 
@@ -135,6 +138,95 @@ def test_direct_sum_and_membership(orbit):
     assert not is_projective(S)
     assert is_projective(zero_rep(orbit))
     assert not add_membership(S, [p for _, p in projectives(orbit)])
+
+
+def _block_diagonal(f, blocks):
+    """Reference block-diagonal matrix, filled entry by entry."""
+    rows = sum(b.rows for b in blocks)
+    cols = sum(b.cols for b in blocks)
+    out = [[f.zero] * cols for _ in range(rows)]
+    r0 = c0 = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for k in range(b.cols):
+                out[r0 + i][c0 + k] = b.entries[i][k]
+        r0 += b.rows
+        c0 += b.cols
+    return Matrix(f, rows, cols, out)
+
+
+def _summand_lists(alg):
+    P = projective_module(alg, "(1,2)")
+    Q = projective_module(alg, "(0,1)")
+    S = simple_module(alg, "(1,3)")
+    Z = zero_rep(alg)
+    # projectives and simples vanish at most vertices; Z vanishes everywhere
+    return [[P], [S], [Z], [P, S], [S, P, Q], [Z, P, Z, S], [P, P, Q, S, Z]]
+
+
+@pytest.mark.parametrize("fld", [rational_field(), prime_field(2)],
+                         ids=["Q", "F2"])
+def test_direct_sum_matches_block_diagonal_reference(fld):
+    alg = orbit_grid_algebra(KS, fld)
+    for reps in _summand_lists(alg):
+        D = direct_sum(reps)
+        assert D.algebra is alg
+        for v in alg.quiver.vertices:
+            assert D.dims[v] == sum(r.dims[v] for r in reps)
+        for a in alg.quiver.arrows:
+            want = _block_diagonal(fld, [r.action[a.id] for r in reps])
+            got = D.action[a.id]
+            assert got == want
+            # zeros are the field's own zero scalar, of its type
+            assert all(type(x) is type(fld.zero) for row in got.entries for x in row)
+
+
+def _chained_vstack(f, mats, cols):
+    acc = Matrix.zeros(f, 0, cols)
+    for m in mats:
+        acc = Matrix(f, acc.rows + m.rows, cols, acc.entries + m.entries)
+    return acc
+
+
+def _chained_hstack(f, mats, rows):
+    acc = Matrix.zeros(f, rows, 0)
+    for m in mats:
+        acc = Matrix(f, rows, acc.cols + m.cols,
+                     [ra + rb for ra, rb in zip(acc.entries, m.entries)])
+    return acc
+
+
+@pytest.mark.parametrize("fld", [rational_field(), prime_field(2)],
+                         ids=["Q", "F2"])
+def test_approximations_match_chained_stacking(fld):
+    alg, spec = nakayama2_tilde(KS, 4, fld)
+    gens = spec.generators[:8]
+    spec8 = SubcatSpec(alg, gens, spec.d)
+    # three to eight pieces each way, and one target with none
+    targets = [projective_module(alg, "(1,2)"), injective_module(alg, "(0,0)"),
+               gens[4], direct_sum([gens[1], gens[3]]),
+               simple_module(alg, "(1,3)")]
+    counts = [(sum(hom(g, N).dim for g in gens), sum(hom(N, g).dim for g in gens))
+              for N in targets]
+    assert counts == [(4, 3), (3, 3), (4, 3), (4, 8), (0, 0)]
+    for N in targets:
+        right = universal_right_approximation(gens, N)
+        pieces = [b for g in gens for b in hom(g, N).basis]
+        srcs = [g for g in gens for _ in hom(g, N).basis]
+        assert right.tgt is N
+        assert right.src.dims == (direct_sum(srcs) if srcs else zero_rep(alg)).dims
+        for v in alg.quiver.vertices:
+            assert right.mats[v] == _chained_vstack(
+                fld, [b.mats[v] for b in pieces], N.dims[v])
+
+        left = left_approximation(spec8, N)
+        pieces = [b for g in gens for b in hom(N, g).basis]
+        tgts = [g for g in gens for _ in hom(N, g).basis]
+        assert left.src is N
+        assert left.tgt.dims == (direct_sum(tgts) if tgts else zero_rep(alg)).dims
+        for v in alg.quiver.vertices:
+            assert left.mats[v] == _chained_hstack(
+                fld, [b.mats[v] for b in pieces], N.dims[v])
 
 
 def test_interval_calibration_matches_projectives(orbit):
