@@ -176,8 +176,50 @@ def module_from_json(obj, alg: BoundQuiverAlgebra) -> Representation:
         raise InputError(f"malformed module JSON: {e}")
 
 
+def _dump_indented(obj, indent: str, out: list[str]) -> None:
+    """Append the text json.dumps(obj, indent=2) gives, nested at ``indent``.
+
+    Scalars and keys go through json.dumps without indent, which runs the C
+    encoder; the indented pure-Python encoder builds closures that reference
+    each other, so every call would leave a cycle for the cyclic collector.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                if not isinstance(k, (int, float)) and k is not None:
+                    raise TypeError(f"keys must be str, int, float, bool or "
+                                    f"None, not {type(k).__name__}")
+                k = json.dumps(k)
+            out.append(sep + json.dumps(k) + ": ")
+            _dump_indented(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for v in obj:
+            out.append(sep)
+            _dump_indented(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        out.append(json.dumps(obj))
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """json.dumps(obj, indent=2) plus a newline, byte for byte."""
+    out: list[str] = []
+    _dump_indented(obj, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _read_json(path: Path):

@@ -126,7 +126,8 @@ class Matrix:
     Immutable after construction: the rows are tuples, so a row tuple passed
     in is kept as it is and may be shared between matrices (``zeros`` uses
     one row for all of its rows).  A 0xN or Nx0 matrix is legal and shows up
-    constantly (zero modules, empty Hom spaces).
+    constantly (zero modules, empty Hom spaces).  Products (``act``, ``mul``)
+    do arithmetic only on the nonzero entries of their factors.
     """
 
     __slots__ = ("field", "rows", "cols", "entries")
@@ -156,7 +157,6 @@ class Matrix:
 
     @staticmethod
     def from_rows(field: Field, rows: Sequence[Sequence], cols: int | None = None) -> Matrix:
-        rows = [list(r) for r in rows]
         if cols is None:
             if not rows:
                 raise ValueError("cols required for a rowless matrix")
@@ -181,23 +181,35 @@ class Matrix:
         z = self.field.zero
         return all(e == z for r in self.entries for e in r)
 
+    def act(self, x: Sequence) -> tuple:
+        """The row vector x times this matrix, as a tuple.
+
+        The result accumulates a * (row k) over the nonzero a = x[k], only at
+        that row's nonzeros; entries that are the shared field.zero are
+        skipped by identity, without a Fraction.__bool__ call.
+        """
+        if len(x) != self.rows:
+            raise ValueError(f"cannot multiply a {len(x)}-vector by {self.rows}x{self.cols}")
+        z, p = self.field.zero, self.field.p
+        acc = [z] * self.cols
+        for a, rk in zip(x, self.entries):
+            if a is z or not a:
+                continue
+            if p is None:
+                for j, b in enumerate(rk):
+                    if b is not z and b:
+                        acc[j] += a * b
+            else:
+                for j, b in enumerate(rk):
+                    if b:
+                        acc[j] = (acc[j] + a * b) % p
+        return tuple(acc)
+
     def mul(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        f = self.field
-        # row i accumulates a * (row k of other) over the nonzero
-        # a = self[i][k]: the terms of each entry are added in increasing k
-        # and zero factors are skipped, exactly as in a dot product
-        out = []
-        for ri in self.entries:
-            acc = [f.zero] * other.cols
-            for a, rk in zip(ri, other.entries):
-                if a:
-                    for j, b in enumerate(rk):
-                        if b:
-                            acc[j] = f.add(acc[j], f.mul(a, b))
-            out.append(acc)
-        return Matrix(f, self.rows, other.cols, out)
+        return Matrix(self.field, self.rows, other.cols,
+                      [other.act(ri) for ri in self.entries])
 
     def add(self, other: Matrix) -> Matrix:
         self._same_shape(other)
@@ -352,5 +364,5 @@ def solve_left(a: Matrix, b: Matrix) -> Matrix | None:
 
 
 def row_space_contains(m: Matrix, v: Sequence) -> bool:
-    vm = Matrix.from_rows(m.field, [list(v)], m.cols)
+    vm = Matrix.from_rows(m.field, [v], m.cols)
     return solve_left(m, vm) is not None

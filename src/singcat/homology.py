@@ -15,7 +15,12 @@ alive nor closes a reference cycle.
 
 Ext is computed in generator coordinates: a map out of a cover is determined
 by the images of the summand generators, which keeps every dual differential
-a small dense matrix.
+a small dense matrix.  Only generator rows are ever computed: a cover map's
+rows are the generator images walked along path prefixes
+(``rep._path_images``), and a dual differential reads the generator rows of
+d_i = eps_i . inc_{i-1} as one vector-by-matrix product each, never the
+whole composite.  The path matrices a dual differential sums are built by
+prefix in a dict local to that one call, so no product outlives it.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .rep import (
     Cover,
     RepMorphism,
     Representation,
+    _path_images,
     _same_algebra,
     hom,
     kernel,
@@ -110,16 +116,15 @@ def syzygy(M: Representation, steps: int = 1) -> Representation:
 
 
 def _cover_map_from_gen_images(cover: Cover, T: Representation,
-                               xs: list[Matrix]) -> RepMorphism:
+                               xs: list) -> RepMorphism:
     """The morphism cover.rep -> T sending the j-th generator to row xs[j]."""
     alg = cover.algebra
     f = alg.field
     rows_at: dict[str, list] = {w: [] for w in alg.quiver.vertices}
-    for j, v in enumerate(cover.vertices):
-        for key in alg.paths_from(v):
-            w = alg.key_target(key)
-            rows_at[w].append(xs[j].mul(T.path_matrix(v, key[1])).entries[0])
-    mats = {w: Matrix.from_rows(f, [list(r) for r in rows_at[w]], T.dims[w])
+    for v, x in zip(cover.vertices, xs):
+        for key, img in _path_images(T, v, x).items():
+            rows_at[alg.key_target(key)].append(img)
+    mats = {w: Matrix.from_rows(f, rows_at[w], T.dims[w])
             for w in alg.quiver.vertices}
     return RepMorphism(cover.rep, T, mats, check=False)
 
@@ -137,15 +142,16 @@ def _omega1(f: RepMorphism) -> RepMorphism:
     coverM, epsM, KM, incM = _step(M)
     coverN, epsN, KN, incN = _step(N)
     fld = M.algebra.field
-    comp = epsM.compose(f)
     xs = []
     for j in range(len(coverM.vertices)):
         v, row = coverM.gen_row(j)
-        y = Matrix.from_rows(fld, [list(comp.mats[v].entries[row])], N.dims[v])
+        # the generator's image under epsM then f: one row of the composite
+        y = Matrix.from_rows(fld, [f.mats[v].act(epsM.mats[v].entries[row])],
+                             N.dims[v])
         x = solve_left(epsN.mats[v], y)
         if x is None:
             raise InternalCheckFailed("augmentation is not onto")
-        xs.append(x)
+        xs.append(x.entries[0])
     lam = _cover_map_from_gen_images(coverM, coverN.rep, xs)
     mats = {}
     for v in M.algebra.quiver.vertices:
@@ -161,15 +167,24 @@ def _hom_from_cover_dim(cover: Cover, N: Representation) -> int:
     return sum(N.dims[v] for v in cover.vertices)
 
 
-def _dual_map_matrix(cover_lo: Cover, cover_hi: Cover, d: RepMorphism,
-                     N: Representation) -> Matrix:
-    """Matrix of precomposition Hom(cover_lo.rep, N) -> Hom(cover_hi.rep, N).
+def _dual_map_matrix(cover_lo: Cover, cover_hi: Cover, eps: RepMorphism,
+                     inc: RepMorphism, N: Representation) -> Matrix:
+    """Matrix of precomposition with d = eps . inc, from Hom(cover_lo.rep, N)
+    to Hom(cover_hi.rep, N).
 
-    Both hom spaces are written in generator coordinates, rows acting on the
-    right as everywhere else.
+    ``eps`` maps cover_hi.rep onto a module that ``inc`` includes into
+    cover_lo.rep; in a resolution they are eps_i and inc_{i-1}, and d is the
+    differential d_i.  Both hom spaces are written in generator coordinates,
+    rows acting on the right as everywhere else.  A map out of cover_hi is
+    fixed by its generator images, so only the generator rows of d are
+    computed, each as one vector-by-matrix product.  Each block sums the
+    path matrices of N along the basis paths in such a row; they are built
+    by prefix (one product per path) in a dict local to this call.
     """
     alg = cover_lo.algebra
     f = alg.field
+    z = f.zero
+    pmats: dict = {}  # path matrices of N, by basis path
     row_off = []
     r = 0
     for v in cover_lo.vertices:
@@ -180,26 +195,37 @@ def _dual_map_matrix(cover_lo: Cover, cover_hi: Cover, d: RepMorphism,
     for w in cover_hi.vertices:
         col_off.append(c)
         c += N.dims[w]
-    out = [[f.zero] * c for _ in range(r)]
+    out = [[z] * c for _ in range(r)]
     for j, w in enumerate(cover_hi.vertices):
         wv, grow = cover_hi.gen_row(j)
-        img = d.mats[wv].entries[grow] if d.mats[wv].rows else ()
+        img = inc.mats[wv].act(eps.mats[wv].entries[grow])
         for k, v in enumerate(cover_lo.vertices):
-            group = alg.basis(v, wv)
             base = cover_lo.offset(k, wv)
-            block = None
-            for idx, key in enumerate(group):
+            for idx, key in enumerate(alg.basis(v, wv)):
                 coef = img[base + idx]
-                if coef:
-                    m = N.path_matrix(v, key[1]).scale(coef)
-                    block = m if block is None else block.add(m)
-            if block is not None:
-                for a in range(N.dims[v]):
-                    for b in range(N.dims[w]):
-                        if block.entries[a][b]:
-                            out[row_off[k] + a][col_off[j] + b] = f.add(
-                                out[row_off[k] + a][col_off[j] + b],
-                                block.entries[a][b])
+                if coef is z or not coef:
+                    continue
+                pm = pmats.get(key)
+                if pm is None:
+                    # extend the longest nontrivial prefix built so far one
+                    # arrow at a time; a path of one arrow is its action
+                    arrows = key[1]
+                    n = len(arrows)
+                    while n and (v, arrows[:n]) not in pmats:
+                        n -= 1
+                    pm = pmats[(v, arrows[:n])] if n else None
+                    for t in range(n, len(arrows)):
+                        act = N.action[arrows[t]]
+                        pm = act if pm is None else pm.mul(act)
+                        pmats[(v, arrows[:t + 1])] = pm
+                    if pm is None:
+                        pm = pmats[key] = Matrix.identity(f, N.dims[v])
+                ro, co = row_off[k], col_off[j]
+                for a, prow in enumerate(pm.entries):
+                    orow = out[ro + a]
+                    for b, x in enumerate(prow):
+                        if x is not z and x:
+                            orow[co + b] = f.add(orow[co + b], f.mul(coef, x))
     return Matrix.from_rows(f, out, c)
 
 
@@ -219,18 +245,18 @@ def ext(M: Representation, N: Representation, i: int) -> ExtSpace:
         h = hom(M, N)
         return ExtSpace(h.dim, list(h.basis))
     res = resolve(M, i + 1)
-    d_lo = _dual_map_matrix(res.covers[i - 1], res.covers[i], res.diff(i), N)
-    d_hi = _dual_map_matrix(res.covers[i], res.covers[i + 1], res.diff(i + 1), N)
+    d_lo = _dual_map_matrix(res.covers[i - 1], res.covers[i], res.eps[i],
+                            res.incs[i - 1], N)
+    d_hi = _dual_map_matrix(res.covers[i], res.covers[i + 1], res.eps[i + 1],
+                            res.incs[i], N)
     total = _hom_from_cover_dim(res.covers[i], N)
     dim = total - rank(d_lo) - rank(d_hi)
-    fld = M.algebra.field
     cocycles = []
     for vec in kernel_basis(d_hi):
         xs = []
         pos = 0
         for v in res.covers[i].vertices:
-            xs.append(Matrix.from_rows(fld, [list(vec[pos:pos + N.dims[v]])],
-                                       N.dims[v]))
+            xs.append(vec[pos:pos + N.dims[v]])
             pos += N.dims[v]
         cocycles.append(_cover_map_from_gen_images(res.covers[i], N, xs))
     return ExtSpace(dim, cocycles)
@@ -251,7 +277,7 @@ class StableHomSpace:
         self.hom = hom(M, N)
         coverN, epsN, _, _ = _step(N)
         hp = hom(M, coverN.rep)
-        rows = [list(self.hom.coords(b.compose(epsN))) for b in hp.basis]
+        rows = [self.hom.coords(b.compose(epsN)) for b in hp.basis]
         red, piv = rref(Matrix.from_rows(fld, rows, self.hom.dim))
         self._field = fld
         self._red = red

@@ -59,6 +59,11 @@ class Representation:
         return self.total_dim == 0
 
     def path_matrix(self, src: str, arrows: Sequence[str]) -> Matrix:
+        """The action of an arrow word, as a product from the identity.
+
+        Only the relation check uses this; maps out of covers walk their
+        generator images along path prefixes instead (``_path_images``).
+        """
         m = Matrix.identity(self.algebra.field, self.dims[src])
         for aid in arrows:
             m = m.mul(self.action[aid])
@@ -181,43 +186,59 @@ def _commuting_system(M: Representation, N: Representation, spare: int = 0,
     """Dense commuting constraints on the morphisms M -> N.
 
     Rows are the unknowns, the entries of the per-vertex matrices laid out
-    vertex by vertex from ``off[v]``; columns are the nonzero scalar
-    constraints of each arrow.  Returns (rows, constraint count, off); each
-    row has ``spare`` zero columns after the constraints for the caller.
+    vertex by vertex from ``off[v]``; columns are the scalar constraints
+    (M_a f_w - f_u N_a)[i][k] of each arrow a: u -> w that have a term,
+    that is, whose row i of M_a or column k of N_a is nonzero (a column
+    whose terms cancel is kept).  Returns (rows, constraint count, off);
+    each row has ``spare`` zero columns after the constraints for the
+    caller.  Only the nonzeros of the actions are visited: each arrow lists
+    those of M_a by row and of N_a by column once.
     """
     f = M.algebra.field
+    z = f.zero
     off = {}
     total = 0
     for v in M.algebra.quiver.vertices:
         off[v] = total
         total += M.dims[v] * N.dims[v]
+    # per arrow with constraints: (u, w, nonzeros by row of M_a, negated
+    # nonzeros by column of N_a)
+    terms = []
     ncols = 0
-    data = [[] for _ in range(total)]
     for a in M.algebra.quiver.arrows:
         u, w = a.src, a.tgt
-        Ma, Na = M.action[a.id], N.action[a.id]
-        du, dw, eu, ew = M.dims[u], M.dims[w], N.dims[u], N.dims[w]
-        for i in range(du):
-            for k in range(ew):
-                col = {}
-                for j in range(dw):
-                    if Ma.entries[i][j]:
-                        idx = off[w] + j * ew + k
-                        col[idx] = f.add(col.get(idx, f.zero), Ma.entries[i][j])
-                for j2 in range(eu):
-                    if Na.entries[j2][k]:
-                        idx = off[u] + i * eu + j2
-                        col[idx] = f.sub(col.get(idx, f.zero), Na.entries[j2][k])
-                if col:
-                    for idx, val in col.items():
-                        data[idx].append((ncols, val))
-                    ncols += 1
-    rows = []
-    for idx in range(total):
-        row = [f.zero] * (ncols + spare)
-        for c, val in data[idx]:
-            row[c] = f.add(row[c], val)
-        rows.append(row)
+        du, ew = M.dims[u], N.dims[w]
+        if not du or not ew:
+            continue
+        m_rows = [[(j, x) for j, x in enumerate(r) if x is not z and x]
+                  for r in M.action[a.id].entries]
+        n_cols = [[] for _ in range(ew)]
+        for j2, r in enumerate(N.action[a.id].entries):
+            for k, y in enumerate(r):
+                if y is not z and y:
+                    n_cols[k].append((j2, f.neg(y)))
+        empty_m = sum(1 for r in m_rows if not r)
+        empty_n = sum(1 for c in n_cols if not c)
+        ncols += du * ew - empty_m * empty_n
+        terms.append((u, w, m_rows, n_cols))
+    rows = [[z] * (ncols + spare) for _ in range(total)]
+    c = 0
+    for u, w, m_rows, n_cols in terms:
+        ou, ow = off[u], off[w]
+        eu, ew = N.dims[u], N.dims[w]
+        for i, m_row in enumerate(m_rows):
+            base = ou + i * eu
+            for k, n_col in enumerate(n_cols):
+                if not m_row and not n_col:
+                    continue
+                for j, x in m_row:
+                    rows[ow + j * ew + k][c] = x
+                # an M term and an N term meet only on a loop (j = i, j2 = k)
+                for j2, y in n_col:
+                    row = rows[base + j2]
+                    cur = row[c]
+                    row[c] = y if cur is z else f.add(cur, y)
+                c += 1
     return rows, ncols, off
 
 
@@ -252,7 +273,7 @@ class HomSpace:
         rows, ncols, _ = _commuting_system(M, N)
         ct = Matrix.from_rows(f, rows, ncols)
         vecs = kernel_basis(ct)
-        self._bmat = Matrix.from_rows(f, [list(v) for v in vecs], len(rows))
+        self._bmat = Matrix.from_rows(f, vecs, len(rows))
         self.basis = [_morphism_from_vec(M, N, v) for v in vecs]
 
     @property
@@ -290,8 +311,7 @@ def hom(M: Representation, N: Representation) -> HomSpace:
 
 def kernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
     alg = f.src.algebra
-    inc_mats = {v: Matrix.from_rows(alg.field,
-                                    [list(r) for r in kernel_basis(f.mats[v])],
+    inc_mats = {v: Matrix.from_rows(alg.field, kernel_basis(f.mats[v]),
                                     f.src.dims[v])
                 for v in alg.quiver.vertices}
     dims = {v: inc_mats[v].rows for v in inc_mats}
@@ -313,8 +333,7 @@ def image(f: RepMorphism) -> tuple[Representation, RepMorphism, RepMorphism]:
     inc_mats = {}
     for v in alg.quiver.vertices:
         red, piv = rref(f.mats[v])
-        inc_mats[v] = Matrix.from_rows(fld, [list(red.entries[i])
-                                             for i in range(len(piv))],
+        inc_mats[v] = Matrix.from_rows(fld, red.entries[:len(piv)],
                                        f.tgt.dims[v])
     dims = {v: inc_mats[v].rows for v in inc_mats}
     action = {}
@@ -488,21 +507,42 @@ def top_generators(M: Representation) -> list[tuple[str, list]]:
     return out
 
 
+def _path_images(M: Representation, v: str, row: Sequence) -> dict[PathKey, tuple]:
+    """The image of the row vector ``row`` of M at v under each basis path.
+
+    Keyed by the basis paths from v in ``paths_from`` order; the value at a
+    path p is row . (action of p).  Each image is its prefix's image (the
+    path one arrow shorter) times the last arrow's action, one
+    vector-by-matrix product.  This relies on an invariant of
+    ``compute_basis``: every basis path of length L + 1 extends a basis path
+    of length L by one arrow, and ``paths_from`` lists paths by length, so
+    the prefix's image is always there first.  The opposite algebra is built
+    by ``compute_basis`` too.
+    """
+    alg = M.algebra
+    action = M.action
+    out: dict[PathKey, tuple] = {}
+    for key in alg.paths_from(v):
+        arrows = key[1]
+        if arrows:
+            out[key] = action[arrows[-1]].act(out[(v, arrows[:-1])])
+        else:
+            out[key] = tuple(row)
+    return out
+
+
 def projective_cover(M: Representation) -> tuple[Cover, RepMorphism]:
     alg = M.algebra
     f = alg.field
     gens = top_generators(M)
     cover = Cover(alg, [v for v, _ in gens])
-    mats = {w: Matrix.zeros(f, 0, M.dims[w]) for w in alg.quiver.vertices}
     blocks: dict[str, list] = {w: [] for w in alg.quiver.vertices}
     for (v, g) in gens:
-        grow = Matrix.from_rows(f, [g], M.dims[v])
-        for key in alg.paths_from(v):
-            w = alg.key_target(key)
-            blocks[w].append(grow.mul(M.path_matrix(v, key[1])).entries[0])
+        for key, img in _path_images(M, v, g).items():
+            blocks[alg.key_target(key)].append(img)
     # blocks follow the same (summand, path) order as the cover's basis rows
-    for w in alg.quiver.vertices:
-        mats[w] = Matrix.from_rows(f, [list(r) for r in blocks[w]], M.dims[w])
+    mats = {w: Matrix.from_rows(f, blocks[w], M.dims[w])
+            for w in alg.quiver.vertices}
     eps = RepMorphism(cover.rep, M, mats, check=False)
     for w in alg.quiver.vertices:
         if rank(eps.mats[w]) != M.dims[w]:

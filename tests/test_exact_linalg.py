@@ -339,3 +339,33 @@ def test_mul_empty_shapes(f, r, k, c):
     got = a.mul(b)
     assert (got.rows, got.cols) == (r, c)
     assert got.entries == tuple(tuple(row) for row in _triple_loop_mul(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_act_matches_triple_loop_reference(data):
+    m = data.draw(_matrices())
+    x = data.draw(_matrices(m.field, 1, m.rows))
+    got = m.act(x.entries[0])
+    assert type(got) is tuple
+    assert got == tuple(_triple_loop_mul(x, m)[0])
+    _assert_canonical_scalars(Matrix.from_rows(m.field, [got], m.cols))
+    with pytest.raises(ValueError):
+        m.act(x.entries[0] + (m.field.zero,))
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=("Q", "F2", "F101"))
+def test_from_rows_shapes(f):
+    with pytest.raises(ValueError):
+        Matrix.from_rows(f, [])
+    empty = Matrix.from_rows(f, [], 3)
+    assert (empty.rows, empty.cols, empty.entries) == (0, 3, ())
+    narrow = Matrix.from_rows(f, [(), ()])
+    assert (narrow.rows, narrow.cols, narrow.entries) == (2, 0, ((), ()))
+    rows = [(f.one, f.zero), [f.zero, f.one]]
+    m = Matrix.from_rows(f, rows)
+    assert m == Matrix.identity(f, 2)
+    # a row tuple is kept as it is, not copied
+    assert m.entries[0] is rows[0]
+    with pytest.raises(ValueError):
+        Matrix.from_rows(f, rows, 3)

@@ -7,11 +7,12 @@ import weakref
 import pytest
 
 from singcat import homology, rep
-from singcat.exact_linalg import prime_field, rational_field
+from singcat.exact_linalg import Matrix, prime_field, rational_field
 from singcat.quiver_algebra import (
     nakayama_cyclic, orbit_grid_algebra, valid_triples_window,
 )
 from singcat.rep import (
+    RepMorphism,
     Representation,
     hom,
     interval_module,
@@ -21,6 +22,7 @@ from singcat.rep import (
     stable_iso,
 )
 from singcat.homology import (
+    _dual_map_matrix,
     _matches_stably,
     _stable_dim,
     ext,
@@ -307,3 +309,65 @@ def test_pair_memo_does_not_keep_its_key_alive():
         assert len(A._stable_matches) == 0
     finally:
         gc.enable()
+
+
+def _dual_map_reference(cover_lo, cover_hi, d, N):
+    """Precomposition with a whole differential d, summing path matrices."""
+    alg = cover_lo.algebra
+    f = alg.field
+    row_off, col_off = [0], [0]
+    for v in cover_lo.vertices:
+        row_off.append(row_off[-1] + N.dims[v])
+    for w in cover_hi.vertices:
+        col_off.append(col_off[-1] + N.dims[w])
+    out = [[f.zero] * col_off[-1] for _ in range(row_off[-1])]
+    for j, w in enumerate(cover_hi.vertices):
+        wv, grow = cover_hi.gen_row(j)
+        img = d.mats[wv].entries[grow]
+        for k, v in enumerate(cover_lo.vertices):
+            base = cover_lo.offset(k, wv)
+            block = Matrix.zeros(f, N.dims[v], N.dims[w])
+            for idx, key in enumerate(alg.basis(v, wv)):
+                block = block.add(N.path_matrix(v, key[1]).scale(img[base + idx]))
+            for a in range(N.dims[v]):
+                for b in range(N.dims[w]):
+                    out[row_off[k] + a][col_off[j] + b] = block.entries[a][b]
+    return Matrix.from_rows(f, out, col_off[-1])
+
+
+@pytest.mark.parametrize("fld", [rational_field(), prime_field(2),
+                                 prime_field(101)], ids=repr)
+def test_dual_map_from_generator_rows_matches_full_differential(fld):
+    orb = orbit_grid_algebra(KS, fld)
+    kx5 = nakayama_cyclic((5,), fld)
+    cases = [(interval_module(orb, (0, 0, 0)),
+              [projective_module(orb, "(0,1)"), interval_module(orb, (1, 2, 3)),
+               simple_module(orb, "(1,2)")]),
+             (interval_module(orb, (1, 1, 2)), [interval_module(orb, (0, 0, 0))]),
+             (rep.direct_sum([interval_module(orb, t) for t in
+                              ((0, 0, 0), (1, 1, 2), (1, 2, 3))]),
+              [interval_module(orb, (1, 2, 3)), projective_module(orb, "(0,2)")]),
+             (jordan_module(kx5, 2), [jordan_module(kx5, i) for i in range(1, 6)]),
+             # two generators at one vertex: the second one's row is not 0
+             (rep.direct_sum([jordan_module(kx5, 2), jordan_module(kx5, 3)]),
+              [jordan_module(kx5, 3), jordan_module(kx5, 4)])]
+    checked = 0
+    for M, targets in cases:
+        res = resolve(M, 4)
+        for i in range(1, 5):
+            for N in targets:
+                got = _dual_map_matrix(res.covers[i - 1], res.covers[i],
+                                       res.eps[i], res.incs[i - 1], N)
+                ref = _dual_map_reference(res.covers[i - 1], res.covers[i],
+                                          res.diff(i), N)
+                assert (got.rows, got.cols) == (ref.rows, ref.cols)
+                assert got.entries == ref.entries
+                checked += not ref.is_zero()
+            # a minimal resolution's differentials miss the trivial paths,
+            # which the identity map hits at every generator
+            C = res.covers[0]
+            ident = RepMorphism.identity(C.rep)
+            got = _dual_map_matrix(C, C, ident, ident, N)
+            assert got == Matrix.identity(fld, got.rows)
+            assert got == _dual_map_reference(C, C, ident, N)
+    assert checked

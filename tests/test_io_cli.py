@@ -11,6 +11,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import singcat.cli as cli
 from singcat.cli import (
@@ -228,6 +230,42 @@ def test_cli_operation_freed_without_cyclic_gc(tmp_path, monkeypatch):
         gc.enable()
     assert rc == EXIT_OK
     assert alive and not any(alive)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_dumps_canonical_matches_json_indent(obj):
+    assert dumps_canonical(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], {"a": {}, "b": [], "c": [[], {}]}, "caf\u00e9 \u2211 \"q\"\n",
+    {"\u00e9": ["\U0001d400", None, True, False, -3]}, (1, (2,)), {1: "x"},
+])
+def test_dumps_canonical_edge_cases(obj):
+    assert dumps_canonical(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_report_writing_leaves_no_cyclic_garbage(tmp_path):
+    assert main(["example", "a2-tilde-3233", "--out", str(tmp_path)]) == EXIT_OK
+    gc.collect()
+    gc.disable()
+    try:
+        rc = main(["ct", "verify", "--subcat", str(tmp_path / "subcat.json"),
+                   "--out", str(tmp_path / "report.json")])
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert rc == EXIT_OK
+    assert (tmp_path / "report.json").read_text().startswith("{\n")
+    assert unreachable == 0
 
 
 def test_exit_input_missing_file(tmp_path):

@@ -5,10 +5,13 @@ from itertools import product
 
 import pytest
 
-from singcat.exact_linalg import Matrix, prime_field, rational_field
+from singcat.exact_linalg import Matrix, prime_field, rank, rational_field, solve_right
 from singcat.homology import syzygy
 from singcat.quiver_algebra import (
     MAX_RELATION_LENGTH,
+    Arrow,
+    Quiver,
+    compute_basis,
     nakayama2_infinite,
     nakayama2_tilde,
     nakayama_cyclic,
@@ -20,6 +23,9 @@ from singcat.rep import (
     AlgebraMismatch,
     InvalidTriple,
     RepMorphism,
+    Representation,
+    _commuting_system,
+    _path_images,
     add_membership,
     cokernel,
     direct_sum,
@@ -374,3 +380,130 @@ def test_hom_coords_roundtrip(orbit):
         coeffs = [f.of_int(rng.randrange(-3, 4)) for _ in range(H.dim)]
         g = H.element(coeffs)
         assert list(H.coords(g)) == coeffs
+
+
+# ---------------------------------------------------------------------------
+# generator images by path prefix, and commuting constraints from nonzeros
+
+FIELDS = [rational_field(), prime_field(2), prime_field(101)]
+
+
+def _twisted(M, rng):
+    """M in a random basis: A' = S_u A S_w^-1 with S_v random invertible."""
+    f = M.algebra.field
+    S, Sinv = {}, {}
+    for v, d in M.dims.items():
+        while True:
+            m = Matrix.from_rows(f, [[f.of_int(rng.randrange(-3, 4))
+                                      for _ in range(d)] for _ in range(d)], d)
+            if rank(m) == d:
+                break
+        S[v] = m
+        Sinv[v] = solve_right(m, Matrix.identity(f, d))
+    action = {}
+    for a in M.algebra.quiver.arrows:
+        action[a.id] = S[a.src].mul(M.action[a.id]).mul(Sinv[a.tgt])
+    return Representation(M.algebra, M.dims, action, check=True)
+
+
+def _test_modules(fld):
+    """Modules with zero-dimensional vertices, loops and a sink vertex."""
+    rng = random.Random(5)
+    out = []
+    orb = orbit_grid_algebra(KS, fld)
+    out += [simple_module(orb, "(1,2)"), interval_module(orb, (1, 1, 2)),
+            _twisted(projective_module(orb, "(2,3)"), rng),
+            _twisted(interval_module(orb, (1, 2, 3)), rng)]
+    kx = nakayama_cyclic((4,), fld)
+    # the plain Jordan block has a zero row and a zero column: on (P, P) the
+    # constraint with neither term gets no column
+    out += [projective_module(kx, "0"), _twisted(projective_module(kx, "0"), rng),
+            _twisted(syzygy(simple_module(kx, "0")), rng)]
+    a2 = compute_basis(Quiver(["u", "v"], [Arrow("a", "u", "v")]), [], fld, 3)
+    # the sink v: its generator's only path is the trivial one
+    out += [_twisted(projective_module(a2, "u"), rng), injective_module(a2, "v"),
+            simple_module(a2, "v")]
+    return out, rng
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: repr(f))
+def test_path_images_match_path_matrices(fld):
+    mods, rng = _test_modules(fld)
+    seen_zero_dim = seen_sink = False
+    for M in mods:
+        alg = M.algebra
+        for v in alg.quiver.vertices:
+            row = [fld.of_int(rng.randrange(-3, 4)) for _ in range(M.dims[v])]
+            imgs = _path_images(M, v, row)
+            assert list(imgs) == alg.paths_from(v)
+            for key, img in imgs.items():
+                ref = Matrix.from_rows(fld, [row], M.dims[v]).mul(
+                    M.path_matrix(v, key[1]))
+                assert img == ref.entries[0]
+                assert len(img) == M.dims[alg.key_target(key)]
+            seen_zero_dim |= M.dims[v] == 0
+            seen_sink |= list(imgs) == [(v, ())]
+    assert seen_zero_dim and seen_sink
+
+
+def _commuting_reference(M, N, spare=0):
+    """The commuting constraints by a dense triple loop, one column per
+    (arrow, i, k) that has a term; a column whose terms cancel is kept."""
+    f = M.algebra.field
+    off, total = {}, 0
+    for v in M.algebra.quiver.vertices:
+        off[v] = total
+        total += M.dims[v] * N.dims[v]
+    cols = []
+    for a in M.algebra.quiver.arrows:
+        u, w = a.src, a.tgt
+        Ma, Na = M.action[a.id].entries, N.action[a.id].entries
+        for i in range(M.dims[u]):
+            for k in range(N.dims[w]):
+                col, has = {}, False
+                for j in range(M.dims[w]):
+                    if Ma[i][j] != 0:
+                        idx = off[w] + j * N.dims[w] + k
+                        col[idx] = f.add(col.get(idx, f.zero), Ma[i][j])
+                        has = True
+                for j2 in range(N.dims[u]):
+                    if Na[j2][k] != 0:
+                        idx = off[u] + i * N.dims[u] + j2
+                        col[idx] = f.sub(col.get(idx, f.zero), Na[j2][k])
+                        has = True
+                if has:
+                    cols.append(col)
+    rows = [[f.zero] * (len(cols) + spare) for _ in range(total)]
+    for c, col in enumerate(cols):
+        for idx, val in col.items():
+            rows[idx][c] = val
+    return rows, len(cols), off
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: repr(f))
+def test_commuting_system_matches_dense_reference(fld):
+    mods, rng = _test_modules(fld)
+    # k[x]/(x^3) in a random basis: the loop's diagonal entries meet on
+    # hom(M, M), where an M term and an N term hit one unknown and cancel
+    kx3 = nakayama_cyclic((3,), fld)
+    J = _twisted(projective_module(kx3, "0"), rng)
+    assert any(J.action["a0"].entries[i][i] != 0 for i in range(3))
+    mods.append(J)
+    pairs = [(M, N) for M in mods for N in mods if M.algebra is N.algebra]
+    cancelled = empty_end = False
+    for M, N in pairs:
+        for spare in (0, 2):
+            got = _commuting_system(M, N, spare)
+            ref = _commuting_reference(M, N, spare)
+            assert got[1] == ref[1] and got[2] == ref[2]
+            assert got[0] == ref[0]
+            assert all(len(r) == ref[1] + spare for r in got[0])
+        # on a loop, the terms M_a[i][i] and -N_a[k][k] share an unknown
+        cancelled |= any(
+            M.action[a.id].entries[i][i] != 0
+            and M.action[a.id].entries[i][i] == N.action[a.id].entries[k][k]
+            for a in M.algebra.quiver.arrows if a.src == a.tgt
+            for i in range(M.dims[a.src]) for k in range(N.dims[a.src]))
+        empty_end |= any(M.dims[a.src] == 0 or N.dims[a.tgt] == 0
+                         for a in M.algebra.quiver.arrows)
+    assert cancelled and empty_end
