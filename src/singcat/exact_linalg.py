@@ -7,7 +7,9 @@ Results are deterministic because the reduced row echelon form of a matrix
 is unique: ranks, kernels and particular solutions (free variables set to
 zero) are functions of the input alone, whatever the elimination order.
 Pivots are taken in the canonical order (leftmost nonzero column, topmost
-unused row).
+unused row).  Coordinates in a basis that is already echelon (the rows of
+kernel_basis or rref) are read, not solved: echelon_solve takes them at the
+leading columns and checks them by recombining the basis.
 """
 
 from __future__ import annotations
@@ -361,6 +363,34 @@ def solve_left(a: Matrix, b: Matrix) -> Matrix | None:
     """Solve x.a = b; the transposed twin of solve_right."""
     xt = solve_right(a.transpose(), b.transpose())
     return None if xt is None else xt.transpose()
+
+
+def echelon_solve(basis: Matrix, m: Matrix) -> Matrix | None:
+    """Solve x.basis = m when basis is echelon; None when m is outside its span.
+
+    Each row of ``basis`` must lead with 1 in a column where every other row
+    is 0, as the rows of ``kernel_basis`` and the nonzero rows of ``rref``
+    do.  Then row i of x is row i of m read at those leading columns, with
+    no elimination.  x is returned only if x.basis == m, so a vector outside
+    the span, or a basis that breaks the precondition, gives None and never a
+    wrong x.  A zero row in ``basis`` or a column mismatch is a ValueError.
+    """
+    if basis.cols != m.cols:
+        raise ValueError(f"column mismatch: {basis.cols} vs {m.cols}")
+    z = basis.field.zero
+    leads = []
+    for row in basis.entries:
+        for j, e in enumerate(row):
+            if e is not z and e:
+                leads.append(j)
+                break
+        else:
+            raise ValueError("zero row in an echelon basis")
+    xs = [tuple(r[j] for j in leads) for r in m.entries]
+    for x, r in zip(xs, m.entries):
+        if basis.act(x) != r:
+            return None
+    return Matrix(basis.field, m.rows, basis.rows, xs)
 
 
 def row_space_contains(m: Matrix, v: Sequence) -> bool:

@@ -29,12 +29,14 @@ from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
 from .exact_linalg import (
-    InternalCheckFailed, Matrix, kernel_basis, rank, rref, solve_left,
+    InternalCheckFailed, Matrix, echelon_solve, kernel_basis, rank, rref,
+    solve_left,
 )
 from .rep import (
     Cover,
     RepMorphism,
     Representation,
+    _morphism_to_vec,
     _path_images,
     _same_algebra,
     hom,
@@ -156,15 +158,11 @@ def _omega1(f: RepMorphism) -> RepMorphism:
     mats = {}
     for v in M.algebra.quiver.vertices:
         rhs = incM.mats[v].mul(lam.mats[v])
-        sol = solve_left(incN.mats[v], rhs)
+        sol = echelon_solve(incN.mats[v], rhs)
         if sol is None:
             raise InternalCheckFailed("lift does not preserve the kernel")
         mats[v] = sol
     return RepMorphism(KM, KN, mats, check=False)
-
-
-def _hom_from_cover_dim(cover: Cover, N: Representation) -> int:
-    return sum(N.dims[v] for v in cover.vertices)
 
 
 def _dual_map_matrix(cover_lo: Cover, cover_hi: Cover, eps: RepMorphism,
@@ -249,10 +247,10 @@ def ext(M: Representation, N: Representation, i: int) -> ExtSpace:
                             res.incs[i - 1], N)
     d_hi = _dual_map_matrix(res.covers[i], res.covers[i + 1], res.eps[i + 1],
                             res.incs[i], N)
-    total = _hom_from_cover_dim(res.covers[i], N)
-    dim = total - rank(d_lo) - rank(d_hi)
+    cocycle_vecs = kernel_basis(d_hi)
+    dim = len(cocycle_vecs) - rank(d_lo)
     cocycles = []
-    for vec in kernel_basis(d_hi):
+    for vec in cocycle_vecs:
         xs = []
         pos = 0
         for v in res.covers[i].vertices:
@@ -277,11 +275,17 @@ class StableHomSpace:
         self.hom = hom(M, N)
         coverN, epsN, _, _ = _step(N)
         hp = hom(M, coverN.rep)
-        rows = [self.hom.coords(b.compose(epsN)) for b in hp.basis]
-        red, piv = rref(Matrix.from_rows(fld, rows, self.hom.dim))
+        bmat = self.hom._bmat
+        comps = Matrix.from_rows(
+            fld, [_morphism_to_vec(b.compose(epsN)) for b in hp.basis],
+            bmat.cols)
+        sol = echelon_solve(bmat, comps)
+        if sol is None:
+            raise InternalCheckFailed("composite with the cover is outside Hom")
+        red, piv = rref(sol)
         self._field = fld
-        self._red = red
-        self._piv = list(piv)
+        self._red = Matrix.from_rows(fld, red.entries[:len(piv)], bmat.rows)
+        self._piv = piv
         pivset = set(piv)
         self._nonpiv = [j for j in range(self.hom.dim) if j not in pivset]
 
@@ -291,11 +295,9 @@ class StableHomSpace:
 
     def coords_mod(self, f: RepMorphism) -> tuple:
         fld = self._field
-        c = list(self.hom.coords(f))
-        for row, p in zip(self._red.entries, self._piv):
-            factor = c[p]
-            if factor:
-                c = [fld.sub(ci, fld.mul(factor, rj)) for ci, rj in zip(c, row)]
+        c = self.hom.coords(f)
+        proj = self._red.act([c[p] for p in self._piv])
+        c = [fld.sub(a, b) for a, b in zip(c, proj)]
         if any(c[p] for p in self._piv):
             raise InternalCheckFailed("coordinates not reduced at a pivot")
         return tuple(c[q] for q in self._nonpiv)

@@ -13,7 +13,8 @@ import random
 from typing import Sequence
 
 from .exact_linalg import (
-    Field, InternalCheckFailed, Matrix, kernel_basis, rank, rref, solve_left,
+    Field, InternalCheckFailed, Matrix, echelon_solve, kernel_basis, rank, rref,
+    solve_left,
 )
 from .quiver_algebra import BoundQuiverAlgebra, PathKey, valid_triple
 
@@ -283,30 +284,36 @@ class HomSpace:
     def coords(self, f: RepMorphism) -> tuple:
         fld = self.src.algebra.field
         vec = Matrix.from_rows(fld, [_morphism_to_vec(f)], self._bmat.cols)
-        if self.dim == 0:
-            if not vec.is_zero():
-                raise ValueError("morphism outside the hom space")
-            return ()
-        sol = solve_left(self._bmat, vec)
+        sol = echelon_solve(self._bmat, vec)
         if sol is None:
             raise ValueError("morphism outside the hom space")
-        return tuple(sol.entries[0])
+        return sol.entries[0]
 
     def element(self, coeffs: Sequence) -> RepMorphism:
-        fld = self.src.algebra.field
         if len(coeffs) != self.dim:
             raise ValueError("wrong coefficient count")
-        vec = [fld.zero] * self._bmat.cols
-        for c, row in zip(coeffs, self._bmat.entries):
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        vec[j] = fld.add(vec[j], fld.mul(c, x))
-        return _morphism_from_vec(self.src, self.tgt, vec)
+        return _morphism_from_vec(self.src, self.tgt, self._bmat.act(coeffs))
 
 
 def hom(M: Representation, N: Representation) -> HomSpace:
     return HomSpace(M, N)
+
+
+def _echelon_submodule(M: Representation, inc_mats: dict[str, Matrix],
+                       what: str) -> tuple[Representation, RepMorphism]:
+    """The submodule of M spanned by the echelon rows inc_mats[v], with its
+    inclusion; each arrow acts by the coordinates of the acted rows."""
+    alg = M.algebra
+    action = {}
+    for a in alg.quiver.arrows:
+        rhs = inc_mats[a.src].mul(M.action[a.id])
+        sol = echelon_solve(inc_mats[a.tgt], rhs)
+        if sol is None:
+            raise InternalCheckFailed(f"{what} is not arrow-stable")
+        action[a.id] = sol
+    dims = {v: inc_mats[v].rows for v in inc_mats}
+    S = Representation(alg, dims, action, check=False)
+    return S, RepMorphism(S, M, inc_mats, check=False)
 
 
 def kernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
@@ -314,16 +321,7 @@ def kernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
     inc_mats = {v: Matrix.from_rows(alg.field, kernel_basis(f.mats[v]),
                                     f.src.dims[v])
                 for v in alg.quiver.vertices}
-    dims = {v: inc_mats[v].rows for v in inc_mats}
-    action = {}
-    for a in alg.quiver.arrows:
-        rhs = inc_mats[a.src].mul(f.src.action[a.id])
-        sol = solve_left(inc_mats[a.tgt], rhs)
-        if sol is None:
-            raise InternalCheckFailed("kernel is not arrow-stable")
-        action[a.id] = sol
-    K = Representation(alg, dims, action, check=False)
-    return K, RepMorphism(K, f.src, inc_mats, check=False)
+    return _echelon_submodule(f.src, inc_mats, "kernel")
 
 
 def image(f: RepMorphism) -> tuple[Representation, RepMorphism, RepMorphism]:
@@ -335,26 +333,23 @@ def image(f: RepMorphism) -> tuple[Representation, RepMorphism, RepMorphism]:
         red, piv = rref(f.mats[v])
         inc_mats[v] = Matrix.from_rows(fld, red.entries[:len(piv)],
                                        f.tgt.dims[v])
-    dims = {v: inc_mats[v].rows for v in inc_mats}
-    action = {}
-    for a in alg.quiver.arrows:
-        rhs = inc_mats[a.src].mul(f.tgt.action[a.id])
-        sol = solve_left(inc_mats[a.tgt], rhs)
-        if sol is None:
-            raise InternalCheckFailed("image is not arrow-stable")
-        action[a.id] = sol
-    I = Representation(alg, dims, action, check=False)
+    I, inc = _echelon_submodule(f.tgt, inc_mats, "image")
     onto_mats = {}
     for v in alg.quiver.vertices:
-        sol = solve_left(inc_mats[v], f.mats[v])
+        sol = echelon_solve(inc_mats[v], f.mats[v])
         if sol is None:
             raise InternalCheckFailed("map does not factor through its image")
         onto_mats[v] = sol
-    return (I, RepMorphism(I, f.tgt, inc_mats, check=False),
-            RepMorphism(f.src, I, onto_mats, check=False))
+    return I, inc, RepMorphism(f.src, I, onto_mats, check=False)
 
 
 def cokernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
+    """Returns (C, projection tgt -> C), C written in the non-pivot coords.
+
+    With R the reduced rows of the image, e_j maps to e_j for a non-pivot j
+    and to e_p - R_p for the pivot p of row R_p; read at the non-pivot
+    columns these are e_j and -R_p.
+    """
     alg = f.src.algebra
     fld = alg.field
     proj_mats = {}
@@ -364,31 +359,22 @@ def cokernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
         n = f.tgt.dims[v]
         pivset = set(piv)
         nonpiv = nonpivs[v] = [j for j in range(n) if j not in pivset]
-        # reduce mod the image row space, then read the complement coords
-        cols = []
+        pivrow = dict(zip(piv, red.entries))
+        rows = []
         for j in range(n):
-            resid = [fld.zero] * n
-            resid[j] = fld.one
-            for i, p in enumerate(piv):
-                c = resid[p]
-                if c:
-                    for jj in range(n):
-                        resid[jj] = fld.sub(resid[jj],
-                                            fld.mul(c, red.entries[i][jj]))
-            cols.append([resid[q] for q in nonpiv])
-        proj_mats[v] = Matrix.from_rows(fld, cols, len(nonpiv))
+            r = pivrow.get(j)
+            if r is None:
+                rows.append([fld.one if q == j else fld.zero for q in nonpiv])
+            else:
+                rows.append([fld.neg(r[q]) for q in nonpiv])
+        proj_mats[v] = Matrix.from_rows(fld, rows, len(nonpiv))
     dims = {v: proj_mats[v].cols for v in proj_mats}
     action = {}
     for a in alg.quiver.arrows:
-        # quotient action: lift complement coords, act, project back
-        n_src = f.tgt.dims[a.src]
-        rows = []
-        for q in nonpivs[a.src]:
-            e = [fld.zero] * n_src
-            e[q] = fld.one
-            acted = Matrix.from_rows(fld, [e], n_src).mul(f.tgt.action[a.id])
-            rows.append(list(acted.mul(proj_mats[a.tgt]).entries[0]))
-        action[a.id] = Matrix.from_rows(fld, rows, proj_mats[a.tgt].cols)
+        # quotient action: lift a non-pivot coordinate, act, project back
+        acts, proj = f.tgt.action[a.id], proj_mats[a.tgt]
+        rows = [proj.act(acts.entries[q]) for q in nonpivs[a.src]]
+        action[a.id] = Matrix.from_rows(fld, rows, proj.cols)
     C = Representation(alg, dims, action, check=False)
     return C, RepMorphism(f.tgt, C, proj_mats, check=False)
 

@@ -326,27 +326,28 @@ def d_resolution(spec: SubcatSpec, E: Representation) -> DResolution:
     for i in range(len(terms) - 1):
         nxt = approx[i + 1]
         diffs.append(incs[i] if nxt is None else nxt.compose(incs[i]))
-    res = DResolution(terms, approx[0], diffs)
-    if not _resolution_exact(res):
+    if not _is_exact(diffs[::-1] + [approx[0]]):
         raise InternalCheckFailed("assembled resolution failed exactness")
-    return res
+    return DResolution(terms, approx[0], diffs)
 
 
-def _resolution_exact(res: DResolution) -> bool:
-    seq = [res.aug] + res.diffs     # seq[i]: terms[i] -> (E or terms[i-1])
-    for i in range(len(seq) - 1):
-        if not seq[i + 1].compose(seq[i]).is_zero():
+def _is_exact(maps: list[RepMorphism]) -> bool:
+    """Is 0 -> X_0 -> X_1 -> ... -> X_n -> 0 exact, maps[i]: X_i -> X_{i+1}?
+
+    Consecutive maps compose to zero, and at every object, the two ends
+    included, the ranks of the incoming and outgoing maps add up to its
+    dimension at each vertex.
+    """
+    for f, g in zip(maps, maps[1:]):
+        if not f.compose(g).is_zero():
             return False
-    # onto at E, exact at middle terms, injective at the last term
-    if not _is_epi(res.aug):
-        return False
-    for i in range(len(res.terms)):
-        incoming = res.diffs[i] if i < len(res.diffs) else None
-        outgoing = seq[i]
-        for v in res.terms[i].dims:
-            want = res.terms[i].dims[v] - rank(outgoing.mats[v])
-            got = rank(incoming.mats[v]) if incoming is not None else 0
-            if want != got:
+    ranks = [{v: rank(m) for v, m in f.mats.items()} for f in maps]
+    objects = [maps[0].src] + [f.tgt for f in maps]
+    for i, X in enumerate(objects):
+        incoming = ranks[i - 1] if i else {}
+        outgoing = ranks[i] if i < len(maps) else {}
+        for v, n in X.dims.items():
+            if incoming.get(v, 0) + outgoing.get(v, 0) != n:
                 return False
     return True
 
@@ -384,31 +385,9 @@ def d_coresolution(spec: SubcatSpec, E: Representation) -> DCoresolution:
     for i in range(len(terms) - 1):
         nxt = approx[i + 1]
         diffs.append(projs[i] if nxt is None else projs[i].compose(nxt))
-    cores = DCoresolution(terms, approx[0], diffs)
-    if not _coresolution_exact(cores):
+    if not _is_exact([approx[0]] + diffs):
         raise InternalCheckFailed("assembled coresolution failed exactness")
-    return cores
-
-
-def _coresolution_exact(cores: DCoresolution) -> bool:
-    seq = [cores.coaug] + cores.diffs   # seq[i]: (E or terms[i-1]) -> terms[i]
-    for i in range(len(seq) - 1):
-        if not seq[i].compose(seq[i + 1]).is_zero():
-            return False
-    if not _is_mono(cores.coaug):
-        return False
-    for i in range(len(cores.terms)):
-        outgoing = cores.diffs[i] if i < len(cores.diffs) else None
-        incoming = seq[i]
-        for v in cores.terms[i].dims:
-            # exactness at terms[i]: ker(outgoing) = im(incoming)
-            if outgoing is not None:
-                if cores.terms[i].dims[v] - rank(outgoing.mats[v]) \
-                        != rank(incoming.mats[v]):
-                    return False
-            elif rank(incoming.mats[v]) != cores.terms[i].dims[v]:
-                return False
-    return True
+    return DCoresolution(terms, approx[0], diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +418,6 @@ def standard_angle(spec: SubcatSpec, X: Representation,
         + [res.covers[i].rep for i in range(d - 1, -1, -1)] + [X]
     maps = [res.incs[d - 1]] \
         + [res.diff(i) for i in range(d - 1, 0, -1)] + [res.eps[0]]
-    for i in range(len(maps) - 1):
-        if not maps[i].compose(maps[i + 1]).is_zero():
-            raise InternalCheckFailed("angle does not compose to zero")
-    for i in range(1, len(objects) - 1):
-        lhs = maps[i]
-        rhs = maps[i - 1]
-        for v in objects[i].dims:
-            if objects[i].dims[v] - rank(lhs.mats[v]) != rank(rhs.mats[v]):
-                raise InternalCheckFailed("angle fails exactness")
+    if not _is_exact(maps):
+        raise InternalCheckFailed("angle fails exactness")
     return Angle(objects, maps, d)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singcat.exact_linalg import (
-    Field, FieldError, Matrix, _rref, kernel_basis, prime_field, rank,
-    rational_field, rref, solve_left, solve_right,
+    Field, FieldError, Matrix, _rref, echelon_solve, kernel_basis, prime_field,
+    rank, rational_field, rref, solve_left, solve_right,
 )
 
 
@@ -369,3 +369,49 @@ def test_from_rows_shapes(f):
     assert m.entries[0] is rows[0]
     with pytest.raises(ValueError):
         Matrix.from_rows(f, rows, 3)
+
+
+@st.composite
+def _echelon_problems(draw):
+    """(basis, m): basis the rref rows or the kernel_basis of a random matrix,
+    the rows of m in its span half the time and arbitrary otherwise."""
+    a = draw(_matrices())
+    f = a.field
+    if draw(st.booleans()):
+        red, piv = rref(a)
+        basis = Matrix.from_rows(f, red.entries[:len(piv)], a.cols)
+    else:
+        basis = Matrix.from_rows(f, kernel_basis(a), a.rows)
+    k = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        return basis, draw(_matrices(f, k, basis.rows)).mul(basis)
+    return basis, draw(_matrices(f, k, basis.cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_echelon_problems())
+def test_echelon_solve_matches_solve_left(bm):
+    basis, m = bm
+    got = echelon_solve(basis, m)
+    assert got == solve_left(basis, m)
+    if got is not None:
+        _assert_canonical_scalars(got)
+        assert got.mul(basis) == m
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=("Q", "F2", "F101"))
+def test_echelon_solve_edge_cases(f):
+    o, z = f.one, f.zero
+    rowless = Matrix.from_rows(f, [], 3)
+    assert echelon_solve(rowless, Matrix.zeros(f, 2, 3)) == Matrix.zeros(f, 2, 0)
+    assert echelon_solve(rowless, Matrix.from_rows(f, [(z, o, z)])) is None
+    empty = Matrix.from_rows(f, [], 0)
+    assert echelon_solve(empty, Matrix.zeros(f, 2, 0)) == Matrix.zeros(f, 2, 0)
+    basis = Matrix.from_rows(f, [(z, o, f.of_int(3))])
+    assert echelon_solve(basis, Matrix.from_rows(f, [(z, f.of_int(2), f.of_int(6))])) \
+        == Matrix.from_rows(f, [(f.of_int(2),)])
+    assert echelon_solve(basis, Matrix.from_rows(f, [(o, z, z)])) is None
+    with pytest.raises(ValueError, match="zero row"):
+        echelon_solve(Matrix.from_rows(f, [(o, z, z), (z, z, z)]), Matrix.zeros(f, 1, 3))
+    with pytest.raises(ValueError, match="column mismatch"):
+        echelon_solve(basis, Matrix.zeros(f, 1, 2))

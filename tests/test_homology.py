@@ -7,7 +7,9 @@ import weakref
 import pytest
 
 from singcat import homology, rep
-from singcat.exact_linalg import Matrix, prime_field, rational_field
+from singcat.exact_linalg import (
+    InternalCheckFailed, Matrix, prime_field, rational_field,
+)
 from singcat.quiver_algebra import (
     nakayama_cyclic, orbit_grid_algebra, valid_triples_window,
 )
@@ -165,6 +167,22 @@ def test_stable_hom_quotient(orbit):
     for _ in range(8):
         q = tuple(f.of_int(rng.randrange(-3, 4)) for _ in range(V.dim))
         assert V.coords_mod(V.class_rep(q)) == q
+
+
+def test_stable_hom_composite_outside_hom_is_an_internal_fault(orbit, monkeypatch):
+    A = interval_module(orbit, (1, 1, 3))
+    B = interval_module(orbit, (1, 2, 3))
+    f = orbit.field
+    # nonzero at (1,2) only: it does not commute with the arrow to (1,3)
+    ones = RepMorphism(A, B, {"(1,2)": Matrix.from_rows(f, [(f.one,)], 1)},
+                       check=False)
+    H = hom(A, B)
+    monkeypatch.setattr(homology, "echelon_solve", lambda a, b: None)
+    with pytest.raises(InternalCheckFailed, match="outside Hom"):
+        stable_hom(A, B)
+    # a caller's morphism outside the hom space stays a ValueError
+    with pytest.raises(ValueError, match="outside the hom space"):
+        H.coords(ones)
 
 
 def test_syzygy_morphism_functorial(orbit):

@@ -30,7 +30,7 @@ def test_internal_check_is_not_reported_as_malformed_input():
 
 def test_failed_kernel_check_raises(monkeypatch, kx4):
     P = rep.projective_module(kx4, kx4.quiver.vertices[0])
-    monkeypatch.setattr(rep, "solve_left", lambda a, b: None)
+    monkeypatch.setattr(rep, "echelon_solve", lambda a, b: None)
     with pytest.raises(InternalCheckFailed, match="arrow-stable"):
         rep.kernel(rep.RepMorphism.identity(P))
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singcat.cli as cli
+from singcat import homology
 from singcat.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -207,6 +208,16 @@ def test_exit_internal_on_failed_check(kx2_dir, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: kernel is not arrow-stable\n"
+
+
+def test_exit_internal_on_stable_hom_fault(tilde_dir, monkeypatch, capsys):
+    # a composite with the cover that misses Hom is the program's fault, not
+    # malformed input
+    monkeypatch.setattr(homology, "echelon_solve", lambda a, b: None)
+    rc = main(["sing", "skeleton", "--subcat", str(tilde_dir / "subcat.json")])
+    assert rc == EXIT_INTERNAL
+    assert capsys.readouterr().err == \
+        "internal error: composite with the cover is outside Hom\n"
 
 
 def test_cli_operation_freed_without_cyclic_gc(tmp_path, monkeypatch):

@@ -5,7 +5,9 @@ from itertools import product
 
 import pytest
 
-from singcat.exact_linalg import Matrix, prime_field, rank, rational_field, solve_right
+from singcat.exact_linalg import (
+    Matrix, prime_field, rank, rational_field, rref, solve_right,
+)
 from singcat.homology import syzygy
 from singcat.quiver_algebra import (
     MAX_RELATION_LENGTH,
@@ -507,3 +509,66 @@ def test_commuting_system_matches_dense_reference(fld):
         empty_end |= any(M.dims[a.src] == 0 or N.dims[a.tgt] == 0
                          for a in M.algebra.quiver.arrows)
     assert cancelled and empty_end
+
+
+def _residue_cokernel(f):
+    """The cokernel by reducing every unit vector modulo the image rows, one
+    pivot row at a time, and acting on lifted unit vectors through 1-row
+    products: the plain construction, kept as a reference."""
+    alg = f.src.algebra
+    fld = alg.field
+    proj_mats, nonpivs = {}, {}
+    for v in alg.quiver.vertices:
+        red, piv = rref(f.mats[v])
+        n = f.tgt.dims[v]
+        nonpiv = nonpivs[v] = [j for j in range(n) if j not in piv]
+        cols = []
+        for j in range(n):
+            resid = [fld.zero] * n
+            resid[j] = fld.one
+            for i, p in enumerate(piv):
+                c = resid[p]
+                if c:
+                    for jj in range(n):
+                        resid[jj] = fld.sub(resid[jj],
+                                            fld.mul(c, red.entries[i][jj]))
+            cols.append([resid[q] for q in nonpiv])
+        proj_mats[v] = Matrix.from_rows(fld, cols, len(nonpiv))
+    action = {}
+    for a in alg.quiver.arrows:
+        n_src = f.tgt.dims[a.src]
+        rows = []
+        for q in nonpivs[a.src]:
+            e = [fld.zero] * n_src
+            e[q] = fld.one
+            acted = Matrix.from_rows(fld, [e], n_src).mul(f.tgt.action[a.id])
+            rows.append(list(acted.mul(proj_mats[a.tgt]).entries[0]))
+        action[a.id] = Matrix.from_rows(fld, rows, proj_mats[a.tgt].cols)
+    dims = {v: m.cols for v, m in proj_mats.items()}
+    return dims, action, proj_mats
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: repr(f))
+def test_cokernel_matches_residue_reference(fld):
+    mods, rng = _test_modules(fld)
+    mods = mods[:7]  # the orbit and k[x]/(x^4) modules
+    maps = []
+    for M in mods:
+        maps.append(projective_cover(M)[1])
+        for N in mods:
+            if M.algebra is N.algebra:
+                H = hom(M, N)
+                maps += H.basis
+                maps.append(H.element([fld.of_int(rng.randrange(-3, 4))
+                                       for _ in range(H.dim)]))
+    proper = False
+    for f in maps:
+        C, proj = cokernel(f)
+        dims, action, proj_mats = _residue_cokernel(f)
+        assert C.dims == dims
+        assert C.action == action
+        assert proj.mats == proj_mats
+        assert proj.src is f.tgt and proj.tgt is C
+        assert f.compose(proj).is_zero()
+        proper |= 0 < C.total_dim < f.tgt.total_dim
+    assert proper

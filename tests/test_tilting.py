@@ -8,10 +8,13 @@ from singcat.exact_linalg import Matrix, rank, row_space_contains
 from singcat.homology import ext, stable_hom, syzygy
 from singcat.quiver_algebra import nakayama_cyclic, nakayama2_tilde
 from singcat.rep import (
+    RepMorphism,
     add_membership,
     direct_sum,
     hom,
     is_isomorphic,
+    kernel,
+    projective_cover,
     projective_module,
     projectives,
     simple_module,
@@ -22,6 +25,7 @@ from singcat.tilting import (
     FinalTermNotInSubcategory,
     IncompleteIndecList,
     SubcatSpec,
+    _is_exact,
     d_coresolution,
     d_resolution,
     left_approximation,
@@ -258,3 +262,29 @@ def test_standard_angle_for_d_equal_one(kx2):
     assert len(ang.objects) == 3
     assert [T.total_dim for T in ang.objects] == [1, 2, 1]
     assert is_isomorphic(ang.objects[0], S)
+
+
+def test_is_exact_checks_composites_and_every_object(kx4):
+    f = kx4.field
+    o, z = f.one, f.zero
+    S = simple_module(kx4, "0")
+    S2, S3 = direct_sum([S, S]), direct_sum([S, S, S])
+
+    def unit_map(src, tgt, rows):
+        return RepMorphism(src, tgt, {"0": Matrix.from_rows(f, rows, tgt.dims["0"])})
+
+    into1 = unit_map(S, S2, [(o, z)])
+    onto1, onto2 = unit_map(S2, S, [(o,), (z,)]), unit_map(S2, S, [(z,), (o,)])
+    # 0 -> rad P -> P -> S -> 0
+    _, eps = projective_cover(S)
+    _, inc = kernel(eps)
+    assert _is_exact([inc, eps])
+    assert _is_exact([into1, onto2])
+    # ranks add up everywhere, but the composite is the identity of S
+    assert not _is_exact([into1, onto1])
+    # 0 -> S -> S^3 -> S -> 0 composes to zero and is exact at both ends
+    assert not _is_exact([unit_map(S, S3, [(o, z, z)]),
+                          unit_map(S3, S, [(z,), (o,), (z,)])])
+    # one-to-one on S but not onto S^2, and the other way round
+    assert not _is_exact([into1])
+    assert not _is_exact([onto2])
