@@ -2,7 +2,10 @@
 
 Two field kinds: the rationals (fractions.Fraction) and prime fields F_p
 (ints reduced into [0, p)).  No floating point anywhere.  Matrices are
-stored dense; the one elimination routine, _rref, works on sparse rows.
+stored dense; the one elimination routine, _eliminate, works on sparse
+{column: value} rows.  Kernels are reduced on such rows with an implicit
+identity block (sparse_kernel), which callers that build their systems
+sparse (the Hom constraints) use without a Matrix.
 Results are deterministic because the reduced row echelon form of a matrix
 is unique: ranks, kernels and particular solutions (free variables set to
 zero) are functions of the input alone, whatever the elimination order.
@@ -242,28 +245,24 @@ class Matrix:
             raise ValueError("shape mismatch")
 
 
-def _rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list).
+def _eliminate(field: Field, sp: list[dict], ncols: int) -> list[int]:
+    """Reduce the sparse rows sp in place; returns the pivot column list.
 
-    Storage stays dense but elimination is sparse: each row becomes a
-    {column: value} dict of its nonzeros, so only the rows with a nonzero in
-    the pivot column are updated, and only at the pivot row's nonzeros.  The
-    reduced form is unique, so the result does not depend on how it is
-    reached; the pivot choice is the canonical one (scan columns left to
-    right, take the topmost unused row with a nonzero entry).  On return
-    every row of the argument list is rewritten as a dense list padded with
-    field.zero, pivot rows first in pivot order.
+    Each row is a {column: value} dict of its nonzeros, with columns below
+    ncols; no value may be zero.  Only the rows with a nonzero in the pivot
+    column are updated, and only at the pivot row's nonzeros.  The reduced
+    form is unique, so the result does not depend on how it is reached; the
+    pivot choice is the canonical one (scan columns left to right, take the
+    topmost unused row with a nonzero entry).  On return the list holds the
+    pivot rows first, in pivot order, then the rows that became zero.
     """
-    if not rows:
-        return rows, []
-    n, ncols = len(rows), len(rows[0])
-    z, one, p = field.zero, field.one, field.p
-    # most zeros are the shared field.zero; the identity test skips their
-    # Fraction.__bool__
-    sp = [{c: x for c, x in enumerate(row) if x is not z and x} for row in rows]
+    n = len(sp)
+    one, p = field.one, field.p
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
+        if r == n:
+            break
         for sel in range(r, n):
             if c in sp[sel]:
                 break
@@ -305,8 +304,31 @@ def _rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
         prow[c] = one
         pivots.append(c)
         r += 1
-        if r == n:
-            break
+    return pivots
+
+
+def _sparse_rows(field: Field, rows: Iterable[Sequence]) -> list[dict]:
+    """Dense rows as {column: value} dicts of their nonzeros."""
+    z = field.zero
+    # most zeros are the shared field.zero; the identity test skips their
+    # Fraction.__bool__
+    return [{c: x for c, x in enumerate(row) if x is not z and x} for row in rows]
+
+
+def _rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
+    """In-place reduced row echelon form; returns (rows, pivot column list).
+
+    The dense rows are reduced as sparse rows by ``_eliminate``.  On return
+    every row of the argument list is rewritten as a dense list padded with
+    field.zero, pivot rows first in pivot order (``compute_basis`` relies
+    on this).
+    """
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    z = field.zero
+    sp = _sparse_rows(field, rows)
+    pivots = _eliminate(field, sp, ncols)
     for i, d in enumerate(sp):
         row = [z] * ncols
         for j, x in d.items():
@@ -325,18 +347,39 @@ def rank(m: Matrix) -> int:
     return len(pivots)
 
 
+def sparse_kernel(field: Field, rows: list[dict], ncols: int) -> list[tuple]:
+    """Basis of the left kernel of sparse rows, as dense row tuples.
+
+    ``rows`` are {column: value} dicts of nonzeros in columns below ncols,
+    as ``_eliminate`` takes them; they are consumed (reduced in place).  The
+    identity block of [m | I] is one entry {ncols + i: one} added to row i,
+    never a dense block.  [m | I] has full row rank, and a row's m-part
+    vanished iff its pivot lies in the identity block; such a row has no
+    entry before its pivot, so it is read off at columns ncols and up.  The
+    basis has len(rows) - rank(m) vectors and is deterministic.
+    """
+    n = len(rows)
+    one, z = field.one, field.zero
+    for i, row in enumerate(rows):
+        row[ncols + i] = one
+    pivots = _eliminate(field, rows, ncols + n)
+    out = []
+    for row, c in zip(rows, pivots):
+        if c >= ncols:
+            vec = [z] * n
+            for j, x in row.items():
+                vec[j - ncols] = x
+            out.append(tuple(vec))
+    return out
+
+
 def kernel_basis(m: Matrix) -> list[tuple]:
     """Basis of the left kernel {v : v.m = 0}, as row tuples.
 
-    Size is always m.rows - rank(m).  Computed by reducing [m | I] and
-    reading off the rows whose m-part vanished; deterministic.
+    Size is always m.rows - rank(m).  The rows of m are taken sparse and
+    reduced by ``sparse_kernel``; deterministic.
     """
-    f = m.field
-    aug = [list(m.entries[i]) + [f.one if j == i else f.zero for j in range(m.rows)]
-           for i in range(m.rows)]
-    aug, pivots = _rref(f, aug)
-    # [m | I] has full row rank; a row's m-part vanished iff its pivot is in I
-    return [tuple(aug[r][m.cols:]) for r, c in enumerate(pivots) if c >= m.cols]
+    return sparse_kernel(m.field, _sparse_rows(m.field, m.entries), m.cols)
 
 
 def solve_right(a: Matrix, b: Matrix) -> Matrix | None:
@@ -396,3 +439,26 @@ def echelon_solve(basis: Matrix, m: Matrix) -> Matrix | None:
 def row_space_contains(m: Matrix, v: Sequence) -> bool:
     vm = Matrix.from_rows(m.field, [v], m.cols)
     return solve_left(m, vm) is not None
+
+
+def sparse_span_contains(field: Field, rows: list[dict], ncols: int,
+                         target: dict) -> bool:
+    """Is the sparse vector target in the span of the sparse rows?
+
+    ``rows`` and ``target`` are {column: value} dicts of nonzeros in columns
+    below ncols; the rows are consumed (reduced in place by
+    ``_eliminate``).  As in ``echelon_solve``, target's coordinate on each
+    reduced row is its entry at that row's pivot, where every other row is
+    0, and target is in the span iff that combination gives it back.
+    """
+    pivots = _eliminate(field, rows, ncols)
+    z, p = field.zero, field.p
+    acc: dict = {}
+    for row, c in zip(rows, pivots):
+        a = target.get(c)
+        if a is None:
+            continue
+        for j, x in row.items():
+            y = acc.get(j, z) + a * x
+            acc[j] = y if p is None else y % p
+    return {j: x for j, x in acc.items() if x} == target

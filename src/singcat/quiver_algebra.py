@@ -143,9 +143,11 @@ class BoundQuiverAlgebra:
     Immutable after compute_basis.  ``mult`` maps (basis key, arrow id) to a
     sparse vector {basis key: coefficient} one degree up; walking a word
     through ``mult`` is how all products and module actions are evaluated.
-    ``cache`` holds objects derived from the algebra (its projective and
-    injective modules, its opposite); they point back at the algebra, so
-    ``clear_cache`` lets the algebra be freed without the cyclic collector.
+    ``cache`` holds data derived from the algebra: the dimensions and
+    actions of its projective and injective modules, which do not point
+    back at it, and its opposite, which does (the two cache each other), so
+    ``clear_cache`` lets an algebra whose opposite was built be freed
+    without the cyclic collector.
     """
 
     def __init__(self, quiver: Quiver, relations: Sequence[RelationElement],

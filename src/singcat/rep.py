@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .exact_linalg import (
     Field, InternalCheckFailed, Matrix, echelon_solve, kernel_basis, rank, rref,
-    solve_left,
+    sparse_kernel, sparse_span_contains,
 )
 from .quiver_algebra import BoundQuiverAlgebra, PathKey, valid_triple
 
@@ -182,18 +182,19 @@ class RepMorphism:
                             for v in rep.dims}, check=False)
 
 
-def _commuting_system(M: Representation, N: Representation, spare: int = 0,
-                      ) -> tuple[list[list], int, dict[str, int]]:
-    """Dense commuting constraints on the morphisms M -> N.
+def _commuting_system(M: Representation, N: Representation,
+                      ) -> tuple[list[dict], int, dict[str, int]]:
+    """Sparse commuting constraints on the morphisms M -> N.
 
     Rows are the unknowns, the entries of the per-vertex matrices laid out
     vertex by vertex from ``off[v]``; columns are the scalar constraints
     (M_a f_w - f_u N_a)[i][k] of each arrow a: u -> w that have a term,
     that is, whose row i of M_a or column k of N_a is nonzero (a column
-    whose terms cancel is kept).  Returns (rows, constraint count, off);
-    each row has ``spare`` zero columns after the constraints for the
-    caller.  Only the nonzeros of the actions are visited: each arrow lists
-    those of M_a by row and of N_a by column once.
+    whose terms cancel is kept, with no entry).  Each row is a
+    {column: value} dict of its nonzeros, as ``sparse_kernel`` takes it.
+    Returns (rows, constraint count, off).  Only the nonzeros of the
+    actions are visited: each arrow lists those of M_a by row and of N_a by
+    column once.
     """
     f = M.algebra.field
     z = f.zero
@@ -222,7 +223,7 @@ def _commuting_system(M: Representation, N: Representation, spare: int = 0,
         empty_n = sum(1 for c in n_cols if not c)
         ncols += du * ew - empty_m * empty_n
         terms.append((u, w, m_rows, n_cols))
-    rows = [[z] * (ncols + spare) for _ in range(total)]
+    rows: list[dict] = [{} for _ in range(total)]
     c = 0
     for u, w, m_rows, n_cols in terms:
         ou, ow = off[u], off[w]
@@ -237,8 +238,15 @@ def _commuting_system(M: Representation, N: Representation, spare: int = 0,
                 # an M term and an N term meet only on a loop (j = i, j2 = k)
                 for j2, y in n_col:
                     row = rows[base + j2]
-                    cur = row[c]
-                    row[c] = y if cur is z else f.add(cur, y)
+                    cur = row.get(c)
+                    if cur is None:
+                        row[c] = y
+                    else:
+                        y = f.add(cur, y)
+                        if y:
+                            row[c] = y
+                        else:
+                            del row[c]
                 c += 1
     return rows, ncols, off
 
@@ -272,8 +280,7 @@ class HomSpace:
         self.src = M
         self.tgt = N
         rows, ncols, _ = _commuting_system(M, N)
-        ct = Matrix.from_rows(f, rows, ncols)
-        vecs = kernel_basis(ct)
+        vecs = sparse_kernel(f, rows, ncols)
         self._bmat = Matrix.from_rows(f, vecs, len(rows))
         self.basis = [_morphism_from_vec(M, N, v) for v in vecs]
 
@@ -412,9 +419,15 @@ class Cover:
 
 
 def projective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
-    P = algebra.cache.get(("projective", v))
-    if P is not None:
-        return P
+    """The indecomposable projective e_v A, spanned by the paths from v.
+
+    The algebra caches its dimensions and action, not the module, so the
+    cache holds nothing that points back at the algebra; each call wraps
+    them in a new Representation.
+    """
+    data = algebra.cache.get(("projective", v))
+    if data is not None:
+        return Representation(algebra, *data, check=False)
     if v not in algebra.quiver.arrows_from:
         raise AlgebraMismatch(f"unknown vertex {v!r}")
     f = algebra.field
@@ -435,9 +448,8 @@ def projective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
                 row[pos[k2]] = c
             rows.append(row)
         action[a.id] = Matrix.from_rows(f, rows, len(tgt_keys))
-    P = Representation(algebra, dims, action, check=False)
-    algebra.cache[("projective", v)] = P
-    return P
+    algebra.cache[("projective", v)] = (dims, action)
+    return Representation(algebra, dims, action, check=False)
 
 
 def projectives(algebra: BoundQuiverAlgebra) -> list[tuple[str, Representation]]:
@@ -462,13 +474,18 @@ def dual_module(algebra: BoundQuiverAlgebra, M: Representation) -> Representatio
 
 
 def injective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
-    """Indecomposable injective with socle at v."""
+    """Indecomposable injective with socle at v.
+
+    Cached like ``projective_module``: dimensions and action, not the module.
+    """
     key = ("injective", v)
-    if key not in algebra.cache:
+    data = algebra.cache.get(key)
+    if data is None:
         from .quiver_algebra import opposite_algebra
         op = opposite_algebra(algebra)
-        algebra.cache[key] = dual_module(algebra, projective_module(op, v))
-    return algebra.cache[key]
+        I = dual_module(algebra, projective_module(op, v))
+        data = algebra.cache[key] = (I.dims, I.action)
+    return Representation(algebra, *data, check=False)
 
 
 def injectives(algebra: BoundQuiverAlgebra) -> list[tuple[str, Representation]]:
@@ -573,8 +590,15 @@ def universal_right_approximation(gens: Sequence[Representation],
 def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:
     """Is M a direct summand of a finite sum of copies of the given modules?
 
-    Tests whether the evaluation map from the universal right approximation
-    splits; both directions are exact linear algebra.
+    The trace criterion (Auslander-Reiten-Smalo, *Representation Theory of
+    Artin Algebras*): M is in add G exactly when id_M factors through a sum
+    of copies of the generators.  Every map M -> G^n -> M is a sum of
+    composites M -> g -> M, so this holds exactly when id_M lies in the span
+    of the composites h.b, with h over a basis of hom(M, g) and b over a
+    basis of hom(g, M).  The b must span M at every vertex, which rejects
+    early; hom(M, g) is skipped for a g with hom(g, M) = 0.  The composites,
+    vectors in End_k(M) laid out vertex by vertex, are reduced once as
+    sparse rows and id_M is read off the echelon rows.
     """
     if M.total_dim == 0:
         return True
@@ -582,28 +606,36 @@ def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:
         return False
     alg = _same_algebra(M, *gens)
     f = alg.field
-    e = universal_right_approximation(gens, M)
-    S = e.src
-    if S.total_dim == 0:
-        return False
-    for v in alg.quiver.vertices:
-        if rank(e.mats[v]) != M.dims[v]:
+    z = f.zero
+    verts = alg.quiver.vertices
+    into = [(g, hom(g, M).basis) for g in gens]
+    for v in verts:
+        rows = [r for _, bs in into for b in bs for r in b.mats[v].entries]
+        if rank(Matrix(f, len(rows), M.dims[v], rows)) != M.dims[v]:
             return False
-    # splitting s with s.e = id, solved together with the commuting constraints
-    width_rhs = sum(d * d for d in M.dims.values())
-    rows, ncols, off = _commuting_system(M, S, spare=width_rhs)
-    target = [f.zero] * ncols
-    for v in alg.quiver.vertices:
-        E = e.mats[v]
-        for i in range(M.dims[v]):
-            for k in range(M.dims[v]):
-                for j in range(S.dims[v]):
-                    if E.entries[j][k]:
-                        rows[off[v] + i * S.dims[v] + j][len(target)] = E.entries[j][k]
-                target.append(f.one if i == k else f.zero)
-    A = Matrix.from_rows(f, rows, len(target))
-    b = Matrix.from_rows(f, [target], len(target))
-    return solve_left(A, b) is not None
+    off, width = {}, 0
+    for v in verts:
+        off[v] = width
+        width += M.dims[v] * M.dims[v]
+    comps = []
+    for g, bs in into:
+        if not bs:
+            continue
+        for h in hom(M, g).basis:
+            for b in bs:
+                # row i of the composite at v is row i of h_v times b_v
+                row = {}
+                for v in verts:
+                    bv, d, o = b.mats[v], M.dims[v], off[v]
+                    for i, hr in enumerate(h.mats[v].entries):
+                        for col, x in enumerate(bv.act(hr), o + i * d):
+                            if x is not z and x:
+                                row[col] = x
+                if row:
+                    comps.append(row)
+    ident = {off[v] + i * (M.dims[v] + 1): f.one
+             for v in verts for i in range(M.dims[v])}
+    return sparse_span_contains(f, comps, width, ident)
 
 
 def stable_iso(M: Representation, N: Representation) -> bool:

@@ -276,6 +276,24 @@ def test_operation_graph_freed_without_cyclic_gc():
         gc.enable()
 
 
+def test_skeleton_leaves_no_cyclic_garbage():
+    """The algebra's cached projectives hold no module that points back at
+    it, so a whole k[x]/(x^5) skeleton is freed by reference counting."""
+    gc.collect()
+    gc.disable()
+    try:
+        alg = nakayama_cyclic((5,), rational_field())
+        report = skeleton(SubcatSpec(alg, [jordan_module(alg, i)
+                                           for i in range(1, 6)], 1))
+        assert report.count == 4
+        assert alg.cache and not any(isinstance(x, Representation)
+                                     for x in alg.cache.values())
+        del alg, report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _kx4_modules(fld):
     """The Jordan modules over a fresh k[x]/(x^4), then their first syzygies."""
     alg = nakayama_cyclic((4,), fld)

@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 
 from singcat.exact_linalg import (
-    Matrix, prime_field, rank, rational_field, rref, solve_right,
+    Matrix, kernel_basis, prime_field, rank, rational_field, rref, solve_left,
+    solve_right,
 )
 from singcat.homology import syzygy
 from singcat.quiver_algebra import (
@@ -23,6 +24,7 @@ from singcat.quiver_algebra import (
 )
 from singcat.rep import (
     AlgebraMismatch,
+    HomSpace,
     InvalidTriple,
     RepMorphism,
     Representation,
@@ -448,7 +450,7 @@ def test_path_images_match_path_matrices(fld):
     assert seen_zero_dim and seen_sink
 
 
-def _commuting_reference(M, N, spare=0):
+def _commuting_reference(M, N):
     """The commuting constraints by a dense triple loop, one column per
     (arrow, i, k) that has a term; a column whose terms cancel is kept."""
     f = M.algebra.field
@@ -475,7 +477,7 @@ def _commuting_reference(M, N, spare=0):
                         has = True
                 if has:
                     cols.append(col)
-    rows = [[f.zero] * (len(cols) + spare) for _ in range(total)]
+    rows = [[f.zero] * len(cols) for _ in range(total)]
     for c, col in enumerate(cols):
         for idx, val in col.items():
             rows[idx][c] = val
@@ -494,12 +496,12 @@ def test_commuting_system_matches_dense_reference(fld):
     pairs = [(M, N) for M in mods for N in mods if M.algebra is N.algebra]
     cancelled = empty_end = False
     for M, N in pairs:
-        for spare in (0, 2):
-            got = _commuting_system(M, N, spare)
-            ref = _commuting_reference(M, N, spare)
-            assert got[1] == ref[1] and got[2] == ref[2]
-            assert got[0] == ref[0]
-            assert all(len(r) == ref[1] + spare for r in got[0])
+        got = _commuting_system(M, N)
+        ref = _commuting_reference(M, N)
+        assert got[1] == ref[1] and got[2] == ref[2]
+        # the sparse rows hold exactly the nonzero entries of the dense ones
+        assert [{c: x for c, x in enumerate(r) if x != 0} for r in ref[0]] \
+            == got[0]
         # on a loop, the terms M_a[i][i] and -N_a[k][k] share an unknown
         cancelled |= any(
             M.action[a.id].entries[i][i] != 0
@@ -572,3 +574,126 @@ def test_cokernel_matches_residue_reference(fld):
         assert f.compose(proj).is_zero()
         proper |= 0 < C.total_dim < f.tgt.total_dim
     assert proper
+
+
+# ---------------------------------------------------------------------------
+# add-membership by the trace criterion, against the splitting system
+
+
+def _splitting_membership(M, gens):
+    """Add-membership by the splitting system, kept as a reference.
+
+    M is in add G iff the evaluation map e: S -> M of the universal right
+    approximation splits: some s: M -> S commutes with the actions and has
+    s.e = id_M.  Unknowns are all of Hom_k(M, S); the commuting constraints
+    and the entries of s.e - id_M are solved together with solve_left.
+    """
+    if M.total_dim == 0:
+        return True
+    if not gens:
+        return False
+    alg = M.algebra
+    f = alg.field
+    e = universal_right_approximation(gens, M)
+    S = e.src
+    if S.total_dim == 0:
+        return False
+    for v in alg.quiver.vertices:
+        if rank(e.mats[v]) != M.dims[v]:
+            return False
+    width_rhs = sum(d * d for d in M.dims.values())
+    rows, ncols, off = _commuting_reference(M, S)
+    for r in rows:
+        r.extend([f.zero] * width_rhs)
+    target = [f.zero] * ncols
+    for v in alg.quiver.vertices:
+        E = e.mats[v]
+        for i in range(M.dims[v]):
+            for k in range(M.dims[v]):
+                for j in range(S.dims[v]):
+                    if E.entries[j][k]:
+                        rows[off[v] + i * S.dims[v] + j][len(target)] = E.entries[j][k]
+                target.append(f.one if i == k else f.zero)
+    A = Matrix.from_rows(f, rows, len(target))
+    b = Matrix.from_rows(f, [target], len(target))
+    return solve_left(A, b) is not None
+
+
+def _jordan(alg, i):
+    f = alg.field
+    return Representation(alg, {"0": i}, {"a0": Matrix.from_rows(
+        f, [[f.one if c == r + 1 else f.zero for c in range(i)]
+            for r in range(i)], i)})
+
+
+def _membership_cases(fld):
+    """(M, gens) pairs: Jordan modules of k[x]/(x^n), 2 <= n <= 5, alone and
+    in direct sums, with and without a projective summand; the zero module;
+    generators with zero Hom to M; orbit-algebra generators and their
+    syzygies."""
+    rng = random.Random(9)
+    cases = []
+    for n in range(2, 6):
+        alg = nakayama_cyclic((n,), fld)
+        # random bases up to n = 4; over Q they make large fractions
+        J = [None] + [_jordan(alg, i) if n == 5 else _twisted(_jordan(alg, i), rng)
+                      for i in range(1, n + 1)]
+        P = J[n]
+        sums = [direct_sum([J[a], J[b]])
+                for a in range(1, n + 1) for b in range(a, n + 1)]
+        for M in J[1:] + sums + [zero_rep(alg)]:
+            for _ in range(2):
+                k = rng.randrange(1, 3)
+                gens = [J[rng.randrange(1, n + 1)] for _ in range(k)]
+                if rng.random() < 0.5:
+                    gens = [direct_sum(gens)]
+                cases.append((M, gens))
+            cases.append((M, [J[rng.randrange(1, n + 1)], zero_rep(alg)]))
+        # a projective summand, without and with the projective as a generator
+        for M in J[1:n]:
+            a = rng.randrange(1, n + 1)
+            cases.append((direct_sum([M, P]), [J[a]]))
+            cases.append((direct_sum([M, P]), [J[a], P]))
+        cases.append((J[1], []))
+    # generators with zero Hom to M: simples and intervals at other vertices
+    orb = orbit_grid_algebra(KS, fld)
+    S12 = simple_module(orb, "(1,2)")
+    far = [simple_module(orb, "(2,3)"), interval_module(orb, (2, 3, 3))]
+    cases += [(S12, far), (S12, far + [S12]),
+              (direct_sum([S12, far[0]]), far),
+              (direct_sum([S12, far[0]]), far + [S12])]
+    _, spec = nakayama2_tilde(KS, 4, fld)
+    G = spec.generators
+    for i in range(0, len(G), 4):
+        g = G[i]
+        om = syzygy(g)
+        cases += [(g, G), (g, G[:i] + G[i + 1:]), (om, G), (om, [g]),
+                  (direct_sum([om, projective_module(spec.algebra, "(0,0)")]), G)]
+    return cases
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: repr(f))
+def test_add_membership_matches_splitting_reference(fld):
+    seen = set()
+    for M, gens in _membership_cases(fld):
+        want = _splitting_membership(M, gens)
+        assert add_membership(M, gens) == want
+        seen.add(want)
+        if M.total_dim and gens:
+            seen.add(("zero hom", any(hom(g, M).dim == 0 for g in gens)))
+    assert seen == {True, False, ("zero hom", True), ("zero hom", False)}
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: repr(f))
+def test_hom_basis_matches_dense_kernel(fld):
+    mods, rng = _test_modules(fld)
+    for M, gens in _membership_cases(fld)[::10]:
+        mods += [m for m in [M] + gens if all(m is not x for x in mods)]
+    for M in mods:
+        for N in mods:
+            if M.algebra is not N.algebra:
+                continue
+            rows, ncols, _ = _commuting_reference(M, N)
+            dense = Matrix.from_rows(fld, rows, ncols)
+            want = Matrix.from_rows(fld, kernel_basis(dense), len(rows))
+            assert HomSpace(M, N)._bmat == want
