@@ -21,6 +21,7 @@ from .homology import (
     ProjectiveResolution,
     StableHomSpace,
     ext,
+    ext_dim,
     omega_stabilizes,
     pd_certificate,
     resolve,
@@ -57,6 +58,7 @@ from .rep import (
     direct_sum,
     dual_module,
     hom,
+    hom_dim,
     injective_module,
     injectives,
     interval_module,

@@ -4,8 +4,9 @@ Two field kinds: the rationals (fractions.Fraction) and prime fields F_p
 (ints reduced into [0, p)).  No floating point anywhere.  Matrices are
 stored dense; the one elimination routine, _eliminate, works on sparse
 {column: value} rows.  Kernels are reduced on such rows with an implicit
-identity block (sparse_kernel), which callers that build their systems
-sparse (the Hom constraints) use without a Matrix.
+identity block (sparse_kernel), and ranks with none (sparse_rank); callers
+that build their systems sparse (the Hom constraints) use both without a
+Matrix.
 Results are deterministic because the reduced row echelon form of a matrix
 is unique: ranks, kernels and particular solutions (free variables set to
 zero) are functions of the input alone, whatever the elimination order.
@@ -343,8 +344,17 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = _rref(m.field, [list(r) for r in m.entries])
-    return len(pivots)
+    return len(_eliminate(m.field, _sparse_rows(m.field, m.entries), m.cols))
+
+
+def sparse_rank(field: Field, rows: list[dict], ncols: int) -> int:
+    """Rank of sparse rows, consumed (reduced in place by ``_eliminate``).
+
+    ``rows`` are {column: value} dicts of nonzeros in columns below ncols,
+    as ``sparse_kernel`` takes them, but no identity block is added: the
+    kernel's dimension, len(rows) minus this rank, needs no basis.
+    """
+    return len(_eliminate(field, rows, ncols))
 
 
 def sparse_kernel(field: Field, rows: list[dict], ncols: int) -> list[tuple]:

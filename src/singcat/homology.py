@@ -8,10 +8,25 @@ augmentation's target is the module, so storing it would put every resolved
 module in a reference cycle that only the cyclic garbage collector frees.
 The inclusion points into the cover, never back at the module.
 
+Dimensions are read from ranks, with no basis: ``ext_dim`` takes the ranks
+of the two dual differentials, and a stable Hom dimension comes from the
+exact sequence 0 -> Hom(A, Omega B) -> Hom(A, P_B) -> Hom(A, B), where
+P_B -> B is the cover and Omega B its kernel.  The image of the last map is
+exactly the maps A -> B that factor through a projective, so
+
+    dim stable Hom(A, B)
+        = dim Hom(A, B) - dim Hom(A, P_B) + dim Hom(A, Omega B),
+
+each term a ``rep.hom_dim``, with dim Hom(A, P_B) summed over the cover's
+summands P_v.  ``ext`` and ``stable_hom`` still build the spaces with bases
+for callers that need elements.
+
 Stable Hom dimensions and stable-class verdicts are memoised per ordered
-module pair (``_pair_memo``).  The memo on the first module is weak-keyed by
-the second and holds only ints and bools, so an entry neither keeps its key
-alive nor closes a reference cycle.
+module pair (``_pair_memo``), and dim Hom(A, P_v) per module and vertex
+(``_proj_hom_dim``).  The pair memo on the first module is weak-keyed by
+the second and holds only ints and bools; the vertex memo is a plain dict
+of ints keyed by vertex id.  So no entry keeps a module alive or closes a
+reference cycle.
 
 Ext is computed in generator coordinates: a map out of a cover is determined
 by the images of the summand generators, which keeps every dual differential
@@ -40,8 +55,10 @@ from .rep import (
     _path_images,
     _same_algebra,
     hom,
+    hom_dim,
     kernel,
     projective_cover,
+    projective_module,
 )
 
 
@@ -235,6 +252,21 @@ class ExtSpace:
         self.cocycles = cocycles
 
 
+def _dual_differentials(M: Representation, N: Representation, i: int,
+                        ) -> tuple[ProjectiveResolution, Matrix, Matrix]:
+    """(resolution, d_lo, d_hi): the dual differentials around degree i >= 1.
+
+    d_lo maps Hom(P_{i-1}, N) to Hom(P_i, N) and d_hi maps Hom(P_i, N) to
+    Hom(P_{i+1}, N), so Ext^i(M, N) is ker d_hi / im d_lo.
+    """
+    res = resolve(M, i + 1)
+    d_lo = _dual_map_matrix(res.covers[i - 1], res.covers[i], res.eps[i],
+                            res.incs[i - 1], N)
+    d_hi = _dual_map_matrix(res.covers[i], res.covers[i + 1], res.eps[i + 1],
+                            res.incs[i], N)
+    return res, d_lo, d_hi
+
+
 def ext(M: Representation, N: Representation, i: int) -> ExtSpace:
     _same_algebra(M, N)
     if i < 0:
@@ -242,11 +274,7 @@ def ext(M: Representation, N: Representation, i: int) -> ExtSpace:
     if i == 0:
         h = hom(M, N)
         return ExtSpace(h.dim, list(h.basis))
-    res = resolve(M, i + 1)
-    d_lo = _dual_map_matrix(res.covers[i - 1], res.covers[i], res.eps[i],
-                            res.incs[i - 1], N)
-    d_hi = _dual_map_matrix(res.covers[i], res.covers[i + 1], res.eps[i + 1],
-                            res.incs[i], N)
+    res, d_lo, d_hi = _dual_differentials(M, N, i)
     cocycle_vecs = kernel_basis(d_hi)
     dim = len(cocycle_vecs) - rank(d_lo)
     cocycles = []
@@ -258,6 +286,20 @@ def ext(M: Representation, N: Representation, i: int) -> ExtSpace:
             pos += N.dims[v]
         cocycles.append(_cover_map_from_gen_images(res.covers[i], N, xs))
     return ExtSpace(dim, cocycles)
+
+
+def ext_dim(M: Representation, N: Representation, i: int) -> int:
+    """dim Ext^i(M, N) from ranks: d_hi.rows - rank(d_hi) - rank(d_lo).
+
+    Equal to ``ext(M, N, i).dim``, but builds no cocycle.
+    """
+    _same_algebra(M, N)
+    if i < 0:
+        raise ValueError("negative ext degree")
+    if i == 0:
+        return hom_dim(M, N)
+    _, d_lo, d_hi = _dual_differentials(M, N, i)
+    return d_hi.rows - rank(d_hi) - rank(d_lo)
 
 
 class StableHomSpace:
@@ -316,10 +358,46 @@ def stable_hom(M: Representation, N: Representation) -> StableHomSpace:
     return StableHomSpace(M, N)
 
 
+def _proj_hom_dim(A: Representation, v: str) -> int:
+    """dim Hom(A, P_v), memoised on A in a plain {vertex id: int} dict."""
+    memo = getattr(A, "_proj_hom_dims", None)
+    if memo is None:
+        memo = A._proj_hom_dims = {}
+    d = memo.get(v)
+    if d is None:
+        d = memo[v] = hom_dim(A, projective_module(A.algebra, v))
+    return d
+
+
+def _stable_dim_from_ranks(A: Representation, B: Representation) -> int:
+    _same_algebra(A, B)
+    cover, _, K, _ = _step(B)
+    h = hom_dim(A, B)
+    hp = sum(_proj_hom_dim(A, v) for v in cover.vertices)
+    hk = hom_dim(A, K)
+    if hk > hp:
+        raise InternalCheckFailed("Hom into the syzygy exceeds Hom into the cover")
+    d = h - hp + hk
+    if not 0 <= d <= h:
+        raise InternalCheckFailed("stable Hom dimension out of range")
+    return d
+
+
 def _stable_dim(A: Representation, B: Representation) -> int:
-    """dim of stable Hom(A, B), memoised per module pair."""
-    return _pair_memo("_stable_dims", A, B,
-                      lambda A, B: stable_hom(A, B).dim)
+    """dim of stable Hom(A, B), memoised per module pair.
+
+    Read from the exact sequence 0 -> Hom(A, Omega B) -> Hom(A, P_B) ->
+    Hom(A, B) of B's cached cover step, whose last map has as image the
+    maps that factor through a projective:
+
+        dim Hom(A, B) - sum_v dim Hom(A, P_v) + dim Hom(A, Omega B),
+
+    v over the cover's summands, with dim Hom(A, P_v) memoised on A per
+    vertex (``_proj_hom_dim``).  The bounds exactness forces are checked
+    with explicit raises: dim Hom(A, Omega B) <= dim Hom(A, P_B), and
+    0 <= result <= dim Hom(A, B); a violation is InternalCheckFailed.
+    """
+    return _pair_memo("_stable_dims", A, B, _stable_dim_from_ranks)
 
 
 def stable_end_dim(M: Representation) -> int:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .exact_linalg import (
     Field, InternalCheckFailed, Matrix, echelon_solve, kernel_basis, rank, rref,
-    sparse_kernel, sparse_span_contains,
+    sparse_kernel, sparse_rank, sparse_span_contains,
 )
 from .quiver_algebra import BoundQuiverAlgebra, PathKey, valid_triple
 
@@ -304,6 +304,16 @@ class HomSpace:
 
 def hom(M: Representation, N: Representation) -> HomSpace:
     return HomSpace(M, N)
+
+
+def hom_dim(M: Representation, N: Representation) -> int:
+    """dim Hom(M, N): the unknowns of the commuting system minus its rank.
+
+    Equal to ``hom(M, N).dim``, but builds no kernel basis and no morphism.
+    """
+    f = _same_algebra(M, N).field
+    rows, ncols, _ = _commuting_system(M, N)
+    return len(rows) - sparse_rank(f, rows, ncols)
 
 
 def _echelon_submodule(M: Representation, inc_mats: dict[str, Matrix],

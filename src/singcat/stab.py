@@ -37,7 +37,7 @@ from .homology import (
     PdCertificate,
     _matches_stably,
     _stable_dim,
-    ext,
+    ext_dim,
     is_stably_zero_module,
     omega_stabilizes,
     pd_certificate,
@@ -90,7 +90,7 @@ class StabHom:
 
 
 def _ext1_clean(M: Representation, alg: BoundQuiverAlgebra) -> bool:
-    return all(ext(M, P, 1).dim == 0 for _, P in projectives(alg))
+    return all(ext_dim(M, P, 1) == 0 for _, P in projectives(alg))
 
 
 def stab_hom(x: StableObject, y: StableObject, spec: SubcatSpec,
@@ -457,7 +457,7 @@ def gp_certificate(M: Representation, horizon: int = 24) -> GpCertificate:
     verts = sorted(alg.quiver.vertices)
     for j, r in enumerate(orb["reps"]):
         for v in verts:
-            if ext(r, projective_module(alg, v), 1).dim:
+            if ext_dim(r, projective_module(alg, v), 1):
                 return GpCertificate("not_gp", (j + 1, v), None, None,
                                      horizon)
     if orb["kind"] == "cycle":

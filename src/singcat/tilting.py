@@ -25,6 +25,7 @@ from .rep import (
     cokernel,
     direct_sum,
     hom,
+    hom_dim,
     injectives,
     is_isomorphic,
     kernel,
@@ -33,7 +34,7 @@ from .rep import (
     universal_right_approximation,
     zero_rep,
 )
-from .homology import ext, is_stably_zero_module, resolve, syzygy
+from .homology import ext_dim, is_stably_zero_module, resolve, syzygy
 
 
 class IncompleteIndecList(ValueError):
@@ -162,7 +163,7 @@ def verify_rigid(spec: SubcatSpec) -> Check:
     for t in range(1, d):
         for i, gi in enumerate(spec.generators):
             for j, gj in enumerate(spec.generators):
-                dim = ext(gi, gj, t).dim
+                dim = ext_dim(gi, gj, t)
                 if dim:
                     return Check(False,
                                  witness=(spec.labels[i], spec.labels[j], t),
@@ -235,7 +236,7 @@ def verify_cluster_tilting(spec: SubcatSpec, mode: str = "certificate",
     _indec_list_sanity(spec.algebra, indec_list)
     d = spec.d
     for L in indec_list:
-        ortho = all(ext(g, L, t).dim == 0 and ext(L, g, t).dim == 0
+        ortho = all(ext_dim(g, L, t) == 0 and ext_dim(L, g, t) == 0
                     for t in range(1, d) for g in spec.generators)
         member = add_membership(L, spec.generators)
         if ortho != member:
@@ -260,7 +261,7 @@ def _indec_list_sanity(alg: BoundQuiverAlgebra,
                 break
         else:
             raise IncompleteIndecList(f"no copy of the projective at {v!r}")
-    total = sum(hom(matched[u], matched[v]).dim
+    total = sum(hom_dim(matched[u], matched[v])
                 for u in matched for v in matched)
     if total != alg.dimension:
         raise IncompleteIndecList(

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singcat.exact_linalg import (
-    Field, FieldError, Matrix, _rref, echelon_solve, kernel_basis, prime_field,
-    rank, rational_field, rref, solve_left, solve_right,
+    Field, FieldError, Matrix, _rref, _sparse_rows, echelon_solve, kernel_basis,
+    prime_field, rank, rational_field, rref, solve_left, solve_right,
+    sparse_rank,
 )
 
 
@@ -273,6 +274,8 @@ def test_rref_rank_kernel_match_dense_reference(m):
     assert got.entries == tuple(tuple(r) for r in want_rows)
     _assert_canonical_scalars(got)
     assert rank(m) == len(want_piv)
+    assert sparse_rank(m.field, _sparse_rows(m.field, m.entries),
+                       m.cols) == len(want_piv)
     ker = kernel_basis(m)
     assert ker == _dense_kernel(m)
     if ker:

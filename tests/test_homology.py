@@ -323,6 +323,7 @@ def test_pair_memos_match_fresh_computation(fld, monkeypatch):
     def recomputed(*args):
         raise AssertionError("memoised pair recomputed")
     monkeypatch.setattr(homology, "stable_hom", recomputed)
+    monkeypatch.setattr(homology, "hom_dim", recomputed)
     monkeypatch.setattr(rep, "stable_iso", recomputed)
     for (i, j), (dim, match) in want.items():
         assert _stable_dim(mods[i], mods[j]) == dim

@@ -6,9 +6,8 @@ from pathlib import Path
 import pytest
 
 import singcat
-from singcat import rep, stab
+from singcat import homology, rep, stab
 from singcat.exact_linalg import InternalCheckFailed
-from singcat.homology import ExtSpace
 
 PACKAGE = Path(singcat.__file__).resolve().parent
 
@@ -40,6 +39,26 @@ def test_gp_certificate_vanishing_orbit_with_clean_scan_raises(monkeypatch, kx4)
     monkeypatch.setattr(stab, "omega_stabilizes",
                         lambda M, horizon, step: {"kind": "zero", "steps": 1,
                                                   "reps": [M]})
-    monkeypatch.setattr(stab, "ext", lambda M, N, i: ExtSpace(0, []))
+    monkeypatch.setattr(stab, "ext_dim", lambda M, N, i: 0)
     with pytest.raises(InternalCheckFailed, match="clean Ext scan"):
         stab.gp_certificate(S)
+
+
+@pytest.mark.parametrize("into_projective, match", [
+    (False, "Hom into the syzygy exceeds Hom into the cover"),
+    (True, "stable Hom dimension out of range"),
+], ids=["syzygy_bound", "range"])
+def test_stable_dim_outside_exactness_bounds_raises(monkeypatch, kx4,
+                                                    into_projective, match):
+    # overcounting Hom into the non-projective syzygy breaks
+    # Hom(A, Omega B) <= Hom(A, P_B); overcounting Hom into the projectives
+    # drives the stable dimension below zero
+    S = rep.simple_module(kx4, kx4.quiver.vertices[0])
+    real = homology.hom_dim
+
+    def overcounted(M, N):
+        return real(M, N) + (100 if rep.is_projective(N) == into_projective
+                             else 0)
+    monkeypatch.setattr(homology, "hom_dim", overcounted)
+    with pytest.raises(InternalCheckFailed, match=match):
+        homology._stable_dim(S, S)

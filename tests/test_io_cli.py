@@ -33,7 +33,12 @@ from singcat.cli import (
 )
 from singcat.exact_linalg import InternalCheckFailed, prime_field, rational_field
 from singcat.homology import syzygy
-from singcat.rep import is_isomorphic, projective_module, simple_module
+from singcat.rep import (
+    is_isomorphic,
+    is_projective,
+    projective_module,
+    simple_module,
+)
 
 
 @pytest.fixture(scope="module")
@@ -211,13 +216,19 @@ def test_exit_internal_on_failed_check(kx2_dir, monkeypatch, capsys):
 
 
 def test_exit_internal_on_stable_hom_fault(tilde_dir, monkeypatch, capsys):
-    # a composite with the cover that misses Hom is the program's fault, not
-    # malformed input
-    monkeypatch.setattr(homology, "echelon_solve", lambda a, b: None)
+    # a stable Hom dimension outside the range exactness allows is the
+    # program's fault, not malformed input: overcounting Hom into every
+    # projective drives dim Hom(A, B) - dim Hom(A, P_B) + dim Hom(A, Omega B)
+    # below zero
+    real = homology.hom_dim
+
+    def overcounted(M, N):
+        return real(M, N) + (100 if is_projective(N) else 0)
+    monkeypatch.setattr(homology, "hom_dim", overcounted)
     rc = main(["sing", "skeleton", "--subcat", str(tilde_dir / "subcat.json")])
     assert rc == EXIT_INTERNAL
     assert capsys.readouterr().err == \
-        "internal error: composite with the cover is outside Hom\n"
+        "internal error: stable Hom dimension out of range\n"
 
 
 def test_cli_operation_freed_without_cyclic_gc(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from singcat.exact_linalg import (
     Matrix, kernel_basis, prime_field, rank, rational_field, rref, solve_left,
     solve_right,
 )
-from singcat.homology import syzygy
+from singcat.homology import _stable_dim, ext, ext_dim, stable_hom, syzygy
 from singcat.quiver_algebra import (
     MAX_RELATION_LENGTH,
     Arrow,
@@ -35,6 +35,7 @@ from singcat.rep import (
     direct_sum,
     dual_module,
     hom,
+    hom_dim,
     image,
     injective_module,
     injectives,
@@ -697,3 +698,58 @@ def test_hom_basis_matches_dense_kernel(fld):
             dense = Matrix.from_rows(fld, rows, ncols)
             want = Matrix.from_rows(fld, kernel_basis(dense), len(rows))
             assert HomSpace(M, N)._bmat == want
+
+
+# ---------------------------------------------------------------------------
+# dimensions from ranks, against the spaces built with bases
+
+
+def _dimension_modules(fld):
+    """Modules grouped by algebra.  Four per algebra are spread over the
+    modules of the membership cases (Jordan modules of k[x]/(x^n), n <= 5,
+    in twisted bases and in sums, orbit-algebra intervals and syzygies);
+    each comes with its first syzygy, and the group has the zero module, up
+    to two projectives and a sum with a projective summand."""
+    by_alg: dict[int, list] = {}
+    for M, gens in _membership_cases(fld):
+        mods = by_alg.setdefault(id(M.algebra), [])
+        mods += [m for m in [M] + gens
+                 if m.total_dim and all(m is not x for x in mods)]
+    groups = []
+    for mods in by_alg.values():
+        alg = mods[0].algebra
+        base = mods[::-(-len(mods) // 4)]
+        P = [p for _, p in projectives(alg)[:2]]
+        groups.append(base + [syzygy(m) for m in base] + P
+                      + [zero_rep(alg), direct_sum([base[0], P[0]])])
+    return groups
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: repr(f))
+def test_dimensions_from_ranks_match_bases(fld):
+    stable_seen, ext_seen = set(), set()
+    for mods in _dimension_modules(fld):
+        for M in mods:
+            for N in mods:
+                assert hom_dim(M, N) == hom(M, N).dim
+                for i in range(4):
+                    d = ext_dim(M, N, i)
+                    assert d == ext(M, N, i).dim
+                    if i:
+                        ext_seen.add(d > 0)
+                d = _stable_dim(M, N)
+                assert d == stable_hom(M, N).dim
+                stable_seen.add(d > 0)
+    assert stable_seen == {True, False}
+    assert ext_seen == {True, False}
+
+
+def test_projective_hom_memo_holds_ints_by_vertex(orbit):
+    A = interval_module(orbit, (1, 1, 3))
+    B = interval_module(orbit, (1, 2, 3))
+    assert _stable_dim(A, B) == stable_hom(A, B).dim
+    memo = A._proj_hom_dims
+    assert type(memo) is dict and memo
+    for v, d in memo.items():
+        assert v in orbit.quiver.vertices and type(d) is int
+        assert d == hom(A, projective_module(orbit, v)).dim
