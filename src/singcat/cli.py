@@ -28,7 +28,7 @@ from pathlib import Path
 from .exact_linalg import (
     Field, FieldError, InternalCheckFailed, Matrix, prime_field, rational_field,
 )
-from .homology import PdCertificate, ext, pd_certificate, resolve, syzygy
+from .homology import PdCertificate, ext_dim, pd_certificate, resolve, syzygy
 from .quiver_algebra import (
     Arrow,
     BoundQuiverAlgebra,
@@ -42,7 +42,7 @@ from .quiver_algebra import (
     nakayama_cyclic,
     truncate,
 )
-from .rep import AlgebraMismatch, Representation, hom, projective_module, simple_module
+from .rep import AlgebraMismatch, Representation, hom_dim, projective_module, simple_module
 from .stab import (
     OrbitNotResolved,
     gp_certificate,
@@ -416,7 +416,7 @@ def _cmd_alg_basis(args, loader: Loader) -> int:
 def _cmd_mod_hom(args, loader: Loader) -> int:
     M = loader.module(Path(args.module))
     N = loader.module(Path(args.other), M.algebra)
-    d = hom(M, N).dim
+    d = hom_dim(M, N)
     print(f"hom dimension {d}")
     _emit_report({"check": "mod hom", "pass": True, "dims": [d]}, args.out)
     return EXIT_OK
@@ -425,7 +425,7 @@ def _cmd_mod_hom(args, loader: Loader) -> int:
 def _cmd_mod_ext(args, loader: Loader) -> int:
     M = loader.module(Path(args.module))
     N = loader.module(Path(args.other), M.algebra)
-    d = ext(M, N, args.degree).dim
+    d = ext_dim(M, N, args.degree)
     print(f"ext^{args.degree} dimension {d}")
     _emit_report({"check": "mod ext", "pass": True, "degree": args.degree,
                   "dims": [d]}, args.out)

@@ -3,17 +3,23 @@
 Two field kinds: the rationals (fractions.Fraction) and prime fields F_p
 (ints reduced into [0, p)).  No floating point anywhere.  Matrices are
 stored dense; the one elimination routine, _eliminate, works on sparse
-{column: value} rows.  Kernels are reduced on such rows with an implicit
-identity block (sparse_kernel), and ranks with none (sparse_rank); callers
-that build their systems sparse (the Hom constraints) use both without a
-Matrix.
+{column: value} rows, and every system reaches it through one of seven
+entry points:
+
+- on a Matrix: ``rank``, ``rref`` and ``kernel_basis`` (the left kernel),
+  which take its rows' nonzeros;
+- on sparse rows, built sparse where the system is formed (the Hom
+  constraints, the Ext dual differentials, the cover lift of a syzygy map):
+  ``sparse_rank``, ``sparse_kernel`` (reduced with an implicit identity
+  block) and ``sparse_span_contains``;
+- ``echelon_solve``, which reads coordinates in a basis that is already
+  echelon (the rows of kernel_basis or rref) at its leading columns, with
+  no elimination, and checks them by recombining the basis.
+
 Results are deterministic because the reduced row echelon form of a matrix
-is unique: ranks, kernels and particular solutions (free variables set to
-zero) are functions of the input alone, whatever the elimination order.
-Pivots are taken in the canonical order (leftmost nonzero column, topmost
-unused row).  Coordinates in a basis that is already echelon (the rows of
-kernel_basis or rref) are read, not solved: echelon_solve takes them at the
-leading columns and checks them by recombining the basis.
+is unique: ranks and kernels are functions of the input alone, whatever the
+elimination order.  Pivots are taken in the canonical order (leftmost
+nonzero column, topmost unused row).
 """
 
 from __future__ import annotations
@@ -180,9 +186,6 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols}, {self.entries!r})"
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def is_zero(self) -> bool:
         z = self.field.zero
         return all(e == z for r in self.entries for e in r)
@@ -222,13 +225,6 @@ class Matrix:
         f = self.field
         return Matrix(f, self.rows, self.cols,
                       [[f.add(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
-
-    def sub(self, other: Matrix) -> Matrix:
-        self._same_shape(other)
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [[f.sub(a, b) for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.entries, other.entries)])
 
     def scale(self, c) -> Matrix:
@@ -316,30 +312,21 @@ def _sparse_rows(field: Field, rows: Iterable[Sequence]) -> list[dict]:
     return [{c: x for c, x in enumerate(row) if x is not z and x} for row in rows]
 
 
-def _rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list).
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form of m and its pivot column list.
 
-    The dense rows are reduced as sparse rows by ``_eliminate``.  On return
-    every row of the argument list is rewritten as a dense list padded with
-    field.zero, pivot rows first in pivot order (``compute_basis`` relies
-    on this).
+    The rows are reduced sparse by ``_eliminate`` and written back dense,
+    pivot rows first in pivot order, then the rows that became zero.
     """
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    z = field.zero
-    sp = _sparse_rows(field, rows)
-    pivots = _eliminate(field, sp, ncols)
-    for i, d in enumerate(sp):
-        row = [z] * ncols
+    z = m.field.zero
+    sp = _sparse_rows(m.field, m.entries)
+    pivots = _eliminate(m.field, sp, m.cols)
+    rows = []
+    for d in sp:
+        row = [z] * m.cols
         for j, x in d.items():
             row[j] = x
-        rows[i] = row
-    return rows, pivots
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    rows, pivots = _rref(m.field, [list(r) for r in m.entries])
+        rows.append(row)
     return Matrix(m.field, m.rows, m.cols, rows), pivots
 
 
@@ -392,32 +379,6 @@ def kernel_basis(m: Matrix) -> list[tuple]:
     return sparse_kernel(m.field, _sparse_rows(m.field, m.entries), m.cols)
 
 
-def solve_right(a: Matrix, b: Matrix) -> Matrix | None:
-    """Solve a.x = b for x; None when inconsistent.
-
-    Free variables are set to zero under the canonical pivot order, so the
-    returned solution is unique as a function of (a, b).
-    """
-    if a.rows != b.rows:
-        raise ValueError(f"row mismatch: {a.rows} vs {b.rows}")
-    f = a.field
-    aug = [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)]
-    aug, pivots = _rref(f, aug)
-    # a pivot landing in the b-block marks an inconsistent row
-    if pivots and pivots[-1] >= a.cols:
-        return None
-    x = [[f.zero] * b.cols for _ in range(a.cols)]
-    for r, c in enumerate(pivots):
-        x[c] = list(aug[r][a.cols:])
-    return Matrix(f, a.cols, b.cols, x)
-
-
-def solve_left(a: Matrix, b: Matrix) -> Matrix | None:
-    """Solve x.a = b; the transposed twin of solve_right."""
-    xt = solve_right(a.transpose(), b.transpose())
-    return None if xt is None else xt.transpose()
-
-
 def echelon_solve(basis: Matrix, m: Matrix) -> Matrix | None:
     """Solve x.basis = m when basis is echelon; None when m is outside its span.
 
@@ -444,11 +405,6 @@ def echelon_solve(basis: Matrix, m: Matrix) -> Matrix | None:
         if basis.act(x) != r:
             return None
     return Matrix(basis.field, m.rows, basis.rows, xs)
-
-
-def row_space_contains(m: Matrix, v: Sequence) -> bool:
-    vm = Matrix.from_rows(m.field, [v], m.cols)
-    return solve_left(m, vm) is not None
 
 
 def sparse_span_contains(field: Field, rows: list[dict], ncols: int,

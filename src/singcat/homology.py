@@ -2,11 +2,14 @@
 
 The single-step data (cover, augmentation, kernel, inclusion) is cached on
 each module instance, so iterated syzygies, morphism lifts, and orbit walks
-all see the same representative objects.  The cache keeps the augmentation's
-matrices, not the augmentation itself, and rebuilds it on each call: the
-augmentation's target is the module, so storing it would put every resolved
+all see the same representative objects.  ``_step`` returns the cached tuple
+itself, with the augmentation as its per-vertex matrices: the augmentation's
+target is the module, so storing it as a morphism would put every resolved
 module in a reference cycle that only the cyclic garbage collector frees.
-The inclusion points into the cover, never back at the module.
+Syzygy maps and dual differentials read the matrices; only
+``ProjectiveResolution``, ``StableHomSpace`` and ``stab.standard_triangle``
+wrap them in a morphism.  The inclusion points into the cover, never back
+at the module.
 
 Dimensions are read from ranks, with no basis: ``ext_dim`` takes the ranks
 of the two dual differentials, and a stable Hom dimension comes from the
@@ -30,8 +33,10 @@ reference cycle.
 
 Ext is computed in generator coordinates: a map out of a cover is determined
 by the images of the summand generators, which keeps every dual differential
-a small dense matrix.  Only generator rows are ever computed: a cover map's
-rows are the generator images walked along path prefixes
+small.  A dual differential is built as sparse {column: value} rows of its
+nonzeros, which ``sparse_rank`` and ``sparse_kernel`` reduce as they are;
+no dense matrix is formed.  Only generator rows are ever computed: a cover
+map's rows are the generator images walked along path prefixes
 (``rep._path_images``), and a dual differential reads the generator rows of
 d_i = eps_i . inc_{i-1} as one vector-by-matrix product each, never the
 whole composite.  The path matrices a dual differential sums are built by
@@ -44,8 +49,8 @@ from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
 from .exact_linalg import (
-    InternalCheckFailed, Matrix, echelon_solve, kernel_basis, rank, rref,
-    solve_left,
+    InternalCheckFailed, Matrix, _sparse_rows, echelon_solve, rref,
+    sparse_kernel, sparse_rank,
 )
 from .rep import (
     Cover,
@@ -62,20 +67,18 @@ from .rep import (
 )
 
 
-def _step(M: Representation):
-    """Cached (cover, eps, syzygy, inclusion) for one resolution step.
+def _step(M: Representation) -> tuple:
+    """The cached (cover, eps matrices, syzygy, inclusion) of one step.
 
-    The cache holds eps's matrices and rebuilds eps on each call, so nothing
-    cached on M points back at M.
+    eps is kept as its per-vertex matrices, not as a morphism onto M, so
+    nothing cached on M points back at M.
     """
     data = getattr(M, "_syzygy_step", None)
     if data is None:
         cover, eps = projective_cover(M)
         K, inc = kernel(eps)
-        M._syzygy_step = (cover, eps.mats, K, inc)
-        return cover, eps, K, inc
-    cover, mats, K, inc = data
-    return cover, RepMorphism(cover.rep, M, mats, check=False), K, inc
+        data = M._syzygy_step = (cover, eps.mats, K, inc)
+    return data
 
 
 def _pair_memo(attr: str, A: Representation, B: Representation, compute):
@@ -106,9 +109,9 @@ class ProjectiveResolution:
         self.incs: list[RepMorphism] = []
         cur = M
         for _ in range(length + 1):
-            cover, eps, K, inc = _step(cur)
+            cover, mats, K, inc = _step(cur)
             self.covers.append(cover)
-            self.eps.append(eps)
+            self.eps.append(RepMorphism(cover.rep, cur, mats, check=False))
             self.incs.append(inc)
             self.kernels.append(K)
             cur = K
@@ -164,13 +167,15 @@ def _omega1(f: RepMorphism) -> RepMorphism:
     xs = []
     for j in range(len(coverM.vertices)):
         v, row = coverM.gen_row(j)
-        # the generator's image under epsM then f: one row of the composite
-        y = Matrix.from_rows(fld, [f.mats[v].act(epsM.mats[v].entries[row])],
-                             N.dims[v])
-        x = solve_left(epsN.mats[v], y)
-        if x is None:
+        # the generator's image under epsM then f: one row of the composite.
+        # x with x.epsN = y is read from the kernel of the rows [-y; epsN],
+        # whose first echelon vector leads with 1 iff y is in the image
+        y = f.mats[v].act(epsM[v].entries[row])
+        rows = _sparse_rows(fld, [[fld.neg(a) for a in y], *epsN[v].entries])
+        ker = sparse_kernel(fld, rows, N.dims[v])
+        if not ker or ker[0][0] != fld.one:
             raise InternalCheckFailed("augmentation is not onto")
-        xs.append(x.entries[0])
+        xs.append(ker[0][1:])
     lam = _cover_map_from_gen_images(coverM, coverN.rep, xs)
     mats = {}
     for v in M.algebra.quiver.vertices:
@@ -182,23 +187,26 @@ def _omega1(f: RepMorphism) -> RepMorphism:
     return RepMorphism(KM, KN, mats, check=False)
 
 
-def _dual_map_matrix(cover_lo: Cover, cover_hi: Cover, eps: RepMorphism,
-                     inc: RepMorphism, N: Representation) -> Matrix:
-    """Matrix of precomposition with d = eps . inc, from Hom(cover_lo.rep, N)
-    to Hom(cover_hi.rep, N).
+def _dual_map_matrix(cover_lo: Cover, cover_hi: Cover, eps: dict,
+                     inc: dict, N: Representation) -> tuple[list[dict], int]:
+    """(rows, ncols): the sparse rows of precomposition with d = eps . inc,
+    from Hom(cover_lo.rep, N) to Hom(cover_hi.rep, N).
 
-    ``eps`` maps cover_hi.rep onto a module that ``inc`` includes into
-    cover_lo.rep; in a resolution they are eps_i and inc_{i-1}, and d is the
-    differential d_i.  Both hom spaces are written in generator coordinates,
-    rows acting on the right as everywhere else.  A map out of cover_hi is
-    fixed by its generator images, so only the generator rows of d are
-    computed, each as one vector-by-matrix product.  Each block sums the
-    path matrices of N along the basis paths in such a row; they are built
-    by prefix (one product per path) in a dict local to this call.
+    ``eps`` and ``inc`` are per-vertex matrices: eps maps cover_hi.rep onto
+    a module that inc includes into cover_lo.rep; in a resolution they are
+    eps_i and inc_{i-1}, and d is the differential d_i.  Both hom spaces are
+    written in generator coordinates, rows acting on the right as everywhere
+    else.  Each row is a {column: value} dict of its nonzeros, as
+    ``sparse_rank`` and ``sparse_kernel`` take it: an entry that cancels is
+    deleted, so no zero is stored.  A map out of cover_hi is fixed by its
+    generator images, so only the generator rows of d are computed, each as
+    one vector-by-matrix product.  Each block sums the path matrices of N
+    along the basis paths in such a row; they are built by prefix (one
+    product per path) in a dict local to this call.
     """
     alg = cover_lo.algebra
     f = alg.field
-    z = f.zero
+    z, p = f.zero, f.p
     pmats: dict = {}  # path matrices of N, by basis path
     row_off = []
     r = 0
@@ -210,10 +218,10 @@ def _dual_map_matrix(cover_lo: Cover, cover_hi: Cover, eps: RepMorphism,
     for w in cover_hi.vertices:
         col_off.append(c)
         c += N.dims[w]
-    out = [[z] * c for _ in range(r)]
+    out: list[dict] = [{} for _ in range(r)]
     for j, w in enumerate(cover_hi.vertices):
         wv, grow = cover_hi.gen_row(j)
-        img = inc.mats[wv].act(eps.mats[wv].entries[grow])
+        img = inc[wv].act(eps[wv].entries[grow])
         for k, v in enumerate(cover_lo.vertices):
             base = cover_lo.offset(k, wv)
             for idx, key in enumerate(alg.basis(v, wv)):
@@ -239,9 +247,16 @@ def _dual_map_matrix(cover_lo: Cover, cover_hi: Cover, eps: RepMorphism,
                 for a, prow in enumerate(pm.entries):
                     orow = out[ro + a]
                     for b, x in enumerate(prow):
-                        if x is not z and x:
-                            orow[co + b] = f.add(orow[co + b], f.mul(coef, x))
-    return Matrix.from_rows(f, out, c)
+                        if x is z or not x:
+                            continue
+                        y = orow.get(co + b, z) + coef * x
+                        if p is not None:
+                            y %= p
+                        if y:
+                            orow[co + b] = y
+                        else:
+                            orow.pop(co + b, None)
+    return out, c
 
 
 class ExtSpace:
@@ -253,18 +268,24 @@ class ExtSpace:
 
 
 def _dual_differentials(M: Representation, N: Representation, i: int,
-                        ) -> tuple[ProjectiveResolution, Matrix, Matrix]:
-    """(resolution, d_lo, d_hi): the dual differentials around degree i >= 1.
+                        ) -> tuple[Cover, tuple, tuple]:
+    """(P_i's cover, d_lo, d_hi): the dual differentials around degree i >= 1.
 
     d_lo maps Hom(P_{i-1}, N) to Hom(P_i, N) and d_hi maps Hom(P_i, N) to
-    Hom(P_{i+1}, N), so Ext^i(M, N) is ker d_hi / im d_lo.
+    Hom(P_{i+1}, N), so Ext^i(M, N) is ker d_hi / im d_lo.  Each is the
+    (rows, ncols) pair of ``_dual_map_matrix``, read from the cached steps
+    0 .. i+1 of M's resolution.
     """
-    res = resolve(M, i + 1)
-    d_lo = _dual_map_matrix(res.covers[i - 1], res.covers[i], res.eps[i],
-                            res.incs[i - 1], N)
-    d_hi = _dual_map_matrix(res.covers[i], res.covers[i + 1], res.eps[i + 1],
-                            res.incs[i], N)
-    return res, d_lo, d_hi
+    steps = []
+    cur = M
+    for _ in range(i + 2):
+        steps.append(_step(cur))
+        cur = steps[-1][2]
+    (c_lo, _, _, inc_lo), (c_mid, eps_mid, _, inc_mid), (c_hi, eps_hi, _, _) = \
+        steps[i - 1:i + 2]
+    d_lo = _dual_map_matrix(c_lo, c_mid, eps_mid, inc_lo.mats, N)
+    d_hi = _dual_map_matrix(c_mid, c_hi, eps_hi, inc_mid.mats, N)
+    return c_mid, d_lo, d_hi
 
 
 def ext(M: Representation, N: Representation, i: int) -> ExtSpace:
@@ -274,22 +295,23 @@ def ext(M: Representation, N: Representation, i: int) -> ExtSpace:
     if i == 0:
         h = hom(M, N)
         return ExtSpace(h.dim, list(h.basis))
-    res, d_lo, d_hi = _dual_differentials(M, N, i)
-    cocycle_vecs = kernel_basis(d_hi)
-    dim = len(cocycle_vecs) - rank(d_lo)
+    fld = M.algebra.field
+    cover, d_lo, d_hi = _dual_differentials(M, N, i)
+    cocycle_vecs = sparse_kernel(fld, *d_hi)
+    dim = len(cocycle_vecs) - sparse_rank(fld, *d_lo)
     cocycles = []
     for vec in cocycle_vecs:
         xs = []
         pos = 0
-        for v in res.covers[i].vertices:
+        for v in cover.vertices:
             xs.append(vec[pos:pos + N.dims[v]])
             pos += N.dims[v]
-        cocycles.append(_cover_map_from_gen_images(res.covers[i], N, xs))
+        cocycles.append(_cover_map_from_gen_images(cover, N, xs))
     return ExtSpace(dim, cocycles)
 
 
 def ext_dim(M: Representation, N: Representation, i: int) -> int:
-    """dim Ext^i(M, N) from ranks: d_hi.rows - rank(d_hi) - rank(d_lo).
+    """dim Ext^i(M, N) from ranks: rows(d_hi) - rank(d_hi) - rank(d_lo).
 
     Equal to ``ext(M, N, i).dim``, but builds no cocycle.
     """
@@ -298,8 +320,9 @@ def ext_dim(M: Representation, N: Representation, i: int) -> int:
         raise ValueError("negative ext degree")
     if i == 0:
         return hom_dim(M, N)
-    _, d_lo, d_hi = _dual_differentials(M, N, i)
-    return d_hi.rows - rank(d_hi) - rank(d_lo)
+    fld = M.algebra.field
+    _, (lo, lo_cols), (hi, hi_cols) = _dual_differentials(M, N, i)
+    return len(hi) - sparse_rank(fld, hi, hi_cols) - sparse_rank(fld, lo, lo_cols)
 
 
 class StableHomSpace:
@@ -315,7 +338,8 @@ class StableHomSpace:
         alg = _same_algebra(M, N)
         fld = alg.field
         self.hom = hom(M, N)
-        coverN, epsN, _, _ = _step(N)
+        coverN, eps_mats, _, _ = _step(N)
+        epsN = RepMorphism(coverN.rep, N, eps_mats, check=False)
         hp = hom(M, coverN.rep)
         bmat = self.hom._bmat
         comps = Matrix.from_rows(

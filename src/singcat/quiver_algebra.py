@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .exact_linalg import Field, Matrix, _rref
+from .exact_linalg import Field, Matrix, _eliminate
 
 
 class QuiverError(ValueError):
@@ -273,7 +273,7 @@ def compute_basis(quiver: Quiver, relations: Sequence[RelationElement],
 
         # every relation instance ending in this degree: b.r with b a basis
         # path of the complementary length (b trivial when deg r == length)
-        rows: list[list] = []
+        rows: list[dict] = []
         for d, rel_list in rels_by_len.items():
             if d > length:
                 continue
@@ -281,8 +281,7 @@ def compute_basis(quiver: Quiver, relations: Sequence[RelationElement],
                 for bkey in by_len[length - d]:
                     if key_tgt(bkey) != r.src:
                         continue
-                    row = [field.zero] * len(cands)
-                    nonzero = False
+                    row: dict[int, object] = {}
                     for coef, path in r.terms:
                         head = _walk(field, mult, {bkey: field.one},
                                      path.arrows[:-1])
@@ -291,12 +290,16 @@ def compute_basis(quiver: Quiver, relations: Sequence[RelationElement],
                             col = col_of.get((k, last))
                             if col is None:
                                 continue
-                            row[col] = field.add(row[col], field.mul(coef, c))
-                            nonzero = True
-                    if nonzero:
+                            x = field.add(row.get(col, field.zero),
+                                          field.mul(coef, c))
+                            if x:
+                                row[col] = x
+                            else:
+                                row.pop(col, None)
+                    if row:
                         rows.append(row)
 
-        rows, pivots = _rref(field, rows)
+        pivots = _eliminate(field, rows, len(cands))
         pivot_set = set(pivots)
         new_layer: list[PathKey] = []
         expand: dict[int, dict[PathKey, object]] = {}
@@ -306,12 +309,10 @@ def compute_basis(quiver: Quiver, relations: Sequence[RelationElement],
                 new_layer.append(new_key)
         kept_key = {i: (cands[i][0][0], cands[i][0][1] + (cands[i][1],))
                     for i in range(len(cands)) if i not in pivot_set}
+        # a reduced pivot row is 1 at its pivot and 0 at every other pivot
         for rrow, c in zip(rows, pivots):
-            vec: dict[PathKey, object] = {}
-            for j in range(c + 1, len(cands)):
-                if rrow[j] and j not in pivot_set:
-                    vec[kept_key[j]] = field.neg(rrow[j])
-            expand[c] = vec
+            expand[c] = {kept_key[j]: field.neg(x)
+                         for j, x in sorted(rrow.items()) if j != c}
         for i, (bkey, aid) in enumerate(cands):
             if i in pivot_set:
                 mult[(bkey, aid)] = expand[i]

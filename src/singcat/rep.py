@@ -157,11 +157,6 @@ class RepMorphism:
                            {v: self.mats[v].mul(other.mats[v])
                             for v in self.mats}, check=False)
 
-    def add(self, other: "RepMorphism") -> "RepMorphism":
-        return RepMorphism(self.src, self.tgt,
-                           {v: self.mats[v].add(other.mats[v])
-                            for v in self.mats}, check=False)
-
     def scale(self, c) -> "RepMorphism":
         return RepMorphism(self.src, self.tgt,
                            {v: self.mats[v].scale(c) for v in self.mats},

@@ -354,7 +354,8 @@ def standard_triangle(E: Representation, k: int = 0) -> StTriangle:
     the connecting map is recorded by its sign.
     """
     from .homology import _step
-    cover, eps, K, inc = _step(E)
+    cover, eps_mats, K, inc = _step(E)
+    eps = RepMorphism(cover.rep, E, eps_mats, check=False)
     sgn = -1 if k % 2 else 1
     objects = (StableObject(K, -k), StableObject(cover.rep, -k),
                StableObject(E, -k))

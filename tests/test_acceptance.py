@@ -331,7 +331,7 @@ def test_criterion_8_property_suites(orbit_spec, record_criterion):
 
     # approximation universality on 100 random spec/target instances
     from singcat.tilting import left_approximation, right_approximation
-    from singcat.exact_linalg import row_space_contains
+    from dense_reference import row_space_contains
     QQ = rational_field()
     algs = [nakayama_cyclic(k, QQ) for k in ((2,), (4,), (3, 3))]
     small_pools = []

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singcat.exact_linalg import (
-    Field, FieldError, Matrix, _rref, _sparse_rows, echelon_solve, kernel_basis,
-    prime_field, rank, rational_field, rref, solve_left, solve_right,
-    sparse_rank,
+    Field, FieldError, Matrix, _sparse_rows, echelon_solve, kernel_basis,
+    prime_field, rank, rational_field, rref, sparse_rank, sparse_span_contains,
+)
+
+from dense_reference import (
+    dense_kernel, dense_rref, dense_solve_left, row_space_contains,
 )
 
 
@@ -60,15 +63,6 @@ def test_kernel_basis_small_cases():
     assert len(kernel_basis(Matrix.zeros(f2, 3, 4))) == 3
 
 
-def test_solve_right_forced_cases():
-    q = rational_field()
-    x = solve_right(Matrix(q, 1, 1, [[2]]), Matrix(q, 1, 1, [[1]]))
-    assert x.entries == ((Fraction(1, 2),),)
-    b = Matrix(q, 2, 2, [[1, 2], [3, 4]])
-    assert solve_right(Matrix.identity(q, 2), b) == b
-    assert solve_right(Matrix(q, 1, 1, [[0]]), Matrix(q, 1, 1, [[1]])) is None
-
-
 def _random_matrix(rng, f, rows, cols, span=5):
     return Matrix(f, rows, cols,
                   [[f.of_int(rng.randrange(-span, span)) for _ in range(cols)]
@@ -96,30 +90,6 @@ def test_rank_plus_kernel_dimension():
             if ker:
                 assert vecs.mul(m).is_zero()
                 assert rank(vecs) == len(ker)
-
-
-def test_solve_right_exactness():
-    rng = random.Random(17)
-    f = rational_field()
-    for _ in range(25):
-        a = _random_matrix(rng, f, 4, 3)
-        x0 = _random_matrix(rng, f, 3, 2)
-        b = a.mul(x0)
-        x = solve_right(a, b)
-        assert x is not None
-        assert a.mul(x) == b
-
-
-def test_solve_left_matches_transposed_problem():
-    rng = random.Random(19)
-    f = prime_field(101)
-    for _ in range(20):
-        a = _random_matrix(rng, f, 3, 4)
-        x0 = _random_matrix(rng, f, 2, 3)
-        b = x0.mul(a)
-        x = solve_left(a, b)
-        assert x is not None
-        assert x.mul(a) == b
 
 
 def test_rref_is_deterministic_and_reduced():
@@ -178,52 +148,6 @@ def test_zeros_shapes(f, r, c):
 FIELDS = (rational_field(), prime_field(2), prime_field(101))
 
 
-def _dense_rref(f, rows):
-    """Textbook dense Gauss-Jordan with the canonical pivot order."""
-    rows = [list(r) for r in rows]
-    pivots, r = [], 0
-    for c in range(len(rows[0]) if rows else 0):
-        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                ci = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(ci, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def _dense_kernel(m):
-    f = m.field
-    aug = [list(m.entries[i]) + [f.one if j == i else f.zero for j in range(m.rows)]
-           for i in range(m.rows)]
-    aug, _ = _dense_rref(f, aug)
-    return [tuple(row[m.cols:]) for row in aug if not any(row[:m.cols])]
-
-
-def _dense_solve_right(a, b):
-    f = a.field
-    aug, pivots = _dense_rref(f, [list(ra) + list(rb)
-                                  for ra, rb in zip(a.entries, b.entries)])
-    for row in aug:
-        if not any(row[:a.cols]) and any(row[a.cols:]):
-            return None
-    x = [[f.zero] * b.cols for _ in range(a.cols)]
-    for r, c in enumerate(c for c in pivots if c < a.cols):
-        x[c] = list(aug[r][a.cols:])
-    return Matrix(f, a.cols, b.cols, x)
-
-
-def _dense_solve_left(a, b):
-    xt = _dense_solve_right(a.transpose(), b.transpose())
-    return None if xt is None else xt.transpose()
-
-
 @st.composite
 def _matrices(draw, field=None, rows=None, cols=None):
     f = draw(st.sampled_from(FIELDS)) if field is None else field
@@ -242,20 +166,6 @@ def _matrices(draw, field=None, rows=None, cols=None):
     return Matrix(f, r, c, [[cell() for _ in range(c)] for _ in range(r)])
 
 
-@st.composite
-def _systems(draw, left):
-    """(a, b) for a.x = b (left=False) or x.a = b (left=True), half consistent."""
-    a = draw(_matrices())
-    k = draw(st.integers(0, 3))
-    if draw(st.booleans()):
-        if left:
-            return a, draw(_matrices(a.field, k, a.rows)).mul(a)
-        return a, a.mul(draw(_matrices(a.field, a.cols, k)))
-    if left:
-        return a, draw(_matrices(a.field, k, a.cols))
-    return a, draw(_matrices(a.field, a.rows, k))
-
-
 def _assert_canonical_scalars(m):
     for row in m.entries:
         for x in row:
@@ -268,7 +178,7 @@ def _assert_canonical_scalars(m):
 @settings(max_examples=300, deadline=None)
 @given(_matrices())
 def test_rref_rank_kernel_match_dense_reference(m):
-    want_rows, want_piv = _dense_rref(m.field, m.entries)
+    want_rows, want_piv = dense_rref(m.field, m.entries)
     got, piv = rref(m)
     assert piv == want_piv
     assert got.entries == tuple(tuple(r) for r in want_rows)
@@ -277,40 +187,23 @@ def test_rref_rank_kernel_match_dense_reference(m):
     assert sparse_rank(m.field, _sparse_rows(m.field, m.entries),
                        m.cols) == len(want_piv)
     ker = kernel_basis(m)
-    assert ker == _dense_kernel(m)
+    assert ker == dense_kernel(m)
     if ker:
         _assert_canonical_scalars(Matrix.from_rows(m.field, ker, m.rows))
 
 
-@settings(max_examples=100, deadline=None)
-@given(_matrices())
-def test_rref_rewrites_its_argument_in_place(m):
-    rows = [list(r) for r in m.entries]
-    out, piv = _rref(m.field, rows)
-    assert out is rows
-    assert (rows, piv) == _dense_rref(m.field, m.entries)
-
-
 @settings(max_examples=300, deadline=None)
-@given(_systems(left=False))
-def test_solve_right_matches_dense_reference(ab):
-    a, b = ab
-    got, want = solve_right(a, b), _dense_solve_right(a, b)
-    assert got == want
-    if got is not None:
-        _assert_canonical_scalars(got)
-        assert a.mul(got) == b
-
-
-@settings(max_examples=300, deadline=None)
-@given(_systems(left=True))
-def test_solve_left_matches_dense_reference(ab):
-    a, b = ab
-    got, want = solve_left(a, b), _dense_solve_left(a, b)
-    assert got == want
-    if got is not None:
-        _assert_canonical_scalars(got)
-        assert got.mul(a) == b
+@given(st.data())
+def test_sparse_span_contains_matches_dense_reference(data):
+    m = data.draw(_matrices())
+    if data.draw(st.booleans()):
+        v = data.draw(_matrices(m.field, 1, m.rows)).mul(m).entries[0]
+    else:
+        v = data.draw(_matrices(m.field, 1, m.cols)).entries[0]
+    target = _sparse_rows(m.field, [v])[0]
+    got = sparse_span_contains(m.field, _sparse_rows(m.field, m.entries),
+                               m.cols, target)
+    assert got == row_space_contains(m, v)
 
 
 def _triple_loop_mul(a, b):
@@ -396,7 +289,7 @@ def _echelon_problems(draw):
 def test_echelon_solve_matches_solve_left(bm):
     basis, m = bm
     got = echelon_solve(basis, m)
-    assert got == solve_left(basis, m)
+    assert got == dense_solve_left(basis, m)
     if got is not None:
         _assert_canonical_scalars(got)
         assert got.mul(basis) == m

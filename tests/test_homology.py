@@ -40,6 +40,8 @@ from singcat.homology import (
 from singcat.stab import skeleton
 from singcat.tilting import SubcatSpec
 
+from dense_reference import dense_solve_left, dense_solve_right
+
 KS = (3, 2, 3, 3)
 
 
@@ -372,6 +374,17 @@ def _dual_map_reference(cover_lo, cover_hi, d, N):
     return Matrix.from_rows(f, out, col_off[-1])
 
 
+def _twisted_jordan(alg, i):
+    """jordan_module(alg, i) in the basis given by the rows of S, which is 1
+    on the diagonal and in the first column: the action is S.J.S^-1."""
+    f = alg.field
+    S = Matrix.from_rows(f, [[f.one if c in (0, r) else f.zero for c in range(i)]
+                             for r in range(i)], i)
+    act = S.mul(jordan_module(alg, i).action["a0"]).mul(
+        dense_solve_right(S, Matrix.identity(f, i)))
+    return Representation(alg, {"0": i}, {"a0": act}, check=True)
+
+
 @pytest.mark.parametrize("fld", [rational_field(), prime_field(2),
                                  prime_field(101)], ids=repr)
 def test_dual_map_from_generator_rows_matches_full_differential(fld):
@@ -387,24 +400,97 @@ def test_dual_map_from_generator_rows_matches_full_differential(fld):
              (jordan_module(kx5, 2), [jordan_module(kx5, i) for i in range(1, 6)]),
              # two generators at one vertex: the second one's row is not 0
              (rep.direct_sum([jordan_module(kx5, 2), jordan_module(kx5, 3)]),
-              [jordan_module(kx5, 3), jordan_module(kx5, 4)])]
+              [jordan_module(kx5, 3), jordan_module(kx5, 4)]),
+             # dense path matrices, so summed blocks overlap and entries cancel
+             (_twisted_jordan(kx5, 3), [_twisted_jordan(kx5, 4),
+                                        _twisted_jordan(kx5, 5)])]
+
+    def nonzeros(m):
+        return [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+
     checked = 0
     for M, targets in cases:
         res = resolve(M, 4)
         for i in range(1, 5):
             for N in targets:
-                got = _dual_map_matrix(res.covers[i - 1], res.covers[i],
-                                       res.eps[i], res.incs[i - 1], N)
+                rows, ncols = _dual_map_matrix(
+                    res.covers[i - 1], res.covers[i], res.eps[i].mats,
+                    res.incs[i - 1].mats, N)
                 ref = _dual_map_reference(res.covers[i - 1], res.covers[i],
                                           res.diff(i), N)
-                assert (got.rows, got.cols) == (ref.rows, ref.cols)
-                assert got.entries == ref.entries
+                assert (len(rows), ncols) == (ref.rows, ref.cols)
+                assert rows == nonzeros(ref)
                 checked += not ref.is_zero()
             # a minimal resolution's differentials miss the trivial paths,
             # which the identity map hits at every generator
             C = res.covers[0]
             ident = RepMorphism.identity(C.rep)
-            got = _dual_map_matrix(C, C, ident, ident, N)
-            assert got == Matrix.identity(fld, got.rows)
-            assert got == _dual_map_reference(C, C, ident, N)
+            rows, ncols = _dual_map_matrix(C, C, ident.mats, ident.mats, N)
+            assert rows == [{j: fld.one} for j in range(ncols)]
+            assert rows == nonzeros(_dual_map_reference(C, C, ident, N))
+            # generator images that sum several paths, so blocks overlap
+            E = hom(C.rep, C.rep)
+            d = E.element([fld.of_int((-1) ** k) for k in range(E.dim)])
+            rows, _ = _dual_map_matrix(C, C, d.mats, ident.mats, N)
+            assert rows == nonzeros(_dual_map_reference(C, C, d, N))
     assert checked
+
+
+def _omega_by_dense_lift(f):
+    """Omega(f) from a cover lift solved by the dense reference solver."""
+    M, N = f.src, f.tgt
+    coverM, epsM, KM, incM = homology._step(M)
+    coverN, epsN, KN, incN = homology._step(N)
+    fld = M.algebra.field
+    xs = []
+    for j in range(len(coverM.vertices)):
+        v, row = coverM.gen_row(j)
+        y = Matrix.from_rows(fld, [f.mats[v].act(epsM[v].entries[row])],
+                             N.dims[v])
+        xs.append(dense_solve_left(epsN[v], y).entries[0])
+    lam = homology._cover_map_from_gen_images(coverM, coverN.rep, xs)
+    return RepMorphism(KM, KN, {
+        v: dense_solve_left(incN.mats[v], incM.mats[v].mul(lam.mats[v]))
+        for v in M.algebra.quiver.vertices}, check=True)
+
+
+@pytest.mark.parametrize("fld", [rational_field(), prime_field(2),
+                                 prime_field(101)], ids=repr)
+def test_syzygy_morphism_matches_dense_lift_stably(fld):
+    orb = orbit_grid_algebra(KS, fld)
+    kx5 = nakayama_cyclic((5,), fld)
+    mods = [interval_module(orb, t) for t in
+            ((0, 0, 0), (1, 1, 2), (1, 1, 3), (1, 2, 3))]
+    mods.append(rep.direct_sum(mods[:2]))
+    pairs = [(A, B) for A in mods for B in mods]
+    pairs += [(jordan_module(kx5, i), jordan_module(kx5, k))
+              for i in range(1, 5) for k in range(1, 5)]
+    rng = random.Random(3)
+    nonzero = 0
+    for A, B in pairs:
+        H = hom(A, B)
+        if H.dim == 0:
+            continue
+        W = stable_hom(syzygy(A), syzygy(B))
+        maps = list(H.basis) + [H.element([fld.of_int(rng.randrange(-3, 4))
+                                           for _ in range(H.dim)])]
+        for g in maps:
+            got = W.coords_mod(syzygy_morphism(g))
+            assert got == W.coords_mod(_omega_by_dense_lift(g))
+            nonzero += any(got)
+    assert nonzero
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda fld, rows, ncols: [],
+    # a kernel vector that does not lead with 1: y is outside the image
+    lambda fld, rows, ncols: [(fld.zero,) * len(rows)],
+], ids=("empty", "leads_with_0"))
+def test_cover_lift_without_a_kernel_vector_is_an_internal_fault(
+        orbit, monkeypatch, kernel):
+    A = interval_module(orbit, (1, 1, 3))
+    B = interval_module(orbit, (1, 2, 3))
+    g = hom(A, B).basis[0]
+    monkeypatch.setattr(homology, "sparse_kernel", kernel)
+    with pytest.raises(InternalCheckFailed, match="augmentation is not onto"):
+        syzygy_morphism(g)

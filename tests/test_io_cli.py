@@ -207,7 +207,7 @@ def test_exit_undetermined_skeleton(tilde_dir):
 def test_exit_internal_on_failed_check(kx2_dir, monkeypatch, capsys):
     def broken(M, N):
         raise InternalCheckFailed("kernel is not arrow-stable")
-    monkeypatch.setattr(cli, "hom", broken)
+    monkeypatch.setattr(cli, "hom_dim", broken)
     rc = main(["mod", "hom", str(kx2_dir / "m_S.json"), str(kx2_dir / "m_P.json")])
     assert rc == EXIT_INTERNAL == 4
     captured = capsys.readouterr()

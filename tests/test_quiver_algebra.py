@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from singcat.exact_linalg import rational_field
+from singcat.exact_linalg import prime_field, rational_field
 from singcat.quiver_algebra import (
     Arrow,
     InvalidKupisch,
@@ -165,6 +165,22 @@ def test_nonhomogeneous_relation_rejected():
     rel = RelationElement([(f.one, long), (f.neg(f.one), short)])
     with pytest.raises(NonHomogeneousRelation):
         compute_basis(q, [rel], f, 10)
+
+
+@pytest.mark.parametrize("f", (rational_field(), prime_field(2)), ids=("Q", "F2"))
+def test_relation_that_reduces_to_zero_adds_no_row(f):
+    # xa = xb makes the degree-3 relation xay - xby reduce to 0 in one column
+    q = Quiver(["u", "v", "w", "t"],
+               [Arrow("x", "u", "v"), Arrow("a", "v", "w"), Arrow("b", "v", "w"),
+                Arrow("y", "w", "t")])
+    rels = [RelationElement([(f.one, PathWord(q, "u", ["x", "a"])),
+                             (f.neg(f.one), PathWord(q, "u", ["x", "b"]))]),
+            RelationElement([(f.one, PathWord(q, "u", ["x", "a", "y"])),
+                             (f.neg(f.one), PathWord(q, "u", ["x", "b", "y"]))])]
+    alg = compute_basis(q, rels, f, 5)
+    # 4 vertices, 4 arrows, xb ay by, xby
+    assert alg.dimension == 12
+    assert [len(layer) for layer in alg.basis_by_len] == [4, 4, 3, 1]
 
 
 def test_unbounded_path_algebra_detected():

@@ -6,8 +6,7 @@ from itertools import product
 import pytest
 
 from singcat.exact_linalg import (
-    Matrix, kernel_basis, prime_field, rank, rational_field, rref, solve_left,
-    solve_right,
+    Matrix, kernel_basis, prime_field, rank, rational_field, rref,
 )
 from singcat.homology import _stable_dim, ext, ext_dim, stable_hom, syzygy
 from singcat.quiver_algebra import (
@@ -52,6 +51,8 @@ from singcat.rep import (
     zero_rep,
 )
 from singcat.tilting import SubcatSpec, left_approximation
+
+from dense_reference import dense_solve_left, dense_solve_right
 
 KS = (3, 2, 3, 3)
 
@@ -404,7 +405,7 @@ def _twisted(M, rng):
             if rank(m) == d:
                 break
         S[v] = m
-        Sinv[v] = solve_right(m, Matrix.identity(f, d))
+        Sinv[v] = dense_solve_right(m, Matrix.identity(f, d))
     action = {}
     for a in M.algebra.quiver.arrows:
         action[a.id] = S[a.src].mul(M.action[a.id]).mul(Sinv[a.tgt])
@@ -587,7 +588,8 @@ def _splitting_membership(M, gens):
     M is in add G iff the evaluation map e: S -> M of the universal right
     approximation splits: some s: M -> S commutes with the actions and has
     s.e = id_M.  Unknowns are all of Hom_k(M, S); the commuting constraints
-    and the entries of s.e - id_M are solved together with solve_left.
+    and the entries of s.e - id_M are solved together by the dense
+    reference solver.
     """
     if M.total_dim == 0:
         return True
@@ -617,7 +619,7 @@ def _splitting_membership(M, gens):
                 target.append(f.one if i == k else f.zero)
     A = Matrix.from_rows(f, rows, len(target))
     b = Matrix.from_rows(f, [target], len(target))
-    return solve_left(A, b) is not None
+    return dense_solve_left(A, b) is not None
 
 
 def _jordan(alg, i):

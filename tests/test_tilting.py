@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from singcat.exact_linalg import Matrix, rank, row_space_contains
+from singcat.exact_linalg import Matrix, rank
 from singcat.homology import ext, stable_hom, syzygy
 from singcat.quiver_algebra import nakayama_cyclic, nakayama2_tilde
 from singcat.rep import (
@@ -36,6 +36,8 @@ from singcat.tilting import (
     verify_gen_cogen,
     verify_rigid,
 )
+
+from dense_reference import row_space_contains
 
 
 def factors_through(phi, f):
