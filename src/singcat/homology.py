@@ -434,7 +434,10 @@ def stable_end_dim(M: Representation) -> int:
 
 
 def is_stably_zero_module(M: Representation) -> bool:
-    """Zero or projective; minimal covers make this a dimension comparison."""
+    """Zero or projective; minimal covers make this a dimension comparison.
+
+    The one projectivity criterion: ``rep.is_projective`` calls it too.
+    """
     if M.total_dim == 0:
         return True
     cover, _, _, _ = _step(M)

@@ -461,6 +461,18 @@ def projectives(algebra: BoundQuiverAlgebra) -> list[tuple[str, Representation]]
     return [(v, projective_module(algebra, v)) for v in algebra.quiver.vertices]
 
 
+def regular_module(algebra: BoundQuiverAlgebra) -> Representation:
+    """The regular module A_A, the direct sum of the P(v) in vertex order.
+
+    Cached like ``projective_module``: dimensions and action, not the module.
+    """
+    data = algebra.cache.get("regular")
+    if data is None:
+        A = direct_sum([p for _, p in projectives(algebra)])
+        data = algebra.cache["regular"] = (A.dims, A.action)
+    return Representation(algebra, *data, check=False)
+
+
 def dual_module(algebra: BoundQuiverAlgebra, M: Representation) -> Representation:
     """The linear dual of a module over the opposite algebra.
 
@@ -559,9 +571,14 @@ def projective_cover(M: Representation) -> tuple[Cover, RepMorphism]:
 
 
 def is_projective(M: Representation) -> bool:
-    if M.total_dim == 0:
-        return True
-    return add_membership(M, [p for _, p in projectives(M.algebra)])
+    """Zero or projective: the minimal cover has the dimension of M.
+
+    The cover sum_v P(v) -> M, one P(v) per top generator at v, is onto, so
+    it is an isomorphism exactly when the dimensions agree.  Decided by
+    ``homology.is_stably_zero_module``, which reads the cached cover.
+    """
+    from .homology import is_stably_zero_module
+    return is_stably_zero_module(M)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from .rep import (
     dual_module,
     injective_module,
     projective_module,
-    projectives,
+    regular_module,
 )
 from .tilting import Angle, Check, SubcatSpec, verify_dZ_closure, verify_rigid
 
@@ -90,7 +90,12 @@ class StabHom:
 
 
 def _ext1_clean(M: Representation, alg: BoundQuiverAlgebra) -> bool:
-    return all(ext_dim(M, P, 1) == 0 for _, P in projectives(alg))
+    """Does Ext^1(M, P) vanish for every projective P?
+
+    Ext^1(M, -) is additive and every projective is a summand of a sum of
+    copies of the regular module A_A, so this is one ``ext_dim`` against A_A.
+    """
+    return ext_dim(M, regular_module(alg), 1) == 0
 
 
 def stab_hom(x: StableObject, y: StableObject, spec: SubcatSpec,
@@ -447,9 +452,12 @@ def gp_certificate(M: Representation, horizon: int = 24) -> GpCertificate:
 
     A nonzero Ext against a projective in any degree up to the horizon is
     a witness against the property (scan order: degree outer, sorted
-    vertex inner).  If instead the syzygy orbit closes into a cycle whose
-    members all have clean first Ext against every projective, the
-    periodic resolution splices into a totally acyclic complex.
+    vertex inner).  Each degree is decided by ``_ext1_clean``, one
+    ``ext_dim`` against the regular module; only a nonzero one scans the
+    vertices, to name the first P(v).  If instead the syzygy orbit closes
+    into a cycle whose members all have clean first Ext against every
+    projective, the periodic resolution splices into a totally acyclic
+    complex.
     """
     alg = M.algebra
     if M.total_dim == 0 or is_stably_zero_module(M):
@@ -457,10 +465,15 @@ def gp_certificate(M: Representation, horizon: int = 24) -> GpCertificate:
     orb = omega_stabilizes(M, horizon, step=1)
     verts = sorted(alg.quiver.vertices)
     for j, r in enumerate(orb["reps"]):
+        if _ext1_clean(r, alg):
+            continue
         for v in verts:
             if ext_dim(r, projective_module(alg, v), 1):
                 return GpCertificate("not_gp", (j + 1, v), None, None,
                                      horizon)
+        raise InternalCheckFailed(
+            "Ext into the regular module is nonzero but vanishes on every "
+            "projective")
     if orb["kind"] == "cycle":
         return GpCertificate("gp_certified", None, orb["preperiod"],
                              orb["period"], horizon)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import singcat
-from singcat import homology, rep, stab
+from singcat import homology, rep, stab, tilting
 from singcat.exact_linalg import InternalCheckFailed
 
 PACKAGE = Path(singcat.__file__).resolve().parent
@@ -42,6 +42,27 @@ def test_gp_certificate_vanishing_orbit_with_clean_scan_raises(monkeypatch, kx4)
     monkeypatch.setattr(stab, "ext_dim", lambda M, N, i: 0)
     with pytest.raises(InternalCheckFailed, match="clean Ext scan"):
         stab.gp_certificate(S)
+
+
+def test_nonzero_ext_into_a_sum_of_clean_summands_raises(monkeypatch, kx4):
+    # Ext is additive, so a nonzero Ext into the direct sum of the
+    # generators with every generator clean is the program's fault
+    gens = [rep.simple_module(kx4, "0"), rep.projective_module(kx4, "0")]
+    spec = tilting.SubcatSpec(kx4, gens, 2)
+    monkeypatch.setattr(tilting, "ext_dim",
+                        lambda M, N, i: 0 if any(N is g for g in gens) else 1)
+    with pytest.raises(InternalCheckFailed, match="every summand"):
+        tilting.verify_rigid(spec)
+
+
+def test_nonzero_ext_into_the_regular_module_raises(monkeypatch,
+                                                    hereditary_a2):
+    # the same for Ext^1 into A_A with every P(v) clean
+    alg = hereditary_a2
+    monkeypatch.setattr(stab, "ext_dim",
+                        lambda M, N, i: int(N.total_dim == alg.dimension))
+    with pytest.raises(InternalCheckFailed, match="every projective"):
+        stab.gp_certificate(rep.simple_module(alg, "u"))
 
 
 @pytest.mark.parametrize("into_projective, match", [

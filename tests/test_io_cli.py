@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import random
 import subprocess
 import sys
@@ -185,6 +186,25 @@ def test_exit_refuted_rigid(kx2_dir, tmp_path):
     bad.write_text(dumps_canonical(obj))
     rc = main(["ct", "verify", "--subcat", str(bad)])
     assert rc == EXIT_REFUTED
+
+
+@pytest.mark.parametrize("verb", [["ct", "verify"], ["sing", "skeleton"]],
+                         ids=["ct_verify", "sing_skeleton"])
+def test_optimized_subprocess_reports_match_in_process(tilde_dir, tmp_path,
+                                                        verb):
+    # the certificates' guards are explicit raises, so python -O must give
+    # the same report and exit code as a run with assertions on
+    args = verb + ["--subcat", str(tilde_dir / "subcat.json"), "--out"]
+    here = tmp_path / "in_process.json"
+    rc = main(args + [str(here)])
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    there = tmp_path / "optimized.json"
+    proc = subprocess.run([sys.executable, "-O", "-m", "singcat.cli", *args,
+                           str(there)], capture_output=True, text=True, env=env)
+    assert proc.returncode == rc, proc.stderr
+    assert there.read_text() == here.read_text()
 
 
 def test_exit_refuted_gorenstein(tilde_dir, tmp_path):

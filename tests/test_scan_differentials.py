@@ -1,0 +1,193 @@
+"""The bulk scans against their pair-by-pair forms, across fields.
+
+Generation is decided from the projectives, cogeneration from the
+injectives, Ext-vanishing against a list from one ``ext_dim`` against its
+direct sum, projectivity from the minimal cover, and "L is a copy of P(v)"
+from the top.  Each is compared here with the form it replaced, on random
+generator subsets of kx2, hereditary A2, the Jordan modules of k[x]/(x^4)
+and the a2-tilde-3233 intervals, over Q, F_2 and F_101.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from singcat.exact_linalg import Matrix, prime_field, rational_field
+from singcat.homology import ext_dim
+from singcat.quiver_algebra import (
+    Arrow, Quiver, compute_basis, nakayama2_tilde, nakayama_cyclic,
+)
+from singcat.rep import (
+    Representation,
+    direct_sum,
+    injective_module,
+    is_isomorphic,
+    is_projective,
+    projective_module,
+    projectives,
+    regular_module,
+    simple_module,
+    zero_rep,
+)
+from singcat.stab import gp_certificate
+from singcat.tilting import (
+    SubcatSpec, _is_copy_of_projective, verify_gen_cogen, verify_rigid,
+)
+
+from pairwise_reference import (
+    gp_certificate_pairwise,
+    is_projective_by_add_membership,
+    verify_gen_cogen_pairwise,
+    verify_rigid_pairwise,
+)
+
+FIELDS = {"Q": None, "F2": 2, "F101": 101}
+FAMILIES = ("kx2", "hereditary-a2", "jordan", "a2-tilde")
+
+
+def _field(name):
+    p = FIELDS[name]
+    return rational_field() if p is None else prime_field(p)
+
+
+def jordan_module(alg, i):
+    """k[x]/(x^i) as a module over k[x]/(x^n), i <= n."""
+    f = alg.field
+    rows = [[f.one if c == r + 1 else f.zero for c in range(i)]
+            for r in range(i)]
+    return Representation(alg, {"0": i}, {"a0": Matrix.from_rows(f, rows, i)})
+
+
+@lru_cache(maxsize=None)
+def pool(family: str, field: str) -> tuple:
+    """(algebra, labelled indecomposables) of one family over one field."""
+    fld = _field(field)
+    if family == "kx2":
+        alg = nakayama_cyclic((2,), fld)
+        mods = [("S", simple_module(alg, "0")),
+                ("P", projective_module(alg, "0"))]
+    elif family == "hereditary-a2":
+        alg = compute_basis(Quiver(["u", "v"], [Arrow("a", "u", "v")]), [],
+                            fld, 3)
+        mods = [("Su", simple_module(alg, "u")),
+                ("Sv", simple_module(alg, "v")),
+                ("Pu", projective_module(alg, "u"))]
+    elif family == "jordan":
+        alg = nakayama_cyclic((4,), fld)
+        mods = [(f"J{i}", jordan_module(alg, i)) for i in range(1, 5)]
+    else:
+        alg, spec = nakayama2_tilde((3, 2, 3, 3), 4, fld)
+        mods = list(zip(spec.labels, spec.generators))
+    return alg, tuple(mods)
+
+
+@st.composite
+def specs(draw):
+    """A spec on a random nonempty generator subset, d in 1..3."""
+    alg, mods = pool(draw(st.sampled_from(FAMILIES)),
+                     draw(st.sampled_from(sorted(FIELDS))))
+    idx = draw(st.lists(st.integers(0, len(mods) - 1), min_size=1,
+                        max_size=min(len(mods), 8), unique=True))
+    return SubcatSpec(alg, [mods[i][1] for i in idx], draw(st.integers(1, 3)),
+                      labels=[mods[i][0] for i in idx])
+
+
+pools = st.builds(pool, st.sampled_from(FAMILIES),
+                  st.sampled_from(sorted(FIELDS)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ext_into_a_direct_sum_is_the_sum_of_exts(data):
+    alg, mods = data.draw(pools)
+    ms = [m for _, m in mods]
+    M = data.draw(st.sampled_from(ms))
+    Xs = data.draw(st.lists(st.sampled_from(ms), min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        Xs.append(projective_module(alg, data.draw(
+            st.sampled_from(alg.quiver.vertices))))
+    t = data.draw(st.integers(1, 3))
+    assert ext_dim(M, direct_sum(Xs), t) == sum(ext_dim(M, X, t) for X in Xs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs())
+def test_rigidity_matches_the_pairwise_scan(spec):
+    assert verify_rigid(spec) == verify_rigid_pairwise(spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs())
+def test_generation_and_cogeneration_match_the_full_scan(spec):
+    assert verify_gen_cogen(spec) == verify_gen_cogen_pairwise(spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_gp_certificate_matches_the_pairwise_scan(data):
+    alg, mods = data.draw(pools)
+    M = data.draw(st.sampled_from([m for _, m in mods]))
+    assert gp_certificate(M, 12) == gp_certificate_pairwise(M, 12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_is_projective_matches_add_membership(data):
+    alg, mods = data.draw(pools)
+    pieces = data.draw(st.lists(st.sampled_from(
+        [m for _, m in mods] + [p for _, p in projectives(alg)]), max_size=3))
+    M = direct_sum(pieces) if pieces else zero_rep(alg)
+    assert is_projective(M) == is_projective_by_add_membership(M)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_regular_module_is_the_sum_of_the_projectives(field):
+    alg, _ = pool("a2-tilde", field)
+    A = regular_module(alg)
+    assert A.total_dim == alg.dimension
+    assert is_projective(A)
+    assert regular_module(alg).action == A.action
+    alg.clear_cache()
+    assert "regular" not in alg.cache
+    assert regular_module(alg).dims == A.dims
+
+
+def test_a_failing_projective_is_named_before_a_failing_injective():
+    # over the self-injective k[x]/(x^2), P(0) = I(0) fails to embed in
+    # add S; the projective comes first in the reported order
+    alg, mods = pool("kx2", "Q")
+    spec = SubcatSpec(alg, [dict(mods)["S"]], 1, labels=["S"])
+    checks = verify_gen_cogen(spec)
+    assert checks["cogenerating"].witness == "P(0)"
+    assert checks == verify_gen_cogen_pairwise(spec)
+
+
+def _copy_candidates(family, field, n):
+    """(algebra, modules): the pool, plus sums with the dimension vector of
+    a projective that are not copies of it, plus the injectives."""
+    if family == "jordan":
+        alg = nakayama_cyclic((n,), _field(field))
+        cands = [jordan_module(alg, i) for i in range(1, n + 1)]
+        cands += [direct_sum([jordan_module(alg, i), jordan_module(alg, n - i)])
+                  for i in range(1, n)]
+        return alg, cands
+    alg, mods = pool(family, field)
+    cands = [m for _, m in mods]
+    cands += [direct_sum([m, m]) for m in cands if m.total_dim == 1]
+    cands += [injective_module(alg, v) for v in alg.quiver.vertices]
+    return alg, cands
+
+
+@pytest.mark.parametrize("family, n", [("kx2", None), ("hereditary-a2", None),
+                                       ("jordan", 2), ("jordan", 3),
+                                       ("jordan", 5)])
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_projective_copy_test_agrees_with_is_isomorphic(family, n, field):
+    alg, cands = _copy_candidates(family, field, n)
+    for v, p in projectives(alg):
+        for L in cands:
+            assert _is_copy_of_projective(L, v, p) == is_isomorphic(L, p)
