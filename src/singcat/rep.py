@@ -13,8 +13,8 @@ import random
 from typing import Sequence
 
 from .exact_linalg import (
-    Field, InternalCheckFailed, Matrix, echelon_solve, kernel_basis, rank, rref,
-    sparse_kernel, sparse_rank, sparse_span_contains,
+    Field, InternalCheckFailed, Matrix, _eliminate, echelon_solve, kernel_basis,
+    rank, rref, sparse_kernel, sparse_rank, sparse_span_contains,
 )
 from .quiver_algebra import BoundQuiverAlgebra, PathKey, valid_triple
 
@@ -51,6 +51,21 @@ class Representation:
             self.action[a.id] = m
         if check:
             self._check_relations()
+
+    @classmethod
+    def _wrap(cls, algebra: BoundQuiverAlgebra, dims: dict[str, int],
+              action: dict[str, Matrix]) -> "Representation":
+        """A module on data that a constructor already checked.
+
+        ``dims`` and ``action`` are shared, not copied: they must name every
+        vertex and arrow, as the ones a Representation holds do.  Nothing in
+        the package mutates either after construction.
+        """
+        M = cls.__new__(cls)
+        M.algebra = algebra
+        M.dims = dims
+        M.action = action
+        return M
 
     @property
     def total_dim(self) -> int:
@@ -428,11 +443,11 @@ def projective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
 
     The algebra caches its dimensions and action, not the module, so the
     cache holds nothing that points back at the algebra; each call wraps
-    them in a new Representation.
+    them in a new Representation with no re-check (``Representation._wrap``).
     """
     data = algebra.cache.get(("projective", v))
     if data is not None:
-        return Representation(algebra, *data, check=False)
+        return Representation._wrap(algebra, *data)
     if v not in algebra.quiver.arrows_from:
         raise AlgebraMismatch(f"unknown vertex {v!r}")
     f = algebra.field
@@ -454,7 +469,7 @@ def projective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
             rows.append(row)
         action[a.id] = Matrix.from_rows(f, rows, len(tgt_keys))
     algebra.cache[("projective", v)] = (dims, action)
-    return Representation(algebra, dims, action, check=False)
+    return Representation._wrap(algebra, dims, action)
 
 
 def projectives(algebra: BoundQuiverAlgebra) -> list[tuple[str, Representation]]:
@@ -470,7 +485,7 @@ def regular_module(algebra: BoundQuiverAlgebra) -> Representation:
     if data is None:
         A = direct_sum([p for _, p in projectives(algebra)])
         data = algebra.cache["regular"] = (A.dims, A.action)
-    return Representation(algebra, *data, check=False)
+    return Representation._wrap(algebra, *data)
 
 
 def dual_module(algebra: BoundQuiverAlgebra, M: Representation) -> Representation:
@@ -502,7 +517,7 @@ def injective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
         op = opposite_algebra(algebra)
         I = dual_module(algebra, projective_module(op, v))
         data = algebra.cache[key] = (I.dims, I.action)
-    return Representation(algebra, *data, check=False)
+    return Representation._wrap(algebra, *data)
 
 
 def injectives(algebra: BoundQuiverAlgebra) -> list[tuple[str, Representation]]:
@@ -609,6 +624,86 @@ def universal_right_approximation(gens: Sequence[Representation],
     return RepMorphism(S, N, mats, check=False)
 
 
+def _end_offsets(M: Representation) -> tuple[dict[str, int], int]:
+    """Column offsets of the vertex blocks of End_k(M), and its dimension.
+
+    An endomorphism is laid out vertex by vertex, each block row by row, so
+    entry (i, k) at v is column off[v] + i * dim M_v + k.
+    """
+    off, width = {}, 0
+    for v in M.algebra.quiver.vertices:
+        off[v] = width
+        width += M.dims[v] * M.dims[v]
+    return off, width
+
+
+def _composite_rows(M: Representation, off: dict[str, int],
+                    hs: Sequence[dict], bs: Sequence[dict]) -> list[dict]:
+    """The composites h then b in End_k(M), as sparse {column: value} rows.
+
+    h runs over hs and b over bs, each a map given by its per-vertex
+    matrices, M -> X for h and X -> M for b; a zero composite gives no row.
+    """
+    z = M.algebra.field.zero
+    verts = M.algebra.quiver.vertices
+    rows = []
+    for h in hs:
+        for b in bs:
+            # row i of the composite at v is row i of h_v times b_v
+            row = {}
+            for v in verts:
+                bv, d, o = b[v], M.dims[v], off[v]
+                for i, hr in enumerate(h[v].entries):
+                    for col, x in enumerate(bv.act(hr), o + i * d):
+                        if x is not z and x:
+                            row[col] = x
+            if row:
+                rows.append(row)
+    return rows
+
+
+def _projective_end_rows(M: Representation) -> list[dict]:
+    """Echelon rows spanning P(M, M), the endomorphisms of M that factor
+    through a projective, as sparse rows of End_k(M).
+
+    A map M -> P -> M through a projective P lifts its second half through
+    the cover eps: P_M -> M, so P(M, M) is {h then eps : h in Hom(M, P_M)}
+    (Auslander-Reiten-Smalo, IV.1).  The cover is the cached one of
+    ``homology._step``.  The rows are reduced once and memoised on M as
+    plain {column: scalar} dicts, which hold no module and no morphism.
+    """
+    rows = getattr(M, "_proj_end_rows", None)
+    if rows is None:
+        from .homology import _step
+        cover, eps, _, _ = _step(M)
+        off, width = _end_offsets(M)
+        rows = _composite_rows(
+            M, off, [h.mats for h in hom(M, cover.rep).basis], [eps])
+        rows = M._proj_end_rows = rows[:len(_eliminate(M.algebra.field, rows,
+                                                       width))]
+    return rows
+
+
+def _identity_in_trace(M: Representation,
+                       pairs: Sequence[tuple[list, list]],
+                       base: Sequence[dict] = ()) -> bool:
+    """Is id_M in the span of the rows ``base`` and the composites h then b,
+    h over hs and b over bs, for each (hs, bs) in pairs?
+
+    hs and bs are hom bases, M -> X and X -> M.  The rows are reduced once,
+    sparse, and id_M is read off the echelon rows; ``base`` is copied.
+    """
+    f = M.algebra.field
+    off, width = _end_offsets(M)
+    rows = [dict(r) for r in base]
+    for hs, bs in pairs:
+        rows += _composite_rows(M, off, [h.mats for h in hs],
+                                [b.mats for b in bs])
+    ident = {off[v] + i * (M.dims[v] + 1): f.one
+             for v in M.algebra.quiver.vertices for i in range(M.dims[v])}
+    return sparse_span_contains(f, rows, width, ident)
+
+
 def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:
     """Is M a direct summand of a finite sum of copies of the given modules?
 
@@ -621,6 +716,12 @@ def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:
     early; hom(M, g) is skipped for a g with hom(g, M) = 0.  The composites,
     vectors in End_k(M) laid out vertex by vertex, are reduced once as
     sparse rows and id_M is read off the echelon rows.
+
+    Membership up to projective summands, M in add(G + A), is
+    ``stable_add_membership``: it needs no projective generator, because
+    the composites through all the P(v) span P(M, M) = {h then eps :
+    h in Hom(M, P_M)}, read from M's cover eps: P_M -> M.  It runs no rank
+    pre-check, which cannot fail once the projectives are generators.
     """
     if M.total_dim == 0:
         return True
@@ -628,49 +729,61 @@ def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:
         return False
     alg = _same_algebra(M, *gens)
     f = alg.field
-    z = f.zero
-    verts = alg.quiver.vertices
     into = [(g, hom(g, M).basis) for g in gens]
-    for v in verts:
+    for v in alg.quiver.vertices:
         rows = [r for _, bs in into for b in bs for r in b.mats[v].entries]
         if rank(Matrix(f, len(rows), M.dims[v], rows)) != M.dims[v]:
             return False
-    off, width = {}, 0
-    for v in verts:
-        off[v] = width
-        width += M.dims[v] * M.dims[v]
-    comps = []
-    for g, bs in into:
-        if not bs:
-            continue
-        for h in hom(M, g).basis:
-            for b in bs:
-                # row i of the composite at v is row i of h_v times b_v
-                row = {}
-                for v in verts:
-                    bv, d, o = b.mats[v], M.dims[v], off[v]
-                    for i, hr in enumerate(h.mats[v].entries):
-                        for col, x in enumerate(bv.act(hr), o + i * d):
-                            if x is not z and x:
-                                row[col] = x
-                if row:
-                    comps.append(row)
-    ident = {off[v] + i * (M.dims[v] + 1): f.one
-             for v in verts for i in range(M.dims[v])}
-    return sparse_span_contains(f, comps, width, ident)
+    return _identity_in_trace(
+        M, [(hom(M, g).basis, bs) for g, bs in into if bs])
+
+
+def stable_add_membership(M: Representation,
+                          gens: Sequence[Representation]) -> bool:
+    """Is M in add(G + A), that is, in add G in the stable category?
+
+    The answer of ``add_membership(M, gens + projectives)``, with no
+    projective generator built.  The composites M -> P(v) -> M over all v
+    span exactly P(M, M) = {h then eps : h in Hom(M, P_M)}, the maps through
+    M's projective cover eps: P_M -> M, since every map from a projective
+    into M lifts through eps.  So M is a member iff id_M lies in the span of
+    the composites M -> g -> M plus P(M, M), whose rows are memoised on M
+    (``_projective_end_rows``).  There is no per-vertex rank pre-check: with
+    the projectives among the generators it never fails, as every x in M_v
+    is the image of a map P(v) -> M.
+    """
+    if M.total_dim == 0:
+        return True
+    _same_algebra(M, *gens)
+    into = [(g, hom(g, M).basis) for g in gens]
+    return _identity_in_trace(
+        M, [(hom(M, g).basis, bs) for g, bs in into if bs],
+        _projective_end_rows(M))
 
 
 def stable_iso(M: Representation, N: Representation) -> bool:
     """Isomorphism in the projectively stable category.
 
+    M and N are stably isomorphic when each lies in add of the other in the
+    stable category and their stable endomorphism spaces have one
+    dimension: id_M in the span of the composites M -> N -> M plus P(M, M),
+    id_N in that of N -> M -> N plus P(N, N).  P(X, X) = {h then eps :
+    h in Hom(X, P_X)} is the span of all maps X -> P(v) -> X, read from
+    X's cached cover eps: P_X -> X (see ``stable_add_membership``), so the
+    only Hom space with a projective is Hom(X, P_X), built once per module.
+    There is no rank pre-check, which cannot fail with the projectives as
+    generators.  hom(M, N) and hom(N, M) are built once each and serve both
+    tests.
+
     Sound when the non-projective parts of both inputs are indecomposable or
     zero, which is what every caller here guarantees.
     """
-    alg = _same_algebra(M, N)
-    P = [p for _, p in projectives(alg)]
-    if not add_membership(M, [N] + P):
+    _same_algebra(M, N)
+    mn = hom(M, N).basis
+    nm = hom(N, M).basis
+    if not _identity_in_trace(M, [(mn, nm)], _projective_end_rows(M)):
         return False
-    if not add_membership(N, [M] + P):
+    if not _identity_in_trace(N, [(nm, mn)], _projective_end_rows(N)):
         return False
     from .homology import stable_end_dim
     return stable_end_dim(M) == stable_end_dim(N)

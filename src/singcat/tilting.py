@@ -39,6 +39,7 @@ from .rep import (
     injectives,
     kernel,
     projectives,
+    stable_add_membership,
     top_generators,
     universal_right_approximation,
     zero_rep,
@@ -233,11 +234,18 @@ def verify_gen_cogen(spec: SubcatSpec) -> dict[str, Check]:
 
 
 def verify_dZ_closure(spec: SubcatSpec) -> Check:
-    """Each d-th syzygy of a generator lies in add(generators + projectives)."""
-    pool = spec.generators + [p for _, p in projectives(spec.algebra)]
+    """Each d-th syzygy of a generator lies in add(generators + projectives).
+
+    Decided by ``rep.stable_add_membership``, with no projective generator:
+    id_X must lie in the span of the composites X -> g -> X plus P(X, X) =
+    {h then eps : h in Hom(X, P_X)}, the maps through X's cached projective
+    cover eps, which are exactly the composites through the projectives.
+    The per-vertex rank pre-check of ``add_membership`` is not run; it never
+    fails when the projectives are generators.
+    """
     for i, g in enumerate(spec.generators):
         X = syzygy(g, spec.d)
-        if not add_membership(X, pool):
+        if not stable_add_membership(X, spec.generators):
             return Check(False, witness=spec.labels[i],
                          note="d-th syzygy escapes the additive closure")
     return Check(True)

@@ -7,7 +7,9 @@ clarity and not for speed.
 """
 
 from singcat.exact_linalg import InternalCheckFailed
-from singcat.homology import ext_dim, is_stably_zero_module, omega_stabilizes
+from singcat.homology import (
+    ext_dim, is_stably_zero_module, omega_stabilizes, stable_end_dim, syzygy,
+)
 from singcat.rep import (
     add_membership, injectives, projective_module, projectives, simple_module,
 )
@@ -77,3 +79,24 @@ def is_projective_by_add_membership(M):
     if M.total_dim == 0:
         return True
     return add_membership(M, [p for _, p in projectives(M.algebra)])
+
+
+def stable_iso_by_add_membership(M, N):
+    """Each in add(other + projectives), and equal stable End dimensions.
+
+    Builds hom(M, N), hom(N, M) and the Hom spaces with every P(v) inside
+    each ``add_membership`` call.
+    """
+    P = [p for _, p in projectives(M.algebra)]
+    return (add_membership(M, [N] + P) and add_membership(N, [M] + P)
+            and stable_end_dim(M) == stable_end_dim(N))
+
+
+def verify_dZ_closure_pairwise(spec):
+    """Each d-th syzygy in add(generators + projectives), by add_membership."""
+    pool = spec.generators + [p for _, p in projectives(spec.algebra)]
+    for i, g in enumerate(spec.generators):
+        if not add_membership(syzygy(g, spec.d), pool):
+            return Check(False, witness=spec.labels[i],
+                         note="d-th syzygy escapes the additive closure")
+    return Check(True)

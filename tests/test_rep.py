@@ -6,9 +6,11 @@ from itertools import product
 import pytest
 
 from singcat.exact_linalg import (
-    Matrix, kernel_basis, prime_field, rank, rational_field, rref,
+    Matrix, kernel_basis, prime_field, rank, rational_field, rref, sparse_rank,
 )
-from singcat.homology import _stable_dim, ext, ext_dim, stable_hom, syzygy
+from singcat.homology import (
+    _stable_dim, ext, ext_dim, stable_end_dim, stable_hom, syzygy,
+)
 from singcat.quiver_algebra import (
     MAX_RELATION_LENGTH,
     Arrow,
@@ -28,7 +30,9 @@ from singcat.rep import (
     RepMorphism,
     Representation,
     _commuting_system,
+    _end_offsets,
     _path_images,
+    _projective_end_rows,
     add_membership,
     cokernel,
     direct_sum,
@@ -755,3 +759,26 @@ def test_projective_hom_memo_holds_ints_by_vertex(orbit):
     for v, d in memo.items():
         assert v in orbit.quiver.vertices and type(d) is int
         assert d == hom(A, projective_module(orbit, v)).dim
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: repr(f))
+def test_projective_endomorphism_memo_holds_scalar_rows(fld):
+    """P(M, M) is memoised on M as {column: scalar} dicts and nothing else;
+    its rank is dim End(M) - dim stable End(M), which cross-checks the
+    stable dimension read from ranks against one built from bases."""
+    scalar = type(fld.one)
+    for mods in _dimension_modules(fld):
+        for M in mods:
+            rows = _projective_end_rows(M)
+            assert M._proj_end_rows is rows and _projective_end_rows(M) is rows
+            assert type(rows) is list
+            _, width = _end_offsets(M)
+            for r in rows:
+                assert type(r) is dict and r
+                for c, x in r.items():
+                    assert type(c) is int and 0 <= c < width
+                    assert type(x) is scalar and x
+            rank_p = sparse_rank(fld, [dict(r) for r in rows], width)
+            assert rank_p == len(rows)
+            assert rank_p == hom_dim(M, M) - stable_end_dim(M)
+            assert stable_end_dim(M) == stable_hom(M, M).dim

@@ -6,6 +6,13 @@ direct sum, projectivity from the minimal cover, and "L is a copy of P(v)"
 from the top.  Each is compared here with the form it replaced, on random
 generator subsets of kx2, hereditary A2, the Jordan modules of k[x]/(x^4)
 and the a2-tilde-3233 intervals, over Q, F_2 and F_101.
+
+Stable add-membership (``stable_iso`` and ``verify_dZ_closure``) reads the
+maps through the projectives from the cached cover; it is compared with
+``add_membership`` against the projectives as generators, on the Jordan
+modules and the intervals, their syzygies, the projectives, the zero module
+and sums of two, inside and outside the soundness precondition of
+``stable_iso``.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singcat.exact_linalg import Matrix, prime_field, rational_field
-from singcat.homology import ext_dim
+from singcat.homology import ext_dim, syzygy
 from singcat.quiver_algebra import (
     Arrow, Quiver, compute_basis, nakayama2_tilde, nakayama_cyclic,
 )
@@ -31,16 +38,20 @@ from singcat.rep import (
     projectives,
     regular_module,
     simple_module,
+    stable_iso,
     zero_rep,
 )
 from singcat.stab import gp_certificate
 from singcat.tilting import (
-    SubcatSpec, _is_copy_of_projective, verify_gen_cogen, verify_rigid,
+    SubcatSpec, _is_copy_of_projective, verify_dZ_closure, verify_gen_cogen,
+    verify_rigid,
 )
 
 from pairwise_reference import (
     gp_certificate_pairwise,
     is_projective_by_add_membership,
+    stable_iso_by_add_membership,
+    verify_dZ_closure_pairwise,
     verify_gen_cogen_pairwise,
     verify_rigid_pairwise,
 )
@@ -191,3 +202,92 @@ def test_projective_copy_test_agrees_with_is_isomorphic(family, n, field):
     for v, p in projectives(alg):
         for L in cands:
             assert _is_copy_of_projective(L, v, p) == is_isomorphic(L, p)
+
+
+# ---------------------------------------------------------------------------
+# stable add-membership against add_membership with projective generators
+
+STABLE_FAMILIES = ("jordan", "a2-tilde")
+
+
+@lru_cache(maxsize=None)
+def stable_pool(family: str, field: str) -> tuple:
+    """(algebra, pieces, projectives): the pool's modules and their first
+    syzygies (the zero module among them, as Omega of a projective), and
+    the projectives."""
+    alg, mods = pool(family, field)
+    ms = [m for _, m in mods]
+    return (alg, tuple(ms + [syzygy(m) for m in ms]),
+            tuple(p for _, p in projectives(alg)))
+
+
+def _sum(alg, pieces):
+    return direct_sum(pieces) if pieces else zero_rep(alg)
+
+
+@st.composite
+def stable_pairs(draw):
+    """(M, N): sums of up to two pieces or projectives; N is drawn on its
+    own or is M's pieces reversed, plus up to one projective."""
+    alg, pieces, projs = stable_pool(draw(st.sampled_from(STABLE_FAMILIES)),
+                                     draw(st.sampled_from(sorted(FIELDS))))
+    parts = st.lists(st.sampled_from(pieces + projs), max_size=2)
+    ms = draw(parts)
+    if draw(st.booleans()):
+        ns = draw(parts)
+    else:
+        ns = ms[::-1] + draw(st.lists(st.sampled_from(projs), max_size=1))
+    return _sum(alg, ms), _sum(alg, ns)
+
+
+@settings(max_examples=80, deadline=None)
+@given(stable_pairs())
+def test_stable_iso_matches_add_membership(pair):
+    M, N = pair
+    assert stable_iso(M, N) == stable_iso_by_add_membership(M, N)
+
+
+@st.composite
+def closure_specs(draw):
+    """A spec of one to four generators, each a nonzero sum of up to two
+    pieces or projectives, d in 1..3; most are refuted."""
+    alg, pieces, projs = stable_pool(draw(st.sampled_from(STABLE_FAMILIES)),
+                                     draw(st.sampled_from(sorted(FIELDS))))
+    nonzero = [m for m in pieces + projs if m.total_dim]
+    gens = draw(st.lists(st.lists(st.sampled_from(nonzero), min_size=1,
+                                  max_size=2).map(direct_sum),
+                         min_size=1, max_size=4))
+    return SubcatSpec(alg, gens, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(closure_specs())
+def test_dZ_closure_matches_add_membership(spec):
+    assert verify_dZ_closure(spec) == verify_dZ_closure_pairwise(spec)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_stable_membership_agrees_on_every_jordan_case(field):
+    """Every pair of Jordan modules of k[x]/(x^4), syzygies, the projective,
+    zero and two sums; every generator subset of the Jordan modules with
+    d in 1..3.  Both answers occur on both sides."""
+    alg, pieces, projs = stable_pool("jordan", field)
+    J = pieces[:4]
+    mods = list(pieces + projs) + [direct_sum([J[0], J[2]]),
+                                   direct_sum([J[1], projs[0]])]
+    seen = set()
+    for M in mods:
+        for N in mods:
+            got = stable_iso(M, N)
+            assert got == stable_iso_by_add_membership(M, N)
+            seen.add(got)
+    assert seen == {True, False}
+    seen = set()
+    for mask in range(1, 16):
+        gens = [J[i] for i in range(4) if mask >> i & 1]
+        for d in (1, 2, 3):
+            spec = SubcatSpec(alg, gens, d)
+            got = verify_dZ_closure(spec)
+            assert got == verify_dZ_closure_pairwise(spec)
+            seen.add(got.ok)
+    assert seen == {True, False}

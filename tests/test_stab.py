@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
-from singcat.exact_linalg import Matrix, rank
+from singcat import rep
+from singcat.exact_linalg import Matrix, prime_field, rank
 from singcat.homology import (
     ext,
     is_stably_zero_module,
@@ -366,3 +368,28 @@ def test_random_shift_pairs_certify_consistently(orbit_spec):
         h = stab_hom(StableObject(M, s), StableObject(M, t), orbit_spec)
         assert h.status == "certified"
         assert h.dim == (1 if (s - t) % 6 == 0 else 0)
+
+
+# A regression guard on the mod A work of one skeleton.  hom(M, N) builds a
+# kernel basis; stable add-membership reads the maps through projectives
+# from the cached cover and stable_iso builds each of its two Hom bases
+# once, which brought this count from 96 down to 44.
+KX5_SKELETON_HOM_CALLS = 44
+
+
+def test_kx5_skeleton_hom_call_budget(monkeypatch):
+    calls = 0
+    orig = rep.hom
+
+    def counting(M, N):
+        nonlocal calls
+        calls += 1
+        return orig(M, N)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "singcat" and getattr(mod, "hom", None) is orig:
+            monkeypatch.setattr(mod, "hom", counting)
+    alg = nakayama_cyclic((5,), prime_field(101))
+    report = skeleton(jordan_spec(alg, 5))
+    assert report.count == 4
+    assert 0 < calls <= KX5_SKELETON_HOM_CALLS
