@@ -370,10 +370,10 @@ def test_random_shift_pairs_certify_consistently(orbit_spec):
         assert h.dim == (1 if (s - t) % 6 == 0 else 0)
 
 
-# A regression guard on the mod A work of one skeleton.  hom(M, N) builds a
-# kernel basis; stable add-membership reads the maps through projectives
-# from the cached cover and stable_iso builds each of its two Hom bases
-# once, which brought this count from 96 down to 44.
+# A regression guard on the mod A work of one skeleton: each hom(M, N)
+# builds a kernel basis, the largest cost left in stable_iso.  Stable
+# add-membership reads the maps through projectives from the cached cover,
+# and stable_iso builds each of its two Hom bases once.
 KX5_SKELETON_HOM_CALLS = 44
 
 
