@@ -5,6 +5,18 @@ arrow; elements are row vectors and act on the right.  A morphism is a
 per-vertex matrix commuting with the arrow actions.  Everything here is
 exact: kernels, images, hom spaces, projective covers, and the interval
 modules of the two-parameter grid algebras.
+
+Work runs only on nonempty blocks.  A module is supported on few of its
+algebra's vertices, so most of the per-vertex and per-arrow blocks that a
+kernel, a cover, a Hom system or a relation check touches have 0 rows or 0
+columns.  Such a block is built directly as the empty matrix, with no
+elimination and no product: the kernel block of an n x 0 map is the n x n
+identity, a vertex of dimension 0 has no top generators, a relation out of
+or into a zero vertex holds, and two modules whose supports share no vertex
+have no Hom system at all.  Every guard still runs where its block is
+nonempty: "cover map is onto" at each vertex where M is nonzero, and
+"kernel is not arrow-stable" at each arrow whose source kernel block has
+rows and whose target vertex carries part of M.
 """
 
 from __future__ import annotations
@@ -88,6 +100,8 @@ class Representation:
     def _check_relations(self) -> None:
         f = self.algebra.field
         for r in self.algebra.relations:
+            if not self.dims[r.src] or not self.dims[r.tgt]:
+                continue
             acc = Matrix.zeros(f, self.dims[r.src], self.dims[r.tgt])
             for coef, path in r.terms:
                 acc = acc.add(self.path_matrix(path.src, path.arrows).scale(coef))
@@ -96,7 +110,11 @@ class Representation:
 
 
 def zero_rep(algebra: BoundQuiverAlgebra) -> Representation:
-    return Representation(algebra, {}, {}, check=False)
+    # every arrow acts by the same (immutable) 0x0 matrix
+    empty = Matrix.zeros(algebra.field, 0, 0)
+    return Representation._wrap(
+        algebra, {v: 0 for v in algebra.quiver.vertices},
+        {a.id: empty for a in algebra.quiver.arrows})
 
 
 def simple_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
@@ -121,18 +139,25 @@ def direct_sum(reps: Sequence[Representation]) -> Representation:
     dims = {v: sum(r.dims[v] for r in reps) for v in alg.quiver.vertices}
     action = {}
     for a in alg.quiver.arrows:
+        u, w = a.src, a.tgt
+        touching = [r for r in reps if r.dims[u] or r.dims[w]]
+        if len(touching) < 2:
+            # the other summands add no row and no column: the block is
+            # the one touching summand's (any summand's 0x0 if none)
+            action[a.id] = (touching or reps)[0].action[a.id]
+            continue
+        width = dims[w]
         # block diagonal: each summand's rows padded by the columns of the
         # summands before and after it
-        width = dims[a.tgt]
         rows = []
         left = 0
-        for r in reps:
+        for r in touching:
             pre = (z,) * left
-            left += r.dims[a.tgt]
+            left += r.dims[w]
             post = (z,) * (width - left)
             rows.extend(pre + row + post for row in r.action[a.id].entries)
-        action[a.id] = Matrix(alg.field, dims[a.src], width, rows)
-    return Representation(alg, dims, action, check=False)
+        action[a.id] = Matrix(alg.field, dims[u], width, rows)
+    return Representation._wrap(alg, dims, action)
 
 
 class RepMorphism:
@@ -204,7 +229,8 @@ def _commuting_system(M: Representation, N: Representation,
     {column: value} dict of its nonzeros, as ``sparse_kernel`` takes it.
     Returns (rows, constraint count, off).  Only the nonzeros of the
     actions are visited: each arrow lists those of M_a by row and of N_a by
-    column once.
+    column once.  When the supports of M and N share no vertex there are no
+    unknowns, and no arrow is visited.
     """
     f = M.algebra.field
     z = f.zero
@@ -213,6 +239,8 @@ def _commuting_system(M: Representation, N: Representation,
     for v in M.algebra.quiver.vertices:
         off[v] = total
         total += M.dims[v] * N.dims[v]
+    if not total:
+        return [], 0, off
     # per arrow with constraints: (u, w, nonzeros by row of M_a, negated
     # nonzeros by column of N_a)
     terms = []
@@ -290,7 +318,7 @@ class HomSpace:
         self.src = M
         self.tgt = N
         rows, ncols, _ = _commuting_system(M, N)
-        vecs = sparse_kernel(f, rows, ncols)
+        vecs = sparse_kernel(f, rows, ncols) if rows else []
         self._bmat = Matrix.from_rows(f, vecs, len(rows))
         self.basis = [_morphism_from_vec(M, N, v) for v in vecs]
 
@@ -320,34 +348,53 @@ def hom_dim(M: Representation, N: Representation) -> int:
     """dim Hom(M, N): the unknowns of the commuting system minus its rank.
 
     Equal to ``hom(M, N).dim``, but builds no kernel basis and no morphism.
+    With no unknowns or no constraints there is nothing to eliminate.
     """
     f = _same_algebra(M, N).field
     rows, ncols, _ = _commuting_system(M, N)
+    if not rows or not ncols:
+        return len(rows)
     return len(rows) - sparse_rank(f, rows, ncols)
 
 
 def _echelon_submodule(M: Representation, inc_mats: dict[str, Matrix],
                        what: str) -> tuple[Representation, RepMorphism]:
     """The submodule of M spanned by the echelon rows inc_mats[v], with its
-    inclusion; each arrow acts by the coordinates of the acted rows."""
+    inclusion; each arrow acts by the coordinates of the acted rows.
+
+    An arrow whose source block has no rows, or whose target vertex carries
+    nothing of M, acts by the empty matrix, with no product and no check.
+    """
     alg = M.algebra
+    dims = {v: inc_mats[v].rows for v in alg.quiver.vertices}
     action = {}
     for a in alg.quiver.arrows:
+        if not dims[a.src] or not M.dims[a.tgt]:
+            action[a.id] = Matrix.zeros(alg.field, dims[a.src], dims[a.tgt])
+            continue
         rhs = inc_mats[a.src].mul(M.action[a.id])
         sol = echelon_solve(inc_mats[a.tgt], rhs)
         if sol is None:
             raise InternalCheckFailed(f"{what} is not arrow-stable")
         action[a.id] = sol
-    dims = {v: inc_mats[v].rows for v in inc_mats}
-    S = Representation(alg, dims, action, check=False)
+    S = Representation._wrap(alg, dims, action)
     return S, RepMorphism(S, M, inc_mats, check=False)
 
 
 def kernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
-    alg = f.src.algebra
-    inc_mats = {v: Matrix.from_rows(alg.field, kernel_basis(f.mats[v]),
-                                    f.src.dims[v])
-                for v in alg.quiver.vertices}
+    """The kernel of f and its inclusion, from the left kernel at each vertex.
+
+    A block of f with no rows has the empty kernel, and one with no columns
+    (an n x 0 map) the n x n identity, which is what ``kernel_basis`` gives;
+    neither is eliminated.
+    """
+    fld = f.src.algebra.field
+    inc_mats = {}
+    for v, m in f.mats.items():
+        if not m.rows or not m.cols:
+            inc_mats[v] = Matrix.identity(fld, m.rows)
+        else:
+            inc_mats[v] = Matrix.from_rows(fld, kernel_basis(m), m.rows)
     return _echelon_submodule(f.src, inc_mats, "kernel")
 
 
@@ -492,7 +539,8 @@ def dual_module(algebra: BoundQuiverAlgebra, M: Representation) -> Representatio
     """The linear dual of a module over the opposite algebra.
 
     Arrow ids agree between an algebra and its opposite, so the dual action
-    is entrywise transposition.
+    is entrywise transposition.  The transpose of a module satisfies the
+    opposite relations by construction, so they are not checked again.
     """
     src = M.algebra
     if set(src.quiver.vertices) != set(algebra.quiver.vertices):
@@ -502,7 +550,8 @@ def dual_module(algebra: BoundQuiverAlgebra, M: Representation) -> Representatio
         if b is None or (b.src, b.tgt) != (a.tgt, a.src):
             raise AlgebraMismatch(f"arrow {a.id!r} is not reversed")
     action = {a.id: M.action[a.id].transpose() for a in algebra.quiver.arrows}
-    return Representation(algebra, dict(M.dims), action)
+    return Representation._wrap(
+        algebra, {v: M.dims[v] for v in algebra.quiver.vertices}, action)
 
 
 def injective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
@@ -525,18 +574,25 @@ def injectives(algebra: BoundQuiverAlgebra) -> list[tuple[str, Representation]]:
 
 
 def top_generators(M: Representation) -> list[tuple[str, list]]:
-    """Rows spanning M over its radical, one (vertex, row vector) per generator."""
+    """Rows spanning M over its radical, one (vertex, row vector) per generator.
+
+    A vertex where M is zero has none, and one whose incoming arrows all
+    start where M is zero has its whole block on top.
+    """
     alg = M.algebra
     f = alg.field
     out = []
     for v in alg.quiver.vertices:
+        n = M.dims[v]
+        if not n:
+            continue
         # the radical at v is spanned by the rows of the incoming arrows
-        rows = [r for a in alg.quiver.arrows_into[v] for r in M.action[a.id].entries]
-        _, piv = rref(Matrix(f, len(rows), M.dims[v], rows))
-        pivset = set(piv)
-        for j in range(M.dims[v]):
+        rows = [r for a in alg.quiver.arrows_into[v]
+                for r in M.action[a.id].entries]
+        pivset = set(rref(Matrix(f, len(rows), n, rows))[1]) if rows else ()
+        for j in range(n):
             if j not in pivset:
-                e = [f.zero] * M.dims[v]
+                e = [f.zero] * n
                 e[j] = f.one
                 out.append((v, e))
     return out
@@ -579,8 +635,8 @@ def projective_cover(M: Representation) -> tuple[Cover, RepMorphism]:
     mats = {w: Matrix.from_rows(f, blocks[w], M.dims[w])
             for w in alg.quiver.vertices}
     eps = RepMorphism(cover.rep, M, mats, check=False)
-    for w in alg.quiver.vertices:
-        if rank(eps.mats[w]) != M.dims[w]:
+    for w, d in M.dims.items():
+        if d and rank(eps.mats[w]) != d:
             raise InternalCheckFailed("cover map is not onto")
     return cover, eps
 

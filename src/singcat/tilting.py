@@ -154,11 +154,15 @@ def left_approximation(spec: SubcatSpec, N: Representation) -> RepMorphism:
 
 
 def _is_epi(f: RepMorphism) -> bool:
-    return all(rank(f.mats[v]) == f.tgt.dims[v] for v in f.mats)
+    # a block with no columns is onto, one with columns but no rows is not
+    return all(not m.cols or m.rows and rank(m) == m.cols
+               for m in f.mats.values())
 
 
 def _is_mono(f: RepMorphism) -> bool:
-    return all(rank(f.mats[v]) == f.src.dims[v] for v in f.mats)
+    # a block with no rows is injective, one with rows but no columns is not
+    return all(not m.rows or m.cols and rank(m) == m.rows
+               for m in f.mats.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,22 @@
-"""Pair-by-pair forms of the scans that tilting and stab decide in bulk.
+"""Pair-by-pair and full-loop forms of what rep, tilting and stab decide
+in bulk or skip.
 
 Shared by the test modules: every test module and every (source, target)
 pair is checked on its own, in the order the reports name witnesses, with
-no stacking and no criterion that skips a test module.  Written for
-clarity and not for speed.
+no stacking and no criterion that skips a test module; and the module
+constructions visit every vertex and every arrow, empty blocks included.
+Written for clarity and not for speed.
 """
 
-from singcat.exact_linalg import InternalCheckFailed
+from singcat.exact_linalg import (
+    InternalCheckFailed, Matrix, echelon_solve, kernel_basis, rank, rref,
+)
 from singcat.homology import (
     ext_dim, is_stably_zero_module, omega_stabilizes, stable_end_dim, syzygy,
 )
 from singcat.rep import (
-    add_membership, injectives, projective_module, projectives, simple_module,
+    Representation, _morphism_from_vec, _path_images, add_membership,
+    injectives, projective_module, projectives, simple_module, zero_rep,
 )
 from singcat.stab import GpCertificate
 from singcat.tilting import (
@@ -100,3 +105,128 @@ def verify_dZ_closure_pairwise(spec):
             return Check(False, witness=spec.labels[i],
                          note="d-th syzygy escapes the additive closure")
     return Check(True)
+
+
+# ---------------------------------------------------------------------------
+# module constructions over every vertex and arrow
+
+
+def direct_sum_full(reps):
+    """Block diagonal at every arrow: each summand's rows padded by the
+    columns of the summands before and after it."""
+    alg = reps[0].algebra
+    z = alg.field.zero
+    dims = {v: sum(r.dims[v] for r in reps) for v in alg.quiver.vertices}
+    action = {}
+    for a in alg.quiver.arrows:
+        width = dims[a.tgt]
+        rows = []
+        left = 0
+        for r in reps:
+            pre = (z,) * left
+            left += r.dims[a.tgt]
+            post = (z,) * (width - left)
+            rows.extend(pre + row + post for row in r.action[a.id].entries)
+        action[a.id] = Matrix(alg.field, dims[a.src], width, rows)
+    return Representation(alg, dims, action, check=False)
+
+
+def top_generators_full(M):
+    """One rref of the incoming arrows' rows at every vertex."""
+    alg = M.algebra
+    f = alg.field
+    out = []
+    for v in alg.quiver.vertices:
+        rows = [r for a in alg.quiver.arrows_into[v]
+                for r in M.action[a.id].entries]
+        _, piv = rref(Matrix(f, len(rows), M.dims[v], rows))
+        pivset = set(piv)
+        for j in range(M.dims[v]):
+            if j not in pivset:
+                e = [f.zero] * M.dims[v]
+                e[j] = f.one
+                out.append((v, e))
+    return out
+
+
+def projective_cover_full(M):
+    """(cover vertices, cover module, eps matrices), with the onto check
+    (a rank) at every vertex."""
+    alg = M.algebra
+    f = alg.field
+    gens = top_generators_full(M)
+    summands = [projective_module(alg, v) for v, _ in gens]
+    P = direct_sum_full(summands) if summands else zero_rep(alg)
+    blocks = {w: [] for w in alg.quiver.vertices}
+    for v, g in gens:
+        for key, img in _path_images(M, v, g).items():
+            blocks[alg.key_target(key)].append(img)
+    mats = {w: Matrix.from_rows(f, blocks[w], M.dims[w])
+            for w in alg.quiver.vertices}
+    for w in alg.quiver.vertices:
+        if rank(mats[w]) != M.dims[w]:
+            raise InternalCheckFailed("cover map is not onto")
+    return [v for v, _ in gens], P, mats
+
+
+def kernel_full(f):
+    """(dims, action, inclusion matrices) of the kernel of f: a kernel basis
+    at every vertex and the arrow-stability check at every arrow."""
+    M = f.src
+    alg = M.algebra
+    inc = {v: Matrix.from_rows(alg.field, kernel_basis(f.mats[v]), M.dims[v])
+           for v in alg.quiver.vertices}
+    action = {}
+    for a in alg.quiver.arrows:
+        sol = echelon_solve(inc[a.tgt], inc[a.src].mul(M.action[a.id]))
+        if sol is None:
+            raise InternalCheckFailed("kernel is not arrow-stable")
+        action[a.id] = sol
+    return {v: inc[v].rows for v in inc}, action, inc
+
+
+def commuting_system_dense(M, N):
+    """The commuting constraints by a dense triple loop, one column per
+    (arrow, i, k) that has a term; a column whose terms cancel is kept."""
+    f = M.algebra.field
+    off, total = {}, 0
+    for v in M.algebra.quiver.vertices:
+        off[v] = total
+        total += M.dims[v] * N.dims[v]
+    cols = []
+    for a in M.algebra.quiver.arrows:
+        u, w = a.src, a.tgt
+        Ma, Na = M.action[a.id].entries, N.action[a.id].entries
+        for i in range(M.dims[u]):
+            for k in range(N.dims[w]):
+                col, has = {}, False
+                for j in range(M.dims[w]):
+                    if Ma[i][j] != 0:
+                        idx = off[w] + j * N.dims[w] + k
+                        col[idx] = f.add(col.get(idx, f.zero), Ma[i][j])
+                        has = True
+                for j2 in range(N.dims[u]):
+                    if Na[j2][k] != 0:
+                        idx = off[u] + i * N.dims[u] + j2
+                        col[idx] = f.sub(col.get(idx, f.zero), Na[j2][k])
+                        has = True
+                if has:
+                    cols.append(col)
+    rows = [[f.zero] * len(cols) for _ in range(total)]
+    for c, col in enumerate(cols):
+        for idx, val in col.items():
+            rows[idx][c] = val
+    return rows, len(cols), off
+
+
+def hom_dim_full(M, N):
+    """Unknowns minus the rank of the dense commuting system."""
+    rows, ncols, _ = commuting_system_dense(M, N)
+    return len(rows) - rank(Matrix(M.algebra.field, len(rows), ncols, rows))
+
+
+def hom_basis_full(M, N):
+    """The Hom basis from the left kernel of the dense commuting system."""
+    rows, ncols, _ = commuting_system_dense(M, N)
+    dense = Matrix(M.algebra.field, len(rows), ncols, rows)
+    return [_morphism_from_vec(M, N, v) for v in kernel_basis(dense)]

@@ -7,7 +7,7 @@ import pytest
 
 import singcat
 from singcat import homology, rep, stab, tilting
-from singcat.exact_linalg import InternalCheckFailed
+from singcat.exact_linalg import InternalCheckFailed, Matrix
 
 PACKAGE = Path(singcat.__file__).resolve().parent
 
@@ -28,10 +28,45 @@ def test_internal_check_is_not_reported_as_malformed_input():
 
 
 def test_failed_kernel_check_raises(monkeypatch, kx4):
+    # the kernel of the zero endomorphism is all of P, so the arrow-stability
+    # check runs at every arrow (the kernel of id_P is 0 and runs none)
     P = rep.projective_module(kx4, kx4.quiver.vertices[0])
     monkeypatch.setattr(rep, "echelon_solve", lambda a, b: None)
     with pytest.raises(InternalCheckFailed, match="arrow-stable"):
-        rep.kernel(rep.RepMorphism.identity(P))
+        rep.kernel(rep.RepMorphism(P, P, {}, check=False))
+
+
+def test_kernel_check_runs_into_a_zero_kernel_block(monkeypatch,
+                                                    hereditary_a2):
+    # S_u + S_v -> S_v has kernel S_u, which is 0 at v; M is not, so the
+    # check at the arrow u -> v still runs
+    alg = hereditary_a2
+    M = rep.direct_sum([rep.simple_module(alg, "u"),
+                        rep.simple_module(alg, "v")])
+    f = rep.RepMorphism(M, rep.simple_module(alg, "v"),
+                        {"v": Matrix.identity(alg.field, 1)})
+    assert rep.kernel(f)[0].dims == {"u": 1, "v": 0}
+    monkeypatch.setattr(rep, "echelon_solve", lambda a, b: None)
+    with pytest.raises(InternalCheckFailed, match="arrow-stable"):
+        rep.kernel(f)
+
+
+def test_cover_check_runs_where_the_module_is_nonzero(monkeypatch,
+                                                      hereditary_a2):
+    # S_v is zero at u: "cover map is onto" is decided by one rank, at v
+    S = rep.simple_module(hereditary_a2, "v")
+    seen = []
+    real = rep.rank
+
+    def recording(m):
+        seen.append((m.rows, m.cols))
+        return real(m)
+    monkeypatch.setattr(rep, "rank", recording)
+    rep.projective_cover(S)
+    assert seen == [(1, 1)]
+    monkeypatch.setattr(rep, "rank", lambda m: 0)
+    with pytest.raises(InternalCheckFailed, match="not onto"):
+        rep.projective_cover(S)
 
 
 def test_gp_certificate_vanishing_orbit_with_clean_scan_raises(monkeypatch, kx4):

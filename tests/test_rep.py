@@ -57,6 +57,7 @@ from singcat.rep import (
 from singcat.tilting import SubcatSpec, left_approximation
 
 from dense_reference import dense_solve_left, dense_solve_right
+from pairwise_reference import commuting_system_dense
 
 KS = (3, 2, 3, 3)
 
@@ -456,40 +457,6 @@ def test_path_images_match_path_matrices(fld):
     assert seen_zero_dim and seen_sink
 
 
-def _commuting_reference(M, N):
-    """The commuting constraints by a dense triple loop, one column per
-    (arrow, i, k) that has a term; a column whose terms cancel is kept."""
-    f = M.algebra.field
-    off, total = {}, 0
-    for v in M.algebra.quiver.vertices:
-        off[v] = total
-        total += M.dims[v] * N.dims[v]
-    cols = []
-    for a in M.algebra.quiver.arrows:
-        u, w = a.src, a.tgt
-        Ma, Na = M.action[a.id].entries, N.action[a.id].entries
-        for i in range(M.dims[u]):
-            for k in range(N.dims[w]):
-                col, has = {}, False
-                for j in range(M.dims[w]):
-                    if Ma[i][j] != 0:
-                        idx = off[w] + j * N.dims[w] + k
-                        col[idx] = f.add(col.get(idx, f.zero), Ma[i][j])
-                        has = True
-                for j2 in range(N.dims[u]):
-                    if Na[j2][k] != 0:
-                        idx = off[u] + i * N.dims[u] + j2
-                        col[idx] = f.sub(col.get(idx, f.zero), Na[j2][k])
-                        has = True
-                if has:
-                    cols.append(col)
-    rows = [[f.zero] * len(cols) for _ in range(total)]
-    for c, col in enumerate(cols):
-        for idx, val in col.items():
-            rows[idx][c] = val
-    return rows, len(cols), off
-
-
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: repr(f))
 def test_commuting_system_matches_dense_reference(fld):
     mods, rng = _test_modules(fld)
@@ -503,7 +470,7 @@ def test_commuting_system_matches_dense_reference(fld):
     cancelled = empty_end = False
     for M, N in pairs:
         got = _commuting_system(M, N)
-        ref = _commuting_reference(M, N)
+        ref = commuting_system_dense(M, N)
         assert got[1] == ref[1] and got[2] == ref[2]
         # the sparse rows hold exactly the nonzero entries of the dense ones
         assert [{c: x for c, x in enumerate(r) if x != 0} for r in ref[0]] \
@@ -609,7 +576,7 @@ def _splitting_membership(M, gens):
         if rank(e.mats[v]) != M.dims[v]:
             return False
     width_rhs = sum(d * d for d in M.dims.values())
-    rows, ncols, off = _commuting_reference(M, S)
+    rows, ncols, off = commuting_system_dense(M, S)
     for r in rows:
         r.extend([f.zero] * width_rhs)
     target = [f.zero] * ncols
@@ -700,7 +667,7 @@ def test_hom_basis_matches_dense_kernel(fld):
         for N in mods:
             if M.algebra is not N.algebra:
                 continue
-            rows, ncols, _ = _commuting_reference(M, N)
+            rows, ncols, _ = commuting_system_dense(M, N)
             dense = Matrix.from_rows(fld, rows, ncols)
             want = Matrix.from_rows(fld, kernel_basis(dense), len(rows))
             assert HomSpace(M, N)._bmat == want
