@@ -24,6 +24,15 @@ each term a ``rep.hom_dim``, with dim Hom(A, P_B) summed over the cover's
 summands P_v.  ``ext`` and ``stable_hom`` still build the spaces with bases
 for callers that need elements.
 
+Two modules lie in one stable class iff they are isomorphic after adding
+projective summands, A + P = B + Q.  The minimal cover of a projective is
+itself, with kernel zero, so such a pair has Omega A = Omega B
+(Auslander-Reiten-Smalo, *Representation Theory of Artin Algebras*, IV.1).
+``_matches_stably`` therefore rejects a pair whose cached syzygies differ in
+dimension vector, or whose stable endomorphism dimensions differ, before
+``rep.stable_iso`` builds a Hom system; stably zero modules (zero or
+projective) are the one zero class.
+
 Stable Hom dimensions and stable-class verdicts are memoised per ordered
 module pair (``_pair_memo``), and dim Hom(A, P_v) per module and vertex
 (``_proj_hom_dim``).  The pair memo on the first module is weak-keyed by
@@ -444,17 +453,28 @@ def is_stably_zero_module(M: Representation) -> bool:
     return cover.rep.total_dim == M.total_dim
 
 
-def _likely_stable_iso(A: Representation, B: Representation) -> bool:
-    if stable_end_dim(A) != stable_end_dim(B):
-        return False
-    return _stable_dim(A, B) > 0 and _stable_dim(B, A) > 0
-
-
 def _matches_stably(A: Representation, B: Representation) -> bool:
-    """Do A and B lie in one stable class?  Memoised per module pair."""
+    """Do A and B lie in one stable class?  Memoised per module pair.
+
+    Stably zero modules (zero or projective) form one class, the zero
+    object, decided before anything else.  Otherwise the cached steps give
+    a necessary condition: A + P = B + Q with P, Q projective forces
+    Omega A = Omega B, because the minimal cover of a projective is itself
+    and has kernel zero (Auslander-Reiten-Smalo, *Representation Theory of
+    Artin Algebras*, IV.1).  So syzygies with different dimension vectors,
+    or different ``stable_end_dim``s, reject the pair with no Hom system;
+    ``rep.stable_iso`` decides the rest.
+    """
     from .rep import stable_iso
-    return _pair_memo("_stable_matches", A, B,
-                      lambda A, B: _likely_stable_iso(A, B) and stable_iso(A, B))
+
+    def decide(A, B):
+        za, zb = is_stably_zero_module(A), is_stably_zero_module(B)
+        if za or zb:
+            return za and zb
+        if _step(A)[2].dims != _step(B)[2].dims:
+            return False
+        return stable_end_dim(A) == stable_end_dim(B) and stable_iso(A, B)
+    return _pair_memo("_stable_matches", A, B, decide)
 
 
 @dataclass

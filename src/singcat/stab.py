@@ -89,13 +89,18 @@ class StabHom:
     horizon: int
 
 
-def _ext1_clean(M: Representation, alg: BoundQuiverAlgebra) -> bool:
-    """Does Ext^1(M, P) vanish for every projective P?
+def _ext1_clean(M: Representation) -> bool:
+    """Does Ext^1(M, P) vanish for every projective P?  Memoised on M.
 
     Ext^1(M, -) is additive and every projective is a summand of a sum of
     copies of the regular module A_A, so this is one ``ext_dim`` against A_A.
+    The memo is a plain bool beside ``_proj_hom_dims``: it keeps no module
+    alive and closes no reference cycle.
     """
-    return ext_dim(M, regular_module(alg), 1) == 0
+    clean = getattr(M, "_ext1_is_clean", None)
+    if clean is None:
+        clean = M._ext1_is_clean = ext_dim(M, regular_module(M.algebra), 1) == 0
+    return clean
 
 
 def stab_hom(x: StableObject, y: StableObject, spec: SubcatSpec,
@@ -131,7 +136,7 @@ def stab_hom(x: StableObject, y: StableObject, spec: SubcatSpec,
                        horizon)
     if osx["kind"] == "cycle":
         cyc = osx["reps"][osx["preperiod"]:]
-        criterion = all(_ext1_clean(r, alg) for r in cyc)
+        criterion = all(_ext1_clean(r) for r in cyc)
         if criterion:
             s = osx["preperiod"]
             v = _stable_dim(syzygy(X, s), syzygy(Y, s))
@@ -465,7 +470,7 @@ def gp_certificate(M: Representation, horizon: int = 24) -> GpCertificate:
     orb = omega_stabilizes(M, horizon, step=1)
     verts = sorted(alg.quiver.vertices)
     for j, r in enumerate(orb["reps"]):
-        if _ext1_clean(r, alg):
+        if _ext1_clean(r):
             continue
         for v in verts:
             if ext_dim(r, projective_module(alg, v), 1):

@@ -12,11 +12,13 @@ from singcat.exact_linalg import (
     InternalCheckFailed, Matrix, echelon_solve, kernel_basis, rank, rref,
 )
 from singcat.homology import (
-    ext_dim, is_stably_zero_module, omega_stabilizes, stable_end_dim, syzygy,
+    ext_dim, is_stably_zero_module, omega_stabilizes, stable_end_dim,
+    stable_hom, syzygy,
 )
 from singcat.rep import (
     Representation, _morphism_from_vec, _path_images, add_membership,
-    injectives, projective_module, projectives, simple_module, zero_rep,
+    injectives, projective_module, projectives, simple_module, stable_iso,
+    zero_rep,
 )
 from singcat.stab import GpCertificate
 from singcat.tilting import (
@@ -95,6 +97,20 @@ def stable_iso_by_add_membership(M, N):
     P = [p for _, p in projectives(M.algebra)]
     return (add_membership(M, [N] + P) and add_membership(N, [M] + P)
             and stable_end_dim(M) == stable_end_dim(N))
+
+
+def matches_stably_by_dimensions(A, B):
+    """The stable-class gate before the syzygy test: equal stable
+    endomorphism dimensions, nonzero stable Hom both ways, then
+    ``stable_iso``; each dimension read from a stable Hom basis.
+
+    Answers False on stably zero inputs, so compare it on nonzero classes
+    only.
+    """
+    if stable_hom(A, A).dim != stable_hom(B, B).dim:
+        return False
+    return (stable_hom(A, B).dim > 0 and stable_hom(B, A).dim > 0
+            and stable_iso(A, B))
 
 
 def verify_dZ_closure_pairwise(spec):

@@ -11,7 +11,8 @@ from singcat.exact_linalg import (
     InternalCheckFailed, Matrix, prime_field, rational_field,
 )
 from singcat.quiver_algebra import (
-    nakayama_cyclic, orbit_grid_algebra, valid_triples_window,
+    nakayama2_tilde, nakayama_cyclic, orbit_grid_algebra,
+    valid_triples_window,
 )
 from singcat.rep import (
     RepMorphism,
@@ -341,6 +342,9 @@ def test_pair_memo_does_not_keep_its_key_alive():
     try:
         assert _stable_dim(A, B) == 1
         assert _matches_stably(A, B) is False
+        # the syzygies differ in dimension, so the verdict reads no stable
+        # dimension; the diagonal entry is asked for on its own
+        stable_end_dim(A)
         ref = weakref.ref(B)
         del B
         assert ref() is None
@@ -348,6 +352,37 @@ def test_pair_memo_does_not_keep_its_key_alive():
         assert len(A._stable_matches) == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("fld", [rational_field(), prime_field(2),
+                                 prime_field(101)], ids=["Q", "F2", "F101"])
+def test_stably_zero_modules_are_one_class(fld, monkeypatch):
+    """Projectives and the zero module are the zero object of the stable
+    category: any two match, with no Hom system; a nonzero class matches
+    none of them."""
+    kx4 = nakayama_cyclic((4,), fld)
+    tilde, spec = nakayama2_tilde((3, 2, 3, 3), 4, fld)
+    cases = []
+    for alg, nonzero in ((kx4, jordan_module(kx4, 1)),
+                         (tilde, next(g for g in spec.generators
+                                      if not is_stably_zero_module(g)))):
+        ps = [p for _, p in rep.projectives(alg)]
+        zeros = ps + [projective_module(alg, v) for v in alg.quiver.vertices]
+        zeros += [rep.zero_rep(alg), rep.zero_rep(alg), rep.direct_sum(ps)]
+        cases.append((zeros, nonzero))
+    def built(*args):
+        raise AssertionError("Hom system built for a stably zero pair")
+    monkeypatch.setattr(homology, "hom_dim", built)
+    monkeypatch.setattr(rep, "stable_iso", built)
+    for zeros, nonzero in cases:
+        for A in zeros:
+            for B in zeros:
+                assert _matches_stably(A, B) is True
+    monkeypatch.undo()
+    for zeros, nonzero in cases:
+        for Z in zeros:
+            assert _matches_stably(Z, nonzero) is False
+            assert _matches_stably(nonzero, Z) is False
 
 
 def _dual_map_reference(cover_lo, cover_hi, d, N):

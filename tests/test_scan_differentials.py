@@ -13,6 +13,13 @@ maps through the projectives from the cached cover; it is compared with
 modules and the intervals, their syzygies, the projectives, the zero module
 and sums of two, inside and outside the soundness precondition of
 ``stable_iso``.
+
+The stable-class gate ``_matches_stably`` rejects by syzygy dimension
+vectors and stable endomorphism dimensions before ``stable_iso``; it is
+compared with the gate it replaced (equal stable endomorphism dimensions
+and nonzero stable Hom both ways) on the same modules and on a
+one-parameter family over k<x, y>/(x, y)^2 that every dimension agrees on,
+each alone or with a projective summand added.
 """
 
 from __future__ import annotations
@@ -24,9 +31,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singcat.exact_linalg import Matrix, prime_field, rational_field
-from singcat.homology import ext_dim, syzygy
+from singcat.homology import (
+    _matches_stably, ext_dim, is_stably_zero_module, syzygy,
+)
 from singcat.quiver_algebra import (
-    Arrow, Quiver, compute_basis, nakayama2_tilde, nakayama_cyclic,
+    Arrow, PathWord, Quiver, RelationElement, compute_basis, nakayama2_tilde,
+    nakayama_cyclic,
 )
 from singcat.rep import (
     Representation,
@@ -50,6 +60,7 @@ from singcat.tilting import (
 from pairwise_reference import (
     gp_certificate_pairwise,
     is_projective_by_add_membership,
+    matches_stably_by_dimensions,
     stable_iso_by_add_membership,
     verify_dZ_closure_pairwise,
     verify_gen_cogen_pairwise,
@@ -87,6 +98,21 @@ def pool(family: str, field: str) -> tuple:
         mods = [("Su", simple_module(alg, "u")),
                 ("Sv", simple_module(alg, "v")),
                 ("Pu", projective_module(alg, "u"))]
+    elif family == "two-loops":
+        # k<x, y>/(x, y)^2 and its modules M(c) = k^2 with x, y acting as
+        # c = (s, t) times one nilpotent block: pairwise non-isomorphic for
+        # non-proportional c, with equal dimension vectors, syzygies and
+        # stable endomorphism dimensions
+        q = Quiver(["0"], [Arrow("x", "0", "0"), Arrow("y", "0", "0")])
+        alg = compute_basis(q, [RelationElement([(fld.one, PathWord(q, "0", w))])
+                                for w in ("xx", "xy", "yx", "yy")], fld, 3)
+        cs = [(1, 0), (0, 1), (1, 1)] + ([(1, 2)] if fld.p != 2 else [])
+        mods = [(f"M{s},{t}", Representation(alg, {"0": 2}, {
+            "x": Matrix.from_rows(fld, [[fld.zero, fld.of_int(s)],
+                                        [fld.zero, fld.zero]], 2),
+            "y": Matrix.from_rows(fld, [[fld.zero, fld.of_int(t)],
+                                        [fld.zero, fld.zero]], 2)}))
+                for s, t in cs]
     elif family == "jordan":
         alg = nakayama_cyclic((4,), fld)
         mods = [(f"J{i}", jordan_module(alg, i)) for i in range(1, 5)]
@@ -291,3 +317,55 @@ def test_stable_membership_agrees_on_every_jordan_case(field):
             assert got == verify_dZ_closure_pairwise(spec)
             seen.add(got.ok)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the stable-class gate against the one it replaced
+
+CLASS_FAMILIES = STABLE_FAMILIES + ("two-loops",)
+
+
+def _check_stable_match(A, B):
+    got = _matches_stably(A, B)
+    assert got == matches_stably_by_dimensions(A, B)
+    if got:
+        assert syzygy(A).dims == syzygy(B).dims
+    return got
+
+
+def _with_projective(M, P):
+    return M if P is None else direct_sum([M, P])
+
+
+@st.composite
+def stable_class_pairs(draw):
+    """(A, B): nonzero stable classes of the stable pool, B half the time
+    A's own piece, each side with up to one projective summand added."""
+    alg, pieces, projs = stable_pool(draw(st.sampled_from(CLASS_FAMILIES)),
+                                     draw(st.sampled_from(sorted(FIELDS))))
+    nonzero = [m for m in pieces if not is_stably_zero_module(m)]
+    a = draw(st.sampled_from(nonzero))
+    b = a if draw(st.booleans()) else draw(st.sampled_from(nonzero))
+    extra = st.one_of(st.none(), st.sampled_from(projs))
+    return _with_projective(a, draw(extra)), _with_projective(b, draw(extra))
+
+
+@settings(max_examples=80, deadline=None)
+@given(stable_class_pairs())
+def test_stable_class_gate_matches_the_dimension_gate(pair):
+    _check_stable_match(*pair)
+
+
+@pytest.mark.parametrize("family", ["jordan", "two-loops"])
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_stable_class_gate_agrees_on_every_case(family, field):
+    """Every pair among the nonzero classes of one pool and their syzygies,
+    each alone and plus P(0); both answers occur, and M + P(0) matches M
+    although the dimensions differ."""
+    alg, pieces, projs = stable_pool(family, field)
+    nonzero = [m for m in pieces if not is_stably_zero_module(m)]
+    mods = nonzero + [direct_sum([m, projs[0]]) for m in nonzero]
+    seen = {_check_stable_match(A, B) for A in mods for B in mods}
+    assert seen == {True, False}
+    for m in nonzero:
+        assert _matches_stably(direct_sum([m, projs[0]]), m)

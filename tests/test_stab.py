@@ -5,10 +5,11 @@ import sys
 
 import pytest
 
-from singcat import rep
+from singcat import homology, rep, stab
 from singcat.exact_linalg import Matrix, prime_field, rank
 from singcat.homology import (
     ext,
+    ext_dim,
     is_stably_zero_module,
     stable_hom,
     syzygy,
@@ -21,6 +22,7 @@ from singcat.rep import (
     is_isomorphic,
     projective_module,
     projectives,
+    regular_module,
     simple_module,
 )
 from singcat.stab import (
@@ -370,26 +372,64 @@ def test_random_shift_pairs_certify_consistently(orbit_spec):
         assert h.dim == (1 if (s - t) % 6 == 0 else 0)
 
 
-# A regression guard on the mod A work of one skeleton: each hom(M, N)
+# Regression guards on the mod A work of one skeleton: each hom(M, N)
 # builds a kernel basis, the largest cost left in stable_iso.  Stable
 # add-membership reads the maps through projectives from the cached cover,
-# and stable_iso builds each of its two Hom bases once.
-KX5_SKELETON_HOM_CALLS = 44
+# and stable_iso builds each of its two Hom bases once.  Stable-class pairs
+# are rejected by their syzygy dimension vectors before any Hom system, so
+# stable_iso runs only on the pairs that match, and Ext^1-cleanliness is
+# memoised per module, so ext_dim runs once per cycle member.
+KX5_SKELETON_HOM_CALLS = 28
+KX5_SKELETON_EXT_DIM_CALLS = 8
+KX5_SKELETON_STABLE_ISO_CALLS = 8
 
 
-def test_kx5_skeleton_hom_call_budget(monkeypatch):
-    calls = 0
-    orig = rep.hom
+def _kx5_skeleton_calls(monkeypatch, **homes) -> dict:
+    """Calls of each named function (keyword: its defining module) during
+    one kx5 F_101 skeleton."""
+    calls = dict.fromkeys(homes, 0)
+    for fname, home in homes.items():
+        orig = getattr(home, fname)
 
-    def counting(M, N):
-        nonlocal calls
-        calls += 1
-        return orig(M, N)
+        def counting(*args, _orig=orig, _name=fname):
+            calls[_name] += 1
+            return _orig(*args)
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "singcat" and getattr(mod, "hom", None) is orig:
-            monkeypatch.setattr(mod, "hom", counting)
+        for name, mod in list(sys.modules.items()):
+            if (name.split(".")[0] == "singcat"
+                    and getattr(mod, fname, None) is orig):
+                monkeypatch.setattr(mod, fname, counting)
     alg = nakayama_cyclic((5,), prime_field(101))
     report = skeleton(jordan_spec(alg, 5))
     assert report.count == 4
-    assert 0 < calls <= KX5_SKELETON_HOM_CALLS
+    return calls
+
+
+def test_kx5_skeleton_hom_call_budget(monkeypatch):
+    calls = _kx5_skeleton_calls(monkeypatch, hom=rep)
+    assert 0 < calls["hom"] <= KX5_SKELETON_HOM_CALLS
+
+
+def test_kx5_skeleton_ext_dim_and_stable_iso_budgets(monkeypatch):
+    calls = _kx5_skeleton_calls(monkeypatch, ext_dim=homology, stable_iso=rep)
+    assert 0 < calls["ext_dim"] <= KX5_SKELETON_EXT_DIM_CALLS
+    assert 0 < calls["stable_iso"] <= KX5_SKELETON_STABLE_ISO_CALLS
+
+
+def test_ext1_clean_is_a_bool_memo(monkeypatch):
+    alg = nakayama_cyclic((4,), prime_field(101))
+    mods = [jordan_module(alg, i) for i in range(1, 5)]
+    mods += [syzygy(m) for m in mods]  # the last is the zero module
+    for M in mods:
+        clean = stab._ext1_clean(M)
+        assert type(M._ext1_is_clean) is bool
+        assert M._ext1_is_clean is clean
+    def recomputed(*args):
+        raise AssertionError("memoised Ext^1 recomputed")
+    monkeypatch.setattr(stab, "ext_dim", recomputed)
+    assert [stab._ext1_clean(M) for M in mods] == [M._ext1_is_clean
+                                                  for M in mods]
+    monkeypatch.undo()
+    for M in mods:
+        assert M._ext1_is_clean == (
+            ext_dim(M, regular_module(alg), 1) == 0)
