@@ -502,23 +502,16 @@ class PdCertificate:
 def pd_certificate(M: Representation, horizon: int = 24) -> PdCertificate:
     """Projective dimension, certified finite or periodically infinite.
 
-    Periodicity of the stable syzygy orbit certifies infinite projective
-    dimension because a later syzygy revisits a nonvanishing stable class.
+    A reading of ``omega_stabilizes(M, horizon)``: the first stably zero
+    syzygy Omega^s M is projective, so pd M = s; a stable orbit that closes
+    up revisits a nonvanishing stable class, which certifies infinite
+    projective dimension.
     """
-    seen: list[tuple[int, Representation]] = []
-    if M.total_dim and not is_stably_zero_module(M):
-        seen.append((0, M))
-    cur = M
-    for i in range(1, horizon + 1):
-        cur = _step(cur)[2]
-        if cur.total_dim == 0:
-            return PdCertificate.finite(i - 1)
-        if is_stably_zero_module(cur):
-            return PdCertificate.finite(i)
-        for j, old in seen:
-            if _matches_stably(old, cur):
-                return PdCertificate.infinite_periodic(j, i - j)
-        seen.append((i, cur))
+    orb = omega_stabilizes(M, horizon)
+    if orb["kind"] == "zero":
+        return PdCertificate.finite(orb["steps"])
+    if orb["kind"] == "cycle":
+        return PdCertificate.infinite_periodic(orb["preperiod"], orb["period"])
     return PdCertificate.undetermined(horizon)
 
 

@@ -828,15 +828,16 @@ def stable_iso(M: Representation, N: Representation) -> bool:
     X's cached cover eps: P_X -> X (see ``stable_add_membership``), so the
     only Hom space with a projective is Hom(X, P_X), built once per module.
     There is no rank pre-check, which cannot fail with the projectives as
-    generators.  hom(M, N) and hom(N, M) are built once each and serve both
-    tests.
+    generators.  hom(N, M) is built first, and hom(M, N) only when it is
+    nonzero: with Hom(N, M) = 0 there is no composite either way.  Each
+    basis is built once and serves both tests.
 
     Sound when the non-projective parts of both inputs are indecomposable or
     zero, which is what every caller here guarantees.
     """
     _same_algebra(M, N)
-    mn = hom(M, N).basis
     nm = hom(N, M).basis
+    mn = hom(M, N).basis if nm else []
     if not _identity_in_trace(M, [(mn, nm)], _projective_end_rows(M)):
         return False
     if not _identity_in_trace(N, [(nm, mn)], _projective_end_rows(N)):

@@ -48,7 +48,6 @@ from .rep import (
     AlgebraMismatch,
     RepMorphism,
     Representation,
-    dual_module,
     injective_module,
     projective_module,
     regular_module,
@@ -101,6 +100,12 @@ def _ext1_clean(M: Representation) -> bool:
     if clean is None:
         clean = M._ext1_is_clean = ext_dim(M, regular_module(M.algebra), 1) == 0
     return clean
+
+
+def _class_of(M: Representation, reps: list[Representation]) -> int | None:
+    """The index of the first of reps in M's stable class, or None."""
+    return next((i for i, r in enumerate(reps) if _matches_stably(M, r)),
+                None)
 
 
 def stab_hom(x: StableObject, y: StableObject, spec: SubcatSpec,
@@ -229,27 +234,24 @@ def skeleton(spec: SubcatSpec, horizon: int = 24, all_shifts: bool = False,
 
     # dedup survivors into stable classes
     reps: list[tuple[str, Representation]] = []
+    mods: list[Representation] = []
     cls_of_label: dict[str, int] = {}
     for lbl, g in surv:
-        for idx, (_, rm) in enumerate(reps):
-            if _matches_stably(g, rm):
-                cls_of_label[lbl] = idx
-                break
-        else:
-            cls_of_label[lbl] = len(reps)
+        idx = _class_of(g, mods)
+        if idx is None:
+            idx = len(reps)
             reps.append((lbl, g))
+            mods.append(g)
+        cls_of_label[lbl] = idx
 
     # the d-th syzygy as a function on stable classes
     sigma: list[int] = []
     for lbl, rm in reps:
-        im = syzygy(rm, d)
-        for idx, (_, om) in enumerate(reps):
-            if _matches_stably(im, om):
-                sigma.append(idx)
-                break
-        else:
+        idx = _class_of(syzygy(rm, d), mods)
+        if idx is None:
             raise OrbitNotResolved(
                 lbl, "d-th syzygy matches no surviving generator")
+        sigma.append(idx)
 
     n = len(reps)
     on_cycle = [False] * n
@@ -422,9 +424,8 @@ def is_iwanaga_gorenstein(alg: BoundQuiverAlgebra,
     injective_pd = {v: pd_certificate(injective_module(alg, v), horizon)
                     for v in verts}
     op = opposite_algebra(alg)
-    projective_copd = {
-        v: pd_certificate(dual_module(op, projective_module(alg, v)), horizon)
-        for v in verts}
+    projective_copd = {v: pd_certificate(injective_module(op, v), horizon)
+                       for v in verts}
     witnesses = [v for v in verts
                  if injective_pd[v].status == "infinite_periodic"]
     co_witnesses = [v for v in verts
@@ -526,16 +527,9 @@ def gp_intersection_check(spec: SubcatSpec,
         reps: list[Representation] = []
         for i in gp_idx:
             g = spec.generators[i]
-            if is_stably_zero_module(g):
-                continue
-            if not any(_matches_stably(g, r) for r in reps):
+            if not is_stably_zero_module(g) and _class_of(g, reps) is None:
                 reps.append(g)
-        images = []
-        for r in reps:
-            im = syzygy(r, spec.d)
-            hit = next((idx for idx, o in enumerate(reps)
-                        if _matches_stably(im, o)), None)
-            images.append(hit)
+        images = [_class_of(syzygy(r, spec.d), reps) for r in reps]
         sigma_bijective = (None not in images
                            and sorted(images) == list(range(len(reps))))
     gor = is_iwanaga_gorenstein(spec.algebra, horizon)

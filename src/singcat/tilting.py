@@ -19,22 +19,26 @@ the first failure.  Second, Ext^t(M, X_1 + ... + X_n) is the direct sum
 of the Ext^t(M, X_k), so whether Ext^t(M, -) vanishes on a whole list is
 one ``ext_dim`` against the direct sum; the pairs are scanned only when it
 is nonzero, to name the first witness.
+
+The left side is the dual of the right side: D = Hom_k(-, k) takes mod A
+to mod A^op and exchanges monos and epis, kernels and cokernels, left and
+right approximations.  Left approximations, d-coresolutions and the
+cogeneration test are D of right ones over A^op with respect to DG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_linalg import InternalCheckFailed, Matrix, rank
-from .quiver_algebra import BoundQuiverAlgebra
+from .exact_linalg import InternalCheckFailed, rank
+from .quiver_algebra import BoundQuiverAlgebra, opposite_algebra
 from .rep import (
     AlgebraMismatch,
     RepMorphism,
     Representation,
     add_membership,
-    cokernel,
     direct_sum,
-    hom,
+    dual_module,
     hom_dim,
     injectives,
     kernel,
@@ -42,7 +46,6 @@ from .rep import (
     stable_add_membership,
     top_generators,
     universal_right_approximation,
-    zero_rep,
 )
 from .homology import ext_dim, is_stably_zero_module, resolve, syzygy
 
@@ -131,37 +134,35 @@ def right_approximation(spec: SubcatSpec, N: Representation) -> RepMorphism:
     return universal_right_approximation(spec.generators, N)
 
 
+def _dual_spec(spec: SubcatSpec) -> SubcatSpec:
+    """D of the spec: the duals of its generators over the opposite algebra."""
+    op = opposite_algebra(spec.algebra)
+    return SubcatSpec(op, [dual_module(op, g) for g in spec.generators],
+                      spec.d, spec.labels)
+
+
+def _dual_map(f: RepMorphism, src: Representation,
+              tgt: Representation) -> RepMorphism:
+    """D f: D(f.tgt) -> D(f.src), every block transposed, between the
+    given copies of those modules, so ``compose`` matches them by identity."""
+    return RepMorphism(src, tgt, {v: m.transpose() for v, m in f.mats.items()},
+                       check=False)
+
+
 def left_approximation(spec: SubcatSpec, N: Representation) -> RepMorphism:
-    """The universal map from N into a sum of generator copies."""
+    """The universal map from N into a sum of generator copies: D of the
+    right approximation of DN, one copy of g per basis map Dg -> DN."""
     alg = spec.algebra
     if N.algebra is not alg:
         raise AlgebraMismatch("source lives over a different algebra")
-    pieces: list[RepMorphism] = []
-    tgts: list[Representation] = []
-    for g in spec.generators:
-        for b in hom(N, g).basis:
-            pieces.append(b)
-            tgts.append(g)
-    if not pieces:
-        return RepMorphism(N, zero_rep(alg), {}, check=False)
-    T = direct_sum(tgts)
-    # row i of the map at v joins row i of every piece
-    mats = {v: Matrix(alg.field, N.dims[v], T.dims[v],
-                      [[x for r in rs for x in r]
-                       for rs in zip(*(b.mats[v].entries for b in pieces))])
-            for v in alg.quiver.vertices}
-    return RepMorphism(N, T, mats, check=False)
+    dspec = _dual_spec(spec)
+    f = right_approximation(dspec, dual_module(dspec.algebra, N))
+    return _dual_map(f, N, dual_module(alg, f.src))
 
 
 def _is_epi(f: RepMorphism) -> bool:
     # a block with no columns is onto, one with columns but no rows is not
     return all(not m.cols or m.rows and rank(m) == m.cols
-               for m in f.mats.values())
-
-
-def _is_mono(f: RepMorphism) -> bool:
-    # a block with no rows is injective, one with rows but no columns is not
-    return all(not m.rows or m.cols and rank(m) == m.rows
                for m in f.mats.values())
 
 
@@ -219,12 +220,15 @@ def verify_gen_cogen(spec: SubcatSpec) -> dict[str, Check]:
     alg = spec.algebra
     proj = [(f"P({v})", p) for v, p in projectives(alg)]
     inj = [(f"I({v})", i) for v, i in injectives(alg)]
+    dspec = _dual_spec(spec)
 
     def covered(T: Representation) -> bool:
         return _is_epi(right_approximation(spec, T))
 
     def embeds(T: Representation) -> bool:
-        return _is_mono(left_approximation(spec, T))
+        # T -> add G is one-to-one iff its dual DG -> DT is onto
+        return _is_epi(right_approximation(
+            dspec, dual_module(dspec.algebra, T)))
 
     generating = _first_failure(proj, covered,
                                 "right approximation is not onto")
@@ -409,41 +413,26 @@ def _is_exact(maps: list[RepMorphism]) -> bool:
 
 
 def d_coresolution(spec: SubcatSpec, E: Representation) -> DCoresolution:
-    """Iterated cokernels of left approximations, at most d terms."""
-    if add_membership(E, spec.generators):
-        return DCoresolution([E], RepMorphism.identity(E), [])
-    terms: list[Representation] = []
-    approx: list[RepMorphism | None] = []
-    projs: list[RepMorphism] = []
-    cur = E
-    while True:
-        g = left_approximation(spec, cur)
-        if not _is_mono(g):
-            raise ApproximationNotMono(
-                "left approximation kills part of its source; "
-                "the spec does not cogenerate")
-        terms.append(g.tgt)
-        approx.append(g)
-        C, proj = cokernel(g)
-        if C.total_dim == 0:
-            break
-        projs.append(proj)
-        if len(terms) < spec.d and add_membership(C, spec.generators):
-            terms.append(C)
-            approx.append(None)
-            break
-        if len(terms) >= spec.d:
-            raise FinalTermNotInSubcategory(
-                f"cokernel after {spec.d} approximation steps is nonzero "
-                "and outside add(generators)")
-        cur = C
-    diffs: list[RepMorphism] = []
-    for i in range(len(terms) - 1):
-        nxt = approx[i + 1]
-        diffs.append(projs[i] if nxt is None else projs[i].compose(nxt))
-    if not _is_exact([approx[0]] + diffs):
-        raise InternalCheckFailed("assembled coresolution failed exactness")
-    return DCoresolution(terms, approx[0], diffs)
+    """Iterated cokernels of left approximations, at most d terms: D of
+    ``d_resolution`` of DE over A^op, whose exactness check D preserves."""
+    alg = spec.algebra
+    if E.algebra is not alg:
+        raise AlgebraMismatch("module lives over a different algebra")
+    dspec = _dual_spec(spec)
+    try:
+        res = d_resolution(dspec, dual_module(dspec.algebra, E))
+    except ApproximationNotEpi as e:
+        raise ApproximationNotMono(
+            "left approximation kills part of its source; "
+            "the spec does not cogenerate") from e
+    except FinalTermNotInSubcategory as e:
+        raise FinalTermNotInSubcategory(
+            f"cokernel after {spec.d} approximation steps is nonzero "
+            "and outside add(generators)") from e
+    terms = [dual_module(alg, T) for T in res.terms]
+    diffs = [_dual_map(f, terms[i], terms[i + 1])
+             for i, f in enumerate(res.diffs)]
+    return DCoresolution(terms, _dual_map(res.aug, E, terms[0]), diffs)
 
 
 # ---------------------------------------------------------------------------

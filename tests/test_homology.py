@@ -103,6 +103,14 @@ def test_pd_certificates(orbit):
     tiny = pd_certificate(M(0, 0, 0), 3)
     assert tiny.status == "undetermined"
     assert tiny.horizon == 3
+    # with no steps to take, a zero or projective module still has pd 0,
+    # since it is stably zero before the first step
+    for X in (rep.zero_rep(orbit), projective_module(orbit, "(0,0)")):
+        for horizon in (0, -1):
+            c = pd_certificate(X, horizon)
+            assert (c.status, c.n) == ("finite", 0)
+    c = pd_certificate(M(0, 0, 0), 0)
+    assert (c.status, c.horizon) == ("undetermined", 0)
 
 
 def test_ext_vanishing_and_counterexample(orbit):

@@ -357,6 +357,28 @@ def test_stable_iso_controls(orbit):
     assert stable_iso(P, zero_rep(orbit))
 
 
+def test_stable_iso_skips_hom_m_n_when_hom_n_m_vanishes(orbit, monkeypatch):
+    """With Hom(N, M) = 0 there is no composite either way, so hom(M, N)
+    is never built."""
+    from singcat import rep
+    from singcat.rep import _projective_end_rows
+    M = interval_module(orbit, (0, 0, 0))
+    N = interval_module(orbit, (1, 1, 2))
+    assert hom(N, M).dim == 0 and not is_projective(M)
+    # the cover rows have their own Hom spaces; build them beforehand
+    _projective_end_rows(M)
+    _projective_end_rows(N)
+    calls = []
+    real = rep.hom
+
+    def counting(X, Y):
+        calls.append((X, Y))
+        return real(X, Y)
+    monkeypatch.setattr(rep, "hom", counting)
+    assert not stable_iso(M, N)
+    assert calls == [(N, M)]
+
+
 def test_duality_is_involutive(orbit):
     from singcat.quiver_algebra import opposite_algebra
     op = opposite_algebra(orbit)

@@ -20,6 +20,14 @@ compared with the gate it replaced (equal stable endomorphism dimensions
 and nonzero stable Hom both ways) on the same modules and on a
 one-parameter family over k<x, y>/(x, y)^2 that every dimension agrees on,
 each alone or with a projective summand added.
+
+The left approximations and d-coresolutions are computed as the duals of
+right ones over A^op; they are compared with the column join of the Hom
+bases over A and its cokernel walk, on the simples, projectives and
+syzygies of cyclic Nakayama algebras and on the a2-tilde-3233 intervals:
+the same target module, components that form a basis of each Hom(N, g),
+and coresolution terms with the same dimension vectors or the same
+refusal.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcat.exact_linalg import Matrix, prime_field, rational_field
+from singcat.exact_linalg import Matrix, prime_field, rank, rational_field
 from singcat.homology import (
     _matches_stably, ext_dim, is_stably_zero_module, syzygy,
 )
@@ -39,8 +47,10 @@ from singcat.quiver_algebra import (
     nakayama_cyclic,
 )
 from singcat.rep import (
+    RepMorphism,
     Representation,
     direct_sum,
+    hom,
     injective_module,
     is_isomorphic,
     is_projective,
@@ -53,13 +63,16 @@ from singcat.rep import (
 )
 from singcat.stab import gp_certificate
 from singcat.tilting import (
-    SubcatSpec, _is_copy_of_projective, verify_dZ_closure, verify_gen_cogen,
-    verify_rigid,
+    ApproximationNotMono, FinalTermNotInSubcategory, SubcatSpec,
+    _is_copy_of_projective, _is_exact, d_coresolution, left_approximation,
+    verify_dZ_closure, verify_gen_cogen, verify_rigid,
 )
 
 from pairwise_reference import (
+    d_coresolution_walk,
     gp_certificate_pairwise,
     is_projective_by_add_membership,
+    left_approximation_columns,
     matches_stably_by_dimensions,
     stable_iso_by_add_membership,
     verify_dZ_closure_pairwise,
@@ -369,3 +382,103 @@ def test_stable_class_gate_agrees_on_every_case(family, field):
     assert seen == {True, False}
     for m in nonzero:
         assert _matches_stably(direct_sum([m, projs[0]]), m)
+
+
+# ---------------------------------------------------------------------------
+# the left side, read off A^op, against the column join and cokernel walk
+
+APPROX_KUPISCH = ((2,), (4,), (3, 3))
+
+
+@lru_cache(maxsize=None)
+def nakayama_pool(kupisch: tuple, field: str) -> tuple:
+    """(algebra, modules): the simples, the projectives and the first two
+    syzygies of the simples of a cyclic Nakayama algebra, zeros dropped."""
+    alg = nakayama_cyclic(kupisch, _field(field))
+    simples = [simple_module(alg, v) for v in alg.quiver.vertices]
+    mods = simples + [p for _, p in projectives(alg)]
+    mods += [syzygy(S, k) for S in simples for k in (1, 2)]
+    return alg, tuple(M for M in mods if M.total_dim)
+
+
+@st.composite
+def approximation_cases(draw):
+    """(spec, N): one to four generators of one pool, d in 1..3, and N a
+    sum of one or two pool modules."""
+    field = draw(st.sampled_from(sorted(FIELDS)))
+    family = draw(st.sampled_from(APPROX_KUPISCH + ("a2-tilde",)))
+    if family == "a2-tilde":
+        alg, mods = pool(family, field)
+        mods = [m for _, m in mods]
+    else:
+        alg, mods = nakayama_pool(family, field)
+    index = st.integers(0, len(mods) - 1)
+    gens = draw(st.lists(index, min_size=1, max_size=4, unique=True))
+    N = direct_sum([mods[i] for i in draw(st.lists(index, min_size=1,
+                                                   max_size=2))])
+    return SubcatSpec(alg, [mods[i] for i in gens],
+                      draw(st.integers(1, 3))), N
+
+
+def _components(f, gens):
+    """The maps N -> g into each copy of a generator, in the target's
+    summand order, with the number of copies of g read off hom(N, g)."""
+    alg = f.src.algebra
+    off = {v: 0 for v in alg.quiver.vertices}
+    out = []
+    for g in gens:
+        H = hom(f.src, g)
+        comps = []
+        for _ in range(H.dim):
+            comps.append(RepMorphism(f.src, g, {
+                v: Matrix.from_rows(alg.field,
+                                    [r[off[v]:off[v] + g.dims[v]]
+                                     for r in f.mats[v].entries], g.dims[v])
+                for v in alg.quiver.vertices}))
+            for v in off:
+                off[v] += g.dims[v]
+        out.append((H, comps))
+    assert off == f.tgt.dims
+    return out
+
+
+def _coresolution_outcome(build, spec, N):
+    try:
+        res = build(spec, N)
+    except (ApproximationNotMono, FinalTermNotInSubcategory) as e:
+        return type(e)
+    assert res.coaug.src is N
+    assert _is_exact([res.coaug] + res.diffs)
+    return [T.dims for T in res.terms]
+
+
+@settings(max_examples=60, deadline=None)
+@given(approximation_cases())
+def test_left_side_by_duality_matches_the_column_join(case):
+    spec, N = case
+    f = left_approximation(spec, N)
+    ref = left_approximation_columns(spec, N)
+    assert f.src is N
+    assert f.tgt.dims == ref.tgt.dims and f.tgt.action == ref.tgt.action
+    # the components into the copies of g are a basis of Hom(N, g)
+    for H, comps in _components(f, spec.generators):
+        coords = Matrix.from_rows(N.algebra.field,
+                                  [H.coords(c) for c in comps], H.dim)
+        assert rank(coords) == H.dim
+    assert (_coresolution_outcome(d_coresolution, spec, N)
+            == _coresolution_outcome(d_coresolution_walk, spec, N))
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_coresolutions_of_the_simples_match_the_cokernel_walk(field):
+    """The whole a2-tilde-3233 spec (d = 2), which cogenerates, on every
+    simple: one term or two, as on A itself."""
+    alg, mods = pool("a2-tilde", field)
+    spec = SubcatSpec(alg, [m for _, m in mods], 2)
+    lengths = set()
+    for v in alg.quiver.vertices:
+        S = simple_module(alg, v)
+        got = _coresolution_outcome(d_coresolution, spec, S)
+        assert got == _coresolution_outcome(d_coresolution_walk, spec, S)
+        lengths.add(len(got))
+    assert lengths == {1, 2}

@@ -1,9 +1,9 @@
 """Work on nonempty blocks only, against the forms that visit every block.
 
 ``top_generators``, ``projective_cover``, ``kernel``, ``direct_sum``,
-``hom_dim``, the ``HomSpace`` basis and the epi and mono tests of
-``tilting`` skip every per-vertex or per-arrow block with no rows or no
-columns.  Each is compared entry by entry with its full-loop form
+``hom_dim``, the ``HomSpace`` basis and the epi test of ``tilting`` (on a
+map, and on its dual for one-to-one) skip every per-vertex or per-arrow
+block with no rows or no columns.  Each is compared entry by entry with its full-loop form
 (``pairwise_reference``, or a rank at every vertex) over Q, F_2 and F_101,
 on the a2-tilde-3233 intervals and their syzygies, the simples of
 hereditary A2, the zero module, sums with zero summands and pairs with
@@ -34,10 +34,10 @@ from singcat.rep import (
     injective_module, kernel, projective_cover, projective_module,
     simple_module, top_generators, zero_rep,
 )
-from singcat.tilting import _is_epi, _is_mono
+from singcat.tilting import _dual_map, _is_epi
 
 from pairwise_reference import (
-    direct_sum_full, hom_basis_full, hom_dim_full, kernel_full,
+    direct_sum_full, hom_basis_full, hom_dim_full, is_mono_full, kernel_full,
     projective_cover_full, top_generators_full,
 )
 
@@ -111,8 +111,10 @@ def test_kernel_epi_and_mono_match_full_loop(data):
     _assert_same_module(K, dims, action)
     assert inc.mats == inc_mats
     assert _is_epi(f) == all(rank(f.mats[v]) == f.tgt.dims[v] for v in f.mats)
-    assert _is_mono(f) == all(rank(f.mats[v]) == f.src.dims[v]
-                              for v in f.mats)
+    # f is one-to-one iff its dual, every block transposed, is onto
+    op = opposite_algebra(f.src.algebra)
+    dual = _dual_map(f, dual_module(op, f.tgt), dual_module(op, f.src))
+    assert _is_epi(dual) == is_mono_full(f)
 
 
 @settings(max_examples=80, deadline=None)
