@@ -13,8 +13,9 @@ File formats (canonical key order, coefficients as decimal strings):
              "claims": ["skeleton_count=4", ...]}
 
 Exit codes: 0 computed or verified, 1 refuted, 2 undetermined at the
-horizon, 3 malformed input, 4 internal error (a computed result failed the
-exact check that guards it; a fault of the program, not of the input).
+horizon, 3 malformed input (a command-line usage error included), 4
+internal error (a computed result failed the exact check that guards it;
+a fault of the program, not of the input).
 """
 
 from __future__ import annotations
@@ -668,7 +669,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse has printed the help (code 0) or the usage and the
+        # error on stderr; a usage error is malformed input
+        return EXIT_INPUT if e.code else EXIT_OK
     loader = Loader(getattr(args, "length_bound", None))
     try:
         return args.run(args, loader)

@@ -9,7 +9,7 @@ entry points:
 - on a Matrix: ``rank``, ``rref`` and ``kernel_basis`` (the left kernel),
   which take its rows' nonzeros;
 - on sparse rows, built sparse where the system is formed (the Hom
-  constraints, the Ext dual differentials, the cover lift of a syzygy map):
+  constraints and the cover lift of a syzygy map):
   ``sparse_rank``, ``sparse_kernel`` (reduced with an implicit identity
   block) and ``sparse_span_contains``;
 - ``echelon_solve``, which reads coordinates in a basis that is already

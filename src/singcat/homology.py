@@ -6,32 +6,38 @@ all see the same representative objects.  ``_step`` returns the cached tuple
 itself, with the augmentation as its per-vertex matrices: the augmentation's
 target is the module, so storing it as a morphism would put every resolved
 module in a reference cycle that only the cyclic garbage collector frees.
-Syzygy maps and dual differentials read the matrices; only
-``ProjectiveResolution``, ``StableHomSpace`` and ``stab.standard_triangle``
-wrap them in a morphism.  The inclusion points into the cover, never back
-at the module.
+Syzygy maps read the matrices; only ``ProjectiveResolution``, ``ext``,
+``StableHomSpace`` and ``stab.standard_triangle`` wrap them in a morphism.
+The inclusion points into the cover, never back at the module.
 
-Dimensions are read from ranks, with no basis: ``ext_dim`` takes the ranks
-of the two dual differentials, and a stable Hom dimension comes from the
-exact sequence 0 -> Hom(A, Omega B) -> Hom(A, P_B) -> Hom(A, B), where
-P_B -> B is the cover and Omega B its kernel.  The image of the last map is
-exactly the maps A -> B that factor through a projective, so
+Dimensions are read from Hom dimensions of one cached cover step, with no
+basis and no constraint builder beyond ``rep.hom_dim``'s.  A stable Hom
+dimension comes from the exact sequence 0 -> Hom(A, Omega B) ->
+Hom(A, P_B) -> Hom(A, B), where P_B -> B is the cover and Omega B its
+kernel.  The image of the last map is exactly the maps A -> B that factor
+through a projective, so
 
     dim stable Hom(A, B)
         = dim Hom(A, B) - dim Hom(A, P_B) + dim Hom(A, Omega B),
 
-each term a ``rep.hom_dim``, with dim Hom(A, P_B) summed over the cover's
-summands P_v.  ``ext`` and ``stable_hom`` still build the spaces with bases
-for callers that need elements.
+with dim Hom(A, P_B) summed over the cover's summands P_v.  Ext shifts
+dimension along 0 -> Omega^i M -> P_{i-1} -> Omega^{i-1} M -> 0: applying
+Hom(-, N), with Ext^1(P, N) = 0 and Hom(P_v, N) = N_v, gives for i >= 1
+
+    dim Ext^i(M, N)
+        = dim Hom(Omega^i M, N) - sum_v dim N_v + dim Hom(Omega^{i-1} M, N),
+
+v over the summands of the cover of Omega^{i-1} M (Auslander-Reiten-Smalo,
+*Representation Theory of Artin Algebras*).  ``ext`` and ``stable_hom``
+still build the spaces with bases for callers that need elements.
 
 Two modules lie in one stable class iff they are isomorphic after adding
 projective summands, A + P = B + Q.  The minimal cover of a projective is
 itself, with kernel zero, so such a pair has Omega A = Omega B
-(Auslander-Reiten-Smalo, *Representation Theory of Artin Algebras*, IV.1).
-``_matches_stably`` therefore rejects a pair whose cached syzygies differ in
-dimension vector, or whose stable endomorphism dimensions differ, before
-``rep.stable_iso`` builds a Hom system; stably zero modules (zero or
-projective) are the one zero class.
+(Auslander-Reiten-Smalo, IV.1).  ``_matches_stably`` therefore rejects a
+pair whose cached syzygies differ in dimension vector, or whose stable
+endomorphism dimensions differ, before ``rep.stable_iso`` builds a Hom
+system; stably zero modules (zero or projective) are the one zero class.
 
 Stable Hom dimensions and stable-class verdicts are memoised per ordered
 module pair (``_pair_memo``), and dim Hom(A, P_v) per module and vertex
@@ -39,17 +45,6 @@ module pair (``_pair_memo``), and dim Hom(A, P_v) per module and vertex
 the second and holds only ints and bools; the vertex memo is a plain dict
 of ints keyed by vertex id.  So no entry keeps a module alive or closes a
 reference cycle.
-
-Ext is computed in generator coordinates: a map out of a cover is determined
-by the images of the summand generators, which keeps every dual differential
-small.  A dual differential is built as sparse {column: value} rows of its
-nonzeros, which ``sparse_rank`` and ``sparse_kernel`` reduce as they are;
-no dense matrix is formed.  Only generator rows are ever computed: a cover
-map's rows are the generator images walked along path prefixes
-(``rep._path_images``), and a dual differential reads the generator rows of
-d_i = eps_i . inc_{i-1} as one vector-by-matrix product each, never the
-whole composite.  The path matrices a dual differential sums are built by
-prefix in a dict local to that one call, so no product outlives it.
 """
 
 from __future__ import annotations
@@ -59,14 +54,14 @@ from weakref import WeakKeyDictionary
 
 from .exact_linalg import (
     InternalCheckFailed, Matrix, _sparse_rows, echelon_solve, rref,
-    sparse_kernel, sparse_rank,
+    sparse_kernel,
 )
 from .rep import (
     Cover,
     RepMorphism,
     Representation,
+    _cover_map_from_gen_images,
     _morphism_to_vec,
-    _path_images,
     _same_algebra,
     hom,
     hom_dim,
@@ -146,20 +141,6 @@ def syzygy(M: Representation, steps: int = 1) -> Representation:
     return cur
 
 
-def _cover_map_from_gen_images(cover: Cover, T: Representation,
-                               xs: list) -> RepMorphism:
-    """The morphism cover.rep -> T sending the j-th generator to row xs[j]."""
-    alg = cover.algebra
-    f = alg.field
-    rows_at: dict[str, list] = {w: [] for w in alg.quiver.vertices}
-    for v, x in zip(cover.vertices, xs):
-        for key, img in _path_images(T, v, x).items():
-            rows_at[alg.key_target(key)].append(img)
-    mats = {w: Matrix.from_rows(f, rows_at[w], T.dims[w])
-            for w in alg.quiver.vertices}
-    return RepMorphism(cover.rep, T, mats, check=False)
-
-
 def syzygy_morphism(f: RepMorphism, steps: int = 1) -> RepMorphism:
     """The induced map on syzygies, relative to the cached covers."""
     cur = f
@@ -196,142 +177,66 @@ def _omega1(f: RepMorphism) -> RepMorphism:
     return RepMorphism(KM, KN, mats, check=False)
 
 
-def _dual_map_matrix(cover_lo: Cover, cover_hi: Cover, eps: dict,
-                     inc: dict, N: Representation) -> tuple[list[dict], int]:
-    """(rows, ncols): the sparse rows of precomposition with d = eps . inc,
-    from Hom(cover_lo.rep, N) to Hom(cover_hi.rep, N).
-
-    ``eps`` and ``inc`` are per-vertex matrices: eps maps cover_hi.rep onto
-    a module that inc includes into cover_lo.rep; in a resolution they are
-    eps_i and inc_{i-1}, and d is the differential d_i.  Both hom spaces are
-    written in generator coordinates, rows acting on the right as everywhere
-    else.  Each row is a {column: value} dict of its nonzeros, as
-    ``sparse_rank`` and ``sparse_kernel`` take it: an entry that cancels is
-    deleted, so no zero is stored.  A map out of cover_hi is fixed by its
-    generator images, so only the generator rows of d are computed, each as
-    one vector-by-matrix product.  Each block sums the path matrices of N
-    along the basis paths in such a row; they are built by prefix (one
-    product per path) in a dict local to this call.
-    """
-    alg = cover_lo.algebra
-    f = alg.field
-    z, p = f.zero, f.p
-    pmats: dict = {}  # path matrices of N, by basis path
-    row_off = []
-    r = 0
-    for v in cover_lo.vertices:
-        row_off.append(r)
-        r += N.dims[v]
-    col_off = []
-    c = 0
-    for w in cover_hi.vertices:
-        col_off.append(c)
-        c += N.dims[w]
-    out: list[dict] = [{} for _ in range(r)]
-    for j, w in enumerate(cover_hi.vertices):
-        wv, grow = cover_hi.gen_row(j)
-        img = inc[wv].act(eps[wv].entries[grow])
-        for k, v in enumerate(cover_lo.vertices):
-            base = cover_lo.offset(k, wv)
-            for idx, key in enumerate(alg.basis(v, wv)):
-                coef = img[base + idx]
-                if coef is z or not coef:
-                    continue
-                pm = pmats.get(key)
-                if pm is None:
-                    # extend the longest nontrivial prefix built so far one
-                    # arrow at a time; a path of one arrow is its action
-                    arrows = key[1]
-                    n = len(arrows)
-                    while n and (v, arrows[:n]) not in pmats:
-                        n -= 1
-                    pm = pmats[(v, arrows[:n])] if n else None
-                    for t in range(n, len(arrows)):
-                        act = N.action[arrows[t]]
-                        pm = act if pm is None else pm.mul(act)
-                        pmats[(v, arrows[:t + 1])] = pm
-                    if pm is None:
-                        pm = pmats[key] = Matrix.identity(f, N.dims[v])
-                ro, co = row_off[k], col_off[j]
-                for a, prow in enumerate(pm.entries):
-                    orow = out[ro + a]
-                    for b, x in enumerate(prow):
-                        if x is z or not x:
-                            continue
-                        y = orow.get(co + b, z) + coef * x
-                        if p is not None:
-                            y %= p
-                        if y:
-                            orow[co + b] = y
-                        else:
-                            orow.pop(co + b, None)
-    return out, c
-
-
 class ExtSpace:
-    """dim of Ext^i(M, N) plus spanning cocycles as maps P_i -> N."""
+    """dim of Ext^i(M, N) plus a basis of the cocycles.
+
+    For i >= 1 the cocycles are the maps P_i -> N that vanish on
+    Omega^{i+1} M, one eps_i . h per basis map h: Omega^i M -> N, where
+    eps_i: P_i -> Omega^i M is the cached cover; their classes span
+    Ext^i(M, N).  For i = 0 they are the basis of Hom(M, N).
+    """
 
     def __init__(self, dim: int, cocycles: list[RepMorphism]):
         self.dim = dim
         self.cocycles = cocycles
 
 
-def _dual_differentials(M: Representation, N: Representation, i: int,
-                        ) -> tuple[Cover, tuple, tuple]:
-    """(P_i's cover, d_lo, d_hi): the dual differentials around degree i >= 1.
+def _ext(M: Representation, N: Representation,
+         i: int) -> tuple[Representation, int]:
+    """(Omega^i M, dim Ext^i(M, N)), read from Hom dimensions.
 
-    d_lo maps Hom(P_{i-1}, N) to Hom(P_i, N) and d_hi maps Hom(P_i, N) to
-    Hom(P_{i+1}, N), so Ext^i(M, N) is ker d_hi / im d_lo.  Each is the
-    (rows, ncols) pair of ``_dual_map_matrix``, read from the cached steps
-    0 .. i+1 of M's resolution.
+    For i >= 1, from the cached cover step of Omega^{i-1} M:
+
+        dim Hom(Omega^i M, N) - sum_v dim N_v + dim Hom(Omega^{i-1} M, N),
+
+    v over the cover's summands.  The bounds exactness forces are checked
+    with explicit raises: dim Hom(Omega^{i-1} M, N) <= sum_v dim N_v, and
+    0 <= result <= dim Hom(Omega^i M, N); a violation is InternalCheckFailed.
     """
-    steps = []
-    cur = M
-    for _ in range(i + 2):
-        steps.append(_step(cur))
-        cur = steps[-1][2]
-    (c_lo, _, _, inc_lo), (c_mid, eps_mid, _, inc_mid), (c_hi, eps_hi, _, _) = \
-        steps[i - 1:i + 2]
-    d_lo = _dual_map_matrix(c_lo, c_mid, eps_mid, inc_lo.mats, N)
-    d_hi = _dual_map_matrix(c_mid, c_hi, eps_hi, inc_mid.mats, N)
-    return c_mid, d_lo, d_hi
+    _same_algebra(M, N)
+    if i < 0:
+        raise ValueError("negative ext degree")
+    if i == 0:
+        return M, hom_dim(M, N)
+    prev = syzygy(M, i - 1)
+    cover, _, K, _ = _step(prev)
+    hk = hom_dim(K, N)
+    hp = sum(N.dims[v] for v in cover.vertices)
+    h = hom_dim(prev, N)
+    if h > hp:
+        raise InternalCheckFailed("Hom out of the syzygy exceeds Hom out of the cover")
+    d = hk - hp + h
+    if not 0 <= d <= hk:
+        raise InternalCheckFailed("Ext dimension out of range")
+    return K, d
 
 
 def ext(M: Representation, N: Representation, i: int) -> ExtSpace:
-    _same_algebra(M, N)
-    if i < 0:
-        raise ValueError("negative ext degree")
+    K, dim = _ext(M, N, i)
+    basis = hom(K, N).basis
     if i == 0:
-        h = hom(M, N)
-        return ExtSpace(h.dim, list(h.basis))
-    fld = M.algebra.field
-    cover, d_lo, d_hi = _dual_differentials(M, N, i)
-    cocycle_vecs = sparse_kernel(fld, *d_hi)
-    dim = len(cocycle_vecs) - sparse_rank(fld, *d_lo)
-    cocycles = []
-    for vec in cocycle_vecs:
-        xs = []
-        pos = 0
-        for v in cover.vertices:
-            xs.append(vec[pos:pos + N.dims[v]])
-            pos += N.dims[v]
-        cocycles.append(_cover_map_from_gen_images(cover, N, xs))
-    return ExtSpace(dim, cocycles)
+        return ExtSpace(dim, basis)
+    cover, eps, _, _ = _step(K)
+    eps_i = RepMorphism(cover.rep, K, eps, check=False)
+    return ExtSpace(dim, [eps_i.compose(h) for h in basis])
 
 
 def ext_dim(M: Representation, N: Representation, i: int) -> int:
-    """dim Ext^i(M, N) from ranks: rows(d_hi) - rank(d_hi) - rank(d_lo).
+    """dim Ext^i(M, N), read from Hom dimensions by dimension shifting.
 
     Equal to ``ext(M, N, i).dim``, but builds no cocycle.
     """
-    _same_algebra(M, N)
-    if i < 0:
-        raise ValueError("negative ext degree")
-    if i == 0:
-        return hom_dim(M, N)
-    fld = M.algebra.field
-    _, (lo, lo_cols), (hi, hi_cols) = _dual_differentials(M, N, i)
-    return len(hi) - sparse_rank(fld, hi, hi_cols) - sparse_rank(fld, lo, lo_cols)
+    return _ext(M, N, i)[1]
 
 
 class StableHomSpace:

@@ -465,24 +465,20 @@ class Cover:
         self.vertices = list(vertices)
         summands = [projective_module(algebra, v) for v in self.vertices]
         self.rep = direct_sum(summands) if summands else zero_rep(algebra)
-        # row offset of summand j inside the block at vertex w
-        self._offsets: list[dict[str, int]] = []
+        # row offset of summand j inside the block at its own vertex
+        self._offsets: list[int] = []
         run = {w: 0 for w in algebra.quiver.vertices}
         for v, s in zip(self.vertices, summands):
-            self._offsets.append(dict(run))
+            self._offsets.append(run[v])
             for w in run:
                 run[w] += s.dims[w]
-
-    def offset(self, j: int, w: str) -> int:
-        """Row offset of summand j's block at vertex w."""
-        return self._offsets[j][w]
 
     def gen_row(self, j: int) -> tuple[str, int]:
         """Vertex and row index of the j-th summand's generator."""
         v = self.vertices[j]
         paths = self.algebra.basis(v, v)
         # the trivial path is first in the length-graded order
-        return v, self._offsets[j][v] + paths.index((v, ()))
+        return v, self._offsets[j] + paths.index((v, ()))
 
 
 def projective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
@@ -622,19 +618,28 @@ def _path_images(M: Representation, v: str, row: Sequence) -> dict[PathKey, tupl
     return out
 
 
-def projective_cover(M: Representation) -> tuple[Cover, RepMorphism]:
-    alg = M.algebra
+def _cover_map_from_gen_images(cover: Cover, T: Representation,
+                               xs: list) -> RepMorphism:
+    """The morphism cover.rep -> T sending the j-th generator to row xs[j].
+
+    Its rows at each vertex are the generator images walked along the
+    basis paths, in the (summand, path) order of the cover's basis rows.
+    """
+    alg = cover.algebra
     f = alg.field
-    gens = top_generators(M)
-    cover = Cover(alg, [v for v, _ in gens])
-    blocks: dict[str, list] = {w: [] for w in alg.quiver.vertices}
-    for (v, g) in gens:
-        for key, img in _path_images(M, v, g).items():
-            blocks[alg.key_target(key)].append(img)
-    # blocks follow the same (summand, path) order as the cover's basis rows
-    mats = {w: Matrix.from_rows(f, blocks[w], M.dims[w])
+    rows_at: dict[str, list] = {w: [] for w in alg.quiver.vertices}
+    for v, x in zip(cover.vertices, xs):
+        for key, img in _path_images(T, v, x).items():
+            rows_at[alg.key_target(key)].append(img)
+    mats = {w: Matrix.from_rows(f, rows_at[w], T.dims[w])
             for w in alg.quiver.vertices}
-    eps = RepMorphism(cover.rep, M, mats, check=False)
+    return RepMorphism(cover.rep, T, mats, check=False)
+
+
+def projective_cover(M: Representation) -> tuple[Cover, RepMorphism]:
+    gens = top_generators(M)
+    cover = Cover(M.algebra, [v for v, _ in gens])
+    eps = _cover_map_from_gen_images(cover, M, [g for _, g in gens])
     for w, d in M.dims.items():
         if d and rank(eps.mats[w]) != d:
             raise InternalCheckFailed("cover map is not onto")

@@ -217,25 +217,22 @@ def verify_gen_cogen(spec: SubcatSpec) -> dict[str, Check]:
     projectives before reporting its injective.  A simple S(v) never fails
     first, since it is a quotient of P(v) and embeds in I(v).
     """
-    alg = spec.algebra
-    proj = [(f"P({v})", p) for v, p in projectives(alg)]
-    inj = [(f"I({v})", i) for v, i in injectives(alg)]
     dspec = _dual_spec(spec)
+    proj = [(f"P({v})", p) for v, p in projectives(spec.algebra)]
+    # T -> add G is one-to-one iff its dual DG -> DT is onto, and D I(v)
+    # and D P(v) are the cached P(v) and I(v) of A^op, same vertex order
+    dinj = [(f"I({v})", p) for v, p in projectives(dspec.algebra)]
+    dproj = [(f"P({v})", i) for v, i in injectives(dspec.algebra)]
 
-    def covered(T: Representation) -> bool:
-        return _is_epi(right_approximation(spec, T))
+    def covered(s: SubcatSpec):
+        return lambda T: _is_epi(right_approximation(s, T))
 
-    def embeds(T: Representation) -> bool:
-        # T -> add G is one-to-one iff its dual DG -> DT is onto
-        return _is_epi(right_approximation(
-            dspec, dual_module(dspec.algebra, T)))
-
-    generating = _first_failure(proj, covered,
+    generating = _first_failure(proj, covered(spec),
                                 "right approximation is not onto")
     note = "left approximation is not injective"
-    cogenerating = _first_failure(inj, embeds, note)
+    cogenerating = _first_failure(dinj, covered(dspec), note)
     if not cogenerating.ok:
-        first = _first_failure(proj, embeds, note)
+        first = _first_failure(dproj, covered(dspec), note)
         if not first.ok:
             cogenerating = first
     return {"generating": generating, "cogenerating": cogenerating}

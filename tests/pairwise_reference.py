@@ -7,14 +7,17 @@ no stacking and no criterion that skips a test module; and the module
 constructions visit every vertex and every arrow, empty blocks included.
 The left approximations and coresolutions are built on A itself, by the
 column join and the cokernel walk that ``tilting`` now reads off A^op.
-Written for clarity and not for speed.
+Ext is computed as ker d_{i+1}* / im d_i* from the dual differentials in
+generator coordinates, where ``homology`` now reads it from Hom dimensions
+by dimension shifting.  Written for clarity and not for speed.
 """
 
 from singcat.exact_linalg import (
     InternalCheckFailed, Matrix, echelon_solve, kernel_basis, rank, rref,
+    sparse_rank,
 )
 from singcat.homology import (
-    ext_dim, is_stably_zero_module, omega_stabilizes, stable_end_dim,
+    _step, ext_dim, is_stably_zero_module, omega_stabilizes, stable_end_dim,
     stable_hom, syzygy,
 )
 from singcat.rep import (
@@ -310,3 +313,114 @@ def hom_basis_full(M, N):
     rows, ncols, _ = commuting_system_dense(M, N)
     dense = Matrix(M.algebra.field, len(rows), ncols, rows)
     return [_morphism_from_vec(M, N, v) for v in kernel_basis(dense)]
+
+
+def summand_offsets(cover):
+    """offsets[j][w]: the row offset of summand j's block at vertex w."""
+    alg = cover.algebra
+    run = {w: 0 for w in alg.quiver.vertices}
+    out = []
+    for v in cover.vertices:
+        out.append(dict(run))
+        P = projective_module(alg, v)
+        for w in run:
+            run[w] += P.dims[w]
+    return out
+
+
+def dual_map_matrix(cover_lo, cover_hi, eps, inc, N):
+    """(rows, ncols): the sparse rows of precomposition with d = eps . inc,
+    from Hom(cover_lo.rep, N) to Hom(cover_hi.rep, N).
+
+    ``eps`` and ``inc`` are per-vertex matrices: eps maps cover_hi.rep onto
+    a module that inc includes into cover_lo.rep; in a resolution they are
+    eps_i and inc_{i-1}, and d is the differential d_i.  Both hom spaces are
+    written in generator coordinates, rows acting on the right.  Each row
+    is a {column: value} dict of its nonzeros.  A map out of cover_hi is
+    fixed by its generator images, so only the generator rows of d are
+    computed; each block sums the path matrices of N along the basis paths
+    in such a row, built by prefix in a dict local to this call.
+    """
+    alg = cover_lo.algebra
+    f = alg.field
+    z, p = f.zero, f.p
+    offsets = summand_offsets(cover_lo)
+    pmats = {}  # path matrices of N, by basis path
+    row_off = []
+    r = 0
+    for v in cover_lo.vertices:
+        row_off.append(r)
+        r += N.dims[v]
+    col_off = []
+    c = 0
+    for w in cover_hi.vertices:
+        col_off.append(c)
+        c += N.dims[w]
+    out = [{} for _ in range(r)]
+    for j, w in enumerate(cover_hi.vertices):
+        wv, grow = cover_hi.gen_row(j)
+        img = inc[wv].act(eps[wv].entries[grow])
+        for k, v in enumerate(cover_lo.vertices):
+            base = offsets[k][wv]
+            for idx, key in enumerate(alg.basis(v, wv)):
+                coef = img[base + idx]
+                if coef is z or not coef:
+                    continue
+                pm = pmats.get(key)
+                if pm is None:
+                    # extend the longest nontrivial prefix built so far one
+                    # arrow at a time; a path of one arrow is its action
+                    arrows = key[1]
+                    n = len(arrows)
+                    while n and (v, arrows[:n]) not in pmats:
+                        n -= 1
+                    pm = pmats[(v, arrows[:n])] if n else None
+                    for t in range(n, len(arrows)):
+                        act = N.action[arrows[t]]
+                        pm = act if pm is None else pm.mul(act)
+                        pmats[(v, arrows[:t + 1])] = pm
+                    if pm is None:
+                        pm = pmats[key] = Matrix.identity(f, N.dims[v])
+                ro, co = row_off[k], col_off[j]
+                for a, prow in enumerate(pm.entries):
+                    orow = out[ro + a]
+                    for b, x in enumerate(prow):
+                        if x is z or not x:
+                            continue
+                        y = orow.get(co + b, z) + coef * x
+                        if p is not None:
+                            y %= p
+                        if y:
+                            orow[co + b] = y
+                        else:
+                            orow.pop(co + b, None)
+    return out, c
+
+
+def dual_differentials(M, N, i):
+    """(d_lo, d_hi): the dual differentials around degree i >= 1.
+
+    d_lo maps Hom(P_{i-1}, N) to Hom(P_i, N) and d_hi maps Hom(P_i, N) to
+    Hom(P_{i+1}, N), so Ext^i(M, N) is ker d_hi / im d_lo.  Each is the
+    (rows, ncols) pair of ``dual_map_matrix``, read from the cached steps
+    0 .. i+1 of M's resolution.
+    """
+    steps = []
+    cur = M
+    for _ in range(i + 2):
+        steps.append(_step(cur))
+        cur = steps[-1][2]
+    (c_lo, _, _, inc_lo), (c_mid, eps_mid, _, inc_mid), (c_hi, eps_hi, _, _) = \
+        steps[i - 1:i + 2]
+    d_lo = dual_map_matrix(c_lo, c_mid, eps_mid, inc_lo.mats, N)
+    d_hi = dual_map_matrix(c_mid, c_hi, eps_hi, inc_mid.mats, N)
+    return d_lo, d_hi
+
+
+def ext_dim_by_dual_differentials(M, N, i):
+    """dim Ext^i(M, N) = rows(d_hi) - rank(d_hi) - rank(d_lo); Hom at i = 0."""
+    if i == 0:
+        return hom_dim_full(M, N)
+    fld = M.algebra.field
+    (lo, lo_cols), (hi, hi_cols) = dual_differentials(M, N, i)
+    return len(hi) - sparse_rank(fld, hi, hi_cols) - sparse_rank(fld, lo, lo_cols)

@@ -25,7 +25,6 @@ from singcat.rep import (
     stable_iso,
 )
 from singcat.homology import (
-    _dual_map_matrix,
     _matches_stably,
     _stable_dim,
     ext,
@@ -42,6 +41,7 @@ from singcat.stab import skeleton
 from singcat.tilting import SubcatSpec
 
 from dense_reference import dense_solve_left, dense_solve_right
+from pairwise_reference import dual_map_matrix
 
 KS = (3, 2, 3, 3)
 
@@ -161,6 +161,24 @@ def test_ext_cocycles_are_closed(orbit):
     res = resolve(M0, 7)
     for c in e.cocycles:
         assert res.diff(7).compose(c).is_zero()
+
+
+def test_ext_dim_covers_each_syzygy_below_the_degree_once(orbit, monkeypatch):
+    # Ext^i is read from the cover step of Omega^{i-1} M, so a fresh M is
+    # covered i times: Omega^0 .. Omega^{i-1}, none beyond
+    real = homology.projective_cover
+    covered = []
+
+    def counting(M):
+        covered.append(M)
+        return real(M)
+    monkeypatch.setattr(homology, "projective_cover", counting)
+    P01 = projective_module(orbit, "(0,1)")
+    for i in range(1, 7):
+        covered.clear()
+        M0 = interval_module(orbit, (0, 0, 0))
+        assert homology.ext_dim(M0, P01, i) == (i == 6)
+        assert len(covered) == i
 
 
 def test_stable_hom_quotient(orbit):
@@ -407,7 +425,8 @@ def _dual_map_reference(cover_lo, cover_hi, d, N):
         wv, grow = cover_hi.gen_row(j)
         img = d.mats[wv].entries[grow]
         for k, v in enumerate(cover_lo.vertices):
-            base = cover_lo.offset(k, wv)
+            # the rows of P(u) at wv are the basis paths from u to wv
+            base = sum(len(alg.basis(u, wv)) for u in cover_lo.vertices[:k])
             block = Matrix.zeros(f, N.dims[v], N.dims[w])
             for idx, key in enumerate(alg.basis(v, wv)):
                 block = block.add(N.path_matrix(v, key[1]).scale(img[base + idx]))
@@ -456,7 +475,7 @@ def test_dual_map_from_generator_rows_matches_full_differential(fld):
         res = resolve(M, 4)
         for i in range(1, 5):
             for N in targets:
-                rows, ncols = _dual_map_matrix(
+                rows, ncols = dual_map_matrix(
                     res.covers[i - 1], res.covers[i], res.eps[i].mats,
                     res.incs[i - 1].mats, N)
                 ref = _dual_map_reference(res.covers[i - 1], res.covers[i],
@@ -468,13 +487,13 @@ def test_dual_map_from_generator_rows_matches_full_differential(fld):
             # which the identity map hits at every generator
             C = res.covers[0]
             ident = RepMorphism.identity(C.rep)
-            rows, ncols = _dual_map_matrix(C, C, ident.mats, ident.mats, N)
+            rows, ncols = dual_map_matrix(C, C, ident.mats, ident.mats, N)
             assert rows == [{j: fld.one} for j in range(ncols)]
             assert rows == nonzeros(_dual_map_reference(C, C, ident, N))
             # generator images that sum several paths, so blocks overlap
             E = hom(C.rep, C.rep)
             d = E.element([fld.of_int((-1) ** k) for k in range(E.dim)])
-            rows, _ = _dual_map_matrix(C, C, d.mats, ident.mats, N)
+            rows, _ = dual_map_matrix(C, C, d.mats, ident.mats, N)
             assert rows == nonzeros(_dual_map_reference(C, C, d, N))
     assert checked
 

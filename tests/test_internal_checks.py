@@ -118,3 +118,23 @@ def test_stable_dim_outside_exactness_bounds_raises(monkeypatch, kx4,
     monkeypatch.setattr(homology, "hom_dim", overcounted)
     with pytest.raises(InternalCheckFailed, match=match):
         homology._stable_dim(S, S)
+
+
+@pytest.mark.parametrize("count, match", [
+    (lambda real, M, N: real(M, N) + 100,
+     "Hom out of the syzygy exceeds Hom out of the cover"),
+    (lambda real, M, N: 0, "Ext dimension out of range"),
+], ids=["cover_bound", "range"])
+def test_ext_dim_outside_exactness_bounds_raises(monkeypatch, kx4, count,
+                                                 match):
+    # overcounting Hom out of Omega^{i-1} M breaks
+    # Hom(Omega^{i-1} M, N) <= sum_v dim N_v over its cover; counting every
+    # Hom as zero drives the Ext dimension below zero
+    S = rep.simple_module(kx4, kx4.quiver.vertices[0])
+    real = homology.hom_dim
+    monkeypatch.setattr(homology, "hom_dim", lambda M, N: count(real, M, N))
+    for i in (1, 2):
+        with pytest.raises(InternalCheckFailed, match=match):
+            homology.ext_dim(S, S, i)
+        with pytest.raises(InternalCheckFailed, match=match):
+            homology.ext(S, S, i)

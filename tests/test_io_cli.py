@@ -224,6 +224,24 @@ def test_exit_undetermined_skeleton(tilde_dir):
     assert rc == EXIT_UNDETERMINED
 
 
+@pytest.mark.parametrize("args", [
+    ["sing", "skeleton", "--horizon", "abc"],
+    ["ct", "verify"],
+], ids=["bad-int", "missing-subcat"])
+def test_usage_error_is_malformed_input(args, capsys):
+    # argparse exits with 2, which the CLI reserves for "undetermined"
+    assert main(args) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: singcat ")
+    assert "error:" in captured.err
+
+
+def test_help_exits_ok(capsys):
+    assert main(["ct", "verify", "--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: singcat ct verify")
+
+
 def test_exit_internal_on_failed_check(kx2_dir, monkeypatch, capsys):
     def broken(M, N):
         raise InternalCheckFailed("kernel is not arrow-stable")

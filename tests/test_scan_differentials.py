@@ -28,6 +28,12 @@ syzygies of cyclic Nakayama algebras and on the a2-tilde-3233 intervals:
 the same target module, components that form a basis of each Hom(N, g),
 and coresolution terms with the same dimension vectors or the same
 refusal.
+
+Ext is read from Hom dimensions of one cover step by dimension shifting;
+it is compared with ker d_{i+1}* / im d_i* of the dual differentials, in
+degrees 0..4 on the Jordan modules and the intervals, their syzygies, the
+projectives, the zero module and sums of two.  The cocycles are checked
+to be independent, closed and dim Hom(Omega^i M, N) in number.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from hypothesis import strategies as st
 
 from singcat.exact_linalg import Matrix, prime_field, rank, rational_field
 from singcat.homology import (
-    _matches_stably, ext_dim, is_stably_zero_module, syzygy,
+    _matches_stably, ext, ext_dim, is_stably_zero_module, resolve, syzygy,
 )
 from singcat.quiver_algebra import (
     Arrow, PathWord, Quiver, RelationElement, compute_basis, nakayama2_tilde,
@@ -49,6 +55,7 @@ from singcat.quiver_algebra import (
 from singcat.rep import (
     RepMorphism,
     Representation,
+    _morphism_to_vec,
     direct_sum,
     hom,
     injective_module,
@@ -70,7 +77,9 @@ from singcat.tilting import (
 
 from pairwise_reference import (
     d_coresolution_walk,
+    ext_dim_by_dual_differentials,
     gp_certificate_pairwise,
+    hom_dim_full,
     is_projective_by_add_membership,
     left_approximation_columns,
     matches_stably_by_dimensions,
@@ -482,3 +491,56 @@ def test_coresolutions_of_the_simples_match_the_cokernel_walk(field):
         assert got == _coresolution_outcome(d_coresolution_walk, spec, S)
         lengths.add(len(got))
     assert lengths == {1, 2}
+
+
+# ---------------------------------------------------------------------------
+# Ext from Hom dimensions against the dual differentials
+
+def _check_ext(M, N, i):
+    """ext_dim and ext(...).dim against the dual-differential reference; the
+    cocycles are independent, number dim Hom(Omega^i M, N) and, for i >= 1,
+    vanish on the image of d_{i+1}."""
+    want = ext_dim_by_dual_differentials(M, N, i)
+    assert ext_dim(M, N, i) == want
+    e = ext(M, N, i)
+    assert e.dim == want
+    fld = M.algebra.field
+    vecs = [_morphism_to_vec(c) for c in e.cocycles]
+    if vecs:
+        assert rank(Matrix.from_rows(fld, vecs, len(vecs[0]))) == len(vecs)
+    assert len(vecs) == hom_dim_full(syzygy(M, i), N)
+    if i:
+        d = resolve(M, i + 1).diff(i + 1)
+        assert all(d.compose(c).is_zero() for c in e.cocycles)
+    return want
+
+
+@st.composite
+def ext_cases(draw):
+    """(M, N, i): sums of up to two pieces or projectives of the stable
+    pool, i in 0..4."""
+    alg, pieces, projs = stable_pool(draw(st.sampled_from(STABLE_FAMILIES)),
+                                     draw(st.sampled_from(sorted(FIELDS))))
+    parts = st.lists(st.sampled_from(pieces + projs), max_size=2)
+    return (_sum(alg, draw(parts)), _sum(alg, draw(parts)),
+            draw(st.integers(0, 4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ext_cases())
+def test_ext_from_hom_dimensions_matches_the_dual_differentials(case):
+    _check_ext(*case)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_ext_agrees_on_every_jordan_pair(field):
+    """Every pair of Jordan modules of k[x]/(x^4), their syzygies, zero and
+    the projective, in degrees 0..4; both answers occur in degree >= 1."""
+    alg, pieces, projs = stable_pool("jordan", field)
+    mods = pieces + projs
+    seen = {_check_ext(M, N, i) > 0 for M in mods for N in mods
+            for i in range(1, 5)}
+    assert seen == {True, False}
+    for M in mods:
+        for N in mods:
+            _check_ext(M, N, 0)
