@@ -167,8 +167,7 @@ def module_from_json(obj, alg: BoundQuiverAlgebra) -> Representation:
             if a is None:
                 raise InputError(f"unknown arrow {aid!r} in module")
             data = [[f.from_str(x) for x in row] for row in rows]
-            action[aid] = Matrix(f, dims.get(a.src, 0), dims.get(a.tgt, 0),
-                                 data)
+            action[aid] = Matrix.from_rows(f, data, dims.get(a.tgt, 0))
         return Representation(alg, dims, action)
     except InputError:
         raise
@@ -273,14 +272,15 @@ class Loader:
             claims = [str(c) for c in obj.get("claims", [])]
         except (KeyError, TypeError, ValueError) as e:
             raise InputError(f"malformed subcat JSON: {e}")
-        apath = algebra_path if algebra_path else path.parent / alg_ref
-        alg = self.algebra(Path(apath))
+        apath = Path(algebra_path if algebra_path
+                     else path.parent / alg_ref).resolve()
+        alg = self.algebra(apath)
         gens, labels = [], []
         for ref in gen_refs:
             mpath = path.parent / ref
             mobj = _read_json(mpath)
             own = (mpath.parent / mobj.get("algebra", alg_ref)).resolve()
-            if own != Path(apath).resolve() and algebra_path is None:
+            if own != apath and algebra_path is None:
                 raise InputError(
                     f"{mpath} references a different algebra file")
             gens.append(module_from_json(mobj, alg))

@@ -53,16 +53,23 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+_FIELDS: dict = {}
+
+
 class Field:
     """A field spec: kind 'rational' or 'prime' with modulus p.
 
     Scalars are Fraction for the rationals and plain ints in [0, p) for F_p.
-    The methods keep every value in canonical reduced form.
+    The methods keep every value in canonical reduced form.  There is one
+    instance per field: ``Field("prime", 5)`` returns the same object every
+    time, so every matrix over a field shares its ``zero`` (identity checks
+    skip it) and its empty matrices (``empties``, one per shape; see
+    ``Matrix``), equality is identity, and no field is ever garbage.
     """
 
-    __slots__ = ("kind", "p", "zero", "one")
+    __slots__ = ("kind", "p", "zero", "one", "empties")
 
-    def __init__(self, kind: str, p: int | None = None):
+    def __new__(cls, kind: str, p: int | None = None):
         if kind == "rational":
             if p is not None:
                 raise FieldError("rational field takes no modulus")
@@ -71,16 +78,18 @@ class Field:
                 raise FieldError(f"modulus must be prime, got {p!r}")
         else:
             raise FieldError(f"unknown field kind {kind!r}")
-        self.kind = kind
-        self.p = p
-        self.zero = Fraction(0) if kind == "rational" else 0
-        self.one = Fraction(1) if kind == "rational" else 1
+        fld = _FIELDS.get((kind, p))
+        if fld is None:
+            fld = _FIELDS[kind, p] = super().__new__(cls)
+            fld.kind = kind
+            fld.p = p
+            fld.zero = Fraction(0) if kind == "rational" else 0
+            fld.one = Fraction(1) if kind == "rational" else 1
+            fld.empties = {}
+        return fld
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Field) and (self.kind, self.p) == (other.kind, other.p)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.p))
+    def __reduce__(self):
+        return Field, (self.kind, self.p)
 
     def __repr__(self) -> str:
         return "Field(rational)" if self.kind == "rational" else f"Field(F_{self.p})"
@@ -138,8 +147,10 @@ class Matrix:
     Immutable after construction: the rows are tuples, so a row tuple passed
     in is kept as it is and may be shared between matrices (``zeros`` uses
     one row for all of its rows).  A 0xN or Nx0 matrix is legal and shows up
-    constantly (zero modules, empty Hom spaces).  Products (``act``, ``mul``)
-    do arithmetic only on the nonzero entries of their factors.
+    constantly (zero modules, empty Hom spaces); ``zeros``, ``identity``,
+    ``from_rows``, ``mul`` and ``transpose`` return one shared instance per
+    field and shape for it.  Products (``act``, ``mul``) do arithmetic only on the nonzero
+    entries of their factors.
     """
 
     __slots__ = ("field", "rows", "cols", "entries")
@@ -159,10 +170,14 @@ class Matrix:
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> Matrix:
+        if not rows or not cols:
+            return _empty(field, rows, cols)
         return Matrix(field, rows, cols, [(field.zero,) * cols] * rows)
 
     @staticmethod
     def identity(field: Field, n: int) -> Matrix:
+        if not n:
+            return _empty(field, 0, 0)
         z, o = field.zero, field.one
         return Matrix(field, n, n,
                       [[o if i == j else z for j in range(n)] for i in range(n)])
@@ -173,6 +188,10 @@ class Matrix:
             if not rows:
                 raise ValueError("cols required for a rowless matrix")
             cols = len(rows[0])
+        if not rows or not cols:
+            if any(rows):
+                raise ValueError(f"entry shape does not match {len(rows)}x0")
+            return _empty(field, len(rows), cols)
         return Matrix(field, len(rows), cols, rows)
 
     def __eq__(self, other: object) -> bool:
@@ -217,6 +236,8 @@ class Matrix:
     def mul(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        if not self.rows or not other.cols:
+            return _empty(self.field, self.rows, other.cols)
         return Matrix(self.field, self.rows, other.cols,
                       [other.act(ri) for ri in self.entries])
 
@@ -233,6 +254,8 @@ class Matrix:
                       [[f.mul(c, a) for a in r] for r in self.entries])
 
     def transpose(self) -> Matrix:
+        if not self.rows or not self.cols:
+            return _empty(self.field, self.cols, self.rows)
         return Matrix(self.field, self.cols, self.rows,
                       [[self.entries[i][j] for i in range(self.rows)]
                        for j in range(self.cols)])
@@ -240,6 +263,14 @@ class Matrix:
     def _same_shape(self, other: Matrix) -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+
+
+def _empty(field: Field, rows: int, cols: int) -> Matrix:
+    """The shared rows x cols matrix with rows or cols 0, kept on the field."""
+    m = field.empties.get((rows, cols))
+    if m is None:
+        m = field.empties[rows, cols] = Matrix(field, rows, cols, ((),) * rows)
+    return m
 
 
 def _eliminate(field: Field, sp: list[dict], ncols: int) -> list[int]:

@@ -10,6 +10,16 @@ Syzygy maps read the matrices; only ``ProjectiveResolution``, ``ext``,
 ``StableHomSpace`` and ``stab.standard_triangle`` wrap them in a morphism.
 The inclusion points into the cover, never back at the module.
 
+A kernel is a reduced-echelon submodule of its cover, so the syzygies of
+different modules often come out as equal matrices.  Each new syzygy is
+looked up by its content (dimension vector and arrow entries) in a weak
+pool in its algebra's ``cache``; an equal syzygy that is alive is used in
+its place, with the inclusion re-pointed to it, so one instance carries one
+cover step and one set of memos.  A pool hit never closes an orbit: when
+the pooled module's chain of cached steps leads back to the module being
+stepped, the fresh kernel is kept, so an orbit that closes in content stays
+a chain of objects and is freed by reference counting.
+
 Dimensions are read from Hom dimensions of one cached cover step, with no
 basis and no constraint builder beyond ``rep.hom_dim``'s.  A stable Hom
 dimension comes from the exact sequence 0 -> Hom(A, Omega B) ->
@@ -50,7 +60,7 @@ reference cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .exact_linalg import (
     InternalCheckFailed, Matrix, _sparse_rows, echelon_solve, rref,
@@ -75,14 +85,51 @@ def _step(M: Representation) -> tuple:
     """The cached (cover, eps matrices, syzygy, inclusion) of one step.
 
     eps is kept as its per-vertex matrices, not as a morphism onto M, so
-    nothing cached on M points back at M.
+    nothing cached on M points back at M.  The syzygy is looked up by its
+    content in its algebra's weak pool (``_pooled``): an equal syzygy that
+    is alive is returned instead, with the inclusion re-pointed to it, so
+    its cached step and memos serve M too.  A pool hit never closes an
+    orbit: when the pooled syzygy's cached chain leads back to M, the fresh
+    kernel is kept.
     """
     data = getattr(M, "_syzygy_step", None)
     if data is None:
         cover, eps = projective_cover(M)
         K, inc = kernel(eps)
+        same = _pooled(K, M)
+        if same is not K:
+            K, inc = same, RepMorphism(same, cover.rep, inc.mats, check=False)
         data = M._syzygy_step = (cover, eps.mats, K, inc)
     return data
+
+
+def _pooled(K: Representation, M: Representation) -> Representation:
+    """The live syzygy with the content of K, or else K itself.
+
+    K is registered when the pool holds no module of its content.
+    The content is the dimension vector and each arrow's entries, in the
+    algebra's order.  The pool is a ``WeakValueDictionary`` in the
+    algebra's cache, so it keeps no module alive.  A pooled module whose
+    chain of cached steps reaches M, the module being stepped, is passed
+    over: returning it would make M's step point back at M.
+    """
+    alg = K.algebra
+    pool = alg.cache.get("syzygies")
+    if pool is None:
+        pool = alg.cache["syzygies"] = WeakValueDictionary()
+    key = (tuple(K.dims[v] for v in alg.quiver.vertices),
+           tuple(K.action[a.id].entries for a in alg.quiver.arrows))
+    same = pool.get(key)
+    if same is None:
+        pool[key] = K
+        return K
+    cur = same
+    while cur is not None:
+        if cur is M:
+            return K
+        step = getattr(cur, "_syzygy_step", None)
+        cur = step[2] if step else None
+    return same
 
 
 def _pair_memo(attr: str, A: Representation, B: Representation, compute):
@@ -368,9 +415,13 @@ def _matches_stably(A: Representation, B: Representation) -> bool:
     and has kernel zero (Auslander-Reiten-Smalo, *Representation Theory of
     Artin Algebras*, IV.1).  So syzygies with different dimension vectors,
     or different ``stable_end_dim``s, reject the pair with no Hom system;
-    ``rep.stable_iso`` decides the rest.
+    ``rep.stable_iso`` decides the rest.  A module matches itself at once,
+    which the syzygy pool of ``_step`` makes common.
     """
     from .rep import stable_iso
+
+    if A is B:
+        return True
 
     def decide(A, B):
         za, zb = is_stably_zero_module(A), is_stably_zero_module(B)

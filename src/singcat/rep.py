@@ -156,7 +156,7 @@ def direct_sum(reps: Sequence[Representation]) -> Representation:
             left += r.dims[w]
             post = (z,) * (width - left)
             rows.extend(pre + row + post for row in r.action[a.id].entries)
-        action[a.id] = Matrix(alg.field, dims[u], width, rows)
+        action[a.id] = Matrix.from_rows(alg.field, rows, width)
     return Representation._wrap(alg, dims, action)
 
 
@@ -679,8 +679,9 @@ def universal_right_approximation(gens: Sequence[Representation],
     if not pieces:
         return RepMorphism(zero_rep(alg), N, {}, check=False)
     S = direct_sum(srcs)
-    mats = {v: Matrix(alg.field, S.dims[v], N.dims[v],
-                      [r for b in pieces for r in b.mats[v].entries])
+    mats = {v: Matrix.from_rows(alg.field,
+                                [r for b in pieces for r in b.mats[v].entries],
+                                N.dims[v])
             for v in alg.quiver.vertices}
     return RepMorphism(S, N, mats, check=False)
 
@@ -793,7 +794,7 @@ def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:
     into = [(g, hom(g, M).basis) for g in gens]
     for v in alg.quiver.vertices:
         rows = [r for _, bs in into for b in bs for r in b.mats[v].entries]
-        if rank(Matrix(f, len(rows), M.dims[v], rows)) != M.dims[v]:
+        if rank(Matrix.from_rows(f, rows, M.dims[v])) != M.dims[v]:
             return False
     return _identity_in_trace(
         M, [(hom(M, g).basis, bs) for g, bs in into if bs])

@@ -9,7 +9,9 @@ The left approximations and coresolutions are built on A itself, by the
 column join and the cokernel walk that ``tilting`` now reads off A^op.
 Ext is computed as ker d_{i+1}* / im d_i* from the dual differentials in
 generator coordinates, where ``homology`` now reads it from Hom dimensions
-by dimension shifting.  Written for clarity and not for speed.
+by dimension shifting.  ``step_unpooled`` is the cover step with a fresh
+kernel every time, where ``homology._step`` shares content-identical
+syzygies.  Written for clarity and not for speed.
 """
 
 from singcat.exact_linalg import (
@@ -22,8 +24,9 @@ from singcat.homology import (
 )
 from singcat.rep import (
     RepMorphism, Representation, _morphism_from_vec, _path_images,
-    add_membership, cokernel, direct_sum, hom, injectives, projective_module,
-    projectives, simple_module, stable_iso, zero_rep,
+    add_membership, cokernel, direct_sum, hom, injectives, kernel,
+    projective_cover, projective_module, projectives, simple_module,
+    stable_iso, zero_rep,
 )
 from singcat.stab import GpCertificate
 from singcat.tilting import (
@@ -178,6 +181,17 @@ def matches_stably_by_dimensions(A, B):
         return False
     return (stable_hom(A, B).dim > 0 and stable_hom(B, A).dim > 0
             and stable_iso(A, B))
+
+
+def step_unpooled(M):
+    """The cached (cover, eps matrices, syzygy, inclusion) of one step, with
+    the kernel of M's own cover as the syzygy: no module is shared."""
+    data = getattr(M, "_syzygy_step", None)
+    if data is None:
+        cover, eps = projective_cover(M)
+        K, inc = kernel(eps)
+        data = M._syzygy_step = (cover, eps.mats, K, inc)
+    return data
 
 
 def verify_dZ_closure_pairwise(spec):

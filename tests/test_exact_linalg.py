@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -24,6 +26,16 @@ def test_field_construction():
         Field("prime", 1)
     with pytest.raises(FieldError):
         Field("real")
+
+
+def test_one_field_instance_per_field():
+    assert rational_field() is Field("rational")
+    assert prime_field(101) is Field("prime", 101)
+    assert prime_field(101) is not prime_field(2)
+    assert rational_field() != prime_field(2)
+    assert pickle.loads(pickle.dumps(prime_field(7))) is prime_field(7)
+    m = Matrix.identity(rational_field(), 2)
+    assert copy.deepcopy(m).field is m.field
 
 
 def test_field_arithmetic_round_trips():
@@ -146,6 +158,22 @@ def test_zeros_shapes(f, r, c):
 # -- differential test of the sparse kernel against dense Gauss-Jordan ----
 
 FIELDS = (rational_field(), prime_field(2), prime_field(101))
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=("Q", "F2", "F101"))
+def test_empty_matrices_are_shared_per_field_and_shape(f):
+    assert Matrix.zeros(f, 0, 3) is Matrix.from_rows(f, [], 3)
+    assert Matrix.zeros(f, 2, 0) is Matrix.from_rows(f, [(), []])
+    assert Matrix.identity(f, 0) is Matrix.zeros(f, 0, 0)
+    assert Matrix.zeros(f, 0, 3) is not Matrix.zeros(f, 3, 0)
+    assert Matrix.zeros(f, 0, 3).transpose() is Matrix.zeros(f, 3, 0)
+    a = Matrix.identity(f, 2)
+    assert a.mul(Matrix.zeros(f, 2, 0)) is Matrix.zeros(f, 2, 0)
+    assert Matrix.zeros(f, 0, 2).mul(a) is Matrix.zeros(f, 0, 2)
+    assert Matrix.zeros(f, 2, 0).field is f
+    # an Nx0 matrix has empty rows only
+    with pytest.raises(ValueError):
+        Matrix.from_rows(f, [(), (f.one,)], 0)
 
 
 @st.composite

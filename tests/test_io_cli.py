@@ -137,6 +137,24 @@ def test_module_relation_violation_rejected(tmp_path):
         module_from_json(obj, alg)
 
 
+@pytest.mark.parametrize("example,module,arrow,rows", [
+    ("kx2", "m_P", "a0", [["0", "1"]]),                  # too few rows
+    ("kx2", "m_P", "a0", [["0", "1"], ["0", "0"], ["0", "0"]]),
+    ("kx2", "m_P", "a0", [["0"], ["0"]]),                # too narrow
+    ("hereditary-a2", "m_Su", "a", [["1"]]),             # an entry into v = 0
+    ("hereditary-a2", "m_Su", "a", [[], []]),            # a row where u = 1
+])
+def test_module_arrow_shape_mismatch_rejected(tmp_path, example, module,
+                                              arrow, rows):
+    emit_examples(example, tmp_path, rational_field())
+    obj = json.loads((tmp_path / f"{module}.json").read_text())
+    obj["arrows"][arrow] = rows
+    alg = Loader().algebra(tmp_path / "algebra.json")
+    from singcat.cli import InputError
+    with pytest.raises(InputError):
+        module_from_json(obj, alg)
+
+
 def test_random_module_survives_round_trip(kx2_dir):
     rng = random.Random(3)
     alg = Loader().algebra(kx2_dir / "algebra.json")

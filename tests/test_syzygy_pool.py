@@ -1,0 +1,212 @@
+"""The syzygy pool of ``homology._step``.
+
+A syzygy whose matrices equal those of a live syzygy of the same algebra is
+that instance, so its cover step and memos are computed once.  Answers must
+equal those of a fresh kernel per step (``pairwise_reference.step_unpooled``),
+and an orbit that closes in content must stay a chain of objects, freed by
+reference counting.
+"""
+
+from __future__ import annotations
+
+import gc
+import random
+import weakref
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from singcat import homology
+from singcat.exact_linalg import Matrix, prime_field, rational_field
+from singcat.homology import (
+    _matches_stably, _stable_dim, ext_dim, pd_certificate, syzygy,
+)
+from singcat.quiver_algebra import (
+    nakayama2_tilde, nakayama_cyclic, orbit_grid_algebra, valid_triples_window,
+)
+from singcat.rep import (
+    RepMorphism, Representation, direct_sum, interval_module,
+)
+from singcat.stab import OrbitNotResolved, skeleton
+from singcat.tilting import SubcatSpec
+
+from pairwise_reference import step_unpooled
+
+FIELDS = [rational_field(), prime_field(2), prime_field(101)]
+KS = (3, 2, 3, 3)
+TRIPLES = valid_triples_window(KS, 0, len(KS))
+SCALARS = (1, -1, 2, -2, 3, -3)
+
+
+def jordan_module(alg, i):
+    """k[x]/(x^i) as a module over k[x]/(x^n), i <= n."""
+    f = alg.field
+    rows = [[f.one if c == r + 1 else f.zero for c in range(i)]
+            for r in range(i)]
+    return Representation(alg, {"0": i}, {"a0": Matrix.from_rows(f, rows, i)})
+
+
+def _twisted(M, rng):
+    """M in a monomial basis: at each vertex a permutation times nonzero
+    scalars, so entry (i, k) of an arrow u -> w becomes
+    s_u[i] / s_w[k] * A[pi_u(i)][pi_w(k)]."""
+    f = M.algebra.field
+    units = [f.of_int(s) for s in SCALARS if f.of_int(s)]
+    perm, scal = {}, {}
+    for v, d in M.dims.items():
+        perm[v] = rng.sample(range(d), d)
+        scal[v] = [rng.choice(units) for _ in range(d)]
+    action = {}
+    for a in M.algebra.quiver.arrows:
+        u, w, A = a.src, a.tgt, M.action[a.id]
+        action[a.id] = Matrix.from_rows(f, [
+            [f.div(f.mul(scal[u][i], A.entries[perm[u][i]][perm[w][k]]),
+                   scal[w][k]) for k in range(M.dims[w])]
+            for i in range(M.dims[u])], M.dims[w])
+    return Representation(M.algebra, M.dims, action, check=True)
+
+
+def _modules(fld, family, picks, seed):
+    """A fresh algebra, the picked modules and d.
+
+    A pick is (summand indices, twist flag): the direct sum of one or two
+    base modules, twisted when flagged.  Sums give syzygies with equal
+    dimension vectors and different matrices, such as those of J_1 + J_3
+    and J_2 + J_2 over k[x]/(x^5).
+    """
+    rng = random.Random(seed)
+    if family == "jordan":
+        alg = nakayama_cyclic((5,), fld)
+        base = [jordan_module(alg, i) for i in range(1, 6)]
+        d = 1
+    else:
+        alg = orbit_grid_algebra(KS, fld)
+        base = [interval_module(alg, t) for t in TRIPLES]
+        d = 2
+    mods = []
+    for idx, tw in picks:
+        M = direct_sum([base[i] for i in idx]) if len(idx) > 1 else base[idx[0]]
+        mods.append(_twisted(M, rng) if tw else M)
+    return alg, mods, d
+
+
+def _answers(fld, family, picks, seed, pairs=6):
+    """pd certificates and skeleton of the picked modules, and Ext^1, Ext^2,
+    stable Hom dimensions and stable-class verdicts of the first ``pairs``."""
+    alg, mods, d = _modules(fld, family, picks, seed)
+    out = {"pd": [pd_certificate(M, 12) for M in mods], "ext": [],
+           "stable": []}
+    few = mods[:pairs]
+    for A in few:
+        for B in few:
+            out["ext"].append((ext_dim(A, B, 1), ext_dim(A, B, 2)))
+            out["stable"].append((_stable_dim(A, B), _matches_stably(A, B)))
+    labels = [f"g{k}" for k in range(len(mods))]
+    try:
+        r = skeleton(SubcatSpec(alg, mods, d, labels=labels), horizon=12)
+    except OrbitNotResolved as e:
+        out["skeleton"] = ("unresolved", e.label)
+    else:
+        out["skeleton"] = (
+            r.count, r.hom_matrix, r.zero_classes, r.membership,
+            r.identification,
+            [(c.cycle_labels, c.orbit_length, c.shift_period,
+              c.representative.shift) for c in r.classes])
+    return out
+
+
+def _pooled_and_fresh(*args, **kwargs):
+    pooled = _answers(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_step", step_unpooled)
+        fresh = _answers(*args, **kwargs)
+    return pooled, fresh
+
+
+@settings(max_examples=30, deadline=None)
+@given(fld=st.sampled_from(FIELDS), family=st.sampled_from(["jordan", "tilde"]),
+       data=st.data())
+def test_pooled_answers_match_fresh_kernels(fld, family, data):
+    size = 5 if family == "jordan" else len(TRIPLES)
+    index = st.integers(0, size - 1)
+    picks = data.draw(st.lists(
+        st.tuples(st.lists(index, min_size=1, max_size=2), st.booleans()),
+        min_size=1, max_size=6))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    pooled, fresh = _pooled_and_fresh(fld, family, picks, seed)
+    assert pooled == fresh
+
+
+@pytest.mark.parametrize("family,size", [("jordan", 5),
+                                         ("tilde", len(TRIPLES))])
+@pytest.mark.parametrize("fld", FIELDS, ids=repr)
+def test_pooled_skeleton_of_twisted_spec_matches_fresh_kernels(fld, family,
+                                                                size):
+    """Every generator, every other one twisted, in a shuffled order."""
+    order = random.Random(size).sample(range(size), size)
+    picks = [([i], k % 2 == 1) for k, i in enumerate(order)]
+    pooled, fresh = _pooled_and_fresh(fld, family, picks, 7, pairs=3)
+    assert pooled == fresh
+    assert pooled["skeleton"][0] == (4 if family == "jordan" else 3)
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=repr)
+def test_equal_first_syzygies_share_one_instance(fld):
+    alg = nakayama_cyclic((4,), fld)
+    z, o = fld.zero, fld.one
+    A = jordan_module(alg, 2)
+    # J_2 in the reversed basis: other matrices, the same kernel of P -> J_2
+    B = Representation(alg, {"0": 2},
+                       {"a0": Matrix.from_rows(fld, [[z, z], [o, z]], 2)})
+    assert A.action != B.action
+    K = syzygy(A)
+    assert syzygy(B) is K
+    for k in range(1, 5):
+        assert syzygy(B, k) is syzygy(A, k)
+    # B's inclusion is re-pointed to the shared syzygy, into B's own cover
+    cover, eps, KB, inc = homology._step(B)
+    assert inc.src is K and inc.tgt is cover.rep
+    inc = RepMorphism(K, cover.rep, inc.mats, check=True)
+    assert inc.compose(RepMorphism(cover.rep, B, eps, check=True)).is_zero()
+    assert _matches_stably(K, syzygy(B))
+
+
+@pytest.mark.parametrize("n,i,period", [(4, 2, 1), (3, 1, 2), (5, 2, 2)])
+def test_orbit_closing_in_content_stays_acyclic(n, i, period):
+    alg = nakayama_cyclic((n,), rational_field())
+    M = jordan_module(alg, i)
+    orbit = [syzygy(M, k) for k in range(1, 3 * period + 2)]
+    # the orbit closes in content ...
+    assert orbit[period].action == orbit[0].action
+    assert orbit[period].dims == orbit[0].dims
+    # ... but every member is its own object, so the chain has no cycle
+    assert len({id(K) for K in orbit}) == len(orbit)
+    gc.collect()
+    gc.disable()
+    try:
+        refs = [weakref.ref(K) for K in [M] + orbit]
+        del M, orbit
+        alive = sum(r() is not None for r in refs)
+        assert alive == 0, f"{alive} of {len(refs)} modules kept alive"
+    finally:
+        gc.enable()
+
+
+# Each cover step of one a2-tilde-3233 skeleton is a projective_cover call;
+# with content-identical syzygies shared there are 47 (88 without).
+TILDE_SKELETON_COVER_STEPS = 47
+
+
+def test_tilde_skeleton_cover_step_budget(monkeypatch):
+    calls = []
+    orig = homology.projective_cover
+
+    def counting(M):
+        calls.append(M)
+        return orig(M)
+
+    monkeypatch.setattr(homology, "projective_cover", counting)
+    _, spec = nakayama2_tilde(KS, len(KS), rational_field())
+    assert skeleton(spec).count == 3
+    assert len(calls) <= TILDE_SKELETON_COVER_STEPS
