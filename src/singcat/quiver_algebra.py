@@ -144,10 +144,10 @@ class BoundQuiverAlgebra:
     sparse vector {basis key: coefficient} one degree up; walking a word
     through ``mult`` is how all products and module actions are evaluated.
     ``cache`` holds data derived from the algebra: the dimensions and
-    actions of its projective, injective and regular modules, which do not
-    point back at it, and its opposite, which does (the two cache each
-    other), so ``clear_cache`` lets an algebra whose opposite was built be
-    freed without the cyclic collector.
+    actions of its projective, injective and regular modules and of the
+    rad P(v) and I(v)/soc, which do not point back at it, and its opposite,
+    which does (the two cache each other), so ``clear_cache`` lets an
+    algebra whose opposite was built be freed without the cyclic collector.
     """
 
     def __init__(self, quiver: Quiver, relations: Sequence[RelationElement],

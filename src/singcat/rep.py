@@ -28,7 +28,9 @@ from .exact_linalg import (
     Field, InternalCheckFailed, Matrix, _eliminate, echelon_solve, kernel_basis,
     rank, rref, sparse_kernel, sparse_rank, sparse_span_contains,
 )
-from .quiver_algebra import BoundQuiverAlgebra, PathKey, valid_triple
+from .quiver_algebra import (
+    BoundQuiverAlgebra, PathKey, opposite_algebra, valid_triple,
+)
 
 
 class AlgebraMismatch(ValueError):
@@ -519,16 +521,44 @@ def projectives(algebra: BoundQuiverAlgebra) -> list[tuple[str, Representation]]
     return [(v, projective_module(algebra, v)) for v in algebra.quiver.vertices]
 
 
-def regular_module(algebra: BoundQuiverAlgebra) -> Representation:
-    """The regular module A_A, the direct sum of the P(v) in vertex order.
-
-    Cached like ``projective_module``: dimensions and action, not the module.
-    """
-    data = algebra.cache.get("regular")
+def _cached(algebra: BoundQuiverAlgebra, key, build) -> Representation:
+    """The module ``build()`` makes, cached under ``key`` like
+    ``projective_module``: dimensions and action, not the module."""
+    data = algebra.cache.get(key)
     if data is None:
-        A = direct_sum([p for _, p in projectives(algebra)])
-        data = algebra.cache["regular"] = (A.dims, A.action)
+        M = build()
+        data = algebra.cache[key] = (M.dims, M.action)
     return Representation._wrap(algebra, *data)
+
+
+def regular_module(algebra: BoundQuiverAlgebra) -> Representation:
+    """The regular module A_A, the direct sum of the P(v) in vertex order."""
+    return _cached(algebra, "regular",
+                   lambda: direct_sum([p for _, p in projectives(algebra)]))
+
+
+def projective_radical(algebra: BoundQuiverAlgebra, v: str) -> Representation:
+    """rad P(v): P(v) without the basis row of its trivial path (v, ()).
+
+    The trivial path is no multiple of an arrow, so its column in the
+    action of an arrow into v is zero, and it is dropped as well.
+    """
+    def build():
+        P = projective_module(algebra, v)
+        i = algebra.basis(v, v).index((v, ()))
+        dims = {**P.dims, v: P.dims[v] - 1}
+        action = dict(P.action)
+        for a in algebra.quiver.arrows:
+            if v in (a.src, a.tgt):
+                rows = P.action[a.id].entries
+                if a.src == v:
+                    rows = rows[:i] + rows[i + 1:]
+                if a.tgt == v:
+                    rows = [r[:i] + r[i + 1:] for r in rows]
+                action[a.id] = Matrix.from_rows(algebra.field, rows,
+                                                dims[a.tgt])
+        return Representation._wrap(algebra, dims, action)
+    return _cached(algebra, ("radical", v), build)
 
 
 def dual_module(algebra: BoundQuiverAlgebra, M: Representation) -> Representation:
@@ -551,18 +581,15 @@ def dual_module(algebra: BoundQuiverAlgebra, M: Representation) -> Representatio
 
 
 def injective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
-    """Indecomposable injective with socle at v.
+    """Indecomposable injective with socle at v: D of P(v) over A^op."""
+    return _cached(algebra, ("injective", v), lambda: dual_module(
+        algebra, projective_module(opposite_algebra(algebra), v)))
 
-    Cached like ``projective_module``: dimensions and action, not the module.
-    """
-    key = ("injective", v)
-    data = algebra.cache.get(key)
-    if data is None:
-        from .quiver_algebra import opposite_algebra
-        op = opposite_algebra(algebra)
-        I = dual_module(algebra, projective_module(op, v))
-        data = algebra.cache[key] = (I.dims, I.action)
-    return Representation._wrap(algebra, *data)
+
+def injective_mod_socle(algebra: BoundQuiverAlgebra, v: str) -> Representation:
+    """I(v)/soc I(v): D of rad P(v) over A^op."""
+    return _cached(algebra, ("injective/soc", v), lambda: dual_module(
+        algebra, projective_radical(opposite_algebra(algebra), v)))
 
 
 def injectives(algebra: BoundQuiverAlgebra) -> list[tuple[str, Representation]]:

@@ -13,17 +13,18 @@ checks both Ext-orthogonality equalities against it.
 Two facts keep the checks small.  First, add G generates mod A iff every
 projective P(v) is a quotient of add G, and cogenerates iff every injective
 I(v) embeds in add G (Auslander-Reiten-Smalo, *Representation Theory of
-Artin Algebras*); so generation tests the projectives only, and
-cogeneration the injectives, with the projectives scanned only to name
-the first failure.  Second, Ext^t(M, X_1 + ... + X_n) is the direct sum
-of the Ext^t(M, X_k), so whether Ext^t(M, -) vanishes on a whole list is
-one ``ext_dim`` against the direct sum; the pairs are scanned only when it
-is nonzero, to name the first witness.
+Artin Algebras*).  P(v) has a simple top and I(v) a simple socle, so each
+test is a comparison of two Hom dimensions against one generator, with no
+approximation built; the projectives are scanned by approximations only
+to name the first cogeneration failure.  Second, Ext^t(M, X_1 + ... + X_n)
+is the direct sum of the Ext^t(M, X_k), so whether Ext^t(M, -) vanishes on
+a whole list is one ``ext_dim`` against the direct sum; the pairs are
+scanned only when it is nonzero, to name the first witness.
 
 The left side is the dual of the right side: D = Hom_k(-, k) takes mod A
 to mod A^op and exchanges monos and epis, kernels and cokernels, left and
 right approximations.  Left approximations, d-coresolutions and the
-cogeneration test are D of right ones over A^op with respect to DG.
+cogeneration failure scan are D of right ones over A^op with respect to DG.
 """
 
 from __future__ import annotations
@@ -40,8 +41,11 @@ from .rep import (
     direct_sum,
     dual_module,
     hom_dim,
-    injectives,
+    injective_mod_socle,
+    injective_module,
     kernel,
+    projective_module,
+    projective_radical,
     projectives,
     stable_add_membership,
     top_generators,
@@ -198,7 +202,7 @@ def verify_rigid(spec: SubcatSpec) -> Check:
     return Check(True)
 
 
-def _first_failure(tests: list[tuple[str, Representation]], passes,
+def _first_failure(tests: list[tuple[str, object]], passes,
                    note: str) -> Check:
     for name, T in tests:
         if not passes(T):
@@ -206,33 +210,48 @@ def _first_failure(tests: list[tuple[str, Representation]], passes,
     return Check(True)
 
 
+def _fits(g: Representation, T: Representation) -> bool:
+    # only a g at least as large as T at every vertex maps onto T or
+    # takes T in one-to-one
+    return all(g.dims[w] >= n for w, n in T.dims.items())
+
+
 def verify_gen_cogen(spec: SubcatSpec) -> dict[str, Check]:
-    """Right approximations are onto, left approximations are injective.
+    """Does add G generate and cogenerate mod A?  Decided by Hom dimensions.
 
-    add G generates mod A iff every P(v) is a quotient of add G, and
-    cogenerates iff every I(v) embeds in add G, so generation scans the
-    projectives and cogeneration the injectives.  A failure is named by
-    the first failing test module in the order P(v), then I(v): generation
-    can fail only at a projective, and a failed cogeneration scans the
-    projectives before reporting its injective.  A simple S(v) never fails
-    first, since it is a quotient of P(v) and embeds in I(v).
+    add G generates iff every P(v) is a quotient of add G, and cogenerates
+    iff every I(v) embeds in it.  P(v) is local, so a map onto P(v) is one
+    that misses rad P(v): P(v) is a quotient iff some generator g,
+    decomposable or not, has hom_dim(g, P(v)) > hom_dim(g, rad P(v)).  The
+    socle of I(v) is simple and essential, and Hom(-, g) is left exact:
+    I(v) embeds iff hom_dim(I(v), g) > hom_dim(I(v)/soc, g) for some g.
+    A failure is named by the first failing test module in the order P(v),
+    then I(v): a failed cogeneration scans the projectives, by
+    approximations over A^op, before reporting its injective.  A simple
+    S(v) never fails first, as a quotient of P(v) that embeds in I(v).
     """
-    dspec = _dual_spec(spec)
-    proj = [(f"P({v})", p) for v, p in projectives(spec.algebra)]
-    # T -> add G is one-to-one iff its dual DG -> DT is onto, and D I(v)
-    # and D P(v) are the cached P(v) and I(v) of A^op, same vertex order
-    dinj = [(f"I({v})", p) for v, p in projectives(dspec.algebra)]
-    dproj = [(f"P({v})", i) for v, i in injectives(dspec.algebra)]
+    alg, gens = spec.algebra, spec.generators
 
-    def covered(s: SubcatSpec):
-        return lambda T: _is_epi(right_approximation(s, T))
+    def onto(v):
+        P, R = projective_module(alg, v), projective_radical(alg, v)
+        return any(_fits(g, P) and hom_dim(g, P) > hom_dim(g, R) for g in gens)
 
-    generating = _first_failure(proj, covered(spec),
+    def into(v):
+        I, Q = injective_module(alg, v), injective_mod_socle(alg, v)
+        return any(_fits(g, I) and hom_dim(I, g) > hom_dim(Q, g) for g in gens)
+
+    vs = alg.quiver.vertices
+    generating = _first_failure([(f"P({v})", v) for v in vs], onto,
                                 "right approximation is not onto")
     note = "left approximation is not injective"
-    cogenerating = _first_failure(dinj, covered(dspec), note)
+    cogenerating = _first_failure([(f"I({v})", v) for v in vs], into, note)
     if not cogenerating.ok:
-        first = _first_failure(dproj, covered(dspec), note)
+        # T -> add G is one-to-one iff its dual DG -> DT is onto, and D P(v)
+        # is the cached I(v) of A^op, same vertex order
+        dspec = _dual_spec(spec)
+        first = _first_failure(
+            [(f"P({v})", injective_module(dspec.algebra, v)) for v in vs],
+            lambda T: _is_epi(right_approximation(dspec, T)), note)
         if not first.ok:
             cogenerating = first
     return {"generating": generating, "cogenerating": cogenerating}
@@ -246,13 +265,19 @@ def verify_dZ_closure(spec: SubcatSpec) -> Check:
     {h then eps : h in Hom(X, P_X)}, the maps through X's cached projective
     cover eps, which are exactly the composites through the projectives.
     The per-vertex rank pre-check of ``add_membership`` is not run; it never
-    fails when the projectives are generators.
+    fails when the projectives are generators.  A stably zero X lies in
+    add A, and generators share syzygy instances (``homology._step``), so
+    each distinct non-projective X is tested once.
     """
+    tested: list[Representation] = []
     for i, g in enumerate(spec.generators):
         X = syzygy(g, spec.d)
+        if any(X is Y for Y in tested) or is_stably_zero_module(X):
+            continue
         if not stable_add_membership(X, spec.generators):
             return Check(False, witness=spec.labels[i],
                          note="d-th syzygy escapes the additive closure")
+        tested.append(X)
     return Check(True)
 
 

@@ -50,18 +50,24 @@ from singcat.homology import (
 )
 from singcat.quiver_algebra import (
     Arrow, PathWord, Quiver, RelationElement, compute_basis, nakayama2_tilde,
-    nakayama_cyclic,
+    nakayama_cyclic, opposite_algebra,
 )
 from singcat.rep import (
     RepMorphism,
     Representation,
     _morphism_to_vec,
+    cokernel,
     direct_sum,
+    dual_module,
     hom,
+    hom_dim,
+    injective_mod_socle,
     injective_module,
+    injectives,
     is_isomorphic,
     is_projective,
     projective_module,
+    projective_radical,
     projectives,
     regular_module,
     simple_module,
@@ -223,6 +229,63 @@ def test_a_failing_projective_is_named_before_a_failing_injective():
     checks = verify_gen_cogen(spec)
     assert checks["cogenerating"].witness == "P(0)"
     assert checks == verify_gen_cogen_pairwise(spec)
+
+
+@st.composite
+def summed_specs(draw):
+    """A spec of one to six generators, each a direct sum of one or two
+    pool modules, projectives or injectives, d in 1..3."""
+    alg, mods = pool(draw(st.sampled_from(FAMILIES + ("two-loops",))),
+                     draw(st.sampled_from(sorted(FIELDS))))
+    pieces = ([m for _, m in mods] + [p for _, p in projectives(alg)]
+              + [i for _, i in injectives(alg)])
+    gens = draw(st.lists(st.lists(st.sampled_from(pieces), min_size=1,
+                                  max_size=2).map(direct_sum),
+                         min_size=1, max_size=6))
+    return SubcatSpec(alg, gens, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(summed_specs())
+def test_generation_and_cogeneration_of_sums_match_the_full_scan(spec):
+    """The Hom-dimension criterion against the approximations of every
+    P(v), I(v) and S(v), for decomposable generators: verdict, witness
+    and note."""
+    assert verify_gen_cogen(spec) == verify_gen_cogen_pairwise(spec)
+
+
+def _socle_quotient(I, v):
+    """I/soc I as the cokernel of the one map S(v) -> I, up to scalars."""
+    (f,) = hom(simple_module(I.algebra, v), I).basis
+    return cokernel(f)[0]
+
+
+@pytest.mark.parametrize("opposite", [False, True])
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("family", FAMILIES + ("two-loops",))
+def test_radical_builders_match_syzygy_and_cokernel(family, field, opposite):
+    """rad P(v) is Omega S(v) and I(v)/soc the cokernel of S(v) -> I(v):
+    the relations hold, the dimension vector is P(v) or I(v) minus e_v,
+    and Hom dimensions into and out of every pool module, projective and
+    injective agree, over A and over A^op (on the duals of the pool), over
+    every field."""
+    alg, mods = pool(family, field)
+    ms = [m for _, m in mods]
+    if opposite:
+        alg = opposite_algebra(alg)
+        ms = [dual_module(alg, m) for m in ms]
+    ms += [p for _, p in projectives(alg)] + [i for _, i in injectives(alg)]
+    for v in alg.quiver.vertices:
+        P, I = projective_module(alg, v), injective_module(alg, v)
+        for built, whole, ref in (
+                (projective_radical(alg, v), P, syzygy(simple_module(alg, v))),
+                (injective_mod_socle(alg, v), I, _socle_quotient(I, v))):
+            Representation(alg, built.dims, built.action, check=True)
+            assert built.dims == {w: n - (w == v)
+                                  for w, n in whole.dims.items()}
+            for M in ms:
+                assert hom_dim(built, M) == hom_dim(ref, M)
+                assert hom_dim(M, built) == hom_dim(M, ref)
 
 
 def _copy_candidates(family, field, n):

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from singcat import rep, tilting
 from singcat.exact_linalg import Matrix, rank
-from singcat.homology import ext, stable_hom, syzygy
+from singcat.homology import ext, is_stably_zero_module, stable_hom, syzygy
 from singcat.quiver_algebra import nakayama_cyclic, nakayama2_tilde
 from singcat.rep import (
     RepMorphism,
@@ -22,6 +23,7 @@ from singcat.rep import (
 from singcat.tilting import (
     ApproximationNotEpi,
     ApproximationNotMono,
+    Check,
     FinalTermNotInSubcategory,
     IncompleteIndecList,
     SubcatSpec,
@@ -116,6 +118,42 @@ def test_orbit_window_spec_passes_certificate_mode(orbit_spec):
     report = verify_cluster_tilting(orbit_spec, mode="certificate")
     assert report.verdict == "certificate_only"
     assert all(c.ok for c in report.checks.values())
+
+
+def test_passing_checks_build_no_hom_basis_and_test_each_syzygy_once(
+        orbit_spec, monkeypatch):
+    """A passing generation/cogeneration check compares Hom dimensions only,
+    and the closure check tests each distinct d-th syzygy instance that is
+    not projective once."""
+    homs, approximations, members = [], [], []
+    init = rep.HomSpace.__init__
+    approximate = tilting.universal_right_approximation
+    member = tilting.stable_add_membership
+
+    def counting_init(self, M, N):
+        homs.append((M, N))
+        init(self, M, N)
+
+    def counting_approximation(gens, N):
+        approximations.append(N)
+        return approximate(gens, N)
+
+    def counting_member(X, gens):
+        members.append(X)
+        return member(X, gens)
+
+    monkeypatch.setattr(rep.HomSpace, "__init__", counting_init)
+    monkeypatch.setattr(tilting, "universal_right_approximation",
+                        counting_approximation)
+    monkeypatch.setattr(tilting, "stable_add_membership", counting_member)
+    assert verify_gen_cogen(orbit_spec) == {"generating": Check(True),
+                                            "cogenerating": Check(True)}
+    assert homs == [] and approximations == []
+    assert verify_dZ_closure(orbit_spec) == Check(True)
+    syzygies = [syzygy(g, orbit_spec.d) for g in orbit_spec.generators]
+    distinct = {id(X) for X in syzygies if not is_stably_zero_module(X)}
+    assert sorted(map(id, members)) == sorted(distinct)
+    assert len(members) == 7
 
 
 def test_orbit_spec_stays_valid_after_adding_projectives(orbit_spec):
