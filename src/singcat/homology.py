@@ -18,7 +18,8 @@ its place, with the inclusion re-pointed to it, so one instance carries one
 cover step and one set of memos.  A pool hit never closes an orbit: when
 the pooled module's chain of cached steps leads back to the module being
 stepped, the fresh kernel is kept, so an orbit that closes in content stays
-a chain of objects and is freed by reference counting.
+a chain of objects and is freed by reference counting; each later lap
+reuses the cover step of its pooled twin (``_step``).
 
 Dimensions are read from Hom dimensions of one cached cover step, with no
 basis and no constraint builder beyond ``rep.hom_dim``'s.  A stable Hom
@@ -45,9 +46,10 @@ Two modules lie in one stable class iff they are isomorphic after adding
 projective summands, A + P = B + Q.  The minimal cover of a projective is
 itself, with kernel zero, so such a pair has Omega A = Omega B
 (Auslander-Reiten-Smalo, IV.1).  ``_matches_stably`` therefore rejects a
-pair whose cached syzygies differ in dimension vector, or whose stable
-endomorphism dimensions differ, before ``rep.stable_iso`` builds a Hom
-system; stably zero modules (zero or projective) are the one zero class.
+pair whose cached syzygies differ in dimension vector before
+``rep.stable_iso`` tries an isomorphism and then compares stable
+endomorphism dimensions; stably zero modules (zero or projective) are the
+one zero class, and modules with identical matrices match with no test.
 
 Stable Hom dimensions and stable-class verdicts are memoised per ordered
 module pair (``_pair_memo``), and dim Hom(A, P_v) per module and vertex
@@ -85,41 +87,50 @@ def _step(M: Representation) -> tuple:
     """The cached (cover, eps matrices, syzygy, inclusion) of one step.
 
     eps is kept as its per-vertex matrices, not as a morphism onto M, so
-    nothing cached on M points back at M.  The syzygy is looked up by its
-    content in its algebra's weak pool (``_pooled``): an equal syzygy that
-    is alive is returned instead, with the inclusion re-pointed to it, so
-    its cached step and memos serve M too.  A pool hit never closes an
-    orbit: when the pooled syzygy's cached chain leads back to M, the fresh
-    kernel is kept.
+    nothing cached on M points back at M.  A module with the content of a
+    pooled one with a cached step reuses it, with a fresh kernel.  The
+    syzygy is looked up in the pool (``_pooled``): an equal live syzygy is
+    returned instead, with the inclusion re-pointed to it, so its cached
+    step and memos serve M too, unless its cached chain leads back to M.
     """
     data = getattr(M, "_syzygy_step", None)
     if data is None:
-        cover, eps = projective_cover(M)
-        K, inc = kernel(eps)
+        step = getattr(_pool_entry(M)[2], "_syzygy_step", None)
+        if step is None:
+            cover, eps = projective_cover(M)
+            K, inc = kernel(eps)
+            eps = eps.mats
+        else:
+            cover, eps, K, inc = step
+            K = Representation._wrap(M.algebra, K.dims, K.action)
         same = _pooled(K, M)
-        if same is not K:
-            K, inc = same, RepMorphism(same, cover.rep, inc.mats, check=False)
-        data = M._syzygy_step = (cover, eps.mats, K, inc)
+        if same is not inc.src:
+            inc = RepMorphism(same, cover.rep, inc.mats, check=False)
+        data = M._syzygy_step = (cover, eps, same, inc)
     return data
+
+
+def _pool_entry(M: Representation) -> tuple:
+    """(the weak syzygy pool of M's algebra, M's content key, the live module
+    under it): the key is M's dimension vector and arrow entries."""
+    alg = M.algebra
+    pool = alg.cache.get("syzygies")
+    if pool is None:
+        pool = alg.cache["syzygies"] = WeakValueDictionary()
+    key = (tuple(M.dims[v] for v in alg.quiver.vertices),
+           tuple(M.action[a.id].entries for a in alg.quiver.arrows))
+    return pool, key, pool.get(key)
 
 
 def _pooled(K: Representation, M: Representation) -> Representation:
     """The live syzygy with the content of K, or else K itself.
 
-    K is registered when the pool holds no module of its content.
-    The content is the dimension vector and each arrow's entries, in the
-    algebra's order.  The pool is a ``WeakValueDictionary`` in the
-    algebra's cache, so it keeps no module alive.  A pooled module whose
-    chain of cached steps reaches M, the module being stepped, is passed
-    over: returning it would make M's step point back at M.
+    K is registered when the pool holds no module of its content.  The pool
+    keeps no module alive.  A pooled module whose chain of cached steps
+    reaches M, the module being stepped, is passed over: returning it would
+    make M's step point back at M.
     """
-    alg = K.algebra
-    pool = alg.cache.get("syzygies")
-    if pool is None:
-        pool = alg.cache["syzygies"] = WeakValueDictionary()
-    key = (tuple(K.dims[v] for v in alg.quiver.vertices),
-           tuple(K.action[a.id].entries for a in alg.quiver.arrows))
-    same = pool.get(key)
+    pool, key, same = _pool_entry(K)
     if same is None:
         pool[key] = K
         return K
@@ -408,19 +419,19 @@ def is_stably_zero_module(M: Representation) -> bool:
 def _matches_stably(A: Representation, B: Representation) -> bool:
     """Do A and B lie in one stable class?  Memoised per module pair.
 
-    Stably zero modules (zero or projective) form one class, the zero
-    object, decided before anything else.  Otherwise the cached steps give
-    a necessary condition: A + P = B + Q with P, Q projective forces
+    A module matches itself, or one with the same dimension vector and
+    arrow matrices, at once.  Stably zero modules (zero or projective) form
+    one class, the zero object, decided next.  Otherwise the cached steps
+    give a necessary condition: A + P = B + Q with P, Q projective forces
     Omega A = Omega B, because the minimal cover of a projective is itself
     and has kernel zero (Auslander-Reiten-Smalo, *Representation Theory of
-    Artin Algebras*, IV.1).  So syzygies with different dimension vectors,
-    or different ``stable_end_dim``s, reject the pair with no Hom system;
-    ``rep.stable_iso`` decides the rest.  A module matches itself at once,
-    which the syzygy pool of ``_step`` makes common.
+    Artin Algebras*, IV.1).  So syzygies with different dimension vectors
+    reject the pair with no Hom system; ``rep.stable_iso`` decides the rest,
+    an isomorphism certificate first.
     """
     from .rep import stable_iso
 
-    if A is B:
+    if A is B or A.dims == B.dims and A.action == B.action:
         return True
 
     def decide(A, B):
@@ -429,7 +440,7 @@ def _matches_stably(A: Representation, B: Representation) -> bool:
             return za and zb
         if _step(A)[2].dims != _step(B)[2].dims:
             return False
-        return stable_end_dim(A) == stable_end_dim(B) and stable_iso(A, B)
+        return stable_iso(A, B)
     return _pair_memo("_stable_matches", A, B, decide)
 
 

@@ -21,7 +21,6 @@ rows and whose target vertex carries part of M.
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 from .exact_linalg import (
@@ -793,6 +792,14 @@ def _identity_in_trace(M: Representation,
     return sparse_span_contains(f, rows, width, ident)
 
 
+def _images_span(maps: Sequence[RepMorphism], N: Representation) -> bool:
+    """Do the images of the maps into N together span N at every vertex?"""
+    f = N.algebra.field
+    return all(rank(Matrix.from_rows(
+        f, [r for b in maps for r in b.mats[v].entries], n)) == n
+        for v, n in N.dims.items())
+
+
 def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:
     """Is M a direct summand of a finite sum of copies of the given modules?
 
@@ -816,13 +823,10 @@ def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:
         return True
     if not gens:
         return False
-    alg = _same_algebra(M, *gens)
-    f = alg.field
+    _same_algebra(M, *gens)
     into = [(g, hom(g, M).basis) for g in gens]
-    for v in alg.quiver.vertices:
-        rows = [r for _, bs in into for b in bs for r in b.mats[v].entries]
-        if rank(Matrix.from_rows(f, rows, M.dims[v])) != M.dims[v]:
-            return False
+    if not _images_span([b for _, bs in into for b in bs], M):
+        return False
     return _identity_in_trace(
         M, [(hom(M, g).basis, bs) for g, bs in into if bs])
 
@@ -850,66 +854,67 @@ def stable_add_membership(M: Representation,
         _projective_end_rows(M))
 
 
+def _iso_certificate(M: Representation, N: Representation,
+                     ) -> tuple[bool, list[RepMorphism] | None]:
+    """(M and N are certified isomorphic, the basis of hom(M, N) if built).
+
+    Equal matrices certify by the identity, with no Hom space built; else a
+    basis map of hom(M, N) that is invertible.  Nothing is built when the
+    dimension vectors differ."""
+    if M.dims != N.dims:
+        return False, None
+    if M.action == N.action:
+        return True, None
+    basis = hom(M, N).basis
+    return any(b.is_iso() for b in basis), basis
+
+
 def stable_iso(M: Representation, N: Representation) -> bool:
     """Isomorphism in the projectively stable category.
 
+    An isomorphism is a stable one (Auslander-Reiten-Smalo, IV.1), so an
+    isomorphism certificate N -> M (``_iso_certificate``) answers True
+    first, and different ``stable_end_dim``s then answer False.  Otherwise
     M and N are stably isomorphic when each lies in add of the other in the
-    stable category and their stable endomorphism spaces have one
-    dimension: id_M in the span of the composites M -> N -> M plus P(M, M),
-    id_N in that of N -> M -> N plus P(N, N).  P(X, X) = {h then eps :
+    stable category: id_M in the span of the composites M -> N -> M plus
+    P(M, M), id_N in that of N -> M -> N plus P(N, N).  P(X, X) = {h then eps :
     h in Hom(X, P_X)} is the span of all maps X -> P(v) -> X, read from
     X's cached cover eps: P_X -> X (see ``stable_add_membership``), so the
     only Hom space with a projective is Hom(X, P_X), built once per module.
-    There is no rank pre-check, which cannot fail with the projectives as
-    generators.  hom(N, M) is built first, and hom(M, N) only when it is
-    nonzero: with Hom(N, M) = 0 there is no composite either way.  Each
-    basis is built once and serves both tests.
+    hom(N, M), if the certificate did not build it, comes first, and
+    hom(M, N) only when it is nonzero.  Each basis serves both tests.
 
     Sound when the non-projective parts of both inputs are indecomposable or
     zero, which is what every caller here guarantees.
     """
     _same_algebra(M, N)
-    nm = hom(N, M).basis
+    iso, nm = _iso_certificate(N, M)
+    if iso:
+        return True
+    from .homology import stable_end_dim
+    if stable_end_dim(M) != stable_end_dim(N):
+        return False
+    if nm is None:
+        nm = hom(N, M).basis
     mn = hom(M, N).basis if nm else []
     if not _identity_in_trace(M, [(mn, nm)], _projective_end_rows(M)):
         return False
-    if not _identity_in_trace(N, [(nm, mn)], _projective_end_rows(N)):
-        return False
-    from .homology import stable_end_dim
-    return stable_end_dim(M) == stable_end_dim(N)
+    return _identity_in_trace(N, [(nm, mn)], _projective_end_rows(N))
 
 
-def is_isomorphic(M: Representation, N: Representation) -> bool:
-    """Literal isomorphism test.
+def is_isomorphic(M: Representation, N: Representation) -> bool | None:
+    """Literal isomorphism test, certified or undetermined (None).
 
-    Complete when hom(M, N) is one-dimensional (the brick-adjacent cases it
-    is used for); otherwise falls back to seeded sampling and may miss an
-    isomorphism over a tiny field, never reporting a false positive.
+    True on an isomorphism certificate (``_iso_certificate``).  False when
+    the dimension vectors differ, or when the images of the basis maps of
+    Hom(M, N) together miss part of N: then no map is onto.  This decides
+    every N with a simple top, such as P(v), and every Hom of dimension <= 1.
     """
-    if M.algebra is not N.algebra:
-        raise AlgebraMismatch("representations live over different algebras")
-    if any(M.dims[v] != N.dims[v] for v in M.dims):
-        return False
-    if M.total_dim == 0:
-        return True
-    H = hom(M, N)
-    if H.dim == 0:
-        return False
-    for b in H.basis:
-        if b.is_iso():
-            return True
-    if H.dim == 1:
-        return False
-    rng = random.Random(0)
-    fld = M.algebra.field
-    for _ in range(64):
-        if fld.kind == "prime":
-            coeffs = [fld.of_int(rng.randrange(fld.p)) for _ in range(H.dim)]
-        else:
-            coeffs = [fld.of_int(rng.randrange(-3, 4)) for _ in range(H.dim)]
-        if H.element(coeffs).is_iso():
-            return True
-    return False
+    _same_algebra(M, N)
+    iso, basis = _iso_certificate(M, N)
+    if iso or basis is None:
+        return iso
+    return None if _images_span(basis, N) else False
 
 
 # ---------------------------------------------------------------------------

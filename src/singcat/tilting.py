@@ -139,10 +139,12 @@ def right_approximation(spec: SubcatSpec, N: Representation) -> RepMorphism:
 
 
 def _dual_spec(spec: SubcatSpec) -> SubcatSpec:
-    """D of the spec: the duals of its generators over the opposite algebra."""
-    op = opposite_algebra(spec.algebra)
-    return SubcatSpec(op, [dual_module(op, g) for g in spec.generators],
-                      spec.d, spec.labels)
+    """D of the spec over the opposite algebra, built once and kept."""
+    if not hasattr(spec, "_dual"):
+        op = opposite_algebra(spec.algebra)
+        gens = [dual_module(op, g) for g in spec.generators]
+        spec._dual = SubcatSpec(op, gens, spec.d, spec.labels)
+    return spec._dual
 
 
 def _dual_map(f: RepMorphism, src: Representation,
@@ -304,16 +306,18 @@ def verify_cluster_tilting(spec: SubcatSpec, mode: str = "certificate",
     if indec_list is None:
         raise ValueError("full mode needs the complete indecomposable list")
     _indec_list_sanity(spec.algebra, indec_list)
-    d = spec.d
+    d, gens = spec.d, spec.generators
     for L in indec_list:
-        ortho = all(ext_dim(g, L, t) == 0 and ext_dim(L, g, t) == 0
-                    for t in range(1, d) for g in spec.generators)
-        member = add_membership(L, spec.generators)
-        if ortho != member:
+        # C^perp (Ext(C, L) = 0) and perp C (Ext(L, C) = 0) must each be add C
+        right = all(ext_dim(g, L, t) == 0 for t in range(1, d) for g in gens)
+        left = all(ext_dim(L, g, t) == 0 for t in range(1, d) for g in gens)
+        member = add_membership(L, gens)
+        if right != member or left != member:
+            side = "right, Ext(C, L) = 0" if right else "left, Ext(L, C) = 0"
             checks["orthogonality_equality"] = Check(
-                False, witness=L,
-                note="Ext-orthogonal module outside add(generators)"
-                if ortho else "generator summand with self-extension")
+                False, witness=L, note="generator summand with self-extension"
+                if member else "Ext-orthogonal module outside add(generators)"
+                f" on the {side}")
             return CTReport(mode, checks, "refuted", counterexample=L)
     checks["orthogonality_equality"] = Check(True)
     return CTReport(mode, checks, "verified")

@@ -19,7 +19,11 @@ vectors and stable endomorphism dimensions before ``stable_iso``; it is
 compared with the gate it replaced (equal stable endomorphism dimensions
 and nonzero stable Hom both ways) on the same modules and on a
 one-parameter family over k<x, y>/(x, y)^2 that every dimension agrees on,
-each alone or with a projective summand added.
+each alone or with a projective summand added.  Both it and ``stable_iso``
+try an explicit isomorphism first; on Jordan modules and Nakayama
+uniserials in random monomial bases, alone or plus a projective (where no
+isomorphism exists and the trace test decides), both are compared with
+add-membership against the projectives.
 
 The left approximations and d-coresolutions are computed as the duals of
 right ones over A^op; they are compared with the column join of the Hom
@@ -38,6 +42,7 @@ to be independent, closed and dim Hom(Omega^i M, N) in number.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 import pytest
@@ -454,6 +459,122 @@ def test_stable_class_gate_agrees_on_every_case(family, field):
     assert seen == {True, False}
     for m in nonzero:
         assert _matches_stably(direct_sum([m, projs[0]]), m)
+
+
+# ---------------------------------------------------------------------------
+# isomorphism-first stable classes against add-membership
+
+SCALARS = (1, -1, 2, -2, 3, -3)
+
+
+def uniserial(alg, i, l):
+    """M(i, l) = P(i)/rad^l P(i) over a cyclic Nakayama algebra: basis
+    e_0..e_{l-1} at the vertices i, i+1, ... (mod n), and the arrow out of
+    the vertex of e_j sends e_j to e_{j+1}."""
+    f, n = alg.field, len(alg.quiver.vertices)
+    at = [(i + j) % n for j in range(l)]
+    row = [at[:j].count(at[j]) for j in range(l)]  # e_j's row at its vertex
+    dims = {str(v): at.count(v) for v in range(n)}
+    action = {}
+    for a in range(n):
+        b = (a + 1) % n
+        rows = [[f.zero] * dims[str(b)] for _ in range(dims[str(a)])]
+        for j in range(l - 1):
+            if at[j] == a:
+                rows[row[j]][row[j + 1]] = f.one
+        action[f"a{a}"] = Matrix.from_rows(f, rows, dims[str(b)])
+    return Representation(alg, dims, action)
+
+
+def twisted(M, rng):
+    """M in a monomial basis: at each vertex a permutation times nonzero
+    scalars, so entry (r, c) of an arrow u -> w becomes
+    s_u[r] / s_w[c] * A[p_u(r)][p_w(c)]."""
+    f = M.algebra.field
+    perm = {v: rng.sample(range(d), d) for v, d in M.dims.items()}
+    scal = {v: [f.of_int(rng.choice(SCALARS)) for _ in range(d)]
+            for v, d in M.dims.items()}
+    action = {}
+    for a in M.algebra.quiver.arrows:
+        (pu, su), (pw, sw) = (perm[a.src], scal[a.src]), (perm[a.tgt],
+                                                          scal[a.tgt])
+        A = M.action[a.id].entries
+        action[a.id] = Matrix.from_rows(f, [
+            [f.div(f.mul(su[r], A[pu[r]][pw[c]]), sw[c])
+             for c in range(len(pw))] for r in range(len(pu))], len(pw))
+    return Representation(M.algebra, M.dims, action)
+
+
+@lru_cache(maxsize=None)
+def iso_pool(family: str, field: str) -> tuple:
+    """(algebra, nonzero indecomposables, projectives): the Jordan modules
+    of k[x]/(x^5), or the uniserials of Nakayama (2, 3, 3), and their
+    nonzero first syzygies."""
+    fld = _field(field)
+    if family == "jordan":
+        alg = nakayama_cyclic((5,), fld)
+        mods = [jordan_module(alg, i) for i in range(1, 6)]
+    else:
+        ks = (2, 3, 3)
+        alg = nakayama_cyclic(ks, fld)
+        mods = [uniserial(alg, i, l) for i, k in enumerate(ks)
+                for l in range(1, k + 1)]
+    mods += [K for K in map(syzygy, mods) if K.total_dim]
+    return alg, tuple(mods), tuple(p for _, p in projectives(alg))
+
+
+@st.composite
+def iso_pairs(draw):
+    """(A, B): two pool modules, B half the time A's own, each in a random
+    monomial basis or not, A plus a projective summand a third of the
+    time."""
+    alg, mods, projs = iso_pool(draw(st.sampled_from(["jordan", "uniserial"])),
+                                draw(st.sampled_from(["Q", "F101"])))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    a = draw(st.sampled_from(mods))
+    b = a if draw(st.booleans()) else draw(st.sampled_from(mods))
+    A, B = (twisted(m, rng) if draw(st.booleans()) else m for m in (a, b))
+    if draw(st.integers(0, 2)) == 0:
+        A = direct_sum([A, draw(st.sampled_from(projs))])
+    return A, B
+
+
+@settings(max_examples=80, deadline=None)
+@given(iso_pairs())
+def test_isomorphism_first_stable_classes_match_add_membership(pair):
+    A, B = pair
+    want = stable_iso_by_add_membership(A, B)
+    assert stable_iso(A, B) == want
+    assert _matches_stably(A, B) == want
+
+
+@pytest.mark.parametrize("family", ["jordan", "uniserial"])
+@pytest.mark.parametrize("field", ["Q", "F101"])
+def test_a_projective_summand_leaves_the_trace_test_to_decide(
+        family, field, monkeypatch):
+    """M + P against M in another basis: no isomorphism exists, so the
+    trace test runs, and the pair is a stable match."""
+    from singcat import rep
+    alg, mods, projs = iso_pool(family, field)
+    rng = random.Random(5)
+    calls = []
+    trace = rep._identity_in_trace
+
+    def counting(*args):
+        calls.append(args[0].total_dim)
+        return trace(*args)
+
+    monkeypatch.setattr(rep, "_identity_in_trace", counting)
+    for m in mods:
+        if is_stably_zero_module(m):
+            continue
+        for P in projs:
+            padded, other = direct_sum([m, P]), twisted(m, rng)
+            assert is_isomorphic(padded, other) is False
+            calls.clear()
+            assert stable_iso(padded, other) and stable_iso(other, padded)
+            assert _matches_stably(padded, other)
+            assert calls
 
 
 # ---------------------------------------------------------------------------

@@ -193,9 +193,52 @@ def test_orbit_closing_in_content_stays_acyclic(n, i, period):
         gc.enable()
 
 
+@pytest.mark.parametrize("n,i,period", [(4, 2, 1), (3, 1, 2), (5, 2, 2)])
+@pytest.mark.parametrize("fld", FIELDS, ids=repr)
+def test_orbit_laps_reuse_the_twin_cover_step(fld, n, i, period,
+                                              monkeypatch):
+    """An orbit walk from a pooled syzygy computes one cover per distinct
+    content: each later lap takes its twin's cached cover, eps and
+    inclusion matrices, with a fresh kernel, and stays a chain of objects
+    freed by reference counting."""
+    alg = nakayama_cyclic((n,), fld)
+    K = syzygy(jordan_module(alg, i))
+    covers = []
+    orig = homology.projective_cover
+
+    def counting(M):
+        covers.append(id(M))  # not M, which would keep it alive
+        return orig(M)
+
+    monkeypatch.setattr(homology, "projective_cover", counting)
+    laps = 3
+    stepped = [K] + [syzygy(K, k) for k in range(1, laps * period)]
+    last = syzygy(stepped[-1])
+    contents = {homology._pool_entry(X)[1] for X in stepped}
+    assert len(covers) == len(contents) == period
+    assert len({id(X) for X in stepped + [last]}) == laps * period + 1
+    for k in range(period, laps * period):
+        twin = homology._step(stepped[k - period])
+        lap = homology._step(stepped[k])
+        assert lap[0] is twin[0] and lap[1] is twin[1]
+        assert all(lap[3].mats[v] is m for v, m in twin[3].mats.items())
+        assert lap[3].src is lap[2]
+        assert lap[2].action == twin[2].action
+    gc.collect()
+    gc.disable()
+    try:
+        refs = [weakref.ref(X) for X in stepped + [last]]
+        del K, stepped, last, twin, lap
+        alive = sum(r() is not None for r in refs)
+        assert alive == 0, f"{alive} of {len(refs)} modules kept alive"
+    finally:
+        gc.enable()
+
+
 # Each cover step of one a2-tilde-3233 skeleton is a projective_cover call;
-# with content-identical syzygies shared there are 47 (88 without).
-TILDE_SKELETON_COVER_STEPS = 47
+# with content-identical syzygies shared and orbit laps stepped from their
+# twins there are 38 (47 with sharing alone, 88 with neither).
+TILDE_SKELETON_COVER_STEPS = 38
 
 
 def test_tilde_skeleton_cover_step_budget(monkeypatch):

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from singcat import rep, tilting
-from singcat.exact_linalg import Matrix, rank
+from singcat.exact_linalg import Matrix, prime_field, rank, rational_field
 from singcat.homology import ext, is_stably_zero_module, stable_hom, syzygy
 from singcat.quiver_algebra import nakayama_cyclic, nakayama2_tilde
 from singcat.rep import (
+    Representation,
     RepMorphism,
     add_membership,
     direct_sum,
@@ -93,6 +94,73 @@ def test_full_mode_rejects_incomplete_indec_list(kx2):
     with pytest.raises(IncompleteIndecList):
         verify_cluster_tilting(spec, mode="full",
                                indec_list=[S, direct_sum([S, S])])
+
+
+def uniserial(alg, i, l):
+    """M(i, l) = P(i)/rad^l P(i) over a cyclic Nakayama algebra: basis
+    e_0..e_{l-1} at the vertices i, i+1, ... (mod n), and the arrow out of
+    the vertex of e_j sends e_j to e_{j+1}."""
+    f, n = alg.field, len(alg.quiver.vertices)
+    at = [(i + j) % n for j in range(l)]
+    row = [at[:j].count(at[j]) for j in range(l)]  # e_j's row at its vertex
+    dims = {str(v): at.count(v) for v in range(n)}
+    action = {}
+    for a in range(n):
+        b = (a + 1) % n
+        rows = [[f.zero] * dims[str(b)] for _ in range(dims[str(a)])]
+        for j in range(l - 1):
+            if at[j] == a:
+                rows[row[j]][row[j + 1]] = f.one
+        action[f"a{a}"] = Matrix.from_rows(f, rows, dims[str(b)])
+    return Representation(alg, dims, action)
+
+
+@pytest.mark.parametrize("fld", [rational_field(), prime_field(2),
+                                 prime_field(101)], ids=["Q", "F2", "F101"])
+def test_full_mode_refutes_a_one_sided_orthogonal_module(fld):
+    """Over Nakayama (3,3,3) with d = 2, C = {M(0,1), M(0,2), M(0,3),
+    M(1,3), M(2,3)} passes the certificate checks.  Ext^1(C, M(2,2)) = 0,
+    but M(2,2) is not in add C, so C^perp is not add C; Ext^1(M(2,2),
+    M(0,2)) is nonzero, so M(2,2) is orthogonal on one side only."""
+    alg = nakayama_cyclic((3, 3, 3), fld)
+    C = [uniserial(alg, i, l)
+         for i, l in ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3))]
+    spec = SubcatSpec(alg, C, 2)
+    W = uniserial(alg, 2, 2)
+    assert [ext(g, W, 1).dim for g in C] == [0] * 5
+    assert ext(W, C[1], 1).dim and not add_membership(W, C)
+    assert verify_cluster_tilting(spec).verdict == "certificate_only"
+    indec = [uniserial(alg, i, l) for i in range(3) for l in range(1, 4)]
+    report = verify_cluster_tilting(spec, "full", [W] + indec)
+    assert report.verdict == "refuted"
+    assert report.counterexample is W
+    check = report.checks["orthogonality_equality"]
+    assert not check.ok and check.note.endswith("right, Ext(C, L) = 0")
+    # the full list alone is refuted too, at a module orthogonal on the left
+    report = verify_cluster_tilting(spec, "full", indec)
+    assert report.verdict == "refuted"
+    assert "left" in report.checks["orthogonality_equality"].note
+
+
+def test_warm_left_approximation_transposes_no_generator(orbit_spec,
+                                                        monkeypatch):
+    """The dual spec is built once and kept on the spec: a second left
+    approximation transposes only its own module and maps."""
+    N = simple_module(orbit_spec.algebra, "(0,1)")
+    left_approximation(orbit_spec, N)
+    gen_mats = {id(m) for g in orbit_spec.generators
+                for m in g.action.values() if m.rows and m.cols}
+    transposed = []
+    transpose = Matrix.transpose
+
+    def recording(self):
+        transposed.append(self)
+        return transpose(self)
+
+    monkeypatch.setattr(Matrix, "transpose", recording)
+    f = left_approximation(orbit_spec, N)
+    assert transposed and not any(id(m) in gen_mats for m in transposed)
+    assert all(rank(f.mats[v]) == N.dims[v] for v in N.dims)
 
 
 def test_hereditary_single_projective_does_not_cogenerate(hereditary_a2):
