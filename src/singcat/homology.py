@@ -62,6 +62,7 @@ reference cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .exact_linalg import (
@@ -452,63 +453,49 @@ class PdCertificate:
     period: int | None = None
     horizon: int | None = None
 
-    @staticmethod
-    def finite(n: int) -> "PdCertificate":
-        return PdCertificate("finite", n=n)
-
-    @staticmethod
-    def infinite_periodic(preperiod: int, period: int) -> "PdCertificate":
-        return PdCertificate("infinite_periodic", preperiod=preperiod,
-                             period=period)
-
-    @staticmethod
-    def undetermined(horizon: int) -> "PdCertificate":
-        return PdCertificate("undetermined", horizon=horizon)
-
 
 def pd_certificate(M: Representation, horizon: int = 24) -> PdCertificate:
     """Projective dimension, certified finite or periodically infinite.
 
-    A reading of ``omega_stabilizes(M, horizon)``: the first stably zero
-    syzygy Omega^s M is projective, so pd M = s; a stable orbit that closes
-    up revisits a nonvanishing stable class, which certifies infinite
-    projective dimension.
+    A reading of ``omega_stabilizes(M, horizon)``, horizon in single steps:
+    the first stably zero syzygy Omega^s M is projective, so pd M = s; a
+    stable orbit that closes up revisits a nonvanishing stable class, which
+    certifies infinite projective dimension.
     """
     orb = omega_stabilizes(M, horizon)
-    if orb["kind"] == "zero":
-        return PdCertificate.finite(orb["steps"])
-    if orb["kind"] == "cycle":
-        return PdCertificate.infinite_periodic(orb["preperiod"], orb["period"])
-    return PdCertificate.undetermined(horizon)
+    status = {"zero": "finite", "cycle": "infinite_periodic"}.get(
+        orb["kind"], "undetermined")
+    return PdCertificate(status, orb.get("steps"), orb.get("preperiod"),
+                         orb.get("period"), orb.get("horizon"))
 
 
-def omega_stabilizes(M: Representation, horizon: int = 24,
-                     step: int = 1) -> dict:
-    """Walk the syzygy orbit in strides of ``step`` until it resolves.
+def omega_stabilizes(M: Representation, horizon: int = 24) -> dict:
+    """Walk the syzygy orbit one step at a time, at most ``horizon`` steps.
 
-    Returns {"kind": "zero", "steps": s} when some syzygy vanishes stably,
-    {"kind": "cycle", "preperiod": p, "period": L, "reps": [...]} when the
-    stable orbit closes up (indices in strides), or {"kind": "undetermined"}.
-    The representative list holds the stride-indexed syzygy instances.
+    Returns {"kind": "zero", "steps": s} when Omega^s M is the first stably
+    zero syzygy, {"kind": "cycle", "preperiod": p, "period": L, "reps":
+    [...]} when Omega^(p+L) M is the first to match an earlier class,
+    Omega^p M's, or {"kind": "undetermined"}.  The representative list
+    holds the syzygy instances walked; ``_stride`` reads the d-step orbit.
     """
-    if step < 1:
-        raise ValueError("stride must be positive")
     reps = [M]
     if is_stably_zero_module(M):
         return {"kind": "zero", "steps": 0, "reps": reps}
     cur = M
-    taken = 0
-    while taken + step <= horizon:
-        for _ in range(step):
-            cur = _step(cur)[2]
-            taken += 1
-            if cur.total_dim == 0:
-                return {"kind": "zero", "steps": taken, "reps": reps}
+    for taken in range(1, horizon + 1):
+        cur = _step(cur)[2]
         if is_stably_zero_module(cur):
             return {"kind": "zero", "steps": taken, "reps": reps}
         for t, old in enumerate(reps):
             if _matches_stably(old, cur):
                 return {"kind": "cycle", "preperiod": t,
-                        "period": len(reps) - t, "reps": reps}
+                        "period": taken - t, "reps": reps}
         reps.append(cur)
     return {"kind": "undetermined", "horizon": horizon, "reps": reps}
+
+
+def _stride(orbit: dict, d: int) -> tuple[int, int]:
+    """(preperiod, period) of the d-step orbit of a 1-step ``cycle`` orbit:
+    Omega acts on stable classes, so they are ceil(p/d) and L/gcd(L, d)."""
+    p, L = orbit["preperiod"], orbit["period"]
+    return -(-p // d), L // gcd(L, d)

@@ -475,11 +475,9 @@ class Cover:
                 run[w] += s.dims[w]
 
     def gen_row(self, j: int) -> tuple[str, int]:
-        """Vertex and row index of the j-th summand's generator."""
-        v = self.vertices[j]
-        paths = self.algebra.basis(v, v)
-        # the trivial path is first in the length-graded order
-        return v, self._offsets[j] + paths.index((v, ()))
+        """Vertex and row index of the j-th summand's generator, its trivial
+        path: row 0, since ``compute_basis`` puts trivial paths first."""
+        return self.vertices[j], self._offsets[j]
 
 
 def projective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
@@ -537,23 +535,22 @@ def regular_module(algebra: BoundQuiverAlgebra) -> Representation:
 
 
 def projective_radical(algebra: BoundQuiverAlgebra, v: str) -> Representation:
-    """rad P(v): P(v) without the basis row of its trivial path (v, ()).
+    """rad P(v): P(v) without row 0 at v, its trivial path (v, ()).
 
     The trivial path is no multiple of an arrow, so its column in the
     action of an arrow into v is zero, and it is dropped as well.
     """
     def build():
         P = projective_module(algebra, v)
-        i = algebra.basis(v, v).index((v, ()))
         dims = {**P.dims, v: P.dims[v] - 1}
         action = dict(P.action)
         for a in algebra.quiver.arrows:
             if v in (a.src, a.tgt):
                 rows = P.action[a.id].entries
                 if a.src == v:
-                    rows = rows[:i] + rows[i + 1:]
+                    rows = rows[1:]
                 if a.tgt == v:
-                    rows = [r[:i] + r[i + 1:] for r in rows]
+                    rows = [r[1:] for r in rows]
                 action[a.id] = Matrix.from_rows(algebra.field, rows,
                                                 dims[a.tgt])
         return Representation._wrap(algebra, dims, action)

@@ -7,10 +7,12 @@ by this module is backed by a finite certificate: either the tail of the
 colimit system is provably constant, or it is provably zero.  Dimensions
 are never accepted just because the numbers stopped moving.
 
-Certification routes, in the order they are tried:
+Each side's syzygy orbit is walked once, one step at a time, up to the
+horizon.  Certification routes, in the order they are tried:
 
 * side_vanishes: one side's syzygy orbit reaches a stably trivial module,
-  so the tail of the system is identically zero.
+  so the tail of the system is identically zero; the stage is the first
+  stably zero syzygy.
 * orthogonal_tail: the source-side single-step orbit closes into a cycle
   on which every member has vanishing first Ext against every projective.
   For such a source, precomposition with the syzygy functor is bijective
@@ -25,6 +27,10 @@ Certification routes, in the order they are tried:
   period is 1.  Syzygies of a stable isomorphism are stable isomorphisms,
   which are nonzero classes, so each transition map sends a spanning
   vector to a spanning vector and the colimit is one-dimensional.
+
+These two read each d-step orbit off the 1-step orbit: Omega is a functor
+on the stable category, so preperiod p and period L give ceil(p/d) and
+L/gcd(L, d) (``homology._stride``).
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ from .homology import (
     PdCertificate,
     _matches_stably,
     _stable_dim,
+    _step,
+    _stride,
     ext_dim,
     is_stably_zero_module,
     omega_stabilizes,
@@ -115,7 +123,8 @@ def stab_hom(x: StableObject, y: StableObject, spec: SubcatSpec,
     Both modules must live over the spec's algebra.  The pair is first
     normalized to shift zero (applying the loop functor to both sides
     preserves Hom dimensions, and (C, n) is identified with (loop C, n-1)),
-    then the routes listed in the module docstring are tried in order.
+    then the routes listed in the module docstring are tried in order.  The
+    horizon counts single syzygy steps.
     """
     alg = spec.algebra
     if x.module.algebra is not alg or y.module.algebra is not alg:
@@ -125,32 +134,26 @@ def stab_hom(x: StableObject, y: StableObject, spec: SubcatSpec,
     X = syzygy(x.module, x.shift + c)
     Y = syzygy(y.module, y.shift + c)
 
-    ox = omega_stabilizes(X, horizon, step=d)
-    if ox["kind"] == "zero":
-        return StabHom("certified", 0, "side_vanishes", ox["steps"], None,
-                       horizon)
-    oy = omega_stabilizes(Y, horizon, step=d)
-    if oy["kind"] == "zero":
-        return StabHom("certified", 0, "side_vanishes", oy["steps"], None,
-                       horizon)
+    ox = omega_stabilizes(X, horizon)
+    oy = ox if ox["kind"] == "zero" else omega_stabilizes(Y, horizon)
+    for orb in (ox, oy):
+        if orb["kind"] == "zero":
+            return StabHom("certified", 0, "side_vanishes", orb["steps"],
+                           None, horizon)
 
     criterion = None
-    osx = omega_stabilizes(X, horizon, step=1)
-    if osx["kind"] == "zero":
-        return StabHom("certified", 0, "side_vanishes", osx["steps"], None,
-                       horizon)
-    if osx["kind"] == "cycle":
-        cyc = osx["reps"][osx["preperiod"]:]
-        criterion = all(_ext1_clean(r) for r in cyc)
+    if ox["kind"] == "cycle":
+        s = ox["preperiod"]
+        criterion = all(_ext1_clean(r) for r in ox["reps"][s:])
         if criterion:
-            s = osx["preperiod"]
             v = _stable_dim(syzygy(X, s), syzygy(Y, s))
             return StabHom("certified", v, "orthogonal_tail", s, True,
                            horizon)
 
     if ox["kind"] == "cycle" and oy["kind"] == "cycle":
-        t0 = max(ox["preperiod"], oy["preperiod"])
-        w = lcm(ox["period"], oy["period"])
+        (px, lx), (py, ly) = _stride(ox, d), _stride(oy, d)
+        t0 = max(px, py)
+        w = lcm(lx, ly)
         window = [_stable_dim(syzygy(X, j * d), syzygy(Y, j * d))
                   for j in range(t0, t0 + w)]
         if 0 in window:
@@ -253,35 +256,20 @@ def skeleton(spec: SubcatSpec, horizon: int = 24, all_shifts: bool = False,
                 lbl, "d-th syzygy matches no surviving generator")
         sigma.append(idx)
 
-    n = len(reps)
-    on_cycle = [False] * n
-    color = [0] * n
-    for s in range(n):
-        if color[s]:
-            continue
-        path = []
-        u = s
-        while color[u] == 0:
-            color[u] = 1
-            path.append(u)
-            u = sigma[u]
-        if color[u] == 1:
-            for v in path[path.index(u):]:
-                on_cycle[v] = True
-        for v in path:
-            color[v] = 2
+    # sigma's tails are shorter than its n classes: sigma^n has the cycles
+    # as its image
+    on_cycle = set(range(len(reps)))
+    for _ in reps:
+        on_cycle = {sigma[u] for u in on_cycle}
 
     cycles: list[list[int]] = []
     cycle_pos: dict[int, tuple[int, int]] = {}
-    seen = [False] * n
-    for s in range(n):
-        if on_cycle[s] and not seen[s]:
+    for s in sorted(on_cycle):
+        if s not in cycle_pos:
             cyc = [s]
-            seen[s] = True
             u = sigma[s]
             while u != s:
                 cyc.append(u)
-                seen[u] = True
                 u = sigma[u]
             for pos, v in enumerate(cyc):
                 cycle_pos[v] = (len(cycles), pos)
@@ -303,7 +291,7 @@ def skeleton(spec: SubcatSpec, horizon: int = 24, all_shifts: bool = False,
         # walk a tail class to its cycle; k steps shift the class by -k*d
         k = 0
         u = i
-        while not on_cycle[u]:
+        while u not in on_cycle:
             u = sigma[u]
             k += 1
         cid, pos = cycle_pos[u]
@@ -325,7 +313,7 @@ def skeleton(spec: SubcatSpec, horizon: int = 24, all_shifts: bool = False,
         i = cls_of_label[lbl]
         cid, j, k = landing(i)
         membership[lbl] = ("class", class_index[(cid, j, 0)])
-        if not on_cycle[i]:
+        if i not in on_cycle:
             land = reps[cycles[cid][(j + k) % len(cycles[cid])]][0]
             identification.append(
                 f"({lbl}, 0) ~ ({land}, {-k * d}), hence in the class of "
@@ -365,7 +353,6 @@ def standard_triangle(E: Representation, k: int = 0) -> StTriangle:
     Shifting the sequence k times multiplies all three maps by (-1)^k;
     the connecting map is recorded by its sign.
     """
-    from .homology import _step
     cover, eps_mats, K, inc = _step(E)
     eps = RepMorphism(cover.rep, E, eps_mats, check=False)
     sgn = -1 if k % 2 else 1
@@ -426,22 +413,16 @@ def is_iwanaga_gorenstein(alg: BoundQuiverAlgebra,
     op = opposite_algebra(alg)
     projective_copd = {v: pd_certificate(injective_module(op, v), horizon)
                        for v in verts}
-    witnesses = [v for v in verts
-                 if injective_pd[v].status == "infinite_periodic"]
-    co_witnesses = [v for v in verts
-                    if projective_copd[v].status == "infinite_periodic"]
-    if witnesses or co_witnesses:
-        primary = witnesses[0] if witnesses else co_witnesses[0]
-        return GorensteinReport("not_gorenstein", None, primary,
-                                witnesses + co_witnesses, injective_pd,
-                                projective_copd, horizon)
-    certs = list(injective_pd.values()) + list(projective_copd.values())
-    if all(c.status == "finite" for c in certs):
-        bound = max(c.n for c in certs)
-        return GorensteinReport("gorenstein", bound, None, [], injective_pd,
-                                projective_copd, horizon)
-    return GorensteinReport("undetermined", None, None, [], injective_pd,
-                            projective_copd, horizon)
+    witnesses = [v for side in (injective_pd, projective_copd) for v in verts
+                 if side[v].status == "infinite_periodic"]
+    certs = [*injective_pd.values(), *projective_copd.values()]
+    verdict, bound = "undetermined", None
+    if witnesses:
+        verdict = "not_gorenstein"
+    elif all(c.status == "finite" for c in certs):
+        verdict, bound = "gorenstein", max(c.n for c in certs)
+    return GorensteinReport(verdict, bound, witnesses[0] if witnesses else None,
+                            witnesses, injective_pd, projective_copd, horizon)
 
 
 @dataclass
@@ -468,7 +449,7 @@ def gp_certificate(M: Representation, horizon: int = 24) -> GpCertificate:
     alg = M.algebra
     if M.total_dim == 0 or is_stably_zero_module(M):
         return GpCertificate("gp_certified", None, 0, 0, horizon)
-    orb = omega_stabilizes(M, horizon, step=1)
+    orb = omega_stabilizes(M, horizon)
     verts = sorted(alg.quiver.vertices)
     for j, r in enumerate(orb["reps"]):
         if _ext1_clean(r):

@@ -11,7 +11,9 @@ Ext is computed as ker d_{i+1}* / im d_i* from the dual differentials in
 generator coordinates, where ``homology`` now reads it from Hom dimensions
 by dimension shifting.  ``step_unpooled`` is the cover step with a fresh
 kernel every time, where ``homology._step`` shares content-identical
-syzygies.  Written for clarity and not for speed.
+syzygies.  ``omega_stabilizes_strided`` walks the d-step orbit itself,
+where ``homology._stride`` reads it off the 1-step orbit.  Written for
+clarity and not for speed.
 """
 
 from singcat.exact_linalg import (
@@ -19,7 +21,7 @@ from singcat.exact_linalg import (
     sparse_rank,
 )
 from singcat.homology import (
-    _step, ext_dim, is_stably_zero_module, omega_stabilizes, stable_end_dim,
+    _matches_stably, _step, ext_dim, is_stably_zero_module, omega_stabilizes, stable_end_dim,
     stable_hom, syzygy,
 )
 from singcat.rep import (
@@ -137,7 +139,7 @@ def gp_certificate_pairwise(M, horizon=24):
     alg = M.algebra
     if M.total_dim == 0 or is_stably_zero_module(M):
         return GpCertificate("gp_certified", None, 0, 0, horizon)
-    orb = omega_stabilizes(M, horizon, step=1)
+    orb = omega_stabilizes(M, horizon)
     for j, r in enumerate(orb["reps"]):
         for v in sorted(alg.quiver.vertices):
             if ext_dim(r, projective_module(alg, v), 1):
@@ -181,6 +183,37 @@ def matches_stably_by_dimensions(A, B):
         return False
     return (stable_hom(A, B).dim > 0 and stable_hom(B, A).dim > 0
             and stable_iso(A, B))
+
+
+def omega_stabilizes_strided(M, horizon=24, step=1):
+    """Walk the syzygy orbit in strides of ``step`` until it resolves.
+
+    Returns {"kind": "zero", "steps": s} when some syzygy vanishes stably,
+    {"kind": "cycle", "preperiod": p, "period": L, "reps": [...]} when the
+    stable orbit closes up (indices in strides), or {"kind": "undetermined"}.
+    The representative list holds the stride-indexed syzygy instances.
+    """
+    if step < 1:
+        raise ValueError("stride must be positive")
+    reps = [M]
+    if is_stably_zero_module(M):
+        return {"kind": "zero", "steps": 0, "reps": reps}
+    cur = M
+    taken = 0
+    while taken + step <= horizon:
+        for _ in range(step):
+            cur = _step(cur)[2]
+            taken += 1
+            if cur.total_dim == 0:
+                return {"kind": "zero", "steps": taken, "reps": reps}
+        if is_stably_zero_module(cur):
+            return {"kind": "zero", "steps": taken, "reps": reps}
+        for t, old in enumerate(reps):
+            if _matches_stably(old, cur):
+                return {"kind": "cycle", "preperiod": t,
+                        "period": len(reps) - t, "reps": reps}
+        reps.append(cur)
+    return {"kind": "undetermined", "horizon": horizon, "reps": reps}
 
 
 def step_unpooled(M):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 import weakref
 
@@ -11,7 +12,7 @@ from singcat.exact_linalg import (
     InternalCheckFailed, Matrix, prime_field, rational_field,
 )
 from singcat.quiver_algebra import (
-    nakayama2_tilde, nakayama_cyclic, orbit_grid_algebra,
+    InvalidKupisch, nakayama2_tilde, nakayama_cyclic, orbit_grid_algebra,
     valid_triples_window,
 )
 from singcat.rep import (
@@ -27,6 +28,7 @@ from singcat.rep import (
 from singcat.homology import (
     _matches_stably,
     _stable_dim,
+    _stride,
     ext,
     is_stably_zero_module,
     omega_stabilizes,
@@ -41,7 +43,8 @@ from singcat.stab import skeleton
 from singcat.tilting import SubcatSpec
 
 from dense_reference import dense_solve_left, dense_solve_right
-from pairwise_reference import dual_map_matrix
+from pairwise_reference import dual_map_matrix, omega_stabilizes_strided
+from test_tilting import uniserial
 
 KS = (3, 2, 3, 3)
 
@@ -74,7 +77,7 @@ def test_double_syzygy_table(orbit):
 
 def test_syzygy_orbit_of_unit_interval(orbit):
     M0 = interval_module(orbit, (0, 0, 0))
-    orb = omega_stabilizes(M0, 24, step=1)
+    orb = omega_stabilizes(M0, 24)
     assert orb["kind"] == "cycle"
     assert orb["preperiod"] == 0
     assert orb["period"] == 6
@@ -85,8 +88,45 @@ def test_syzygy_orbit_of_unit_interval(orbit):
     assert stable_iso(orb["reps"][4], interval_module(orbit, (1, 1, 2)))
     W = orb["reps"][5]
     assert {v: d for v, d in W.dims.items() if d} == {"(0,1)": 1, "(0,2)": 1}
-    orb2 = omega_stabilizes(M0, 24, step=2)
-    assert (orb2["kind"], orb2["preperiod"], orb2["period"]) == ("cycle", 0, 3)
+    # the 2-step orbit: Omega^2 acts on the 6-cycle with period 3
+    assert _stride(omega_stabilizes(M0, 24), 2) == (0, 3)
+
+
+def _orbit_inputs(fld):
+    """The uniserials of the cyclic Nakayama algebras with at most three
+    vertices and Kupisch lengths 2..4, then the a2-tilde-3233 generators."""
+    for n in (1, 2, 3):
+        for ks in itertools.product((2, 3, 4), repeat=n):
+            try:
+                alg = nakayama_cyclic(ks, fld)
+            except InvalidKupisch:
+                continue
+            for i, k in enumerate(ks):
+                yield from (uniserial(alg, i, l) for l in range(1, k + 1))
+    yield from nakayama2_tilde((3, 2, 3, 3), 4, fld)[1].generators
+
+
+@pytest.mark.parametrize("fld", [rational_field(), prime_field(101)],
+                         ids=["Q", "F101"])
+def test_stride_matches_the_strided_walk(fld):
+    # where the d-step walk resolves, the 1-step orbit read through _stride
+    # gives the same kind, preperiod and period; where it does not, the
+    # 1-step walk resolves, if at all, past the last full stride it took
+    for M in _orbit_inputs(fld):
+        for horizon in range(25):
+            orb = omega_stabilizes(M, horizon)
+            for d in range(1, 5):
+                ref = omega_stabilizes_strided(M, horizon, d)
+                if orb["kind"] == "cycle":
+                    p, L = _stride(orb, d)
+                    derived, first = ("cycle", p, L), d * (p + L)
+                else:
+                    derived, first = (orb["kind"], None, None), orb.get("steps")
+                if ref["kind"] != "undetermined":
+                    assert (ref["kind"], ref.get("preperiod"),
+                            ref.get("period")) == derived, (M.dims, horizon, d)
+                elif orb["kind"] != "undetermined":
+                    assert first > horizon // d * d, (M.dims, horizon, d)
 
 
 def test_pd_certificates(orbit):

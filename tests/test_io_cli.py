@@ -414,6 +414,39 @@ def test_mod_hom_and_ext(tilde_dir, capsys):
     assert "ext^1 dimension 0" in capsys.readouterr().out
 
 
+def test_sing_gorenstein_bound_on_kx2(kx2_dir, capsys):
+    rc = main(["sing", "gorenstein", "--algebra", str(kx2_dir / "algebra.json")])
+    assert rc == EXIT_OK
+    assert "verdict: gorenstein (bound 0)" in capsys.readouterr().out
+
+
+def test_sing_gp_witness_for_the_base_interval(tilde_dir, capsys):
+    rc = main(["sing", "gp", "--algebra", str(tilde_dir / "algebra.json"),
+               "--module", str(tilde_dir / "m_0_0_0.json")])
+    assert rc == EXIT_REFUTED
+    assert "status: not_gp witness ext^6 at (0,1)" in capsys.readouterr().out
+
+
+def test_ct_angle_reports_object_dims(tilde_dir, capsys):
+    rc = main(["ct", "angle", "--subcat", str(tilde_dir / "subcat.json"),
+               "--module", str(tilde_dir / "m_0_0_0.json")])
+    assert rc == EXIT_OK
+    assert "standard angle objects: [2, 4, 3, 1]" in capsys.readouterr().out
+
+
+def test_ct_resolution_refuted_without_a_generator(tmp_path, capsys):
+    # {P(v), S(v)} over u -> v cannot resolve S(u): nothing maps onto it
+    emit_examples("hereditary-a2", tmp_path, rational_field())
+    obj = json.loads((tmp_path / "subcat.json").read_text())
+    obj["generators"] = ["m_Pv.json", "m_Sv.json"]
+    (tmp_path / "pv_sv.json").write_text(dumps_canonical(obj))
+    rc = main(["ct", "resolution", "--subcat", str(tmp_path / "pv_sv.json"),
+               "--module", str(tmp_path / "m_Su.json")])
+    assert rc == EXIT_REFUTED
+    assert capsys.readouterr().err.startswith(
+        "refuted: right approximation misses part of its target")
+
+
 def test_mod_syzygy_writes_module_file(tilde_dir, tmp_path):
     out = tmp_path / "syz.json"
     rc = main(["mod", "syzygy", str(tilde_dir / "m_4_4_4.json"),

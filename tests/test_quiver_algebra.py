@@ -210,6 +210,22 @@ def test_opposite_algebra_roundtrip(orbit):
     assert (b.src, b.tgt) == (a.tgt, a.src)
 
 
+def test_trivial_path_is_first_at_every_vertex(orbit):
+    # rep.Cover.gen_row and rep.projective_radical read the trivial path
+    # (v, ()) as row 0 of P(v) at v, which holds because compute_basis puts
+    # the length-0 paths first
+    f = rational_field()
+    quiver = Quiver(["u", "v"], [Arrow("a", "u", "v"), Arrow("b", "v", "u")])
+    rels = [RelationElement([(f.one, PathWord(quiver, "u", ["a", "b"]))])]
+    algebras = [nakayama_cyclic((3, 2, 3), f), orbit,
+                truncate(nakayama2_infinite((3, 2, 3, 3), f), 3)[0],
+                compute_basis(quiver, rels, f, 6), opposite_algebra(orbit)]
+    for alg in algebras:
+        for v in alg.quiver.vertices:
+            assert alg.basis(v, v)[0] == (v, ())
+            assert alg.paths_from(v)[0] == (v, ())
+
+
 def test_truncate_window_and_safe_region():
     f = rational_field()
     pres = nakayama2_infinite((3, 2, 3, 3), f)

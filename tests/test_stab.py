@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from singcat import homology, rep, stab
-from singcat.exact_linalg import Matrix, prime_field, rank
+from singcat.exact_linalg import Matrix, prime_field, rank, rational_field
 from singcat.homology import (
     ext,
     ext_dim,
@@ -15,7 +16,7 @@ from singcat.homology import (
     syzygy,
     syzygy_morphism,
 )
-from singcat.quiver_algebra import nakayama_cyclic
+from singcat.quiver_algebra import nakayama2_tilde, nakayama_cyclic
 from singcat.rep import (
     Representation,
     injective_module,
@@ -212,6 +213,40 @@ def test_clean_tail_certification_is_uniform_in_the_target():
         stages.append(h.stage)
     assert stages == [0, 0]
     assert stab_hom(StableObject(M1, 0), StableObject(M2, 0), spec).dim == 1
+
+
+@pytest.mark.parametrize("fld", [rational_field(), prime_field(101)],
+                         ids=["Q", "F101"])
+def test_skeleton_hom_routes_walk_each_side_once(monkeypatch, fld):
+    """The (route, dim, stage) tally of every skeleton Hom entry, with each
+    stab_hom call walking at most two syzygy orbits, X's and Y's."""
+    tally, walks = Counter(), []
+    real_walk, real_hom = stab.omega_stabilizes, stab.stab_hom
+
+    def counted_walk(*args):
+        walks.append(args[0])
+        return real_walk(*args)
+
+    def tallied_hom(*args):
+        walks.clear()
+        h = real_hom(*args)
+        assert len(walks) <= 2
+        tally[h.route, h.dim, h.stage] += 1
+        return h
+    monkeypatch.setattr(stab, "omega_stabilizes", counted_walk)
+    monkeypatch.setattr(stab, "stab_hom", tallied_hom)
+
+    def routes(spec, **kw):
+        tally.clear()
+        skeleton(spec, **kw)
+        return dict(tally)
+    _, tilde = nakayama2_tilde((3, 2, 3, 3), 4, fld)
+    assert routes(tilde) == {("identity_end", 1, 0): 3, ("zero_tail", 0, 0): 6}
+    assert routes(tilde, all_shifts=True) == {("identity_end", 1, 0): 6,
+                                              ("zero_tail", 0, 0): 30}
+    kx5 = jordan_spec(nakayama_cyclic((5,), fld), 5)
+    assert routes(kx5) == {("orthogonal_tail", 1, 0): 12,
+                           ("orthogonal_tail", 2, 0): 4}
 
 
 def test_stab_hom_with_tiny_horizon_is_undetermined(orbit_spec):
