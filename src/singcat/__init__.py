@@ -22,7 +22,6 @@ from .homology import (
     StableHomSpace,
     ext,
     ext_dim,
-    omega_stabilizes,
     pd_certificate,
     resolve,
     stable_end_dim,

@@ -29,7 +29,7 @@ from pathlib import Path
 from .exact_linalg import (
     Field, FieldError, InternalCheckFailed, Matrix, prime_field, rational_field,
 )
-from .homology import PdCertificate, ext_dim, pd_certificate, resolve, syzygy
+from .homology import PdCertificate, ext_dim, resolve, syzygy
 from .quiver_algebra import (
     Arrow,
     BoundQuiverAlgebra,
@@ -132,15 +132,11 @@ def algebra_from_json(obj, length_bound: int | None = None) -> BoundQuiverAlgebr
         if isinstance(e, InputError):
             raise
         raise InputError(f"malformed algebra JSON: {e}")
-    bounds = [length_bound] if length_bound else [4, 8, 16]
-    err: Exception | None = None
-    for b in bounds:
-        try:
-            return compute_basis(quiver, rels, field, b)
-        except NotFiniteDimensionalWithinBound as e:
-            err = e
-    raise InputError(f"algebra not finite dimensional within the length "
-                     f"bound ({err}); raise --length-bound")
+    try:
+        return compute_basis(quiver, rels, field, length_bound or 16)
+    except NotFiniteDimensionalWithinBound as e:
+        raise InputError(f"algebra not finite dimensional within the length "
+                         f"bound ({e}); raise --length-bound")
 
 
 def module_to_json(M: Representation, algebra_ref: str) -> dict:
@@ -453,12 +449,9 @@ def _cmd_mod_syzygy(args, loader: Loader) -> int:
 
 
 def _cmd_ct_verify(args, loader: Loader) -> int:
-    if args.mode != "certificate":
-        raise InputError("full mode needs a caller-supplied indecomposable "
-                         "list; use the library interface")
     apath = Path(args.algebra) if args.algebra else None
     spec = loader.subcat(Path(args.subcat), apath)
-    report = verify_cluster_tilting(spec, mode="certificate")
+    report = verify_cluster_tilting(spec)
     print(f"verdict: {report.verdict}")
     _print_checks(report.checks)
     _emit_report({
@@ -494,9 +487,6 @@ def _cmd_ct_angle(args, loader: Loader) -> int:
 
 def _cmd_sing_skeleton(args, loader: Loader) -> int:
     spec = loader.subcat(Path(args.subcat))
-    if args.d is not None and args.d != spec.d:
-        raise InputError(f"--d {args.d} disagrees with the subcat degree "
-                         f"{spec.d}")
     rep = skeleton(spec, horizon=args.horizon, all_shifts=args.all_shifts,
                    claimed_count=args.claimed)
     print(f"skeleton classes: {rep.count}")
@@ -588,11 +578,12 @@ def _cmd_example(args, loader: Loader) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--horizon", type=int, default=24)
     common.add_argument("--out", default=None,
                         help="write the JSON report to this path")
     common.add_argument("--length-bound", type=int, default=None,
                         help="path length bound when parsing algebras")
+    walks = argparse.ArgumentParser(add_help=False)
+    walks.add_argument("--horizon", type=int, default=24)
 
     p = argparse.ArgumentParser(prog="singcat")
     sub = p.add_subparsers(dest="group", required=True)
@@ -628,7 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     cv = ct.add_parser("verify", parents=[common])
     cv.add_argument("--subcat", required=True)
     cv.add_argument("--algebra", default=None)
-    cv.add_argument("--mode", default="certificate")
     cv.set_defaults(run=_cmd_ct_verify)
     cr = ct.add_parser("resolution", parents=[common])
     cr.add_argument("--subcat", required=True)
@@ -640,22 +630,23 @@ def build_parser() -> argparse.ArgumentParser:
     ca.set_defaults(run=_cmd_ct_angle)
 
     sing = sub.add_parser("sing").add_subparsers(dest="verb", required=True)
-    sk = sing.add_parser("skeleton", parents=[common])
+    sk = sing.add_parser("skeleton", parents=[walks, common])
     sk.add_argument("--subcat", required=True)
-    sk.add_argument("--d", type=int, default=None)
     sk.add_argument("--all-shifts", action="store_true")
     sk.add_argument("--claimed", type=int, default=None)
     sk.set_defaults(run=_cmd_sing_skeleton)
-    sg = sing.add_parser("gorenstein", parents=[common])
+    sg = sing.add_parser("gorenstein", parents=[walks, common])
     sg.add_argument("--algebra", required=True)
     sg.set_defaults(run=_cmd_sing_gorenstein)
-    gp = sing.add_parser("gp", parents=[common])
+    gp = sing.add_parser("gp", parents=[walks, common])
     gp.add_argument("--algebra", required=True)
     gp.add_argument("--module", required=True)
     gp.set_defaults(run=_cmd_sing_gp)
 
-    ex = sub.add_parser("example", parents=[common])
+    ex = sub.add_parser("example")
     ex.add_argument("name")
+    ex.add_argument("--out", default=None,
+                    help="write the fixtures into this directory")
     ex.add_argument("--periods", type=int, default=3)
     ex.add_argument("--field", default="rational")
     ex.set_defaults(run=_cmd_example)

@@ -52,11 +52,13 @@ endomorphism dimensions; stably zero modules (zero or projective) are the
 one zero class, and modules with identical matrices match with no test.
 
 Stable Hom dimensions and stable-class verdicts are memoised per ordered
-module pair (``_pair_memo``), and dim Hom(A, P_v) per module and vertex
-(``_proj_hom_dim``).  The pair memo on the first module is weak-keyed by
+module pair (``_pair_memo``), dim Hom(A, P_v) per module and vertex
+(``_proj_hom_dim``), and the orbit certificate per module and horizon
+(``pd_certificate``).  The pair memo on the first module is weak-keyed by
 the second and holds only ints and bools; the vertex memo is a plain dict
-of ints keyed by vertex id.  So no entry keeps a module alive or closes a
-reference cycle.
+of ints keyed by vertex id, and the orbit memo a plain dict of frozen
+certificates keyed by horizon.  So no entry keeps a module alive or
+closes a reference cycle.
 """
 
 from __future__ import annotations
@@ -445,7 +447,7 @@ def _matches_stably(A: Representation, B: Representation) -> bool:
     return _pair_memo("_stable_matches", A, B, decide)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PdCertificate:
     status: str  # "finite" | "infinite_periodic" | "undetermined"
     n: int | None = None
@@ -457,45 +459,38 @@ class PdCertificate:
 def pd_certificate(M: Representation, horizon: int = 24) -> PdCertificate:
     """Projective dimension, certified finite or periodically infinite.
 
-    A reading of ``omega_stabilizes(M, horizon)``, horizon in single steps:
-    the first stably zero syzygy Omega^s M is projective, so pd M = s; a
-    stable orbit that closes up revisits a nonvanishing stable class, which
-    certifies infinite projective dimension.
+    Walks the syzygy orbit one step at a time, at most ``horizon`` steps.
+    The first stably zero Omega^n M is projective, so pd M = n; when
+    Omega^(p+L) M is the first to match an earlier class, Omega^p M's, the
+    orbit revisits a nonvanishing stable class, which certifies infinite
+    projective dimension.  The walk keeps Omega^j M for j below n, p + L
+    or horizon + 1: the instances ``syzygy(M, j)`` returns.  Memoised on M
+    per horizon.
     """
-    orb = omega_stabilizes(M, horizon)
-    status = {"zero": "finite", "cycle": "infinite_periodic"}.get(
-        orb["kind"], "undetermined")
-    return PdCertificate(status, orb.get("steps"), orb.get("preperiod"),
-                         orb.get("period"), orb.get("horizon"))
+    memo = M.__dict__.setdefault("_pd_certs", {})
+    if horizon not in memo:
+        memo[horizon] = _walk_orbit(M, horizon)
+    return memo[horizon]
 
 
-def omega_stabilizes(M: Representation, horizon: int = 24) -> dict:
-    """Walk the syzygy orbit one step at a time, at most ``horizon`` steps.
-
-    Returns {"kind": "zero", "steps": s} when Omega^s M is the first stably
-    zero syzygy, {"kind": "cycle", "preperiod": p, "period": L, "reps":
-    [...]} when Omega^(p+L) M is the first to match an earlier class,
-    Omega^p M's, or {"kind": "undetermined"}.  The representative list
-    holds the syzygy instances walked; ``_stride`` reads the d-step orbit.
-    """
-    reps = [M]
+def _walk_orbit(M: Representation, horizon: int) -> PdCertificate:
     if is_stably_zero_module(M):
-        return {"kind": "zero", "steps": 0, "reps": reps}
+        return PdCertificate("finite", 0)
+    kept = [M]
     cur = M
     for taken in range(1, horizon + 1):
         cur = _step(cur)[2]
         if is_stably_zero_module(cur):
-            return {"kind": "zero", "steps": taken, "reps": reps}
-        for t, old in enumerate(reps):
+            return PdCertificate("finite", taken)
+        for t, old in enumerate(kept):
             if _matches_stably(old, cur):
-                return {"kind": "cycle", "preperiod": t,
-                        "period": taken - t, "reps": reps}
-        reps.append(cur)
-    return {"kind": "undetermined", "horizon": horizon, "reps": reps}
+                return PdCertificate("infinite_periodic", None, t, taken - t)
+        kept.append(cur)
+    return PdCertificate("undetermined", horizon=horizon)
 
 
-def _stride(orbit: dict, d: int) -> tuple[int, int]:
-    """(preperiod, period) of the d-step orbit of a 1-step ``cycle`` orbit:
+def _stride(cert: PdCertificate, d: int) -> tuple[int, int]:
+    """(preperiod, period) of the d-step orbit of a periodic certificate:
     Omega acts on stable classes, so they are ceil(p/d) and L/gcd(L, d)."""
-    p, L = orbit["preperiod"], orbit["period"]
+    p, L = cert.preperiod, cert.period
     return -(-p // d), L // gcd(L, d)

@@ -258,9 +258,6 @@ def compute_basis(quiver: Quiver, relations: Sequence[RelationElement],
     length = 0
     while by_len[-1]:
         length += 1
-        if length > length_bound:
-            raise NotFiniteDimensionalWithinBound(
-                f"nonzero paths of length {length_bound} remain")
         prev = by_len[-1]
         cands: list[tuple[PathKey, str]] = []
         for key in prev:
@@ -301,12 +298,7 @@ def compute_basis(quiver: Quiver, relations: Sequence[RelationElement],
 
         pivots = _eliminate(field, rows, len(cands))
         pivot_set = set(pivots)
-        new_layer: list[PathKey] = []
         expand: dict[int, dict[PathKey, object]] = {}
-        for i, (bkey, aid) in enumerate(cands):
-            if i not in pivot_set:
-                new_key: PathKey = (bkey[0], bkey[1] + (aid,))
-                new_layer.append(new_key)
         kept_key = {i: (cands[i][0][0], cands[i][0][1] + (cands[i][1],))
                     for i in range(len(cands)) if i not in pivot_set}
         # a reduced pivot row is 1 at its pivot and 0 at every other pivot
@@ -318,13 +310,13 @@ def compute_basis(quiver: Quiver, relations: Sequence[RelationElement],
                 mult[(bkey, aid)] = expand[i]
             else:
                 mult[(bkey, aid)] = {kept_key[i]: field.one}
+        new_layer = list(kept_key.values())
         by_len.append(new_layer)
         if length == length_bound and new_layer:
             raise NotFiniteDimensionalWithinBound(
                 f"nonzero paths of length {length_bound} remain")
 
-    by_len = by_len[:-1] if not by_len[-1] else by_len
-    return BoundQuiverAlgebra(quiver, relations, field, by_len, mult)
+    return BoundQuiverAlgebra(quiver, relations, field, by_len[:-1], mult)
 
 
 def default_length_bound(quiver: Quiver, kupisch: Sequence[int]) -> int:

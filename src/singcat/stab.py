@@ -7,8 +7,9 @@ by this module is backed by a finite certificate: either the tail of the
 colimit system is provably constant, or it is provably zero.  Dimensions
 are never accepted just because the numbers stopped moving.
 
-Each side's syzygy orbit is walked once, one step at a time, up to the
-horizon.  Certification routes, in the order they are tried:
+Each side's syzygy orbit is read from its ``pd_certificate``, walked one
+step at a time up to the horizon once per module and horizon, so skeleton
+Hom entries reuse their generators' walks.  Routes, in the order tried:
 
 * side_vanishes: one side's syzygy orbit reaches a stably trivial module,
   so the tail of the system is identically zero; the stage is the first
@@ -47,7 +48,6 @@ from .homology import (
     _stride,
     ext_dim,
     is_stably_zero_module,
-    omega_stabilizes,
     pd_certificate,
     syzygy,
 )
@@ -134,24 +134,25 @@ def stab_hom(x: StableObject, y: StableObject, spec: SubcatSpec,
     X = syzygy(x.module, x.shift + c)
     Y = syzygy(y.module, y.shift + c)
 
-    ox = omega_stabilizes(X, horizon)
-    oy = ox if ox["kind"] == "zero" else omega_stabilizes(Y, horizon)
-    for orb in (ox, oy):
-        if orb["kind"] == "zero":
-            return StabHom("certified", 0, "side_vanishes", orb["steps"],
-                           None, horizon)
+    cx = pd_certificate(X, horizon)
+    cy = cx if cx.status == "finite" else pd_certificate(Y, horizon)
+    for cert in (cx, cy):
+        if cert.status == "finite":
+            return StabHom("certified", 0, "side_vanishes", cert.n, None,
+                           horizon)
 
     criterion = None
-    if ox["kind"] == "cycle":
-        s = ox["preperiod"]
-        criterion = all(_ext1_clean(r) for r in ox["reps"][s:])
+    if cx.status == "infinite_periodic":
+        s = cx.preperiod
+        criterion = all(_ext1_clean(syzygy(X, j))
+                        for j in range(s, s + cx.period))
         if criterion:
             v = _stable_dim(syzygy(X, s), syzygy(Y, s))
             return StabHom("certified", v, "orthogonal_tail", s, True,
                            horizon)
 
-    if ox["kind"] == "cycle" and oy["kind"] == "cycle":
-        (px, lx), (py, ly) = _stride(ox, d), _stride(oy, d)
+    if cx.status == cy.status == "infinite_periodic":
+        (px, lx), (py, ly) = _stride(cx, d), _stride(cy, d)
         t0 = max(px, py)
         w = lcm(lx, ly)
         window = [_stable_dim(syzygy(X, j * d), syzygy(Y, j * d))
@@ -447,11 +448,14 @@ def gp_certificate(M: Representation, horizon: int = 24) -> GpCertificate:
     complex.
     """
     alg = M.algebra
-    if M.total_dim == 0 or is_stably_zero_module(M):
+    if is_stably_zero_module(M):
         return GpCertificate("gp_certified", None, 0, 0, horizon)
-    orb = omega_stabilizes(M, horizon)
+    cert = pd_certificate(M, horizon)
+    kept = (cert.n if cert.status == "finite" else horizon + 1
+            if cert.status == "undetermined" else cert.preperiod + cert.period)
     verts = sorted(alg.quiver.vertices)
-    for j, r in enumerate(orb["reps"]):
+    for j in range(kept):
+        r = syzygy(M, j)
         if _ext1_clean(r):
             continue
         for v in verts:
@@ -461,10 +465,10 @@ def gp_certificate(M: Representation, horizon: int = 24) -> GpCertificate:
         raise InternalCheckFailed(
             "Ext into the regular module is nonzero but vanishes on every "
             "projective")
-    if orb["kind"] == "cycle":
-        return GpCertificate("gp_certified", None, orb["preperiod"],
-                             orb["period"], horizon)
-    if orb["kind"] == "zero":
+    if cert.status == "infinite_periodic":
+        return GpCertificate("gp_certified", None, cert.preperiod,
+                             cert.period, horizon)
+    if cert.status == "finite":
         # finite positive pd forces a nonzero Ext against the last cover,
         # so a clean scan ending in a vanishing orbit cannot happen
         raise InternalCheckFailed("vanishing orbit with clean Ext scan")

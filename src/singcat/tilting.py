@@ -7,7 +7,7 @@ element, so factoring properties hold by construction and minimality is
 never assumed.  Verification comes in two modes.  Certificate mode checks
 rigidity, generation, cogeneration, and closure of d-th syzygies, which is
 everything that can be decided from the generator list alone.  Full mode
-additionally needs a caller-supplied complete list of indecomposables and
+runs when a complete list of indecomposables is given, and additionally
 checks both Ext-orthogonality equalities against it.
 
 Two facts keep the checks small.  First, add G generates mod A iff every
@@ -283,11 +283,10 @@ def verify_dZ_closure(spec: SubcatSpec) -> Check:
     return Check(True)
 
 
-def verify_cluster_tilting(spec: SubcatSpec, mode: str = "certificate",
+def verify_cluster_tilting(spec: SubcatSpec,
                            indec_list: list[Representation] | None = None,
                            ) -> CTReport:
-    if mode not in ("certificate", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
+    mode = "certificate" if indec_list is None else "full"
     checks: dict[str, Check] = {}
     checks["rigid"] = verify_rigid(spec)
     gc = verify_gen_cogen(spec)
@@ -300,11 +299,9 @@ def verify_cluster_tilting(spec: SubcatSpec, mode: str = "certificate",
     if failed:
         return CTReport(mode, checks, "refuted",
                         counterexample=(failed[0][0], failed[0][1].witness))
-    if mode == "certificate":
+    if indec_list is None:
         return CTReport(mode, checks, "certificate_only")
 
-    if indec_list is None:
-        raise ValueError("full mode needs the complete indecomposable list")
     _indec_list_sanity(spec.algebra, indec_list)
     d, gens = spec.d, spec.generators
     for L in indec_list:

@@ -1,0 +1,41 @@
+"""Module builders shared by the tests: truncated-polynomial Jordan blocks
+and the uniserials of cyclic Nakayama algebras."""
+
+from __future__ import annotations
+
+from singcat.exact_linalg import Matrix
+from singcat.rep import Representation
+from singcat.tilting import SubcatSpec
+
+
+def jordan_module(alg, i):
+    """k[x]/(x^i) as a module over k[x]/(x^n), i <= n."""
+    f = alg.field
+    rows = [[f.one if c == r + 1 else f.zero for c in range(i)]
+            for r in range(i)]
+    return Representation(alg, {"0": i}, {"a0": Matrix.from_rows(f, rows, i)})
+
+
+def jordan_spec(alg, n):
+    """The d = 1 spec of every k[x]/(x^i), 1 <= i <= n, labelled M1..Mn."""
+    mods = [jordan_module(alg, i) for i in range(1, n + 1)]
+    return SubcatSpec(alg, mods, 1, labels=[f"M{i}" for i in range(1, n + 1)])
+
+
+def uniserial(alg, i, l):
+    """M(i, l) = P(i)/rad^l P(i) over a cyclic Nakayama algebra: basis
+    e_0..e_{l-1} at the vertices i, i+1, ... (mod n), and the arrow out of
+    the vertex of e_j sends e_j to e_{j+1}."""
+    f, n = alg.field, len(alg.quiver.vertices)
+    at = [(i + j) % n for j in range(l)]
+    row = [at[:j].count(at[j]) for j in range(l)]  # e_j's row at its vertex
+    dims = {str(v): at.count(v) for v in range(n)}
+    action = {}
+    for a in range(n):
+        b = (a + 1) % n
+        rows = [[f.zero] * dims[str(b)] for _ in range(dims[str(a)])]
+        for j in range(l - 1):
+            if at[j] == a:
+                rows[row[j]][row[j + 1]] = f.one
+        action[f"a{a}"] = Matrix.from_rows(f, rows, dims[str(b)])
+    return Representation(alg, dims, action)

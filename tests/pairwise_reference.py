@@ -12,8 +12,9 @@ generator coordinates, where ``homology`` now reads it from Hom dimensions
 by dimension shifting.  ``step_unpooled`` is the cover step with a fresh
 kernel every time, where ``homology._step`` shares content-identical
 syzygies.  ``omega_stabilizes_strided`` walks the d-step orbit itself,
-where ``homology._stride`` reads it off the 1-step orbit.  Written for
-clarity and not for speed.
+where ``homology._stride`` reads it off the 1-step orbit of
+``pd_certificate``; at stride 1 it keeps the members that
+``gp_certificate_pairwise`` scans.  Written for clarity and not for speed.
 """
 
 from singcat.exact_linalg import (
@@ -21,7 +22,7 @@ from singcat.exact_linalg import (
     sparse_rank,
 )
 from singcat.homology import (
-    _matches_stably, _step, ext_dim, is_stably_zero_module, omega_stabilizes, stable_end_dim,
+    _matches_stably, _step, ext_dim, is_stably_zero_module, stable_end_dim,
     stable_hom, syzygy,
 )
 from singcat.rep import (
@@ -139,7 +140,7 @@ def gp_certificate_pairwise(M, horizon=24):
     alg = M.algebra
     if M.total_dim == 0 or is_stably_zero_module(M):
         return GpCertificate("gp_certified", None, 0, 0, horizon)
-    orb = omega_stabilizes(M, horizon)
+    orb = omega_stabilizes_strided(M, horizon)
     for j, r in enumerate(orb["reps"]):
         for v in sorted(alg.quiver.vertices):
             if ext_dim(r, projective_module(alg, v), 1):

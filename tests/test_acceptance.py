@@ -213,7 +213,7 @@ def test_criterion_2_projective_triples(orbit_spec, record_criterion):
 
 def test_criterion_3_cluster_tilting_verified(orbit_spec, tmp_path,
                                               record_criterion):
-    report = verify_cluster_tilting(orbit_spec, mode="certificate")
+    report = verify_cluster_tilting(orbit_spec)
     assert report.verdict == "certificate_only"
     for name in ("rigid", "generating", "cogenerating", "dZ_closure"):
         assert report.checks[name].ok, name
@@ -422,7 +422,7 @@ def test_criterion_9_field_independence(record_criterion):
             for a, b in PROJECTIVE_LANDINGS]
         sig["proj"] = sorted(l for l, g in zip(spec.labels, spec.generators)
                              if is_projective(g))
-        rep = verify_cluster_tilting(spec, mode="certificate")
+        rep = verify_cluster_tilting(spec)
         sig["verdict"] = rep.verdict
         sig["checks"] = {k: c.ok for k, c in rep.checks.items()}
         M = spec.by_label("(0,0,0)")

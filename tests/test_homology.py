@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -31,7 +32,6 @@ from singcat.homology import (
     _stride,
     ext,
     is_stably_zero_module,
-    omega_stabilizes,
     pd_certificate,
     resolve,
     stable_end_dim,
@@ -42,9 +42,9 @@ from singcat.homology import (
 from singcat.stab import skeleton
 from singcat.tilting import SubcatSpec
 
+from builders import jordan_module, uniserial
 from dense_reference import dense_solve_left, dense_solve_right
 from pairwise_reference import dual_map_matrix, omega_stabilizes_strided
-from test_tilting import uniserial
 
 KS = (3, 2, 3, 3)
 
@@ -77,19 +77,19 @@ def test_double_syzygy_table(orbit):
 
 def test_syzygy_orbit_of_unit_interval(orbit):
     M0 = interval_module(orbit, (0, 0, 0))
-    orb = omega_stabilizes(M0, 24)
-    assert orb["kind"] == "cycle"
-    assert orb["preperiod"] == 0
-    assert orb["period"] == 6
-    assert [r.total_dim for r in orb["reps"]] == [1, 2, 2, 1, 2, 2]
+    cert = pd_certificate(M0, 24)
+    assert (cert.status, cert.preperiod, cert.period) == (
+        "infinite_periodic", 0, 6)
+    orb = [syzygy(M0, j) for j in range(6)]
+    assert [r.total_dim for r in orb] == [1, 2, 2, 1, 2, 2]
     # the odd members are not intervals; checked by their supports
-    assert stable_iso(orb["reps"][2], interval_module(orbit, (2, 3, 3)))
-    assert stable_iso(orb["reps"][3], simple_module(orbit, "(1,3)"))
-    assert stable_iso(orb["reps"][4], interval_module(orbit, (1, 1, 2)))
-    W = orb["reps"][5]
+    assert stable_iso(orb[2], interval_module(orbit, (2, 3, 3)))
+    assert stable_iso(orb[3], simple_module(orbit, "(1,3)"))
+    assert stable_iso(orb[4], interval_module(orbit, (1, 1, 2)))
+    W = orb[5]
     assert {v: d for v, d in W.dims.items() if d} == {"(0,1)": 1, "(0,2)": 1}
     # the 2-step orbit: Omega^2 acts on the 6-cycle with period 3
-    assert _stride(omega_stabilizes(M0, 24), 2) == (0, 3)
+    assert _stride(cert, 2) == (0, 3)
 
 
 def _orbit_inputs(fld):
@@ -106,6 +106,10 @@ def _orbit_inputs(fld):
     yield from nakayama2_tilde((3, 2, 3, 3), 4, fld)[1].generators
 
 
+REFERENCE_KIND = {"finite": "zero", "infinite_periodic": "cycle",
+                  "undetermined": "undetermined"}
+
+
 @pytest.mark.parametrize("fld", [rational_field(), prime_field(101)],
                          ids=["Q", "F101"])
 def test_stride_matches_the_strided_walk(fld):
@@ -114,19 +118,43 @@ def test_stride_matches_the_strided_walk(fld):
     # 1-step walk resolves, if at all, past the last full stride it took
     for M in _orbit_inputs(fld):
         for horizon in range(25):
-            orb = omega_stabilizes(M, horizon)
+            cert = pd_certificate(M, horizon)
+            kind = REFERENCE_KIND[cert.status]
             for d in range(1, 5):
                 ref = omega_stabilizes_strided(M, horizon, d)
-                if orb["kind"] == "cycle":
-                    p, L = _stride(orb, d)
+                if kind == "cycle":
+                    p, L = _stride(cert, d)
                     derived, first = ("cycle", p, L), d * (p + L)
                 else:
-                    derived, first = (orb["kind"], None, None), orb.get("steps")
+                    derived, first = (kind, None, None), cert.n
                 if ref["kind"] != "undetermined":
                     assert (ref["kind"], ref.get("preperiod"),
                             ref.get("period")) == derived, (M.dims, horizon, d)
-                elif orb["kind"] != "undetermined":
+                elif kind != "undetermined":
                     assert first > horizon // d * d, (M.dims, horizon, d)
+
+
+def test_pd_certificate_is_frozen_and_memoised_per_horizon(orbit,
+                                                          monkeypatch):
+    M0 = interval_module(orbit, (0, 0, 0))
+    walks = []
+    real = homology._walk_orbit
+
+    def walk(M, horizon):
+        walks.append(horizon)
+        return real(M, horizon)
+    monkeypatch.setattr(homology, "_walk_orbit", walk)
+    cert = pd_certificate(M0, 24)
+    assert pd_certificate(M0, 24) is cert
+    assert pd_certificate(M0, 5).status == "undetermined"
+    assert pd_certificate(M0, 5) is pd_certificate(M0, 5)
+    assert walks == [24, 5]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.status = "finite"
+    # the memo holds certificates of plain values, no module
+    assert set(M0._pd_certs) == {24, 5}
+    assert all(v is None or isinstance(v, (int, str))
+               for c in M0._pd_certs.values() for v in dataclasses.astuple(c))
 
 
 def test_pd_certificates(orbit):
@@ -277,9 +305,8 @@ def test_syzygy_morphism_functorial(orbit):
 def test_stably_zero_detection(orbit):
     assert is_stably_zero_module(projective_module(orbit, "(0,0)"))
     assert not is_stably_zero_module(simple_module(orbit, "(1,3)"))
-    z = omega_stabilizes(interval_module(orbit, (2, 2, 2)), 24)
-    assert z["kind"] == "zero"
-    assert z["steps"] == 2
+    z = pd_certificate(interval_module(orbit, (2, 2, 2)), 24)
+    assert (z.status, z.n) == ("finite", 2)
 
 
 def test_ext_cross_field():
@@ -291,14 +318,6 @@ def test_ext_cross_field():
         assert ext(M0, P01, 1).dim == 0
         c = pd_certificate(M0, 24)
         assert (c.status, c.preperiod, c.period) == ("infinite_periodic", 0, 6)
-
-
-def jordan_module(alg, i):
-    """k[x]/(x^i) as a module over k[x]/(x^n), i <= n."""
-    f = alg.field
-    rows = [[f.one if c == r + 1 else f.zero for c in range(i)] for r in range(i)]
-    from singcat.exact_linalg import Matrix
-    return Representation(alg, {"0": i}, {"a0": Matrix.from_rows(f, rows, i)})
 
 
 def test_truncated_polynomial_homological_oracle(kx4):

@@ -8,6 +8,7 @@ import pytest
 import singcat
 from singcat import homology, rep, stab, tilting
 from singcat.exact_linalg import InternalCheckFailed, Matrix
+from singcat.homology import PdCertificate
 
 PACKAGE = Path(singcat.__file__).resolve().parent
 
@@ -71,9 +72,8 @@ def test_cover_check_runs_where_the_module_is_nonzero(monkeypatch,
 
 def test_gp_certificate_vanishing_orbit_with_clean_scan_raises(monkeypatch, kx4):
     S = rep.simple_module(kx4, kx4.quiver.vertices[0])
-    monkeypatch.setattr(stab, "omega_stabilizes",
-                        lambda M, horizon: {"kind": "zero", "steps": 1,
-                                            "reps": [M]})
+    monkeypatch.setattr(stab, "pd_certificate",
+                        lambda M, horizon: PdCertificate("finite", 1))
     monkeypatch.setattr(stab, "ext_dim", lambda M, N, i: 0)
     with pytest.raises(InternalCheckFailed, match="clean Ext scan"):
         stab.gp_certificate(S)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singcat.cli as cli
-from singcat import homology
+from singcat import homology, quiver_algebra
 from singcat.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -258,6 +258,54 @@ def test_usage_error_is_malformed_input(args, capsys):
 def test_help_exits_ok(capsys):
     assert main(["ct", "verify", "--help"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("usage: singcat ct verify")
+
+
+@pytest.mark.parametrize("args", [
+    ["ct", "verify", "--mode", "certificate"],
+    ["sing", "skeleton", "--d", "2"],
+    ["ct", "verify", "--horizon", "3"],
+    ["example", "kx2", "--length-bound", "4"],
+], ids=["ct-verify-mode", "skeleton-d", "ct-verify-horizon",
+        "example-length-bound"])
+def test_options_that_cannot_change_an_answer_are_gone(args, kx2_dir,
+                                                        tmp_path, capsys):
+    if args[0] == "example":
+        args = args + ["--out", str(tmp_path / "kx2")]
+    else:
+        args = args + ["--subcat", str(kx2_dir / "subcat.json")]
+    assert main(args) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: singcat ")
+    assert "unrecognized arguments: " + args[2] in captured.err
+    assert not (tmp_path / "kx2").exists()
+
+
+def test_horizon_is_an_option_of_the_sing_verbs_only(capsys):
+    for verb in ("skeleton", "gorenstein", "gp"):
+        assert main(["sing", verb, "--help"]) == EXIT_OK
+        assert "--horizon" in capsys.readouterr().out
+    assert main(["ct", "verify", "--help"]) == EXIT_OK
+    assert "--horizon" not in capsys.readouterr().out
+
+
+def test_algebra_with_long_paths_loads_with_one_basis_computation(
+        monkeypatch):
+    # k[x]/(x^6): x^5 is a nonzero path of length 5, so bound 4 would fail
+    calls = []
+    real = quiver_algebra.compute_basis
+
+    def counted(*args):
+        calls.append(args[-1])
+        return real(*args)
+    monkeypatch.setattr(quiver_algebra, "compute_basis", counted)
+    alg = algebra_from_json({
+        "field": {"kind": "rational"}, "vertices": ["0"],
+        "arrows": [{"id": "a", "src": "0", "tgt": "0"}],
+        "relations": [[{"coef": "1", "path": ["a"] * 6}]],
+    })
+    assert alg.dimension == 6
+    assert calls == [16]
 
 
 def test_exit_internal_on_failed_check(kx2_dir, monkeypatch, capsys):

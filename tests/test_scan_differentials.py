@@ -86,6 +86,7 @@ from singcat.tilting import (
     verify_dZ_closure, verify_gen_cogen, verify_rigid,
 )
 
+from builders import jordan_module, uniserial
 from pairwise_reference import (
     d_coresolution_walk,
     ext_dim_by_dual_differentials,
@@ -107,14 +108,6 @@ FAMILIES = ("kx2", "hereditary-a2", "jordan", "a2-tilde")
 def _field(name):
     p = FIELDS[name]
     return rational_field() if p is None else prime_field(p)
-
-
-def jordan_module(alg, i):
-    """k[x]/(x^i) as a module over k[x]/(x^n), i <= n."""
-    f = alg.field
-    rows = [[f.one if c == r + 1 else f.zero for c in range(i)]
-            for r in range(i)]
-    return Representation(alg, {"0": i}, {"a0": Matrix.from_rows(f, rows, i)})
 
 
 @lru_cache(maxsize=None)
@@ -465,25 +458,6 @@ def test_stable_class_gate_agrees_on_every_case(family, field):
 # isomorphism-first stable classes against add-membership
 
 SCALARS = (1, -1, 2, -2, 3, -3)
-
-
-def uniserial(alg, i, l):
-    """M(i, l) = P(i)/rad^l P(i) over a cyclic Nakayama algebra: basis
-    e_0..e_{l-1} at the vertices i, i+1, ... (mod n), and the arrow out of
-    the vertex of e_j sends e_j to e_{j+1}."""
-    f, n = alg.field, len(alg.quiver.vertices)
-    at = [(i + j) % n for j in range(l)]
-    row = [at[:j].count(at[j]) for j in range(l)]  # e_j's row at its vertex
-    dims = {str(v): at.count(v) for v in range(n)}
-    action = {}
-    for a in range(n):
-        b = (a + 1) % n
-        rows = [[f.zero] * dims[str(b)] for _ in range(dims[str(a)])]
-        for j in range(l - 1):
-            if at[j] == a:
-                rows[row[j]][row[j + 1]] = f.one
-        action[f"a{a}"] = Matrix.from_rows(f, rows, dims[str(b)])
-    return Representation(alg, dims, action)
 
 
 def twisted(M, rng):

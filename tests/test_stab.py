@@ -40,18 +40,7 @@ from singcat.stab import (
 )
 from singcat.tilting import SubcatSpec, standard_angle
 
-
-def jordan_module(alg, i):
-    """k[x]/(x^i) as a module over k[x]/(x^n), i <= n."""
-    f = alg.field
-    rows = [[f.one if c == r + 1 else f.zero for c in range(i)]
-            for r in range(i)]
-    return Representation(alg, {"0": i}, {"a0": Matrix.from_rows(f, rows, i)})
-
-
-def jordan_spec(alg, n):
-    mods = [jordan_module(alg, i) for i in range(1, n + 1)]
-    return SubcatSpec(alg, mods, 1, labels=[f"M{i}" for i in range(1, n + 1)])
+from builders import jordan_module, jordan_spec
 
 
 def test_shift_arithmetic_on_stable_objects(kx2):
@@ -221,7 +210,7 @@ def test_skeleton_hom_routes_walk_each_side_once(monkeypatch, fld):
     """The (route, dim, stage) tally of every skeleton Hom entry, with each
     stab_hom call walking at most two syzygy orbits, X's and Y's."""
     tally, walks = Counter(), []
-    real_walk, real_hom = stab.omega_stabilizes, stab.stab_hom
+    real_walk, real_hom = stab.pd_certificate, stab.stab_hom
 
     def counted_walk(*args):
         walks.append(args[0])
@@ -233,7 +222,7 @@ def test_skeleton_hom_routes_walk_each_side_once(monkeypatch, fld):
         assert len(walks) <= 2
         tally[h.route, h.dim, h.stage] += 1
         return h
-    monkeypatch.setattr(stab, "omega_stabilizes", counted_walk)
+    monkeypatch.setattr(stab, "pd_certificate", counted_walk)
     monkeypatch.setattr(stab, "stab_hom", tallied_hom)
 
     def routes(spec, **kw):
@@ -247,6 +236,38 @@ def test_skeleton_hom_routes_walk_each_side_once(monkeypatch, fld):
     kx5 = jordan_spec(nakayama_cyclic((5,), fld), 5)
     assert routes(kx5) == {("orthogonal_tail", 1, 0): 12,
                            ("orthogonal_tail", 2, 0): 4}
+
+
+@pytest.mark.parametrize("fld", [rational_field(), prime_field(101)],
+                         ids=["Q", "F101"])
+def test_skeleton_walks_each_orbit_once(monkeypatch, fld):
+    """One orbit walk per (module, horizon): the Hom entries of a skeleton
+    read the certificates of its generators' walks, so the walks and the
+    stable-class tests inside them stay at one per orbit member."""
+    calls = Counter()
+    real_walk, real_match = homology._walk_orbit, homology._matches_stably
+
+    def walk(*args):
+        calls["walks"] += 1
+        return real_walk(*args)
+
+    def match(*args):
+        calls["matches"] += 1
+        return real_match(*args)
+    monkeypatch.setattr(homology, "_walk_orbit", walk)
+    monkeypatch.setattr(homology, "_matches_stably", match)
+
+    def counts(spec, **kw):
+        calls.clear()
+        skeleton(spec, **kw)
+        return calls["walks"], calls["matches"]
+    walks, matches = counts(nakayama2_tilde((3, 2, 3, 3), 4, fld)[1])
+    assert walks <= 22 and matches <= 232
+    walks, matches = counts(nakayama2_tilde((3, 2, 3, 3), 4, fld)[1],
+                            all_shifts=True)
+    assert walks <= 25 and matches <= 280
+    walks, matches = counts(jordan_spec(nakayama_cyclic((5,), fld), 5))
+    assert walks <= 5 and matches <= 8
 
 
 def test_stab_hom_with_tiny_horizon_is_undetermined(orbit_spec):

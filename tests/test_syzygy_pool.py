@@ -31,20 +31,13 @@ from singcat.rep import (
 from singcat.stab import OrbitNotResolved, skeleton
 from singcat.tilting import SubcatSpec
 
+from builders import jordan_module
 from pairwise_reference import step_unpooled
 
 FIELDS = [rational_field(), prime_field(2), prime_field(101)]
 KS = (3, 2, 3, 3)
 TRIPLES = valid_triples_window(KS, 0, len(KS))
 SCALARS = (1, -1, 2, -2, 3, -3)
-
-
-def jordan_module(alg, i):
-    """k[x]/(x^i) as a module over k[x]/(x^n), i <= n."""
-    f = alg.field
-    rows = [[f.one if c == r + 1 else f.zero for c in range(i)]
-            for r in range(i)]
-    return Representation(alg, {"0": i}, {"a0": Matrix.from_rows(f, rows, i)})
 
 
 def _twisted(M, rng):

@@ -9,7 +9,6 @@ from singcat.exact_linalg import Matrix, prime_field, rank, rational_field
 from singcat.homology import ext, is_stably_zero_module, stable_hom, syzygy
 from singcat.quiver_algebra import nakayama_cyclic, nakayama2_tilde
 from singcat.rep import (
-    Representation,
     RepMorphism,
     add_membership,
     direct_sum,
@@ -40,6 +39,7 @@ from singcat.tilting import (
     verify_rigid,
 )
 
+from builders import uniserial
 from dense_reference import row_space_contains
 
 
@@ -67,7 +67,7 @@ def test_kx2_all_indecomposables_verify_fully(kx2):
     S = simple_module(kx2, "0")
     P = projective_module(kx2, "0")
     spec = SubcatSpec(kx2, [S, P], 1, labels=["S", "P"])
-    report = verify_cluster_tilting(spec, mode="full", indec_list=[S, P])
+    report = verify_cluster_tilting(spec, indec_list=[S, P])
     assert report.verdict == "verified"
     assert report.checks["rigid"].ok
     assert report.checks["orthogonality_equality"].ok
@@ -79,7 +79,7 @@ def test_kx2_projectives_alone_fail_full_mode(kx2):
     S = simple_module(kx2, "0")
     P = projective_module(kx2, "0")
     spec = SubcatSpec(kx2, [P], 1, labels=["P"])
-    report = verify_cluster_tilting(spec, mode="full", indec_list=[S, P])
+    report = verify_cluster_tilting(spec, indec_list=[S, P])
     assert report.verdict == "refuted"
     assert is_isomorphic(report.counterexample, S)
 
@@ -89,30 +89,10 @@ def test_full_mode_rejects_incomplete_indec_list(kx2):
     P = projective_module(kx2, "0")
     spec = SubcatSpec(kx2, [S, P], 1, labels=["S", "P"])
     with pytest.raises(IncompleteIndecList):
-        verify_cluster_tilting(spec, mode="full", indec_list=[S])
+        verify_cluster_tilting(spec, indec_list=[S])
     # right total dimension, but S + S is not the projective
     with pytest.raises(IncompleteIndecList):
-        verify_cluster_tilting(spec, mode="full",
-                               indec_list=[S, direct_sum([S, S])])
-
-
-def uniserial(alg, i, l):
-    """M(i, l) = P(i)/rad^l P(i) over a cyclic Nakayama algebra: basis
-    e_0..e_{l-1} at the vertices i, i+1, ... (mod n), and the arrow out of
-    the vertex of e_j sends e_j to e_{j+1}."""
-    f, n = alg.field, len(alg.quiver.vertices)
-    at = [(i + j) % n for j in range(l)]
-    row = [at[:j].count(at[j]) for j in range(l)]  # e_j's row at its vertex
-    dims = {str(v): at.count(v) for v in range(n)}
-    action = {}
-    for a in range(n):
-        b = (a + 1) % n
-        rows = [[f.zero] * dims[str(b)] for _ in range(dims[str(a)])]
-        for j in range(l - 1):
-            if at[j] == a:
-                rows[row[j]][row[j + 1]] = f.one
-        action[f"a{a}"] = Matrix.from_rows(f, rows, dims[str(b)])
-    return Representation(alg, dims, action)
+        verify_cluster_tilting(spec, indec_list=[S, direct_sum([S, S])])
 
 
 @pytest.mark.parametrize("fld", [rational_field(), prime_field(2),
@@ -131,13 +111,13 @@ def test_full_mode_refutes_a_one_sided_orthogonal_module(fld):
     assert ext(W, C[1], 1).dim and not add_membership(W, C)
     assert verify_cluster_tilting(spec).verdict == "certificate_only"
     indec = [uniserial(alg, i, l) for i in range(3) for l in range(1, 4)]
-    report = verify_cluster_tilting(spec, "full", [W] + indec)
+    report = verify_cluster_tilting(spec, [W] + indec)
     assert report.verdict == "refuted"
     assert report.counterexample is W
     check = report.checks["orthogonality_equality"]
     assert not check.ok and check.note.endswith("right, Ext(C, L) = 0")
     # the full list alone is refuted too, at a module orthogonal on the left
-    report = verify_cluster_tilting(spec, "full", indec)
+    report = verify_cluster_tilting(spec, indec)
     assert report.verdict == "refuted"
     assert "left" in report.checks["orthogonality_equality"].note
 
@@ -183,7 +163,7 @@ def test_kx2_projectives_cogenerate(kx2):
 
 
 def test_orbit_window_spec_passes_certificate_mode(orbit_spec):
-    report = verify_cluster_tilting(orbit_spec, mode="certificate")
+    report = verify_cluster_tilting(orbit_spec)
     assert report.verdict == "certificate_only"
     assert all(c.ok for c in report.checks.values())
 
