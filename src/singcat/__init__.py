@@ -22,10 +22,12 @@ from .homology import (
     StableHomSpace,
     ext,
     ext_dim,
+    is_projective,
     pd_certificate,
     resolve,
     stable_end_dim,
     stable_hom,
+    stable_iso,
     syzygy,
     syzygy_morphism,
 )
@@ -62,12 +64,10 @@ from .rep import (
     injectives,
     interval_module,
     is_isomorphic,
-    is_projective,
     projective_cover,
     projective_module,
     projectives,
     simple_module,
-    stable_iso,
     zero_rep,
 )
 from .stab import (

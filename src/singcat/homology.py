@@ -42,14 +42,22 @@ v over the summands of the cover of Omega^{i-1} M (Auslander-Reiten-Smalo,
 *Representation Theory of Artin Algebras*).  ``ext`` and ``stable_hom``
 still build the spaces with bases for callers that need elements.
 
-Two modules lie in one stable class iff they are isomorphic after adding
-projective summands, A + P = B + Q.  The minimal cover of a projective is
-itself, with kernel zero, so such a pair has Omega A = Omega B
-(Auslander-Reiten-Smalo, IV.1).  ``_matches_stably`` therefore rejects a
-pair whose cached syzygies differ in dimension vector before
-``rep.stable_iso`` tries an isomorphism and then compares stable
-endomorphism dimensions; stably zero modules (zero or projective) are the
-one zero class, and modules with identical matrices match with no test.
+The stable category lives here, on the cached cover step.  A map M -> P
+-> M through a projective P lifts its second half through the cover
+eps: P_M -> M, so the endomorphisms that factor through a projective are
+P(M, M) = {h then eps : h in Hom(M, P_M)} (Auslander-Reiten-Smalo, IV.1),
+whose echelon rows are memoised on M.  ``stable_add_membership`` asks
+whether id_M lies in the span of the composites M -> g -> M plus P(M, M),
+which is membership in add(G + A) with no projective generator built.
+``stable_iso`` decides one stable class, A + P = B + Q, by gates in this
+order: modules with identical matrices match; stably zero modules (zero or
+projective, ``is_projective``) form the one zero class; syzygies that
+differ in dimension vector reject, since the minimal cover of a projective
+is itself, with kernel zero, so Omega A = Omega B; an isomorphism
+certificate accepts; different stable endomorphism dimensions reject; and
+last each of A and B must lie in the stable add of the other, by the trace
+test.  The verdict is sound when the non-projective parts of both inputs
+are indecomposable or zero.
 
 Stable Hom dimensions and stable-class verdicts are memoised per ordered
 module pair (``_pair_memo``), dim Hom(A, P_v) per module and vertex
@@ -65,17 +73,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Sequence
 from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .exact_linalg import (
-    InternalCheckFailed, Matrix, _sparse_rows, echelon_solve, rref,
+    InternalCheckFailed, Matrix, _eliminate, _sparse_rows, echelon_solve, rref,
     sparse_kernel,
 )
 from .rep import (
     Cover,
     RepMorphism,
     Representation,
+    _composite_rows,
     _cover_map_from_gen_images,
+    _end_offsets,
+    _identity_in_trace,
+    _iso_certificate,
     _morphism_to_vec,
     _same_algebra,
     hom,
@@ -408,10 +421,12 @@ def stable_end_dim(M: Representation) -> int:
     return _stable_dim(M, M)
 
 
-def is_stably_zero_module(M: Representation) -> bool:
-    """Zero or projective; minimal covers make this a dimension comparison.
+def is_projective(M: Representation) -> bool:
+    """Zero or projective, that is, stably zero.
 
-    The one projectivity criterion: ``rep.is_projective`` calls it too.
+    The minimal cover sum_v P(v) -> M, one P(v) per top generator at v, is
+    onto, so it is an isomorphism exactly when the dimensions agree.  The
+    cover is the cached one of ``_step``.
     """
     if M.total_dim == 0:
         return True
@@ -419,32 +434,70 @@ def is_stably_zero_module(M: Representation) -> bool:
     return cover.rep.total_dim == M.total_dim
 
 
-def _matches_stably(A: Representation, B: Representation) -> bool:
+def _projective_end_rows(M: Representation) -> list[dict]:
+    """Echelon rows of End_k(M) spanning P(M, M) = {h then eps : h in
+    Hom(M, P_M)}, memoised on M as plain {column: scalar} dicts, which hold
+    no module and no morphism."""
+    rows = getattr(M, "_proj_end_rows", None)
+    if rows is None:
+        cover, eps, _, _ = _step(M)
+        off, width = _end_offsets(M)
+        rows = _composite_rows(
+            M, off, [h.mats for h in hom(M, cover.rep).basis], [eps])
+        rows = M._proj_end_rows = rows[:len(_eliminate(M.algebra.field, rows,
+                                                       width))]
+    return rows
+
+
+def stable_add_membership(M: Representation,
+                          gens: Sequence[Representation]) -> bool:
+    """Is M in add(G + A), that is, in add G in the stable category?
+
+    The answer of ``rep.add_membership(M, gens + projectives)``, with no
+    projective generator built: id_M must lie in the span of the composites
+    M -> g -> M plus P(M, M) (``_projective_end_rows``).  There is no
+    per-vertex rank pre-check: with the projectives among the generators it
+    never fails, as every x in M_v is the image of a map P(v) -> M.
+    """
+    if M.total_dim == 0:
+        return True
+    _same_algebra(M, *gens)
+    into = [(g, hom(g, M).basis) for g in gens]
+    return _identity_in_trace(
+        M, [(hom(M, g).basis, bs) for g, bs in into if bs],
+        _projective_end_rows(M))
+
+
+def stable_iso(A: Representation, B: Representation) -> bool:
     """Do A and B lie in one stable class?  Memoised per module pair.
 
-    A module matches itself, or one with the same dimension vector and
-    arrow matrices, at once.  Stably zero modules (zero or projective) form
-    one class, the zero object, decided next.  Otherwise the cached steps
-    give a necessary condition: A + P = B + Q with P, Q projective forces
-    Omega A = Omega B, because the minimal cover of a projective is itself
-    and has kernel zero (Auslander-Reiten-Smalo, *Representation Theory of
-    Artin Algebras*, IV.1).  So syzygies with different dimension vectors
-    reject the pair with no Hom system; ``rep.stable_iso`` decides the rest,
-    an isomorphism certificate first.
+    The gates run in the order of the module docstring.  The isomorphism
+    certificate is one B -> A; hom(B, A), if it did not build it, comes
+    next, and hom(A, B) only when that is nonzero, each basis serving both
+    trace tests.
     """
-    from .rep import stable_iso
-
+    _same_algebra(A, B)
     if A is B or A.dims == B.dims and A.action == B.action:
         return True
+    return _pair_memo("_stable_matches", A, B, _stably_isomorphic)
 
-    def decide(A, B):
-        za, zb = is_stably_zero_module(A), is_stably_zero_module(B)
-        if za or zb:
-            return za and zb
-        if _step(A)[2].dims != _step(B)[2].dims:
-            return False
-        return stable_iso(A, B)
-    return _pair_memo("_stable_matches", A, B, decide)
+
+def _stably_isomorphic(A: Representation, B: Representation) -> bool:
+    za, zb = is_projective(A), is_projective(B)
+    if za or zb:
+        return za and zb
+    if _step(A)[2].dims != _step(B)[2].dims:
+        return False
+    iso, ba = _iso_certificate(B, A)
+    if iso:
+        return True
+    if stable_end_dim(A) != stable_end_dim(B):
+        return False
+    if ba is None:
+        ba = hom(B, A).basis
+    ab = hom(A, B).basis if ba else []
+    return (_identity_in_trace(A, [(ab, ba)], _projective_end_rows(A))
+            and _identity_in_trace(B, [(ba, ab)], _projective_end_rows(B)))
 
 
 @dataclass(frozen=True)
@@ -474,16 +527,16 @@ def pd_certificate(M: Representation, horizon: int = 24) -> PdCertificate:
 
 
 def _walk_orbit(M: Representation, horizon: int) -> PdCertificate:
-    if is_stably_zero_module(M):
+    if is_projective(M):
         return PdCertificate("finite", 0)
     kept = [M]
     cur = M
     for taken in range(1, horizon + 1):
         cur = _step(cur)[2]
-        if is_stably_zero_module(cur):
+        if is_projective(cur):
             return PdCertificate("finite", taken)
         for t, old in enumerate(kept):
-            if _matches_stably(old, cur):
+            if stable_iso(old, cur):
                 return PdCertificate("infinite_periodic", None, t, taken - t)
         kept.append(cur)
     return PdCertificate("undetermined", horizon=horizon)

@@ -17,6 +17,12 @@ have no Hom system at all.  Every guard still runs where its block is
 nonempty: "cover map is onto" at each vertex where M is nonzero, and
 "kernel is not arrow-stable" at each arrow whose source kernel block has
 rows and whose target vertex carries part of M.
+
+Membership in add G is one trace test (``_identity_in_trace``): id_M in
+the span of the composites M -> g -> M.  The stable category, maps modulo
+those that factor through a projective, is built on this module in
+``homology``, which owns the cached cover step and reuses the trace test
+and the isomorphism certificate; this module imports nothing from it.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .exact_linalg import (
-    Field, InternalCheckFailed, Matrix, _eliminate, echelon_solve, kernel_basis,
-    rank, rref, sparse_kernel, sparse_rank, sparse_span_contains,
+    InternalCheckFailed, Matrix, echelon_solve, kernel_basis, rank, rref,
+    sparse_kernel, sparse_rank, sparse_span_contains,
 )
 from .quiver_algebra import (
     BoundQuiverAlgebra, PathKey, opposite_algebra, valid_triple,
@@ -669,19 +675,8 @@ def projective_cover(M: Representation) -> tuple[Cover, RepMorphism]:
     return cover, eps
 
 
-def is_projective(M: Representation) -> bool:
-    """Zero or projective: the minimal cover has the dimension of M.
-
-    The cover sum_v P(v) -> M, one P(v) per top generator at v, is onto, so
-    it is an isomorphism exactly when the dimensions agree.  Decided by
-    ``homology.is_stably_zero_module``, which reads the cached cover.
-    """
-    from .homology import is_stably_zero_module
-    return is_stably_zero_module(M)
-
-
 # ---------------------------------------------------------------------------
-# add-membership and stable isomorphism
+# add-membership and isomorphism
 
 
 def universal_right_approximation(gens: Sequence[Representation],
@@ -747,28 +742,6 @@ def _composite_rows(M: Representation, off: dict[str, int],
     return rows
 
 
-def _projective_end_rows(M: Representation) -> list[dict]:
-    """Echelon rows spanning P(M, M), the endomorphisms of M that factor
-    through a projective, as sparse rows of End_k(M).
-
-    A map M -> P -> M through a projective P lifts its second half through
-    the cover eps: P_M -> M, so P(M, M) is {h then eps : h in Hom(M, P_M)}
-    (Auslander-Reiten-Smalo, IV.1).  The cover is the cached one of
-    ``homology._step``.  The rows are reduced once and memoised on M as
-    plain {column: scalar} dicts, which hold no module and no morphism.
-    """
-    rows = getattr(M, "_proj_end_rows", None)
-    if rows is None:
-        from .homology import _step
-        cover, eps, _, _ = _step(M)
-        off, width = _end_offsets(M)
-        rows = _composite_rows(
-            M, off, [h.mats for h in hom(M, cover.rep).basis], [eps])
-        rows = M._proj_end_rows = rows[:len(_eliminate(M.algebra.field, rows,
-                                                       width))]
-    return rows
-
-
 def _identity_in_trace(M: Representation,
                        pairs: Sequence[tuple[list, list]],
                        base: Sequence[dict] = ()) -> bool:
@@ -811,10 +784,9 @@ def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:
     sparse rows and id_M is read off the echelon rows.
 
     Membership up to projective summands, M in add(G + A), is
-    ``stable_add_membership``: it needs no projective generator, because
-    the composites through all the P(v) span P(M, M) = {h then eps :
-    h in Hom(M, P_M)}, read from M's cover eps: P_M -> M.  It runs no rank
-    pre-check, which cannot fail once the projectives are generators.
+    ``homology.stable_add_membership``, which reuses the trace test here
+    with the maps through M's cached projective cover in place of the
+    projective generators.
     """
     if M.total_dim == 0:
         return True
@@ -826,29 +798,6 @@ def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:
         return False
     return _identity_in_trace(
         M, [(hom(M, g).basis, bs) for g, bs in into if bs])
-
-
-def stable_add_membership(M: Representation,
-                          gens: Sequence[Representation]) -> bool:
-    """Is M in add(G + A), that is, in add G in the stable category?
-
-    The answer of ``add_membership(M, gens + projectives)``, with no
-    projective generator built.  The composites M -> P(v) -> M over all v
-    span exactly P(M, M) = {h then eps : h in Hom(M, P_M)}, the maps through
-    M's projective cover eps: P_M -> M, since every map from a projective
-    into M lifts through eps.  So M is a member iff id_M lies in the span of
-    the composites M -> g -> M plus P(M, M), whose rows are memoised on M
-    (``_projective_end_rows``).  There is no per-vertex rank pre-check: with
-    the projectives among the generators it never fails, as every x in M_v
-    is the image of a map P(v) -> M.
-    """
-    if M.total_dim == 0:
-        return True
-    _same_algebra(M, *gens)
-    into = [(g, hom(g, M).basis) for g in gens]
-    return _identity_in_trace(
-        M, [(hom(M, g).basis, bs) for g, bs in into if bs],
-        _projective_end_rows(M))
 
 
 def _iso_certificate(M: Representation, N: Representation,
@@ -864,39 +813,6 @@ def _iso_certificate(M: Representation, N: Representation,
         return True, None
     basis = hom(M, N).basis
     return any(b.is_iso() for b in basis), basis
-
-
-def stable_iso(M: Representation, N: Representation) -> bool:
-    """Isomorphism in the projectively stable category.
-
-    An isomorphism is a stable one (Auslander-Reiten-Smalo, IV.1), so an
-    isomorphism certificate N -> M (``_iso_certificate``) answers True
-    first, and different ``stable_end_dim``s then answer False.  Otherwise
-    M and N are stably isomorphic when each lies in add of the other in the
-    stable category: id_M in the span of the composites M -> N -> M plus
-    P(M, M), id_N in that of N -> M -> N plus P(N, N).  P(X, X) = {h then eps :
-    h in Hom(X, P_X)} is the span of all maps X -> P(v) -> X, read from
-    X's cached cover eps: P_X -> X (see ``stable_add_membership``), so the
-    only Hom space with a projective is Hom(X, P_X), built once per module.
-    hom(N, M), if the certificate did not build it, comes first, and
-    hom(M, N) only when it is nonzero.  Each basis serves both tests.
-
-    Sound when the non-projective parts of both inputs are indecomposable or
-    zero, which is what every caller here guarantees.
-    """
-    _same_algebra(M, N)
-    iso, nm = _iso_certificate(N, M)
-    if iso:
-        return True
-    from .homology import stable_end_dim
-    if stable_end_dim(M) != stable_end_dim(N):
-        return False
-    if nm is None:
-        nm = hom(N, M).basis
-    mn = hom(M, N).basis if nm else []
-    if not _identity_in_trace(M, [(mn, nm)], _projective_end_rows(M)):
-        return False
-    return _identity_in_trace(N, [(nm, mn)], _projective_end_rows(N))
 
 
 def is_isomorphic(M: Representation, N: Representation) -> bool | None:

@@ -42,13 +42,13 @@ from math import lcm
 from .exact_linalg import InternalCheckFailed
 from .homology import (
     PdCertificate,
-    _matches_stably,
     _stable_dim,
     _step,
     _stride,
     ext_dim,
-    is_stably_zero_module,
+    is_projective,
     pd_certificate,
+    stable_iso,
     syzygy,
 )
 from .quiver_algebra import BoundQuiverAlgebra, opposite_algebra
@@ -112,7 +112,7 @@ def _ext1_clean(M: Representation) -> bool:
 
 def _class_of(M: Representation, reps: list[Representation]) -> int | None:
     """The index of the first of reps in M's stable class, or None."""
-    return next((i for i, r in enumerate(reps) if _matches_stably(M, r)),
+    return next((i for i, r in enumerate(reps) if stable_iso(M, r)),
                 None)
 
 
@@ -160,7 +160,7 @@ def stab_hom(x: StableObject, y: StableObject, spec: SubcatSpec,
         if 0 in window:
             return StabHom("certified", 0, "zero_tail", t0 * d, criterion,
                            horizon)
-        if all(v == 1 for v in window) and _matches_stably(
+        if all(v == 1 for v in window) and stable_iso(
                 syzygy(X, t0 * d), syzygy(Y, t0 * d)):
             return StabHom("certified", 1, "identity_end", t0 * d, criterion,
                            horizon)
@@ -448,7 +448,7 @@ def gp_certificate(M: Representation, horizon: int = 24) -> GpCertificate:
     complex.
     """
     alg = M.algebra
-    if is_stably_zero_module(M):
+    if is_projective(M):
         return GpCertificate("gp_certified", None, 0, 0, horizon)
     cert = pd_certificate(M, horizon)
     kept = (cert.n if cert.status == "finite" else horizon + 1
@@ -512,7 +512,7 @@ def gp_intersection_check(spec: SubcatSpec,
         reps: list[Representation] = []
         for i in gp_idx:
             g = spec.generators[i]
-            if not is_stably_zero_module(g) and _class_of(g, reps) is None:
+            if not is_projective(g) and _class_of(g, reps) is None:
                 reps.append(g)
         images = [_class_of(syzygy(r, spec.d), reps) for r in reps]
         sigma_bijective = (None not in images

@@ -37,6 +37,7 @@ from .rep import (
     AlgebraMismatch,
     RepMorphism,
     Representation,
+    _images_span,
     add_membership,
     direct_sum,
     dual_module,
@@ -47,11 +48,12 @@ from .rep import (
     projective_module,
     projective_radical,
     projectives,
-    stable_add_membership,
     top_generators,
     universal_right_approximation,
 )
-from .homology import ext_dim, is_stably_zero_module, resolve, syzygy
+from .homology import (
+    ext_dim, is_projective, resolve, stable_add_membership, syzygy,
+)
 
 
 class IncompleteIndecList(ValueError):
@@ -166,12 +168,6 @@ def left_approximation(spec: SubcatSpec, N: Representation) -> RepMorphism:
     return _dual_map(f, N, dual_module(alg, f.src))
 
 
-def _is_epi(f: RepMorphism) -> bool:
-    # a block with no columns is onto, one with columns but no rows is not
-    return all(not m.cols or m.rows and rank(m) == m.cols
-               for m in f.mats.values())
-
-
 # ---------------------------------------------------------------------------
 # fragment checks
 
@@ -253,7 +249,7 @@ def verify_gen_cogen(spec: SubcatSpec) -> dict[str, Check]:
         dspec = _dual_spec(spec)
         first = _first_failure(
             [(f"P({v})", injective_module(dspec.algebra, v)) for v in vs],
-            lambda T: _is_epi(right_approximation(dspec, T)), note)
+            lambda T: _images_span([right_approximation(dspec, T)], T), note)
         if not first.ok:
             cogenerating = first
     return {"generating": generating, "cogenerating": cogenerating}
@@ -262,19 +258,18 @@ def verify_gen_cogen(spec: SubcatSpec) -> dict[str, Check]:
 def verify_dZ_closure(spec: SubcatSpec) -> Check:
     """Each d-th syzygy of a generator lies in add(generators + projectives).
 
-    Decided by ``rep.stable_add_membership``, with no projective generator:
-    id_X must lie in the span of the composites X -> g -> X plus P(X, X) =
-    {h then eps : h in Hom(X, P_X)}, the maps through X's cached projective
-    cover eps, which are exactly the composites through the projectives.
-    The per-vertex rank pre-check of ``add_membership`` is not run; it never
-    fails when the projectives are generators.  A stably zero X lies in
-    add A, and generators share syzygy instances (``homology._step``), so
-    each distinct non-projective X is tested once.
+    Decided by ``homology.stable_add_membership``, with no projective
+    generator: id_X must lie in the span of the composites X -> g -> X plus
+    P(X, X), the maps through X's cached projective cover, which are exactly
+    the composites through the projectives.  A projective X
+    (``homology.is_projective``) lies in add A, and generators share
+    syzygy instances (``homology._step``), so each distinct non-projective
+    X is tested once.
     """
     tested: list[Representation] = []
     for i, g in enumerate(spec.generators):
         X = syzygy(g, spec.d)
-        if any(X is Y for Y in tested) or is_stably_zero_module(X):
+        if any(X is Y for Y in tested) or is_projective(X):
             continue
         if not stable_add_membership(X, spec.generators):
             return Check(False, witness=spec.labels[i],
@@ -386,7 +381,7 @@ def d_resolution(spec: SubcatSpec, E: Representation) -> DResolution:
     cur = E
     while True:
         f = right_approximation(spec, cur)
-        if not _is_epi(f):
+        if not _images_span([f], f.tgt):
             raise ApproximationNotEpi(
                 "right approximation misses part of its target; "
                 "the spec does not generate")
@@ -479,7 +474,7 @@ def standard_angle(spec: SubcatSpec, X: Representation,
     """
     if d is None:
         d = spec.d
-    if is_stably_zero_module(X):
+    if is_projective(X):
         raise ValueError("angle needs a non-projective end term")
     res = resolve(X, d - 1)
     objects = [res.kernels[d]] \

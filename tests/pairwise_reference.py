@@ -22,19 +22,19 @@ from singcat.exact_linalg import (
     sparse_rank,
 )
 from singcat.homology import (
-    _matches_stably, _step, ext_dim, is_stably_zero_module, stable_end_dim,
-    stable_hom, syzygy,
+    _step, ext_dim, is_projective, stable_end_dim, stable_hom, stable_iso,
+    syzygy,
 )
 from singcat.rep import (
-    RepMorphism, Representation, _morphism_from_vec, _path_images,
-    add_membership, cokernel, direct_sum, hom, injectives, kernel,
-    projective_cover, projective_module, projectives, simple_module,
-    stable_iso, zero_rep,
+    RepMorphism, Representation, _images_span, _morphism_from_vec,
+    _path_images, add_membership, cokernel, direct_sum, hom, injectives,
+    kernel, projective_cover, projective_module, projectives, simple_module,
+    zero_rep,
 )
 from singcat.stab import GpCertificate
 from singcat.tilting import (
     ApproximationNotMono, Check, DCoresolution, FinalTermNotInSubcategory,
-    _is_epi, _is_exact, right_approximation,
+    _is_exact, right_approximation,
 )
 
 
@@ -122,7 +122,7 @@ def verify_gen_cogen_pairwise(spec):
     tests += [(f"S({v})", simple_module(alg, v)) for v in alg.quiver.vertices]
     generating = Check(True)
     for name, T in tests:
-        if not _is_epi(right_approximation(spec, T)):
+        if not _images_span([right_approximation(spec, T)], T):
             generating = Check(False, witness=name,
                                note="right approximation is not onto")
             break
@@ -138,7 +138,7 @@ def verify_gen_cogen_pairwise(spec):
 def gp_certificate_pairwise(M, horizon=24):
     """Ext^1 of every orbit member against every P(v), sorted by vertex."""
     alg = M.algebra
-    if M.total_dim == 0 or is_stably_zero_module(M):
+    if M.total_dim == 0 or is_projective(M):
         return GpCertificate("gp_certified", None, 0, 0, horizon)
     orb = omega_stabilizes_strided(M, horizon)
     for j, r in enumerate(orb["reps"]):
@@ -175,7 +175,8 @@ def stable_iso_by_add_membership(M, N):
 def matches_stably_by_dimensions(A, B):
     """The stable-class gate before the syzygy test: equal stable
     endomorphism dimensions, nonzero stable Hom both ways, then
-    ``stable_iso``; each dimension read from a stable Hom basis.
+    ``stable_iso_by_add_membership``; each dimension read from a stable Hom
+    basis.
 
     Answers False on stably zero inputs, so compare it on nonzero classes
     only.
@@ -183,7 +184,7 @@ def matches_stably_by_dimensions(A, B):
     if stable_hom(A, A).dim != stable_hom(B, B).dim:
         return False
     return (stable_hom(A, B).dim > 0 and stable_hom(B, A).dim > 0
-            and stable_iso(A, B))
+            and stable_iso_by_add_membership(A, B))
 
 
 def omega_stabilizes_strided(M, horizon=24, step=1):
@@ -197,7 +198,7 @@ def omega_stabilizes_strided(M, horizon=24, step=1):
     if step < 1:
         raise ValueError("stride must be positive")
     reps = [M]
-    if is_stably_zero_module(M):
+    if is_projective(M):
         return {"kind": "zero", "steps": 0, "reps": reps}
     cur = M
     taken = 0
@@ -207,10 +208,10 @@ def omega_stabilizes_strided(M, horizon=24, step=1):
             taken += 1
             if cur.total_dim == 0:
                 return {"kind": "zero", "steps": taken, "reps": reps}
-        if is_stably_zero_module(cur):
+        if is_projective(cur):
             return {"kind": "zero", "steps": taken, "reps": reps}
         for t, old in enumerate(reps):
-            if _matches_stably(old, cur):
+            if stable_iso(old, cur):
                 return {"kind": "cycle", "preperiod": t,
                         "period": len(reps) - t, "reps": reps}
         reps.append(cur)

@@ -14,7 +14,9 @@ import pytest
 
 from singcat.cli import EXIT_OK, emit_examples, main
 from singcat.exact_linalg import Matrix, prime_field, rank, rational_field
-from singcat.homology import ext, stable_hom, syzygy, syzygy_morphism
+from singcat.homology import (
+    ext, is_projective, stable_hom, stable_iso, syzygy, syzygy_morphism,
+)
 from singcat.quiver_algebra import (
     Arrow,
     Quiver,
@@ -27,11 +29,9 @@ from singcat.rep import (
     add_membership,
     direct_sum,
     hom,
-    is_projective,
     is_isomorphic,
     projectives,
     simple_module,
-    stable_iso,
 )
 from singcat.stab import StableObject, is_iwanaga_gorenstein, skeleton, stab_hom
 from singcat.tilting import SubcatSpec, d_resolution, verify_cluster_tilting

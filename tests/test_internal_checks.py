@@ -113,8 +113,8 @@ def test_stable_dim_outside_exactness_bounds_raises(monkeypatch, kx4,
     real = homology.hom_dim
 
     def overcounted(M, N):
-        return real(M, N) + (100 if rep.is_projective(N) == into_projective
-                             else 0)
+        projective = homology.is_projective(N)
+        return real(M, N) + (100 if projective == into_projective else 0)
     monkeypatch.setattr(homology, "hom_dim", overcounted)
     with pytest.raises(InternalCheckFailed, match=match):
         homology._stable_dim(S, S)

@@ -33,10 +33,9 @@ from singcat.cli import (
     module_to_json,
 )
 from singcat.exact_linalg import InternalCheckFailed, prime_field, rational_field
-from singcat.homology import syzygy
+from singcat.homology import is_projective, syzygy
 from singcat.rep import (
     is_isomorphic,
-    is_projective,
     projective_module,
     simple_module,
 )

@@ -8,8 +8,10 @@ import pytest
 from singcat.exact_linalg import (
     Matrix, kernel_basis, prime_field, rank, rational_field, rref, sparse_rank,
 )
+from singcat import homology
 from singcat.homology import (
-    _stable_dim, ext, ext_dim, stable_end_dim, stable_hom, syzygy,
+    _projective_end_rows, _stable_dim, ext, ext_dim, is_projective,
+    stable_end_dim, stable_hom, stable_iso, syzygy,
 )
 from singcat.quiver_algebra import (
     MAX_RELATION_LENGTH,
@@ -32,7 +34,6 @@ from singcat.rep import (
     _commuting_system,
     _end_offsets,
     _path_images,
-    _projective_end_rows,
     add_membership,
     cokernel,
     direct_sum,
@@ -44,18 +45,17 @@ from singcat.rep import (
     injectives,
     interval_module,
     is_isomorphic,
-    is_projective,
     kernel,
     projective_cover,
     projective_module,
     projectives,
     simple_module,
-    stable_iso,
     universal_right_approximation,
     zero_rep,
 )
 from singcat.tilting import SubcatSpec, left_approximation
 
+from builders import uniserial
 from dense_reference import dense_solve_left, dense_solve_right
 from pairwise_reference import commuting_system_dense
 
@@ -357,24 +357,26 @@ def test_stable_iso_controls(orbit):
     assert stable_iso(P, zero_rep(orbit))
 
 
-def test_stable_iso_skips_hom_m_n_when_hom_n_m_vanishes(orbit, monkeypatch):
+def test_stable_iso_skips_hom_m_n_when_hom_n_m_vanishes(monkeypatch):
     """With Hom(N, M) = 0 there is no composite either way, so hom(M, N)
-    is never built."""
-    from singcat import rep
-    from singcat.rep import _projective_end_rows
-    M = interval_module(orbit, (0, 0, 0))
-    N = interval_module(orbit, (1, 1, 2))
+    is never built.  Over Nakayama (3, 2), S(1) and M(0, 2) pass every gate
+    before the trace test: both have syzygy S(0), and both stable
+    endomorphism spaces are the scalars."""
+    alg = nakayama_cyclic((3, 2), rational_field())
+    M, N = uniserial(alg, 1, 1), uniserial(alg, 0, 2)
     assert hom(N, M).dim == 0 and not is_projective(M)
+    assert syzygy(M).dims == syzygy(N).dims and M.dims != N.dims
+    assert stable_end_dim(M) == stable_end_dim(N)
     # the cover rows have their own Hom spaces; build them beforehand
     _projective_end_rows(M)
     _projective_end_rows(N)
     calls = []
-    real = rep.hom
+    real = homology.hom
 
     def counting(X, Y):
         calls.append((X, Y))
         return real(X, Y)
-    monkeypatch.setattr(rep, "hom", counting)
+    monkeypatch.setattr(homology, "hom", counting)
     assert not stable_iso(M, N)
     assert calls == [(N, M)]
 

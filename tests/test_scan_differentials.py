@@ -14,16 +14,16 @@ modules and the intervals, their syzygies, the projectives, the zero module
 and sums of two, inside and outside the soundness precondition of
 ``stable_iso``.
 
-The stable-class gate ``_matches_stably`` rejects by syzygy dimension
-vectors and stable endomorphism dimensions before ``stable_iso``; it is
-compared with the gate it replaced (equal stable endomorphism dimensions
-and nonzero stable Hom both ways) on the same modules and on a
-one-parameter family over k<x, y>/(x, y)^2 that every dimension agrees on,
-each alone or with a projective summand added.  Both it and ``stable_iso``
-try an explicit isomorphism first; on Jordan modules and Nakayama
-uniserials in random monomial bases, alone or plus a projective (where no
-isomorphism exists and the trace test decides), both are compared with
-add-membership against the projectives.
+``stable_iso`` rejects by syzygy dimension vectors and stable endomorphism
+dimensions before its trace tests; it is compared with the gate it
+replaced (equal stable endomorphism dimensions and nonzero stable Hom both
+ways, then add-membership against the projectives) on the same modules and
+on a one-parameter family over k<x, y>/(x, y)^2 that every dimension
+agrees on, each alone or with a projective summand added.  It tries an
+explicit isomorphism first; on Jordan modules and Nakayama uniserials in
+random monomial bases, alone or plus a projective (where no isomorphism
+exists and the trace test decides), it is compared with add-membership
+against the projectives.
 
 The left approximations and d-coresolutions are computed as the duals of
 right ones over A^op; they are compared with the column join of the Hom
@@ -50,8 +50,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singcat.exact_linalg import Matrix, prime_field, rank, rational_field
+from singcat import homology
 from singcat.homology import (
-    _matches_stably, ext, ext_dim, is_stably_zero_module, resolve, syzygy,
+    ext, ext_dim, is_projective, resolve, stable_iso, syzygy,
 )
 from singcat.quiver_algebra import (
     Arrow, PathWord, Quiver, RelationElement, compute_basis, nakayama2_tilde,
@@ -70,13 +71,11 @@ from singcat.rep import (
     injective_module,
     injectives,
     is_isomorphic,
-    is_projective,
     projective_module,
     projective_radical,
     projectives,
     regular_module,
     simple_module,
-    stable_iso,
     zero_rep,
 )
 from singcat.stab import gp_certificate
@@ -403,13 +402,13 @@ def test_stable_membership_agrees_on_every_jordan_case(field):
 
 
 # ---------------------------------------------------------------------------
-# the stable-class gate against the one it replaced
+# the stable-class gates against the ones they replaced
 
 CLASS_FAMILIES = STABLE_FAMILIES + ("two-loops",)
 
 
 def _check_stable_match(A, B):
-    got = _matches_stably(A, B)
+    got = stable_iso(A, B)
     assert got == matches_stably_by_dimensions(A, B)
     if got:
         assert syzygy(A).dims == syzygy(B).dims
@@ -426,7 +425,7 @@ def stable_class_pairs(draw):
     A's own piece, each side with up to one projective summand added."""
     alg, pieces, projs = stable_pool(draw(st.sampled_from(CLASS_FAMILIES)),
                                      draw(st.sampled_from(sorted(FIELDS))))
-    nonzero = [m for m in pieces if not is_stably_zero_module(m)]
+    nonzero = [m for m in pieces if not is_projective(m)]
     a = draw(st.sampled_from(nonzero))
     b = a if draw(st.booleans()) else draw(st.sampled_from(nonzero))
     extra = st.one_of(st.none(), st.sampled_from(projs))
@@ -446,12 +445,12 @@ def test_stable_class_gate_agrees_on_every_case(family, field):
     each alone and plus P(0); both answers occur, and M + P(0) matches M
     although the dimensions differ."""
     alg, pieces, projs = stable_pool(family, field)
-    nonzero = [m for m in pieces if not is_stably_zero_module(m)]
+    nonzero = [m for m in pieces if not is_projective(m)]
     mods = nonzero + [direct_sum([m, projs[0]]) for m in nonzero]
     seen = {_check_stable_match(A, B) for A in mods for B in mods}
     assert seen == {True, False}
     for m in nonzero:
-        assert _matches_stably(direct_sum([m, projs[0]]), m)
+        assert stable_iso(direct_sum([m, projs[0]]), m)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +518,6 @@ def test_isomorphism_first_stable_classes_match_add_membership(pair):
     A, B = pair
     want = stable_iso_by_add_membership(A, B)
     assert stable_iso(A, B) == want
-    assert _matches_stably(A, B) == want
 
 
 @pytest.mark.parametrize("family", ["jordan", "uniserial"])
@@ -528,26 +526,24 @@ def test_a_projective_summand_leaves_the_trace_test_to_decide(
         family, field, monkeypatch):
     """M + P against M in another basis: no isomorphism exists, so the
     trace test runs, and the pair is a stable match."""
-    from singcat import rep
     alg, mods, projs = iso_pool(family, field)
     rng = random.Random(5)
     calls = []
-    trace = rep._identity_in_trace
+    trace = homology._identity_in_trace
 
     def counting(*args):
         calls.append(args[0].total_dim)
         return trace(*args)
 
-    monkeypatch.setattr(rep, "_identity_in_trace", counting)
+    monkeypatch.setattr(homology, "_identity_in_trace", counting)
     for m in mods:
-        if is_stably_zero_module(m):
+        if is_projective(m):
             continue
         for P in projs:
             padded, other = direct_sum([m, P]), twisted(m, rng)
             assert is_isomorphic(padded, other) is False
             calls.clear()
             assert stable_iso(padded, other) and stable_iso(other, padded)
-            assert _matches_stably(padded, other)
             assert calls
 
 

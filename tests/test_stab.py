@@ -11,7 +11,7 @@ from singcat.exact_linalg import Matrix, prime_field, rank, rational_field
 from singcat.homology import (
     ext,
     ext_dim,
-    is_stably_zero_module,
+    is_projective,
     stable_hom,
     syzygy,
     syzygy_morphism,
@@ -245,7 +245,7 @@ def test_skeleton_walks_each_orbit_once(monkeypatch, fld):
     read the certificates of its generators' walks, so the walks and the
     stable-class tests inside them stay at one per orbit member."""
     calls = Counter()
-    real_walk, real_match = homology._walk_orbit, homology._matches_stably
+    real_walk, real_match = homology._walk_orbit, homology.stable_iso
 
     def walk(*args):
         calls["walks"] += 1
@@ -255,7 +255,7 @@ def test_skeleton_walks_each_orbit_once(monkeypatch, fld):
         calls["matches"] += 1
         return real_match(*args)
     monkeypatch.setattr(homology, "_walk_orbit", walk)
-    monkeypatch.setattr(homology, "_matches_stably", match)
+    monkeypatch.setattr(homology, "stable_iso", match)
 
     def counts(spec, **kw):
         calls.clear()
@@ -296,7 +296,7 @@ def test_zero_class_certificates_are_sound(orbit_spec):
     for lbl, cert in rep.zero_classes:
         assert cert.status == "finite"
         g = orbit_spec.by_label(lbl)
-        assert is_stably_zero_module(syzygy(g, cert.n))
+        assert is_projective(syzygy(g, cert.n))
     for c in rep.classes:
         from singcat.homology import pd_certificate
         assert pd_certificate(c.representative.module).status == \
@@ -430,17 +430,17 @@ def test_random_shift_pairs_certify_consistently(orbit_spec):
 
 # Regression guards on the mod A work of one skeleton.  A stable-class
 # match first looks for an isomorphism: equal matrices, then an invertible
-# basis map of one Hom space, which stable_iso keeps for its trace test.
-# On the Jordan spec every match has equal matrices, so no Hom basis is
-# built and stable_iso never runs.  In a monomial basis change of it (a
-# permutation times nonzero scalars, as perfbench applies) every match has
-# an invertible basis map, so the trace test never runs.  Stable-class
-# pairs are rejected by their syzygy dimension vectors before any Hom
-# system, and Ext^1-cleanliness is memoised per module, so ext_dim runs
-# once per cycle member.
+# basis map of one Hom space (_iso_certificate), which stable_iso keeps for
+# its trace test.  On the Jordan spec every match has equal matrices, so no
+# Hom basis is built and no certificate is sought.  In a monomial basis
+# change of it (a permutation times nonzero scalars, as perfbench applies)
+# every match has an invertible basis map, so the trace test never runs.
+# Stable-class pairs are rejected by their syzygy dimension vectors before
+# any Hom system, and Ext^1-cleanliness is memoised per module, so ext_dim
+# runs once per cycle member.
 KX5_SKELETON_EXT_DIM_CALLS = 8
 KX5_TWISTED_SKELETON_HOM_CALLS = 6
-KX5_TWISTED_SKELETON_STABLE_ISO_CALLS = 6
+KX5_TWISTED_SKELETON_ISO_CERTIFICATE_CALLS = 6
 SCALARS = (1, -1, 2, -2, 3, -3)
 
 
@@ -489,17 +489,20 @@ def test_kx5_skeleton_hom_call_budget(monkeypatch):
 
 
 def test_kx5_skeleton_ext_dim_and_stable_iso_budgets(monkeypatch):
-    calls = _kx5_skeleton_calls(monkeypatch, ext_dim=homology, stable_iso=rep)
+    calls = _kx5_skeleton_calls(monkeypatch, ext_dim=homology,
+                                _iso_certificate=rep)
     assert 0 < calls["ext_dim"] <= KX5_SKELETON_EXT_DIM_CALLS
-    assert calls["stable_iso"] == 0
+    assert calls["_iso_certificate"] == 0
 
 
 @pytest.mark.parametrize("twist", [1, 2, 3])
 def test_twisted_kx5_skeleton_budgets_and_no_trace_test(monkeypatch, twist):
-    calls = _kx5_skeleton_calls(monkeypatch, twist, hom=rep, stable_iso=rep,
-                                _identity_in_trace=rep, ext_dim=homology)
+    calls = _kx5_skeleton_calls(monkeypatch, twist, hom=rep,
+                                _iso_certificate=rep, _identity_in_trace=rep,
+                                ext_dim=homology)
     assert 0 < calls["hom"] <= KX5_TWISTED_SKELETON_HOM_CALLS
-    assert 0 < calls["stable_iso"] <= KX5_TWISTED_SKELETON_STABLE_ISO_CALLS
+    assert (0 < calls["_iso_certificate"]
+            <= KX5_TWISTED_SKELETON_ISO_CERTIFICATE_CALLS)
     assert 0 < calls["ext_dim"] <= KX5_SKELETON_EXT_DIM_CALLS
     assert calls["_identity_in_trace"] == 0
 

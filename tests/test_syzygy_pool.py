@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from singcat import homology
 from singcat.exact_linalg import Matrix, prime_field, rational_field
 from singcat.homology import (
-    _matches_stably, _stable_dim, ext_dim, pd_certificate, syzygy,
+    _stable_dim, ext_dim, pd_certificate, stable_iso, syzygy,
 )
 from singcat.quiver_algebra import (
     nakayama2_tilde, nakayama_cyclic, orbit_grid_algebra, valid_triples_window,
@@ -94,7 +94,7 @@ def _answers(fld, family, picks, seed, pairs=6):
     for A in few:
         for B in few:
             out["ext"].append((ext_dim(A, B, 1), ext_dim(A, B, 2)))
-            out["stable"].append((_stable_dim(A, B), _matches_stably(A, B)))
+            out["stable"].append((_stable_dim(A, B), stable_iso(A, B)))
     labels = [f"g{k}" for k in range(len(mods))]
     try:
         r = skeleton(SubcatSpec(alg, mods, d, labels=labels), horizon=12)
@@ -162,7 +162,7 @@ def test_equal_first_syzygies_share_one_instance(fld):
     assert inc.src is K and inc.tgt is cover.rep
     inc = RepMorphism(K, cover.rep, inc.mats, check=True)
     assert inc.compose(RepMorphism(cover.rep, B, eps, check=True)).is_zero()
-    assert _matches_stably(K, syzygy(B))
+    assert stable_iso(K, syzygy(B))
 
 
 @pytest.mark.parametrize("n,i,period", [(4, 2, 1), (3, 1, 2), (5, 2, 2)])

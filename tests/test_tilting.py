@@ -6,7 +6,7 @@ import pytest
 
 from singcat import rep, tilting
 from singcat.exact_linalg import Matrix, prime_field, rank, rational_field
-from singcat.homology import ext, is_stably_zero_module, stable_hom, syzygy
+from singcat.homology import ext, is_projective, stable_hom, syzygy
 from singcat.quiver_algebra import nakayama_cyclic, nakayama2_tilde
 from singcat.rep import (
     RepMorphism,
@@ -199,7 +199,7 @@ def test_passing_checks_build_no_hom_basis_and_test_each_syzygy_once(
     assert homs == [] and approximations == []
     assert verify_dZ_closure(orbit_spec) == Check(True)
     syzygies = [syzygy(g, orbit_spec.d) for g in orbit_spec.generators]
-    distinct = {id(X) for X in syzygies if not is_stably_zero_module(X)}
+    distinct = {id(X) for X in syzygies if not is_projective(X)}
     assert sorted(map(id, members)) == sorted(distinct)
     assert len(members) == 7
 
@@ -336,10 +336,9 @@ def test_standard_angle_of_the_base_interval(orbit_spec):
 
 
 def test_standard_angle_with_projective_second_syzygy(orbit_spec):
-    from singcat.homology import is_stably_zero_module
     X = orbit_spec.by_label("(2,2,2)")
     ang = standard_angle(orbit_spec, X)
-    assert is_stably_zero_module(ang.objects[0])
+    assert is_projective(ang.objects[0])
 
 
 def test_standard_angle_for_d_equal_one(kx2):

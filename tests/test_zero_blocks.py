@@ -30,11 +30,11 @@ from singcat.quiver_algebra import (
     opposite_algebra,
 )
 from singcat.rep import (
-    HomSpace, RepMorphism, direct_sum, dual_module, hom, hom_dim,
-    injective_module, kernel, projective_cover, projective_module,
+    HomSpace, RepMorphism, _images_span, direct_sum, dual_module, hom,
+    hom_dim, injective_module, kernel, projective_cover, projective_module,
     simple_module, top_generators, zero_rep,
 )
-from singcat.tilting import _dual_map, _is_epi
+from singcat.tilting import _dual_map
 
 from pairwise_reference import (
     direct_sum_full, hom_basis_full, hom_dim_full, is_mono_full, kernel_full,
@@ -110,11 +110,12 @@ def test_kernel_epi_and_mono_match_full_loop(data):
     dims, action, inc_mats = kernel_full(f)
     _assert_same_module(K, dims, action)
     assert inc.mats == inc_mats
-    assert _is_epi(f) == all(rank(f.mats[v]) == f.tgt.dims[v] for v in f.mats)
+    assert _images_span([f], f.tgt) == all(rank(f.mats[v]) == f.tgt.dims[v]
+                                           for v in f.mats)
     # f is one-to-one iff its dual, every block transposed, is onto
     op = opposite_algebra(f.src.algebra)
     dual = _dual_map(f, dual_module(op, f.tgt), dual_module(op, f.src))
-    assert _is_epi(dual) == is_mono_full(f)
+    assert _images_span([dual], dual.tgt) == is_mono_full(f)
 
 
 @settings(max_examples=80, deadline=None)
