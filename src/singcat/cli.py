@@ -38,6 +38,7 @@ from .quiver_algebra import (
     Quiver,
     QuiverError,
     RelationElement,
+    compute_basis,
     nakayama2_infinite,
     nakayama2_tilde,
     nakayama_cyclic,
@@ -109,7 +110,6 @@ def algebra_to_json(alg: BoundQuiverAlgebra) -> dict:
 
 
 def algebra_from_json(obj, length_bound: int | None = None) -> BoundQuiverAlgebra:
-    from .quiver_algebra import compute_basis
     try:
         field = field_from_json(obj["field"])
         quiver = Quiver(list(obj["vertices"]),
@@ -324,7 +324,6 @@ def emit_examples(name: str, outdir: Path, field: Field,
         emit_spec(alg, [("S", simple_module(alg, "0")),
                         ("P", projective_module(alg, "0"))], 1, [])
     elif name == "hereditary-a2":
-        from .quiver_algebra import compute_basis
         quiver = Quiver(["u", "v"], [Arrow("a", "u", "v")])
         alg = compute_basis(quiver, [], field, 3)
         emit_spec(alg, [("Pu", projective_module(alg, "u")),

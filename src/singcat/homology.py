@@ -8,18 +8,24 @@ target is the module, so storing it as a morphism would put every resolved
 module in a reference cycle that only the cyclic garbage collector frees.
 Syzygy maps read the matrices; only ``ProjectiveResolution``, ``ext``,
 ``StableHomSpace`` and ``stab.standard_triangle`` wrap them in a morphism.
-The inclusion points into the cover, never back at the module.
+The inclusion points into the cover, never back at the module.  A step
+builds each thing once: the cover's data is cached per vertex tuple in the
+algebra (``rep.Cover``), and one elimination per cover vertex gives both
+the onto guard and the kernel block (``rep.projective_cover``).
 
 A kernel is a reduced-echelon submodule of its cover, so the syzygies of
 different modules often come out as equal matrices.  Each new syzygy is
-looked up by its content (dimension vector and arrow entries) in a weak
-pool in its algebra's ``cache``; an equal syzygy that is alive is used in
-its place, with the inclusion re-pointed to it, so one instance carries one
-cover step and one set of memos.  A pool hit never closes an orbit: when
-the pooled module's chain of cached steps leads back to the module being
-stepped, the fresh kernel is kept, so an orbit that closes in content stays
-a chain of objects and is freed by reference counting; each later lap
-reuses the cover step of its pooled twin (``_step``).
+looked up by its content (dimension vector and arrow entries, keyed and
+hashed once per module) in a weak pool in its algebra's ``cache``; an
+equal syzygy that is alive is used in its place, with the inclusion
+re-pointed to it, so one instance carries one cover step and one set of
+memos.  A second weak pool keeps, per content, the first live module
+stepped afresh, a generator as well as a syzygy: a later module with that
+content reuses its cover step with a fresh kernel.  A pool hit never
+closes an orbit: when the pooled module's chain of cached steps leads back
+to the module being stepped, the fresh kernel is kept, so an orbit that
+closes in content stays a chain of objects and is freed by reference
+counting; each later lap reuses the cover step of its twin (``_step``).
 
 Dimensions are read from Hom dimensions of one cached cover step, with no
 basis and no constraint builder beyond ``rep.hom_dim``'s.  A stable Hom
@@ -62,11 +68,12 @@ are indecomposable or zero.
 Stable Hom dimensions and stable-class verdicts are memoised per ordered
 module pair (``_pair_memo``), dim Hom(A, P_v) per module and vertex
 (``_proj_hom_dim``), and the orbit certificate per module and horizon
-(``pd_certificate``).  The pair memo on the first module is weak-keyed by
-the second and holds only ints and bools; the vertex memo is a plain dict
-of ints keyed by vertex id, and the orbit memo a plain dict of frozen
-certificates keyed by horizon.  So no entry keeps a module alive or
-closes a reference cycle.
+(``pd_certificate``), which each walk also seeds on the orbit members it
+passes.  The pair memo on the first module is weak-keyed by the second and
+holds only ints and bools; the vertex memo is a plain dict of ints keyed
+by vertex id, and the orbit memo a plain dict of frozen certificates keyed
+by horizon.  So no entry keeps a module alive or closes a reference
+cycle.
 """
 
 from __future__ import annotations
@@ -87,6 +94,7 @@ from .rep import (
     _composite_rows,
     _cover_map_from_gen_images,
     _end_offsets,
+    _homs_into,
     _identity_in_trace,
     _iso_certificate,
     _morphism_to_vec,
@@ -104,38 +112,70 @@ def _step(M: Representation) -> tuple:
 
     eps is kept as its per-vertex matrices, not as a morphism onto M, so
     nothing cached on M points back at M.  A module with the content of a
-    pooled one with a cached step reuses it, with a fresh kernel.  The
+    live module with a cached step, its donor, reuses that step with a fresh
+    kernel; a module stepped afresh becomes the donor of its content, so a
+    generator whose content recurs as a later syzygy is stepped once.  The
     syzygy is looked up in the pool (``_pooled``): an equal live syzygy is
     returned instead, with the inclusion re-pointed to it, so its cached
     step and memos serve M too, unless its cached chain leads back to M.
     """
     data = getattr(M, "_syzygy_step", None)
     if data is None:
-        step = getattr(_pool_entry(M)[2], "_syzygy_step", None)
-        if step is None:
+        donors = _weak_pool(M.algebra, "steps")
+        key = _content_key(M)
+        donor = donors.get(key)
+        if donor is None:
             cover, eps = projective_cover(M)
             K, inc = kernel(eps)
             eps = eps.mats
         else:
-            cover, eps, K, inc = step
+            cover, eps, K, inc = donor._syzygy_step
             K = Representation._wrap(M.algebra, K.dims, K.action)
         same = _pooled(K, M)
         if same is not inc.src:
             inc = RepMorphism(same, cover.rep, inc.mats, check=False)
         data = M._syzygy_step = (cover, eps, same, inc)
+        if donor is None:
+            donors[key] = M
     return data
 
 
-def _pool_entry(M: Representation) -> tuple:
-    """(the weak syzygy pool of M's algebra, M's content key, the live module
-    under it): the key is M's dimension vector and arrow entries."""
-    alg = M.algebra
-    pool = alg.cache.get("syzygies")
+class _Content:
+    """A module's dimension vector and arrow entries, hashed once: the key of
+    the weak pools.  Hashing the entries costs one hash per scalar, so the
+    key and its hash are made once per module (``_content_key``)."""
+
+    __slots__ = ("key", "hash")
+
+    def __init__(self, M: Representation):
+        alg = M.algebra
+        self.key = (tuple(M.dims[v] for v in alg.quiver.vertices),
+                    tuple(M.action[a.id].entries for a in alg.quiver.arrows))
+        self.hash = hash(self.key)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Content) and self.key == other.key
+
+
+def _content_key(M: Representation) -> _Content:
+    """M's content key, memoised on M."""
+    key = getattr(M, "_content", None)
+    if key is None:
+        key = M._content = _Content(M)
+    return key
+
+
+def _weak_pool(alg, name: str) -> WeakValueDictionary:
+    """The weak {content key: module} pool ``name`` in the algebra's cache:
+    "steps" holds the donor of each stepped content, "syzygies" the shared
+    syzygy instance.  Neither keeps a module alive."""
+    pool = alg.cache.get(name)
     if pool is None:
-        pool = alg.cache["syzygies"] = WeakValueDictionary()
-    key = (tuple(M.dims[v] for v in alg.quiver.vertices),
-           tuple(M.action[a.id].entries for a in alg.quiver.arrows))
-    return pool, key, pool.get(key)
+        pool = alg.cache[name] = WeakValueDictionary()
+    return pool
 
 
 def _pooled(K: Representation, M: Representation) -> Representation:
@@ -146,7 +186,9 @@ def _pooled(K: Representation, M: Representation) -> Representation:
     reaches M, the module being stepped, is passed over: returning it would
     make M's step point back at M.
     """
-    pool, key, same = _pool_entry(K)
+    pool = _weak_pool(K.algebra, "syzygies")
+    key = _content_key(K)
+    same = pool.get(key)
     if same is None:
         pool[key] = K
         return K
@@ -454,15 +496,19 @@ def stable_add_membership(M: Representation,
     """Is M in add(G + A), that is, in add G in the stable category?
 
     The answer of ``rep.add_membership(M, gens + projectives)``, with no
-    projective generator built: id_M must lie in the span of the composites
-    M -> g -> M plus P(M, M) (``_projective_end_rows``).  There is no
-    per-vertex rank pre-check: with the projectives among the generators it
-    never fails, as every x in M_v is the image of a map P(v) -> M.
+    projective generator built.  An isomorphism to one generator settles it
+    first (``rep._homs_into``); otherwise id_M must lie in the span of the
+    composites M -> g -> M plus P(M, M) (``_projective_end_rows``).  There
+    is no per-vertex rank pre-check: with the projectives among the
+    generators it never fails, as every x in M_v is the image of a map
+    P(v) -> M.
     """
     if M.total_dim == 0:
         return True
     _same_algebra(M, *gens)
-    into = [(g, hom(g, M).basis) for g in gens]
+    into = _homs_into(M, gens)
+    if into is None:
+        return True
     return _identity_in_trace(
         M, [(hom(M, g).basis, bs) for g, bs in into if bs],
         _projective_end_rows(M))
@@ -527,19 +573,35 @@ def pd_certificate(M: Representation, horizon: int = 24) -> PdCertificate:
 
 
 def _walk_orbit(M: Representation, horizon: int) -> PdCertificate:
+    """M's orbit certificate, seeding that of each Omega^r M it passes.
+
+    Omega^r M, r >= 1, walks the same orbit from r steps on: pd n - r in the
+    finite case, and preperiod max(p - r, 0) with the same period L in the
+    periodic one.  An entry already in a member's memo is kept; an
+    undetermined walk seeds nothing.
+    """
     if is_projective(M):
         return PdCertificate("finite", 0)
-    kept = [M]
-    cur = M
+    orbit = [M]
     for taken in range(1, horizon + 1):
-        cur = _step(cur)[2]
+        cur = _step(orbit[-1])[2]
+        orbit.append(cur)
         if is_projective(cur):
+            for r in range(1, taken + 1):
+                _seed(orbit[r], horizon, PdCertificate("finite", taken - r))
             return PdCertificate("finite", taken)
-        for t, old in enumerate(kept):
-            if stable_iso(old, cur):
-                return PdCertificate("infinite_periodic", None, t, taken - t)
-        kept.append(cur)
+        for t in range(taken):
+            if stable_iso(orbit[t], cur):
+                period = taken - t
+                for r in range(1, taken + 1):
+                    _seed(orbit[r], horizon, PdCertificate(
+                        "infinite_periodic", None, max(t - r, 0), period))
+                return PdCertificate("infinite_periodic", None, t, period)
     return PdCertificate("undetermined", horizon=horizon)
+
+
+def _seed(M: Representation, horizon: int, cert: PdCertificate) -> None:
+    M.__dict__.setdefault("_pd_certs", {}).setdefault(horizon, cert)
 
 
 def _stride(cert: PdCertificate, d: int) -> tuple[int, int]:

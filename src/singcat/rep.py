@@ -18,11 +18,18 @@ nonempty: "cover map is onto" at each vertex where M is nonzero, and
 "kernel is not arrow-stable" at each arrow whose source kernel block has
 rows and whose target vertex carries part of M.
 
-Membership in add G is one trace test (``_identity_in_trace``): id_M in
-the span of the composites M -> g -> M.  The stable category, maps modulo
-those that factor through a projective, is built on this module in
-``homology``, which owns the cached cover step and reuses the trace test
-and the isomorphism certificate; this module imports nothing from it.
+A projective cover is built once per vertex tuple and algebra
+(``Cover``), and each cover vertex is eliminated once: the left kernel of
+the augmentation's block both decides the onto guard and gives the
+syzygy's block (``_kernel_blocks``).
+
+Membership in add G is settled by an isomorphism certificate to one
+generator (``_iso_certificate``), and otherwise by one trace test
+(``_identity_in_trace``): id_M in the span of the composites M -> g -> M.
+The stable category, maps modulo those that factor through a projective,
+is built on this module in ``homology``, which owns the cached cover step
+and reuses the certificate and the trace test; this module imports nothing
+from it.
 """
 
 from __future__ import annotations
@@ -388,21 +395,35 @@ def _echelon_submodule(M: Representation, inc_mats: dict[str, Matrix],
     return S, RepMorphism(S, M, inc_mats, check=False)
 
 
-def kernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
-    """The kernel of f and its inclusion, from the left kernel at each vertex.
+def _kernel_blocks(f: RepMorphism) -> dict[str, Matrix]:
+    """The left kernel of f at each vertex, as echelon rows; memoised on f.
 
     A block of f with no rows has the empty kernel, and one with no columns
     (an n x 0 map) the n x n identity, which is what ``kernel_basis`` gives;
-    neither is eliminated.
+    neither is eliminated.  The memo holds matrices only, so it keeps no
+    module alive.
     """
-    fld = f.src.algebra.field
-    inc_mats = {}
-    for v, m in f.mats.items():
-        if not m.rows or not m.cols:
-            inc_mats[v] = Matrix.identity(fld, m.rows)
-        else:
-            inc_mats[v] = Matrix.from_rows(fld, kernel_basis(m), m.rows)
-    return _echelon_submodule(f.src, inc_mats, "kernel")
+    blocks = getattr(f, "_kernel_mats", None)
+    if blocks is None:
+        fld = f.src.algebra.field
+        blocks = {}
+        for v, m in f.mats.items():
+            if not m.rows or not m.cols:
+                blocks[v] = Matrix.identity(fld, m.rows)
+            else:
+                blocks[v] = Matrix.from_rows(fld, kernel_basis(m), m.rows)
+        f._kernel_mats = blocks
+    return blocks
+
+
+def kernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
+    """The kernel of f and its inclusion, from the left kernel at each vertex.
+
+    The blocks come from ``_kernel_blocks``, so the kernel of a cover's
+    augmentation reuses the eliminations that ``projective_cover`` ran for
+    its onto guard.
+    """
+    return _echelon_submodule(f.src, _kernel_blocks(f), "kernel")
 
 
 def image(f: RepMorphism) -> tuple[Representation, RepMorphism, RepMorphism]:
@@ -465,20 +486,32 @@ def cokernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
 
 
 class Cover:
-    """A finite direct sum of indecomposable projectives with marked generators."""
+    """A finite direct sum of indecomposable projectives with marked generators.
+
+    The algebra caches the sum's dimensions, action and generator offsets
+    under the vertex tuple, as ``projective_module`` does for one P(v), so
+    the cache holds nothing that points back at the algebra; each Cover
+    wraps them in a new Representation with no re-check.
+    """
 
     def __init__(self, algebra: BoundQuiverAlgebra, vertices: Sequence[str]):
         self.algebra = algebra
         self.vertices = list(vertices)
-        summands = [projective_module(algebra, v) for v in self.vertices]
-        self.rep = direct_sum(summands) if summands else zero_rep(algebra)
-        # row offset of summand j inside the block at its own vertex
-        self._offsets: list[int] = []
-        run = {w: 0 for w in algebra.quiver.vertices}
-        for v, s in zip(self.vertices, summands):
-            self._offsets.append(run[v])
-            for w in run:
-                run[w] += s.dims[w]
+        key = ("cover", tuple(self.vertices))
+        data = algebra.cache.get(key)
+        if data is None:
+            summands = [projective_module(algebra, v) for v in self.vertices]
+            rep = direct_sum(summands) if summands else zero_rep(algebra)
+            # row offset of summand j inside the block at its own vertex
+            offsets = []
+            run = {w: 0 for w in algebra.quiver.vertices}
+            for v, s in zip(self.vertices, summands):
+                offsets.append(run[v])
+                for w in run:
+                    run[w] += s.dims[w]
+            data = algebra.cache[key] = (rep.dims, rep.action, tuple(offsets))
+        dims, action, self._offsets = data
+        self.rep = Representation._wrap(algebra, dims, action)
 
     def gen_row(self, j: int) -> tuple[str, int]:
         """Vertex and row index of the j-th summand's generator, its trivial
@@ -666,11 +699,20 @@ def _cover_map_from_gen_images(cover: Cover, T: Representation,
 
 
 def projective_cover(M: Representation) -> tuple[Cover, RepMorphism]:
+    """The minimal cover sum_v P(v) -> M, one P(v) per top generator at v.
+
+    The map eps is checked onto at every vertex w where M is nonzero, by
+    the elimination that gives its kernel: the block eps_w has rank
+    dim M_w exactly when its rows minus the dimension of its left kernel
+    are dim M_w.  The kernel blocks stay memoised on eps
+    (``_kernel_blocks``), so ``kernel(eps)`` eliminates nothing again.
+    """
     gens = top_generators(M)
     cover = Cover(M.algebra, [v for v, _ in gens])
     eps = _cover_map_from_gen_images(cover, M, [g for _, g in gens])
+    ker = _kernel_blocks(eps)
     for w, d in M.dims.items():
-        if d and rank(eps.mats[w]) != d:
+        if d and eps.mats[w].rows - ker[w].rows != d:
             raise InternalCheckFailed("cover map is not onto")
     return cover, eps
 
@@ -770,30 +812,54 @@ def _images_span(maps: Sequence[RepMorphism], N: Representation) -> bool:
         for v, n in N.dims.items())
 
 
+def _homs_into(M: Representation, gens: Sequence[Representation],
+               ) -> list[tuple[Representation, list[RepMorphism]]] | None:
+    """(g, basis of hom(g, M)) for each generator g, or None when M is
+    certified isomorphic to one of them, which puts M in add G.
+
+    Every generator with M's dimension vector is tried by
+    ``_iso_certificate(g, M)`` before any other Hom space is built: equal
+    matrices certify with none, and the hom(g, M) basis a failed
+    certificate built is reused.
+    """
+    tried = []
+    for g in gens:
+        iso, basis = _iso_certificate(g, M)
+        if iso:
+            return None
+        tried.append(basis)
+    return [(g, hom(g, M).basis if basis is None else basis)
+            for g, basis in zip(gens, tried)]
+
+
 def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:
     """Is M a direct summand of a finite sum of copies of the given modules?
 
-    The trace criterion (Auslander-Reiten-Smalo, *Representation Theory of
-    Artin Algebras*): M is in add G exactly when id_M factors through a sum
-    of copies of the generators.  Every map M -> G^n -> M is a sum of
-    composites M -> g -> M, so this holds exactly when id_M lies in the span
-    of the composites h.b, with h over a basis of hom(M, g) and b over a
-    basis of hom(g, M).  The b must span M at every vertex, which rejects
-    early; hom(M, g) is skipped for a g with hom(g, M) = 0.  The composites,
-    vectors in End_k(M) laid out vertex by vertex, are reduced once as
-    sparse rows and id_M is read off the echelon rows.
+    An isomorphism to one generator settles it first (``_homs_into``).
+    Otherwise the trace criterion decides (Auslander-Reiten-Smalo,
+    *Representation Theory of Artin Algebras*): M is in add G exactly when
+    id_M factors through a sum of copies of the generators.  Every map
+    M -> G^n -> M is a sum of composites M -> g -> M, so this holds exactly
+    when id_M lies in the span of the composites h.b, with h over a basis
+    of hom(M, g) and b over a basis of hom(g, M).  The b must span M at
+    every vertex, which rejects early; hom(M, g) is skipped for a g with
+    hom(g, M) = 0.  The composites, vectors in End_k(M) laid out vertex by
+    vertex, are reduced once as sparse rows and id_M is read off the
+    echelon rows.
 
     Membership up to projective summands, M in add(G + A), is
-    ``homology.stable_add_membership``, which reuses the trace test here
-    with the maps through M's cached projective cover in place of the
-    projective generators.
+    ``homology.stable_add_membership``, which reuses the isomorphism
+    certificates and the trace test here with the maps through M's cached
+    projective cover in place of the projective generators.
     """
     if M.total_dim == 0:
         return True
     if not gens:
         return False
     _same_algebra(M, *gens)
-    into = [(g, hom(g, M).basis) for g in gens]
+    into = _homs_into(M, gens)
+    if into is None:
+        return True
     if not _images_span([b for _, bs in into for b in bs], M):
         return False
     return _identity_in_trace(

@@ -1,5 +1,6 @@
-"""Module builders shared by the tests: truncated-polynomial Jordan blocks
-and the uniserials of cyclic Nakayama algebras."""
+"""Module builders shared by the tests: truncated-polynomial Jordan blocks,
+the uniserials of cyclic Nakayama algebras, and a module in a monomial
+change of basis."""
 
 from __future__ import annotations
 
@@ -39,3 +40,26 @@ def uniserial(alg, i, l):
                 rows[row[j]][row[j + 1]] = f.one
         action[f"a{a}"] = Matrix.from_rows(f, rows, dims[str(b)])
     return Representation(alg, dims, action)
+
+
+TWIST_SCALARS = (1, -1, 2, -2, 3, -3)
+
+
+def twisted(M, rng):
+    """M in a monomial basis: at each vertex a permutation times nonzero
+    scalars, so entry (i, k) of an arrow u -> w becomes
+    s_u[i] / s_w[k] * A[pi_u(i)][pi_w(k)]."""
+    f = M.algebra.field
+    units = [f.of_int(s) for s in TWIST_SCALARS if f.of_int(s)]
+    perm, scal = {}, {}
+    for v, d in M.dims.items():
+        perm[v] = rng.sample(range(d), d)
+        scal[v] = [rng.choice(units) for _ in range(d)]
+    action = {}
+    for a in M.algebra.quiver.arrows:
+        u, w, A = a.src, a.tgt, M.action[a.id]
+        action[a.id] = Matrix.from_rows(f, [
+            [f.div(f.mul(scal[u][i], A.entries[perm[u][i]][perm[w][k]]),
+                   scal[w][k]) for k in range(M.dims[w])]
+            for i in range(M.dims[u])], M.dims[w])
+    return Representation(M.algebra, M.dims, action, check=True)

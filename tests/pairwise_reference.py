@@ -14,7 +14,10 @@ kernel every time, where ``homology._step`` shares content-identical
 syzygies.  ``omega_stabilizes_strided`` walks the d-step orbit itself,
 where ``homology._stride`` reads it off the 1-step orbit of
 ``pd_certificate``; at stride 1 it keeps the members that
-``gp_certificate_pairwise`` scans.  Written for clarity and not for speed.
+``gp_certificate_pairwise`` scans.  ``add_membership_by_trace`` and
+``stable_add_membership_by_trace`` run the trace test on every generator,
+where ``rep`` first tries an isomorphism certificate to each.  Written for
+clarity and not for speed.
 """
 
 from singcat.exact_linalg import (
@@ -22,12 +25,12 @@ from singcat.exact_linalg import (
     sparse_rank,
 )
 from singcat.homology import (
-    _step, ext_dim, is_projective, stable_end_dim, stable_hom, stable_iso,
+    _projective_end_rows, _step, ext_dim, is_projective, stable_end_dim, stable_hom, stable_iso,
     syzygy,
 )
 from singcat.rep import (
-    RepMorphism, Representation, _images_span, _morphism_from_vec,
-    _path_images, add_membership, cokernel, direct_sum, hom, injectives,
+    RepMorphism, Representation, _identity_in_trace, _images_span,
+    _morphism_from_vec, _path_images, add_membership, cokernel, direct_sum, hom, injectives,
     kernel, projective_cover, projective_module, projectives, simple_module,
     zero_rep,
 )
@@ -473,3 +476,28 @@ def ext_dim_by_dual_differentials(M, N, i):
     fld = M.algebra.field
     (lo, lo_cols), (hi, hi_cols) = dual_differentials(M, N, i)
     return len(hi) - sparse_rank(fld, hi, hi_cols) - sparse_rank(fld, lo, lo_cols)
+
+
+def add_membership_by_trace(M, gens):
+    """M in add G by the trace test alone, with no isomorphism certificate:
+    id_M in the span of the composites M -> g -> M over all generators."""
+    if M.total_dim == 0:
+        return True
+    if not gens:
+        return False
+    into = [(g, hom(g, M).basis) for g in gens]
+    if not _images_span([b for _, bs in into for b in bs], M):
+        return False
+    return _identity_in_trace(
+        M, [(hom(M, g).basis, bs) for g, bs in into if bs])
+
+
+def stable_add_membership_by_trace(M, gens):
+    """M in add(G + A) by the trace test alone: the composites M -> g -> M
+    plus the maps through M's projective cover."""
+    if M.total_dim == 0:
+        return True
+    into = [(g, hom(g, M).basis) for g in gens]
+    return _identity_in_trace(
+        M, [(hom(M, g).basis, bs) for g, bs in into if bs],
+        _projective_end_rows(M))

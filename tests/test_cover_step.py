@@ -1,0 +1,168 @@
+"""The cover step's shared data and the isomorphism-first add-membership.
+
+A ``Cover`` wraps dimensions, action and offsets cached per vertex tuple
+in its algebra, which must equal a fresh direct sum of the P(v) and hold
+no module; ``add_membership`` and ``stable_add_membership`` try an
+isomorphism certificate to each generator before the trace test, and must
+answer as the trace test alone does (``pairwise_reference``).
+"""
+
+from __future__ import annotations
+
+import gc
+import random
+import weakref
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from singcat import homology, rep
+from singcat.exact_linalg import prime_field, rational_field
+from singcat.homology import stable_add_membership, syzygy
+from singcat.quiver_algebra import (
+    nakayama2_tilde, nakayama_cyclic, orbit_grid_algebra, valid_triples_window,
+)
+from singcat.rep import (
+    Cover, Representation, add_membership, direct_sum, interval_module,
+    projective_cover, projective_module, projectives,
+)
+from singcat.stab import skeleton
+
+from builders import jordan_module, twisted
+from pairwise_reference import (
+    add_membership_by_trace, stable_add_membership_by_trace,
+)
+
+FIELDS = [rational_field(), prime_field(2), prime_field(101)]
+KS = (3, 2, 3, 3)
+TRIPLES = valid_triples_window(KS, 0, len(KS))
+
+
+def _cover_tuples(alg) -> list[tuple]:
+    return [k[1] for k in alg.cache if isinstance(k, tuple) and k[0] == "cover"]
+
+
+def test_cached_cover_matches_a_fresh_direct_sum():
+    _, spec = nakayama2_tilde(KS, len(KS), rational_field())
+    alg = spec.algebra
+    assert skeleton(spec).count == 3
+    # covers of sums of generators have several summands, some repeated
+    G = spec.generators
+    for pick in ([0, 5], [3, 3, 8], [1, 12, 20]):
+        projective_cover(direct_sum([G[i] for i in pick]))
+    tuples = _cover_tuples(alg)
+    assert len(tuples) > 10 and max(map(len, tuples)) >= 3
+    for verts in tuples:
+        a, b = Cover(alg, verts), Cover(alg, verts)
+        assert a.rep is not b.rep
+        assert a.rep.dims is b.rep.dims and a.rep.action is b.rep.action
+        summands = [projective_module(alg, v) for v in verts]
+        fresh = direct_sum(summands)
+        assert a.rep.dims == fresh.dims and a.rep.action == fresh.action
+        for j, v in enumerate(verts):
+            assert a.gen_row(j) == (v, sum(s.dims[v] for s in summands[:j]))
+
+
+def test_dropping_the_algebra_frees_its_modules():
+    """The cover cache holds no module, so an algebra, its generators,
+    their syzygies and the covers' modules die by reference counting."""
+    gc.collect()
+    gc.disable()
+    try:
+        alg, spec = nakayama2_tilde(KS, len(KS), rational_field())
+        report = skeleton(spec)
+        mods = [syzygy(g, k) for g in spec.generators for k in range(3)]
+        covers = [homology._step(M)[0].rep for M in mods]
+        assert _cover_tuples(alg)
+        refs = [weakref.ref(x) for x in [alg] + mods + covers]
+        del alg, spec, report, mods, covers
+        alive = sum(r() is not None for r in refs)
+        assert alive == 0, f"{alive} of {len(refs)} objects kept alive"
+    finally:
+        gc.enable()
+
+
+@lru_cache(maxsize=None)
+def _family(name: str, field: str) -> tuple:
+    """(indecomposable non-isomorphic base modules, projectives) over one
+    algebra: the Jordan blocks of k[x]/(x^5), or the intervals of the
+    (3, 2, 3, 3) grid orbit."""
+    fld = {repr(f): f for f in FIELDS}[field]
+    if name == "jordan":
+        alg = nakayama_cyclic((5,), fld)
+        base = [jordan_module(alg, i) for i in range(1, 6)]
+    else:
+        alg = orbit_grid_algebra(KS, fld)
+        base = [interval_module(alg, t) for t in TRIPLES]
+    return tuple(base), tuple(p for _, p in projectives(alg))
+
+
+@st.composite
+def membership_cases(draw):
+    """(kind, M, generators); every generator is a base module, twisted or
+    not, and M is a twisted copy of one, one plus a projective, the sum of
+    two, or a base module outside the list."""
+    base, projs = _family(draw(st.sampled_from(["jordan", "tilde"])),
+                          draw(st.sampled_from(sorted(map(repr, FIELDS)))))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    picked = draw(st.lists(st.integers(0, len(base) - 2), min_size=1,
+                           max_size=3, unique=True))
+    gens = [twisted(base[i], rng) if draw(st.booleans()) else base[i]
+            for i in picked]
+    kind = draw(st.sampled_from(["copy", "plus_projective", "sum", "outside"]))
+    g = base[draw(st.sampled_from(picked))]
+    if kind == "copy":
+        M = twisted(g, rng)
+    elif kind == "plus_projective":
+        M = direct_sum([g, draw(st.sampled_from(projs))])
+    elif kind == "sum":
+        M = direct_sum([g, base[draw(st.sampled_from(picked))]])
+    else:
+        M = base[draw(st.sampled_from(
+            [i for i in range(len(base)) if i not in picked]))]
+    return kind, M, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(membership_cases())
+def test_isomorphism_first_membership_matches_the_trace_test(case):
+    kind, M, gens = case
+    got = add_membership(M, gens)
+    assert got == add_membership_by_trace(M, gens)
+    stable = stable_add_membership(M, gens)
+    assert stable == stable_add_membership_by_trace(M, gens)
+    if kind in ("copy", "sum"):
+        assert got and stable
+    elif kind == "plus_projective":
+        assert stable
+    else:
+        assert not got
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=repr)
+def test_isomorphism_certificate_settles_membership_first(fld, monkeypatch):
+    alg = orbit_grid_algebra(KS, fld)
+    base = [interval_module(alg, t) for t in TRIPLES]
+    g = base[3]
+    others = [h for h in base if h.dims != g.dims][:3]
+    gens = others + [g]
+    built = []
+    real = rep.hom
+
+    def counting(A, B):
+        built.append((A, B))
+        return real(A, B)
+    monkeypatch.setattr(rep, "hom", counting)
+    # equal matrices certify with no Hom space built
+    M = Representation(alg, g.dims, g.action)
+    assert add_membership(M, gens) and stable_add_membership(M, gens)
+    assert built == []
+    # a twisted copy is certified by the one basis of hom(g, T); over F_2
+    # the only unit is 1, and the twist of a module with one basis vector
+    # per vertex is g's matrices again
+    T = twisted(g, random.Random(1))
+    assert add_membership(T, gens)
+    assert built == ([] if T.action == g.action else [(g, T)])
+    assert (T.action == g.action) == (fld.p == 2)

@@ -500,10 +500,15 @@ def test_stable_iso_rejects_sums_that_agree_on_every_gate():
 
 
 def test_rep_imports_nothing_from_homology_and_nothing_in_a_function():
-    """The layers run rep -> homology: rep has no import of homology, and
-    neither module defers an import into a function body."""
+    """The layers run rep -> homology: rep has no import of homology, and no
+    module defers an import into a function body, except quiver_algebra,
+    whose ``nakayama2_tilde`` builds its spec from rep and tilting."""
     src = Path(rep.__file__).parent
-    for name in ("rep.py", "homology.py"):
+    names = sorted(p.name for p in src.glob("*.py"))
+    assert {"cli.py", "homology.py", "rep.py", "stab.py"} <= set(names)
+    for name in names:
+        if name == "quiver_algebra.py":
+            continue
         tree = ast.parse((src / name).read_text())
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -54,18 +54,24 @@ def test_kernel_check_runs_into_a_zero_kernel_block(monkeypatch,
 
 def test_cover_check_runs_where_the_module_is_nonzero(monkeypatch,
                                                       hereditary_a2):
-    # S_v is zero at u: "cover map is onto" is decided by one rank, at v
+    # S_v is zero at u: "cover map is onto" is decided by one elimination,
+    # the kernel of the block at v, which the kernel of eps then reuses
     S = rep.simple_module(hereditary_a2, "v")
     seen = []
-    real = rep.rank
+    real = rep.kernel_basis
 
     def recording(m):
         seen.append((m.rows, m.cols))
         return real(m)
-    monkeypatch.setattr(rep, "rank", recording)
-    rep.projective_cover(S)
+    monkeypatch.setattr(rep, "kernel_basis", recording)
+    monkeypatch.setattr(rep, "rank", None)  # no separate rank runs
+    _, eps = rep.projective_cover(S)
     assert seen == [(1, 1)]
-    monkeypatch.setattr(rep, "rank", lambda m: 0)
+    K, _ = rep.kernel(eps)
+    assert seen == [(1, 1)] and K.total_dim == 0
+    # a kernel one too large leaves eps of rank 0 at v
+    monkeypatch.setattr(rep, "kernel_basis",
+                        lambda m: [(m.field.one,) * m.rows])
     with pytest.raises(InternalCheckFailed, match="not onto"):
         rep.projective_cover(S)
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singcat.cli as cli
-from singcat import homology, quiver_algebra
+from singcat import homology
 from singcat.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -292,12 +292,12 @@ def test_algebra_with_long_paths_loads_with_one_basis_computation(
         monkeypatch):
     # k[x]/(x^6): x^5 is a nonzero path of length 5, so bound 4 would fail
     calls = []
-    real = quiver_algebra.compute_basis
+    real = cli.compute_basis
 
     def counted(*args):
         calls.append(args[-1])
         return real(*args)
-    monkeypatch.setattr(quiver_algebra, "compute_basis", counted)
+    monkeypatch.setattr(cli, "compute_basis", counted)
     alg = algebra_from_json({
         "field": {"kind": "rational"}, "vertices": ["0"],
         "arrows": [{"id": "a", "src": "0", "tgt": "0"}],

@@ -31,35 +31,12 @@ from singcat.rep import (
 from singcat.stab import OrbitNotResolved, skeleton
 from singcat.tilting import SubcatSpec
 
-from builders import jordan_module
+from builders import jordan_module, jordan_spec, twisted
 from pairwise_reference import step_unpooled
 
 FIELDS = [rational_field(), prime_field(2), prime_field(101)]
 KS = (3, 2, 3, 3)
 TRIPLES = valid_triples_window(KS, 0, len(KS))
-SCALARS = (1, -1, 2, -2, 3, -3)
-
-
-def _twisted(M, rng):
-    """M in a monomial basis: at each vertex a permutation times nonzero
-    scalars, so entry (i, k) of an arrow u -> w becomes
-    s_u[i] / s_w[k] * A[pi_u(i)][pi_w(k)]."""
-    f = M.algebra.field
-    units = [f.of_int(s) for s in SCALARS if f.of_int(s)]
-    perm, scal = {}, {}
-    for v, d in M.dims.items():
-        perm[v] = rng.sample(range(d), d)
-        scal[v] = [rng.choice(units) for _ in range(d)]
-    action = {}
-    for a in M.algebra.quiver.arrows:
-        u, w, A = a.src, a.tgt, M.action[a.id]
-        action[a.id] = Matrix.from_rows(f, [
-            [f.div(f.mul(scal[u][i], A.entries[perm[u][i]][perm[w][k]]),
-                   scal[w][k]) for k in range(M.dims[w])]
-            for i in range(M.dims[u])], M.dims[w])
-    return Representation(M.algebra, M.dims, action, check=True)
-
-
 def _modules(fld, family, picks, seed):
     """A fresh algebra, the picked modules and d.
 
@@ -80,7 +57,7 @@ def _modules(fld, family, picks, seed):
     mods = []
     for idx, tw in picks:
         M = direct_sum([base[i] for i in idx]) if len(idx) > 1 else base[idx[0]]
-        mods.append(_twisted(M, rng) if tw else M)
+        mods.append(twisted(M, rng) if tw else M)
     return alg, mods, d
 
 
@@ -207,7 +184,7 @@ def test_orbit_laps_reuse_the_twin_cover_step(fld, n, i, period,
     laps = 3
     stepped = [K] + [syzygy(K, k) for k in range(1, laps * period)]
     last = syzygy(stepped[-1])
-    contents = {homology._pool_entry(X)[1] for X in stepped}
+    contents = {homology._content_key(X) for X in stepped}
     assert len(covers) == len(contents) == period
     assert len({id(X) for X in stepped + [last]}) == laps * period + 1
     for k in range(period, laps * period):
@@ -229,9 +206,10 @@ def test_orbit_laps_reuse_the_twin_cover_step(fld, n, i, period,
 
 
 # Each cover step of one a2-tilde-3233 skeleton is a projective_cover call;
-# with content-identical syzygies shared and orbit laps stepped from their
-# twins there are 38 (47 with sharing alone, 88 with neither).
-TILDE_SKELETON_COVER_STEPS = 38
+# with content-identical syzygies shared, orbit laps stepped from their
+# twins and generators donating their steps to later syzygies there are 31
+# (38 without the generators, 47 with sharing alone, 88 with neither).
+TILDE_SKELETON_COVER_STEPS = 31
 
 
 def test_tilde_skeleton_cover_step_budget(monkeypatch):
@@ -246,3 +224,28 @@ def test_tilde_skeleton_cover_step_budget(monkeypatch):
     _, spec = nakayama2_tilde(KS, len(KS), rational_field())
     assert skeleton(spec).count == 3
     assert len(calls) <= TILDE_SKELETON_COVER_STEPS
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=repr)
+def test_generator_whose_content_recurs_is_stepped_once(fld, monkeypatch):
+    """A stepped generator donates its step to a later syzygy with its
+    content: the untwisted k[x]/(x^5) Jordan skeleton covers each of its 5
+    contents once, and the orbit of J_2 over k[x]/(x^4), whose syzygy has
+    J_2's matrices, is covered once."""
+    covers = []
+    orig = homology.projective_cover
+
+    def counting(M):
+        covers.append(homology._content_key(M))
+        return orig(M)
+
+    monkeypatch.setattr(homology, "projective_cover", counting)
+    assert skeleton(jordan_spec(nakayama_cyclic((5,), fld), 5)).count == 4
+    assert len(covers) == len(set(covers)) == 5
+    covers.clear()
+    M = jordan_module(nakayama_cyclic((4,), fld), 2)
+    cert = pd_certificate(M)
+    assert (cert.status, cert.preperiod, cert.period) == (
+        "infinite_periodic", 0, 1)
+    assert syzygy(M).action == M.action and syzygy(M) is not M
+    assert len(covers) == 1
