@@ -95,7 +95,14 @@ class Field:
         return "Field(rational)" if self.kind == "rational" else f"Field(F_{self.p})"
 
     def of_int(self, n: int):
-        return Fraction(n) if self.kind == "rational" else n % self.p
+        if self.kind == "rational":
+            return self._shared(Fraction(n))
+        return n % self.p
+
+    def _shared(self, x: Fraction) -> Fraction:
+        """x, or the field's own zero or one when it equals them, so that
+        identity checks against ``zero`` skip it."""
+        return self.zero if x == 0 else self.one if x == 1 else x
 
     def add(self, a, b):
         return a + b if self.kind == "rational" else (a + b) % self.p
@@ -120,14 +127,21 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def from_str(self, s: str):
-        """Parse a decimal coefficient string, '2/3' style for rationals."""
+        """Parse a decimal coefficient string, '2/3' style for rationals.
+
+        A denominator that is zero in the field ("1/0", or "1/7" over F_7)
+        is a ValueError, like any other malformed coefficient.
+        """
         s = s.strip()
-        if self.kind == "rational":
-            return Fraction(s)
-        if "/" in s:
-            num, den = s.split("/")
-            return self.div(int(num) % self.p, int(den) % self.p)
-        return int(s) % self.p
+        try:
+            if self.kind == "rational":
+                return self._shared(Fraction(s))
+            if "/" in s:
+                num, den = s.split("/")
+                return self.div(int(num) % self.p, int(den) % self.p)
+            return int(s) % self.p
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in coefficient {s!r}") from None
 
     def to_str(self, a) -> str:
         return str(a)

@@ -11,7 +11,11 @@ Syzygy maps read the matrices; only ``ProjectiveResolution``, ``ext``,
 The inclusion points into the cover, never back at the module.  A step
 builds each thing once: the cover's data is cached per vertex tuple in the
 algebra (``rep.Cover``), and one elimination per cover vertex gives both
-the onto guard and the kernel block (``rep.projective_cover``).
+the onto guard and the kernel block (``rep.projective_cover``).  A step
+also attaches the module's projective presentation (``rep.Presentation``),
+and ``rep.hom_dim`` reads every Hom dimension out of the module from it.
+Its relations are built on first use, and a module that reuses a twin's
+step shares the twin's presentation.
 
 A kernel is a reduced-echelon submodule of its cover, so the syzygies of
 different modules often come out as equal matrices.  Each new syzygy is
@@ -89,6 +93,7 @@ from .exact_linalg import (
 )
 from .rep import (
     Cover,
+    Presentation,
     RepMorphism,
     Representation,
     _composite_rows,
@@ -111,10 +116,12 @@ def _step(M: Representation) -> tuple:
     """The cached (cover, eps matrices, syzygy, inclusion) of one step.
 
     eps is kept as its per-vertex matrices, not as a morphism onto M, so
-    nothing cached on M points back at M.  A module with the content of a
-    live module with a cached step, its donor, reuses that step with a fresh
-    kernel; a module stepped afresh becomes the donor of its content, so a
-    generator whose content recurs as a later syzygy is stepped once.  The
+    nothing cached on M points back at M.  The step attaches M's
+    ``rep.Presentation``, which does not point back at M either.  A module
+    with the content of a live module with a cached step, its donor, reuses
+    that step with a fresh kernel and the donor's presentation; a module
+    stepped afresh becomes the donor of its content, so a generator whose
+    content recurs as a later syzygy is stepped once.  The
     syzygy is looked up in the pool (``_pooled``): an equal live syzygy is
     returned instead, with the inclusion re-pointed to it, so its cached
     step and memos serve M too, unless its cached chain leads back to M.
@@ -128,9 +135,11 @@ def _step(M: Representation) -> tuple:
             cover, eps = projective_cover(M)
             K, inc = kernel(eps)
             eps = eps.mats
+            M._presentation = Presentation(cover, K.action, inc.mats)
         else:
             cover, eps, K, inc = donor._syzygy_step
             K = Representation._wrap(M.algebra, K.dims, K.action)
+            M._presentation = donor._presentation
         same = _pooled(K, M)
         if same is not inc.src:
             inc = RepMorphism(same, cover.rep, inc.mats, check=False)

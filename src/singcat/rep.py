@@ -23,6 +23,15 @@ A projective cover is built once per vertex tuple and algebra
 the augmentation's block both decides the onto guard and gives the
 syzygy's block (``_kernel_blocks``).
 
+``hom_dim(M, N)`` has two constraint systems.  When a cover step has
+attached a projective presentation P1 -> P0 -> M -> 0 to M
+(``Presentation``), Hom(M, N) is the kernel of the map from the sum of
+the N_v, v over the cover's summands, to one block of N per top generator
+of Omega M (``_presented_system``), a system sized by the tops of M and
+Omega M.  Every other source, and every basis (``hom``), uses the
+commuting system of the per-vertex matrices (``_commuting_system``): its
+basis order is what Ext cocycles, stable Hom and the trace tests read.
+
 Membership in add G is settled by an isomorphism certificate to one
 generator (``_iso_certificate``), and otherwise by one trace test
 (``_identity_in_trace``): id_M in the span of the composites M -> g -> M.
@@ -34,6 +43,7 @@ from it.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 from .exact_linalg import (
@@ -80,17 +90,22 @@ class Representation:
 
     @classmethod
     def _wrap(cls, algebra: BoundQuiverAlgebra, dims: dict[str, int],
-              action: dict[str, Matrix]) -> "Representation":
+              action: dict[str, Matrix],
+              paths: dict | None = None) -> "Representation":
         """A module on data that a constructor already checked.
 
         ``dims`` and ``action`` are shared, not copied: they must name every
         vertex and arrow, as the ones a Representation holds do.  Nothing in
-        the package mutates either after construction.
+        the package mutates either after construction.  ``paths``, when
+        given, is the memo of path actions (``_path_actions``) kept beside
+        cached data, shared by every module that wraps it.
         """
         M = cls.__new__(cls)
         M.algebra = algebra
         M.dims = dims
         M.action = action
+        if paths is not None:
+            M._path_actions = paths
         return M
 
     @property
@@ -359,16 +374,80 @@ def hom(M: Representation, N: Representation) -> HomSpace:
 
 
 def hom_dim(M: Representation, N: Representation) -> int:
-    """dim Hom(M, N): the unknowns of the commuting system minus its rank.
+    """dim Hom(M, N): the unknowns of a constraint system minus its rank.
 
     Equal to ``hom(M, N).dim``, but builds no kernel basis and no morphism.
-    With no unknowns or no constraints there is nothing to eliminate.
+    A source with a projective presentation (``Presentation``, attached by
+    the cover step) is read from it (``_presented_system``); any other
+    source from the commuting system.  With no unknowns or no constraints
+    there is nothing to eliminate.
     """
     f = _same_algebra(M, N).field
-    rows, ncols, _ = _commuting_system(M, N)
+    pres = getattr(M, "_presentation", None)
+    if pres is None:
+        rows, ncols, _ = _commuting_system(M, N)
+    else:
+        rows, ncols = _presented_system(pres, N)
     if not rows or not ncols:
         return len(rows)
     return len(rows) - sparse_rank(f, rows, ncols)
+
+
+def _path_actions(N: Representation, v: str) -> tuple:
+    """N's action of the basis paths from v, per basis vector of N_v.
+
+    Entry i is, for each basis path p from v in ``paths_from`` order, the
+    image of the i-th basis vector under p (``_path_images``), a dense row
+    tuple.  Memoised on N per vertex; the cached projective, injective and
+    regular data keep the memo beside them in the algebra cache, so every
+    module wrapping them shares it (``_wrap``).  It holds tuples only, and
+    no tuple per nonzero entry: over Q every tuple that holds a Fraction
+    stays tracked by the cyclic collector while its module lives.
+    """
+    memo = N.__dict__.setdefault("_path_actions", {})
+    table = memo.get(v)
+    if table is None:
+        f = N.algebra.field
+        n = N.dims[v]
+        table = memo[v] = tuple(
+            tuple(_path_images(
+                N, v, [f.one if k == i else f.zero for k in range(n)]).values())
+            for i in range(n))
+    return table
+
+
+def _presented_system(pres: "Presentation", N: Representation,
+                      ) -> tuple[list[dict], int]:
+    """Sparse constraints on Hom(M, N), M presented by P1 -> P0 -> M -> 0.
+
+    Hom(-, N) is left exact, so a map M -> N is a map P0 -> N that kills
+    Omega M, and Hom(P(v), N) = N e_v (Auslander-Reiten-Smalo, I.4 and
+    III.2).  Rows are the unknowns, one x_j in N_{v_j} per cover summand j,
+    laid out summand by summand; relation r at u has a block of dim N_u
+    columns holding sum_{j, p} c_{r,j,p} x_j N_p.  Omega M is generated by
+    its relations, so the left kernel is Hom(M, N).  Returns (rows, column
+    count), rows as {column: value} dicts of nonzeros.
+    """
+    z, p = N.algebra.field.zero, N.algebra.field.p
+    off, total = [], 0
+    for v in pres.cover.vertices:
+        off.append(total)
+        total += N.dims[v]
+    rows: list[dict] = [{} for _ in range(total)]
+    col = 0
+    for u, terms in pres.relations:
+        for j, idx, c in terms:
+            for i, images in enumerate(
+                    _path_actions(N, pres.cover.vertices[j]), off[j]):
+                row = rows[i]
+                for k, y in enumerate(images[idx], col):
+                    if y is not z and y:
+                        x = row.get(k)
+                        row[k] = c * y if x is None else x + c * y
+        col += N.dims[u]
+    if p is None:
+        return [{k: x for k, x in r.items() if x} for r in rows], col
+    return [{k: x % p for k, x in r.items() if x % p} for r in rows], col
 
 
 def _echelon_submodule(M: Representation, inc_mats: dict[str, Matrix],
@@ -519,6 +598,43 @@ class Cover:
         return self.vertices[j], self._offsets[j]
 
 
+class Presentation:
+    """A projective presentation P1 -> P0 -> M -> 0 from one cover step.
+
+    P0 is the cover, sum_j P(v_j).  The relations are the top generators of
+    the kernel Omega M, each written in the cover's path basis: a vector of
+    P0 at its vertex u with coefficient c on the basis path p from v_j of
+    summand j.  They are built on first use (``relations``) from the
+    kernel's action and its inclusion into the cover.  A presentation holds
+    no module but its cover's, so modules of one content can share it.
+    """
+
+    def __init__(self, cover: Cover, kernel_action: dict[str, Matrix],
+                 inc_mats: dict[str, Matrix]):
+        self.cover = cover
+        self._kernel_action = kernel_action
+        self._inc = inc_mats
+
+    @cached_property
+    def relations(self) -> tuple:
+        """((u, ((j, path index, c), ...)), ...): per relation, its vertex
+        and its nonzero coefficients, a path index counting in
+        ``paths_from(v_j)``."""
+        alg = self.cover.algebra
+        z = alg.field.zero
+        # the summand and path of each row of the cover's block at u
+        at: dict[str, list] = {w: [] for w in alg.quiver.vertices}
+        for j, v in enumerate(self.cover.vertices):
+            for idx, key in enumerate(alg.paths_from(v)):
+                at[alg.key_target(key)].append((j, idx))
+        dims = {w: m.rows for w, m in self._inc.items()}
+        return tuple(
+            (u, tuple((j, idx, c) for (j, idx), c
+                      in zip(at[u], self._inc[u].entries[i])
+                      if c is not z and c))
+            for u, i in _top_rows(alg, dims, self._kernel_action))
+
+
 def projective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
     """The indecomposable projective e_v A, spanned by the paths from v.
 
@@ -549,8 +665,8 @@ def projective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
                 row[pos[k2]] = c
             rows.append(row)
         action[a.id] = Matrix.from_rows(f, rows, len(tgt_keys))
-    algebra.cache[("projective", v)] = (dims, action)
-    return Representation._wrap(algebra, dims, action)
+    data = algebra.cache[("projective", v)] = (dims, action, {})
+    return Representation._wrap(algebra, *data)
 
 
 def projectives(algebra: BoundQuiverAlgebra) -> list[tuple[str, Representation]]:
@@ -559,11 +675,12 @@ def projectives(algebra: BoundQuiverAlgebra) -> list[tuple[str, Representation]]
 
 def _cached(algebra: BoundQuiverAlgebra, key, build) -> Representation:
     """The module ``build()`` makes, cached under ``key`` like
-    ``projective_module``: dimensions and action, not the module."""
+    ``projective_module``: dimensions, action and the path-action memo,
+    not the module."""
     data = algebra.cache.get(key)
     if data is None:
         M = build()
-        data = algebra.cache[key] = (M.dims, M.action)
+        data = algebra.cache[key] = (M.dims, M.action, {})
     return Representation._wrap(algebra, *data)
 
 
@@ -631,29 +748,35 @@ def injectives(algebra: BoundQuiverAlgebra) -> list[tuple[str, Representation]]:
     return [(v, injective_module(algebra, v)) for v in algebra.quiver.vertices]
 
 
-def top_generators(M: Representation) -> list[tuple[str, list]]:
-    """Rows spanning M over its radical, one (vertex, row vector) per generator.
+def _top_rows(alg: BoundQuiverAlgebra, dims: dict[str, int],
+              action: dict[str, Matrix]) -> list[tuple[str, int]]:
+    """(vertex, basis index) of each basis vector of a module on top.
 
-    A vertex where M is zero has none, and one whose incoming arrows all
-    start where M is zero has its whole block on top.
+    The radical at v is spanned by the rows of the incoming arrows; the
+    basis vectors at the non-pivot columns of their echelon form span the
+    block over it.  A vertex where the module is zero has none, and one
+    whose incoming arrows all start where it is zero has its whole block on
+    top.
     """
-    alg = M.algebra
     f = alg.field
     out = []
     for v in alg.quiver.vertices:
-        n = M.dims[v]
+        n = dims[v]
         if not n:
             continue
-        # the radical at v is spanned by the rows of the incoming arrows
         rows = [r for a in alg.quiver.arrows_into[v]
-                for r in M.action[a.id].entries]
+                for r in action[a.id].entries]
         pivset = set(rref(Matrix(f, len(rows), n, rows))[1]) if rows else ()
-        for j in range(n):
-            if j not in pivset:
-                e = [f.zero] * n
-                e[j] = f.one
-                out.append((v, e))
+        out.extend((v, j) for j in range(n) if j not in pivset)
     return out
+
+
+def top_generators(M: Representation) -> list[tuple[str, list]]:
+    """Rows spanning M over its radical, one (vertex, row vector) per
+    generator: the unit vectors of ``_top_rows``."""
+    f = M.algebra.field
+    return [(v, [f.one if k == j else f.zero for k in range(M.dims[v])])
+            for v, j in _top_rows(M.algebra, M.dims, M.action)]
 
 
 def _path_images(M: Representation, v: str, row: Sequence) -> dict[PathKey, tuple]:

@@ -56,6 +56,25 @@ def test_coefficient_strings():
     p = prime_field(7)
     assert p.from_str("-1") == 6
     assert p.from_str("2/3") == p.div(2, 3)
+    for bad in ("1/0", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            q.from_str(bad)
+    for bad in ("1/0", "1/7", "3/14"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            p.from_str(bad)
+
+
+@pytest.mark.parametrize("f", [rational_field(), prime_field(7)], ids=repr)
+def test_loaded_zero_and_one_are_the_fields_own(f):
+    """Parsed and converted zeros and ones are the shared ``zero`` and
+    ``one``, so identity checks against them skip loaded entries too."""
+    for s in ("0", "-0", "0/5", " 0 "):
+        assert f.from_str(s) is f.zero
+    assert f.of_int(0) is f.zero
+    for s in ("1", "3/3"):
+        assert f.from_str(s) is f.one
+    assert f.of_int(1) is f.one
+    assert f.from_str("2/3") == f.div(f.of_int(2), f.of_int(3))
 
 
 def test_rank_identity_and_forced():

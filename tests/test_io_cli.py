@@ -430,6 +430,30 @@ def test_exit_input_infinite_dimensional(tmp_path):
     assert main(["alg", "validate", str(bad)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("field, coef", [(rational_field(), "1/0"),
+                                         (prime_field(101), "1/101")],
+                         ids=["Q", "F101"])
+def test_exit_input_zero_denominator(tmp_path, capsys, field, coef):
+    """A coefficient whose denominator is zero in the field is bad input
+    (exit 3), in an algebra file and in a module file alike."""
+    emit_examples("kx2", tmp_path, field)
+    capsys.readouterr()
+    good = tmp_path / "algebra.json"
+    alg = json.loads(good.read_text())
+    alg["relations"][0][0]["coef"] = coef
+    bad_alg = tmp_path / "bad_algebra.json"
+    bad_alg.write_text(dumps_canonical(alg))
+    assert main(["sing", "gorenstein", "--algebra", str(bad_alg)]) == EXIT_INPUT
+    assert "zero denominator" in capsys.readouterr().err
+    mod = json.loads((tmp_path / "m_P.json").read_text())
+    mod["arrows"]["a0"][0][1] = coef
+    bad_mod = tmp_path / "m_bad.json"
+    bad_mod.write_text(dumps_canonical(mod))
+    assert main(["sing", "gp", "--algebra", str(good),
+                 "--module", str(bad_mod)]) == EXIT_INPUT
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_exit_input_mixed_algebra_refs(kx2_dir, tmp_path):
     other = tmp_path / "other"
     emit_examples("hereditary-a2", other, rational_field())

@@ -1,0 +1,233 @@
+"""Hom dimensions read from a stepped source's projective presentation.
+
+``rep.hom_dim(M, N)`` solves a system sized by the tops of M and Omega M
+when ``homology._step`` has attached a ``Presentation`` to M, and the
+commuting system otherwise.  Both must give dim ``hom(M, N)``, over every
+field, for twisted modules, direct sums, quotients of projectives by random
+elements, projective sources (no relations), zero modules and content
+twins, which share one presentation.
+"""
+
+from __future__ import annotations
+
+import gc
+import random
+import sys
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from singcat import homology, rep
+from singcat.exact_linalg import prime_field, rational_field, sparse_rank
+from singcat.homology import syzygy
+from singcat.quiver_algebra import (
+    Arrow, PathWord, Quiver, RelationElement, compute_basis, nakayama_cyclic,
+    orbit_grid_algebra, valid_triples_window,
+)
+from singcat.rep import (
+    Cover, Representation, cokernel, direct_sum, hom, hom_dim,
+    injective_module, interval_module, projective_module, zero_rep,
+)
+
+from builders import jordan_module, twisted, uniserial
+
+FIELDS = {"Q": rational_field(), "F2": prime_field(2),
+          "F101": prime_field(101)}
+FAMILIES = ("jordan", "nakayama", "two-loops", "grid")
+
+
+@lru_cache(maxsize=None)
+def _family(name: str, field: str) -> tuple:
+    """(algebra, a few indecomposable modules) of one family over a field."""
+    fld = FIELDS[field]
+    if name == "jordan":
+        alg = nakayama_cyclic((5,), fld)
+        mods = [jordan_module(alg, i) for i in range(1, 6)]
+    elif name == "nakayama":
+        alg = nakayama_cyclic((3, 2, 3), fld)
+        mods = [uniserial(alg, i, l) for i in range(3) for l in (1, 2)]
+    elif name == "two-loops":
+        # k<x, y>/(x, y)^2: every non-simple indecomposable has two arrows
+        # acting, so a relation has terms on both
+        q = Quiver(["0"], [Arrow("x", "0", "0"), Arrow("y", "0", "0")])
+        alg = compute_basis(q, [RelationElement([(fld.one, PathWord(q, "0", w))])
+                                for w in ("xx", "xy", "yx", "yy")], fld, 3)
+        mods = [projective_module(alg, "0"), rep.simple_module(alg, "0")]
+    else:
+        ks = (3, 2, 3, 3)
+        alg = orbit_grid_algebra(ks, fld)
+        mods = [interval_module(alg, t)
+                for t in valid_triples_window(ks, 0, len(ks))[::3]]
+    return alg, tuple(mods)
+
+
+def _commuting_dim(M, N) -> int:
+    rows, ncols, _ = rep._commuting_system(M, N)
+    if not rows or not ncols:
+        return len(rows)
+    return len(rows) - sparse_rank(M.algebra.field, rows, ncols)
+
+
+@st.composite
+def hom_pairs(draw):
+    """(kind of source, source, target) over one algebra.  The source is a
+    fresh wrap, never stepped, but for kind "twin", which may be a shared
+    base module; the target may be anything."""
+    alg, base = _family(draw(st.sampled_from(FAMILIES)),
+                        draw(st.sampled_from(sorted(FIELDS))))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    verts = alg.quiver.vertices
+
+    def pick():
+        g = draw(st.sampled_from(base))
+        return twisted(g, rng) if draw(st.booleans()) else g
+
+    def module(kind):
+        if kind == "base":
+            return pick()
+        if kind == "sum":
+            return direct_sum([pick(), pick()])
+        if kind == "projective":
+            return projective_module(alg, draw(st.sampled_from(verts)))
+        if kind == "injective":
+            return injective_module(alg, draw(st.sampled_from(verts)))
+        if kind == "syzygy":
+            return syzygy(pick(), 1)
+        if kind == "quotient":
+            # a sum of two P(v) modulo one or two random elements of its
+            # radical: relations with several terms and coefficients other
+            # than one
+            P0 = Cover(alg, draw(st.lists(st.sampled_from(verts),
+                                          min_size=2, max_size=2)))
+            tops = {P0.gen_row(j) for j in range(2)}
+            us = draw(st.lists(st.sampled_from(verts), min_size=1, max_size=2))
+            xs = [[alg.field.zero if (u, i) in tops else alg.field.of_int(
+                       draw(st.sampled_from([0, 1, -1, 2, 3])))
+                   for i in range(P0.rep.dims[u])] for u in us]
+            f = rep._cover_map_from_gen_images(Cover(alg, us), P0.rep, xs)
+            C = cokernel(f)[0]
+            return twisted(C, rng) if draw(st.booleans()) else C
+        return zero_rep(alg)
+
+    kind = draw(st.sampled_from(
+        ["base", "sum", "quotient", "projective", "syzygy", "zero", "twin"]))
+    if kind == "twin":
+        src = pick()
+    else:
+        M = module(kind)
+        src = Representation._wrap(alg, M.dims, M.action)
+    tgt = module(draw(st.sampled_from(
+        ["base", "sum", "quotient", "projective", "injective", "syzygy",
+         "zero"])))
+    return kind, src, tgt
+
+
+@settings(max_examples=150, deadline=None)
+@given(hom_pairs())
+def test_presented_hom_dim_matches_the_commuting_system(case):
+    kind, M, N = case
+    want = _commuting_dim(M, N)
+    assert hom_dim(M, N) == want
+    if kind == "twin":
+        # a second module of the content of a stepped one reuses its step
+        homology._step(M)
+        twin = Representation._wrap(M.algebra, M.dims, M.action)
+        homology._step(twin)
+        assert twin._presentation is M._presentation
+        M = twin
+    else:
+        homology._step(M)
+    pres = M._presentation
+    if kind in ("projective", "zero"):
+        assert pres.relations == ()
+    assert hom_dim(M, N) == want == hom(M, N).dim
+    assert hom_dim(M, N) == want  # relations and path tables memoised
+
+
+def test_relations_of_a_jordan_block():
+    """k[x]/(x^3) over k[x]/(x^5): the cover is P(0), Omega is x^3 P(0),
+    and its one top generator is the basis path x^3 (index 3)."""
+    for fld in FIELDS.values():
+        alg = nakayama_cyclic((5,), fld)
+        M = jordan_module(alg, 3)
+        cover = homology._step(M)[0]
+        assert cover.vertices == ["0"]
+        ((u, terms),) = M._presentation.relations
+        assert u == "0" and terms == ((0, 3, fld.one),)
+        assert alg.paths_from("0")[3] == ("0", ("a0",) * 3)
+        for i in range(1, 6):
+            assert hom_dim(M, jordan_module(alg, i)) == min(3, i)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_relation_coefficients_matter(field):
+    """Over k<x, y>/(x, y)^2, P + P modulo (x + 3y, x + 2y) and modulo
+    (x + y, x + y) differ: as 2 x 2 coefficient matrices the relations have
+    ranks 2 and 1, which no change of generators alters.  Each quotient and
+    its Hom dimensions into both must come out as the commuting system's."""
+    alg, (P, S) = _family("two-loops", field)
+    f = alg.field
+    P0 = Cover(alg, ["0", "0"])
+    quotients = []
+    for b1, b2 in ((3, 2), (1, 1)):
+        # basis rows at 0: e1, x e1, y e1, then e2, x e2, y e2
+        x = [f.zero, f.one, f.of_int(b1), f.zero, f.one, f.of_int(b2)]
+        g = rep._cover_map_from_gen_images(Cover(alg, ["0"]), P0.rep, [x])
+        quotients.append(cokernel(g)[0])
+    targets = quotients + [P, S]
+    for M in quotients:
+        want = [hom(M, N).dim for N in targets]
+        homology._step(M)
+        assert len(M._presentation.relations) == 1
+        assert [hom_dim(M, N) for N in targets] == want
+    assert hom_dim(quotients[0], S) == hom_dim(quotients[1], S)
+    assert hom_dim(quotients[0], quotients[0]) != hom_dim(quotients[1],
+                                                           quotients[0])
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_hom_dim_of_a_stepped_source_builds_no_commuting_system(
+        field, monkeypatch):
+    alg, base = _family("grid", field)
+    built = []
+    real = rep._commuting_system
+
+    def counting(M, N):
+        built.append((M, N))
+        return real(M, N)
+    monkeypatch.setattr(rep, "_commuting_system", counting)
+    M = Representation._wrap(alg, base[2].dims, base[2].action)
+    targets = list(base) + [projective_module(alg, v) for v in alg.quiver.vertices]
+    want = [hom_dim(M, N) for N in targets]
+    assert len(built) == len(targets)
+    homology._step(M)
+    built.clear()
+    assert [hom_dim(M, N) for N in targets] == want
+    assert built == []
+    # the basis of hom(M, N) stays on the commuting system
+    assert hom(M, base[0]).dim == want[0] and len(built) == 1
+
+
+def test_cached_projectives_share_one_path_table():
+    """Every wrap of a cached P(v) reads the path-action memo kept beside
+    its data in the algebra cache, and ``clear_cache`` drops it."""
+    alg = nakayama_cyclic((3, 2, 3), rational_field())
+    M = uniserial(alg, 0, 2)
+    homology._step(M)
+    P = projective_module(alg, "0")
+    assert hom_dim(M, P) == hom(M, P).dim == 0
+    memo = projective_module(alg, "0")._path_actions
+    assert memo is P._path_actions and memo
+    assert all(isinstance(t, tuple) for t in memo.values())
+    assert memo is alg.cache[("projective", "0")][2]
+    gc.collect()
+    gc.disable()
+    try:
+        del P
+        alg.clear_cache()
+        # our name and getrefcount's argument are all that hold it
+        assert sys.getrefcount(memo) == 2
+    finally:
+        gc.enable()
