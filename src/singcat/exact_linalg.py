@@ -3,13 +3,14 @@
 Two field kinds: the rationals (fractions.Fraction) and prime fields F_p
 (ints reduced into [0, p)).  No floating point anywhere.  Matrices are
 stored dense; the one elimination routine, _eliminate, works on sparse
-{column: value} rows, and every system reaches it through one of seven
+{column: value} rows, and every system reaches it through one of eight
 entry points:
 
-- on a Matrix: ``rank``, ``rref`` and ``kernel_basis`` (the left kernel),
-  which take its rows' nonzeros;
+- on a Matrix: ``rank``, ``rref``, ``kernel_basis`` (the left kernel) and
+  ``kernel_and_section`` (the left kernel and a one-sided inverse, from one
+  elimination), which take its rows' nonzeros;
 - on sparse rows, built sparse where the system is formed (the Hom
-  constraints and the cover lift of a syzygy map):
+  constraints of a presented module and the trace tests):
   ``sparse_rank``, ``sparse_kernel`` (reduced with an implicit identity
   block) and ``sparse_span_contains``;
 - ``echelon_solve``, which reads coordinates in a basis that is already
@@ -389,30 +390,42 @@ def sparse_rank(field: Field, rows: list[dict], ncols: int) -> int:
     return len(_eliminate(field, rows, ncols))
 
 
+def _with_identity(field: Field, rows: list[dict], ncols: int) -> list[int]:
+    """Reduce [rows | I] in place and return its pivots.
+
+    The identity block is one entry {ncols + i: one} added to row i, never
+    a dense block.  [rows | I] has full row rank, and each reduced row's
+    identity part is the combination of the input rows that gives its
+    rows-part: zero when the pivot lies in the identity block.
+    """
+    one = field.one
+    for i, row in enumerate(rows):
+        row[ncols + i] = one
+    return _eliminate(field, rows, ncols + len(rows))
+
+
+def _identity_part(field: Field, row: dict, ncols: int, n: int) -> tuple:
+    vec = [field.zero] * n
+    for j, x in row.items():
+        if j >= ncols:
+            vec[j - ncols] = x
+    return tuple(vec)
+
+
 def sparse_kernel(field: Field, rows: list[dict], ncols: int) -> list[tuple]:
     """Basis of the left kernel of sparse rows, as dense row tuples.
 
     ``rows`` are {column: value} dicts of nonzeros in columns below ncols,
-    as ``_eliminate`` takes them; they are consumed (reduced in place).  The
-    identity block of [m | I] is one entry {ncols + i: one} added to row i,
-    never a dense block.  [m | I] has full row rank, and a row's m-part
-    vanished iff its pivot lies in the identity block; such a row has no
-    entry before its pivot, so it is read off at columns ncols and up.  The
-    basis has len(rows) - rank(m) vectors and is deterministic.
+    as ``_eliminate`` takes them; they are consumed (reduced in place).
+    [m | I] is reduced (``_with_identity``); a row's m-part vanished iff
+    its pivot lies in the identity block, and it is read off at columns
+    ncols and up.  The basis has len(rows) - rank(m) vectors and is
+    deterministic.
     """
     n = len(rows)
-    one, z = field.one, field.zero
-    for i, row in enumerate(rows):
-        row[ncols + i] = one
-    pivots = _eliminate(field, rows, ncols + n)
-    out = []
-    for row, c in zip(rows, pivots):
-        if c >= ncols:
-            vec = [z] * n
-            for j, x in row.items():
-                vec[j - ncols] = x
-            out.append(tuple(vec))
-    return out
+    pivots = _with_identity(field, rows, ncols)
+    return [_identity_part(field, row, ncols, n)
+            for row, c in zip(rows, pivots) if c >= ncols]
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:
@@ -422,6 +435,24 @@ def kernel_basis(m: Matrix) -> list[tuple]:
     reduced by ``sparse_kernel``; deterministic.
     """
     return sparse_kernel(m.field, _sparse_rows(m.field, m.entries), m.cols)
+
+
+def kernel_and_section(m: Matrix) -> tuple[list[tuple], list[tuple]]:
+    """(``kernel_basis(m)``, section rows), from one elimination of [m | I].
+
+    The section rows are the identity parts of the reduced rows that pivot
+    in m, one per pivot.  When m has full column rank they are m.cols rows
+    s with s.m the identity, so a map onto at a vertex gets a section from
+    the elimination that gives its kernel.
+    """
+    n = m.rows
+    rows = _sparse_rows(m.field, m.entries)
+    pivots = _with_identity(m.field, rows, m.cols)
+    ker, sec = [], []
+    for row, c in zip(rows, pivots):
+        (ker if c >= m.cols else sec).append(
+            _identity_part(m.field, row, m.cols, n))
+    return ker, sec
 
 
 def echelon_solve(basis: Matrix, m: Matrix) -> Matrix | None:

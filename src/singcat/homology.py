@@ -1,21 +1,17 @@
 """Projective resolutions, syzygies, ext spaces, and projectively stable hom.
 
-The single-step data (cover, augmentation, kernel, inclusion) is cached on
-each module instance, so iterated syzygies, morphism lifts, and orbit walks
-all see the same representative objects.  ``_step`` returns the cached tuple
-itself, with the augmentation as its per-vertex matrices: the augmentation's
-target is the module, so storing it as a morphism would put every resolved
-module in a reference cycle that only the cyclic garbage collector frees.
-Syzygy maps read the matrices; only ``ProjectiveResolution``, ``ext``,
-``StableHomSpace`` and ``stab.standard_triangle`` wrap them in a morphism.
-The inclusion points into the cover, never back at the module.  A step
-builds each thing once: the cover's data is cached per vertex tuple in the
-algebra (``rep.Cover``), and one elimination per cover vertex gives both
-the onto guard and the kernel block (``rep.projective_cover``).  A step
-also attaches the module's projective presentation (``rep.Presentation``),
-and ``rep.hom_dim`` reads every Hom dimension out of the module from it.
-Its relations are built on first use, and a module that reuses a twin's
-step shares the twin's presentation.
+The single-step data (cover, augmentation, kernel, inclusion and
+projective presentation) is built and cached on each module instance by
+``rep._cover_step``, so iterated syzygies, morphism lifts, orbit walks and
+Hom spaces all see the same representative objects.  ``_step`` returns the
+cached tuple itself, with the augmentation as its per-vertex matrices: the
+augmentation's target is the module, so storing it as a morphism would put
+every resolved module in a reference cycle that only the cyclic garbage
+collector frees.  Syzygy maps read the matrices and the presentation's
+section; only ``ProjectiveResolution``, ``ext``, ``StableHomSpace`` and
+``stab.standard_triangle`` wrap them in a morphism.  The inclusion points
+into the cover, never back at the module.  What ``_step`` adds is its own:
+the pools below, and the reuse of a twin's step, presentation included.
 
 A kernel is a reduced-echelon submodule of its cover, so the syzygies of
 different modules often come out as equal matrices.  Each new syzygy is
@@ -32,7 +28,8 @@ closes in content stays a chain of objects and is freed by reference
 counting; each later lap reuses the cover step of its twin (``_step``).
 
 Dimensions are read from Hom dimensions of one cached cover step, with no
-basis and no constraint builder beyond ``rep.hom_dim``'s.  A stable Hom
+basis and no constraint system but the presentation's (``rep.hom_dim``),
+which Ext^i reads from the step of Omega^i M.  A stable Hom
 dimension comes from the exact sequence 0 -> Hom(A, Omega B) ->
 Hom(A, P_B) -> Hom(A, B), where P_B -> B is the cover and Omega B its
 kernel.  The image of the last map is exactly the maps A -> B that factor
@@ -88,43 +85,39 @@ from typing import Sequence
 from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .exact_linalg import (
-    InternalCheckFailed, Matrix, _eliminate, _sparse_rows, echelon_solve, rref,
-    sparse_kernel,
+    InternalCheckFailed, Matrix, _eliminate, echelon_solve, rref,
 )
 from .rep import (
     Cover,
-    Presentation,
     RepMorphism,
     Representation,
     _composite_rows,
     _cover_map_from_gen_images,
+    _cover_step,
     _end_offsets,
     _homs_into,
     _identity_in_trace,
     _iso_certificate,
-    _morphism_to_vec,
     _same_algebra,
     hom,
     hom_dim,
-    kernel,
-    projective_cover,
     projective_module,
 )
 
 
 def _step(M: Representation) -> tuple:
-    """The cached (cover, eps matrices, syzygy, inclusion) of one step.
+    """M's cached (cover, eps matrices, syzygy, inclusion, presentation).
 
-    eps is kept as its per-vertex matrices, not as a morphism onto M, so
-    nothing cached on M points back at M.  The step attaches M's
-    ``rep.Presentation``, which does not point back at M either.  A module
-    with the content of a live module with a cached step, its donor, reuses
-    that step with a fresh kernel and the donor's presentation; a module
-    stepped afresh becomes the donor of its content, so a generator whose
-    content recurs as a later syzygy is stepped once.  The
-    syzygy is looked up in the pool (``_pooled``): an equal live syzygy is
-    returned instead, with the inclusion re-pointed to it, so its cached
-    step and memos serve M too, unless its cached chain leads back to M.
+    A fresh step is ``rep._cover_step``'s, whose memo this overwrites with
+    the pooled syzygy; nothing cached on M points back at M.  A module with
+    the content of a live module with a cached step, its donor, reuses that
+    step with a fresh kernel, presentation included; a module stepped
+    afresh becomes the donor of its content, so a generator whose content
+    recurs as a later syzygy is stepped once.  The syzygy is looked up in
+    the pool (``_pooled``): an equal live syzygy is returned instead, with
+    the inclusion re-pointed to it, so its cached step and memos serve M
+    too, unless its cached chain leads back to M.  A module that ``rep``
+    stepped first, as the source of a Hom space, keeps its step unpooled.
     """
     data = getattr(M, "_syzygy_step", None)
     if data is None:
@@ -132,18 +125,14 @@ def _step(M: Representation) -> tuple:
         key = _content_key(M)
         donor = donors.get(key)
         if donor is None:
-            cover, eps = projective_cover(M)
-            K, inc = kernel(eps)
-            eps = eps.mats
-            M._presentation = Presentation(cover, K.action, inc.mats)
+            cover, eps, K, inc, pres = _cover_step(M)
         else:
-            cover, eps, K, inc = donor._syzygy_step
+            cover, eps, K, inc, pres = donor._syzygy_step
             K = Representation._wrap(M.algebra, K.dims, K.action)
-            M._presentation = donor._presentation
         same = _pooled(K, M)
         if same is not inc.src:
             inc = RepMorphism(same, cover.rep, inc.mats, check=False)
-        data = M._syzygy_step = (cover, eps, same, inc)
+        data = M._syzygy_step = (cover, eps, same, inc, pres)
         if donor is None:
             donors[key] = M
     return data
@@ -238,7 +227,7 @@ class ProjectiveResolution:
         self.incs: list[RepMorphism] = []
         cur = M
         for _ in range(length + 1):
-            cover, mats, K, inc = _step(cur)
+            cover, mats, K, inc, _ = _step(cur)
             self.covers.append(cover)
             self.eps.append(RepMorphism(cover.rep, cur, mats, check=False))
             self.incs.append(inc)
@@ -275,22 +264,13 @@ def syzygy_morphism(f: RepMorphism, steps: int = 1) -> RepMorphism:
 
 
 def _omega1(f: RepMorphism) -> RepMorphism:
+    """Omega f: each top generator g of M goes to g f in N, lifted to N's
+    cover through the section of its cover map (y s eps_N = y); the cover
+    map lambda of those lifts restricts to the syzygies."""
     M, N = f.src, f.tgt
-    coverM, epsM, KM, incM = _step(M)
-    coverN, epsN, KN, incN = _step(N)
-    fld = M.algebra.field
-    xs = []
-    for j in range(len(coverM.vertices)):
-        v, row = coverM.gen_row(j)
-        # the generator's image under epsM then f: one row of the composite.
-        # x with x.epsN = y is read from the kernel of the rows [-y; epsN],
-        # whose first echelon vector leads with 1 iff y is in the image
-        y = f.mats[v].act(epsM[v].entries[row])
-        rows = _sparse_rows(fld, [[fld.neg(a) for a in y], *epsN[v].entries])
-        ker = sparse_kernel(fld, rows, N.dims[v])
-        if not ker or ker[0][0] != fld.one:
-            raise InternalCheckFailed("augmentation is not onto")
-        xs.append(ker[0][1:])
+    coverM, _, KM, incM, presM = _step(M)
+    coverN, _, KN, incN, presN = _step(N)
+    xs = [presN.section[v].act(f.mats[v].act(g)) for v, g in presM.gens]
     lam = _cover_map_from_gen_images(coverM, coverN.rep, xs)
     mats = {}
     for v in M.algebra.quiver.vertices:
@@ -334,7 +314,8 @@ def _ext(M: Representation, N: Representation,
     if i == 0:
         return M, hom_dim(M, N)
     prev = syzygy(M, i - 1)
-    cover, _, K, _ = _step(prev)
+    cover, _, K, _, _ = _step(prev)
+    _step(K)  # Hom(K, N) reads K's presentation: step K with the pools
     hk = hom_dim(K, N)
     hp = sum(N.dims[v] for v in cover.vertices)
     h = hom_dim(prev, N)
@@ -351,7 +332,7 @@ def ext(M: Representation, N: Representation, i: int) -> ExtSpace:
     basis = hom(K, N).basis
     if i == 0:
         return ExtSpace(dim, basis)
-    cover, eps, _, _ = _step(K)
+    cover, eps, _, _, _ = _step(K)
     eps_i = RepMorphism(cover.rep, K, eps, check=False)
     return ExtSpace(dim, [eps_i.compose(h) for h in basis])
 
@@ -369,7 +350,8 @@ class StableHomSpace:
 
     A map factors through some projective iff it factors through the cover
     of N, so the projective subspace is the image of composition with the
-    cover's augmentation.  Quotient coordinates are read off the non-pivot
+    cover's augmentation, read in the coordinates of ``hom(M, N)`` at M's
+    top generators.  Quotient coordinates are read off the non-pivot
     positions of that subspace's row echelon form.
     """
 
@@ -377,12 +359,12 @@ class StableHomSpace:
         alg = _same_algebra(M, N)
         fld = alg.field
         self.hom = hom(M, N)
-        coverN, eps_mats, _, _ = _step(N)
+        coverN, eps_mats, _, _, _ = _step(N)
         epsN = RepMorphism(coverN.rep, N, eps_mats, check=False)
         hp = hom(M, coverN.rep)
         bmat = self.hom._bmat
         comps = Matrix.from_rows(
-            fld, [_morphism_to_vec(b.compose(epsN)) for b in hp.basis],
+            fld, [self.hom._vec(b.compose(epsN)) for b in hp.basis],
             bmat.cols)
         sol = echelon_solve(bmat, comps)
         if sol is None:
@@ -434,7 +416,7 @@ def _proj_hom_dim(A: Representation, v: str) -> int:
 
 def _stable_dim_from_ranks(A: Representation, B: Representation) -> int:
     _same_algebra(A, B)
-    cover, _, K, _ = _step(B)
+    cover, _, K, _, _ = _step(B)
     h = hom_dim(A, B)
     hp = sum(_proj_hom_dim(A, v) for v in cover.vertices)
     hk = hom_dim(A, K)
@@ -481,7 +463,7 @@ def is_projective(M: Representation) -> bool:
     """
     if M.total_dim == 0:
         return True
-    cover, _, _, _ = _step(M)
+    cover = _step(M)[0]
     return cover.rep.total_dim == M.total_dim
 
 
@@ -491,7 +473,7 @@ def _projective_end_rows(M: Representation) -> list[dict]:
     no module and no morphism."""
     rows = getattr(M, "_proj_end_rows", None)
     if rows is None:
-        cover, eps, _, _ = _step(M)
+        cover, eps = _step(M)[:2]
         off, width = _end_offsets(M)
         rows = _composite_rows(
             M, off, [h.mats for h in hom(M, cover.rep).basis], [eps])

@@ -19,18 +19,20 @@ nonempty: "cover map is onto" at each vertex where M is nonzero, and
 rows and whose target vertex carries part of M.
 
 A projective cover is built once per vertex tuple and algebra
-(``Cover``), and each cover vertex is eliminated once: the left kernel of
-the augmentation's block both decides the onto guard and gives the
-syzygy's block (``_kernel_blocks``).
+(``Cover``), and each cover vertex is eliminated once: the elimination of
+the augmentation's block decides the onto guard and gives both the
+syzygy's block and a section of the block (``_kernel_blocks``).  One cover
+step per module (``_cover_step``) builds the cover, the augmentation, the
+kernel with its inclusion, and the projective presentation
+P1 -> P0 -> M -> 0 (``Presentation``).
 
-``hom_dim(M, N)`` has two constraint systems.  When a cover step has
-attached a projective presentation P1 -> P0 -> M -> 0 to M
-(``Presentation``), Hom(M, N) is the kernel of the map from the sum of
-the N_v, v over the cover's summands, to one block of N per top generator
-of Omega M (``_presented_system``), a system sized by the tops of M and
-Omega M.  Every other source, and every basis (``hom``), uses the
-commuting system of the per-vertex matrices (``_commuting_system``): its
-basis order is what Ext cocycles, stable Hom and the trace tests read.
+Every Hom space is read from the source's presentation.  Hom(-, N) is
+left exact and Hom(P(v), N) = N e_v, so Hom(M, N) is the kernel of the map
+from the sum of the N_v, v over the cover's summands, to one block of N
+per top generator of Omega M (``_presented_system``), a system sized by
+the tops of M and Omega M.  A Hom vector lists the images of M's top
+generators; ``hom_dim`` reads the rank, and ``hom`` turns each kernel
+vector into a morphism through the section.
 
 Membership in add G is settled by an isomorphism certificate to one
 generator (``_iso_certificate``), and otherwise by one trace test
@@ -43,12 +45,11 @@ from it.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Sequence
 
 from .exact_linalg import (
-    InternalCheckFailed, Matrix, echelon_solve, kernel_basis, rank, rref,
-    sparse_kernel, sparse_rank, sparse_span_contains,
+    InternalCheckFailed, Matrix, echelon_solve, kernel_and_section, rank,
+    rref, sparse_kernel, sparse_rank, sparse_span_contains,
 )
 from .quiver_algebra import (
     BoundQuiverAlgebra, PathKey, opposite_algebra, valid_triple,
@@ -91,21 +92,22 @@ class Representation:
     @classmethod
     def _wrap(cls, algebra: BoundQuiverAlgebra, dims: dict[str, int],
               action: dict[str, Matrix],
-              paths: dict | None = None) -> "Representation":
+              memo: dict | None = None) -> "Representation":
         """A module on data that a constructor already checked.
 
         ``dims`` and ``action`` are shared, not copied: they must name every
         vertex and arrow, as the ones a Representation holds do.  Nothing in
-        the package mutates either after construction.  ``paths``, when
-        given, is the memo of path actions (``_path_actions``) kept beside
-        cached data, shared by every module that wraps it.
+        the package mutates either after construction.  ``memo``, when
+        given, is the memo of path actions and presentation
+        (``_path_actions``, ``_presentation``) kept beside cached data,
+        shared by every module that wraps it.
         """
         M = cls.__new__(cls)
         M.algebra = algebra
         M.dims = dims
         M.action = action
-        if paths is not None:
-            M._path_actions = paths
+        if memo is not None:
+            M._memo = memo
         return M
 
     @property
@@ -246,127 +248,49 @@ class RepMorphism:
                             for v in rep.dims}, check=False)
 
 
-def _commuting_system(M: Representation, N: Representation,
-                      ) -> tuple[list[dict], int, dict[str, int]]:
-    """Sparse commuting constraints on the morphisms M -> N.
-
-    Rows are the unknowns, the entries of the per-vertex matrices laid out
-    vertex by vertex from ``off[v]``; columns are the scalar constraints
-    (M_a f_w - f_u N_a)[i][k] of each arrow a: u -> w that have a term,
-    that is, whose row i of M_a or column k of N_a is nonzero (a column
-    whose terms cancel is kept, with no entry).  Each row is a
-    {column: value} dict of its nonzeros, as ``sparse_kernel`` takes it.
-    Returns (rows, constraint count, off).  Only the nonzeros of the
-    actions are visited: each arrow lists those of M_a by row and of N_a by
-    column once.  When the supports of M and N share no vertex there are no
-    unknowns, and no arrow is visited.
-    """
-    f = M.algebra.field
-    z = f.zero
-    off = {}
-    total = 0
-    for v in M.algebra.quiver.vertices:
-        off[v] = total
-        total += M.dims[v] * N.dims[v]
-    if not total:
-        return [], 0, off
-    # per arrow with constraints: (u, w, nonzeros by row of M_a, negated
-    # nonzeros by column of N_a)
-    terms = []
-    ncols = 0
-    for a in M.algebra.quiver.arrows:
-        u, w = a.src, a.tgt
-        du, ew = M.dims[u], N.dims[w]
-        if not du or not ew:
-            continue
-        m_rows = [[(j, x) for j, x in enumerate(r) if x is not z and x]
-                  for r in M.action[a.id].entries]
-        n_cols = [[] for _ in range(ew)]
-        for j2, r in enumerate(N.action[a.id].entries):
-            for k, y in enumerate(r):
-                if y is not z and y:
-                    n_cols[k].append((j2, f.neg(y)))
-        empty_m = sum(1 for r in m_rows if not r)
-        empty_n = sum(1 for c in n_cols if not c)
-        ncols += du * ew - empty_m * empty_n
-        terms.append((u, w, m_rows, n_cols))
-    rows: list[dict] = [{} for _ in range(total)]
-    c = 0
-    for u, w, m_rows, n_cols in terms:
-        ou, ow = off[u], off[w]
-        eu, ew = N.dims[u], N.dims[w]
-        for i, m_row in enumerate(m_rows):
-            base = ou + i * eu
-            for k, n_col in enumerate(n_cols):
-                if not m_row and not n_col:
-                    continue
-                for j, x in m_row:
-                    rows[ow + j * ew + k][c] = x
-                # an M term and an N term meet only on a loop (j = i, j2 = k)
-                for j2, y in n_col:
-                    row = rows[base + j2]
-                    cur = row.get(c)
-                    if cur is None:
-                        row[c] = y
-                    else:
-                        y = f.add(cur, y)
-                        if y:
-                            row[c] = y
-                        else:
-                            del row[c]
-                c += 1
-    return rows, ncols, off
-
-
-def _morphism_to_vec(f: RepMorphism) -> list:
-    out = []
-    for v in f.src.algebra.quiver.vertices:
-        for row in f.mats[v].entries:
-            out.extend(row)
-    return out
-
-
-def _morphism_from_vec(M: Representation, N: Representation, vec) -> RepMorphism:
-    fld = M.algebra.field
-    mats = {}
-    pos = 0
-    for v in M.algebra.quiver.vertices:
-        r, c = M.dims[v], N.dims[v]
-        rows = [list(vec[pos + i * c: pos + (i + 1) * c]) for i in range(r)]
-        pos += r * c
-        mats[v] = Matrix.from_rows(fld, rows, c)
-    return RepMorphism(M, N, mats, check=False)
-
-
 class HomSpace:
-    """The space of morphisms M -> N, with a canonical ordered basis."""
+    """The space of morphisms M -> N, with a canonical ordered basis.
+
+    The basis is the reduced left kernel of ``_presented_system``: each
+    vector lists the images of M's top generators, and its morphism is the
+    section of M's cover at each vertex followed by the cover map that
+    sends the generators there (``_presented_map``).
+    """
 
     def __init__(self, M: Representation, N: Representation):
-        alg = _same_algebra(M, N)
-        f = alg.field
+        f = _same_algebra(M, N).field
         self.src = M
         self.tgt = N
-        rows, ncols, _ = _commuting_system(M, N)
+        self._pres = _presentation(M)
+        rows, ncols = _presented_system(self._pres, N)
         vecs = sparse_kernel(f, rows, ncols) if rows else []
         self._bmat = Matrix.from_rows(f, vecs, len(rows))
-        self.basis = [_morphism_from_vec(M, N, v) for v in vecs]
+        self.basis = [_presented_map(self._pres, M, N, v) for v in vecs]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    def _vec(self, f: RepMorphism) -> list:
+        """f's images of M's top generators, in the order of the unknowns."""
+        return [y for v, g in self._pres.gens for y in f.mats[v].act(g)]
+
     def coords(self, f: RepMorphism) -> tuple:
+        """f's coordinates, read at the top generators and checked by
+        recombination: a map that is not the morphism its generator images
+        name lies outside the hom space."""
         fld = self.src.algebra.field
-        vec = Matrix.from_rows(fld, [_morphism_to_vec(f)], self._bmat.cols)
+        vec = Matrix.from_rows(fld, [self._vec(f)], self._bmat.cols)
         sol = echelon_solve(self._bmat, vec)
-        if sol is None:
+        if sol is None or self.element(sol.entries[0]).mats != f.mats:
             raise ValueError("morphism outside the hom space")
         return sol.entries[0]
 
     def element(self, coeffs: Sequence) -> RepMorphism:
         if len(coeffs) != self.dim:
             raise ValueError("wrong coefficient count")
-        return _morphism_from_vec(self.src, self.tgt, self._bmat.act(coeffs))
+        return _presented_map(self._pres, self.src, self.tgt,
+                              self._bmat.act(coeffs))
 
 
 def hom(M: Representation, N: Representation) -> HomSpace:
@@ -374,20 +298,13 @@ def hom(M: Representation, N: Representation) -> HomSpace:
 
 
 def hom_dim(M: Representation, N: Representation) -> int:
-    """dim Hom(M, N): the unknowns of a constraint system minus its rank.
+    """dim Hom(M, N): the unknowns of ``_presented_system`` minus its rank.
 
     Equal to ``hom(M, N).dim``, but builds no kernel basis and no morphism.
-    A source with a projective presentation (``Presentation``, attached by
-    the cover step) is read from it (``_presented_system``); any other
-    source from the commuting system.  With no unknowns or no constraints
-    there is nothing to eliminate.
+    With no unknowns or no constraints there is nothing to eliminate.
     """
     f = _same_algebra(M, N).field
-    pres = getattr(M, "_presentation", None)
-    if pres is None:
-        rows, ncols, _ = _commuting_system(M, N)
-    else:
-        rows, ncols = _presented_system(pres, N)
+    rows, ncols = _presented_system(_presentation(M), N)
     if not rows or not ncols:
         return len(rows)
     return len(rows) - sparse_rank(f, rows, ncols)
@@ -398,13 +315,14 @@ def _path_actions(N: Representation, v: str) -> tuple:
 
     Entry i is, for each basis path p from v in ``paths_from`` order, the
     image of the i-th basis vector under p (``_path_images``), a dense row
-    tuple.  Memoised on N per vertex; the cached projective, injective and
-    regular data keep the memo beside them in the algebra cache, so every
-    module wrapping them shares it (``_wrap``).  It holds tuples only, and
-    no tuple per nonzero entry: over Q every tuple that holds a Fraction
-    stays tracked by the cyclic collector while its module lives.
+    tuple.  Memoised in N's ``_memo`` under the vertex id; the cached
+    projective, injective and regular data keep the memo beside them in the
+    algebra cache, so every module wrapping them shares it (``_wrap``).  It
+    holds tuples only, and no tuple per nonzero entry: over Q every tuple
+    that holds a Fraction stays tracked by the cyclic collector while its
+    module lives.
     """
-    memo = N.__dict__.setdefault("_path_actions", {})
+    memo = N.__dict__.setdefault("_memo", {})
     table = memo.get(v)
     if table is None:
         f = N.algebra.field
@@ -430,15 +348,15 @@ def _presented_system(pres: "Presentation", N: Representation,
     """
     z, p = N.algebra.field.zero, N.algebra.field.p
     off, total = [], 0
-    for v in pres.cover.vertices:
+    for v in pres.vertices:
         off.append(total)
         total += N.dims[v]
     rows: list[dict] = [{} for _ in range(total)]
     col = 0
-    for u, terms in pres.relations:
+    for u, terms in pres.relations(N.algebra):
         for j, idx, c in terms:
             for i, images in enumerate(
-                    _path_actions(N, pres.cover.vertices[j]), off[j]):
+                    _path_actions(N, pres.vertices[j]), off[j]):
                 row = rows[i]
                 for k, y in enumerate(images[idx], col):
                     if y is not z and y:
@@ -448,6 +366,22 @@ def _presented_system(pres: "Presentation", N: Representation,
     if p is None:
         return [{k: x for k, x in r.items() if x} for r in rows], col
     return [{k: x % p for k, x in r.items() if x % p} for r in rows], col
+
+
+def _presented_map(pres: "Presentation", M: Representation,
+                   N: Representation, x: Sequence) -> RepMorphism:
+    """The morphism M -> N sending M's j-th top generator to x_j, x listing
+    the x_j in N_{v_j} one after another: at each vertex w, the section s_w
+    of M's cover followed by the cover map that sends the j-th generator of
+    P0 to x_j.  For x in the kernel of ``_presented_system`` that map kills
+    Omega M, so it factors through M as this morphism."""
+    xs, pos = [], 0
+    for v in pres.vertices:
+        xs.append(x[pos:pos + N.dims[v]])
+        pos += N.dims[v]
+    lam = _gen_image_mats(M.algebra, pres.vertices, N, xs)
+    return RepMorphism(M, N, {w: s.mul(lam[w])
+                              for w, s in pres.section.items()}, check=False)
 
 
 def _echelon_submodule(M: Representation, inc_mats: dict[str, Matrix],
@@ -474,24 +408,30 @@ def _echelon_submodule(M: Representation, inc_mats: dict[str, Matrix],
     return S, RepMorphism(S, M, inc_mats, check=False)
 
 
-def _kernel_blocks(f: RepMorphism) -> dict[str, Matrix]:
-    """The left kernel of f at each vertex, as echelon rows; memoised on f.
+def _kernel_blocks(f: RepMorphism) -> tuple[dict[str, Matrix],
+                                             dict[str, Matrix]]:
+    """(left kernel, section) of f at each vertex, as echelon rows, from one
+    elimination per block (``kernel_and_section``); memoised on f.
 
-    A block of f with no rows has the empty kernel, and one with no columns
-    (an n x 0 map) the n x n identity, which is what ``kernel_basis`` gives;
-    neither is eliminated.  The memo holds matrices only, so it keeps no
-    module alive.
+    The section block has one row per pivot of f's block, so it is a
+    section of f (s f_v = 1) exactly where f is onto.  A block of f with no
+    rows has the empty kernel, and one with no columns (an n x 0 map) the
+    n x n identity and the empty section; neither is eliminated.  The memo holds
+    matrices only, so it keeps no module alive.
     """
     blocks = getattr(f, "_kernel_mats", None)
     if blocks is None:
         fld = f.src.algebra.field
-        blocks = {}
+        ker, sec = {}, {}
         for v, m in f.mats.items():
             if not m.rows or not m.cols:
-                blocks[v] = Matrix.identity(fld, m.rows)
+                ker[v] = Matrix.identity(fld, m.rows)
+                sec[v] = Matrix.zeros(fld, 0, m.rows)
             else:
-                blocks[v] = Matrix.from_rows(fld, kernel_basis(m), m.rows)
-        f._kernel_mats = blocks
+                k, s = kernel_and_section(m)
+                ker[v] = Matrix.from_rows(fld, k, m.rows)
+                sec[v] = Matrix.from_rows(fld, s, m.rows)
+        blocks = f._kernel_mats = (ker, sec)
     return blocks
 
 
@@ -502,7 +442,7 @@ def kernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
     augmentation reuses the eliminations that ``projective_cover`` ran for
     its onto guard.
     """
-    return _echelon_submodule(f.src, _kernel_blocks(f), "kernel")
+    return _echelon_submodule(f.src, _kernel_blocks(f)[0], "kernel")
 
 
 def image(f: RepMorphism) -> tuple[Representation, RepMorphism, RepMorphism]:
@@ -601,38 +541,76 @@ class Cover:
 class Presentation:
     """A projective presentation P1 -> P0 -> M -> 0 from one cover step.
 
-    P0 is the cover, sum_j P(v_j).  The relations are the top generators of
-    the kernel Omega M, each written in the cover's path basis: a vector of
-    P0 at its vertex u with coefficient c on the basis path p from v_j of
-    summand j.  They are built on first use (``relations``) from the
-    kernel's action and its inclusion into the cover.  A presentation holds
-    no module but its cover's, so modules of one content can share it.
+    P0 is the cover, sum_j P(v_j), whose j-th generator maps to M's top
+    generator ``gens[j]`` = (v_j, its row of M at v_j).  ``section[w]`` is
+    a section s_w of the cover map eps at w, s_w eps_w = 1
+    (``_kernel_blocks``).  The
+    relations are the top generators of the kernel Omega M, each written in
+    the cover's path basis: a vector of P0 at its vertex u with coefficient
+    c on the basis path p from v_j of summand j.  They are built on first
+    use (``relations``) from the kernel's action and its inclusion into the
+    cover.  A presentation holds matrices and tuples only, no module and no
+    algebra, so modules of one content share it, and cached data keeps it
+    (``_presentation``).
     """
 
-    def __init__(self, cover: Cover, kernel_action: dict[str, Matrix],
-                 inc_mats: dict[str, Matrix]):
-        self.cover = cover
-        self._kernel_action = kernel_action
-        self._inc = inc_mats
+    def __init__(self, gens: tuple, kernel_action: dict[str, Matrix],
+                 inc_mats: dict[str, Matrix], section: dict[str, Matrix]):
+        self.gens = gens
+        self.vertices = tuple(v for v, _ in gens)
+        self.section = section
+        self._kernel = (kernel_action, inc_mats)
+        self._relations = None
 
-    @cached_property
-    def relations(self) -> tuple:
+    def relations(self, alg: BoundQuiverAlgebra) -> tuple:
         """((u, ((j, path index, c), ...)), ...): per relation, its vertex
         and its nonzero coefficients, a path index counting in
-        ``paths_from(v_j)``."""
-        alg = self.cover.algebra
-        z = alg.field.zero
-        # the summand and path of each row of the cover's block at u
-        at: dict[str, list] = {w: [] for w in alg.quiver.vertices}
-        for j, v in enumerate(self.cover.vertices):
-            for idx, key in enumerate(alg.paths_from(v)):
-                at[alg.key_target(key)].append((j, idx))
-        dims = {w: m.rows for w, m in self._inc.items()}
-        return tuple(
-            (u, tuple((j, idx, c) for (j, idx), c
-                      in zip(at[u], self._inc[u].entries[i])
-                      if c is not z and c))
-            for u, i in _top_rows(alg, dims, self._kernel_action))
+        ``paths_from(v_j)``.  Memoised."""
+        if self._relations is None:
+            action, inc = self._kernel
+            z = alg.field.zero
+            # the summand and path of each row of the cover's block at u
+            at: dict[str, list] = {w: [] for w in alg.quiver.vertices}
+            for j, v in enumerate(self.vertices):
+                for idx, key in enumerate(alg.paths_from(v)):
+                    at[alg.key_target(key)].append((j, idx))
+            dims = {w: m.rows for w, m in inc.items()}
+            self._relations = tuple(
+                (u, tuple((j, idx, c) for (j, idx), c
+                          in zip(at[u], inc[u].entries[i])
+                          if c is not z and c))
+                for u, i in _top_rows(alg, dims, action))
+        return self._relations
+
+
+def _cover_step(M: Representation) -> tuple:
+    """(cover, eps matrices, Omega M, inclusion, presentation) of M's
+    projective cover, memoised on M as ``_syzygy_step``.
+
+    eps is kept as its per-vertex matrices, not as a morphism onto M, and
+    the inclusion points into the cover, so nothing cached on M points
+    back at M.  ``homology._step`` pools the syzygies of these steps.
+    """
+    step = getattr(M, "_syzygy_step", None)
+    if step is None:
+        cover, eps = projective_cover(M)
+        K, inc = kernel(eps)
+        gens = tuple((v, eps.mats[v].entries[r]) for v, r
+                     in map(cover.gen_row, range(len(cover.vertices))))
+        pres = Presentation(gens, K.action, inc.mats, _kernel_blocks(eps)[1])
+        step = M._syzygy_step = (cover, eps.mats, K, inc, pres)
+    return step
+
+
+def _presentation(M: Representation) -> Presentation:
+    """M's presentation, from its cover step, memoised in M's ``_memo``
+    under None (vertex ids are strings), so the wraps of cached data share
+    it and do not cover again."""
+    memo = M.__dict__.setdefault("_memo", {})
+    pres = memo.get(None)
+    if pres is None:
+        pres = memo[None] = _cover_step(M)[4]
+    return pres
 
 
 def projective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
@@ -675,8 +653,8 @@ def projectives(algebra: BoundQuiverAlgebra) -> list[tuple[str, Representation]]
 
 def _cached(algebra: BoundQuiverAlgebra, key, build) -> Representation:
     """The module ``build()`` makes, cached under ``key`` like
-    ``projective_module``: dimensions, action and the path-action memo,
-    not the module."""
+    ``projective_module``: dimensions, action and the memo of path actions
+    and presentation, not the module."""
     data = algebra.cache.get(key)
     if data is None:
         M = build()
@@ -803,22 +781,24 @@ def _path_images(M: Representation, v: str, row: Sequence) -> dict[PathKey, tupl
     return out
 
 
-def _cover_map_from_gen_images(cover: Cover, T: Representation,
-                               xs: list) -> RepMorphism:
-    """The morphism cover.rep -> T sending the j-th generator to row xs[j].
-
-    Its rows at each vertex are the generator images walked along the
-    basis paths, in the (summand, path) order of the cover's basis rows.
-    """
-    alg = cover.algebra
-    f = alg.field
+def _gen_image_mats(alg: BoundQuiverAlgebra, vertices: Sequence[str],
+                    T: Representation, xs: list) -> dict[str, Matrix]:
+    """The matrices of the map sum_j P(v_j) -> T sending the j-th generator
+    to row xs[j]: at each vertex, the generator images walked along the
+    basis paths, in the (summand, path) order of the cover's basis rows."""
     rows_at: dict[str, list] = {w: [] for w in alg.quiver.vertices}
-    for v, x in zip(cover.vertices, xs):
+    for v, x in zip(vertices, xs):
         for key, img in _path_images(T, v, x).items():
             rows_at[alg.key_target(key)].append(img)
-    mats = {w: Matrix.from_rows(f, rows_at[w], T.dims[w])
+    return {w: Matrix.from_rows(alg.field, rows_at[w], T.dims[w])
             for w in alg.quiver.vertices}
-    return RepMorphism(cover.rep, T, mats, check=False)
+
+
+def _cover_map_from_gen_images(cover: Cover, T: Representation,
+                               xs: list) -> RepMorphism:
+    """The morphism cover.rep -> T sending the j-th generator to row xs[j]."""
+    return RepMorphism(cover.rep, T, _gen_image_mats(
+        cover.algebra, cover.vertices, T, xs), check=False)
 
 
 def projective_cover(M: Representation) -> tuple[Cover, RepMorphism]:
@@ -827,13 +807,14 @@ def projective_cover(M: Representation) -> tuple[Cover, RepMorphism]:
     The map eps is checked onto at every vertex w where M is nonzero, by
     the elimination that gives its kernel: the block eps_w has rank
     dim M_w exactly when its rows minus the dimension of its left kernel
-    are dim M_w.  The kernel blocks stay memoised on eps
-    (``_kernel_blocks``), so ``kernel(eps)`` eliminates nothing again.
+    are dim M_w, and then the elimination also gives a section of eps_w.
+    The blocks stay memoised on eps (``_kernel_blocks``), so
+    ``kernel(eps)`` eliminates nothing again.
     """
     gens = top_generators(M)
     cover = Cover(M.algebra, [v for v, _ in gens])
     eps = _cover_map_from_gen_images(cover, M, [g for _, g in gens])
-    ker = _kernel_blocks(eps)
+    ker = _kernel_blocks(eps)[0]
     for w, d in M.dims.items():
         if d and eps.mats[w].rows - ker[w].rows != d:
             raise InternalCheckFailed("cover map is not onto")

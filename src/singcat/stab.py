@@ -354,7 +354,7 @@ def standard_triangle(E: Representation, k: int = 0) -> StTriangle:
     Shifting the sequence k times multiplies all three maps by (-1)^k;
     the connecting map is recorded by its sign.
     """
-    cover, eps_mats, K, inc = _step(E)
+    cover, eps_mats, K, inc, _ = _step(E)
     eps = RepMorphism(cover.rep, E, eps_mats, check=False)
     sgn = -1 if k % 2 else 1
     objects = (StableObject(K, -k), StableObject(cover.rep, -k),

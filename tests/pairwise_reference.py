@@ -29,10 +29,9 @@ from singcat.homology import (
     syzygy,
 )
 from singcat.rep import (
-    RepMorphism, Representation, _identity_in_trace, _images_span,
-    _morphism_from_vec, _path_images, add_membership, cokernel, direct_sum, hom, injectives,
-    kernel, projective_cover, projective_module, projectives, simple_module,
-    zero_rep,
+    RepMorphism, Representation, _cover_step, _identity_in_trace, _images_span,
+    _path_images, add_membership, cokernel, direct_sum, hom, injectives,
+    projective_module, projectives, simple_module, zero_rep,
 )
 from singcat.stab import GpCertificate
 from singcat.tilting import (
@@ -222,14 +221,10 @@ def omega_stabilizes_strided(M, horizon=24, step=1):
 
 
 def step_unpooled(M):
-    """The cached (cover, eps matrices, syzygy, inclusion) of one step, with
-    the kernel of M's own cover as the syzygy: no module is shared."""
-    data = getattr(M, "_syzygy_step", None)
-    if data is None:
-        cover, eps = projective_cover(M)
-        K, inc = kernel(eps)
-        data = M._syzygy_step = (cover, eps.mats, K, inc)
-    return data
+    """The cached (cover, eps matrices, syzygy, inclusion, presentation) of
+    one step, with the kernel of M's own cover as the syzygy: no module is
+    shared."""
+    return _cover_step(M)
 
 
 def verify_dZ_closure_pairwise(spec):
@@ -354,6 +349,30 @@ def commuting_system_dense(M, N):
     return rows, len(cols), off
 
 
+def morphism_to_vec(f):
+    """f's per-vertex matrices, vertex by vertex and row by row: the layout
+    of the unknowns of ``commuting_system_dense``."""
+    out = []
+    for v in f.src.algebra.quiver.vertices:
+        for row in f.mats[v].entries:
+            out.extend(row)
+    return out
+
+
+def morphism_from_vec(M, N, vec):
+    """The map M -> N whose per-vertex matrices ``vec`` lists in the layout
+    of ``morphism_to_vec``."""
+    fld = M.algebra.field
+    mats = {}
+    pos = 0
+    for v in M.algebra.quiver.vertices:
+        r, c = M.dims[v], N.dims[v]
+        rows = [list(vec[pos + i * c: pos + (i + 1) * c]) for i in range(r)]
+        pos += r * c
+        mats[v] = Matrix.from_rows(fld, rows, c)
+    return RepMorphism(M, N, mats, check=False)
+
+
 def hom_dim_full(M, N):
     """Unknowns minus the rank of the dense commuting system."""
     rows, ncols, _ = commuting_system_dense(M, N)
@@ -364,7 +383,7 @@ def hom_basis_full(M, N):
     """The Hom basis from the left kernel of the dense commuting system."""
     rows, ncols, _ = commuting_system_dense(M, N)
     dense = Matrix(M.algebra.field, len(rows), ncols, rows)
-    return [_morphism_from_vec(M, N, v) for v in kernel_basis(dense)]
+    return [morphism_from_vec(M, N, v) for v in kernel_basis(dense)]
 
 
 def summand_offsets(cover):
@@ -462,8 +481,8 @@ def dual_differentials(M, N, i):
     for _ in range(i + 2):
         steps.append(_step(cur))
         cur = steps[-1][2]
-    (c_lo, _, _, inc_lo), (c_mid, eps_mid, _, inc_mid), (c_hi, eps_hi, _, _) = \
-        steps[i - 1:i + 2]
+    (c_lo, _, _, inc_lo, _), (c_mid, eps_mid, _, inc_mid, _), \
+        (c_hi, eps_hi, _, _, _) = steps[i - 1:i + 2]
     d_lo = dual_map_matrix(c_lo, c_mid, eps_mid, inc_lo.mats, N)
     d_hi = dual_map_matrix(c_mid, c_hi, eps_hi, inc_mid.mats, N)
     return d_lo, d_hi

@@ -66,22 +66,25 @@ def test_cached_cover_matches_a_fresh_direct_sum():
             assert a.gen_row(j) == (v, sum(s.dims[v] for s in summands[:j]))
 
 
-def _path_tables(alg, mods) -> list[tuple]:
-    """The path-action tables kept in the algebra cache and on the modules,
-    but the shared empty tuple of a vertex where a module is zero."""
+def _memo_entries(alg, mods) -> tuple[list, list]:
+    """(path-action tables, presentations) kept in the memos of the algebra
+    cache and of the modules, but the shared empty tuple of a vertex where
+    a module is zero; a presentation is kept under None."""
     memos = [data[2] for data in alg.cache.values()
              if isinstance(data, tuple) and len(data) == 3
              and isinstance(data[2], dict)]
-    memos += [M._path_actions for M in mods if hasattr(M, "_path_actions")]
+    memos += [M._memo for M in mods if hasattr(M, "_memo")]
     # pooled syzygies repeat in mods, and a memo may be listed twice
-    unique = {id(t): t for memo in memos for t in memo.values() if t}
-    return list(unique.values())
+    unique = {id(t): (v, t) for memo in memos for v, t in memo.items() if t}
+    return ([t for v, t in unique.values() if v is not None],
+            [t for v, t in unique.values() if v is None])
 
 
 def test_dropping_the_algebra_frees_its_modules():
     """The cover cache holds no module, so an algebra, its generators,
     their syzygies and the covers' modules die by reference counting, and
-    so do the path-action tables of the cache and of the modules."""
+    so do the path-action tables and presentations of the cache and of the
+    modules."""
     gc.collect()
     gc.disable()
     try:
@@ -90,8 +93,9 @@ def test_dropping_the_algebra_frees_its_modules():
         mods = [syzygy(g, k) for g in spec.generators for k in range(3)]
         covers = [homology._step(M)[0].rep for M in mods]
         assert _cover_tuples(alg)
-        tables = _path_tables(alg, mods)
+        tables, presentations = _memo_entries(alg, mods)
         assert tables and all(isinstance(t, tuple) for t in tables)
+        assert presentations
         refs = [weakref.ref(x) for x in [alg] + mods + covers]
         del alg, spec, report, mods, covers
         alive = sum(r() is not None for r in refs)
@@ -102,6 +106,9 @@ def test_dropping_the_algebra_frees_its_modules():
             # held by t and getrefcount's argument alone
             kept += sys.getrefcount(t) > 2
         assert kept == 0, f"{kept} path tables kept alive"
+        while presentations:
+            kept += sys.getrefcount(presentations.pop()) > 2
+        assert kept == 0, f"{kept} presentations kept alive"
     finally:
         gc.enable()
 

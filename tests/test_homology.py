@@ -234,21 +234,23 @@ def test_ext_cocycles_are_closed(orbit):
 
 
 def test_ext_dim_covers_each_syzygy_below_the_degree_once(orbit, monkeypatch):
-    # Ext^i is read from the cover step of Omega^{i-1} M, so a fresh M is
-    # covered i times: Omega^0 .. Omega^{i-1}, none beyond
-    real = homology.projective_cover
+    # Ext^i is read from the cover step of Omega^{i-1} M and from the
+    # presentation of Omega^i M, so a fresh M is covered i + 1 times:
+    # Omega^0 .. Omega^i, none beyond; but Omega^6 M has the content of M,
+    # whose step it reuses
+    real = rep.projective_cover
     covered = []
 
     def counting(M):
         covered.append(M)
         return real(M)
-    monkeypatch.setattr(homology, "projective_cover", counting)
+    monkeypatch.setattr(rep, "projective_cover", counting)
     P01 = projective_module(orbit, "(0,1)")
     for i in range(1, 7):
         covered.clear()
         M0 = interval_module(orbit, (0, 0, 0))
         assert homology.ext_dim(M0, P01, i) == (i == 6)
-        assert len(covered) == i
+        assert len(covered) == min(i + 1, 6)
 
 
 def test_stable_hom_quotient(orbit):
@@ -613,8 +615,8 @@ def test_dual_map_from_generator_rows_matches_full_differential(fld):
 def _omega_by_dense_lift(f):
     """Omega(f) from a cover lift solved by the dense reference solver."""
     M, N = f.src, f.tgt
-    coverM, epsM, KM, incM = homology._step(M)
-    coverN, epsN, KN, incN = homology._step(N)
+    coverM, epsM, KM, incM, _ = homology._step(M)
+    coverN, epsN, KN, incN, _ = homology._step(N)
     fld = M.algebra.field
     xs = []
     for j in range(len(coverM.vertices)):
@@ -655,16 +657,22 @@ def test_syzygy_morphism_matches_dense_lift_stably(fld):
     assert nonzero
 
 
-@pytest.mark.parametrize("kernel", [
-    lambda fld, rows, ncols: [],
-    # a kernel vector that does not lead with 1: y is outside the image
-    lambda fld, rows, ncols: [(fld.zero,) * len(rows)],
-], ids=("empty", "leads_with_0"))
-def test_cover_lift_without_a_kernel_vector_is_an_internal_fault(
-        orbit, monkeypatch, kernel):
+@pytest.mark.parametrize("split", [
+    # no section row at all: every row of the block counted in the kernel
+    lambda m: ([(m.field.one,) * m.rows] * m.rows, []),
+    # one section row short, its row counted in the kernel instead
+    lambda m: ([(m.field.one,) * m.rows] * (m.rows - m.cols + 1),
+               [(m.field.one,) * m.rows] * (m.cols - 1)),
+], ids=("empty", "short"))
+def test_cover_lift_without_a_section_is_an_internal_fault(
+        orbit, monkeypatch, split):
+    # Omega f lifts through the section of the target's cover map, which
+    # the elimination of the onto guard gives: a section short of a row is
+    # the guard's "not onto", raised before any lift
     A = interval_module(orbit, (1, 1, 3))
     B = interval_module(orbit, (1, 2, 3))
     g = hom(A, B).basis[0]
-    monkeypatch.setattr(homology, "sparse_kernel", kernel)
-    with pytest.raises(InternalCheckFailed, match="augmentation is not onto"):
+    assert getattr(B, "_syzygy_step", None) is None
+    monkeypatch.setattr(rep, "kernel_and_section", split)
+    with pytest.raises(InternalCheckFailed, match="cover map is not onto"):
         syzygy_morphism(g)

@@ -1,6 +1,7 @@
 """Guards on computed results must survive ``python -O``."""
 
 import ast
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,25 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements vanish under python -O: {found}"
+
+
+# Past 8,192 tokens the CPython 3.11 parser doubles its token array, and
+# compiling the module adds about 0.6 MB to the peak resident size of every
+# process that compiles the package afresh.  Comments and blank lines are
+# not parser tokens.
+PARSER_TOKEN_LIMIT = 8192
+
+
+def test_every_module_stays_below_the_parser_token_limit():
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    over = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        with path.open("rb") as f:
+            n = sum(1 for t in tokenize.tokenize(f.readline)
+                    if t.type not in skip)
+        if n >= PARSER_TOKEN_LIMIT:
+            over[path.name] = n
+    assert not over, f"modules at {PARSER_TOKEN_LIMIT} parser tokens: {over}"
 
 
 def test_internal_check_is_not_reported_as_malformed_input():
@@ -55,23 +75,27 @@ def test_kernel_check_runs_into_a_zero_kernel_block(monkeypatch,
 def test_cover_check_runs_where_the_module_is_nonzero(monkeypatch,
                                                       hereditary_a2):
     # S_v is zero at u: "cover map is onto" is decided by one elimination,
-    # the kernel of the block at v, which the kernel of eps then reuses
+    # the kernel and section of the block at v, which the kernel of eps and
+    # the presentation's section then reuse
     S = rep.simple_module(hereditary_a2, "v")
     seen = []
-    real = rep.kernel_basis
+    real = rep.kernel_and_section
 
     def recording(m):
         seen.append((m.rows, m.cols))
         return real(m)
-    monkeypatch.setattr(rep, "kernel_basis", recording)
+    monkeypatch.setattr(rep, "kernel_and_section", recording)
     monkeypatch.setattr(rep, "rank", None)  # no separate rank runs
     _, eps = rep.projective_cover(S)
     assert seen == [(1, 1)]
     K, _ = rep.kernel(eps)
     assert seen == [(1, 1)] and K.total_dim == 0
+    one = S.algebra.field.one
+    assert rep._presentation(S).section["v"].entries == ((one,),)
+    assert seen == [(1, 1), (1, 1)]  # the presentation's own cover step
     # a kernel one too large leaves eps of rank 0 at v
-    monkeypatch.setattr(rep, "kernel_basis",
-                        lambda m: [(m.field.one,) * m.rows])
+    monkeypatch.setattr(rep, "kernel_and_section",
+                        lambda m: ([(m.field.one,) * m.rows], []))
     with pytest.raises(InternalCheckFailed, match="not onto"):
         rep.projective_cover(S)
 

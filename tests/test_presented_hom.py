@@ -1,10 +1,11 @@
-"""Hom dimensions read from a stepped source's projective presentation.
+"""Hom spaces read from the source's projective presentation.
 
-``rep.hom_dim(M, N)`` solves a system sized by the tops of M and Omega M
-when ``homology._step`` has attached a ``Presentation`` to M, and the
-commuting system otherwise.  Both must give dim ``hom(M, N)``, over every
-field, for twisted modules, direct sums, quotients of projectives by random
-elements, projective sources (no relations), zero modules and content
+``rep.hom_dim(M, N)`` and ``rep.hom(M, N)`` both solve one system, sized
+by the tops of M and Omega M, from the ``Presentation`` of M's cover step.
+They must give the dimension of the dense commuting system
+(``pairwise_reference.hom_dim_full``), over every field, for twisted
+modules, direct sums, quotients of projectives by random elements, cached
+injectives, projective sources (no relations), zero modules and content
 twins, which share one presentation.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 import gc
 import random
 import sys
+import weakref
 from functools import lru_cache
 
 import pytest
@@ -20,18 +22,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singcat import homology, rep
-from singcat.exact_linalg import prime_field, rational_field, sparse_rank
+from singcat.exact_linalg import prime_field, rational_field
 from singcat.homology import syzygy
 from singcat.quiver_algebra import (
     Arrow, PathWord, Quiver, RelationElement, compute_basis, nakayama_cyclic,
     orbit_grid_algebra, valid_triples_window,
 )
 from singcat.rep import (
-    Cover, Representation, cokernel, direct_sum, hom, hom_dim,
-    injective_module, interval_module, projective_module, zero_rep,
+    Cover, RepMorphism, Representation, cokernel, direct_sum, hom, hom_dim,
+    injective_mod_socle, injective_module, interval_module, projective_module,
+    zero_rep,
 )
 
 from builders import jordan_module, twisted, uniserial
+from pairwise_reference import hom_dim_full
 
 FIELDS = {"Q": rational_field(), "F2": prime_field(2),
           "F101": prime_field(101)}
@@ -63,18 +67,12 @@ def _family(name: str, field: str) -> tuple:
     return alg, tuple(mods)
 
 
-def _commuting_dim(M, N) -> int:
-    rows, ncols, _ = rep._commuting_system(M, N)
-    if not rows or not ncols:
-        return len(rows)
-    return len(rows) - sparse_rank(M.algebra.field, rows, ncols)
-
-
 @st.composite
 def hom_pairs(draw):
     """(kind of source, source, target) over one algebra.  The source is a
     fresh wrap, never stepped, but for kind "twin", which may be a shared
-    base module; the target may be anything."""
+    base module, and kind "injective", a wrap of cached data; the target
+    may be anything."""
     alg, base = _family(draw(st.sampled_from(FAMILIES)),
                         draw(st.sampled_from(sorted(FIELDS))))
     rng = random.Random(draw(st.integers(0, 2 ** 16)))
@@ -112,9 +110,12 @@ def hom_pairs(draw):
         return zero_rep(alg)
 
     kind = draw(st.sampled_from(
-        ["base", "sum", "quotient", "projective", "syzygy", "zero", "twin"]))
+        ["base", "sum", "quotient", "projective", "injective", "syzygy",
+         "zero", "twin"]))
     if kind == "twin":
         src = pick()
+    elif kind == "injective":
+        src = module(kind)
     else:
         M = module(kind)
         src = Representation._wrap(alg, M.dims, M.action)
@@ -127,22 +128,24 @@ def hom_pairs(draw):
 @settings(max_examples=150, deadline=None)
 @given(hom_pairs())
 def test_presented_hom_dim_matches_the_commuting_system(case):
+    """hom_dim and the hom basis against the dense commuting system."""
     kind, M, N = case
-    want = _commuting_dim(M, N)
-    assert hom_dim(M, N) == want
+    want = hom_dim_full(M, N)
     if kind == "twin":
         # a second module of the content of a stepped one reuses its step
         homology._step(M)
         twin = Representation._wrap(M.algebra, M.dims, M.action)
         homology._step(twin)
-        assert twin._presentation is M._presentation
+        assert rep._presentation(twin) is rep._presentation(M)
         M = twin
-    else:
-        homology._step(M)
-    pres = M._presentation
+    assert hom_dim(M, N) == want
     if kind in ("projective", "zero"):
-        assert pres.relations == ()
-    assert hom_dim(M, N) == want == hom(M, N).dim
+        assert rep._presentation(M).relations(M.algebra) == ()
+    H = hom(M, N)
+    assert H.dim == want
+    for b in H.basis:
+        RepMorphism(M, N, b.mats, check=True)
+        assert H.element(H.coords(b)).mats == b.mats
     assert hom_dim(M, N) == want  # relations and path tables memoised
 
 
@@ -154,7 +157,7 @@ def test_relations_of_a_jordan_block():
         M = jordan_module(alg, 3)
         cover = homology._step(M)[0]
         assert cover.vertices == ["0"]
-        ((u, terms),) = M._presentation.relations
+        ((u, terms),) = rep._presentation(M).relations(alg)
         assert u == "0" and terms == ((0, 3, fld.one),)
         assert alg.paths_from("0")[3] == ("0", ("a0",) * 3)
         for i in range(1, 6):
@@ -166,7 +169,8 @@ def test_relation_coefficients_matter(field):
     """Over k<x, y>/(x, y)^2, P + P modulo (x + 3y, x + 2y) and modulo
     (x + y, x + y) differ: as 2 x 2 coefficient matrices the relations have
     ranks 2 and 1, which no change of generators alters.  Each quotient and
-    its Hom dimensions into both must come out as the commuting system's."""
+    its Hom dimensions into both must come out as the dense commuting
+    system's."""
     alg, (P, S) = _family("two-loops", field)
     f = alg.field
     P0 = Cover(alg, ["0", "0"])
@@ -178,10 +182,10 @@ def test_relation_coefficients_matter(field):
         quotients.append(cokernel(g)[0])
     targets = quotients + [P, S]
     for M in quotients:
-        want = [hom(M, N).dim for N in targets]
-        homology._step(M)
-        assert len(M._presentation.relations) == 1
+        want = [hom_dim_full(M, N) for N in targets]
+        assert len(rep._presentation(M).relations(alg)) == 1
         assert [hom_dim(M, N) for N in targets] == want
+        assert [hom(M, N).dim for N in targets] == want
     assert hom_dim(quotients[0], S) == hom_dim(quotients[1], S)
     assert hom_dim(quotients[0], quotients[0]) != hom_dim(quotients[1],
                                                            quotients[0])
@@ -190,24 +194,27 @@ def test_relation_coefficients_matter(field):
 @pytest.mark.parametrize("field", sorted(FIELDS))
 def test_hom_dim_of_a_stepped_source_builds_no_commuting_system(
         field, monkeypatch):
+    """One Hom system: there is no commuting system, and a source is
+    covered once, on its first Hom space, whose presentation every later
+    hom_dim, hom and syzygy step of the module reads."""
+    assert not hasattr(rep, "_commuting_system")
     alg, base = _family("grid", field)
-    built = []
-    real = rep._commuting_system
+    covered = []
+    real = rep.projective_cover
 
-    def counting(M, N):
-        built.append((M, N))
-        return real(M, N)
-    monkeypatch.setattr(rep, "_commuting_system", counting)
+    def counting(M):
+        covered.append(id(M))  # not M, which would keep it alive
+        return real(M)
+    monkeypatch.setattr(rep, "projective_cover", counting)
     M = Representation._wrap(alg, base[2].dims, base[2].action)
-    targets = list(base) + [projective_module(alg, v) for v in alg.quiver.vertices]
-    want = [hom_dim(M, N) for N in targets]
-    assert len(built) == len(targets)
-    homology._step(M)
-    built.clear()
+    targets = list(base) + [projective_module(alg, v)
+                            for v in alg.quiver.vertices]
+    want = [hom_dim_full(M, N) for N in targets]
     assert [hom_dim(M, N) for N in targets] == want
-    assert built == []
-    # the basis of hom(M, N) stays on the commuting system
-    assert hom(M, base[0]).dim == want[0] and len(built) == 1
+    assert covered == [id(M)]
+    assert [hom(M, N).dim for N in targets] == want
+    assert homology._step(M) is M._syzygy_step
+    assert covered == [id(M)]
 
 
 def test_cached_projectives_share_one_path_table():
@@ -218,8 +225,8 @@ def test_cached_projectives_share_one_path_table():
     homology._step(M)
     P = projective_module(alg, "0")
     assert hom_dim(M, P) == hom(M, P).dim == 0
-    memo = projective_module(alg, "0")._path_actions
-    assert memo is P._path_actions and memo
+    memo = projective_module(alg, "0")._memo
+    assert memo is P._memo and memo
     assert all(isinstance(t, tuple) for t in memo.values())
     assert memo is alg.cache[("projective", "0")][2]
     gc.collect()
@@ -229,5 +236,44 @@ def test_cached_projectives_share_one_path_table():
         alg.clear_cache()
         # our name and getrefcount's argument are all that hold it
         assert sys.getrefcount(memo) == 2
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_cached_injectives_share_one_presentation(field, monkeypatch):
+    """I(v) and I(v)/soc are covered once per algebra: every later wrap of
+    their cached data reads the presentation kept beside it, which holds
+    no module and no algebra, and ``clear_cache`` drops it."""
+    alg = nakayama_cyclic((3, 2, 3), FIELDS[field])
+    targets = [uniserial(alg, i, l) for i in range(3) for l in (1, 2)]
+    covered = []
+    real = rep.projective_cover
+
+    def counting(M):
+        covered.append(id(M))
+        return real(M)
+    monkeypatch.setattr(rep, "projective_cover", counting)
+    for build in (injective_module, injective_mod_socle):
+        for v in alg.quiver.vertices:
+            first = build(alg, v)
+            want = [hom_dim_full(first, N) for N in targets]
+            assert [hom_dim(first, N) for N in targets] == want
+            again = build(alg, v)
+            assert again is not first
+            assert rep._presentation(again) is rep._presentation(first)
+            assert [hom(again, N).dim for N in targets] == want
+    assert len(covered) == 2 * len(alg.quiver.vertices)
+    pres = rep._presentation(injective_module(alg, "0"))
+    assert pres is alg.cache[("injective", "0")][2][None]
+    ref = weakref.ref(alg)
+    gc.collect()
+    gc.disable()
+    try:
+        del targets, first, again
+        alg.clear_cache()
+        del alg
+        assert ref() is None
+        assert sys.getrefcount(pres) == 2
     finally:
         gc.enable()

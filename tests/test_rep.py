@@ -31,7 +31,6 @@ from singcat.rep import (
     InvalidTriple,
     RepMorphism,
     Representation,
-    _commuting_system,
     _end_offsets,
     _path_images,
     add_membership,
@@ -57,7 +56,9 @@ from singcat.tilting import SubcatSpec, left_approximation
 
 from builders import uniserial
 from dense_reference import dense_solve_left, dense_solve_right
-from pairwise_reference import commuting_system_dense
+from pairwise_reference import (
+    commuting_system_dense, hom_basis_full, hom_dim_full, morphism_to_vec,
+)
 
 KS = (3, 2, 3, 3)
 
@@ -481,33 +482,46 @@ def test_path_images_match_path_matrices(fld):
     assert seen_zero_dim and seen_sink
 
 
-@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: repr(f))
-def test_commuting_system_matches_dense_reference(fld):
+def _hom_sources(fld):
+    """(kind, source, targets) over each algebra of ``_test_modules``, plus
+    k[x]/(x^3) in a random basis, whose loop has diagonal entries."""
     mods, rng = _test_modules(fld)
-    # k[x]/(x^3) in a random basis: the loop's diagonal entries meet on
-    # hom(M, M), where an M term and an N term hit one unknown and cancel
-    kx3 = nakayama_cyclic((3,), fld)
-    J = _twisted(projective_module(kx3, "0"), rng)
-    assert any(J.action["a0"].entries[i][i] != 0 for i in range(3))
-    mods.append(J)
-    pairs = [(M, N) for M in mods for N in mods if M.algebra is N.algebra]
-    cancelled = empty_end = False
-    for M, N in pairs:
-        got = _commuting_system(M, N)
-        ref = commuting_system_dense(M, N)
-        assert got[1] == ref[1] and got[2] == ref[2]
-        # the sparse rows hold exactly the nonzero entries of the dense ones
-        assert [{c: x for c, x in enumerate(r) if x != 0} for r in ref[0]] \
-            == got[0]
-        # on a loop, the terms M_a[i][i] and -N_a[k][k] share an unknown
-        cancelled |= any(
-            M.action[a.id].entries[i][i] != 0
-            and M.action[a.id].entries[i][i] == N.action[a.id].entries[k][k]
-            for a in M.algebra.quiver.arrows if a.src == a.tgt
-            for i in range(M.dims[a.src]) for k in range(N.dims[a.src]))
-        empty_end |= any(M.dims[a.src] == 0 or N.dims[a.tgt] == 0
-                         for a in M.algebra.quiver.arrows)
-    assert cancelled and empty_end
+    mods.append(_twisted(projective_module(nakayama_cyclic((3,), fld), "0"),
+                         rng))
+    groups: dict[int, list] = {}
+    for M in mods:
+        groups.setdefault(id(M.algebra), []).append(M)
+    out = []
+    for group in groups.values():
+        alg = group[0].algebra
+        v = alg.quiver.vertices[-1]
+        targets = group + [zero_rep(alg)]
+        # a module stepped with the pools, and a fresh module of its content
+        homology._step(group[0])
+        twin = Representation._wrap(alg, group[0].dims, group[0].action)
+        out += [("unstepped", Representation._wrap(alg, M.dims, M.action),
+                 targets) for M in group]
+        out += [("stepped", group[0], targets), ("twin", twin, targets),
+                ("syzygy", syzygy(group[-1]), targets),
+                ("injective", injective_module(alg, v), targets),
+                ("projective", projective_module(alg, v), targets),
+                ("zero", zero_rep(alg), targets)]
+    return out
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: repr(f))
+def test_hom_matches_dense_reference(fld):
+    """hom_dim and the hom basis, both read from the source's presentation,
+    against the dense commuting system, from every kind of source."""
+    kinds = set()
+    for kind, M, targets in _hom_sources(fld):
+        for N in targets:
+            want = hom_dim_full(M, N)
+            assert hom_dim(M, N) == want == hom(M, N).dim
+            kinds.add((kind, want > 0))
+    assert {k for k, nonzero in kinds if nonzero} == {
+        "unstepped", "stepped", "twin", "syzygy", "injective", "projective"}
+    assert ("zero", False) in kinds
 
 
 def _residue_cokernel(f):
@@ -684,6 +698,9 @@ def test_add_membership_matches_splitting_reference(fld):
 
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: repr(f))
 def test_hom_basis_matches_dense_kernel(fld):
+    """Each basis map commutes, the maps are independent and number
+    dim Hom(M, N) by the dense commuting system, and every map of the dense
+    kernel's basis has coordinates that give it back."""
     mods, rng = _test_modules(fld)
     for M, gens in _membership_cases(fld)[::10]:
         mods += [m for m in [M] + gens if all(m is not x for x in mods)]
@@ -691,10 +708,40 @@ def test_hom_basis_matches_dense_kernel(fld):
         for N in mods:
             if M.algebra is not N.algebra:
                 continue
-            rows, ncols, _ = commuting_system_dense(M, N)
-            dense = Matrix.from_rows(fld, rows, ncols)
-            want = Matrix.from_rows(fld, kernel_basis(dense), len(rows))
-            assert HomSpace(M, N)._bmat == want
+            H = HomSpace(M, N)
+            for b in H.basis:
+                RepMorphism(M, N, b.mats, check=True)
+            vecs = [morphism_to_vec(b) for b in H.basis]
+            width = sum(M.dims[v] * N.dims[v] for v in M.dims)
+            assert rank(Matrix.from_rows(fld, vecs, width)) == H.dim
+            assert H.dim == hom_dim_full(M, N)
+            for g in hom_basis_full(M, N):
+                assert H.element(H.coords(g)).mats == g.mats
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: repr(f))
+def test_coords_of_a_non_morphism_raise(fld):
+    """A map that agrees with a morphism on the top generators but not on a
+    radical vector is no morphism: its generator images lie in the span of
+    the basis, and only the recombination check rejects it."""
+    orb = orbit_grid_algebra(KS, fld)
+    M = projective_module(orb, "(1,2)")
+    N = projective_module(orb, "(1,2)")
+    H = hom(M, N)
+    f = H.basis[0]
+    # (0,2) carries no top generator of P((1,2)), only the path to it
+    w = "(0,2)"
+    assert M.dims[w] and N.dims[w]
+    mats = dict(f.mats)
+    row = [fld.one] + [fld.zero] * (N.dims[w] - 1)
+    mats[w] = Matrix.from_rows(fld, [
+        [fld.add(a, b) for a, b in zip(r, row)] for r in f.mats[w].entries],
+        N.dims[w])
+    g = RepMorphism(M, N, mats, check=False)
+    assert not g._commutes()
+    assert H._vec(g) == H._vec(f)
+    with pytest.raises(ValueError, match="outside the hom space"):
+        H.coords(g)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,6 @@ from singcat.quiver_algebra import (
 from singcat.rep import (
     RepMorphism,
     Representation,
-    _morphism_to_vec,
     cokernel,
     direct_sum,
     dual_module,
@@ -94,6 +93,7 @@ from pairwise_reference import (
     is_projective_by_add_membership,
     left_approximation_columns,
     matches_stably_by_dimensions,
+    morphism_to_vec,
     stable_iso_by_add_membership,
     verify_dZ_closure_pairwise,
     verify_gen_cogen_pairwise,
@@ -659,7 +659,7 @@ def _check_ext(M, N, i):
     e = ext(M, N, i)
     assert e.dim == want
     fld = M.algebra.field
-    vecs = [_morphism_to_vec(c) for c in e.cocycles]
+    vecs = [morphism_to_vec(c) for c in e.cocycles]
     if vecs:
         assert rank(Matrix.from_rows(fld, vecs, len(vecs[0]))) == len(vecs)
     assert len(vecs) == hom_dim_full(syzygy(M, i), N)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcat import homology
+from singcat import homology, rep
 from singcat.exact_linalg import Matrix, prime_field, rational_field
 from singcat.homology import (
     _stable_dim, ext_dim, pd_certificate, stable_iso, syzygy,
@@ -135,7 +135,7 @@ def test_equal_first_syzygies_share_one_instance(fld):
     for k in range(1, 5):
         assert syzygy(B, k) is syzygy(A, k)
     # B's inclusion is re-pointed to the shared syzygy, into B's own cover
-    cover, eps, KB, inc = homology._step(B)
+    cover, eps, KB, inc, _ = homology._step(B)
     assert inc.src is K and inc.tgt is cover.rep
     inc = RepMorphism(K, cover.rep, inc.mats, check=True)
     assert inc.compose(RepMorphism(cover.rep, B, eps, check=True)).is_zero()
@@ -174,13 +174,13 @@ def test_orbit_laps_reuse_the_twin_cover_step(fld, n, i, period,
     alg = nakayama_cyclic((n,), fld)
     K = syzygy(jordan_module(alg, i))
     covers = []
-    orig = homology.projective_cover
+    orig = rep.projective_cover
 
     def counting(M):
         covers.append(id(M))  # not M, which would keep it alive
         return orig(M)
 
-    monkeypatch.setattr(homology, "projective_cover", counting)
+    monkeypatch.setattr(rep, "projective_cover", counting)
     laps = 3
     stepped = [K] + [syzygy(K, k) for k in range(1, laps * period)]
     last = syzygy(stepped[-1])
@@ -214,13 +214,13 @@ TILDE_SKELETON_COVER_STEPS = 31
 
 def test_tilde_skeleton_cover_step_budget(monkeypatch):
     calls = []
-    orig = homology.projective_cover
+    orig = rep.projective_cover
 
     def counting(M):
         calls.append(M)
         return orig(M)
 
-    monkeypatch.setattr(homology, "projective_cover", counting)
+    monkeypatch.setattr(rep, "projective_cover", counting)
     _, spec = nakayama2_tilde(KS, len(KS), rational_field())
     assert skeleton(spec).count == 3
     assert len(calls) <= TILDE_SKELETON_COVER_STEPS
@@ -233,13 +233,13 @@ def test_generator_whose_content_recurs_is_stepped_once(fld, monkeypatch):
     contents once, and the orbit of J_2 over k[x]/(x^4), whose syzygy has
     J_2's matrices, is covered once."""
     covers = []
-    orig = homology.projective_cover
+    orig = rep.projective_cover
 
     def counting(M):
         covers.append(homology._content_key(M))
         return orig(M)
 
-    monkeypatch.setattr(homology, "projective_cover", counting)
+    monkeypatch.setattr(rep, "projective_cover", counting)
     assert skeleton(jordan_spec(nakayama_cyclic((5,), fld), 5)).count == 4
     assert len(covers) == len(set(covers)) == 5
     covers.clear()
