@@ -15,6 +15,7 @@ from .exact_linalg import (
     prime_field,
     rational_field,
 )
+from .families import interval_module, nakayama2_tilde
 from .homology import (
     ExtSpace,
     PdCertificate,
@@ -44,7 +45,6 @@ from .quiver_algebra import (
     WindowTooSmall,
     compute_basis,
     nakayama2_infinite,
-    nakayama2_tilde,
     nakayama_cyclic,
     opposite_algebra,
     orbit_grid_algebra,
@@ -62,7 +62,6 @@ from .rep import (
     hom_dim,
     injective_module,
     injectives,
-    interval_module,
     is_isomorphic,
     projective_cover,
     projective_module,

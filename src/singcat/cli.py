@@ -29,6 +29,7 @@ from pathlib import Path
 from .exact_linalg import (
     Field, FieldError, InternalCheckFailed, Matrix, prime_field, rational_field,
 )
+from .families import nakayama2_tilde
 from .homology import PdCertificate, ext_dim, resolve, syzygy
 from .quiver_algebra import (
     Arrow,
@@ -40,7 +41,6 @@ from .quiver_algebra import (
     RelationElement,
     compute_basis,
     nakayama2_infinite,
-    nakayama2_tilde,
     nakayama_cyclic,
     truncate,
 )

@@ -1,31 +1,13 @@
 """Projective resolutions, syzygies, ext spaces, and projectively stable hom.
 
-The single-step data (cover, augmentation, kernel, inclusion and
-projective presentation) is built and cached on each module instance by
-``rep._cover_step``, so iterated syzygies, morphism lifts, orbit walks and
-Hom spaces all see the same representative objects.  ``_step`` returns the
-cached tuple itself, with the augmentation as its per-vertex matrices: the
-augmentation's target is the module, so storing it as a morphism would put
-every resolved module in a reference cycle that only the cyclic garbage
-collector frees.  Syzygy maps read the matrices and the presentation's
-section; only ``ProjectiveResolution``, ``ext``, ``StableHomSpace`` and
-``stab.standard_triangle`` wrap them in a morphism.  The inclusion points
-into the cover, never back at the module.  What ``_step`` adds is its own:
-the pools below, and the reuse of a twin's step, presentation included.
-
-A kernel is a reduced-echelon submodule of its cover, so the syzygies of
-different modules often come out as equal matrices.  Each new syzygy is
-looked up by its content (dimension vector and arrow entries, keyed and
-hashed once per module) in a weak pool in its algebra's ``cache``; an
-equal syzygy that is alive is used in its place, with the inclusion
-re-pointed to it, so one instance carries one cover step and one set of
-memos.  A second weak pool keeps, per content, the first live module
-stepped afresh, a generator as well as a syzygy: a later module with that
-content reuses its cover step with a fresh kernel.  A pool hit never
-closes an orbit: when the pooled module's chain of cached steps leads back
-to the module being stepped, the fresh kernel is kept, so an orbit that
-closes in content stays a chain of objects and is freed by reference
-counting; each later lap reuses the cover step of its twin (``_step``).
+Every step is ``rep._cover_step``'s: the cover, the augmentation, the
+kernel with its inclusion and the projective presentation, cached on each
+module instance, with content-equal syzygies pooled and a content twin's
+step reused, so iterated syzygies, morphism lifts, orbit walks and Hom
+spaces all see the same representative objects.  The step keeps the
+augmentation as its per-vertex matrices: syzygy maps read the matrices and
+the presentation's section; only ``ProjectiveResolution``, ``ext``,
+``StableHomSpace`` and ``stab.standard_triangle`` wrap them in a morphism.
 
 Dimensions are read from Hom dimensions of one cached cover step, with no
 basis and no constraint system but the presentation's (``rep.hom_dim``),
@@ -82,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
-from weakref import WeakKeyDictionary, WeakValueDictionary
+from weakref import WeakKeyDictionary
 
 from .exact_linalg import (
     InternalCheckFailed, Matrix, _eliminate, echelon_solve, rref,
@@ -103,100 +85,6 @@ from .rep import (
     hom_dim,
     projective_module,
 )
-
-
-def _step(M: Representation) -> tuple:
-    """M's cached (cover, eps matrices, syzygy, inclusion, presentation).
-
-    A fresh step is ``rep._cover_step``'s, whose memo this overwrites with
-    the pooled syzygy; nothing cached on M points back at M.  A module with
-    the content of a live module with a cached step, its donor, reuses that
-    step with a fresh kernel, presentation included; a module stepped
-    afresh becomes the donor of its content, so a generator whose content
-    recurs as a later syzygy is stepped once.  The syzygy is looked up in
-    the pool (``_pooled``): an equal live syzygy is returned instead, with
-    the inclusion re-pointed to it, so its cached step and memos serve M
-    too, unless its cached chain leads back to M.  A module that ``rep``
-    stepped first, as the source of a Hom space, keeps its step unpooled.
-    """
-    data = getattr(M, "_syzygy_step", None)
-    if data is None:
-        donors = _weak_pool(M.algebra, "steps")
-        key = _content_key(M)
-        donor = donors.get(key)
-        if donor is None:
-            cover, eps, K, inc, pres = _cover_step(M)
-        else:
-            cover, eps, K, inc, pres = donor._syzygy_step
-            K = Representation._wrap(M.algebra, K.dims, K.action)
-        same = _pooled(K, M)
-        if same is not inc.src:
-            inc = RepMorphism(same, cover.rep, inc.mats, check=False)
-        data = M._syzygy_step = (cover, eps, same, inc, pres)
-        if donor is None:
-            donors[key] = M
-    return data
-
-
-class _Content:
-    """A module's dimension vector and arrow entries, hashed once: the key of
-    the weak pools.  Hashing the entries costs one hash per scalar, so the
-    key and its hash are made once per module (``_content_key``)."""
-
-    __slots__ = ("key", "hash")
-
-    def __init__(self, M: Representation):
-        alg = M.algebra
-        self.key = (tuple(M.dims[v] for v in alg.quiver.vertices),
-                    tuple(M.action[a.id].entries for a in alg.quiver.arrows))
-        self.hash = hash(self.key)
-
-    def __hash__(self) -> int:
-        return self.hash
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Content) and self.key == other.key
-
-
-def _content_key(M: Representation) -> _Content:
-    """M's content key, memoised on M."""
-    key = getattr(M, "_content", None)
-    if key is None:
-        key = M._content = _Content(M)
-    return key
-
-
-def _weak_pool(alg, name: str) -> WeakValueDictionary:
-    """The weak {content key: module} pool ``name`` in the algebra's cache:
-    "steps" holds the donor of each stepped content, "syzygies" the shared
-    syzygy instance.  Neither keeps a module alive."""
-    pool = alg.cache.get(name)
-    if pool is None:
-        pool = alg.cache[name] = WeakValueDictionary()
-    return pool
-
-
-def _pooled(K: Representation, M: Representation) -> Representation:
-    """The live syzygy with the content of K, or else K itself.
-
-    K is registered when the pool holds no module of its content.  The pool
-    keeps no module alive.  A pooled module whose chain of cached steps
-    reaches M, the module being stepped, is passed over: returning it would
-    make M's step point back at M.
-    """
-    pool = _weak_pool(K.algebra, "syzygies")
-    key = _content_key(K)
-    same = pool.get(key)
-    if same is None:
-        pool[key] = K
-        return K
-    cur = same
-    while cur is not None:
-        if cur is M:
-            return K
-        step = getattr(cur, "_syzygy_step", None)
-        cur = step[2] if step else None
-    return same
 
 
 def _pair_memo(attr: str, A: Representation, B: Representation, compute):
@@ -227,7 +115,7 @@ class ProjectiveResolution:
         self.incs: list[RepMorphism] = []
         cur = M
         for _ in range(length + 1):
-            cover, mats, K, inc, _ = _step(cur)
+            cover, mats, K, inc, _ = _cover_step(cur)
             self.covers.append(cover)
             self.eps.append(RepMorphism(cover.rep, cur, mats, check=False))
             self.incs.append(inc)
@@ -251,7 +139,7 @@ def syzygy(M: Representation, steps: int = 1) -> Representation:
         raise ValueError("negative syzygy count")
     cur = M
     for _ in range(steps):
-        cur = _step(cur)[2]
+        cur = _cover_step(cur)[2]
     return cur
 
 
@@ -268,8 +156,8 @@ def _omega1(f: RepMorphism) -> RepMorphism:
     cover through the section of its cover map (y s eps_N = y); the cover
     map lambda of those lifts restricts to the syzygies."""
     M, N = f.src, f.tgt
-    coverM, _, KM, incM, presM = _step(M)
-    coverN, _, KN, incN, presN = _step(N)
+    coverM, _, KM, incM, presM = _cover_step(M)
+    coverN, _, KN, incN, presN = _cover_step(N)
     xs = [presN.section[v].act(f.mats[v].act(g)) for v, g in presM.gens]
     lam = _cover_map_from_gen_images(coverM, coverN.rep, xs)
     mats = {}
@@ -314,8 +202,7 @@ def _ext(M: Representation, N: Representation,
     if i == 0:
         return M, hom_dim(M, N)
     prev = syzygy(M, i - 1)
-    cover, _, K, _, _ = _step(prev)
-    _step(K)  # Hom(K, N) reads K's presentation: step K with the pools
+    cover, _, K, _, _ = _cover_step(prev)
     hk = hom_dim(K, N)
     hp = sum(N.dims[v] for v in cover.vertices)
     h = hom_dim(prev, N)
@@ -332,7 +219,7 @@ def ext(M: Representation, N: Representation, i: int) -> ExtSpace:
     basis = hom(K, N).basis
     if i == 0:
         return ExtSpace(dim, basis)
-    cover, eps, _, _, _ = _step(K)
+    cover, eps, _, _, _ = _cover_step(K)
     eps_i = RepMorphism(cover.rep, K, eps, check=False)
     return ExtSpace(dim, [eps_i.compose(h) for h in basis])
 
@@ -359,7 +246,7 @@ class StableHomSpace:
         alg = _same_algebra(M, N)
         fld = alg.field
         self.hom = hom(M, N)
-        coverN, eps_mats, _, _, _ = _step(N)
+        coverN, eps_mats, _, _, _ = _cover_step(N)
         epsN = RepMorphism(coverN.rep, N, eps_mats, check=False)
         hp = hom(M, coverN.rep)
         bmat = self.hom._bmat
@@ -416,7 +303,7 @@ def _proj_hom_dim(A: Representation, v: str) -> int:
 
 def _stable_dim_from_ranks(A: Representation, B: Representation) -> int:
     _same_algebra(A, B)
-    cover, _, K, _, _ = _step(B)
+    cover, _, K, _, _ = _cover_step(B)
     h = hom_dim(A, B)
     hp = sum(_proj_hom_dim(A, v) for v in cover.vertices)
     hk = hom_dim(A, K)
@@ -459,11 +346,11 @@ def is_projective(M: Representation) -> bool:
 
     The minimal cover sum_v P(v) -> M, one P(v) per top generator at v, is
     onto, so it is an isomorphism exactly when the dimensions agree.  The
-    cover is the cached one of ``_step``.
+    cover is the cached one of ``rep._cover_step``.
     """
     if M.total_dim == 0:
         return True
-    cover = _step(M)[0]
+    cover = _cover_step(M)[0]
     return cover.rep.total_dim == M.total_dim
 
 
@@ -473,7 +360,7 @@ def _projective_end_rows(M: Representation) -> list[dict]:
     no module and no morphism."""
     rows = getattr(M, "_proj_end_rows", None)
     if rows is None:
-        cover, eps = _step(M)[:2]
+        cover, eps = _cover_step(M)[:2]
         off, width = _end_offsets(M)
         rows = _composite_rows(
             M, off, [h.mats for h in hom(M, cover.rep).basis], [eps])
@@ -523,7 +410,7 @@ def _stably_isomorphic(A: Representation, B: Representation) -> bool:
     za, zb = is_projective(A), is_projective(B)
     if za or zb:
         return za and zb
-    if _step(A)[2].dims != _step(B)[2].dims:
+    if _cover_step(A)[2].dims != _cover_step(B)[2].dims:
         return False
     iso, ba = _iso_certificate(B, A)
     if iso:
@@ -575,7 +462,7 @@ def _walk_orbit(M: Representation, horizon: int) -> PdCertificate:
         return PdCertificate("finite", 0)
     orbit = [M]
     for taken in range(1, horizon + 1):
-        cur = _step(orbit[-1])[2]
+        cur = _cover_step(orbit[-1])[2]
         orbit.append(cur)
         if is_projective(cur):
             for r in range(1, taken + 1):

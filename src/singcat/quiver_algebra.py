@@ -492,29 +492,6 @@ def orbit_grid_algebra(kupisch: Sequence[int], field: Field) -> BoundQuiverAlgeb
     return alg
 
 
-def nakayama2_tilde(kupisch: Sequence[int], period: int, field: Field):
-    """Orbit algebra of the two-parameter grid over a periodic length series.
-
-    Returns (algebra, subcat) where the subcategory generators are the
-    interval modules of every valid triple in the closed window
-    0 <= l1 <= l3 <= period, with d = 2.  Series values must be 2 or 3.
-    """
-    ks = list(kupisch)
-    n = len(ks)
-    if period != n:
-        raise InvalidKupisch(f"period {period} does not match series length {n}")
-    alg = orbit_grid_algebra(ks, field)
-
-    from .rep import interval_module
-    from .tilting import SubcatSpec
-
-    triples = valid_triples_window(ks, 0, n)
-    gens = [interval_module(alg, t) for t in triples]
-    labels = [f"({t[0]},{t[1]},{t[2]})" for t in triples]
-    spec = SubcatSpec(alg, gens, d=2, labels=labels)
-    return alg, spec
-
-
 def valid_triple(kupisch: Sequence[int], t: tuple[int, int, int]) -> bool:
     l1, l2, l3 = t
     return (l1 <= l2 <= l3

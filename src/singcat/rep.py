@@ -3,8 +3,7 @@
 A representation assigns a dimension to each vertex and a matrix to each
 arrow; elements are row vectors and act on the right.  A morphism is a
 per-vertex matrix commuting with the arrow actions.  Everything here is
-exact: kernels, images, hom spaces, projective covers, and the interval
-modules of the two-parameter grid algebras.
+exact: kernels, images, hom spaces and projective covers.
 
 Work runs only on nonempty blocks.  A module is supported on few of its
 algebra's vertices, so most of the per-vertex and per-arrow blocks that a
@@ -21,10 +20,25 @@ rows and whose target vertex carries part of M.
 A projective cover is built once per vertex tuple and algebra
 (``Cover``), and each cover vertex is eliminated once: the elimination of
 the augmentation's block decides the onto guard and gives both the
-syzygy's block and a section of the block (``_kernel_blocks``).  One cover
-step per module (``_cover_step``) builds the cover, the augmentation, the
+syzygy's block and a section of the block (``_kernel_blocks``).  A module
+is stepped by one function, ``_cover_step``, whether it is a Hom source, a
+syzygy or an orbit member: the step is the cover, the augmentation, the
 kernel with its inclusion, and the projective presentation
-P1 -> P0 -> M -> 0 (``Presentation``).
+P1 -> P0 -> M -> 0 (``Presentation``), cached on the module.
+
+A kernel is a reduced-echelon submodule of its cover, so the syzygies of
+different modules often come out as equal matrices.  Each new syzygy is
+looked up by its content (dimension vector and arrow entries, keyed and
+hashed once per module) in a weak pool in its algebra's ``cache``; an
+equal syzygy that is alive is used in its place, with the inclusion
+re-pointed to it, so one instance carries one cover step and one set of
+memos.  A second weak pool keeps, per content, the first live module
+stepped afresh, a generator or Hom source as well as a syzygy: a later
+module with that content reuses its cover step with a fresh kernel.  A
+pool hit never closes an orbit: when the pooled module's chain of cached
+steps leads back to the module being stepped, the fresh kernel is kept,
+so an orbit that closes in content stays a chain of objects and is freed
+by reference counting; each later lap reuses the cover step of its twin.
 
 Every Hom space is read from the source's presentation.  Hom(-, N) is
 left exact and Hom(P(v), N) = N e_v, so Hom(M, N) is the kernel of the map
@@ -38,29 +52,23 @@ Membership in add G is settled by an isomorphism certificate to one
 generator (``_iso_certificate``), and otherwise by one trace test
 (``_identity_in_trace``): id_M in the span of the composites M -> g -> M.
 The stable category, maps modulo those that factor through a projective,
-is built on this module in ``homology``, which owns the cached cover step
-and reuses the certificate and the trace test; this module imports nothing
-from it.
+is built on this module and its cover step in ``homology``, which reuses
+the certificate and the trace test; this module imports nothing from it.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+from weakref import WeakValueDictionary
 
 from .exact_linalg import (
     InternalCheckFailed, Matrix, echelon_solve, kernel_and_section, rank,
     rref, sparse_kernel, sparse_rank, sparse_span_contains,
 )
-from .quiver_algebra import (
-    BoundQuiverAlgebra, PathKey, opposite_algebra, valid_triple,
-)
+from .quiver_algebra import BoundQuiverAlgebra, PathKey, opposite_algebra
 
 
 class AlgebraMismatch(ValueError):
-    pass
-
-
-class InvalidTriple(ValueError):
     pass
 
 
@@ -587,19 +595,103 @@ def _cover_step(M: Representation) -> tuple:
     """(cover, eps matrices, Omega M, inclusion, presentation) of M's
     projective cover, memoised on M as ``_syzygy_step``.
 
-    eps is kept as its per-vertex matrices, not as a morphism onto M, and
-    the inclusion points into the cover, so nothing cached on M points
-    back at M.  ``homology._step`` pools the syzygies of these steps.
+    eps is kept as its per-vertex matrices, not as a morphism onto M: the
+    augmentation's target is the module, so storing it as a morphism would
+    put every stepped module in a reference cycle that only the cyclic
+    garbage collector frees.  The inclusion points into the cover, so
+    nothing cached on M points back at M.  A module with the content of a
+    live module with a cached step, its donor, reuses that step with a
+    fresh kernel, presentation included; a module stepped afresh becomes
+    the donor of its content, so a generator whose content recurs as a
+    later syzygy is stepped once.  The syzygy is looked up in the pool
+    (``_pooled``): an equal live syzygy is returned instead, with the
+    inclusion re-pointed to it, so its cached step and memos serve M too,
+    unless its cached chain leads back to M.
     """
     step = getattr(M, "_syzygy_step", None)
     if step is None:
-        cover, eps = projective_cover(M)
-        K, inc = kernel(eps)
-        gens = tuple((v, eps.mats[v].entries[r]) for v, r
-                     in map(cover.gen_row, range(len(cover.vertices))))
-        pres = Presentation(gens, K.action, inc.mats, _kernel_blocks(eps)[1])
-        step = M._syzygy_step = (cover, eps.mats, K, inc, pres)
+        donors = _weak_pool(M.algebra, "steps")
+        key = _content_key(M)
+        donor = donors.get(key)
+        if donor is None:
+            cover, eps = projective_cover(M)
+            K, inc = kernel(eps)
+            gens = tuple((v, eps.mats[v].entries[r]) for v, r
+                         in map(cover.gen_row, range(len(cover.vertices))))
+            pres = Presentation(gens, K.action, inc.mats,
+                                _kernel_blocks(eps)[1])
+            eps = eps.mats
+        else:
+            cover, eps, K, inc, pres = donor._syzygy_step
+            K = Representation._wrap(M.algebra, K.dims, K.action)
+        same = _pooled(K, M)
+        if same is not inc.src:
+            inc = RepMorphism(same, cover.rep, inc.mats, check=False)
+        step = M._syzygy_step = (cover, eps, same, inc, pres)
+        if donor is None:
+            donors[key] = M
     return step
+
+
+class _Content:
+    """A module's dimension vector and arrow entries, hashed once: the key of
+    the weak pools.  Hashing the entries costs one hash per scalar, so the
+    key and its hash are made once per module (``_content_key``)."""
+
+    __slots__ = ("key", "hash")
+
+    def __init__(self, M: Representation):
+        alg = M.algebra
+        self.key = (tuple(M.dims[v] for v in alg.quiver.vertices),
+                    tuple(M.action[a.id].entries for a in alg.quiver.arrows))
+        self.hash = hash(self.key)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Content) and self.key == other.key
+
+
+def _content_key(M: Representation) -> _Content:
+    """M's content key, memoised on M."""
+    key = getattr(M, "_content", None)
+    if key is None:
+        key = M._content = _Content(M)
+    return key
+
+
+def _weak_pool(alg, name: str) -> WeakValueDictionary:
+    """The weak {content key: module} pool ``name`` in the algebra's cache:
+    "steps" holds the donor of each stepped content, "syzygies" the shared
+    syzygy instance.  Neither keeps a module alive."""
+    pool = alg.cache.get(name)
+    if pool is None:
+        pool = alg.cache[name] = WeakValueDictionary()
+    return pool
+
+
+def _pooled(K: Representation, M: Representation) -> Representation:
+    """The live syzygy with the content of K, or else K itself.
+
+    K is registered when the pool holds no module of its content.  The pool
+    keeps no module alive.  A pooled module whose chain of cached steps
+    reaches M, the module being stepped, is passed over: returning it would
+    make M's step point back at M.
+    """
+    pool = _weak_pool(K.algebra, "syzygies")
+    key = _content_key(K)
+    same = pool.get(key)
+    if same is None:
+        pool[key] = K
+        return K
+    cur = same
+    while cur is not None:
+        if cur is M:
+            return K
+        step = getattr(cur, "_syzygy_step", None)
+        cur = step[2] if step else None
+    return same
 
 
 def _presentation(M: Representation) -> Presentation:
@@ -998,66 +1090,3 @@ def is_isomorphic(M: Representation, N: Representation) -> bool | None:
     if iso or basis is None:
         return iso
     return None if _images_span(basis, N) else False
-
-
-# ---------------------------------------------------------------------------
-# interval modules
-
-
-def interval_module(alg: BoundQuiverAlgebra, triple: Sequence[int]) -> Representation:
-    """The interval module of a valid triple over a grid algebra.
-
-    The triple (l1, l2, l3) is supported on the grid points (x, y) with
-    l1 <= x <= l2 <= y <= l3, modulo the period on the orbit algebra: a
-    vertex carries one basis vector per period shift that lands in the
-    support.  Each arrow sends a support point to its neighbour by 1 when
-    the neighbour is in the support, and to 0 otherwise.
-    """
-    if alg.meta.get("kind") not in ("nakayama2-orbit", "nakayama2-window"):
-        raise InvalidTriple("interval modules require a grid algebra")
-    t = tuple(int(x) for x in triple)
-    if len(t) != 3:
-        raise InvalidTriple(f"need three indices, got {triple!r}")
-    ks = list(alg.meta["kupisch"])
-    if not (t[0] <= t[1] <= t[2]) or not valid_triple(ks, t):
-        raise InvalidTriple(f"{t} is not a valid triple for series {ks}")
-    l1, l2, l3 = t
-    coords = alg.meta["coords"]
-    n = alg.meta["wrap"] or 0
-    f = alg.field
-    if n:
-        K = 3 + (abs(l1) + abs(l3)) // n
-        shifts = range(-K, K + 1)
-    else:
-        shifts = (0,)
-    layers: dict[str, list[int]] = {}
-    for v in alg.quiver.vertices:
-        a, b = coords[v]
-        layers[v] = [k for k in shifts
-                     if l1 <= a + k * n <= l2 <= b + k * n <= l3]
-    dims = {v: len(layers[v]) for v in layers}
-    action = {}
-    for arr in alg.quiver.arrows:
-        a, b = coords[arr.src]
-        a2, b2 = coords[arr.tgt]
-        step = alg.meta["arrow_step"][arr.id]
-        tgt_pos = {k: i for i, k in enumerate(layers[arr.tgt])}
-        rows = []
-        for k in layers[arr.src]:
-            if step == "down":
-                ga, gb = a + k * n, b + k * n - 1
-            else:
-                ga, gb = a + k * n - 1, b + k * n
-            k2 = (ga - a2) // n if n else 0
-            if (a2 + k2 * n, b2 + k2 * n) != (ga, gb):
-                raise InternalCheckFailed(
-                    f"arrow {arr.id} does not map layer {k} to a shifted layer")
-            row = [f.zero] * len(tgt_pos)
-            if k2 in tgt_pos:
-                row[tgt_pos[k2]] = f.one
-            rows.append(row)
-        action[arr.id] = Matrix.from_rows(f, rows, len(tgt_pos))
-    m = Representation(alg, dims, action, check=True)
-    if m.total_dim == 0:
-        raise InvalidTriple(f"support of {t} misses the window")
-    return m

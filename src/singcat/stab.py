@@ -43,7 +43,6 @@ from .exact_linalg import InternalCheckFailed
 from .homology import (
     PdCertificate,
     _stable_dim,
-    _step,
     _stride,
     ext_dim,
     is_projective,
@@ -56,6 +55,7 @@ from .rep import (
     AlgebraMismatch,
     RepMorphism,
     Representation,
+    _cover_step,
     injective_module,
     projective_module,
     regular_module,
@@ -354,7 +354,7 @@ def standard_triangle(E: Representation, k: int = 0) -> StTriangle:
     Shifting the sequence k times multiplies all three maps by (-1)^k;
     the connecting map is recorded by its sign.
     """
-    cover, eps_mats, K, inc, _ = _step(E)
+    cover, eps_mats, K, inc, _ = _cover_step(E)
     eps = RepMorphism(cover.rep, E, eps_mats, check=False)
     sgn = -1 if k % 2 else 1
     objects = (StableObject(K, -k), StableObject(cover.rep, -k),

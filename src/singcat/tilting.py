@@ -263,7 +263,7 @@ def verify_dZ_closure(spec: SubcatSpec) -> Check:
     P(X, X), the maps through X's cached projective cover, which are exactly
     the composites through the projectives.  A projective X
     (``homology.is_projective``) lies in add A, and generators share
-    syzygy instances (``homology._step``), so each distinct non-projective
+    syzygy instances (``rep._cover_step``), so each distinct non-projective
     X is tested once.
     """
     tested: list[Representation] = []

@@ -46,7 +46,7 @@ def orbit(QQ):
 @pytest.fixture(scope="session")
 def orbit_spec(QQ):
     """The 22-generator interval subcategory over the (3, 2, 3, 3) orbit."""
-    from singcat.quiver_algebra import nakayama2_tilde
+    from singcat.families import nakayama2_tilde
     _, spec = nakayama2_tilde((3, 2, 3, 3), 4, QQ)
     return spec
 

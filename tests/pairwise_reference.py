@@ -10,11 +10,11 @@ column join and the cokernel walk that ``tilting`` now reads off A^op.
 Ext is computed as ker d_{i+1}* / im d_i* from the dual differentials in
 generator coordinates, where ``homology`` now reads it from Hom dimensions
 by dimension shifting.  ``step_unpooled`` is the cover step with a fresh
-kernel every time, where ``homology._step`` shares content-identical
-syzygies.  ``omega_stabilizes_strided`` walks the d-step orbit itself,
-where ``homology._stride`` reads it off the 1-step orbit of
-``pd_certificate``; at stride 1 it keeps the members that
-``gp_certificate_pairwise`` scans.  ``add_membership_by_trace`` and
+cover, kernel and presentation for every module, where ``rep._cover_step``
+shares content-identical syzygies and reuses a content twin's step.
+``omega_stabilizes_strided`` walks the d-step orbit itself, where
+``homology._stride`` reads it off the 1-step orbit of ``pd_certificate``;
+at stride 1 it keeps the members that ``gp_certificate_pairwise`` scans.  ``add_membership_by_trace`` and
 ``stable_add_membership_by_trace`` run the trace test on every generator,
 where ``rep`` first tries an isomorphism certificate to each.  Written for
 clarity and not for speed.
@@ -25,13 +25,14 @@ from singcat.exact_linalg import (
     sparse_rank,
 )
 from singcat.homology import (
-    _projective_end_rows, _step, ext_dim, is_projective, stable_end_dim, stable_hom, stable_iso,
+    _projective_end_rows, ext_dim, is_projective, stable_end_dim, stable_hom, stable_iso,
     syzygy,
 )
 from singcat.rep import (
-    RepMorphism, Representation, _cover_step, _identity_in_trace, _images_span,
-    _path_images, add_membership, cokernel, direct_sum, hom, injectives,
-    projective_module, projectives, simple_module, zero_rep,
+    Presentation, RepMorphism, Representation, _cover_step, _identity_in_trace,
+    _images_span, _kernel_blocks, _path_images, add_membership, cokernel,
+    direct_sum, hom, injectives, kernel, projective_cover, projective_module,
+    projectives, simple_module, zero_rep,
 )
 from singcat.stab import GpCertificate
 from singcat.tilting import (
@@ -206,7 +207,7 @@ def omega_stabilizes_strided(M, horizon=24, step=1):
     taken = 0
     while taken + step <= horizon:
         for _ in range(step):
-            cur = _step(cur)[2]
+            cur = _cover_step(cur)[2]
             taken += 1
             if cur.total_dim == 0:
                 return {"kind": "zero", "steps": taken, "reps": reps}
@@ -221,10 +222,19 @@ def omega_stabilizes_strided(M, horizon=24, step=1):
 
 
 def step_unpooled(M):
-    """The cached (cover, eps matrices, syzygy, inclusion, presentation) of
-    one step, with the kernel of M's own cover as the syzygy: no module is
-    shared."""
-    return _cover_step(M)
+    """(cover, eps matrices, syzygy, inclusion, presentation) of M's own
+    projective cover, memoised on M as ``_syzygy_step`` like the pooled
+    step: a fresh cover, kernel and presentation per module, with no
+    content pool and no donor, so no module or step is shared."""
+    step = getattr(M, "_syzygy_step", None)
+    if step is None:
+        cover, eps = projective_cover(M)
+        K, inc = kernel(eps)
+        gens = tuple((v, eps.mats[v].entries[r]) for v, r
+                     in map(cover.gen_row, range(len(cover.vertices))))
+        pres = Presentation(gens, K.action, inc.mats, _kernel_blocks(eps)[1])
+        step = M._syzygy_step = (cover, eps.mats, K, inc, pres)
+    return step
 
 
 def verify_dZ_closure_pairwise(spec):
@@ -479,7 +489,7 @@ def dual_differentials(M, N, i):
     steps = []
     cur = M
     for _ in range(i + 2):
-        steps.append(_step(cur))
+        steps.append(_cover_step(cur))
         cur = steps[-1][2]
     (c_lo, _, _, inc_lo, _), (c_mid, eps_mid, _, inc_mid, _), \
         (c_hi, eps_hi, _, _, _) = steps[i - 1:i + 2]

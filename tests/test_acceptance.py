@@ -14,6 +14,7 @@ import pytest
 
 from singcat.cli import EXIT_OK, emit_examples, main
 from singcat.exact_linalg import Matrix, prime_field, rank, rational_field
+from singcat.families import nakayama2_tilde
 from singcat.homology import (
     ext, is_projective, stable_hom, stable_iso, syzygy, syzygy_morphism,
 )
@@ -21,7 +22,6 @@ from singcat.quiver_algebra import (
     Arrow,
     Quiver,
     compute_basis,
-    nakayama2_tilde,
     nakayama_cyclic,
 )
 from singcat.rep import (

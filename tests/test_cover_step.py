@@ -19,15 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcat import homology, rep
+from singcat import rep
 from singcat.exact_linalg import prime_field, rational_field
+from singcat.families import interval_module, nakayama2_tilde
 from singcat.homology import stable_add_membership, syzygy
 from singcat.quiver_algebra import (
-    nakayama2_tilde, nakayama_cyclic, orbit_grid_algebra, valid_triples_window,
+    nakayama_cyclic, orbit_grid_algebra, valid_triples_window,
 )
 from singcat.rep import (
-    Cover, Representation, add_membership, direct_sum, interval_module,
-    projective_cover, projective_module, projectives,
+    Cover, Representation, add_membership, direct_sum, projective_cover,
+    projective_module, projectives,
 )
 from singcat.stab import skeleton
 
@@ -91,7 +92,7 @@ def test_dropping_the_algebra_frees_its_modules():
         alg, spec = nakayama2_tilde(KS, len(KS), rational_field())
         report = skeleton(spec)
         mods = [syzygy(g, k) for g in spec.generators for k in range(3)]
-        covers = [homology._step(M)[0].rep for M in mods]
+        covers = [rep._cover_step(M)[0].rep for M in mods]
         assert _cover_tuples(alg)
         tables, presentations = _memo_entries(alg, mods)
         assert tables and all(isinstance(t, tuple) for t in tables)

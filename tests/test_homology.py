@@ -15,15 +15,15 @@ from singcat import homology, rep
 from singcat.exact_linalg import (
     InternalCheckFailed, Matrix, prime_field, rational_field,
 )
+from singcat.families import interval_module, nakayama2_tilde
 from singcat.quiver_algebra import (
-    InvalidKupisch, nakayama2_tilde, nakayama_cyclic, orbit_grid_algebra,
+    InvalidKupisch, nakayama_cyclic, orbit_grid_algebra,
     valid_triples_window,
 )
 from singcat.rep import (
     RepMorphism,
     Representation,
     hom,
-    interval_module,
     is_isomorphic,
     projective_module,
     simple_module,
@@ -501,28 +501,33 @@ def test_stable_iso_rejects_sums_that_agree_on_every_gate():
                           rep.direct_sum([S0, S1, S1]))
 
 
+# The layers from the bottom up; the package namespace sits on top of all.
+LAYERS = ("exact_linalg", "quiver_algebra", "rep", "homology", "tilting",
+          "stab", "families", "cli", "__init__")
+
+
 def test_rep_imports_nothing_from_homology_and_nothing_in_a_function():
-    """The layers run rep -> homology: rep has no import of homology, and no
-    module defers an import into a function body, except quiver_algebra,
-    whose ``nakayama2_tilde`` builds its spec from rep and tilting."""
+    """Every module imports only from the layers below it, so rep has no
+    import of homology, and no module defers an import into a function
+    body."""
     src = Path(rep.__file__).parent
-    names = sorted(p.name for p in src.glob("*.py"))
-    assert {"cli.py", "homology.py", "rep.py", "stab.py"} <= set(names)
-    for name in names:
-        if name == "quiver_algebra.py":
-            continue
-        tree = ast.parse((src / name).read_text())
+    assert sorted(p.stem for p in src.glob("*.py")) == sorted(LAYERS)
+    for level, name in enumerate(LAYERS):
+        tree = ast.parse((src / f"{name}.py").read_text())
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = [n for n in ast.walk(fn)
                          if isinstance(n, (ast.Import, ast.ImportFrom))]
                 assert not inner, (name, fn.name)
-    tree = ast.parse((src / "rep.py").read_text())
-    modules = [n.module or "" for n in ast.walk(tree)
-               if isinstance(n, ast.ImportFrom)]
-    modules += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
-                for a in n.names]
-    assert modules and not any("homology" in m for m in modules)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                assert node.level == 1 and node.module in LAYERS[:level], (
+                    name, node.module)
+            elif isinstance(node, ast.ImportFrom):
+                assert not node.module.startswith("singcat"), (name, node.module)
+            elif isinstance(node, ast.Import):
+                assert not any(a.name.startswith("singcat")
+                               for a in node.names), name
 
 
 def _dual_map_reference(cover_lo, cover_hi, d, N):
@@ -615,8 +620,8 @@ def test_dual_map_from_generator_rows_matches_full_differential(fld):
 def _omega_by_dense_lift(f):
     """Omega(f) from a cover lift solved by the dense reference solver."""
     M, N = f.src, f.tgt
-    coverM, epsM, KM, incM, _ = homology._step(M)
-    coverN, epsN, KN, incN, _ = homology._step(N)
+    coverM, epsM, KM, incM, _ = rep._cover_step(M)
+    coverN, epsN, KN, incN, _ = rep._cover_step(N)
     fld = M.algebra.field
     xs = []
     for j in range(len(coverM.vertices)):

@@ -104,7 +104,7 @@ def test_subcat_round_trip(tilde_dir):
     assert spec.claims == ["skeleton_count=4"]
     assert spec.labels[0] == "m_0_0_0"
     # generator content survives: each parsed module matches a fresh build
-    from singcat.quiver_algebra import nakayama2_tilde
+    from singcat.families import nakayama2_tilde
     _, fresh = nakayama2_tilde((3, 2, 3, 3), 4, rational_field())
     # fresh lives on a distinct algebra object, so compare raw data
     by_dims = {tuple(sorted(g.dims.items())): g for g in fresh.generators}

@@ -21,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcat import homology, rep
+from singcat import rep
 from singcat.exact_linalg import prime_field, rational_field
+from singcat.families import interval_module
 from singcat.homology import syzygy
 from singcat.quiver_algebra import (
     Arrow, PathWord, Quiver, RelationElement, compute_basis, nakayama_cyclic,
@@ -30,8 +31,7 @@ from singcat.quiver_algebra import (
 )
 from singcat.rep import (
     Cover, RepMorphism, Representation, cokernel, direct_sum, hom, hom_dim,
-    injective_mod_socle, injective_module, interval_module, projective_module,
-    zero_rep,
+    injective_mod_socle, injective_module, projective_module, zero_rep,
 )
 
 from builders import jordan_module, twisted, uniserial
@@ -133,9 +133,9 @@ def test_presented_hom_dim_matches_the_commuting_system(case):
     want = hom_dim_full(M, N)
     if kind == "twin":
         # a second module of the content of a stepped one reuses its step
-        homology._step(M)
+        rep._cover_step(M)
         twin = Representation._wrap(M.algebra, M.dims, M.action)
-        homology._step(twin)
+        rep._cover_step(twin)
         assert rep._presentation(twin) is rep._presentation(M)
         M = twin
     assert hom_dim(M, N) == want
@@ -155,7 +155,7 @@ def test_relations_of_a_jordan_block():
     for fld in FIELDS.values():
         alg = nakayama_cyclic((5,), fld)
         M = jordan_module(alg, 3)
-        cover = homology._step(M)[0]
+        cover = rep._cover_step(M)[0]
         assert cover.vertices == ["0"]
         ((u, terms),) = rep._presentation(M).relations(alg)
         assert u == "0" and terms == ((0, 3, fld.one),)
@@ -198,7 +198,9 @@ def test_hom_dim_of_a_stepped_source_builds_no_commuting_system(
     covered once, on its first Hom space, whose presentation every later
     hom_dim, hom and syzygy step of the module reads."""
     assert not hasattr(rep, "_commuting_system")
-    alg, base = _family("grid", field)
+    # a fresh algebra: a live stepped module of M's content in the shared
+    # one would donate its step, and M would be covered no time at all
+    alg, base = _family.__wrapped__("grid", field)
     covered = []
     real = rep.projective_cover
 
@@ -213,7 +215,7 @@ def test_hom_dim_of_a_stepped_source_builds_no_commuting_system(
     assert [hom_dim(M, N) for N in targets] == want
     assert covered == [id(M)]
     assert [hom(M, N).dim for N in targets] == want
-    assert homology._step(M) is M._syzygy_step
+    assert rep._cover_step(M) is M._syzygy_step
     assert covered == [id(M)]
 
 
@@ -222,7 +224,7 @@ def test_cached_projectives_share_one_path_table():
     its data in the algebra cache, and ``clear_cache`` drops it."""
     alg = nakayama_cyclic((3, 2, 3), rational_field())
     M = uniserial(alg, 0, 2)
-    homology._step(M)
+    rep._cover_step(M)
     P = projective_module(alg, "0")
     assert hom_dim(M, P) == hom(M, P).dim == 0
     memo = projective_module(alg, "0")._memo

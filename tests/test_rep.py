@@ -8,7 +8,8 @@ import pytest
 from singcat.exact_linalg import (
     Matrix, kernel_basis, prime_field, rank, rational_field, rref, sparse_rank,
 )
-from singcat import homology
+from singcat import homology, rep
+from singcat.families import InvalidTriple, interval_module, nakayama2_tilde
 from singcat.homology import (
     _projective_end_rows, _stable_dim, ext, ext_dim, is_projective,
     stable_end_dim, stable_hom, stable_iso, syzygy,
@@ -19,7 +20,6 @@ from singcat.quiver_algebra import (
     Quiver,
     compute_basis,
     nakayama2_infinite,
-    nakayama2_tilde,
     nakayama_cyclic,
     orbit_grid_algebra,
     truncate,
@@ -28,7 +28,6 @@ from singcat.quiver_algebra import (
 from singcat.rep import (
     AlgebraMismatch,
     HomSpace,
-    InvalidTriple,
     RepMorphism,
     Representation,
     _end_offsets,
@@ -42,7 +41,6 @@ from singcat.rep import (
     image,
     injective_module,
     injectives,
-    interval_module,
     is_isomorphic,
     kernel,
     projective_cover,
@@ -496,8 +494,8 @@ def _hom_sources(fld):
         alg = group[0].algebra
         v = alg.quiver.vertices[-1]
         targets = group + [zero_rep(alg)]
-        # a module stepped with the pools, and a fresh module of its content
-        homology._step(group[0])
+        # a stepped module, and a fresh module of its content
+        rep._cover_step(group[0])
         twin = Representation._wrap(alg, group[0].dims, group[0].action)
         out += [("unstepped", Representation._wrap(alg, M.dims, M.action),
                  targets) for M in group]

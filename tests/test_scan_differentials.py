@@ -51,12 +51,13 @@ from hypothesis import strategies as st
 
 from singcat.exact_linalg import Matrix, prime_field, rank, rational_field
 from singcat import homology
+from singcat.families import nakayama2_tilde
 from singcat.homology import (
     ext, ext_dim, is_projective, resolve, stable_iso, syzygy,
 )
 from singcat.quiver_algebra import (
-    Arrow, PathWord, Quiver, RelationElement, compute_basis, nakayama2_tilde,
-    nakayama_cyclic, opposite_algebra,
+    Arrow, PathWord, Quiver, RelationElement, compute_basis, nakayama_cyclic,
+    opposite_algebra,
 )
 from singcat.rep import (
     RepMorphism,

@@ -16,7 +16,8 @@ from singcat.homology import (
     syzygy,
     syzygy_morphism,
 )
-from singcat.quiver_algebra import nakayama2_tilde, nakayama_cyclic
+from singcat.families import nakayama2_tilde
+from singcat.quiver_algebra import nakayama_cyclic
 from singcat.rep import (
     Representation,
     injective_module,

@@ -1,33 +1,33 @@
-"""The syzygy pool of ``homology._step``.
+"""The syzygy pool of ``rep._cover_step``, the one step of every module.
 
 A syzygy whose matrices equal those of a live syzygy of the same algebra is
 that instance, so its cover step and memos are computed once.  Answers must
-equal those of a fresh kernel per step (``pairwise_reference.step_unpooled``),
-and an orbit that closes in content must stay a chain of objects, freed by
-reference counting.
+equal those of a fresh cover, kernel and presentation per module
+(``pairwise_reference.step_unpooled``), and an orbit that closes in content
+must stay a chain of objects, freed by reference counting.
 """
 
 from __future__ import annotations
 
 import gc
 import random
+import sys
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcat import homology, rep
+from singcat import rep
 from singcat.exact_linalg import Matrix, prime_field, rational_field
+from singcat.families import interval_module, nakayama2_tilde
 from singcat.homology import (
     _stable_dim, ext_dim, pd_certificate, stable_iso, syzygy,
 )
 from singcat.quiver_algebra import (
-    nakayama2_tilde, nakayama_cyclic, orbit_grid_algebra, valid_triples_window,
+    nakayama_cyclic, orbit_grid_algebra, valid_triples_window,
 )
-from singcat.rep import (
-    RepMorphism, Representation, direct_sum, interval_module,
-)
+from singcat.rep import RepMorphism, Representation, direct_sum, hom_dim
 from singcat.stab import OrbitNotResolved, skeleton
 from singcat.tilting import SubcatSpec
 
@@ -87,9 +87,15 @@ def _answers(fld, family, picks, seed, pairs=6):
 
 
 def _pooled_and_fresh(*args, **kwargs):
+    """The answers with the pooled step, and with ``step_unpooled`` bound in
+    every namespace that binds the step, rep's own included."""
     pooled = _answers(*args, **kwargs)
+    step = rep._cover_step
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "_step", step_unpooled)
+        for name, mod in list(sys.modules.items()):
+            if (name.partition(".")[0] == "singcat"
+                    and getattr(mod, "_cover_step", None) is step):
+                mp.setattr(mod, "_cover_step", step_unpooled)
         fresh = _answers(*args, **kwargs)
     return pooled, fresh
 
@@ -135,7 +141,7 @@ def test_equal_first_syzygies_share_one_instance(fld):
     for k in range(1, 5):
         assert syzygy(B, k) is syzygy(A, k)
     # B's inclusion is re-pointed to the shared syzygy, into B's own cover
-    cover, eps, KB, inc, _ = homology._step(B)
+    cover, eps, KB, inc, _ = rep._cover_step(B)
     assert inc.src is K and inc.tgt is cover.rep
     inc = RepMorphism(K, cover.rep, inc.mats, check=True)
     assert inc.compose(RepMorphism(cover.rep, B, eps, check=True)).is_zero()
@@ -184,12 +190,12 @@ def test_orbit_laps_reuse_the_twin_cover_step(fld, n, i, period,
     laps = 3
     stepped = [K] + [syzygy(K, k) for k in range(1, laps * period)]
     last = syzygy(stepped[-1])
-    contents = {homology._content_key(X) for X in stepped}
+    contents = {rep._content_key(X) for X in stepped}
     assert len(covers) == len(contents) == period
     assert len({id(X) for X in stepped + [last]}) == laps * period + 1
     for k in range(period, laps * period):
-        twin = homology._step(stepped[k - period])
-        lap = homology._step(stepped[k])
+        twin = rep._cover_step(stepped[k - period])
+        lap = rep._cover_step(stepped[k])
         assert lap[0] is twin[0] and lap[1] is twin[1]
         assert all(lap[3].mats[v] is m for v, m in twin[3].mats.items())
         assert lap[3].src is lap[2]
@@ -236,7 +242,7 @@ def test_generator_whose_content_recurs_is_stepped_once(fld, monkeypatch):
     orig = rep.projective_cover
 
     def counting(M):
-        covers.append(homology._content_key(M))
+        covers.append(rep._content_key(M))
         return orig(M)
 
     monkeypatch.setattr(rep, "projective_cover", counting)
@@ -249,3 +255,27 @@ def test_generator_whose_content_recurs_is_stepped_once(fld, monkeypatch):
         "infinite_periodic", 0, 1)
     assert syzygy(M).action == M.action and syzygy(M) is not M
     assert len(covers) == 1
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=repr)
+def test_hom_source_donates_its_step_to_a_content_twin(fld, monkeypatch):
+    """A module covered as the source of a Hom space is stepped with the
+    pools: the syzygy of a content twin reuses its cover step, with no
+    second projective cover, and is the pooled syzygy instance."""
+    alg = orbit_grid_algebra(KS, fld)
+    M = interval_module(alg, (1, 1, 3))
+    N = interval_module(alg, (1, 2, 3))
+    covers = []
+    orig = rep.projective_cover
+
+    def counting(X):
+        covers.append(id(X))  # not X, which would keep it alive
+        return orig(X)
+
+    monkeypatch.setattr(rep, "projective_cover", counting)
+    assert hom_dim(M, N) == 1
+    assert covers == [id(M)]
+    twin = Representation._wrap(alg, M.dims, M.action)
+    K = syzygy(twin)
+    assert covers == [id(M)]
+    assert K is syzygy(M) and K is M._syzygy_step[2]

@@ -6,8 +6,9 @@ import pytest
 
 from singcat import rep, tilting
 from singcat.exact_linalg import Matrix, prime_field, rank, rational_field
+from singcat.families import nakayama2_tilde
 from singcat.homology import ext, is_projective, stable_hom, syzygy
-from singcat.quiver_algebra import nakayama_cyclic, nakayama2_tilde
+from singcat.quiver_algebra import nakayama_cyclic
 from singcat.rep import (
     RepMorphism,
     add_membership,

@@ -24,13 +24,13 @@ from hypothesis import strategies as st
 
 from singcat import exact_linalg
 from singcat.exact_linalg import prime_field, rank, rational_field
-from singcat.homology import _step, syzygy
+from singcat.families import nakayama2_tilde
+from singcat.homology import syzygy
 from singcat.quiver_algebra import (
-    Arrow, Quiver, compute_basis, nakayama2_tilde, nakayama_cyclic,
-    opposite_algebra,
+    Arrow, Quiver, compute_basis, nakayama_cyclic, opposite_algebra,
 )
 from singcat.rep import (
-    HomSpace, RepMorphism, _images_span, direct_sum, dual_module, hom,
+    HomSpace, RepMorphism, _cover_step, _images_span, direct_sum, dual_module, hom,
     hom_dim, injective_module, kernel, projective_cover, projective_module,
     simple_module, top_generators, zero_rep,
 )
@@ -173,7 +173,7 @@ def test_syzygy_steps_and_disjoint_hom_eliminate_no_empty_system(monkeypatch):
                 and getattr(mod, "_eliminate", None) is real):
             monkeypatch.setattr(mod, "_eliminate", recording)
     for g in spec.generators:
-        _step(g)
+        _cover_step(g)
     assert hom_dim(Su, Sv) == 0 and hom_dim(Sv, Su) == 0
     assert systems
     empty = [s for s in systems if not s[0] or not s[1]]
