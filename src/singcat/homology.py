@@ -34,10 +34,12 @@ still build the spaces with bases for callers that need elements.
 The stable category lives here, on the cached cover step.  A map M -> P
 -> M through a projective P lifts its second half through the cover
 eps: P_M -> M, so the endomorphisms that factor through a projective are
-P(M, M) = {h then eps : h in Hom(M, P_M)} (Auslander-Reiten-Smalo, IV.1),
-whose echelon rows are memoised on M.  ``stable_add_membership`` asks
-whether id_M lies in the span of the composites M -> g -> M plus P(M, M),
-which is membership in add(G + A) with no projective generator built.
+P(M, M) = {h then eps : h in Hom(M, P_M)} (Auslander-Reiten-Smalo, IV.1).
+Like every endomorphism in a trace test, each is read at M's top
+generators (``rep._composite_rows``), which fix it, and the echelon rows
+of P(M, M) are memoised on M.  ``stable_add_membership`` asks whether
+id_M lies in the span of the composites M -> g -> M plus P(M, M), which
+is membership in add(G + A) with no projective generator built.
 ``stable_iso`` decides one stable class, A + P = B + Q, by gates in this
 order: modules with identical matrices match; stably zero modules (zero or
 projective, ``is_projective``) form the one zero class; syzygies that
@@ -76,7 +78,7 @@ from .rep import (
     _composite_rows,
     _cover_map_from_gen_images,
     _cover_step,
-    _end_offsets,
+    _generator_row,
     _homs_into,
     _identity_in_trace,
     _iso_certificate,
@@ -246,13 +248,13 @@ class StableHomSpace:
         alg = _same_algebra(M, N)
         fld = alg.field
         self.hom = hom(M, N)
-        coverN, eps_mats, _, _, _ = _cover_step(N)
-        epsN = RepMorphism(coverN.rep, N, eps_mats, check=False)
+        coverN, eps, _, _, _ = _cover_step(N)
         hp = hom(M, coverN.rep)
         bmat = self.hom._bmat
+        # h then eps sends the generator m_j to eps(h(m_j))
         comps = Matrix.from_rows(
-            fld, [self.hom._vec(b.compose(epsN)) for b in hp.basis],
-            bmat.cols)
+            fld, [[y for v, x in hp._images(vec) for y in eps[v].act(x)]
+                  for vec in hp.vecs], bmat.cols)
         sol = echelon_solve(bmat, comps)
         if sol is None:
             raise InternalCheckFailed("composite with the cover is outside Hom")
@@ -355,17 +357,16 @@ def is_projective(M: Representation) -> bool:
 
 
 def _projective_end_rows(M: Representation) -> list[dict]:
-    """Echelon rows of End_k(M) spanning P(M, M) = {h then eps : h in
-    Hom(M, P_M)}, memoised on M as plain {column: scalar} dicts, which hold
-    no module and no morphism."""
+    """Echelon rows spanning P(M, M) = {h then eps : h in Hom(M, P_M)},
+    each map read at M's top generators (``rep._composite_rows``), with h
+    taken from its Hom vector and no map built.  Memoised on M as plain
+    {column: scalar} dicts, which hold no module and no morphism."""
     rows = getattr(M, "_proj_end_rows", None)
     if rows is None:
         cover, eps = _cover_step(M)[:2]
-        off, width = _end_offsets(M)
-        rows = _composite_rows(
-            M, off, [h.mats for h in hom(M, cover.rep).basis], [eps])
-        rows = M._proj_end_rows = rows[:len(_eliminate(M.algebra.field, rows,
-                                                       width))]
+        rows = _composite_rows(hom(M, cover.rep), [eps])
+        rows = M._proj_end_rows = rows[:len(_eliminate(
+            M.algebra.field, rows, _generator_row(M)[1]))]
     return rows
 
 
@@ -388,7 +389,7 @@ def stable_add_membership(M: Representation,
     if into is None:
         return True
     return _identity_in_trace(
-        M, [(hom(M, g).basis, bs) for g, bs in into if bs],
+        M, [(hom(M, g), H.basis) for g, H in into if H.dim],
         _projective_end_rows(M))
 
 
@@ -397,8 +398,10 @@ def stable_iso(A: Representation, B: Representation) -> bool:
 
     The gates run in the order of the module docstring.  The isomorphism
     certificate is one B -> A; hom(B, A), if it did not build it, comes
-    next, and hom(A, B) only when that is nonzero, each basis serving both
-    trace tests.
+    next, and hom(A, B) only when that is nonzero (else A, which is not
+    projective, matches nothing), each Hom space serving both trace tests:
+    its vectors as the first map of one test's composites, its basis maps
+    as the second map of the other's.
     """
     _same_algebra(A, B)
     if A is B or A.dims == B.dims and A.action == B.action:
@@ -418,10 +421,14 @@ def _stably_isomorphic(A: Representation, B: Representation) -> bool:
     if stable_end_dim(A) != stable_end_dim(B):
         return False
     if ba is None:
-        ba = hom(B, A).basis
-    ab = hom(A, B).basis if ba else []
-    return (_identity_in_trace(A, [(ab, ba)], _projective_end_rows(A))
-            and _identity_in_trace(B, [(ba, ab)], _projective_end_rows(B)))
+        ba = hom(B, A)
+    if not ba.dim:
+        # A is not projective, so id_A factors through no projective
+        return False
+    ab = hom(A, B)
+    return (_identity_in_trace(A, [(ab, ba.basis)], _projective_end_rows(A))
+            and _identity_in_trace(B, [(ba, ab.basis)],
+                                   _projective_end_rows(B)))
 
 
 @dataclass(frozen=True)

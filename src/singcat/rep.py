@@ -45,19 +45,26 @@ left exact and Hom(P(v), N) = N e_v, so Hom(M, N) is the kernel of the map
 from the sum of the N_v, v over the cover's summands, to one block of N
 per top generator of Omega M (``_presented_system``), a system sized by
 the tops of M and Omega M.  A Hom vector lists the images of M's top
-generators; ``hom_dim`` reads the rank, and ``hom`` turns each kernel
-vector into a morphism through the section.
+generators, which fix the map; ``hom_dim`` reads the rank, ``hom`` keeps
+the kernel vectors, and only its ``basis`` turns them into morphisms,
+through the section, on first use.
 
-Membership in add G is settled by an isomorphism certificate to one
-generator (``_iso_certificate``), and otherwise by one trace test
-(``_identity_in_trace``): id_M in the span of the composites M -> g -> M.
-The stable category, maps modulo those that factor through a projective,
-is built on this module and its cover step in ``homology``, which reuses
-the certificate and the trace test; this module imports nothing from it.
+Maps out of M are read at M's top generators, so membership builds no
+map out of M.  Membership in add G is settled by an isomorphism
+certificate to one generator (``_iso_certificate``): with equal dimension
+vectors a map is an isomorphism exactly when its generator images span
+the target modulo its radical (Nakayama's lemma, ``_spans_top``).
+Otherwise one trace test decides (``_identity_in_trace``): id_M in the
+span of the composites M -> g -> M, each a row of its values at the
+generators, sum_j dim M_{v_j} columns and not sum_v (dim M_v)^2.  The
+stable category, maps modulo those that factor through a projective, is
+built on this module and its cover step in ``homology``, which reuses the
+certificate and the trace test; this module imports nothing from it.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 from weakref import WeakValueDictionary
 
@@ -126,25 +133,33 @@ class Representation:
         return self.total_dim == 0
 
     def path_matrix(self, src: str, arrows: Sequence[str]) -> Matrix:
-        """The action of an arrow word, as a product from the identity.
+        """The action of an arrow word: its first arrow's matrix times the
+        others', and the identity for the trivial path.
 
         Only the relation check uses this; maps out of covers walk their
         generator images along path prefixes instead (``_path_images``).
         """
-        m = Matrix.identity(self.algebra.field, self.dims[src])
-        for aid in arrows:
+        if not arrows:
+            return Matrix.identity(self.algebra.field, self.dims[src])
+        m = self.action[arrows[0]]
+        for aid in arrows[1:]:
             m = m.mul(self.action[aid])
         return m
 
     def _check_relations(self) -> None:
-        f = self.algebra.field
+        """Each relation sum_t c_t p_t acts by zero; a coefficient of one
+        scales nothing, and a relation of one term adds nothing."""
+        one = self.algebra.field.one
         for r in self.algebra.relations:
             if not self.dims[r.src] or not self.dims[r.tgt]:
                 continue
-            acc = Matrix.zeros(f, self.dims[r.src], self.dims[r.tgt])
+            acc = None
             for coef, path in r.terms:
-                acc = acc.add(self.path_matrix(path.src, path.arrows).scale(coef))
-            if not acc.is_zero():
+                m = self.path_matrix(path.src, path.arrows)
+                if coef != one:
+                    m = m.scale(coef)
+                acc = m if acc is None else acc.add(m)
+            if any(x for row in acc.entries for x in row):
                 raise ValueError("arrow matrices violate a defining relation")
 
 
@@ -259,10 +274,13 @@ class RepMorphism:
 class HomSpace:
     """The space of morphisms M -> N, with a canonical ordered basis.
 
-    The basis is the reduced left kernel of ``_presented_system``: each
-    vector lists the images of M's top generators, and its morphism is the
-    section of M's cover at each vertex followed by the cover map that
-    sends the generators there (``_presented_map``).
+    Its vectors (``vecs``) are the reduced left kernel of
+    ``_presented_system``: each lists the images of M's top generators,
+    which fix a morphism, and ``dim`` counts them.  The basis maps are
+    built on first use of ``basis``: each is the section of M's cover at
+    each vertex followed by the cover map that sends the generators to the
+    vector's images (``_presented_map``).  Isomorphism certificates and
+    trace tests read the vectors and build no map out of M.
     """
 
     def __init__(self, M: Representation, N: Representation):
@@ -273,11 +291,24 @@ class HomSpace:
         rows, ncols = _presented_system(self._pres, N)
         vecs = sparse_kernel(f, rows, ncols) if rows else []
         self._bmat = Matrix.from_rows(f, vecs, len(rows))
-        self.basis = [_presented_map(self._pres, M, N, v) for v in vecs]
+        self.vecs = self._bmat.entries
+
+    @cached_property
+    def basis(self) -> list[RepMorphism]:
+        return [_presented_map(self, x) for x in self.vecs]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.vecs)
+
+    def _images(self, x: Sequence) -> list[tuple[str, Sequence]]:
+        """(v_j, x_j): the image x_j in N_{v_j} of M's j-th top generator
+        that the Hom vector x lists."""
+        out, pos = [], 0
+        for v in self._pres.vertices:
+            out.append((v, x[pos:pos + self.tgt.dims[v]]))
+            pos += self.tgt.dims[v]
+        return out
 
     def _vec(self, f: RepMorphism) -> list:
         """f's images of M's top generators, in the order of the unknowns."""
@@ -297,8 +328,7 @@ class HomSpace:
     def element(self, coeffs: Sequence) -> RepMorphism:
         if len(coeffs) != self.dim:
             raise ValueError("wrong coefficient count")
-        return _presented_map(self._pres, self.src, self.tgt,
-                              self._bmat.act(coeffs))
+        return _presented_map(self, self._bmat.act(coeffs))
 
 
 def hom(M: Representation, N: Representation) -> HomSpace:
@@ -376,20 +406,18 @@ def _presented_system(pres: "Presentation", N: Representation,
     return [{k: x % p for k, x in r.items() if x % p} for r in rows], col
 
 
-def _presented_map(pres: "Presentation", M: Representation,
-                   N: Representation, x: Sequence) -> RepMorphism:
-    """The morphism M -> N sending M's j-th top generator to x_j, x listing
-    the x_j in N_{v_j} one after another: at each vertex w, the section s_w
-    of M's cover followed by the cover map that sends the j-th generator of
-    P0 to x_j.  For x in the kernel of ``_presented_system`` that map kills
-    Omega M, so it factors through M as this morphism."""
-    xs, pos = [], 0
-    for v in pres.vertices:
-        xs.append(x[pos:pos + N.dims[v]])
-        pos += N.dims[v]
-    lam = _gen_image_mats(M.algebra, pres.vertices, N, xs)
-    return RepMorphism(M, N, {w: s.mul(lam[w])
-                              for w, s in pres.section.items()}, check=False)
+def _presented_map(H: HomSpace, x: Sequence) -> RepMorphism:
+    """The morphism M -> N of H = hom(M, N) sending M's j-th top generator
+    to the x_j that x lists (``HomSpace._images``): at each vertex w, the
+    section s_w of M's cover followed by the cover map that sends the j-th
+    generator of P0 to x_j.  For x in the kernel of ``_presented_system``
+    that map kills Omega M, so it factors through M as this morphism."""
+    pres = H._pres
+    lam = _gen_image_mats(H.src.algebra, pres.vertices, H.tgt,
+                          [y for _, y in H._images(x)])
+    return RepMorphism(H.src, H.tgt, {w: s.mul(lam[w])
+                                      for w, s in pres.section.items()},
+                       check=False)
 
 
 def _echelon_submodule(M: Representation, inc_mats: dict[str, Matrix],
@@ -834,11 +862,35 @@ def _top_rows(alg: BoundQuiverAlgebra, dims: dict[str, int],
         n = dims[v]
         if not n:
             continue
-        rows = [r for a in alg.quiver.arrows_into[v]
-                for r in action[a.id].entries]
+        rows = _radical_rows(alg, action, v)
         pivset = set(rref(Matrix(f, len(rows), n, rows))[1]) if rows else ()
         out.extend((v, j) for j in range(n) if j not in pivset)
     return out
+
+
+def _radical_rows(alg: BoundQuiverAlgebra, action: dict[str, Matrix],
+                  v: str) -> list[tuple]:
+    """The rows of the arrows into v, which span a module's radical at v."""
+    return [r for a in alg.quiver.arrows_into[v] for r in action[a.id].entries]
+
+
+def _spans_top(N: Representation, elems: Sequence[tuple[str, Sequence]],
+               ) -> bool:
+    """Do the elements (v, x), x in N_v, with rad N span N at every vertex
+    where N is nonzero?  Then, by Nakayama's lemma, they generate N: a map
+    into N is onto exactly when its images of the source's top generators
+    pass this test (Auslander-Reiten-Smalo, I.3 and III.2)."""
+    alg = N.algebra
+    at: dict[str, list] = {v: [] for v in N.dims}
+    for v, x in elems:
+        at[v].append(x)
+    for v, n in N.dims.items():
+        if not n:
+            continue
+        rows = at[v] + _radical_rows(alg, N.action, v)
+        if len(rows) < n or rank(Matrix(alg.field, len(rows), n, rows)) < n:
+            return False
+    return True
 
 
 def top_generators(M: Representation) -> list[tuple[str, list]]:
@@ -942,62 +994,55 @@ def universal_right_approximation(gens: Sequence[Representation],
     return RepMorphism(S, N, mats, check=False)
 
 
-def _end_offsets(M: Representation) -> tuple[dict[str, int], int]:
-    """Column offsets of the vertex blocks of End_k(M), and its dimension.
+def _generator_row(M: Representation) -> tuple[dict, int]:
+    """id_M read at M's top generators: the sparse row listing each
+    generator m_j of ``_presentation(M)`` at v_j, one after another, and its
+    width sum_j dim M_{v_j}."""
+    row, width = {}, 0
+    for v, g in _presentation(M).gens:
+        row.update((c, x) for c, x in enumerate(g, width) if x)
+        width += M.dims[v]
+    return row, width
 
-    An endomorphism is laid out vertex by vertex, each block row by row, so
-    entry (i, k) at v is column off[v] + i * dim M_v + k.
+
+def _composite_rows(H: HomSpace, bs: Sequence[dict]) -> list[dict]:
+    """The composites h then b, read at the top generators m_j of M, as
+    sparse {column: value} rows in the layout of ``_generator_row``.
+
+    h runs over the vectors of H = hom(M, X), which list h(m_j), and b over
+    bs, maps X -> M given by their per-vertex matrices; the row lists
+    b_{v_j}(h(m_j)).  A map out of M is fixed by its generator images, so
+    the reading is injective on End(M).  A zero composite gives no row.
     """
-    off, width = {}, 0
-    for v in M.algebra.quiver.vertices:
-        off[v] = width
-        width += M.dims[v] * M.dims[v]
-    return off, width
-
-
-def _composite_rows(M: Representation, off: dict[str, int],
-                    hs: Sequence[dict], bs: Sequence[dict]) -> list[dict]:
-    """The composites h then b in End_k(M), as sparse {column: value} rows.
-
-    h runs over hs and b over bs, each a map given by its per-vertex
-    matrices, M -> X for h and X -> M for b; a zero composite gives no row.
-    """
-    z = M.algebra.field.zero
-    verts = M.algebra.quiver.vertices
+    z = H.src.algebra.field.zero
     rows = []
-    for h in hs:
+    for x in H.vecs:
+        images = H._images(x)
         for b in bs:
-            # row i of the composite at v is row i of h_v times b_v
-            row = {}
-            for v in verts:
-                bv, d, o = b[v], M.dims[v], off[v]
-                for i, hr in enumerate(h[v].entries):
-                    for col, x in enumerate(bv.act(hr), o + i * d):
-                        if x is not z and x:
-                            row[col] = x
+            vals = [e for v, y in images for e in b[v].act(y)]
+            row = {c: e for c, e in enumerate(vals) if e is not z and e}
             if row:
                 rows.append(row)
     return rows
 
 
 def _identity_in_trace(M: Representation,
-                       pairs: Sequence[tuple[list, list]],
+                       pairs: Sequence[tuple[HomSpace, list]],
                        base: Sequence[dict] = ()) -> bool:
     """Is id_M in the span of the rows ``base`` and the composites h then b,
-    h over hs and b over bs, for each (hs, bs) in pairs?
+    h over the vectors of H and b over bs, for each (H, bs) in pairs?
 
-    hs and bs are hom bases, M -> X and X -> M.  The rows are reduced once,
-    sparse, and id_M is read off the echelon rows; ``base`` is copied.
+    H is hom(M, X) and bs maps X -> M.  Every row is read at M's top
+    generators (``_composite_rows``), a width of sum_j dim M_{v_j}; the
+    reading is injective on End(M), so id_M is in the span exactly when its
+    generator row is.  The rows are reduced once, sparse; ``base`` is
+    copied.
     """
-    f = M.algebra.field
-    off, width = _end_offsets(M)
     rows = [dict(r) for r in base]
-    for hs, bs in pairs:
-        rows += _composite_rows(M, off, [h.mats for h in hs],
-                                [b.mats for b in bs])
-    ident = {off[v] + i * (M.dims[v] + 1): f.one
-             for v in M.algebra.quiver.vertices for i in range(M.dims[v])}
-    return sparse_span_contains(f, rows, width, ident)
+    for H, bs in pairs:
+        rows += _composite_rows(H, [b.mats for b in bs])
+    ident, width = _generator_row(M)
+    return sparse_span_contains(M.algebra.field, rows, width, ident)
 
 
 def _images_span(maps: Sequence[RepMorphism], N: Representation) -> bool:
@@ -1009,23 +1054,27 @@ def _images_span(maps: Sequence[RepMorphism], N: Representation) -> bool:
 
 
 def _homs_into(M: Representation, gens: Sequence[Representation],
-               ) -> list[tuple[Representation, list[RepMorphism]]] | None:
-    """(g, basis of hom(g, M)) for each generator g, or None when M is
-    certified isomorphic to one of them, which puts M in add G.
+               ) -> list[tuple[Representation, HomSpace]] | None:
+    """(g, hom(g, M)) for each generator g, or None when M is certified
+    isomorphic to one of them, which puts M in add G.
 
     Every generator with M's dimension vector is tried by
     ``_iso_certificate(g, M)`` before any other Hom space is built: equal
-    matrices certify with none, and the hom(g, M) basis a failed
-    certificate built is reused.
+    matrices certify with none, and the Hom space a failed certificate
+    built is reused.
     """
     tried = []
     for g in gens:
-        iso, basis = _iso_certificate(g, M)
+        iso, H = _iso_certificate(g, M)
         if iso:
             return None
-        tried.append(basis)
-    return [(g, hom(g, M).basis if basis is None else basis)
-            for g, basis in zip(gens, tried)]
+        tried.append(H)
+    return [(g, hom(g, M) if H is None else H) for g, H in zip(gens, tried)]
+
+
+def _top_images(spaces: Sequence[HomSpace]) -> list[tuple[str, Sequence]]:
+    """The generator images that the vectors of the Hom spaces list."""
+    return [e for H in spaces for x in H.vecs for e in H._images(x)]
 
 
 def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:
@@ -1036,12 +1085,13 @@ def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:
     *Representation Theory of Artin Algebras*): M is in add G exactly when
     id_M factors through a sum of copies of the generators.  Every map
     M -> G^n -> M is a sum of composites M -> g -> M, so this holds exactly
-    when id_M lies in the span of the composites h.b, with h over a basis
-    of hom(M, g) and b over a basis of hom(g, M).  The b must span M at
-    every vertex, which rejects early; hom(M, g) is skipped for a g with
-    hom(g, M) = 0.  The composites, vectors in End_k(M) laid out vertex by
-    vertex, are reduced once as sparse rows and id_M is read off the
-    echelon rows.
+    when id_M lies in the span of the composites h.b, with h over the
+    vectors of hom(M, g) and b over the basis maps of hom(g, M).  The maps
+    g -> M must together be onto, which rejects early: their generator
+    images with rad M must span M (``_spans_top``).  hom(M, g) is skipped
+    for a g with hom(g, M) = 0.  The composites are read at M's top
+    generators (``_identity_in_trace``), reduced once as sparse rows, and
+    id_M is read off the echelon rows.
 
     Membership up to projective summands, M in add(G + A), is
     ``homology.stable_add_membership``, which reuses the isomorphism
@@ -1056,37 +1106,40 @@ def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:
     into = _homs_into(M, gens)
     if into is None:
         return True
-    if not _images_span([b for _, bs in into for b in bs], M):
+    if not _spans_top(M, _top_images([H for _, H in into])):
         return False
     return _identity_in_trace(
-        M, [(hom(M, g).basis, bs) for g, bs in into if bs])
+        M, [(hom(M, g), H.basis) for g, H in into if H.dim])
 
 
 def _iso_certificate(M: Representation, N: Representation,
-                     ) -> tuple[bool, list[RepMorphism] | None]:
-    """(M and N are certified isomorphic, the basis of hom(M, N) if built).
+                     ) -> tuple[bool, HomSpace | None]:
+    """(M and N are certified isomorphic, hom(M, N) if built).
 
-    Equal matrices certify by the identity, with no Hom space built; else a
-    basis map of hom(M, N) that is invertible.  Nothing is built when the
-    dimension vectors differ."""
+    Equal matrices certify by the identity, with no Hom space built.  Else
+    a vector of hom(M, N) certifies when its generator images, with rad N,
+    span N (``_spans_top``): the map is onto, and with equal dimension
+    vectors an isomorphism.  No morphism is built, and nothing at all when
+    the dimension vectors differ."""
     if M.dims != N.dims:
         return False, None
     if M.action == N.action:
         return True, None
-    basis = hom(M, N).basis
-    return any(b.is_iso() for b in basis), basis
+    H = hom(M, N)
+    return any(_spans_top(N, H._images(x)) for x in H.vecs), H
 
 
 def is_isomorphic(M: Representation, N: Representation) -> bool | None:
     """Literal isomorphism test, certified or undetermined (None).
 
     True on an isomorphism certificate (``_iso_certificate``).  False when
-    the dimension vectors differ, or when the images of the basis maps of
-    Hom(M, N) together miss part of N: then no map is onto.  This decides
-    every N with a simple top, such as P(v), and every Hom of dimension <= 1.
+    the dimension vectors differ, or when the generator images of all the
+    vectors of Hom(M, N) together, with rad N, miss part of N
+    (``_spans_top``): then no map is onto.  This decides every N with a
+    simple top, such as P(v), and every Hom of dimension <= 1.
     """
     _same_algebra(M, N)
-    iso, basis = _iso_certificate(M, N)
-    if iso or basis is None:
+    iso, H = _iso_certificate(M, N)
+    if iso or H is None:
         return iso
-    return None if _images_span(basis, N) else False
+    return None if _spans_top(N, _top_images([H])) else False

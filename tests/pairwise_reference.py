@@ -16,20 +16,20 @@ shares content-identical syzygies and reuses a content twin's step.
 ``homology._stride`` reads it off the 1-step orbit of ``pd_certificate``;
 at stride 1 it keeps the members that ``gp_certificate_pairwise`` scans.  ``add_membership_by_trace`` and
 ``stable_add_membership_by_trace`` run the trace test on every generator,
-where ``rep`` first tries an isomorphism certificate to each.  Written for
-clarity and not for speed.
+where ``rep`` first tries an isomorphism certificate to each, and write
+each composite out in End_k(M) (``identity_in_trace_full``), where ``rep``
+reads it at M's top generators.  Written for clarity and not for speed.
 """
 
 from singcat.exact_linalg import (
-    InternalCheckFailed, Matrix, echelon_solve, kernel_basis, rank, rref,
-    sparse_rank,
+    InternalCheckFailed, Matrix, _eliminate, echelon_solve, kernel_basis, rank,
+    rref, sparse_rank, sparse_span_contains,
 )
 from singcat.homology import (
-    _projective_end_rows, ext_dim, is_projective, stable_end_dim, stable_hom, stable_iso,
-    syzygy,
+    ext_dim, is_projective, stable_end_dim, stable_hom, stable_iso, syzygy,
 )
 from singcat.rep import (
-    Presentation, RepMorphism, Representation, _cover_step, _identity_in_trace,
+    Presentation, RepMorphism, Representation, _cover_step,
     _images_span, _kernel_blocks, _path_images, add_membership, cokernel,
     direct_sum, hom, injectives, kernel, projective_cover, projective_module,
     projectives, simple_module, zero_rep,
@@ -507,9 +507,76 @@ def ext_dim_by_dual_differentials(M, N, i):
     return len(hi) - sparse_rank(fld, hi, hi_cols) - sparse_rank(fld, lo, lo_cols)
 
 
+def end_offsets(M):
+    """Column offsets of the vertex blocks of End_k(M), and its dimension.
+
+    An endomorphism is laid out vertex by vertex, each block row by row, so
+    entry (i, k) at v is column off[v] + i * dim M_v + k.
+    """
+    off, width = {}, 0
+    for v in M.algebra.quiver.vertices:
+        off[v] = width
+        width += M.dims[v] * M.dims[v]
+    return off, width
+
+
+def composite_rows_full(M, off, hs, bs):
+    """The composites h then b in End_k(M), as sparse {column: value} rows.
+
+    h runs over hs and b over bs, each a map given by its per-vertex
+    matrices, M -> X for h and X -> M for b; a zero composite gives no row.
+    """
+    z = M.algebra.field.zero
+    verts = M.algebra.quiver.vertices
+    rows = []
+    for h in hs:
+        for b in bs:
+            # row i of the composite at v is row i of h_v times b_v
+            row = {}
+            for v in verts:
+                bv, d, o = b[v], M.dims[v], off[v]
+                for i, hr in enumerate(h[v].entries):
+                    for col, x in enumerate(bv.act(hr), o + i * d):
+                        if x is not z and x:
+                            row[col] = x
+            if row:
+                rows.append(row)
+    return rows
+
+
+def identity_in_trace_full(M, pairs, base=()):
+    """Is id_M in the span of the rows ``base`` and the composites h then b,
+    h over hs and b over bs, for each (hs, bs) in pairs, in End_k(M)?
+
+    hs and bs are lists of maps, M -> X and X -> M, and every composite is
+    written out in full, dim M_v squared columns per vertex, where
+    ``rep._identity_in_trace`` reads the composites at M's top generators.
+    """
+    f = M.algebra.field
+    off, width = end_offsets(M)
+    rows = [dict(r) for r in base]
+    for hs, bs in pairs:
+        rows += composite_rows_full(M, off, [h.mats for h in hs],
+                                    [b.mats for b in bs])
+    ident = {off[v] + i * (M.dims[v] + 1): f.one
+             for v in M.algebra.quiver.vertices for i in range(M.dims[v])}
+    return sparse_span_contains(f, rows, width, ident)
+
+
+def projective_end_rows_full(M):
+    """Echelon rows of End_k(M) spanning P(M, M) = {h then eps : h in
+    Hom(M, P_M)}, h over the basis maps of hom(M, P_M)."""
+    cover, eps = _cover_step(M)[:2]
+    off, width = end_offsets(M)
+    rows = composite_rows_full(
+        M, off, [h.mats for h in hom(M, cover.rep).basis], [eps])
+    return rows[:len(_eliminate(M.algebra.field, rows, width))]
+
+
 def add_membership_by_trace(M, gens):
     """M in add G by the trace test alone, with no isomorphism certificate:
-    id_M in the span of the composites M -> g -> M over all generators."""
+    id_M in the span of the composites M -> g -> M over all generators, in
+    End_k(M)."""
     if M.total_dim == 0:
         return True
     if not gens:
@@ -517,16 +584,16 @@ def add_membership_by_trace(M, gens):
     into = [(g, hom(g, M).basis) for g in gens]
     if not _images_span([b for _, bs in into for b in bs], M):
         return False
-    return _identity_in_trace(
+    return identity_in_trace_full(
         M, [(hom(M, g).basis, bs) for g, bs in into if bs])
 
 
 def stable_add_membership_by_trace(M, gens):
     """M in add(G + A) by the trace test alone: the composites M -> g -> M
-    plus the maps through M's projective cover."""
+    plus the maps through M's projective cover, in End_k(M)."""
     if M.total_dim == 0:
         return True
     into = [(g, hom(g, M).basis) for g in gens]
-    return _identity_in_trace(
+    return identity_in_trace_full(
         M, [(hom(M, g).basis, bs) for g, bs in into if bs],
-        _projective_end_rows(M))
+        projective_end_rows_full(M))

@@ -30,7 +30,6 @@ from singcat.rep import (
     HomSpace,
     RepMorphism,
     Representation,
-    _end_offsets,
     _path_images,
     add_membership,
     cokernel,
@@ -799,16 +798,18 @@ def test_projective_hom_memo_holds_ints_by_vertex(orbit):
 
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: repr(f))
 def test_projective_endomorphism_memo_holds_scalar_rows(fld):
-    """P(M, M) is memoised on M as {column: scalar} dicts and nothing else;
-    its rank is dim End(M) - dim stable End(M), which cross-checks the
-    stable dimension read from ranks against one built from bases."""
+    """P(M, M) is memoised on M as {column: scalar} dicts and nothing else,
+    each map read at M's top generators; its rank is dim End(M) - dim
+    stable End(M), which cross-checks the stable dimension read from ranks
+    against one built from bases."""
     scalar = type(fld.one)
     for mods in _dimension_modules(fld):
         for M in mods:
             rows = _projective_end_rows(M)
             assert M._proj_end_rows is rows and _projective_end_rows(M) is rows
             assert type(rows) is list
-            _, width = _end_offsets(M)
+            # one column per coordinate of each top generator's vertex
+            width = sum(M.dims[v] for v, _ in rep._presentation(M).gens)
             for r in rows:
                 assert type(r) is dict and r
                 for c, x in r.items():

@@ -458,12 +458,13 @@ def test_random_shift_pairs_certify_consistently(orbit_spec):
 
 
 # Regression guards on the mod A work of one skeleton.  A stable-class
-# match first looks for an isomorphism: equal matrices, then an invertible
-# basis map of one Hom space (_iso_certificate), which stable_iso keeps for
-# its trace test.  On the Jordan spec every match has equal matrices, so no
-# Hom basis is built and no certificate is sought.  In a monomial basis
-# change of it (a permutation times nonzero scalars, as perfbench applies)
-# every match has an invertible basis map, so the trace test never runs.
+# match first looks for an isomorphism: equal matrices, then a vector of
+# one Hom space whose generator images span the target over its radical
+# (_iso_certificate), which stable_iso keeps for its trace test.  On the
+# Jordan spec every match has equal matrices, so no Hom space is built and
+# no certificate is sought.  In a monomial basis change of it (a
+# permutation times nonzero scalars, as perfbench applies) every match has
+# such a vector, so the trace test never runs and no basis map is built.
 # Stable-class pairs are rejected by their syzygy dimension vectors before
 # any Hom system, and Ext^1-cleanliness is memoised per module, so ext_dim
 # runs once per cycle member.
@@ -528,12 +529,14 @@ def test_kx5_skeleton_ext_dim_and_stable_iso_budgets(monkeypatch):
 def test_twisted_kx5_skeleton_budgets_and_no_trace_test(monkeypatch, twist):
     calls = _kx5_skeleton_calls(monkeypatch, twist, hom=rep,
                                 _iso_certificate=rep, _identity_in_trace=rep,
-                                ext_dim=homology)
+                                _presented_map=rep, ext_dim=homology)
     assert 0 < calls["hom"] <= KX5_TWISTED_SKELETON_HOM_CALLS
     assert (0 < calls["_iso_certificate"]
             <= KX5_TWISTED_SKELETON_ISO_CERTIFICATE_CALLS)
     assert 0 < calls["ext_dim"] <= KX5_SKELETON_EXT_DIM_CALLS
     assert calls["_identity_in_trace"] == 0
+    # each certificate reads its Hom vectors and builds no basis map
+    assert calls["_presented_map"] == 0
 
 
 def test_ext1_clean_is_a_bool_memo(monkeypatch):
