@@ -13,9 +13,10 @@ File formats (canonical key order, coefficients as decimal strings):
              "claims": ["skeleton_count=4", ...]}
 
 Exit codes: 0 computed or verified, 1 refuted, 2 undetermined at the
-horizon, 3 malformed input (a command-line usage error included), 4
-internal error (a computed result failed the exact check that guards it;
-a fault of the program, not of the input).
+horizon, 3 malformed input (a command-line usage error included, and
+only the error classes of ``INPUT_ERRORS``), 4 internal error (a computed
+result failed the exact check that guards it, or some other ValueError
+escaped a verb; a fault of the program, not of the input).
 """
 
 from __future__ import annotations
@@ -29,16 +30,20 @@ from pathlib import Path
 from .exact_linalg import (
     Field, FieldError, InternalCheckFailed, Matrix, prime_field, rational_field,
 )
-from .families import nakayama2_tilde
-from .homology import PdCertificate, ext_dim, resolve, syzygy
+from .families import InvalidTriple, nakayama2_tilde
+from .homology import PdCertificate, ext_dim, is_projective, resolve, syzygy
 from .quiver_algebra import (
     Arrow,
     BoundQuiverAlgebra,
+    InvalidKupisch,
+    NonHomogeneousRelation,
     NotFiniteDimensionalWithinBound,
     PathWord,
     Quiver,
     QuiverError,
     RelationElement,
+    UnsupportedKupischValue,
+    WindowTooSmall,
     compute_basis,
     nakayama2_infinite,
     nakayama_cyclic,
@@ -70,6 +75,14 @@ EXIT_INTERNAL = 4
 
 class InputError(ValueError):
     """Anything wrong with files or flags, reported with exit code 3."""
+
+
+# the errors that name bad input, exit 3; any other ValueError that escapes
+# a verb is the program's fault, exit 4
+INPUT_ERRORS = (InputError, QuiverError, AlgebraMismatch, FieldError,
+                NotFiniteDimensionalWithinBound, NonHomogeneousRelation,
+                InvalidKupisch, UnsupportedKupischValue, WindowTooSmall,
+                InvalidTriple)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +490,8 @@ def _cmd_ct_resolution(args, loader: Loader) -> int:
 def _cmd_ct_angle(args, loader: Loader) -> int:
     spec = loader.subcat(Path(args.subcat))
     X = loader.module(Path(args.module), spec.algebra)
+    if is_projective(X):
+        raise InputError("ct angle needs a non-projective module")
     ang = standard_angle(spec, X)
     dims = [T.total_dim for T in ang.objects]
     print(f"standard angle objects: {dims}")
@@ -575,6 +590,17 @@ def _cmd_example(args, loader: Loader) -> int:
 # parser
 
 
+def _count(text: str) -> int:
+    """A degree, step or length option: an int that is not negative."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None,
@@ -603,15 +629,15 @@ def build_parser() -> argparse.ArgumentParser:
     e = mod.add_parser("ext", parents=[common])
     e.add_argument("module")
     e.add_argument("other")
-    e.add_argument("--degree", type=int, default=1)
+    e.add_argument("--degree", type=_count, default=1)
     e.set_defaults(run=_cmd_mod_ext)
     r = mod.add_parser("resolve", parents=[common])
     r.add_argument("module")
-    r.add_argument("--length", type=int, default=4)
+    r.add_argument("--length", type=_count, default=4)
     r.set_defaults(run=_cmd_mod_resolve)
     s = mod.add_parser("syzygy", parents=[common])
     s.add_argument("module")
-    s.add_argument("--steps", type=int, default=1)
+    s.add_argument("--steps", type=_count, default=1)
     s.set_defaults(run=_cmd_mod_syzygy)
 
     ct = sub.add_parser("ct").add_subparsers(dest="verb", required=True)
@@ -668,19 +694,16 @@ def main(argv: list[str] | None = None) -> int:
     loader = Loader(getattr(args, "length_bound", None))
     try:
         return args.run(args, loader)
-    except InternalCheckFailed as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except InputError as e:
+    except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except (InternalCheckFailed, ValueError) as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ApproximationNotEpi, ApproximationNotMono,
             FinalTermNotInSubcategory) as e:
         print(f"refuted: {e}", file=sys.stderr)
         return EXIT_REFUTED
-    except (QuiverError, AlgebraMismatch, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except OrbitNotResolved as e:
         print(f"undetermined: {e}", file=sys.stderr)
         return EXIT_UNDETERMINED

@@ -1,13 +1,13 @@
 """Projective resolutions, syzygies, ext spaces, and projectively stable hom.
 
 Every step is ``rep._cover_step``'s: the cover, the augmentation, the
-kernel with its inclusion and the projective presentation, cached on each
-module instance, with content-equal syzygies pooled and a content twin's
-step reused, so iterated syzygies, morphism lifts, orbit walks and Hom
-spaces all see the same representative objects.  The step keeps the
-augmentation as its per-vertex matrices: syzygy maps read the matrices and
-the presentation's section; only ``ProjectiveResolution``, ``ext``,
-``StableHomSpace`` and ``stab.standard_triangle`` wrap them in a morphism.
+kernel with its inclusion and the projective presentation, run once per
+module content and wrapped once per module, so iterated syzygies,
+morphism lifts, orbit walks and Hom spaces of one module all see the
+same objects.  The step keeps the augmentation as its per-vertex
+matrices: syzygy maps read the matrices and the presentation's section;
+only ``ProjectiveResolution``, ``ext``, ``StableHomSpace`` and
+``stab.standard_triangle`` wrap them in a morphism.
 
 Dimensions are read from Hom dimensions of one cached cover step, with no
 basis and no constraint system but the presentation's (``rep.hom_dim``),
@@ -37,9 +37,10 @@ eps: P_M -> M, so the endomorphisms that factor through a projective are
 P(M, M) = {h then eps : h in Hom(M, P_M)} (Auslander-Reiten-Smalo, IV.1).
 Like every endomorphism in a trace test, each is read at M's top
 generators (``rep._composite_rows``), which fix it, and the echelon rows
-of P(M, M) are memoised on M.  ``stable_add_membership`` asks whether
-id_M lies in the span of the composites M -> g -> M plus P(M, M), which
-is membership in add(G + A) with no projective generator built.
+of P(M, M) are memoised in M's record (``rep._Record``).
+``stable_add_membership`` asks whether id_M lies in the span of the
+composites M -> g -> M plus P(M, M), which is membership in add(G + A)
+with no projective generator built.
 ``stable_iso`` decides one stable class, A + P = B + Q, by gates in this
 order: modules with identical matrices match; stably zero modules (zero or
 projective, ``is_projective``) form the one zero class; syzygies that
@@ -50,15 +51,10 @@ last each of A and B must lie in the stable add of the other, by the trace
 test.  The verdict is sound when the non-projective parts of both inputs
 are indecomposable or zero.
 
-Stable Hom dimensions and stable-class verdicts are memoised per ordered
-module pair (``_pair_memo``), dim Hom(A, P_v) per module and vertex
-(``_proj_hom_dim``), and the orbit certificate per module and horizon
-(``pd_certificate``), which each walk also seeds on the orbit members it
-passes.  The pair memo on the first module is weak-keyed by the second and
-holds only ints and bools; the vertex memo is a plain dict of ints keyed
-by vertex id, and the orbit memo a plain dict of frozen certificates keyed
-by horizon.  So no entry keeps a module alive or closes a reference
-cycle.
+Stable Hom dimensions and stable-class verdicts are memoised in the
+first module's record by the second's content, and the orbit certificate
+per horizon (``pd_certificate``), which each walk also seeds on the orbit
+members it passes; dim Hom(A, P_v) is ``rep.hom_dim``'s own memo.
 """
 
 from __future__ import annotations
@@ -66,7 +62,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
-from weakref import WeakKeyDictionary
 
 from .exact_linalg import (
     InternalCheckFailed, Matrix, _eliminate, echelon_solve, rref,
@@ -82,28 +77,13 @@ from .rep import (
     _homs_into,
     _identity_in_trace,
     _iso_certificate,
+    _memoised,
+    _record,
     _same_algebra,
     hom,
     hom_dim,
     projective_module,
 )
-
-
-def _pair_memo(attr: str, A: Representation, B: Representation, compute):
-    """compute(A, B), a plain int or bool, memoised per ordered module pair.
-
-    The memo lives on A under ``attr`` and is weak-keyed by B, so it keeps
-    no module alive and closes no reference cycle.
-    """
-    memo = getattr(A, attr, None)
-    if memo is None:
-        memo = WeakKeyDictionary()
-        setattr(A, attr, memo)
-    val = memo.get(B)
-    if val is None:
-        val = compute(A, B)
-        memo[B] = val
-    return val
 
 
 class ProjectiveResolution:
@@ -292,22 +272,11 @@ def stable_hom(M: Representation, N: Representation) -> StableHomSpace:
     return StableHomSpace(M, N)
 
 
-def _proj_hom_dim(A: Representation, v: str) -> int:
-    """dim Hom(A, P_v), memoised on A in a plain {vertex id: int} dict."""
-    memo = getattr(A, "_proj_hom_dims", None)
-    if memo is None:
-        memo = A._proj_hom_dims = {}
-    d = memo.get(v)
-    if d is None:
-        d = memo[v] = hom_dim(A, projective_module(A.algebra, v))
-    return d
-
-
 def _stable_dim_from_ranks(A: Representation, B: Representation) -> int:
-    _same_algebra(A, B)
     cover, _, K, _, _ = _cover_step(B)
     h = hom_dim(A, B)
-    hp = sum(_proj_hom_dim(A, v) for v in cover.vertices)
+    hp = sum(hom_dim(A, projective_module(A.algebra, v))
+             for v in cover.vertices)
     hk = hom_dim(A, K)
     if hk > hp:
         raise InternalCheckFailed("Hom into the syzygy exceeds Hom into the cover")
@@ -318,7 +287,7 @@ def _stable_dim_from_ranks(A: Representation, B: Representation) -> int:
 
 
 def _stable_dim(A: Representation, B: Representation) -> int:
-    """dim of stable Hom(A, B), memoised per module pair.
+    """dim of stable Hom(A, B), memoised in A's record by B's content.
 
     Read from the exact sequence 0 -> Hom(A, Omega B) -> Hom(A, P_B) ->
     Hom(A, B) of B's cached cover step, whose last map has as image the
@@ -326,12 +295,13 @@ def _stable_dim(A: Representation, B: Representation) -> int:
 
         dim Hom(A, B) - sum_v dim Hom(A, P_v) + dim Hom(A, Omega B),
 
-    v over the cover's summands, with dim Hom(A, P_v) memoised on A per
-    vertex (``_proj_hom_dim``).  The bounds exactness forces are checked
+    v over the cover's summands.  The bounds exactness forces are checked
     with explicit raises: dim Hom(A, Omega B) <= dim Hom(A, P_B), and
     0 <= result <= dim Hom(A, B); a violation is InternalCheckFailed.
     """
-    return _pair_memo("_stable_dims", A, B, _stable_dim_from_ranks)
+    _same_algebra(A, B)
+    return _memoised(A, ("stable", _record(B).content),
+                     _stable_dim_from_ranks, A, B)
 
 
 def stable_end_dim(M: Representation) -> int:
@@ -359,13 +329,14 @@ def is_projective(M: Representation) -> bool:
 def _projective_end_rows(M: Representation) -> list[dict]:
     """Echelon rows spanning P(M, M) = {h then eps : h in Hom(M, P_M)},
     each map read at M's top generators (``rep._composite_rows``), with h
-    taken from its Hom vector and no map built.  Memoised on M as plain
-    {column: scalar} dicts, which hold no module and no morphism."""
-    rows = getattr(M, "_proj_end_rows", None)
+    taken from its Hom vector and no map built.  Memoised in M's record as
+    plain {column: scalar} dicts."""
+    memo = _record(M).memo
+    rows = memo.get("proj_end")
     if rows is None:
         cover, eps = _cover_step(M)[:2]
         rows = _composite_rows(hom(M, cover.rep), [eps])
-        rows = M._proj_end_rows = rows[:len(_eliminate(
+        rows = memo["proj_end"] = rows[:len(_eliminate(
             M.algebra.field, rows, _generator_row(M)[1]))]
     return rows
 
@@ -394,7 +365,8 @@ def stable_add_membership(M: Representation,
 
 
 def stable_iso(A: Representation, B: Representation) -> bool:
-    """Do A and B lie in one stable class?  Memoised per module pair.
+    """Do A and B lie in one stable class?  Memoised in A's record by B's
+    content.
 
     The gates run in the order of the module docstring.  The isomorphism
     certificate is one B -> A; hom(B, A), if it did not build it, comes
@@ -406,7 +378,8 @@ def stable_iso(A: Representation, B: Representation) -> bool:
     _same_algebra(A, B)
     if A is B or A.dims == B.dims and A.action == B.action:
         return True
-    return _pair_memo("_stable_matches", A, B, _stably_isomorphic)
+    return _memoised(A, ("match", _record(B).content),
+                     _stably_isomorphic, A, B)
 
 
 def _stably_isomorphic(A: Representation, B: Representation) -> bool:
@@ -448,13 +421,10 @@ def pd_certificate(M: Representation, horizon: int = 24) -> PdCertificate:
     Omega^(p+L) M is the first to match an earlier class, Omega^p M's, the
     orbit revisits a nonvanishing stable class, which certifies infinite
     projective dimension.  The walk keeps Omega^j M for j below n, p + L
-    or horizon + 1: the instances ``syzygy(M, j)`` returns.  Memoised on M
-    per horizon.
+    or horizon + 1: the instances ``syzygy(M, j)`` returns.  Memoised in
+    M's record per horizon.
     """
-    memo = M.__dict__.setdefault("_pd_certs", {})
-    if horizon not in memo:
-        memo[horizon] = _walk_orbit(M, horizon)
-    return memo[horizon]
+    return _memoised(M, ("pd", horizon), _walk_orbit, M, horizon)
 
 
 def _walk_orbit(M: Representation, horizon: int) -> PdCertificate:
@@ -463,7 +433,8 @@ def _walk_orbit(M: Representation, horizon: int) -> PdCertificate:
     Omega^r M, r >= 1, walks the same orbit from r steps on: pd n - r in the
     finite case, and preperiod max(p - r, 0) with the same period L in the
     periodic one.  An entry already in a member's memo is kept; an
-    undetermined walk seeds nothing.
+    undetermined walk seeds nothing.  A member of M's own content gets the
+    certificate M's walk returns.
     """
     if is_projective(M):
         return PdCertificate("finite", 0)
@@ -486,7 +457,7 @@ def _walk_orbit(M: Representation, horizon: int) -> PdCertificate:
 
 
 def _seed(M: Representation, horizon: int, cert: PdCertificate) -> None:
-    M.__dict__.setdefault("_pd_certs", {}).setdefault(horizon, cert)
+    _record(M).memo.setdefault(("pd", horizon), cert)
 
 
 def _stride(cert: PdCertificate, d: int) -> tuple[int, int]:

@@ -145,10 +145,11 @@ class BoundQuiverAlgebra:
     through ``mult`` is how all products and module actions are evaluated.
     ``cache`` holds data derived from the algebra: the dimensions and
     actions of its projective, injective and regular modules and of the
-    rad P(v) and I(v)/soc, each with its memo of path actions (tuples)
-    and presentation, which do not point back at it, and its opposite,
+    rad P(v) and I(v)/soc, and one record of memos per module content
+    (``rep._Record``), which do not point back at it, and its opposite,
     which does (the two cache each other), so ``clear_cache`` lets an
     algebra whose opposite was built be freed without the cyclic collector.
+    The records last as long as the algebra or until ``clear_cache``.
     """
 
     def __init__(self, quiver: Quiver, relations: Sequence[RelationElement],

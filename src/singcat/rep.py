@@ -24,21 +24,19 @@ syzygy's block and a section of the block (``_kernel_blocks``).  A module
 is stepped by one function, ``_cover_step``, whether it is a Hom source, a
 syzygy or an orbit member: the step is the cover, the augmentation, the
 kernel with its inclusion, and the projective presentation
-P1 -> P0 -> M -> 0 (``Presentation``), cached on the module.
+P1 -> P0 -> M -> 0 (``Presentation``).
 
-A kernel is a reduced-echelon submodule of its cover, so the syzygies of
-different modules often come out as equal matrices.  Each new syzygy is
-looked up by its content (dimension vector and arrow entries, keyed and
-hashed once per module) in a weak pool in its algebra's ``cache``; an
-equal syzygy that is alive is used in its place, with the inclusion
-re-pointed to it, so one instance carries one cover step and one set of
-memos.  A second weak pool keeps, per content, the first live module
-stepped afresh, a generator or Hom source as well as a syzygy: a later
-module with that content reuses its cover step with a fresh kernel.  A
-pool hit never closes an orbit: when the pooled module's chain of cached
-steps leads back to the module being stepped, the fresh kernel is kept,
-so an orbit that closes in content stays a chain of objects and is freed
-by reference counting; each later lap reuses the cover step of its twin.
+Memos are kept per module content, its dimension vector and arrow
+entries, hashed once (``_Content``).  One record per content
+(``_Record``) lives in the algebra's ``cache``, and each module reaches it
+through its ``_memo``: the path actions, the cover step's data with the
+presentation, Hom dimensions by the other module's content, and the memos
+of ``homology`` and ``stab``.  A record holds no module, morphism, cover
+or algebra, so it closes no reference cycle.  A module whose content was
+stepped before, as a generator, a Hom source or a syzygy, is not covered
+again: its own step wraps the record's data in fresh objects, so an orbit
+that closes in content stays a chain of objects, freed by reference
+counting.
 
 Every Hom space is read from the source's presentation.  Hom(-, N) is
 left exact and Hom(P(v), N) = N e_v, so Hom(M, N) is the kernel of the map
@@ -66,7 +64,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from typing import Sequence
-from weakref import WeakValueDictionary
 
 from .exact_linalg import (
     InternalCheckFailed, Matrix, echelon_solve, kernel_and_section, rank,
@@ -107,22 +104,21 @@ class Representation:
     @classmethod
     def _wrap(cls, algebra: BoundQuiverAlgebra, dims: dict[str, int],
               action: dict[str, Matrix],
-              memo: dict | None = None) -> "Representation":
+              record: "_Record | None" = None) -> "Representation":
         """A module on data that a constructor already checked.
 
         ``dims`` and ``action`` are shared, not copied: they must name every
         vertex and arrow, as the ones a Representation holds do.  Nothing in
-        the package mutates either after construction.  ``memo``, when
-        given, is the memo of path actions and presentation
-        (``_path_actions``, ``_presentation``) kept beside cached data,
-        shared by every module that wraps it.
+        the package mutates either after construction.  ``record``, when
+        given, is the record of this content, kept beside cached data and
+        in cover steps, so the content is not hashed again.
         """
         M = cls.__new__(cls)
         M.algebra = algebra
         M.dims = dims
         M.action = action
-        if memo is not None:
-            M._memo = memo
+        if record is not None:
+            M._memo = record
         return M
 
     @property
@@ -340,12 +336,17 @@ def hom_dim(M: Representation, N: Representation) -> int:
 
     Equal to ``hom(M, N).dim``, but builds no kernel basis and no morphism.
     With no unknowns or no constraints there is nothing to eliminate.
+    Memoised in M's record by N's content.
     """
-    f = _same_algebra(M, N).field
+    _same_algebra(M, N)
+    return _memoised(M, ("hom", _record(N).content), _hom_rank, M, N)
+
+
+def _hom_rank(M: Representation, N: Representation) -> int:
     rows, ncols = _presented_system(_presentation(M), N)
     if not rows or not ncols:
         return len(rows)
-    return len(rows) - sparse_rank(f, rows, ncols)
+    return len(rows) - sparse_rank(M.algebra.field, rows, ncols)
 
 
 def _path_actions(N: Representation, v: str) -> tuple:
@@ -353,19 +354,16 @@ def _path_actions(N: Representation, v: str) -> tuple:
 
     Entry i is, for each basis path p from v in ``paths_from`` order, the
     image of the i-th basis vector under p (``_path_images``), a dense row
-    tuple.  Memoised in N's ``_memo`` under the vertex id; the cached
-    projective, injective and regular data keep the memo beside them in the
-    algebra cache, so every module wrapping them shares it (``_wrap``).  It
-    holds tuples only, and no tuple per nonzero entry: over Q every tuple
-    that holds a Fraction stays tracked by the cyclic collector while its
-    module lives.
+    tuple.  Memoised in N's record, per vertex.  It holds tuples only, and
+    no tuple per nonzero entry: over Q every tuple that holds a Fraction
+    stays tracked by the cyclic collector while it lives.
     """
-    memo = N.__dict__.setdefault("_memo", {})
-    table = memo.get(v)
+    paths = _record(N).paths
+    table = paths.get(v)
     if table is None:
         f = N.algebra.field
         n = N.dims[v]
-        table = memo[v] = tuple(
+        table = paths[v] = tuple(
             tuple(_path_images(
                 N, v, [f.one if k == i else f.zero for k in range(n)]).values())
             for i in range(n))
@@ -543,10 +541,10 @@ def cokernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
 class Cover:
     """A finite direct sum of indecomposable projectives with marked generators.
 
-    The algebra caches the sum's dimensions, action and generator offsets
-    under the vertex tuple, as ``projective_module`` does for one P(v), so
-    the cache holds nothing that points back at the algebra; each Cover
-    wraps them in a new Representation with no re-check.
+    The algebra caches the sum's dimensions, action, record and generator
+    offsets under the vertex tuple, as ``projective_module`` does for one
+    P(v), so the cache holds nothing that points back at the algebra; each
+    Cover wraps them in a new Representation with no re-check.
     """
 
     def __init__(self, algebra: BoundQuiverAlgebra, vertices: Sequence[str]):
@@ -564,9 +562,10 @@ class Cover:
                 offsets.append(run[v])
                 for w in run:
                     run[w] += s.dims[w]
-            data = algebra.cache[key] = (rep.dims, rep.action, tuple(offsets))
-        dims, action, self._offsets = data
-        self.rep = Representation._wrap(algebra, dims, action)
+            data = algebra.cache[key] = (rep.dims, rep.action, _record(rep),
+                                         tuple(offsets))
+        *data, self._offsets = data
+        self.rep = Representation._wrap(algebra, *data)
 
     def gen_row(self, j: int) -> tuple[str, int]:
         """Vertex and row index of the j-th summand's generator, its trivial
@@ -586,8 +585,7 @@ class Presentation:
     c on the basis path p from v_j of summand j.  They are built on first
     use (``relations``) from the kernel's action and its inclusion into the
     cover.  A presentation holds matrices and tuples only, no module and no
-    algebra, so modules of one content share it, and cached data keeps it
-    (``_presentation``).
+    algebra, so the record of a content keeps it (``_presentation``).
     """
 
     def __init__(self, gens: tuple, kernel_action: dict[str, Matrix],
@@ -623,48 +621,48 @@ def _cover_step(M: Representation) -> tuple:
     """(cover, eps matrices, Omega M, inclusion, presentation) of M's
     projective cover, memoised on M as ``_syzygy_step``.
 
-    eps is kept as its per-vertex matrices, not as a morphism onto M: the
-    augmentation's target is the module, so storing it as a morphism would
-    put every stepped module in a reference cycle that only the cyclic
-    garbage collector frees.  The inclusion points into the cover, so
-    nothing cached on M points back at M.  A module with the content of a
-    live module with a cached step, its donor, reuses that step with a
-    fresh kernel, presentation included; a module stepped afresh becomes
-    the donor of its content, so a generator whose content recurs as a
-    later syzygy is stepped once.  The syzygy is looked up in the pool
-    (``_pooled``): an equal live syzygy is returned instead, with the
-    inclusion re-pointed to it, so its cached step and memos serve M too,
-    unless its cached chain leads back to M.
+    Built from the step's data in M's record (``_step_data``), the syzygy
+    wrapped with its own record, so a module of a content stepped before is
+    not covered again.  The tuple is M's own, since ``RepMorphism.compose``
+    matches modules by identity.  eps is kept as its per-vertex matrices,
+    not as a morphism onto M: the augmentation's target is the module, so
+    storing it as a morphism would put every stepped module in a reference
+    cycle that only the cyclic garbage collector frees.  The inclusion
+    points into the cover, so nothing cached on M points back at M.
     """
-    step = getattr(M, "_syzygy_step", None)
+    step = M.__dict__.get("_syzygy_step")
     if step is None:
-        donors = _weak_pool(M.algebra, "steps")
-        key = _content_key(M)
-        donor = donors.get(key)
-        if donor is None:
-            cover, eps = projective_cover(M)
-            K, inc = kernel(eps)
-            gens = tuple((v, eps.mats[v].entries[r]) for v, r
-                         in map(cover.gen_row, range(len(cover.vertices))))
-            pres = Presentation(gens, K.action, inc.mats,
-                                _kernel_blocks(eps)[1])
-            eps = eps.mats
-        else:
-            cover, eps, K, inc, pres = donor._syzygy_step
-            K = Representation._wrap(M.algebra, K.dims, K.action)
-        same = _pooled(K, M)
-        if same is not inc.src:
-            inc = RepMorphism(same, cover.rep, inc.mats, check=False)
-        step = M._syzygy_step = (cover, eps, same, inc, pres)
-        if donor is None:
-            donors[key] = M
+        alg = M.algebra
+        verts, eps, dims, action, key, inc, pres = _step_data(M)
+        cover = Cover(alg, verts)
+        K = Representation._wrap(alg, dims, action, _record_at(alg, key))
+        step = M._syzygy_step = (
+            cover, eps, K, RepMorphism(K, cover.rep, inc, check=False), pres)
     return step
+
+
+def _step_data(M: Representation) -> tuple:
+    """(cover vertices, eps matrices, Omega M's dimensions, action and
+    content key, inclusion matrices, presentation), memoised in M's
+    record: the cover step of M's content, run once."""
+    rec = _record(M)
+    if rec.step is None:
+        cover, eps = projective_cover(M)
+        K, inc = kernel(eps)
+        gens = tuple((v, eps.mats[v].entries[r]) for v, r
+                     in map(cover.gen_row, range(len(cover.vertices))))
+        rec.step = (tuple(cover.vertices), eps.mats, K.dims, K.action,
+                    _record(K).content, inc.mats,
+                    Presentation(gens, K.action, inc.mats,
+                                 _kernel_blocks(eps)[1]))
+    return rec.step
 
 
 class _Content:
     """A module's dimension vector and arrow entries, hashed once: the key of
-    the weak pools.  Hashing the entries costs one hash per scalar, so the
-    key and its hash are made once per module (``_content_key``)."""
+    its record.  Hashing the entries costs one hash per scalar, so the key
+    and its hash are made once per module (``_record``), and not at all for
+    a module wrapped with its record (``Representation._wrap``)."""
 
     __slots__ = ("key", "hash")
 
@@ -681,64 +679,65 @@ class _Content:
         return isinstance(other, _Content) and self.key == other.key
 
 
-def _content_key(M: Representation) -> _Content:
-    """M's content key, memoised on M."""
-    key = getattr(M, "_content", None)
-    if key is None:
-        key = M._content = _Content(M)
-    return key
+class _Record:
+    """What is memoised for one module content over one algebra.
 
-
-def _weak_pool(alg, name: str) -> WeakValueDictionary:
-    """The weak {content key: module} pool ``name`` in the algebra's cache:
-    "steps" holds the donor of each stepped content, "syzygies" the shared
-    syzygy instance.  Neither keeps a module alive."""
-    pool = alg.cache.get(name)
-    if pool is None:
-        pool = alg.cache[name] = WeakValueDictionary()
-    return pool
-
-
-def _pooled(K: Representation, M: Representation) -> Representation:
-    """The live syzygy with the content of K, or else K itself.
-
-    K is registered when the pool holds no module of its content.  The pool
-    keeps no module alive.  A pooled module whose chain of cached steps
-    reaches M, the module being stepped, is passed over: returning it would
-    make M's step point back at M.
+    ``paths`` maps a vertex to its path-action table, ``step`` is the cover
+    step's data (``_step_data``), and ``memo`` holds the rest under a name,
+    or a name and another module's content key: "hom" here, and the stable
+    Hom dimensions, stable classes, orbit certificates, P(M, M) rows and
+    Ext^1 test of ``homology`` and ``stab``.  Its values are matrices,
+    tuples, ints, presentations and content keys, never a module, a
+    morphism, a cover or an algebra.
     """
-    pool = _weak_pool(K.algebra, "syzygies")
-    key = _content_key(K)
-    same = pool.get(key)
-    if same is None:
-        pool[key] = K
-        return K
-    cur = same
-    while cur is not None:
-        if cur is M:
-            return K
-        step = getattr(cur, "_syzygy_step", None)
-        cur = step[2] if step else None
-    return same
+
+    __slots__ = ("content", "paths", "step", "memo")
+
+    def __init__(self, content: _Content):
+        self.content = content
+        self.paths: dict[str, tuple] = {}
+        self.step = None
+        self.memo: dict = {}
+
+
+def _record_at(alg: BoundQuiverAlgebra, key: _Content) -> _Record:
+    """The record of the content ``key`` in the algebra's cache, made on
+    first use."""
+    rec = alg.cache.get(key)
+    if rec is None:
+        rec = alg.cache[key] = _Record(key)
+    return rec
+
+
+def _record(M: Representation) -> _Record:
+    """M's record, attached to M as ``_memo`` on first use."""
+    rec = M.__dict__.get("_memo")
+    if rec is None:
+        rec = M._memo = _record_at(M.algebra, _Content(M))
+    return rec
+
+
+def _memoised(M: Representation, key, compute, *args):
+    """compute(*args), memoised in M's record under ``key``."""
+    memo = _record(M).memo
+    val = memo.get(key)
+    if val is None:
+        val = memo[key] = compute(*args)
+    return val
 
 
 def _presentation(M: Representation) -> Presentation:
-    """M's presentation, from its cover step, memoised in M's ``_memo``
-    under None (vertex ids are strings), so the wraps of cached data share
-    it and do not cover again."""
-    memo = M.__dict__.setdefault("_memo", {})
-    pres = memo.get(None)
-    if pres is None:
-        pres = memo[None] = _cover_step(M)[4]
-    return pres
+    """M's presentation, from the cover step's data in M's record."""
+    return _step_data(M)[-1]
 
 
 def projective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
     """The indecomposable projective e_v A, spanned by the paths from v.
 
-    The algebra caches its dimensions and action, not the module, so the
-    cache holds nothing that points back at the algebra; each call wraps
-    them in a new Representation with no re-check (``Representation._wrap``).
+    The algebra caches its dimensions, action and record, not the module,
+    so the cache holds nothing that points back at the algebra; each call
+    wraps them in a new Representation with no re-check
+    (``Representation._wrap``).
     """
     data = algebra.cache.get(("projective", v))
     if data is not None:
@@ -763,8 +762,9 @@ def projective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
                 row[pos[k2]] = c
             rows.append(row)
         action[a.id] = Matrix.from_rows(f, rows, len(tgt_keys))
-    data = algebra.cache[("projective", v)] = (dims, action, {})
-    return Representation._wrap(algebra, *data)
+    P = Representation._wrap(algebra, dims, action)
+    algebra.cache[("projective", v)] = (dims, action, _record(P))
+    return P
 
 
 def projectives(algebra: BoundQuiverAlgebra) -> list[tuple[str, Representation]]:
@@ -773,12 +773,12 @@ def projectives(algebra: BoundQuiverAlgebra) -> list[tuple[str, Representation]]
 
 def _cached(algebra: BoundQuiverAlgebra, key, build) -> Representation:
     """The module ``build()`` makes, cached under ``key`` like
-    ``projective_module``: dimensions, action and the memo of path actions
-    and presentation, not the module."""
+    ``projective_module``: dimensions, action and record, not the
+    module."""
     data = algebra.cache.get(key)
     if data is None:
         M = build()
-        data = algebra.cache[key] = (M.dims, M.action, {})
+        data = algebra.cache[key] = (M.dims, M.action, _record(M))
     return Representation._wrap(algebra, *data)
 
 
@@ -967,31 +967,6 @@ def projective_cover(M: Representation) -> tuple[Cover, RepMorphism]:
 
 # ---------------------------------------------------------------------------
 # add-membership and isomorphism
-
-
-def universal_right_approximation(gens: Sequence[Representation],
-                                  N: Representation) -> RepMorphism:
-    """The universal map onto N from a sum of generator copies.
-
-    One copy of G per basis element of hom(G, N); every morphism from a
-    generator to N factors through it by construction.  The source is the
-    zero module when no generator maps to N.
-    """
-    alg = N.algebra
-    pieces: list[RepMorphism] = []
-    srcs: list[Representation] = []
-    for g in gens:
-        for b in hom(g, N).basis:
-            pieces.append(b)
-            srcs.append(g)
-    if not pieces:
-        return RepMorphism(zero_rep(alg), N, {}, check=False)
-    S = direct_sum(srcs)
-    mats = {v: Matrix.from_rows(alg.field,
-                                [r for b in pieces for r in b.mats[v].entries],
-                                N.dims[v])
-            for v in alg.quiver.vertices}
-    return RepMorphism(S, N, mats, check=False)
 
 
 def _generator_row(M: Representation) -> tuple[dict, int]:

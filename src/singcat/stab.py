@@ -56,6 +56,7 @@ from .rep import (
     RepMorphism,
     Representation,
     _cover_step,
+    _memoised,
     injective_module,
     projective_module,
     regular_module,
@@ -97,17 +98,14 @@ class StabHom:
 
 
 def _ext1_clean(M: Representation) -> bool:
-    """Does Ext^1(M, P) vanish for every projective P?  Memoised on M.
+    """Does Ext^1(M, P) vanish for every projective P?  Memoised in M's
+    record.
 
     Ext^1(M, -) is additive and every projective is a summand of a sum of
     copies of the regular module A_A, so this is one ``ext_dim`` against A_A.
-    The memo is a plain bool beside ``_proj_hom_dims``: it keeps no module
-    alive and closes no reference cycle.
     """
-    clean = getattr(M, "_ext1_is_clean", None)
-    if clean is None:
-        clean = M._ext1_is_clean = ext_dim(M, regular_module(M.algebra), 1) == 0
-    return clean
+    return _memoised(M, "ext1_clean", lambda: ext_dim(
+        M, regular_module(M.algebra), 1) == 0)
 
 
 def _class_of(M: Representation, reps: list[Representation]) -> int | None:

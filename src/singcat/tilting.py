@@ -31,16 +31,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_linalg import InternalCheckFailed, rank
+from .exact_linalg import InternalCheckFailed, Matrix, rank
 from .quiver_algebra import BoundQuiverAlgebra, opposite_algebra
 from .rep import (
     AlgebraMismatch,
     RepMorphism,
     Representation,
     _images_span,
+    _record,
     add_membership,
     direct_sum,
     dual_module,
+    hom,
     hom_dim,
     injective_mod_socle,
     injective_module,
@@ -49,7 +51,7 @@ from .rep import (
     projective_radical,
     projectives,
     top_generators,
-    universal_right_approximation,
+    zero_rep,
 )
 from .homology import (
     ext_dim, is_projective, resolve, stable_add_membership, syzygy,
@@ -133,11 +135,26 @@ class CTReport:
 def right_approximation(spec: SubcatSpec, N: Representation) -> RepMorphism:
     """The universal map onto N from a sum of copies of the generators.
 
-    See ``rep.universal_right_approximation``.
+    One copy of G per basis element of hom(G, N); every morphism from a
+    generator to N factors through it by construction.  The source is the
+    zero module when no generator maps to N.
     """
-    if N.algebra is not spec.algebra:
+    alg = spec.algebra
+    if N.algebra is not alg:
         raise AlgebraMismatch("target lives over a different algebra")
-    return universal_right_approximation(spec.generators, N)
+    pieces: list[RepMorphism] = []
+    srcs: list[Representation] = []
+    for g in spec.generators:
+        for b in hom(g, N).basis:
+            pieces.append(b)
+            srcs.append(g)
+    if not pieces:
+        return RepMorphism(zero_rep(alg), N, {}, check=False)
+    mats = {v: Matrix.from_rows(alg.field,
+                                [r for b in pieces for r in b.mats[v].entries],
+                                N.dims[v])
+            for v in alg.quiver.vertices}
+    return RepMorphism(direct_sum(srcs), N, mats, check=False)
 
 
 def _dual_spec(spec: SubcatSpec) -> SubcatSpec:
@@ -262,19 +279,19 @@ def verify_dZ_closure(spec: SubcatSpec) -> Check:
     generator: id_X must lie in the span of the composites X -> g -> X plus
     P(X, X), the maps through X's cached projective cover, which are exactly
     the composites through the projectives.  A projective X
-    (``homology.is_projective``) lies in add A, and generators share
-    syzygy instances (``rep._cover_step``), so each distinct non-projective
-    X is tested once.
+    (``homology.is_projective``) lies in add A, and each non-projective
+    content of X is tested once.
     """
-    tested: list[Representation] = []
+    tested = set()
     for i, g in enumerate(spec.generators):
         X = syzygy(g, spec.d)
-        if any(X is Y for Y in tested) or is_projective(X):
+        key = _record(X).content
+        if key in tested or is_projective(X):
             continue
         if not stable_add_membership(X, spec.generators):
             return Check(False, witness=spec.labels[i],
                          note="d-th syzygy escapes the additive closure")
-        tested.append(X)
+        tested.add(key)
     return Check(True)
 
 

@@ -223,9 +223,9 @@ def omega_stabilizes_strided(M, horizon=24, step=1):
 
 def step_unpooled(M):
     """(cover, eps matrices, syzygy, inclusion, presentation) of M's own
-    projective cover, memoised on M as ``_syzygy_step`` like the pooled
-    step: a fresh cover, kernel and presentation per module, with no
-    content pool and no donor, so no module or step is shared."""
+    projective cover, memoised on M as ``_syzygy_step`` like the recorded
+    step: a fresh cover, kernel and presentation per module, read from no
+    content record, so no step is shared."""
     step = getattr(M, "_syzygy_step", None)
     if step is None:
         cover, eps = projective_cover(M)
@@ -235,6 +235,11 @@ def step_unpooled(M):
         pres = Presentation(gens, K.action, inc.mats, _kernel_blocks(eps)[1])
         step = M._syzygy_step = (cover, eps.mats, K, inc, pres)
     return step
+
+
+def presentation_unpooled(M):
+    """M's presentation from ``step_unpooled``, not from its record."""
+    return step_unpooled(M)[4]
 
 
 def verify_dZ_closure_pairwise(spec):

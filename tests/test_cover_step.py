@@ -67,25 +67,19 @@ def test_cached_cover_matches_a_fresh_direct_sum():
             assert a.gen_row(j) == (v, sum(s.dims[v] for s in summands[:j]))
 
 
-def _memo_entries(alg, mods) -> tuple[list, list]:
-    """(path-action tables, presentations) kept in the memos of the algebra
-    cache and of the modules, but the shared empty tuple of a vertex where
-    a module is zero; a presentation is kept under None."""
-    memos = [data[2] for data in alg.cache.values()
-             if isinstance(data, tuple) and len(data) == 3
-             and isinstance(data[2], dict)]
-    memos += [M._memo for M in mods if hasattr(M, "_memo")]
-    # pooled syzygies repeat in mods, and a memo may be listed twice
-    unique = {id(t): (v, t) for memo in memos for v, t in memo.items() if t}
-    return ([t for v, t in unique.values() if v is not None],
-            [t for v, t in unique.values() if v is None])
+def _record_entries(alg) -> tuple[list, list]:
+    """(path-action tables, presentations) kept in the records of the
+    algebra cache, but the shared empty tuple of a vertex where a module is
+    zero."""
+    records = [r for r in alg.cache.values() if isinstance(r, rep._Record)]
+    tables = [t for r in records for t in r.paths.values() if t]
+    return tables, [r.step[-1] for r in records if r.step]
 
 
 def test_dropping_the_algebra_frees_its_modules():
-    """The cover cache holds no module, so an algebra, its generators,
-    their syzygies and the covers' modules die by reference counting, and
-    so do the path-action tables and presentations of the cache and of the
-    modules."""
+    """No record holds a module, so an algebra, its generators, their
+    syzygies and the covers' modules die by reference counting, and so do
+    the records with their path-action tables and presentations."""
     gc.collect()
     gc.disable()
     try:
@@ -94,17 +88,22 @@ def test_dropping_the_algebra_frees_its_modules():
         mods = [syzygy(g, k) for g in spec.generators for k in range(3)]
         covers = [rep._cover_step(M)[0].rep for M in mods]
         assert _cover_tuples(alg)
-        tables, presentations = _memo_entries(alg, mods)
+        tables, presentations = _record_entries(alg)
         assert tables and all(isinstance(t, tuple) for t in tables)
         assert presentations
+        # one entry per record: modules of one content share it
+        records = list({id(r): r for r in map(rep._record, mods)}.values())
         refs = [weakref.ref(x) for x in [alg] + mods + covers]
         del alg, spec, report, mods, covers
         alive = sum(r() is not None for r in refs)
         assert alive == 0, f"{alive} of {len(refs)} objects kept alive"
         kept = 0
+        while records:
+            # held by the list and getrefcount's argument alone
+            kept += sys.getrefcount(records.pop()) > 2
+        assert kept == 0, f"{kept} records kept alive"
         while tables:
             t = tables.pop()
-            # held by t and getrefcount's argument alone
             kept += sys.getrefcount(t) > 2
         assert kept == 0, f"{kept} path tables kept alive"
         while presentations:

@@ -138,6 +138,7 @@ def test_stride_matches_the_strided_walk(fld):
 
 def test_pd_certificate_is_frozen_and_memoised_per_horizon(orbit,
                                                           monkeypatch):
+    orbit.clear_cache()
     M0 = interval_module(orbit, (0, 0, 0))
     walks = []
     real = homology._walk_orbit
@@ -153,10 +154,12 @@ def test_pd_certificate_is_frozen_and_memoised_per_horizon(orbit,
     assert walks == [24, 5]
     with pytest.raises(dataclasses.FrozenInstanceError):
         cert.status = "finite"
-    # the memo holds certificates of plain values, no module
-    assert set(M0._pd_certs) == {24, 5}
+    # the record holds certificates of plain values, no module
+    certs = {k[1]: c for k, c in rep._record(M0).memo.items()
+             if k[0] == "pd"}
+    assert set(certs) == {24, 5}
     assert all(v is None or isinstance(v, (int, str))
-               for c in M0._pd_certs.values() for v in dataclasses.astuple(c))
+               for c in certs.values() for v in dataclasses.astuple(c))
 
 
 def test_pd_certificates(orbit):
@@ -235,9 +238,9 @@ def test_ext_cocycles_are_closed(orbit):
 
 def test_ext_dim_covers_each_syzygy_below_the_degree_once(orbit, monkeypatch):
     # Ext^i is read from the cover step of Omega^{i-1} M and from the
-    # presentation of Omega^i M, so a fresh M is covered i + 1 times:
-    # Omega^0 .. Omega^i, none beyond; but Omega^6 M has the content of M,
-    # whose step it reuses
+    # presentation of Omega^i M, so M is covered i + 1 times over an
+    # algebra with no records: Omega^0 .. Omega^i, none beyond; but
+    # Omega^6 M has the content of M, whose step it reuses
     real = rep.projective_cover
     covered = []
 
@@ -245,9 +248,10 @@ def test_ext_dim_covers_each_syzygy_below_the_degree_once(orbit, monkeypatch):
         covered.append(M)
         return real(M)
     monkeypatch.setattr(rep, "projective_cover", counting)
-    P01 = projective_module(orbit, "(0,1)")
     for i in range(1, 7):
         covered.clear()
+        orbit.clear_cache()
+        P01 = projective_module(orbit, "(0,1)")
         M0 = interval_module(orbit, (0, 0, 0))
         assert homology.ext_dim(M0, P01, i) == (i == 6)
         assert len(covered) == min(i + 1, 6)
@@ -402,8 +406,9 @@ def test_pair_memos_match_fresh_computation(fld, monkeypatch):
         for j in range(n):
             fresh = _kx4_modules(fld)
             A, B = fresh[i], fresh[j]
-            assert getattr(A, "_stable_dims", None) is None
-            assert getattr(A, "_stable_matches", None) is None
+            # a fresh algebra: no record holds a pair entry yet
+            assert not [k for k in rep._record(A).memo
+                        if k[0] in ("stable", "match")]
             want[i, j] = (stable_hom(A, B).dim, stable_iso(A, B))
     mods = _kx4_modules(fld)
     # first calls: every stable dimension, then every verdict
@@ -435,10 +440,14 @@ def test_pair_memo_does_not_keep_its_key_alive():
         # dimension; the diagonal entry is asked for on its own
         stable_end_dim(A)
         ref = weakref.ref(B)
+        key = rep._record(B).content
         del B
         assert ref() is None
-        assert list(A._stable_dims) == [A]
-        assert len(A._stable_matches) == 0
+        # A's record keeps B's entries under B's content key, not B
+        memo = rep._record(A).memo
+        assert {k for k in memo if k[0] == "stable"} == {
+            ("stable", rep._record(A).content), ("stable", key)}
+        assert memo[("match", key)] is False
     finally:
         gc.enable()
 
@@ -673,7 +682,9 @@ def test_cover_lift_without_a_section_is_an_internal_fault(
         orbit, monkeypatch, split):
     # Omega f lifts through the section of the target's cover map, which
     # the elimination of the onto guard gives: a section short of a row is
-    # the guard's "not onto", raised before any lift
+    # the guard's "not onto", raised before any lift.  B's content must not
+    # have been stepped before, so the records go first
+    orbit.clear_cache()
     A = interval_module(orbit, (1, 1, 3))
     B = interval_module(orbit, (1, 2, 3))
     g = hom(A, B).basis[0]

@@ -43,7 +43,7 @@ def test_every_module_stays_below_the_parser_token_limit():
 
 
 def test_internal_check_is_not_reported_as_malformed_input():
-    # cli.main maps ValueError to exit 3, "malformed input"
+    # cli.main maps its input error classes to exit 3, "malformed input"
     assert issubclass(InternalCheckFailed, RuntimeError)
     assert not issubclass(InternalCheckFailed, ValueError)
 
@@ -77,6 +77,8 @@ def test_cover_check_runs_where_the_module_is_nonzero(monkeypatch,
     # S_v is zero at u: "cover map is onto" is decided by one elimination,
     # the kernel and section of the block at v, which the kernel of eps and
     # the presentation's section then reuse
+    # S's content must not have been stepped before: records go first
+    hereditary_a2.clear_cache()
     S = rep.simple_module(hereditary_a2, "v")
     seen = []
     real = rep.kernel_and_section

@@ -334,6 +334,58 @@ def test_exit_internal_on_stable_hom_fault(tilde_dir, monkeypatch, capsys):
         "internal error: stable Hom dimension out of range\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["mod", "ext", "m_S.json", "m_P.json", "--degree", "-1"],
+    ["mod", "syzygy", "m_S.json", "--steps", "-2"],
+    ["mod", "resolve", "m_S.json", "--length", "-1"],
+], ids=["degree", "steps", "length"])
+def test_negative_count_is_malformed_input(args, kx2_dir, capsys):
+    args = [str(kx2_dir / a) if a.endswith(".json") else a for a in args]
+    assert main(args) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: singcat ")
+    assert f"{args[-2]}: must not be negative: {args[-1]}" in captured.err
+
+
+def test_angle_of_a_projective_is_malformed_input(kx2_dir, capsys):
+    rc = main(["ct", "angle", "--subcat", str(kx2_dir / "subcat.json"),
+               "--module", str(kx2_dir / "m_P.json")])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == \
+        "error: ct angle needs a non-projective module\n"
+
+
+@pytest.mark.parametrize("error", cli.INPUT_ERRORS,
+                         ids=lambda e: e.__name__)
+def test_named_input_errors_exit_3(error, kx2_dir, monkeypatch, capsys):
+    def bad_input(*args):
+        raise error("bad input")
+    monkeypatch.setattr(cli, "ext_dim", bad_input)
+    rc = main(["mod", "ext", str(kx2_dir / "m_S.json"),
+               str(kx2_dir / "m_P.json")])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == "error: bad input\n"
+
+
+@pytest.mark.parametrize("verb, owner, name", [
+    (["mod", "syzygy", "m_S.json"], "rep", "echelon_solve"),
+    (["ct", "verify", "--subcat", "subcat.json"], "tilting", "hom_dim"),
+], ids=["kernel", "generation"])
+def test_value_error_inside_a_verb_is_internal(verb, owner, name, kx2_dir,
+                                               monkeypatch, capsys):
+    # a shape mismatch in the computation is the program's fault, not
+    # malformed input
+    def mismatched(*args):
+        raise ValueError("column mismatch: 1 vs 2")
+    monkeypatch.setattr(sys.modules[f"singcat.{owner}"], name, mismatched)
+    verb = [str(kx2_dir / a) if a.endswith(".json") else a for a in verb]
+    assert main(verb) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: column mismatch: 1 vs 2\n"
+
+
 def test_cli_operation_freed_without_cyclic_gc(tmp_path, monkeypatch):
     # everything an operation builds hangs off the algebras it loads; once
     # main returns, reference counting alone must free them

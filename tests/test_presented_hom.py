@@ -198,8 +198,8 @@ def test_hom_dim_of_a_stepped_source_builds_no_commuting_system(
     covered once, on its first Hom space, whose presentation every later
     hom_dim, hom and syzygy step of the module reads."""
     assert not hasattr(rep, "_commuting_system")
-    # a fresh algebra: a live stepped module of M's content in the shared
-    # one would donate its step, and M would be covered no time at all
+    # a fresh algebra: the shared one may hold the step of M's content in
+    # its record, and M would be covered no time at all
     alg, base = _family.__wrapped__("grid", field)
     covered = []
     real = rep.projective_cover
@@ -220,33 +220,35 @@ def test_hom_dim_of_a_stepped_source_builds_no_commuting_system(
 
 
 def test_cached_projectives_share_one_path_table():
-    """Every wrap of a cached P(v) reads the path-action memo kept beside
-    its data in the algebra cache, and ``clear_cache`` drops it."""
+    """Every wrap of a cached P(v) reads the record, with its path-action
+    tables, kept beside its data in the algebra cache, and ``clear_cache``
+    drops it."""
     alg = nakayama_cyclic((3, 2, 3), rational_field())
     M = uniserial(alg, 0, 2)
     rep._cover_step(M)
     P = projective_module(alg, "0")
     assert hom_dim(M, P) == hom(M, P).dim == 0
-    memo = projective_module(alg, "0")._memo
-    assert memo is P._memo and memo
-    assert all(isinstance(t, tuple) for t in memo.values())
-    assert memo is alg.cache[("projective", "0")][2]
+    record = projective_module(alg, "0")._memo
+    assert record is P._memo and record.paths
+    assert all(isinstance(t, tuple) for t in record.paths.values())
+    assert record is alg.cache[("projective", "0")][2]
     gc.collect()
     gc.disable()
     try:
-        del P
+        # M's cover is P(0), whose wrap holds the record too
+        del P, M
         alg.clear_cache()
         # our name and getrefcount's argument are all that hold it
-        assert sys.getrefcount(memo) == 2
+        assert sys.getrefcount(record) == 2
     finally:
         gc.enable()
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
 def test_cached_injectives_share_one_presentation(field, monkeypatch):
-    """I(v) and I(v)/soc are covered once per algebra: every later wrap of
-    their cached data reads the presentation kept beside it, which holds
-    no module and no algebra, and ``clear_cache`` drops it."""
+    """I(v) and I(v)/soc are covered once per content: every later wrap of
+    their cached data reads the presentation in the record kept beside it,
+    which holds no module and no algebra, and ``clear_cache`` drops it."""
     alg = nakayama_cyclic((3, 2, 3), FIELDS[field])
     targets = [uniserial(alg, i, l) for i in range(3) for l in (1, 2)]
     covered = []
@@ -265,9 +267,12 @@ def test_cached_injectives_share_one_presentation(field, monkeypatch):
             assert again is not first
             assert rep._presentation(again) is rep._presentation(first)
             assert [hom(again, N).dim for N in targets] == want
-    assert len(covered) == 2 * len(alg.quiver.vertices)
+    # one cover per content: I(1)/soc has the matrices of I(0)
+    assert len(covered) == 2 * len(alg.quiver.vertices) - 1
+    assert rep._record(injective_mod_socle(alg, "1")) is rep._record(
+        injective_module(alg, "0"))
     pres = rep._presentation(injective_module(alg, "0"))
-    assert pres is alg.cache[("injective", "0")][2][None]
+    assert pres is alg.cache[("injective", "0")][2].step[-1]
     ref = weakref.ref(alg)
     gc.collect()
     gc.disable()

@@ -46,10 +46,9 @@ from singcat.rep import (
     projective_module,
     projectives,
     simple_module,
-    universal_right_approximation,
     zero_rep,
 )
-from singcat.tilting import SubcatSpec, left_approximation
+from singcat.tilting import SubcatSpec, left_approximation, right_approximation
 
 from builders import uniserial
 from dense_reference import dense_solve_left, dense_solve_right
@@ -225,7 +224,7 @@ def test_approximations_match_chained_stacking(fld):
               for N in targets]
     assert counts == [(4, 3), (3, 3), (4, 3), (4, 8), (0, 0)]
     for N in targets:
-        right = universal_right_approximation(gens, N)
+        right = right_approximation(spec8, N)
         pieces = [b for g in gens for b in hom(g, N).basis]
         srcs = [g for g in gens for _ in hom(g, N).basis]
         assert right.tgt is N
@@ -603,7 +602,11 @@ def _splitting_membership(M, gens):
         return False
     alg = M.algebra
     f = alg.field
-    e = universal_right_approximation(gens, M)
+    # a zero generator adds no copy to the approximation's source
+    nonzero = [g for g in gens if g.total_dim]
+    if not nonzero:
+        return False
+    e = right_approximation(SubcatSpec(alg, nonzero, 1), M)
     S = e.src
     if S.total_dim == 0:
         return False
@@ -786,27 +789,36 @@ def test_dimensions_from_ranks_match_bases(fld):
 
 
 def test_projective_hom_memo_holds_ints_by_vertex(orbit):
+    """dim Hom(A, P_v) of a stable dimension is ``hom_dim``'s memo in A's
+    record, an int under the content key of P_v."""
+    orbit.clear_cache()
     A = interval_module(orbit, (1, 1, 3))
     B = interval_module(orbit, (1, 2, 3))
     assert _stable_dim(A, B) == stable_hom(A, B).dim
-    memo = A._proj_hom_dims
-    assert type(memo) is dict and memo
-    for v, d in memo.items():
-        assert v in orbit.quiver.vertices and type(d) is int
-        assert d == hom(A, projective_module(orbit, v)).dim
+    memo = rep._record(A).memo
+    by_vertex = {v: memo.get(("hom", rep._record(projective_module(orbit, v))
+                              .content)) for v in orbit.quiver.vertices}
+    cover = rep._cover_step(B)[0]
+    assert cover.vertices and all(by_vertex[v] is not None
+                                  for v in cover.vertices)
+    for v, d in by_vertex.items():
+        if d is not None:
+            assert type(d) is int
+            assert d == hom(A, projective_module(orbit, v)).dim
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: repr(f))
 def test_projective_endomorphism_memo_holds_scalar_rows(fld):
-    """P(M, M) is memoised on M as {column: scalar} dicts and nothing else,
-    each map read at M's top generators; its rank is dim End(M) - dim
-    stable End(M), which cross-checks the stable dimension read from ranks
-    against one built from bases."""
+    """P(M, M) is memoised in M's record as {column: scalar} dicts and
+    nothing else, each map read at M's top generators; its rank is
+    dim End(M) - dim stable End(M), which cross-checks the stable dimension
+    read from ranks against one built from bases."""
     scalar = type(fld.one)
     for mods in _dimension_modules(fld):
         for M in mods:
             rows = _projective_end_rows(M)
-            assert M._proj_end_rows is rows and _projective_end_rows(M) is rows
+            assert rep._record(M).memo["proj_end"] is rows
+            assert _projective_end_rows(M) is rows
             assert type(rows) is list
             # one column per coordinate of each top generator's vertex
             width = sum(M.dims[v] for v, _ in rep._presentation(M).gens)

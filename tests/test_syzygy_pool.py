@@ -1,16 +1,20 @@
-"""The syzygy pool of ``rep._cover_step``, the one step of every module.
+"""The content records behind ``rep._cover_step``, the one step of every
+module.
 
-A syzygy whose matrices equal those of a live syzygy of the same algebra is
-that instance, so its cover step and memos are computed once.  Answers must
-equal those of a fresh cover, kernel and presentation per module
-(``pairwise_reference.step_unpooled``), and an orbit that closes in content
-must stay a chain of objects, freed by reference counting.
+A module whose content (dimension vector and arrow entries) was stepped
+before over its algebra reads the step from the content's record, so its
+cover step and memos are computed once per content, whether the earlier
+module is still alive or not.  Answers must equal those of a fresh cover,
+kernel and presentation per module (``pairwise_reference.step_unpooled``),
+and an orbit that closes in content must stay a chain of objects, freed by
+reference counting.
 """
 
 from __future__ import annotations
 
 import gc
 import random
+from fractions import Fraction
 import sys
 import weakref
 
@@ -25,14 +29,15 @@ from singcat.homology import (
     _stable_dim, ext_dim, pd_certificate, stable_iso, syzygy,
 )
 from singcat.quiver_algebra import (
-    nakayama_cyclic, orbit_grid_algebra, valid_triples_window,
+    BoundQuiverAlgebra, nakayama_cyclic, orbit_grid_algebra,
+    valid_triples_window,
 )
 from singcat.rep import RepMorphism, Representation, direct_sum, hom_dim
 from singcat.stab import OrbitNotResolved, skeleton
-from singcat.tilting import SubcatSpec
+from singcat.tilting import SubcatSpec, verify_cluster_tilting
 
 from builders import jordan_module, jordan_spec, twisted
-from pairwise_reference import step_unpooled
+from pairwise_reference import presentation_unpooled, step_unpooled
 
 FIELDS = [rational_field(), prime_field(2), prime_field(101)]
 KS = (3, 2, 3, 3)
@@ -86,18 +91,22 @@ def _answers(fld, family, picks, seed, pairs=6):
     return out
 
 
-def _pooled_and_fresh(*args, **kwargs):
-    """The answers with the pooled step, and with ``step_unpooled`` bound in
-    every namespace that binds the step, rep's own included."""
-    pooled = _answers(*args, **kwargs)
-    step = rep._cover_step
+def _recorded_and_fresh(*args, **kwargs):
+    """The answers with the recorded step, and with ``step_unpooled`` and
+    ``presentation_unpooled`` bound in every namespace that binds the step
+    or the presentation, rep's own included."""
+    recorded = _answers(*args, **kwargs)
+    unpooled = {"_cover_step": (rep._cover_step, step_unpooled),
+                "_presentation": (rep._presentation, presentation_unpooled)}
     with pytest.MonkeyPatch.context() as mp:
         for name, mod in list(sys.modules.items()):
-            if (name.partition(".")[0] == "singcat"
-                    and getattr(mod, "_cover_step", None) is step):
-                mp.setattr(mod, "_cover_step", step_unpooled)
+            if name.partition(".")[0] != "singcat":
+                continue
+            for attr, (real, fresh) in unpooled.items():
+                if getattr(mod, attr, None) is real:
+                    mp.setattr(mod, attr, fresh)
         fresh = _answers(*args, **kwargs)
-    return pooled, fresh
+    return recorded, fresh
 
 
 @settings(max_examples=30, deadline=None)
@@ -110,8 +119,8 @@ def test_pooled_answers_match_fresh_kernels(fld, family, data):
         st.tuples(st.lists(index, min_size=1, max_size=2), st.booleans()),
         min_size=1, max_size=6))
     seed = data.draw(st.integers(0, 2 ** 16))
-    pooled, fresh = _pooled_and_fresh(fld, family, picks, seed)
-    assert pooled == fresh
+    recorded, fresh = _recorded_and_fresh(fld, family, picks, seed)
+    assert recorded == fresh
 
 
 @pytest.mark.parametrize("family,size", [("jordan", 5),
@@ -122,13 +131,13 @@ def test_pooled_skeleton_of_twisted_spec_matches_fresh_kernels(fld, family,
     """Every generator, every other one twisted, in a shuffled order."""
     order = random.Random(size).sample(range(size), size)
     picks = [([i], k % 2 == 1) for k, i in enumerate(order)]
-    pooled, fresh = _pooled_and_fresh(fld, family, picks, 7, pairs=3)
-    assert pooled == fresh
-    assert pooled["skeleton"][0] == (4 if family == "jordan" else 3)
+    recorded, fresh = _recorded_and_fresh(fld, family, picks, 7, pairs=3)
+    assert recorded == fresh
+    assert recorded["skeleton"][0] == (4 if family == "jordan" else 3)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=repr)
-def test_equal_first_syzygies_share_one_instance(fld):
+def test_equal_first_syzygies_share_one_record(fld, monkeypatch):
     alg = nakayama_cyclic((4,), fld)
     z, o = fld.zero, fld.one
     A = jordan_module(alg, 2)
@@ -136,16 +145,29 @@ def test_equal_first_syzygies_share_one_instance(fld):
     B = Representation(alg, {"0": 2},
                        {"a0": Matrix.from_rows(fld, [[z, z], [o, z]], 2)})
     assert A.action != B.action
+    covers = []
+    orig = rep.projective_cover
+
+    def counting(M):
+        covers.append(id(M))  # not M, which would keep it alive
+        return orig(M)
+
+    monkeypatch.setattr(rep, "projective_cover", counting)
     K = syzygy(A)
-    assert syzygy(B) is K
+    KB = syzygy(B)
+    assert KB is not K and rep._record(KB) is rep._record(K)
     for k in range(1, 5):
-        assert syzygy(B, k) is syzygy(A, k)
-    # B's inclusion is re-pointed to the shared syzygy, into B's own cover
+        assert rep._record(syzygy(B, k)) is rep._record(syzygy(A, k))
+    # one cover per content: A's, B's and their syzygies'
+    contents = {rep._record(X).content
+                for X in [A, B] + [syzygy(A, k) for k in range(1, 5)]}
+    assert len(covers) == len(contents)
+    # B's inclusion starts at B's own syzygy and ends in B's own cover
     cover, eps, KB, inc, _ = rep._cover_step(B)
-    assert inc.src is K and inc.tgt is cover.rep
-    inc = RepMorphism(K, cover.rep, inc.mats, check=True)
+    assert inc.src is KB and inc.tgt is cover.rep
+    inc = RepMorphism(KB, cover.rep, inc.mats, check=True)
     assert inc.compose(RepMorphism(cover.rep, B, eps, check=True)).is_zero()
-    assert stable_iso(K, syzygy(B))
+    assert stable_iso(K, KB)
 
 
 @pytest.mark.parametrize("n,i,period", [(4, 2, 1), (3, 1, 2), (5, 2, 2)])
@@ -173,12 +195,11 @@ def test_orbit_closing_in_content_stays_acyclic(n, i, period):
 @pytest.mark.parametrize("fld", FIELDS, ids=repr)
 def test_orbit_laps_reuse_the_twin_cover_step(fld, n, i, period,
                                               monkeypatch):
-    """An orbit walk from a pooled syzygy computes one cover per distinct
-    content: each later lap takes its twin's cached cover, eps and
-    inclusion matrices, with a fresh kernel, and stays a chain of objects
-    freed by reference counting."""
+    """An orbit walk computes one cover per distinct content: each later
+    lap reads its twin's record, with the twin's cover, eps, inclusion
+    matrices and presentation, wrapped in fresh objects, and stays a chain
+    of objects freed by reference counting."""
     alg = nakayama_cyclic((n,), fld)
-    K = syzygy(jordan_module(alg, i))
     covers = []
     orig = rep.projective_cover
 
@@ -187,24 +208,29 @@ def test_orbit_laps_reuse_the_twin_cover_step(fld, n, i, period,
         return orig(M)
 
     monkeypatch.setattr(rep, "projective_cover", counting)
+    J = jordan_module(alg, i)
+    K = syzygy(J)
     laps = 3
     stepped = [K] + [syzygy(K, k) for k in range(1, laps * period)]
     last = syzygy(stepped[-1])
-    contents = {rep._content_key(X) for X in stepped}
-    assert len(covers) == len(contents) == period
+    contents = {rep._record(X).content for X in stepped}
+    assert len(contents) == period
+    assert len(covers) == len(contents | {rep._record(J).content})
     assert len({id(X) for X in stepped + [last]}) == laps * period + 1
     for k in range(period, laps * period):
         twin = rep._cover_step(stepped[k - period])
         lap = rep._cover_step(stepped[k])
-        assert lap[0] is twin[0] and lap[1] is twin[1]
+        assert rep._record(stepped[k]) is rep._record(stepped[k - period])
+        assert lap[0] is not twin[0] and lap[0].vertices == twin[0].vertices
+        assert lap[1] is twin[1] and lap[4] is twin[4]
         assert all(lap[3].mats[v] is m for v, m in twin[3].mats.items())
-        assert lap[3].src is lap[2]
-        assert lap[2].action == twin[2].action
+        assert lap[3].src is lap[2] and lap[2] is not twin[2]
+        assert lap[2].action is twin[2].action
     gc.collect()
     gc.disable()
     try:
-        refs = [weakref.ref(X) for X in stepped + [last]]
-        del K, stepped, last, twin, lap
+        refs = [weakref.ref(X) for X in [J] + stepped + [last]]
+        del J, K, stepped, last, twin, lap
         alive = sum(r() is not None for r in refs)
         assert alive == 0, f"{alive} of {len(refs)} modules kept alive"
     finally:
@@ -212,9 +238,7 @@ def test_orbit_laps_reuse_the_twin_cover_step(fld, n, i, period,
 
 
 # Each cover step of one a2-tilde-3233 skeleton is a projective_cover call;
-# with content-identical syzygies shared, orbit laps stepped from their
-# twins and generators donating their steps to later syzygies there are 31
-# (38 without the generators, 47 with sharing alone, 88 with neither).
+# with one record per content there are 31 (88 with a cover per module).
 TILDE_SKELETON_COVER_STEPS = 31
 
 
@@ -234,7 +258,7 @@ def test_tilde_skeleton_cover_step_budget(monkeypatch):
 
 @pytest.mark.parametrize("fld", FIELDS, ids=repr)
 def test_generator_whose_content_recurs_is_stepped_once(fld, monkeypatch):
-    """A stepped generator donates its step to a later syzygy with its
+    """A stepped generator's record serves a later syzygy with its
     content: the untwisted k[x]/(x^5) Jordan skeleton covers each of its 5
     contents once, and the orbit of J_2 over k[x]/(x^4), whose syzygy has
     J_2's matrices, is covered once."""
@@ -242,7 +266,7 @@ def test_generator_whose_content_recurs_is_stepped_once(fld, monkeypatch):
     orig = rep.projective_cover
 
     def counting(M):
-        covers.append(rep._content_key(M))
+        covers.append(rep._record(M).content)
         return orig(M)
 
     monkeypatch.setattr(rep, "projective_cover", counting)
@@ -259,9 +283,9 @@ def test_generator_whose_content_recurs_is_stepped_once(fld, monkeypatch):
 
 @pytest.mark.parametrize("fld", FIELDS, ids=repr)
 def test_hom_source_donates_its_step_to_a_content_twin(fld, monkeypatch):
-    """A module covered as the source of a Hom space is stepped with the
-    pools: the syzygy of a content twin reuses its cover step, with no
-    second projective cover, and is the pooled syzygy instance."""
+    """A module covered as the source of a Hom space is stepped through
+    its record: a content twin reuses the cover step, with no second
+    projective cover, and its syzygy shares the record of M's."""
     alg = orbit_grid_algebra(KS, fld)
     M = interval_module(alg, (1, 1, 3))
     N = interval_module(alg, (1, 2, 3))
@@ -278,4 +302,63 @@ def test_hom_source_donates_its_step_to_a_content_twin(fld, monkeypatch):
     twin = Representation._wrap(alg, M.dims, M.action)
     K = syzygy(twin)
     assert covers == [id(M)]
-    assert K is syzygy(M) and K is M._syzygy_step[2]
+    assert K is not syzygy(M) and K is twin._syzygy_step[2]
+    assert rep._record(K) is rep._record(syzygy(M))
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=repr)
+def test_freed_module_leaves_its_step_to_a_later_twin(fld, monkeypatch):
+    """A module stepped and then freed leaves its step in the record of its
+    content: a module built afresh with that content is not covered
+    again."""
+    alg = nakayama_cyclic((5,), fld)
+    covers = []
+    orig = rep.projective_cover
+
+    def counting(M):
+        covers.append(id(M))  # not M, which would keep it alive
+        return orig(M)
+
+    monkeypatch.setattr(rep, "projective_cover", counting)
+    M = jordan_module(alg, 3)
+    dims, action = M.dims, M.action
+    rep._cover_step(M)
+    assert len(covers) == 1
+    ref = weakref.ref(M)
+    del M
+    assert ref() is None
+    fresh = Representation(alg, dict(dims), dict(action))
+    assert syzygy(fresh).total_dim == 2
+    assert len(covers) == 1
+
+
+def test_records_hold_no_module_morphism_cover_or_algebra():
+    """Every value in a2-tilde-3233's cache after ``ct verify`` and
+    ``skeleton`` over Q, the cached opposite algebra aside, reaches no
+    module, morphism, cover or algebra."""
+    _, spec = nakayama2_tilde(KS, len(KS), rational_field())
+    alg = spec.algebra
+    assert verify_cluster_tilting(spec).verdict == "certificate_only"
+    assert skeleton(spec).count == 3
+    records = [x for x in alg.cache.values() if isinstance(x, rep._Record)]
+    assert any(r.step for r in records) and any(r.memo for r in records)
+    forbidden = (Representation, RepMorphism, rep.Cover, BoundQuiverAlgebra)
+    seen, stack, found = set(), [v for k, v in alg.cache.items()
+                                 if k != "opposite"], []
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(x, (int, str, Fraction)) or x is None:
+            continue
+        seen.add(id(x))
+        if isinstance(x, forbidden):
+            found.append(type(x).__name__)
+            continue
+        if isinstance(x, dict):
+            stack += list(x.keys()) + list(x.values())
+        elif isinstance(x, (tuple, list, set, frozenset)):
+            stack += list(x)
+        else:
+            stack += [getattr(x, a) for a in getattr(x, "__slots__", ())
+                      if hasattr(x, a)]
+            stack += list(getattr(x, "__dict__", {}).values())
+    assert not found, f"the cache reaches {sorted(set(found))}"

@@ -172,27 +172,27 @@ def test_orbit_window_spec_passes_certificate_mode(orbit_spec):
 def test_passing_checks_build_no_hom_basis_and_test_each_syzygy_once(
         orbit_spec, monkeypatch):
     """A passing generation/cogeneration check compares Hom dimensions only,
-    and the closure check tests each distinct d-th syzygy instance that is
+    and the closure check tests each distinct d-th syzygy content that is
     not projective once."""
     homs, approximations, members = [], [], []
     init = rep.HomSpace.__init__
-    approximate = tilting.universal_right_approximation
+    approximate = tilting.right_approximation
     member = tilting.stable_add_membership
 
     def counting_init(self, M, N):
         homs.append((M, N))
         init(self, M, N)
 
-    def counting_approximation(gens, N):
+    def counting_approximation(spec, N):
         approximations.append(N)
-        return approximate(gens, N)
+        return approximate(spec, N)
 
     def counting_member(X, gens):
         members.append(X)
         return member(X, gens)
 
     monkeypatch.setattr(rep.HomSpace, "__init__", counting_init)
-    monkeypatch.setattr(tilting, "universal_right_approximation",
+    monkeypatch.setattr(tilting, "right_approximation",
                         counting_approximation)
     monkeypatch.setattr(tilting, "stable_add_membership", counting_member)
     assert verify_gen_cogen(orbit_spec) == {"generating": Check(True),
@@ -200,8 +200,10 @@ def test_passing_checks_build_no_hom_basis_and_test_each_syzygy_once(
     assert homs == [] and approximations == []
     assert verify_dZ_closure(orbit_spec) == Check(True)
     syzygies = [syzygy(g, orbit_spec.d) for g in orbit_spec.generators]
-    distinct = {id(X) for X in syzygies if not is_projective(X)}
-    assert sorted(map(id, members)) == sorted(distinct)
+    distinct = {rep._record(X).content for X in syzygies
+                if not is_projective(X)}
+    tested = [rep._record(X).content for X in members]
+    assert len(tested) == len(set(tested)) and set(tested) == distinct
     assert len(members) == 7
 
 
