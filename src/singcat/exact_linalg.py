@@ -1,7 +1,10 @@
 """Exact scalar arithmetic and the matrix kernel everything else reduces to.
 
-Two field kinds: the rationals (fractions.Fraction) and prime fields F_p
-(ints reduced into [0, p)).  No floating point anywhere.  Matrices are
+Two field kinds: the rationals and prime fields F_p (ints reduced into
+[0, p)).  A rational is an int when it is integral and a
+fractions.Fraction otherwise (``_rational``), never a float: most
+scalars the package meets are integral, and int arithmetic skips
+Fraction's constructor, its gcd and its slow hash.  Matrices are
 stored dense; the one elimination routine, _eliminate, works on sparse
 {column: value} rows, and every system reaches it through one of eight
 entry points:
@@ -26,6 +29,7 @@ nonzero column, topmost unused row).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Sequence
 
 
@@ -60,8 +64,10 @@ _FIELDS: dict = {}
 class Field:
     """A field spec: kind 'rational' or 'prime' with modulus p.
 
-    Scalars are Fraction for the rationals and plain ints in [0, p) for F_p.
-    The methods keep every value in canonical reduced form.  There is one
+    Scalars are plain ints in [0, p) for F_p.  For the rationals they are
+    ints when integral and Fractions otherwise (``_rational``), so ``zero``
+    and ``one`` are the ints 0 and 1.  The methods return every value in
+    this canonical form, whatever form their arguments take.  There is one
     instance per field: ``Field("prime", 5)`` returns the same object every
     time, so every matrix over a field shares its ``zero`` (identity checks
     skip it) and its empty matrices (``empties``, one per shape; see
@@ -84,8 +90,8 @@ class Field:
             fld = _FIELDS[kind, p] = super().__new__(cls)
             fld.kind = kind
             fld.p = p
-            fld.zero = Fraction(0) if kind == "rational" else 0
-            fld.one = Fraction(1) if kind == "rational" else 1
+            fld.zero = 0
+            fld.one = 1
             fld.empties = {}
         return fld
 
@@ -97,31 +103,26 @@ class Field:
 
     def of_int(self, n: int):
         if self.kind == "rational":
-            return self._shared(Fraction(n))
+            return index(n)  # a TypeError for a float or a Fraction
         return n % self.p
 
-    def _shared(self, x: Fraction) -> Fraction:
-        """x, or the field's own zero or one when it equals them, so that
-        identity checks against ``zero`` skip it."""
-        return self.zero if x == 0 else self.one if x == 1 else x
-
     def add(self, a, b):
-        return a + b if self.kind == "rational" else (a + b) % self.p
+        return _rational(a + b) if self.kind == "rational" else (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.kind == "rational" else (a - b) % self.p
+        return _rational(a - b) if self.kind == "rational" else (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.kind == "rational" else (a * b) % self.p
+        return _rational(a * b) if self.kind == "rational" else (a * b) % self.p
 
     def neg(self, a):
-        return -a if self.kind == "rational" else (-a) % self.p
+        return _rational(-a) if self.kind == "rational" else (-a) % self.p
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("field inverse of zero")
         if self.kind == "rational":
-            return 1 / a
+            return _rational_inv(a)
         return pow(a, self.p - 2, self.p)
 
     def div(self, a, b):
@@ -130,13 +131,19 @@ class Field:
     def from_str(self, s: str):
         """Parse a decimal coefficient string, '2/3' style for rationals.
 
-        A denominator that is zero in the field ("1/0", or "1/7" over F_7)
-        is a ValueError, like any other malformed coefficient.
+        Over Q an integer string is read by ``int`` and anything else by
+        ``Fraction``, whose syntax includes every integer string, and an
+        integral value comes back as an int ("3/1", "1e3").  A denominator
+        that is zero in the field ("1/0", or "1/7" over F_7) is a
+        ValueError, like any other malformed coefficient.
         """
         s = s.strip()
         try:
             if self.kind == "rational":
-                return self._shared(Fraction(s))
+                try:
+                    return int(s)
+                except ValueError:
+                    return _rational(Fraction(s))
             if "/" in s:
                 num, den = s.split("/")
                 return self.div(int(num) % self.p, int(den) % self.p)
@@ -146,6 +153,27 @@ class Field:
 
     def to_str(self, a) -> str:
         return str(a)
+
+
+def _rational(x):
+    """x as a canonical rational: the int when x is integral, else x.
+
+    The one normaliser over Q.  The field ops, ``Matrix.act``,
+    ``_eliminate``, ``_sparse_rows`` and ``echelon_solve`` apply it (the
+    hot loops of ``act`` and ``_eliminate`` inline it), so every entry
+    point returns canonical scalars for any input.  int arithmetic on ints
+    stays an int, so only a result with a Fraction operand can need it.
+    """
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _rational_inv(a):
+    """1/a over Q for a nonzero rational a, canonical: a itself for +-1,
+    Fraction(1, a) for any other int, and the reciprocal of a Fraction,
+    an int when its numerator is +-1.  No int / int ever runs."""
+    if type(a) is int:
+        return a if a == 1 or a == -1 else Fraction(1, a)
+    return _rational(1 / a)
 
 
 def rational_field() -> Field:
@@ -228,8 +256,9 @@ class Matrix:
         """The row vector x times this matrix, as a tuple.
 
         The result accumulates a * (row k) over the nonzero a = x[k], only at
-        that row's nonzeros; entries that are the shared field.zero are
-        skipped by identity, without a Fraction.__bool__ call.
+        that row's nonzeros; entries that are the field's zero are skipped
+        by identity first.  Over Q each updated sum is made canonical
+        (``_rational``, inlined), so the result is canonical for any x.
         """
         if len(x) != self.rows:
             raise ValueError(f"cannot multiply a {len(x)}-vector by {self.rows}x{self.cols}")
@@ -241,7 +270,10 @@ class Matrix:
             if p is None:
                 for j, b in enumerate(rk):
                     if b is not z and b:
-                        acc[j] += a * b
+                        y = acc[j] + a * b
+                        if type(y) is Fraction and y.denominator == 1:
+                            y = y.numerator
+                        acc[j] = y
             else:
                 for j, b in enumerate(rk):
                     if b:
@@ -288,12 +320,25 @@ def _empty(field: Field, rows: int, cols: int) -> Matrix:
     return m
 
 
+def canonical(m: Matrix) -> Matrix:
+    """m with canonical scalars: over Q, every integral Fraction rewritten
+    as an int; m itself when there is none, and always over F_p."""
+    if m.field.p is not None or not any(
+            type(x) is Fraction and x.denominator == 1
+            for r in m.entries for x in r):
+        return m
+    return Matrix(m.field, m.rows, m.cols,
+                  [[_rational(x) for x in r] for r in m.entries])
+
+
 def _eliminate(field: Field, sp: list[dict], ncols: int) -> list[int]:
     """Reduce the sparse rows sp in place; returns the pivot column list.
 
     Each row is a {column: value} dict of its nonzeros, with columns below
     ncols; no value may be zero.  Only the rows with a nonzero in the pivot
-    column are updated, and only at the pivot row's nonzeros.  The reduced
+    column are updated, and only at the pivot row's nonzeros; over Q the
+    scaled pivot row and every updated entry are made canonical
+    (``_rational``, inlined), and a pivot of 1 scales nothing.  The reduced
     form is unique, so the result does not depend on how it is reached; the
     pivot choice is the canonical one (scan columns left to right, take the
     topmost unused row with a nonzero entry).  On return the list holds the
@@ -315,8 +360,13 @@ def _eliminate(field: Field, sp: list[dict], ncols: int) -> list[int]:
         sp[sel] = sp[r]
         lead = prow.pop(c)
         if p is None:
-            inv = one / lead
-            prow = {j: x * inv for j, x in prow.items()}
+            if lead != 1:
+                inv = _rational_inv(lead)
+                for j, x in prow.items():
+                    x *= inv
+                    if type(x) is Fraction and x.denominator == 1:
+                        x = x.numerator
+                    prow[j] = x
         else:
             inv = pow(lead, p - 2, p)
             prow = {j: x * inv % p for j, x in prow.items()}
@@ -329,13 +379,15 @@ def _eliminate(field: Field, sp: list[dict], ncols: int) -> list[int]:
                 for j, y in prow.items():
                     x = row.get(j)
                     if x is None:
-                        row[j] = nci * y
+                        x = nci * y
                     else:
                         x += nci * y
-                        if x:
-                            row[j] = x
-                        else:
+                        if not x:
                             del row[j]
+                            continue
+                    if type(x) is Fraction and x.denominator == 1:
+                        x = x.numerator
+                    row[j] = x
             else:
                 nci %= p
                 for j, y in prow.items():
@@ -351,10 +403,13 @@ def _eliminate(field: Field, sp: list[dict], ncols: int) -> list[int]:
 
 
 def _sparse_rows(field: Field, rows: Iterable[Sequence]) -> list[dict]:
-    """Dense rows as {column: value} dicts of their nonzeros."""
+    """Dense rows as {column: value} dicts of their nonzeros, canonical
+    over Q (``_rational``)."""
     z = field.zero
-    # most zeros are the shared field.zero; the identity test skips their
-    # Fraction.__bool__
+    # most zeros are field.zero itself, which the identity test skips
+    if field.p is None:
+        return [{c: _rational(x) for c, x in enumerate(row)
+                 if x is not z and x} for row in rows]
     return [{c: x for c, x in enumerate(row) if x is not z and x} for row in rows]
 
 
@@ -464,6 +519,7 @@ def echelon_solve(basis: Matrix, m: Matrix) -> Matrix | None:
     no elimination.  x is returned only if x.basis == m, so a vector outside
     the span, or a basis that breaks the precondition, gives None and never a
     wrong x.  A zero row in ``basis`` or a column mismatch is a ValueError.
+    Over Q the entries of x are made canonical (``_rational``).
     """
     if basis.cols != m.cols:
         raise ValueError(f"column mismatch: {basis.cols} vs {m.cols}")
@@ -477,6 +533,8 @@ def echelon_solve(basis: Matrix, m: Matrix) -> Matrix | None:
         else:
             raise ValueError("zero row in an echelon basis")
     xs = [tuple(r[j] for j in leads) for r in m.entries]
+    if basis.field.p is None:
+        xs = [tuple(map(_rational, x)) for x in xs]
     for x, r in zip(xs, m.entries):
         if basis.act(x) != r:
             return None

@@ -80,6 +80,7 @@ from .rep import (
     _memoised,
     _record,
     _same_algebra,
+    _step_data,
     hom,
     hom_dim,
     projective_module,
@@ -317,13 +318,12 @@ def is_projective(M: Representation) -> bool:
     """Zero or projective, that is, stably zero.
 
     The minimal cover sum_v P(v) -> M, one P(v) per top generator at v, is
-    onto, so it is an isomorphism exactly when the dimensions agree.  The
-    cover is the cached one of ``rep._cover_step``.
+    onto, so it is an isomorphism exactly when its kernel Omega M is zero.
+    Omega M's dimension vector is read from the cover step's data in M's
+    record (``rep._step_data``), so no cover, syzygy or inclusion is
+    wrapped.
     """
-    if M.total_dim == 0:
-        return True
-    cover = _cover_step(M)[0]
-    return cover.rep.total_dim == M.total_dim
+    return M.total_dim == 0 or not any(_step_data(M)[2].values())
 
 
 def _projective_end_rows(M: Representation) -> list[dict]:

@@ -66,8 +66,9 @@ from functools import cached_property
 from typing import Sequence
 
 from .exact_linalg import (
-    InternalCheckFailed, Matrix, echelon_solve, kernel_and_section, rank,
-    rref, sparse_kernel, sparse_rank, sparse_span_contains,
+    InternalCheckFailed, Matrix, _rational, canonical, echelon_solve,
+    kernel_and_section, rank, rref, sparse_kernel, sparse_rank,
+    sparse_span_contains,
 )
 from .quiver_algebra import BoundQuiverAlgebra, PathKey, opposite_algebra
 
@@ -97,7 +98,7 @@ class Representation:
                 raise AlgebraMismatch(
                     f"action of {a.id} has shape {(m.rows, m.cols)}, expected "
                     f"{(self.dims[a.src], self.dims[a.tgt])}")
-            self.action[a.id] = m
+            self.action[a.id] = canonical(m)
         if check:
             self._check_relations()
 
@@ -355,8 +356,9 @@ def _path_actions(N: Representation, v: str) -> tuple:
     Entry i is, for each basis path p from v in ``paths_from`` order, the
     image of the i-th basis vector under p (``_path_images``), a dense row
     tuple.  Memoised in N's record, per vertex.  It holds tuples only, and
-    no tuple per nonzero entry: over Q every tuple that holds a Fraction
-    stays tracked by the cyclic collector while it lives.
+    no tuple per nonzero entry: over Q every tuple that holds a
+    non-integral Fraction stays tracked by the cyclic collector while it
+    lives (a tuple of ints is untracked at its first collection).
     """
     paths = _record(N).paths
     table = paths.get(v)
@@ -380,7 +382,7 @@ def _presented_system(pres: "Presentation", N: Representation,
     laid out summand by summand; relation r at u has a block of dim N_u
     columns holding sum_{j, p} c_{r,j,p} x_j N_p.  Omega M is generated by
     its relations, so the left kernel is Hom(M, N).  Returns (rows, column
-    count), rows as {column: value} dicts of nonzeros.
+    count), rows as {column: value} dicts of canonical nonzeros.
     """
     z, p = N.algebra.field.zero, N.algebra.field.p
     off, total = [], 0
@@ -400,7 +402,7 @@ def _presented_system(pres: "Presentation", N: Representation,
                         row[k] = c * y if x is None else x + c * y
         col += N.dims[u]
     if p is None:
-        return [{k: x for k, x in r.items() if x} for r in rows], col
+        return [{k: _rational(x) for k, x in r.items() if x} for r in rows], col
     return [{k: x % p for k, x in r.items() if x % p} for r in rows], col
 
 

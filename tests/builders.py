@@ -1,8 +1,10 @@
 """Module builders shared by the tests: truncated-polynomial Jordan blocks,
 the uniserials of cyclic Nakayama algebras, and a module in a monomial
-change of basis."""
+change of basis; and the test of a canonical scalar."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from singcat.exact_linalg import Matrix
 from singcat.rep import Representation
@@ -40,6 +42,14 @@ def uniserial(alg, i, l):
                 rows[row[j]][row[j + 1]] = f.one
         action[f"a{a}"] = Matrix.from_rows(f, rows, dims[str(b)])
     return Representation(alg, dims, action)
+
+
+def is_canonical_scalar(field, x) -> bool:
+    """Over Q an int when integral and a Fraction otherwise, never a float
+    or an integral Fraction; over F_p an int in [0, p)."""
+    if field.p is None:
+        return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+    return type(x) is int and 0 <= x < field.p
 
 
 TWIST_SCALARS = (1, -1, 2, -2, 3, -3)

@@ -12,6 +12,7 @@ from singcat.exact_linalg import (
     prime_field, rank, rational_field, rref, sparse_rank, sparse_span_contains,
 )
 
+from builders import is_canonical_scalar
 from dense_reference import (
     dense_kernel, dense_rref, dense_solve_left, row_space_contains,
 )
@@ -62,6 +63,66 @@ def test_coefficient_strings():
     for bad in ("1/0", "1/7", "3/14"):
         with pytest.raises(ValueError, match="zero denominator"):
             p.from_str(bad)
+
+
+@pytest.mark.parametrize("s, want", [
+    ("7", 7), (" -3 ", -3), ("+3", 3), ("1_0", 10), ("-0", 0), ("3/1", 3),
+    ("-4/2", -2), ("1e3", 1000), ("3/2", Fraction(3, 2)),
+    ("1.5", Fraction(3, 2)),
+])
+def test_rational_coefficient_strings_are_canonical(s, want):
+    got = rational_field().from_str(s)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("s", ["1/0", "0x1f", ""])
+def test_malformed_rational_coefficient_strings(s):
+    with pytest.raises(ValueError):
+        rational_field().from_str(s)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789+-/._eEx \u0663", max_size=8))
+def test_rational_coefficient_syntax_is_fractions(s):
+    """Reading by int first accepts exactly the strings Fraction accepts,
+    with Fraction's value."""
+    q = rational_field()
+    try:
+        want = Fraction(s.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            q.from_str(s)
+        return
+    got = q.from_str(s)
+    assert got == want and is_canonical_scalar(q, got)
+
+
+_RATIONALS = st.one_of(st.integers(-12, 12),
+                       st.builds(Fraction, st.integers(-12, 12),
+                                 st.integers(1, 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONALS, _RATIONALS)
+def test_rational_field_ops_return_canonical_scalars(a, b):
+    """ints and raw Fractions, integral ones too, in; canonical scalars with
+    Fraction's values out."""
+    q = rational_field()
+    fa, fb = Fraction(a), Fraction(b)
+    out = [(q.add(a, b), fa + fb), (q.sub(a, b), fa - fb),
+           (q.mul(a, b), fa * fb), (q.neg(a), -fa)]
+    if b:
+        out += [(q.inv(b), 1 / fb), (q.div(a, b), fa / fb)]
+    for got, want in out:
+        assert got == want and is_canonical_scalar(q, got)
+
+
+def test_rational_of_int_takes_integers_only():
+    q = rational_field()
+    assert type(q.of_int(True)) is int and q.of_int(-3) == -3
+    for bad in (Fraction(3, 2), Fraction(2), 1.5):
+        with pytest.raises(TypeError):
+            q.of_int(bad)
 
 
 @pytest.mark.parametrize("f", [rational_field(), prime_field(7)], ids=repr)
@@ -214,12 +275,11 @@ def _matrices(draw, field=None, rows=None, cols=None):
 
 
 def _assert_canonical_scalars(m):
+    """Over Q an int when integral and a Fraction otherwise; over F_p an
+    int in [0, p)."""
     for row in m.entries:
         for x in row:
-            if m.field.kind == "rational":
-                assert type(x) is Fraction
-            else:
-                assert type(x) is int and 0 <= x < m.field.p
+            assert is_canonical_scalar(m.field, x), x
 
 
 @settings(max_examples=300, deadline=None)

@@ -23,6 +23,30 @@ def test_package_has_no_assert_statements():
     assert not found, f"assert statements vanish under python -O: {found}"
 
 
+def test_true_division_runs_only_in_the_rational_inverse():
+    """Integral rationals are ints, and int / int is a float, so no module
+    divides with ``/`` but ``exact_linalg._rational_inv``, the one exact
+    inverse.  cli's ``/`` joins paths and is not scanned."""
+    found, inverse = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name == "_rational_inv"
+                    and path.name == "exact_linalg.py"):
+                allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.Div)):
+                (inverse if id(node) in allowed else found).append(
+                    f"{path.name}:{node.lineno}")
+    assert inverse, "the inverse helper was not found"
+    assert not found, f"true division outside the inverse helper: {found}"
+
+
 # Past 8,192 tokens the CPython 3.11 parser doubles its token array, and
 # compiling the module adds about 0.6 MB to the peak resident size of every
 # process that compiles the package afresh.  Comments and blank lines are

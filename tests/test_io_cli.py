@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,19 @@ def test_module_round_trip_exact(tilde_dir):
         text = f.read_text()
         M = module_from_json(json.loads(text), alg)
         assert dumps_canonical(module_to_json(M, "algebra.json")) == text
+
+
+def test_integral_fraction_entries_load_as_ints(tmp_path):
+    # integral entries load as ints and are written back in lowest terms
+    emit_examples("hereditary-a2", tmp_path, rational_field())
+    alg = Loader().algebra(tmp_path / "algebra.json")
+    obj = {"algebra": "algebra.json", "dims": {"u": 1, "v": 3},
+           "arrows": {"a": [["2/1", "-4/2", "3/2"]]}}
+    M = module_from_json(obj, alg)
+    assert [type(x) for x in M.action["a"].entries[0]] == [
+        int, int, Fraction]
+    assert module_to_json(M, "algebra.json")["arrows"]["a"] == [
+        ["2", "-2", "3/2"]]
 
 
 def test_module_round_trip_preserves_action(kx2_dir):

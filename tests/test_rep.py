@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -50,7 +51,7 @@ from singcat.rep import (
 )
 from singcat.tilting import SubcatSpec, left_approximation, right_approximation
 
-from builders import uniserial
+from builders import is_canonical_scalar, uniserial
 from dense_reference import dense_solve_left, dense_solve_right
 from pairwise_reference import (
     commuting_system_dense, hom_basis_full, hom_dim_full, morphism_to_vec,
@@ -193,6 +194,28 @@ def test_direct_sum_matches_block_diagonal_reference(fld):
             assert got == want
             # zeros are the field's own zero scalar, of its type
             assert all(type(x) is type(fld.zero) for row in got.entries for x in row)
+
+
+def test_constructor_rewrites_integral_fractions_and_wrap_does_not():
+    """The public constructor makes the caller's scalars canonical: an
+    integral Fraction becomes an int and a non-integral one stays.
+    ``_wrap`` keeps its data as given, and a matrix with nothing to rewrite
+    is kept itself.  Equal values give one content, so one record."""
+    f = rational_field()
+    alg = nakayama_cyclic((3,), f)
+    z = Fraction(0)
+    m = Matrix(f, 3, 3, [[z, Fraction(2), z], [z, z, Fraction(3, 2)],
+                         [z, z, z]])
+    M = Representation(alg, {"0": 3}, {"a0": m})
+    got = M.action["a0"]
+    assert got == Matrix(f, 3, 3, [[0, 2, 0], [0, 0, Fraction(3, 2)],
+                                   [0, 0, 0]])
+    assert [type(x) for r in got.entries for x in r] == [int] * 5 + [
+        Fraction] + [int] * 3
+    assert Representation(alg, M.dims, M.action).action["a0"] is got
+    W = Representation._wrap(alg, M.dims, {"a0": m})
+    assert W.action["a0"] is m
+    assert rep._record(W) is rep._record(M)
 
 
 def _chained_vstack(f, mats, cols):
@@ -813,7 +836,6 @@ def test_projective_endomorphism_memo_holds_scalar_rows(fld):
     nothing else, each map read at M's top generators; its rank is
     dim End(M) - dim stable End(M), which cross-checks the stable dimension
     read from ranks against one built from bases."""
-    scalar = type(fld.one)
     for mods in _dimension_modules(fld):
         for M in mods:
             rows = _projective_end_rows(M)
@@ -826,7 +848,7 @@ def test_projective_endomorphism_memo_holds_scalar_rows(fld):
                 assert type(r) is dict and r
                 for c, x in r.items():
                     assert type(c) is int and 0 <= c < width
-                    assert type(x) is scalar and x
+                    assert is_canonical_scalar(fld, x) and x
             rank_p = sparse_rank(fld, [dict(r) for r in rows], width)
             assert rank_p == len(rows)
             assert rank_p == hom_dim(M, M) - stable_end_dim(M)

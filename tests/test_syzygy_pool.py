@@ -36,7 +36,7 @@ from singcat.rep import RepMorphism, Representation, direct_sum, hom_dim
 from singcat.stab import OrbitNotResolved, skeleton
 from singcat.tilting import SubcatSpec, verify_cluster_tilting
 
-from builders import jordan_module, jordan_spec, twisted
+from builders import is_canonical_scalar, jordan_module, jordan_spec, twisted
 from pairwise_reference import presentation_unpooled, step_unpooled
 
 FIELDS = [rational_field(), prime_field(2), prime_field(101)]
@@ -335,7 +335,8 @@ def test_freed_module_leaves_its_step_to_a_later_twin(fld, monkeypatch):
 def test_records_hold_no_module_morphism_cover_or_algebra():
     """Every value in a2-tilde-3233's cache after ``ct verify`` and
     ``skeleton`` over Q, the cached opposite algebra aside, reaches no
-    module, morphism, cover or algebra."""
+    module, morphism, cover or algebra, and every scalar it reaches is
+    canonical: an int, or a Fraction that is not integral, and no float."""
     _, spec = nakayama2_tilde(KS, len(KS), rational_field())
     alg = spec.algebra
     assert verify_cluster_tilting(spec).verdict == "certificate_only"
@@ -345,9 +346,15 @@ def test_records_hold_no_module_morphism_cover_or_algebra():
     forbidden = (Representation, RepMorphism, rep.Cover, BoundQuiverAlgebra)
     seen, stack, found = set(), [v for k, v in alg.cache.items()
                                  if k != "opposite"], []
+    scalars = bad = 0
     while stack:
         x = stack.pop()
-        if id(x) in seen or isinstance(x, (int, str, Fraction)) or x is None:
+        # bools are memoised verdicts, not scalars
+        if isinstance(x, (int, Fraction, float)) and type(x) is not bool:
+            scalars += 1
+            bad += not is_canonical_scalar(alg.field, x)
+            continue
+        if id(x) in seen or isinstance(x, str) or x is None:
             continue
         seen.add(id(x))
         if isinstance(x, forbidden):
@@ -362,3 +369,4 @@ def test_records_hold_no_module_morphism_cover_or_algebra():
                       if hasattr(x, a)]
             stack += list(getattr(x, "__dict__", {}).values())
     assert not found, f"the cache reaches {sorted(set(found))}"
+    assert scalars and not bad, f"{bad} of {scalars} scalars not canonical"
