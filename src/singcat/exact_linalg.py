@@ -29,7 +29,6 @@ nonzero column, topmost unused row).
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import index
 from typing import Iterable, Sequence
 
 
@@ -103,7 +102,7 @@ class Field:
 
     def of_int(self, n: int):
         if self.kind == "rational":
-            return index(n)  # a TypeError for a float or a Fraction
+            return _rational(Fraction(n))
         return n % self.p
 
     def add(self, a, b):
@@ -131,19 +130,15 @@ class Field:
     def from_str(self, s: str):
         """Parse a decimal coefficient string, '2/3' style for rationals.
 
-        Over Q an integer string is read by ``int`` and anything else by
-        ``Fraction``, whose syntax includes every integer string, and an
-        integral value comes back as an int ("3/1", "1e3").  A denominator
-        that is zero in the field ("1/0", or "1/7" over F_7) is a
-        ValueError, like any other malformed coefficient.
+        Over Q the string is read by ``Fraction`` and an integral value
+        comes back as an int ("3/1", "1e3").  A denominator that is zero in
+        the field ("1/0", or "1/7" over F_7) is a ValueError, like any other
+        malformed coefficient.
         """
         s = s.strip()
         try:
             if self.kind == "rational":
-                try:
-                    return int(s)
-                except ValueError:
-                    return _rational(Fraction(s))
+                return _rational(Fraction(s))
             if "/" in s:
                 num, den = s.split("/")
                 return self.div(int(num) % self.p, int(den) % self.p)
@@ -257,7 +252,8 @@ class Matrix:
 
         The result accumulates a * (row k) over the nonzero a = x[k], only at
         that row's nonzeros; entries that are the field's zero are skipped
-        by identity first.  Over Q each updated sum is made canonical
+        by identity first.  Over Q a sum still at zero takes the product
+        without an addition, and each updated sum is made canonical
         (``_rational``, inlined), so the result is canonical for any x.
         """
         if len(x) != self.rows:
@@ -270,7 +266,10 @@ class Matrix:
             if p is None:
                 for j, b in enumerate(rk):
                     if b is not z and b:
-                        y = acc[j] + a * b
+                        y = a * b
+                        s = acc[j]
+                        if s is not z:
+                            y += s
                         if type(y) is Fraction and y.denominator == 1:
                             y = y.numerator
                         acc[j] = y
