@@ -20,17 +20,23 @@ from .homology import (
     ExtSpace,
     PdCertificate,
     ProjectiveResolution,
-    StableHomSpace,
     ext,
     ext_dim,
-    is_projective,
     pd_certificate,
     resolve,
+    syzygy,
+    syzygy_morphism,
+)
+from .homspace import (
+    HomSpace,
+    StableHomSpace,
+    add_membership,
+    hom,
+    hom_dim,
+    is_isomorphic,
     stable_end_dim,
     stable_hom,
     stable_iso,
-    syzygy,
-    syzygy_morphism,
 )
 from .quiver_algebra import (
     Arrow,
@@ -52,17 +58,13 @@ from .quiver_algebra import (
 )
 from .rep import (
     AlgebraMismatch,
-    HomSpace,
     RepMorphism,
     Representation,
-    add_membership,
     direct_sum,
     dual_module,
-    hom,
-    hom_dim,
     injective_module,
     injectives,
-    is_isomorphic,
+    is_projective,
     projective_cover,
     projective_module,
     projectives,

@@ -31,7 +31,8 @@ from .exact_linalg import (
     Field, FieldError, InternalCheckFailed, Matrix, prime_field, rational_field,
 )
 from .families import InvalidTriple, nakayama2_tilde
-from .homology import PdCertificate, ext_dim, is_projective, resolve, syzygy
+from .homology import PdCertificate, ext_dim, resolve, syzygy
+from .homspace import hom_dim
 from .quiver_algebra import (
     Arrow,
     BoundQuiverAlgebra,
@@ -49,7 +50,10 @@ from .quiver_algebra import (
     nakayama_cyclic,
     truncate,
 )
-from .rep import AlgebraMismatch, Representation, hom_dim, projective_module, simple_module
+from .rep import (
+    AlgebraMismatch, Representation, is_projective, projective_module,
+    simple_module,
+)
 from .stab import (
     OrbitNotResolved,
     gp_certificate,

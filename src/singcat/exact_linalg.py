@@ -101,9 +101,14 @@ class Field:
         return "Field(rational)" if self.kind == "rational" else f"Field(F_{self.p})"
 
     def of_int(self, n: int):
+        """n as a scalar of the field; over F_p, FieldError unless n is
+        integral (an int, or a Fraction with denominator 1)."""
+        x = Fraction(n)
         if self.kind == "rational":
-            return _rational(Fraction(n))
-        return n % self.p
+            return _rational(x)
+        if x.denominator != 1:
+            raise FieldError(f"{n!r} is not an integer")
+        return x.numerator % self.p
 
     def add(self, a, b):
         return _rational(a + b) if self.kind == "rational" else (a + b) % self.p

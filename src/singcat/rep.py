@@ -3,7 +3,7 @@
 A representation assigns a dimension to each vertex and a matrix to each
 arrow; elements are row vectors and act on the right.  A morphism is a
 per-vertex matrix commuting with the arrow actions.  Everything here is
-exact: kernels, images, hom spaces and projective covers.
+exact: kernels, images, cokernels and projective covers.
 
 Work runs only on nonempty blocks.  A module is supported on few of its
 algebra's vertices, so most of the per-vertex and per-arrow blocks that a
@@ -30,45 +30,24 @@ Memos are kept per module content, its dimension vector and arrow
 entries, hashed once (``_Content``).  One record per content
 (``_Record``) lives in the algebra's ``cache``, and each module reaches it
 through its ``_memo``: the path actions, the cover step's data with the
-presentation, Hom dimensions by the other module's content, and the memos
-of ``homology`` and ``stab``.  A record holds no module, morphism, cover
-or algebra, so it closes no reference cycle.  A module whose content was
-stepped before, as a generator, a Hom source or a syzygy, is not covered
-again: its own step wraps the record's data in fresh objects, so an orbit
-that closes in content stays a chain of objects, freed by reference
-counting.
+presentation, and the memos of ``homspace``, ``homology`` and ``stab``.
+A record holds no module, morphism, cover or algebra, so it closes no
+reference cycle.  A module whose content was stepped before, as a
+generator, a Hom source or a syzygy, is not covered again: its own step
+wraps the record's data in fresh objects, so an orbit that closes in
+content stays a chain of objects, freed by reference counting.
 
-Every Hom space is read from the source's presentation.  Hom(-, N) is
-left exact and Hom(P(v), N) = N e_v, so Hom(M, N) is the kernel of the map
-from the sum of the N_v, v over the cover's summands, to one block of N
-per top generator of Omega M (``_presented_system``), a system sized by
-the tops of M and Omega M.  A Hom vector lists the images of M's top
-generators, which fix the map; ``hom_dim`` reads the rank, ``hom`` keeps
-the kernel vectors, and only its ``basis`` turns them into morphisms,
-through the section, on first use.
-
-Maps out of M are read at M's top generators, so membership builds no
-map out of M.  Membership in add G is settled by an isomorphism
-certificate to one generator (``_iso_certificate``): with equal dimension
-vectors a map is an isomorphism exactly when its generator images span
-the target modulo its radical (Nakayama's lemma, ``_spans_top``).
-Otherwise one trace test decides (``_identity_in_trace``): id_M in the
-span of the composites M -> g -> M, each a row of its values at the
-generators, sum_j dim M_{v_j} columns and not sum_v (dim M_v)^2.  The
-stable category, maps modulo those that factor through a projective, is
-built on this module and its cover step in ``homology``, which reuses the
-certificate and the trace test; this module imports nothing from it.
+Hom spaces, add-membership and the stable category are read from these
+presentations in ``homspace``; this module imports nothing above it.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Sequence
 
 from .exact_linalg import (
-    InternalCheckFailed, Matrix, _rational, canonical, echelon_solve,
-    kernel_and_section, rank, rref, sparse_kernel, sparse_rank,
-    sparse_span_contains,
+    InternalCheckFailed, Matrix, canonical, echelon_solve, kernel_and_section,
+    rank, rref,
 )
 from .quiver_algebra import BoundQuiverAlgebra, PathKey, opposite_algebra
 
@@ -268,158 +247,6 @@ class RepMorphism:
                             for v in rep.dims}, check=False)
 
 
-class HomSpace:
-    """The space of morphisms M -> N, with a canonical ordered basis.
-
-    Its vectors (``vecs``) are the reduced left kernel of
-    ``_presented_system``: each lists the images of M's top generators,
-    which fix a morphism, and ``dim`` counts them.  The basis maps are
-    built on first use of ``basis``: each is the section of M's cover at
-    each vertex followed by the cover map that sends the generators to the
-    vector's images (``_presented_map``).  Isomorphism certificates and
-    trace tests read the vectors and build no map out of M.
-    """
-
-    def __init__(self, M: Representation, N: Representation):
-        f = _same_algebra(M, N).field
-        self.src = M
-        self.tgt = N
-        self._pres = _presentation(M)
-        rows, ncols = _presented_system(self._pres, N)
-        vecs = sparse_kernel(f, rows, ncols) if rows else []
-        self._bmat = Matrix.from_rows(f, vecs, len(rows))
-        self.vecs = self._bmat.entries
-
-    @cached_property
-    def basis(self) -> list[RepMorphism]:
-        return [_presented_map(self, x) for x in self.vecs]
-
-    @property
-    def dim(self) -> int:
-        return len(self.vecs)
-
-    def _images(self, x: Sequence) -> list[tuple[str, Sequence]]:
-        """(v_j, x_j): the image x_j in N_{v_j} of M's j-th top generator
-        that the Hom vector x lists."""
-        out, pos = [], 0
-        for v in self._pres.vertices:
-            out.append((v, x[pos:pos + self.tgt.dims[v]]))
-            pos += self.tgt.dims[v]
-        return out
-
-    def _vec(self, f: RepMorphism) -> list:
-        """f's images of M's top generators, in the order of the unknowns."""
-        return [y for v, g in self._pres.gens for y in f.mats[v].act(g)]
-
-    def coords(self, f: RepMorphism) -> tuple:
-        """f's coordinates, read at the top generators and checked by
-        recombination: a map that is not the morphism its generator images
-        name lies outside the hom space."""
-        fld = self.src.algebra.field
-        vec = Matrix.from_rows(fld, [self._vec(f)], self._bmat.cols)
-        sol = echelon_solve(self._bmat, vec)
-        if sol is None or self.element(sol.entries[0]).mats != f.mats:
-            raise ValueError("morphism outside the hom space")
-        return sol.entries[0]
-
-    def element(self, coeffs: Sequence) -> RepMorphism:
-        if len(coeffs) != self.dim:
-            raise ValueError("wrong coefficient count")
-        return _presented_map(self, self._bmat.act(coeffs))
-
-
-def hom(M: Representation, N: Representation) -> HomSpace:
-    return HomSpace(M, N)
-
-
-def hom_dim(M: Representation, N: Representation) -> int:
-    """dim Hom(M, N): the unknowns of ``_presented_system`` minus its rank.
-
-    Equal to ``hom(M, N).dim``, but builds no kernel basis and no morphism.
-    With no unknowns or no constraints there is nothing to eliminate.
-    Memoised in M's record by N's content.
-    """
-    _same_algebra(M, N)
-    return _memoised(M, ("hom", _record(N).content), _hom_rank, M, N)
-
-
-def _hom_rank(M: Representation, N: Representation) -> int:
-    rows, ncols = _presented_system(_presentation(M), N)
-    if not rows or not ncols:
-        return len(rows)
-    return len(rows) - sparse_rank(M.algebra.field, rows, ncols)
-
-
-def _path_actions(N: Representation, v: str) -> tuple:
-    """N's action of the basis paths from v, per basis vector of N_v.
-
-    Entry i is, for each basis path p from v in ``paths_from`` order, the
-    image of the i-th basis vector under p (``_path_images``), a dense row
-    tuple.  Memoised in N's record, per vertex.  It holds tuples only, and
-    no tuple per nonzero entry: over Q every tuple that holds a
-    non-integral Fraction stays tracked by the cyclic collector while it
-    lives (a tuple of ints is untracked at its first collection).
-    """
-    paths = _record(N).paths
-    table = paths.get(v)
-    if table is None:
-        f = N.algebra.field
-        n = N.dims[v]
-        table = paths[v] = tuple(
-            tuple(_path_images(
-                N, v, [f.one if k == i else f.zero for k in range(n)]).values())
-            for i in range(n))
-    return table
-
-
-def _presented_system(pres: "Presentation", N: Representation,
-                      ) -> tuple[list[dict], int]:
-    """Sparse constraints on Hom(M, N), M presented by P1 -> P0 -> M -> 0.
-
-    Hom(-, N) is left exact, so a map M -> N is a map P0 -> N that kills
-    Omega M, and Hom(P(v), N) = N e_v (Auslander-Reiten-Smalo, I.4 and
-    III.2).  Rows are the unknowns, one x_j in N_{v_j} per cover summand j,
-    laid out summand by summand; relation r at u has a block of dim N_u
-    columns holding sum_{j, p} c_{r,j,p} x_j N_p.  Omega M is generated by
-    its relations, so the left kernel is Hom(M, N).  Returns (rows, column
-    count), rows as {column: value} dicts of canonical nonzeros.
-    """
-    z, p = N.algebra.field.zero, N.algebra.field.p
-    off, total = [], 0
-    for v in pres.vertices:
-        off.append(total)
-        total += N.dims[v]
-    rows: list[dict] = [{} for _ in range(total)]
-    col = 0
-    for u, terms in pres.relations(N.algebra):
-        for j, idx, c in terms:
-            for i, images in enumerate(
-                    _path_actions(N, pres.vertices[j]), off[j]):
-                row = rows[i]
-                for k, y in enumerate(images[idx], col):
-                    if y is not z and y:
-                        x = row.get(k)
-                        row[k] = c * y if x is None else x + c * y
-        col += N.dims[u]
-    if p is None:
-        return [{k: _rational(x) for k, x in r.items() if x} for r in rows], col
-    return [{k: x % p for k, x in r.items() if x % p} for r in rows], col
-
-
-def _presented_map(H: HomSpace, x: Sequence) -> RepMorphism:
-    """The morphism M -> N of H = hom(M, N) sending M's j-th top generator
-    to the x_j that x lists (``HomSpace._images``): at each vertex w, the
-    section s_w of M's cover followed by the cover map that sends the j-th
-    generator of P0 to x_j.  For x in the kernel of ``_presented_system``
-    that map kills Omega M, so it factors through M as this morphism."""
-    pres = H._pres
-    lam = _gen_image_mats(H.src.algebra, pres.vertices, H.tgt,
-                          [y for _, y in H._images(x)])
-    return RepMorphism(H.src, H.tgt, {w: s.mul(lam[w])
-                                      for w, s in pres.section.items()},
-                       check=False)
-
-
 def _echelon_submodule(M: Representation, inc_mats: dict[str, Matrix],
                        what: str) -> tuple[Representation, RepMorphism]:
     """The submodule of M spanned by the echelon rows inc_mats[v], with its
@@ -544,9 +371,9 @@ class Cover:
     """A finite direct sum of indecomposable projectives with marked generators.
 
     The algebra caches the sum's dimensions, action, record and generator
-    offsets under the vertex tuple, as ``projective_module`` does for one
-    P(v), so the cache holds nothing that points back at the algebra; each
-    Cover wraps them in a new Representation with no re-check.
+    offsets under the vertex tuple, as ``_cached`` does for one P(v), so
+    the cache holds nothing that points back at the algebra; each Cover
+    wraps them in a new Representation with no re-check.
     """
 
     def __init__(self, algebra: BoundQuiverAlgebra, vertices: Sequence[str]):
@@ -686,11 +513,11 @@ class _Record:
 
     ``paths`` maps a vertex to its path-action table, ``step`` is the cover
     step's data (``_step_data``), and ``memo`` holds the rest under a name,
-    or a name and another module's content key: "hom" here, and the stable
-    Hom dimensions, stable classes, orbit certificates, P(M, M) rows and
-    Ext^1 test of ``homology`` and ``stab``.  Its values are matrices,
-    tuples, ints, presentations and content keys, never a module, a
-    morphism, a cover or an algebra.
+    or a name and another module's content key: the Hom and stable Hom
+    dimensions, stable classes and P(M, M) rows of ``homspace``, and the
+    orbit certificates and Ext^1 test of ``homology`` and ``stab``.  Its
+    values are matrices, tuples, ints, presentations and content keys,
+    never a module, a morphism, a cover or an algebra.
     """
 
     __slots__ = ("content", "paths", "step", "memo")
@@ -734,39 +561,30 @@ def _presentation(M: Representation) -> Presentation:
 
 
 def projective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
-    """The indecomposable projective e_v A, spanned by the paths from v.
-
-    The algebra caches its dimensions, action and record, not the module,
-    so the cache holds nothing that points back at the algebra; each call
-    wraps them in a new Representation with no re-check
-    (``Representation._wrap``).
-    """
-    data = algebra.cache.get(("projective", v))
-    if data is not None:
-        return Representation._wrap(algebra, *data)
-    if v not in algebra.quiver.arrows_from:
-        raise AlgebraMismatch(f"unknown vertex {v!r}")
-    f = algebra.field
-    paths = algebra.paths_from(v)
-    by_tgt: dict[str, list[PathKey]] = {}
-    for key in paths:
-        by_tgt.setdefault(algebra.key_target(key), []).append(key)
-    dims = {w: len(by_tgt.get(w, [])) for w in algebra.quiver.vertices}
-    action = {}
-    for a in algebra.quiver.arrows:
-        src_keys = by_tgt.get(a.src, [])
-        tgt_keys = by_tgt.get(a.tgt, [])
-        pos = {k: i for i, k in enumerate(tgt_keys)}
-        rows = []
-        for key in src_keys:
-            row = [f.zero] * len(tgt_keys)
-            for k2, c in algebra.mult_by_arrow(key, a.id).items():
-                row[pos[k2]] = c
-            rows.append(row)
-        action[a.id] = Matrix.from_rows(f, rows, len(tgt_keys))
-    P = Representation._wrap(algebra, dims, action)
-    algebra.cache[("projective", v)] = (dims, action, _record(P))
-    return P
+    """The indecomposable projective e_v A, spanned by the paths from v,
+    cached on the algebra (``_cached``)."""
+    def build():
+        if v not in algebra.quiver.arrows_from:
+            raise AlgebraMismatch(f"unknown vertex {v!r}")
+        f = algebra.field
+        by_tgt: dict[str, list[PathKey]] = {}
+        for key in algebra.paths_from(v):
+            by_tgt.setdefault(algebra.key_target(key), []).append(key)
+        dims = {w: len(by_tgt.get(w, [])) for w in algebra.quiver.vertices}
+        action = {}
+        for a in algebra.quiver.arrows:
+            src_keys = by_tgt.get(a.src, [])
+            tgt_keys = by_tgt.get(a.tgt, [])
+            pos = {k: i for i, k in enumerate(tgt_keys)}
+            rows = []
+            for key in src_keys:
+                row = [f.zero] * len(tgt_keys)
+                for k2, c in algebra.mult_by_arrow(key, a.id).items():
+                    row[pos[k2]] = c
+                rows.append(row)
+            action[a.id] = Matrix.from_rows(f, rows, len(tgt_keys))
+        return Representation._wrap(algebra, dims, action)
+    return _cached(algebra, ("projective", v), build)
 
 
 def projectives(algebra: BoundQuiverAlgebra) -> list[tuple[str, Representation]]:
@@ -774,9 +592,12 @@ def projectives(algebra: BoundQuiverAlgebra) -> list[tuple[str, Representation]]
 
 
 def _cached(algebra: BoundQuiverAlgebra, key, build) -> Representation:
-    """The module ``build()`` makes, cached under ``key`` like
-    ``projective_module``: dimensions, action and record, not the
-    module."""
+    """The module ``build()`` makes, cached on the algebra under ``key``.
+
+    The cache holds its dimensions, action and record, not the module, so
+    it holds nothing that points back at the algebra; each call wraps them
+    in a new Representation with no re-check (``Representation._wrap``).
+    """
     data = algebra.cache.get(key)
     if data is None:
         M = build()
@@ -876,25 +697,6 @@ def _radical_rows(alg: BoundQuiverAlgebra, action: dict[str, Matrix],
     return [r for a in alg.quiver.arrows_into[v] for r in action[a.id].entries]
 
 
-def _spans_top(N: Representation, elems: Sequence[tuple[str, Sequence]],
-               ) -> bool:
-    """Do the elements (v, x), x in N_v, with rad N span N at every vertex
-    where N is nonzero?  Then, by Nakayama's lemma, they generate N: a map
-    into N is onto exactly when its images of the source's top generators
-    pass this test (Auslander-Reiten-Smalo, I.3 and III.2)."""
-    alg = N.algebra
-    at: dict[str, list] = {v: [] for v in N.dims}
-    for v, x in elems:
-        at[v].append(x)
-    for v, n in N.dims.items():
-        if not n:
-            continue
-        rows = at[v] + _radical_rows(alg, N.action, v)
-        if len(rows) < n or rank(Matrix(alg.field, len(rows), n, rows)) < n:
-            return False
-    return True
-
-
 def top_generators(M: Representation) -> list[tuple[str, list]]:
     """Rows spanning M over its radical, one (vertex, row vector) per
     generator: the unit vectors of ``_top_rows``."""
@@ -940,183 +742,41 @@ def _gen_image_mats(alg: BoundQuiverAlgebra, vertices: Sequence[str],
             for w in alg.quiver.vertices}
 
 
-def _cover_map_from_gen_images(cover: Cover, T: Representation,
-                               xs: list) -> RepMorphism:
-    """The morphism cover.rep -> T sending the j-th generator to row xs[j]."""
-    return RepMorphism(cover.rep, T, _gen_image_mats(
-        cover.algebra, cover.vertices, T, xs), check=False)
+def is_onto(f: RepMorphism) -> bool:
+    """Is f: M -> N onto?  The block f_v has rank dim N_v exactly when
+    its rows minus the dimension of its left kernel are dim N_v.
+
+    Read from the memoised eliminations of ``_kernel_blocks``, so a
+    ``kernel(f)`` asked for after this eliminates nothing again.
+    """
+    ker = _kernel_blocks(f)[0]
+    return all(m.rows - ker[v].rows == f.tgt.dims[v]
+               for v, m in f.mats.items())
 
 
 def projective_cover(M: Representation) -> tuple[Cover, RepMorphism]:
     """The minimal cover sum_v P(v) -> M, one P(v) per top generator at v.
 
-    The map eps is checked onto at every vertex w where M is nonzero, by
-    the elimination that gives its kernel: the block eps_w has rank
-    dim M_w exactly when its rows minus the dimension of its left kernel
-    are dim M_w, and then the elimination also gives a section of eps_w.
-    The blocks stay memoised on eps (``_kernel_blocks``), so
-    ``kernel(eps)`` eliminates nothing again.
+    The map eps is checked onto (``is_onto``) by the eliminations that give
+    its kernel, which also give a section of each block eps_w.  The blocks
+    stay memoised on eps (``_kernel_blocks``), so ``kernel(eps)``
+    eliminates nothing again.
     """
     gens = top_generators(M)
     cover = Cover(M.algebra, [v for v, _ in gens])
-    eps = _cover_map_from_gen_images(cover, M, [g for _, g in gens])
-    ker = _kernel_blocks(eps)[0]
-    for w, d in M.dims.items():
-        if d and eps.mats[w].rows - ker[w].rows != d:
-            raise InternalCheckFailed("cover map is not onto")
+    eps = RepMorphism(cover.rep, M, _gen_image_mats(
+        M.algebra, cover.vertices, M, [g for _, g in gens]), check=False)
+    if not is_onto(eps):
+        raise InternalCheckFailed("cover map is not onto")
     return cover, eps
 
 
-# ---------------------------------------------------------------------------
-# add-membership and isomorphism
+def is_projective(M: Representation) -> bool:
+    """Zero or projective, that is, stably zero.
 
-
-def _generator_row(M: Representation) -> tuple[dict, int]:
-    """id_M read at M's top generators: the sparse row listing each
-    generator m_j of ``_presentation(M)`` at v_j, one after another, and its
-    width sum_j dim M_{v_j}."""
-    row, width = {}, 0
-    for v, g in _presentation(M).gens:
-        row.update((c, x) for c, x in enumerate(g, width) if x)
-        width += M.dims[v]
-    return row, width
-
-
-def _composite_rows(H: HomSpace, bs: Sequence[dict]) -> list[dict]:
-    """The composites h then b, read at the top generators m_j of M, as
-    sparse {column: value} rows in the layout of ``_generator_row``.
-
-    h runs over the vectors of H = hom(M, X), which list h(m_j), and b over
-    bs, maps X -> M given by their per-vertex matrices; the row lists
-    b_{v_j}(h(m_j)).  A map out of M is fixed by its generator images, so
-    the reading is injective on End(M).  A zero composite gives no row.
+    The minimal cover sum_v P(v) -> M, one P(v) per top generator at v, is
+    onto, so it is an isomorphism exactly when its kernel Omega M is zero.
+    Omega M's dimension vector is read from the cover step's data in M's
+    record (``_step_data``), so no cover, syzygy or inclusion is wrapped.
     """
-    z = H.src.algebra.field.zero
-    rows = []
-    for x in H.vecs:
-        images = H._images(x)
-        for b in bs:
-            vals = [e for v, y in images for e in b[v].act(y)]
-            row = {c: e for c, e in enumerate(vals) if e is not z and e}
-            if row:
-                rows.append(row)
-    return rows
-
-
-def _identity_in_trace(M: Representation,
-                       pairs: Sequence[tuple[HomSpace, list]],
-                       base: Sequence[dict] = ()) -> bool:
-    """Is id_M in the span of the rows ``base`` and the composites h then b,
-    h over the vectors of H and b over bs, for each (H, bs) in pairs?
-
-    H is hom(M, X) and bs maps X -> M.  Every row is read at M's top
-    generators (``_composite_rows``), a width of sum_j dim M_{v_j}; the
-    reading is injective on End(M), so id_M is in the span exactly when its
-    generator row is.  The rows are reduced once, sparse; ``base`` is
-    copied.
-    """
-    rows = [dict(r) for r in base]
-    for H, bs in pairs:
-        rows += _composite_rows(H, [b.mats for b in bs])
-    ident, width = _generator_row(M)
-    return sparse_span_contains(M.algebra.field, rows, width, ident)
-
-
-def _images_span(maps: Sequence[RepMorphism], N: Representation) -> bool:
-    """Do the images of the maps into N together span N at every vertex?"""
-    f = N.algebra.field
-    return all(rank(Matrix.from_rows(
-        f, [r for b in maps for r in b.mats[v].entries], n)) == n
-        for v, n in N.dims.items())
-
-
-def _homs_into(M: Representation, gens: Sequence[Representation],
-               ) -> list[tuple[Representation, HomSpace]] | None:
-    """(g, hom(g, M)) for each generator g, or None when M is certified
-    isomorphic to one of them, which puts M in add G.
-
-    Every generator with M's dimension vector is tried by
-    ``_iso_certificate(g, M)`` before any other Hom space is built: equal
-    matrices certify with none, and the Hom space a failed certificate
-    built is reused.
-    """
-    tried = []
-    for g in gens:
-        iso, H = _iso_certificate(g, M)
-        if iso:
-            return None
-        tried.append(H)
-    return [(g, hom(g, M) if H is None else H) for g, H in zip(gens, tried)]
-
-
-def _top_images(spaces: Sequence[HomSpace]) -> list[tuple[str, Sequence]]:
-    """The generator images that the vectors of the Hom spaces list."""
-    return [e for H in spaces for x in H.vecs for e in H._images(x)]
-
-
-def add_membership(M: Representation, gens: Sequence[Representation]) -> bool:
-    """Is M a direct summand of a finite sum of copies of the given modules?
-
-    An isomorphism to one generator settles it first (``_homs_into``).
-    Otherwise the trace criterion decides (Auslander-Reiten-Smalo,
-    *Representation Theory of Artin Algebras*): M is in add G exactly when
-    id_M factors through a sum of copies of the generators.  Every map
-    M -> G^n -> M is a sum of composites M -> g -> M, so this holds exactly
-    when id_M lies in the span of the composites h.b, with h over the
-    vectors of hom(M, g) and b over the basis maps of hom(g, M).  The maps
-    g -> M must together be onto, which rejects early: their generator
-    images with rad M must span M (``_spans_top``).  hom(M, g) is skipped
-    for a g with hom(g, M) = 0.  The composites are read at M's top
-    generators (``_identity_in_trace``), reduced once as sparse rows, and
-    id_M is read off the echelon rows.
-
-    Membership up to projective summands, M in add(G + A), is
-    ``homology.stable_add_membership``, which reuses the isomorphism
-    certificates and the trace test here with the maps through M's cached
-    projective cover in place of the projective generators.
-    """
-    if M.total_dim == 0:
-        return True
-    if not gens:
-        return False
-    _same_algebra(M, *gens)
-    into = _homs_into(M, gens)
-    if into is None:
-        return True
-    if not _spans_top(M, _top_images([H for _, H in into])):
-        return False
-    return _identity_in_trace(
-        M, [(hom(M, g), H.basis) for g, H in into if H.dim])
-
-
-def _iso_certificate(M: Representation, N: Representation,
-                     ) -> tuple[bool, HomSpace | None]:
-    """(M and N are certified isomorphic, hom(M, N) if built).
-
-    Equal matrices certify by the identity, with no Hom space built.  Else
-    a vector of hom(M, N) certifies when its generator images, with rad N,
-    span N (``_spans_top``): the map is onto, and with equal dimension
-    vectors an isomorphism.  No morphism is built, and nothing at all when
-    the dimension vectors differ."""
-    if M.dims != N.dims:
-        return False, None
-    if M.action == N.action:
-        return True, None
-    H = hom(M, N)
-    return any(_spans_top(N, H._images(x)) for x in H.vecs), H
-
-
-def is_isomorphic(M: Representation, N: Representation) -> bool | None:
-    """Literal isomorphism test, certified or undetermined (None).
-
-    True on an isomorphism certificate (``_iso_certificate``).  False when
-    the dimension vectors differ, or when the generator images of all the
-    vectors of Hom(M, N) together, with rad N, miss part of N
-    (``_spans_top``): then no map is onto.  This decides every N with a
-    simple top, such as P(v), and every Hom of dimension <= 1.
-    """
-    _same_algebra(M, N)
-    iso, H = _iso_certificate(M, N)
-    if iso or H is None:
-        return iso
-    return None if _spans_top(N, _top_images([H])) else False
+    return M.total_dim == 0 or not any(_step_data(M)[2].values())

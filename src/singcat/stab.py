@@ -40,16 +40,8 @@ from dataclasses import dataclass
 from math import lcm
 
 from .exact_linalg import InternalCheckFailed
-from .homology import (
-    PdCertificate,
-    _stable_dim,
-    _stride,
-    ext_dim,
-    is_projective,
-    pd_certificate,
-    stable_iso,
-    syzygy,
-)
+from .homology import PdCertificate, _stride, ext_dim, pd_certificate, syzygy
+from .homspace import _stable_dim, stable_iso
 from .quiver_algebra import BoundQuiverAlgebra, opposite_algebra
 from .rep import (
     AlgebraMismatch,
@@ -58,6 +50,7 @@ from .rep import (
     _cover_step,
     _memoised,
     injective_module,
+    is_projective,
     projective_module,
     regular_module,
 )

@@ -37,15 +37,13 @@ from .rep import (
     AlgebraMismatch,
     RepMorphism,
     Representation,
-    _images_span,
     _record,
-    add_membership,
     direct_sum,
     dual_module,
-    hom,
-    hom_dim,
     injective_mod_socle,
     injective_module,
+    is_onto,
+    is_projective,
     kernel,
     projective_module,
     projective_radical,
@@ -53,10 +51,8 @@ from .rep import (
     top_generators,
     zero_rep,
 )
-from .homology import (
-    ext_dim, is_projective, resolve, stable_add_membership, syzygy,
-)
-
+from .homspace import add_membership, hom, hom_dim, stable_add_membership
+from .homology import ext_dim, resolve, syzygy
 
 class IncompleteIndecList(ValueError):
     """The supplied indecomposable list fails a completeness sanity check."""
@@ -79,7 +75,8 @@ class SubcatSpec:
 
     Generators are taken as given: each is expected to be a nonzero
     indecomposable, and indecomposability is the caller's assertion, not
-    re-verified here.  ``labels`` names generators in reports; ``claims``
+    re-verified here.  ``labels`` names generators in reports, and reports
+    key their entries by it, so no two may be equal; ``claims``
     is an optional list of claim tags carried through serialization.
     """
 
@@ -100,6 +97,9 @@ class SubcatSpec:
             labels = [f"G{i}" for i in range(len(generators))]
         if len(labels) != len(generators):
             raise ValueError("label count does not match generator count")
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValueError(f"repeated generator label {label!r}")
         self.algebra = algebra
         self.generators = list(generators)
         self.d = d
@@ -266,7 +266,7 @@ def verify_gen_cogen(spec: SubcatSpec) -> dict[str, Check]:
         dspec = _dual_spec(spec)
         first = _first_failure(
             [(f"P({v})", injective_module(dspec.algebra, v)) for v in vs],
-            lambda T: _images_span([right_approximation(dspec, T)], T), note)
+            lambda T: is_onto(right_approximation(dspec, T)), note)
         if not first.ok:
             cogenerating = first
     return {"generating": generating, "cogenerating": cogenerating}
@@ -275,11 +275,11 @@ def verify_gen_cogen(spec: SubcatSpec) -> dict[str, Check]:
 def verify_dZ_closure(spec: SubcatSpec) -> Check:
     """Each d-th syzygy of a generator lies in add(generators + projectives).
 
-    Decided by ``homology.stable_add_membership``, with no projective
+    Decided by ``homspace.stable_add_membership``, with no projective
     generator: id_X must lie in the span of the composites X -> g -> X plus
     P(X, X), the maps through X's cached projective cover, which are exactly
     the composites through the projectives.  A projective X
-    (``homology.is_projective``) lies in add A, and each non-projective
+    (``rep.is_projective``) lies in add A, and each non-projective
     content of X is tested once.
     """
     tested = set()
@@ -398,7 +398,7 @@ def d_resolution(spec: SubcatSpec, E: Representation) -> DResolution:
     cur = E
     while True:
         f = right_approximation(spec, cur)
-        if not _images_span([f], f.tgt):
+        if not is_onto(f):
             raise ApproximationNotEpi(
                 "right approximation misses part of its target; "
                 "the spec does not generate")

@@ -1,5 +1,5 @@
-"""Pair-by-pair and full-loop forms of what rep, tilting and stab decide
-in bulk, skip or compute through a duality.
+"""Pair-by-pair and full-loop forms of what rep, homspace, tilting and stab
+decide in bulk, skip or compute through a duality.
 
 Shared by the test modules: every test module and every (source, target)
 pair is checked on its own, in the order the reports name witnesses, with
@@ -16,23 +16,25 @@ shares content-identical syzygies and reuses a content twin's step.
 ``homology._stride`` reads it off the 1-step orbit of ``pd_certificate``;
 at stride 1 it keeps the members that ``gp_certificate_pairwise`` scans.  ``add_membership_by_trace`` and
 ``stable_add_membership_by_trace`` run the trace test on every generator,
-where ``rep`` first tries an isomorphism certificate to each, and write
-each composite out in End_k(M) (``identity_in_trace_full``), where ``rep``
-reads it at M's top generators.  Written for clarity and not for speed.
+where ``homspace`` first tries an isomorphism certificate to each, and
+write each composite out in End_k(M) (``identity_in_trace_full``), where
+``homspace`` reads it at M's top generators.  ``images_span_full`` ranks
+the stacked images of the maps at every vertex, where ``rep.is_onto``
+reads one map's kernel and ``homspace._spans_top`` the generator images.  Written for clarity and not for speed.
 """
 
 from singcat.exact_linalg import (
     InternalCheckFailed, Matrix, _eliminate, echelon_solve, kernel_basis, rank,
     rref, sparse_rank, sparse_span_contains,
 )
-from singcat.homology import (
-    ext_dim, is_projective, stable_end_dim, stable_hom, stable_iso, syzygy,
+from singcat.homology import ext_dim, syzygy
+from singcat.homspace import (
+    add_membership, hom, stable_end_dim, stable_hom, stable_iso,
 )
 from singcat.rep import (
-    Presentation, RepMorphism, Representation, _cover_step,
-    _images_span, _kernel_blocks, _path_images, add_membership, cokernel,
-    direct_sum, hom, injectives, kernel, projective_cover, projective_module,
-    projectives, simple_module, zero_rep,
+    Presentation, RepMorphism, Representation, _cover_step, _kernel_blocks, _path_images, cokernel, direct_sum, injectives,
+    is_projective, kernel, projective_cover, projective_module, projectives,
+    simple_module, zero_rep,
 )
 from singcat.stab import GpCertificate
 from singcat.tilting import (
@@ -54,6 +56,14 @@ def verify_rigid_pairwise(spec):
                                  witness=(spec.labels[i], spec.labels[j], t),
                                  note=f"ext dimension {dim}")
     return Check(True)
+
+
+def images_span_full(maps, N):
+    """Do the images of the maps into N together span N at every vertex?"""
+    f = N.algebra.field
+    return all(rank(Matrix.from_rows(
+        f, [r for b in maps for r in b.mats[v].entries], n)) == n
+        for v, n in N.dims.items())
 
 
 def is_mono_full(f):
@@ -125,7 +135,7 @@ def verify_gen_cogen_pairwise(spec):
     tests += [(f"S({v})", simple_module(alg, v)) for v in alg.quiver.vertices]
     generating = Check(True)
     for name, T in tests:
-        if not _images_span([right_approximation(spec, T)], T):
+        if not images_span_full([right_approximation(spec, T)], T):
             generating = Check(False, witness=name,
                                note="right approximation is not onto")
             break
@@ -555,7 +565,8 @@ def identity_in_trace_full(M, pairs, base=()):
 
     hs and bs are lists of maps, M -> X and X -> M, and every composite is
     written out in full, dim M_v squared columns per vertex, where
-    ``rep._identity_in_trace`` reads the composites at M's top generators.
+    ``homspace._identity_in_trace`` reads the composites at M's top
+    generators.
     """
     f = M.algebra.field
     off, width = end_offsets(M)
@@ -587,7 +598,7 @@ def add_membership_by_trace(M, gens):
     if not gens:
         return False
     into = [(g, hom(g, M).basis) for g in gens]
-    if not _images_span([b for _, bs in into for b in bs], M):
+    if not images_span_full([b for _, bs in into for b in bs], M):
         return False
     return identity_in_trace_full(
         M, [(hom(M, g).basis, bs) for g, bs in into if bs])

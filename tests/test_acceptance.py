@@ -15,8 +15,13 @@ import pytest
 from singcat.cli import EXIT_OK, emit_examples, main
 from singcat.exact_linalg import Matrix, prime_field, rank, rational_field
 from singcat.families import nakayama2_tilde
-from singcat.homology import (
-    ext, is_projective, stable_hom, stable_iso, syzygy, syzygy_morphism,
+from singcat.homology import ext, syzygy, syzygy_morphism
+from singcat.homspace import (
+    add_membership,
+    hom,
+    is_isomorphic,
+    stable_hom,
+    stable_iso,
 )
 from singcat.quiver_algebra import (
     Arrow,
@@ -26,10 +31,8 @@ from singcat.quiver_algebra import (
 )
 from singcat.rep import (
     Representation,
-    add_membership,
     direct_sum,
-    hom,
-    is_isomorphic,
+    is_projective,
     projectives,
     simple_module,
 )

@@ -19,16 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcat import rep
+from singcat import homspace, rep
 from singcat.exact_linalg import prime_field, rational_field
 from singcat.families import interval_module, nakayama2_tilde
-from singcat.homology import stable_add_membership, syzygy
+from singcat.homology import syzygy
+from singcat.homspace import add_membership, stable_add_membership
 from singcat.quiver_algebra import (
     nakayama_cyclic, orbit_grid_algebra, valid_triples_window,
 )
 from singcat.rep import (
-    Cover, Representation, add_membership, direct_sum, projective_cover,
-    projective_module, projectives,
+    Cover, Representation, direct_sum, projective_cover, projective_module,
+    projectives,
 )
 from singcat.stab import skeleton
 
@@ -180,12 +181,12 @@ def test_isomorphism_certificate_settles_membership_first(fld, monkeypatch):
     others = [h for h in base if h.dims != g.dims][:3]
     gens = others + [g]
     built = []
-    real = rep.hom
+    real = homspace.hom
 
     def counting(A, B):
         built.append((A, B))
         return real(A, B)
-    monkeypatch.setattr(rep, "hom", counting)
+    monkeypatch.setattr(homspace, "hom", counting)
     # equal matrices certify with no Hom space built
     M = Representation(alg, g.dims, g.action)
     assert add_membership(M, gens) and stable_add_membership(M, gens)

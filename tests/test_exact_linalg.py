@@ -114,6 +114,18 @@ def test_loaded_zero_and_one_are_the_fields_own(f):
     assert f.from_str("2/3") == f.div(f.of_int(2), f.of_int(3))
 
 
+@pytest.mark.parametrize("p", [2, 101])
+def test_of_int_over_a_prime_field_takes_integers_only(p):
+    f = prime_field(p)
+    assert f.of_int(Fraction(-6, 2)) == -3 % p
+    assert f.of_int(p + 1) is f.one
+    for bad in (Fraction(3, 2), 1.5):
+        with pytest.raises(FieldError, match="not an integer"):
+            f.of_int(bad)
+    # over Q a non-integer is a scalar like any other
+    assert rational_field().of_int(Fraction(3, 2)) == Fraction(3, 2)
+
+
 def test_rank_identity_and_forced():
     f101 = prime_field(101)
     assert rank(Matrix.identity(f101, 2)) == 2

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import singcat
-from singcat import homology, rep
+from singcat import homology, homspace, rep
 from singcat.exact_linalg import (
     InternalCheckFailed, Matrix, prime_field, rational_field,
 )
@@ -23,23 +23,25 @@ from singcat.quiver_algebra import (
 from singcat.rep import (
     RepMorphism,
     Representation,
-    hom,
-    is_isomorphic,
+    is_projective,
     projective_module,
     simple_module,
 )
 from singcat.homology import (
-    _stable_dim,
     _stride,
     ext,
-    is_projective,
     pd_certificate,
     resolve,
+    syzygy,
+    syzygy_morphism,
+)
+from singcat.homspace import (
+    _stable_dim,
+    hom,
+    is_isomorphic,
     stable_end_dim,
     stable_hom,
     stable_iso,
-    syzygy,
-    syzygy_morphism,
 )
 from singcat.stab import skeleton
 from singcat.tilting import SubcatSpec
@@ -282,9 +284,10 @@ def test_stable_hom_composite_outside_hom_is_an_internal_fault(orbit, monkeypatc
     ones = RepMorphism(A, B, {"(1,2)": Matrix.from_rows(f, [(f.one,)], 1)},
                        check=False)
     H = hom(A, B)
-    monkeypatch.setattr(homology, "echelon_solve", lambda a, b: None)
+    monkeypatch.setattr(homspace, "echelon_solve", lambda a, b: None)
     with pytest.raises(InternalCheckFailed, match="outside Hom"):
         stable_hom(A, B)
+    monkeypatch.undo()
     # a caller's morphism outside the hom space stays a ValueError
     with pytest.raises(ValueError, match="outside the hom space"):
         H.coords(ones)
@@ -419,9 +422,9 @@ def test_pair_memos_match_fresh_computation(fld, monkeypatch):
     # repeat calls are served from the memos alone
     def recomputed(*args):
         raise AssertionError("memoised pair recomputed")
-    monkeypatch.setattr(homology, "stable_hom", recomputed)
-    monkeypatch.setattr(homology, "hom_dim", recomputed)
-    monkeypatch.setattr(homology, "_stably_isomorphic", recomputed)
+    monkeypatch.setattr(homspace, "stable_hom", recomputed)
+    monkeypatch.setattr(homspace, "hom_dim", recomputed)
+    monkeypatch.setattr(homspace, "_stably_isomorphic", recomputed)
     for (i, j), (dim, match) in want.items():
         assert _stable_dim(mods[i], mods[j]) == dim
         assert stable_iso(mods[i], mods[j]) == match
@@ -470,9 +473,9 @@ def test_stably_zero_modules_are_one_class(fld, monkeypatch):
         cases.append((zeros, nonzero))
     def built(*args):
         raise AssertionError("Hom system built for a stably zero pair")
-    monkeypatch.setattr(homology, "hom_dim", built)
-    monkeypatch.setattr(homology, "hom", built)
-    monkeypatch.setattr(homology, "_iso_certificate", built)
+    monkeypatch.setattr(homspace, "hom_dim", built)
+    monkeypatch.setattr(homspace, "hom", built)
+    monkeypatch.setattr(homspace, "_iso_certificate", built)
     for zeros, nonzero in cases:
         for A in zeros:
             for B in zeros:
@@ -511,8 +514,8 @@ def test_stable_iso_rejects_sums_that_agree_on_every_gate():
 
 
 # The layers from the bottom up; the package namespace sits on top of all.
-LAYERS = ("exact_linalg", "quiver_algebra", "rep", "homology", "tilting",
-          "stab", "families", "cli", "__init__")
+LAYERS = ("exact_linalg", "quiver_algebra", "rep", "homspace", "homology",
+          "tilting", "stab", "families", "cli", "__init__")
 
 
 def test_rep_imports_nothing_from_homology_and_nothing_in_a_function():
@@ -537,6 +540,38 @@ def test_rep_imports_nothing_from_homology_and_nothing_in_a_function():
             elif isinstance(node, ast.Import):
                 assert not any(a.name.startswith("singcat")
                                for a in node.names), name
+
+
+# The helpers and attributes that read a map at its source's top generators.
+SEAM_NAMES = {"_composite_rows", "_generator_row", "_identity_in_trace",
+              "_homs_into", "_iso_certificate", "_presented_system",
+              "_spans_top"}
+SEAM_ATTRS = {"_bmat", "_images", "_pres", "_vec"}
+
+
+def test_only_homspace_reads_maps_at_top_generators():
+    """The layout of a Hom vector, the images of the source's top
+    generators, is known to homspace alone: no other module names its
+    reading helpers or reads those attributes of a Hom space, and homology
+    imports no private name from it."""
+    src = Path(rep.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "homspace":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and node.id in SEAM_NAMES:
+                found.append((path.stem, node.lineno, node.id))
+            elif isinstance(node, ast.alias) and node.name in SEAM_NAMES:
+                found.append((path.stem, "import", node.name))
+            elif isinstance(node, ast.Attribute) and (
+                    node.attr in SEAM_NAMES | SEAM_ATTRS):
+                found.append((path.stem, node.lineno, node.attr))
+            elif (isinstance(node, ast.ImportFrom) and path.stem == "homology"
+                  and node.module == "homspace"):
+                found += [(path.stem, "import", a.name) for a in node.names
+                          if a.name.startswith("_")]
+    assert not found, found
 
 
 def _dual_map_reference(cover_lo, cover_hi, d, N):
@@ -638,9 +673,9 @@ def _omega_by_dense_lift(f):
         y = Matrix.from_rows(fld, [f.mats[v].act(epsM[v].entries[row])],
                              N.dims[v])
         xs.append(dense_solve_left(epsN[v], y).entries[0])
-    lam = homology._cover_map_from_gen_images(coverM, coverN.rep, xs)
+    lam = rep._gen_image_mats(M.algebra, coverM.vertices, coverN.rep, xs)
     return RepMorphism(KM, KN, {
-        v: dense_solve_left(incN.mats[v], incM.mats[v].mul(lam.mats[v]))
+        v: dense_solve_left(incN.mats[v], incM.mats[v].mul(lam[v]))
         for v in M.algebra.quiver.vertices}, check=True)
 
 

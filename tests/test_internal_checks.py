@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import singcat
-from singcat import homology, rep, stab, tilting
+from singcat import homology, homspace, rep, stab, tilting
 from singcat.exact_linalg import InternalCheckFailed, Matrix
 from singcat.homology import PdCertificate
 
@@ -166,14 +166,14 @@ def test_stable_dim_outside_exactness_bounds_raises(monkeypatch, kx4,
     # Hom(A, Omega B) <= Hom(A, P_B); overcounting Hom into the projectives
     # drives the stable dimension below zero
     S = rep.simple_module(kx4, kx4.quiver.vertices[0])
-    real = homology.hom_dim
+    real = homspace.hom_dim
 
     def overcounted(M, N):
-        projective = homology.is_projective(N)
+        projective = rep.is_projective(N)
         return real(M, N) + (100 if projective == into_projective else 0)
-    monkeypatch.setattr(homology, "hom_dim", overcounted)
+    monkeypatch.setattr(homspace, "hom_dim", overcounted)
     with pytest.raises(InternalCheckFailed, match=match):
-        homology._stable_dim(S, S)
+        homspace._stable_dim(S, S)
 
 
 @pytest.mark.parametrize("count, match", [

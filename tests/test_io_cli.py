@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singcat.cli as cli
-from singcat import homology
+from singcat import homspace
 from singcat.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -34,12 +34,9 @@ from singcat.cli import (
     module_to_json,
 )
 from singcat.exact_linalg import InternalCheckFailed, prime_field, rational_field
-from singcat.homology import is_projective, syzygy
-from singcat.rep import (
-    is_isomorphic,
-    projective_module,
-    simple_module,
-)
+from singcat.homology import syzygy
+from singcat.homspace import is_isomorphic
+from singcat.rep import is_projective, projective_module, simple_module
 
 
 @pytest.fixture(scope="module")
@@ -337,11 +334,11 @@ def test_exit_internal_on_stable_hom_fault(tilde_dir, monkeypatch, capsys):
     # program's fault, not malformed input: overcounting Hom into every
     # projective drives dim Hom(A, B) - dim Hom(A, P_B) + dim Hom(A, Omega B)
     # below zero
-    real = homology.hom_dim
+    real = homspace.hom_dim
 
     def overcounted(M, N):
         return real(M, N) + (100 if is_projective(N) else 0)
-    monkeypatch.setattr(homology, "hom_dim", overcounted)
+    monkeypatch.setattr(homspace, "hom_dim", overcounted)
     rc = main(["sing", "skeleton", "--subcat", str(tilde_dir / "subcat.json")])
     assert rc == EXIT_INTERNAL
     assert capsys.readouterr().err == \
@@ -528,6 +525,27 @@ def test_exit_input_mixed_algebra_refs(kx2_dir, tmp_path):
     bad = tmp_path / "mixed.json"
     bad.write_text(dumps_canonical(obj))
     assert main(["ct", "verify", "--subcat", str(bad)]) == EXIT_INPUT
+
+
+def test_exit_input_repeated_generator_label(tilde_dir, tmp_path, capsys):
+    """Generators are labelled by file stem, and a report keys its entries
+    by label: a second m_0_0_0, a copy of m_1_1_1 in a subdirectory, is
+    bad input, not a class that takes the real m_0_0_0's entries."""
+    algebra = str(tilde_dir / "algebra.json")
+    copy = json.loads((tilde_dir / "m_1_1_1.json").read_text())
+    copy["algebra"] = algebra
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / "m_0_0_0.json").write_text(dumps_canonical(copy))
+    obj = json.loads((tilde_dir / "subcat.json").read_text())
+    obj["algebra"] = algebra
+    obj["generators"] = [str(tilde_dir / g) for g in obj["generators"]]
+    obj["generators"].append(str(tmp_path / "b" / "m_0_0_0.json"))
+    bad = tmp_path / "subcat.json"
+    bad.write_text(dumps_canonical(obj))
+    assert main(["sing", "skeleton", "--subcat", str(bad)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: repeated generator label 'm_0_0_0'\n"
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ import pytest
 
 from singcat.exact_linalg import prime_field, rational_field
 from singcat.homology import pd_certificate, syzygy
+from singcat.homspace import is_isomorphic
 from singcat.quiver_algebra import nakayama_cyclic
-from singcat.rep import is_isomorphic
 
 from builders import twisted, uniserial
 

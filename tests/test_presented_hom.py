@@ -1,12 +1,12 @@
 """Hom spaces read from the source's projective presentation.
 
-``rep.hom_dim(M, N)`` and ``rep.hom(M, N)`` both solve one system, sized
-by the tops of M and Omega M, from the ``Presentation`` of M's cover step.
-They must give the dimension of the dense commuting system
-(``pairwise_reference.hom_dim_full``), over every field, for twisted
-modules, direct sums, quotients of projectives by random elements, cached
-injectives, projective sources (no relations), zero modules and content
-twins, which share one presentation.
+``homspace.hom_dim(M, N)`` and ``homspace.hom(M, N)`` both solve one
+system, sized by the tops of M and Omega M, from the ``Presentation`` of
+M's cover step.  They must give the dimension of the dense commuting
+system (``pairwise_reference.hom_dim_full``), over every field, for
+twisted modules, direct sums, quotients of projectives by random elements,
+cached injectives, projective sources (no relations), zero modules and
+content twins, which share one presentation.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ from singcat import rep
 from singcat.exact_linalg import prime_field, rational_field
 from singcat.families import interval_module
 from singcat.homology import syzygy
+from singcat.homspace import hom, hom_dim
 from singcat.quiver_algebra import (
     Arrow, PathWord, Quiver, RelationElement, compute_basis, nakayama_cyclic,
     orbit_grid_algebra, valid_triples_window,
 )
 from singcat.rep import (
-    Cover, RepMorphism, Representation, cokernel, direct_sum, hom, hom_dim,
+    Cover, RepMorphism, Representation, cokernel, direct_sum,
     injective_mod_socle, injective_module, projective_module, zero_rep,
 )
 
@@ -104,7 +105,9 @@ def hom_pairs(draw):
             xs = [[alg.field.zero if (u, i) in tops else alg.field.of_int(
                        draw(st.sampled_from([0, 1, -1, 2, 3])))
                    for i in range(P0.rep.dims[u])] for u in us]
-            f = rep._cover_map_from_gen_images(Cover(alg, us), P0.rep, xs)
+            f = RepMorphism(Cover(alg, us).rep, P0.rep,
+                            rep._gen_image_mats(alg, us, P0.rep, xs),
+                            check=False)
             C = cokernel(f)[0]
             return twisted(C, rng) if draw(st.booleans()) else C
         return zero_rep(alg)
@@ -178,7 +181,9 @@ def test_relation_coefficients_matter(field):
     for b1, b2 in ((3, 2), (1, 1)):
         # basis rows at 0: e1, x e1, y e1, then e2, x e2, y e2
         x = [f.zero, f.one, f.of_int(b1), f.zero, f.one, f.of_int(b2)]
-        g = rep._cover_map_from_gen_images(Cover(alg, ["0"]), P0.rep, [x])
+        g = RepMorphism(Cover(alg, ["0"]).rep, P0.rep,
+                        rep._gen_image_mats(alg, ["0"], P0.rep, [x]),
+                        check=False)
         quotients.append(cokernel(g)[0])
     targets = quotients + [P, S]
     for M in quotients:

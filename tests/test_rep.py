@@ -9,11 +9,20 @@ import pytest
 from singcat.exact_linalg import (
     Matrix, kernel_basis, prime_field, rank, rational_field, rref, sparse_rank,
 )
-from singcat import homology, rep
+from singcat import homspace, rep
 from singcat.families import InvalidTriple, interval_module, nakayama2_tilde
-from singcat.homology import (
-    _projective_end_rows, _stable_dim, ext, ext_dim, is_projective,
-    stable_end_dim, stable_hom, stable_iso, syzygy,
+from singcat.homology import ext, ext_dim, syzygy
+from singcat.homspace import (
+    HomSpace,
+    _projective_end_rows,
+    _stable_dim,
+    add_membership,
+    hom,
+    hom_dim,
+    is_isomorphic,
+    stable_end_dim,
+    stable_hom,
+    stable_iso,
 )
 from singcat.quiver_algebra import (
     MAX_RELATION_LENGTH,
@@ -28,20 +37,16 @@ from singcat.quiver_algebra import (
 )
 from singcat.rep import (
     AlgebraMismatch,
-    HomSpace,
     RepMorphism,
     Representation,
     _path_images,
-    add_membership,
     cokernel,
     direct_sum,
     dual_module,
-    hom,
-    hom_dim,
     image,
     injective_module,
     injectives,
-    is_isomorphic,
+    is_projective,
     kernel,
     projective_cover,
     projective_module,
@@ -391,12 +396,12 @@ def test_stable_iso_skips_hom_m_n_when_hom_n_m_vanishes(monkeypatch):
     _projective_end_rows(M)
     _projective_end_rows(N)
     calls = []
-    real = homology.hom
+    real = homspace.hom
 
     def counting(X, Y):
         calls.append((X, Y))
         return real(X, Y)
-    monkeypatch.setattr(homology, "hom", counting)
+    monkeypatch.setattr(homspace, "hom", counting)
     assert not stable_iso(M, N)
     assert calls == [(N, M)]
 

@@ -50,11 +50,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singcat.exact_linalg import Matrix, prime_field, rank, rational_field
-from singcat import homology
+from singcat import homspace
 from singcat.families import nakayama2_tilde
-from singcat.homology import (
-    ext, ext_dim, is_projective, resolve, stable_iso, syzygy,
-)
+from singcat.homology import ext, ext_dim, resolve, syzygy
+from singcat.homspace import hom, hom_dim, is_isomorphic, stable_iso
 from singcat.quiver_algebra import (
     Arrow, PathWord, Quiver, RelationElement, compute_basis, nakayama_cyclic,
     opposite_algebra,
@@ -65,12 +64,10 @@ from singcat.rep import (
     cokernel,
     direct_sum,
     dual_module,
-    hom,
-    hom_dim,
     injective_mod_socle,
     injective_module,
     injectives,
-    is_isomorphic,
+    is_projective,
     projective_module,
     projective_radical,
     projectives,
@@ -532,13 +529,13 @@ def test_a_projective_summand_leaves_the_trace_test_to_decide(
     alg, mods, projs = iso_pool(family, field)
     rng = random.Random(5)
     calls = []
-    trace = homology._identity_in_trace
+    trace = homspace._identity_in_trace
 
     def counting(*args):
         calls.append(args[0].total_dim)
         return trace(*args)
 
-    monkeypatch.setattr(homology, "_identity_in_trace", counting)
+    monkeypatch.setattr(homspace, "_identity_in_trace", counting)
     for m in mods:
         if is_projective(m):
             continue

@@ -6,22 +6,16 @@ from collections import Counter
 
 import pytest
 
-from singcat import homology, rep, stab
+from singcat import homology, homspace, rep, stab
 from singcat.exact_linalg import Matrix, prime_field, rank, rational_field
-from singcat.homology import (
-    ext,
-    ext_dim,
-    is_projective,
-    stable_hom,
-    syzygy,
-    syzygy_morphism,
-)
+from singcat.homology import ext, ext_dim, syzygy, syzygy_morphism
+from singcat.homspace import is_isomorphic, stable_hom
 from singcat.families import nakayama2_tilde
 from singcat.quiver_algebra import nakayama_cyclic
 from singcat.rep import (
     Representation,
     injective_module,
-    is_isomorphic,
+    is_projective,
     projective_module,
     projectives,
     regular_module,
@@ -518,22 +512,23 @@ def _kx5_skeleton_calls(monkeypatch, twist=None, **homes) -> dict:
 
 
 def test_kx5_skeleton_hom_call_budget(monkeypatch):
-    calls = _kx5_skeleton_calls(monkeypatch, hom=rep)
+    calls = _kx5_skeleton_calls(monkeypatch, hom=homspace)
     assert calls["hom"] == 0
 
 
 def test_kx5_skeleton_ext_dim_and_stable_iso_budgets(monkeypatch):
     calls = _kx5_skeleton_calls(monkeypatch, ext_dim=homology,
-                                _iso_certificate=rep)
+                                _iso_certificate=homspace)
     assert 0 < calls["ext_dim"] <= KX5_SKELETON_EXT_DIM_CALLS
     assert calls["_iso_certificate"] == 0
 
 
 @pytest.mark.parametrize("twist", [1, 2, 3])
 def test_twisted_kx5_skeleton_budgets_and_no_trace_test(monkeypatch, twist):
-    calls = _kx5_skeleton_calls(monkeypatch, twist, hom=rep,
-                                _iso_certificate=rep, _identity_in_trace=rep,
-                                _presented_map=rep, ext_dim=homology)
+    calls = _kx5_skeleton_calls(monkeypatch, twist, hom=homspace,
+                                _iso_certificate=homspace,
+                                _identity_in_trace=homspace,
+                                _presented_map=homspace, ext_dim=homology)
     assert 0 < calls["hom"] <= KX5_TWISTED_SKELETON_HOM_CALLS
     assert (0 < calls["_iso_certificate"]
             <= KX5_TWISTED_SKELETON_ISO_CERTIFICATE_CALLS)

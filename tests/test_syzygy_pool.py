@@ -25,14 +25,13 @@ from hypothesis import strategies as st
 from singcat import rep
 from singcat.exact_linalg import Matrix, prime_field, rational_field
 from singcat.families import interval_module, nakayama2_tilde
-from singcat.homology import (
-    _stable_dim, ext_dim, pd_certificate, stable_iso, syzygy,
-)
+from singcat.homology import ext_dim, pd_certificate, syzygy
+from singcat.homspace import _stable_dim, hom_dim, stable_iso
 from singcat.quiver_algebra import (
     BoundQuiverAlgebra, nakayama_cyclic, orbit_grid_algebra,
     valid_triples_window,
 )
-from singcat.rep import RepMorphism, Representation, direct_sum, hom_dim
+from singcat.rep import RepMorphism, Representation, direct_sum
 from singcat.stab import OrbitNotResolved, skeleton
 from singcat.tilting import SubcatSpec, verify_cluster_tilting
 

@@ -4,17 +4,16 @@ import random
 
 import pytest
 
-from singcat import rep, tilting
+from singcat import homspace, rep, tilting
 from singcat.exact_linalg import Matrix, prime_field, rank, rational_field
 from singcat.families import nakayama2_tilde
-from singcat.homology import ext, is_projective, stable_hom, syzygy
+from singcat.homology import ext, syzygy
+from singcat.homspace import add_membership, hom, is_isomorphic, stable_hom
 from singcat.quiver_algebra import nakayama_cyclic
 from singcat.rep import (
     RepMorphism,
-    add_membership,
     direct_sum,
-    hom,
-    is_isomorphic,
+    is_projective,
     kernel,
     projective_cover,
     projective_module,
@@ -62,6 +61,15 @@ def test_kx2_pair_is_rigid_only_in_degree_zero(kx2):
     check = verify_rigid(spec)
     assert not check.ok
     assert check.witness == ("S", "S", 1)
+
+
+def test_repeated_generator_label_is_rejected(kx2):
+    # reports key their entries by label, so a repeat would merge two
+    # generators' entries
+    S = simple_module(kx2, "0")
+    P = projective_module(kx2, "0")
+    with pytest.raises(ValueError, match="repeated generator label 'S'"):
+        SubcatSpec(kx2, [S, P], 1, labels=["S", "S"])
 
 
 def test_kx2_all_indecomposables_verify_fully(kx2):
@@ -175,7 +183,7 @@ def test_passing_checks_build_no_hom_basis_and_test_each_syzygy_once(
     and the closure check tests each distinct d-th syzygy content that is
     not projective once."""
     homs, approximations, members = [], [], []
-    init = rep.HomSpace.__init__
+    init = homspace.HomSpace.__init__
     approximate = tilting.right_approximation
     member = tilting.stable_add_membership
 
@@ -191,7 +199,7 @@ def test_passing_checks_build_no_hom_basis_and_test_each_syzygy_once(
         members.append(X)
         return member(X, gens)
 
-    monkeypatch.setattr(rep.HomSpace, "__init__", counting_init)
+    monkeypatch.setattr(homspace.HomSpace, "__init__", counting_init)
     monkeypatch.setattr(tilting, "right_approximation",
                         counting_approximation)
     monkeypatch.setattr(tilting, "stable_add_membership", counting_member)

@@ -2,11 +2,12 @@
 
 With equal dimension vectors a map M -> N is an isomorphism exactly when
 its images of M's top generators span N modulo rad N (Nakayama's lemma),
-which ``rep._spans_top`` tests on a Hom vector with no morphism built.  It
-must agree with ``RepMorphism.is_iso`` on every basis map, and on all the
-vectors together with ``_images_span`` of all the basis maps, over twisted
-copies, non-isomorphic pairs with equal dimension vectors, syzygies and
-sums, over Q, F_2 and F_101.  A certified isomorphism builds no morphism.
+which ``homspace._spans_top`` tests on a Hom vector with no morphism
+built.  It must agree with ``RepMorphism.is_iso`` on every basis map, and
+on all the vectors together with the images of all the basis maps
+(``images_span_full``), over twisted copies, non-isomorphic pairs with
+equal dimension vectors, syzygies and sums, over Q, F_2 and F_101.  A
+certified isomorphism builds no morphism.
 """
 
 from __future__ import annotations
@@ -18,19 +19,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcat import rep
+from singcat import homspace
 from singcat.exact_linalg import prime_field, rational_field
 from singcat.families import interval_module
-from singcat.homology import stable_add_membership, stable_iso, syzygy
+from singcat.homology import syzygy
+from singcat.homspace import (
+    _iso_certificate, _spans_top, _top_images, add_membership, hom,
+    is_isomorphic, stable_add_membership, stable_iso,
+)
 from singcat.quiver_algebra import (
     nakayama_cyclic, orbit_grid_algebra, valid_triples_window,
 )
-from singcat.rep import (
-    _images_span, _iso_certificate, _spans_top, _top_images, add_membership,
-    direct_sum, hom, is_isomorphic,
-)
+from singcat.rep import direct_sum
 
 from builders import jordan_module, twisted
+from pairwise_reference import images_span_full
 
 FIELDS = {"Q": rational_field(), "F2": prime_field(2), "F101": prime_field(101)}
 KS = (3, 2, 3, 3)
@@ -81,12 +84,12 @@ def test_top_test_matches_invertible_basis_maps(pair):
     H = hom(M, N)
     isos = [b.is_iso() for b in H.basis]
     assert [_spans_top(N, H._images(x)) for x in H.vecs] == isos
-    assert _spans_top(N, _top_images([H])) == _images_span(H.basis, N)
+    assert _spans_top(N, _top_images([H])) == images_span_full(H.basis, N)
     iso, built = _iso_certificate(M, N)
     assert iso == (M.action == N.action or any(isos))
     assert built is None or built.vecs == H.vecs
     assert is_isomorphic(M, N) == (
-        True if iso else None if _images_span(H.basis, N) else False)
+        True if iso else None if images_span_full(H.basis, N) else False)
 
 
 def test_the_pool_has_non_isomorphic_pairs_of_equal_dimensions():
@@ -106,12 +109,12 @@ def test_the_pool_has_non_isomorphic_pairs_of_equal_dimensions():
 @pytest.mark.parametrize("field", sorted(FIELDS))
 def test_a_certified_isomorphism_builds_no_morphism(field, monkeypatch):
     built = []
-    real = rep._presented_map
+    real = homspace._presented_map
 
     def counting(*args):
         built.append(args)
         return real(*args)
-    monkeypatch.setattr(rep, "_presented_map", counting)
+    monkeypatch.setattr(homspace, "_presented_map", counting)
     rng = random.Random(3)
     for family in ("jordan", "tilde"):
         # an indecomposable's twisted copy has an invertible basis map

@@ -1,7 +1,7 @@
 """Work on nonempty blocks only, against the forms that visit every block.
 
 ``top_generators``, ``projective_cover``, ``kernel``, ``direct_sum``,
-``hom_dim``, the ``HomSpace`` basis and the epi test of ``tilting`` (on a
+``hom_dim``, the ``HomSpace`` basis and the epi test ``rep.is_onto`` (on a
 map, and on its dual for one-to-one) skip every per-vertex or per-arrow
 block with no rows or no columns.  Each is compared entry by entry with its full-loop form
 (``pairwise_reference``, or a rank at every vertex) over Q, F_2 and F_101,
@@ -26,12 +26,13 @@ from singcat import exact_linalg
 from singcat.exact_linalg import prime_field, rank, rational_field
 from singcat.families import nakayama2_tilde
 from singcat.homology import syzygy
+from singcat.homspace import HomSpace, hom, hom_dim
 from singcat.quiver_algebra import (
     Arrow, Quiver, compute_basis, nakayama_cyclic, opposite_algebra,
 )
 from singcat.rep import (
-    HomSpace, RepMorphism, _cover_step, _images_span, direct_sum, dual_module, hom,
-    hom_dim, injective_module, kernel, projective_cover, projective_module,
+    RepMorphism, _cover_step, direct_sum, dual_module, injective_module,
+    is_onto, kernel, projective_cover, projective_module,
     simple_module, top_generators, zero_rep,
 )
 from singcat.tilting import _dual_map
@@ -110,12 +111,11 @@ def test_kernel_epi_and_mono_match_full_loop(data):
     dims, action, inc_mats = kernel_full(f)
     _assert_same_module(K, dims, action)
     assert inc.mats == inc_mats
-    assert _images_span([f], f.tgt) == all(rank(f.mats[v]) == f.tgt.dims[v]
-                                           for v in f.mats)
+    assert is_onto(f) == all(rank(f.mats[v]) == f.tgt.dims[v] for v in f.mats)
     # f is one-to-one iff its dual, every block transposed, is onto
     op = opposite_algebra(f.src.algebra)
     dual = _dual_map(f, dual_module(op, f.tgt), dual_module(op, f.src))
-    assert _images_span([dual], dual.tgt) == is_mono_full(f)
+    assert is_onto(dual) == is_mono_full(f)
 
 
 @settings(max_examples=80, deadline=None)
