@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -150,7 +151,8 @@ def algebra_from_json(obj, length_bound: int | None = None) -> BoundQuiverAlgebr
             raise
         raise InputError(f"malformed algebra JSON: {e}")
     try:
-        return compute_basis(quiver, rels, field, length_bound or 16)
+        return compute_basis(quiver, rels, field,
+                             16 if length_bound is None else length_bound)
     except NotFiniteDimensionalWithinBound as e:
         raise InputError(f"algebra not finite dimensional within the length "
                          f"bound ({e}); raise --length-bound")
@@ -460,7 +462,11 @@ def _cmd_mod_syzygy(args, loader: Loader) -> int:
     S = syzygy(M, args.steps)
     print(f"syzygy^{args.steps} dims: {dict(S.dims)}")
     if args.out:
-        _write(Path(args.out), module_to_json(S, args.module))
+        # the input's algebra file, as a ref relative to the output file
+        out = Path(args.out)
+        apath = next(p for p, a in loader._algebras.items() if a is M.algebra)
+        _write(out, module_to_json(
+            S, os.path.relpath(apath, out.resolve().parent)))
     return EXIT_OK
 
 
@@ -595,7 +601,8 @@ def _cmd_example(args, loader: Loader) -> int:
 
 
 def _count(text: str) -> int:
-    """A degree, step or length option: an int that is not negative."""
+    """A degree, step, length, horizon or count option: an int that is not
+    negative."""
     try:
         n = int(text)
     except ValueError:
@@ -612,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--length-bound", type=int, default=None,
                         help="path length bound when parsing algebras")
     walks = argparse.ArgumentParser(add_help=False)
-    walks.add_argument("--horizon", type=int, default=24)
+    walks.add_argument("--horizon", type=_count, default=24)
 
     p = argparse.ArgumentParser(prog="singcat")
     sub = p.add_subparsers(dest="group", required=True)
@@ -662,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     sk = sing.add_parser("skeleton", parents=[walks, common])
     sk.add_argument("--subcat", required=True)
     sk.add_argument("--all-shifts", action="store_true")
-    sk.add_argument("--claimed", type=int, default=None)
+    sk.add_argument("--claimed", type=_count, default=None)
     sk.set_defaults(run=_cmd_sing_skeleton)
     sg = sing.add_parser("gorenstein", parents=[walks, common])
     sg.add_argument("--algebra", required=True)

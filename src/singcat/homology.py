@@ -1,13 +1,15 @@
 """Projective resolutions, syzygies, syzygy maps, ext spaces and orbits.
 
-Every step is ``rep._cover_step``'s: the cover, the augmentation, the
-kernel with its inclusion and the projective presentation, run once per
-module content and wrapped once per module, so iterated syzygies,
+Every step is ``rep``'s cover step (``rep.Step``): the cover, the
+augmentation with its section, the kernel with its inclusion and the
+projective presentation, run once per module content.  Each module keeps
+its own cover and syzygy (``rep._cover_step``), so iterated syzygies,
 morphism lifts, orbit walks and Hom spaces of one module all see the
-same objects.  The step keeps the augmentation as its per-vertex
-matrices: syzygy maps read the matrices and the presentation's section;
-only ``ProjectiveResolution``, ``ext``, ``homspace.StableHomSpace`` and
-``stab.standard_triangle`` wrap them in a morphism.
+same objects.  Syzygies, syzygy maps, Ext dimensions and orbit walks read
+the step's matrices and build no morphism; only ``ProjectiveResolution``,
+``ext``, ``homspace.StableHomSpace``, ``homspace._projective_end_rows``
+and ``stab.standard_triangle`` ask for the augmentation and inclusion
+morphisms (``rep._cover_maps``).
 
 Ext dimensions are read from Hom dimensions of one cached cover step, with
 no basis and no constraint system but the presentation's
@@ -36,8 +38,8 @@ from math import gcd
 
 from .exact_linalg import InternalCheckFailed, echelon_solve
 from .rep import (
-    Cover, RepMorphism, Representation, _cover_step, _gen_image_mats,
-    _memoised, _record, _same_algebra, is_projective,
+    Cover, RepMorphism, Representation, _cover_maps, _cover_step,
+    _gen_image_mats, _memoised, _same_algebra, _step, is_projective,
 )
 from .homspace import hom, hom_dim, stable_iso
 
@@ -53,12 +55,12 @@ class ProjectiveResolution:
         self.incs: list[RepMorphism] = []
         cur = M
         for _ in range(length + 1):
-            cover, mats, K, inc, _ = _cover_step(cur)
-            self.covers.append(cover)
-            self.eps.append(RepMorphism(cover.rep, cur, mats, check=False))
+            eps, inc = _cover_maps(cur)
+            self.covers.append(_cover_step(cur)[0])
+            self.eps.append(eps)
             self.incs.append(inc)
-            self.kernels.append(K)
-            cur = K
+            cur = inc.src
+            self.kernels.append(cur)
 
     def term(self, i: int) -> Representation:
         return self.covers[i].rep
@@ -77,7 +79,7 @@ def syzygy(M: Representation, steps: int = 1) -> Representation:
         raise ValueError("negative syzygy count")
     cur = M
     for _ in range(steps):
-        cur = _cover_step(cur)[2]
+        cur = _cover_step(cur)[1]
     return cur
 
 
@@ -94,18 +96,17 @@ def _omega1(f: RepMorphism) -> RepMorphism:
     cover through the section of its cover map (y s eps_N = y); the cover
     map lambda of those lifts restricts to the syzygies."""
     M, N = f.src, f.tgt
-    coverM, _, KM, incM, presM = _cover_step(M)
-    coverN, _, KN, incN, presN = _cover_step(N)
-    xs = [presN.section[v].act(f.mats[v].act(g)) for v, g in presM.gens]
-    lam = _gen_image_mats(M.algebra, coverM.vertices, coverN.rep, xs)
+    sM, sN = _step(M), _step(N)
+    coverN, KN = _cover_step(N)
+    xs = [sN.section[v].act(f.mats[v].act(g)) for v, g in sM.gens]
+    lam = _gen_image_mats(M.algebra, sM.vertices, coverN.rep, xs)
     mats = {}
     for v in M.algebra.quiver.vertices:
-        rhs = incM.mats[v].mul(lam[v])
-        sol = echelon_solve(incN.mats[v], rhs)
+        sol = echelon_solve(sN.inc[v], sM.inc[v].mul(lam[v]))
         if sol is None:
             raise InternalCheckFailed("lift does not preserve the kernel")
         mats[v] = sol
-    return RepMorphism(KM, KN, mats, check=False)
+    return RepMorphism(_cover_step(M)[1], KN, mats, check=False)
 
 
 class ExtSpace:
@@ -140,9 +141,9 @@ def _ext(M: Representation, N: Representation,
     if i == 0:
         return M, hom_dim(M, N)
     prev = syzygy(M, i - 1)
-    cover, _, K, _, _ = _cover_step(prev)
+    K = _cover_step(prev)[1]
     hk = hom_dim(K, N)
-    hp = sum(N.dims[v] for v in cover.vertices)
+    hp = sum(N.dims[v] for v in _step(prev).vertices)
     h = hom_dim(prev, N)
     if h > hp:
         raise InternalCheckFailed("Hom out of the syzygy exceeds Hom out of the cover")
@@ -157,8 +158,7 @@ def ext(M: Representation, N: Representation, i: int) -> ExtSpace:
     basis = hom(K, N).basis
     if i == 0:
         return ExtSpace(dim, basis)
-    cover, eps, _, _, _ = _cover_step(K)
-    eps_i = RepMorphism(cover.rep, K, eps, check=False)
+    eps_i = _cover_maps(K)[0]
     return ExtSpace(dim, [eps_i.compose(h) for h in basis])
 
 
@@ -206,7 +206,7 @@ def _walk_orbit(M: Representation, horizon: int) -> PdCertificate:
         return PdCertificate("finite", 0)
     orbit = [M]
     for taken in range(1, horizon + 1):
-        cur = _cover_step(orbit[-1])[2]
+        cur = _cover_step(orbit[-1])[1]
         orbit.append(cur)
         if is_projective(cur):
             for r in range(1, taken + 1):
@@ -223,7 +223,7 @@ def _walk_orbit(M: Representation, horizon: int) -> PdCertificate:
 
 
 def _seed(M: Representation, horizon: int, cert: PdCertificate) -> None:
-    _record(M).memo.setdefault(("pd", horizon), cert)
+    _memoised(M, ("pd", horizon), lambda: cert)
 
 
 def _stride(cert: PdCertificate, d: int) -> tuple[int, int]:

@@ -68,9 +68,9 @@ from .exact_linalg import (
     rref, sparse_kernel, sparse_rank, sparse_span_contains,
 )
 from .rep import (
-    Presentation, RepMorphism, Representation, _cover_step, _gen_image_mats,
-    _memoised, _path_images, _presentation, _radical_rows, _record,
-    _same_algebra, is_projective, projective_module,
+    RepMorphism, Representation, Step, _cover_maps, _cover_step,
+    _gen_image_mats, _memoised, _path_images, _radical_rows, _record,
+    _same_algebra, _step, is_projective, projective_module,
 )
 
 
@@ -90,7 +90,7 @@ class HomSpace:
         f = _same_algebra(M, N).field
         self.src = M
         self.tgt = N
-        self._pres = _presentation(M)
+        self._pres = _step(M)
         rows, ncols = _presented_system(self._pres, N)
         vecs = sparse_kernel(f, rows, ncols) if rows else []
         self._bmat = Matrix.from_rows(f, vecs, len(rows))
@@ -150,7 +150,7 @@ def hom_dim(M: Representation, N: Representation) -> int:
 
 
 def _hom_rank(M: Representation, N: Representation) -> int:
-    rows, ncols = _presented_system(_presentation(M), N)
+    rows, ncols = _presented_system(_step(M), N)
     if not rows or not ncols:
         return len(rows)
     return len(rows) - sparse_rank(M.algebra.field, rows, ncols)
@@ -166,19 +166,14 @@ def _path_actions(N: Representation, v: str) -> tuple:
     non-integral Fraction stays tracked by the cyclic collector while it
     lives (a tuple of ints is untracked at its first collection).
     """
-    paths = _record(N).paths
-    table = paths.get(v)
-    if table is None:
-        f = N.algebra.field
-        n = N.dims[v]
-        table = paths[v] = tuple(
-            tuple(_path_images(
-                N, v, [f.one if k == i else f.zero for k in range(n)]).values())
-            for i in range(n))
-    return table
+    f, n = N.algebra.field, N.dims[v]
+    return _memoised(N, ("paths", v), lambda: tuple(
+        tuple(_path_images(
+            N, v, [f.one if k == i else f.zero for k in range(n)]).values())
+        for i in range(n)))
 
 
-def _presented_system(pres: Presentation, N: Representation,
+def _presented_system(pres: Step, N: Representation,
                       ) -> tuple[list[dict], int]:
     """Sparse constraints on Hom(M, N), M presented by P1 -> P0 -> M -> 0.
 
@@ -196,11 +191,12 @@ def _presented_system(pres: Presentation, N: Representation,
         off.append(total)
         total += N.dims[v]
     rows: list[dict] = [{} for _ in range(total)]
+    rels = pres.relations(N.algebra)
+    tables = [_path_actions(N, v) for v in pres.vertices] if rels else ()
     col = 0
-    for u, terms in pres.relations(N.algebra):
+    for u, terms in rels:
         for j, idx, c in terms:
-            for i, images in enumerate(
-                    _path_actions(N, pres.vertices[j]), off[j]):
+            for i, images in enumerate(tables[j], off[j]):
                 row = rows[i]
                 for k, y in enumerate(images[idx], col):
                     if y is not z and y:
@@ -256,10 +252,10 @@ def _top_images(spaces: Sequence[HomSpace]) -> list[tuple[str, Sequence]]:
 
 def _generator_row(M: Representation) -> tuple[dict, int]:
     """id_M read at M's top generators: the sparse row listing each
-    generator m_j of ``rep._presentation(M)`` at v_j, one after another,
+    generator m_j of M's cover step (``rep._step``) at v_j, one after another,
     and its width sum_j dim M_{v_j}."""
     row, width = {}, 0
-    for v, g in _presentation(M).gens:
+    for v, g in _step(M).gens:
         row.update((c, x) for c, x in enumerate(g, width) if x)
         width += M.dims[v]
     return row, width
@@ -410,12 +406,12 @@ class StableHomSpace:
         alg = _same_algebra(M, N)
         fld = alg.field
         self.hom = hom(M, N)
-        coverN, eps, _, _, _ = _cover_step(N)
-        hp = hom(M, coverN.rep)
+        eps = _cover_maps(N)[0]
+        hp = hom(M, eps.src)
         bmat = self.hom._bmat
         # h then eps sends the generator m_j to eps(h(m_j))
         comps = Matrix.from_rows(
-            fld, [[y for v, x in hp._images(vec) for y in eps[v].act(x)]
+            fld, [[y for v, x in hp._images(vec) for y in eps.mats[v].act(x)]
                   for vec in hp.vecs], bmat.cols)
         sol = echelon_solve(bmat, comps)
         if sol is None:
@@ -455,11 +451,10 @@ def stable_hom(M: Representation, N: Representation) -> StableHomSpace:
 
 
 def _stable_dim_from_ranks(A: Representation, B: Representation) -> int:
-    cover, _, K, _, _ = _cover_step(B)
     h = hom_dim(A, B)
     hp = sum(hom_dim(A, projective_module(A.algebra, v))
-             for v in cover.vertices)
-    hk = hom_dim(A, K)
+             for v in _step(B).vertices)
+    hk = hom_dim(A, _cover_step(B)[1])
     if hk > hp:
         raise InternalCheckFailed("Hom into the syzygy exceeds Hom into the cover")
     d = h - hp + hk
@@ -500,14 +495,13 @@ def _projective_end_rows(M: Representation) -> list[dict]:
     each map read at M's top generators (``_composite_rows``), with h
     taken from its Hom vector and no map built.  Memoised in M's record as
     plain {column: scalar} dicts."""
-    memo = _record(M).memo
-    rows = memo.get("proj_end")
-    if rows is None:
-        cover, eps = _cover_step(M)[:2]
-        rows = _composite_rows(hom(M, cover.rep), [eps])
-        rows = memo["proj_end"] = rows[:len(_eliminate(
-            M.algebra.field, rows, _generator_row(M)[1]))]
-    return rows
+    return _memoised(M, "proj_end", _projective_end_span, M)
+
+
+def _projective_end_span(M: Representation) -> list[dict]:
+    eps = _cover_maps(M)[0]
+    rows = _composite_rows(hom(M, eps.src), [eps.mats])
+    return rows[:len(_eliminate(M.algebra.field, rows, _generator_row(M)[1]))]
 
 
 def stable_add_membership(M: Representation,
@@ -555,7 +549,7 @@ def _stably_isomorphic(A: Representation, B: Representation) -> bool:
     za, zb = is_projective(A), is_projective(B)
     if za or zb:
         return za and zb
-    if _cover_step(A)[2].dims != _cover_step(B)[2].dims:
+    if _step(A).dims != _step(B).dims:
         return False
     iso, ba = _iso_certificate(B, A)
     if iso:

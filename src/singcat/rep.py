@@ -21,24 +21,27 @@ A projective cover is built once per vertex tuple and algebra
 (``Cover``), and each cover vertex is eliminated once: the elimination of
 the augmentation's block decides the onto guard and gives both the
 syzygy's block and a section of the block (``_kernel_blocks``).  A module
-is stepped by one function, ``_cover_step``, whether it is a Hom source, a
-syzygy or an orbit member: the step is the cover, the augmentation, the
-kernel with its inclusion, and the projective presentation
-P1 -> P0 -> M -> 0 (``Presentation``).
+content is covered by one function, ``_build_step``, whether the module is
+a Hom source, a syzygy or an orbit member: its ``Step`` is the cover's
+vertices and generators, the augmentation with its section, the kernel
+Omega M with its inclusion, and the relations of the projective
+presentation P1 -> P0 -> M -> 0.
 
 Memos are kept per module content, its dimension vector and arrow
 entries, hashed once (``_Content``).  One record per content
 (``_Record``) lives in the algebra's ``cache``, and each module reaches it
-through its ``_memo``: the path actions, the cover step's data with the
-presentation, and the memos of ``homspace``, ``homology`` and ``stab``.
-A record holds no module, morphism, cover or algebra, so it closes no
-reference cycle.  A module whose content was stepped before, as a
-generator, a Hom source or a syzygy, is not covered again: its own step
-wraps the record's data in fresh objects, so an orbit that closes in
-content stays a chain of objects, freed by reference counting.
+through its ``_memo``; every memo in it goes through ``_memoised``: the
+step, and the path actions and memos of ``homspace``, ``homology`` and
+``stab``.  A record holds no module, morphism, cover or algebra, so it
+closes no reference cycle.  Each module keeps only its own cover and
+syzygy (``_cover_step``), wrapped from its content's step, so a module
+whose content was stepped before is not covered again, and an orbit that
+closes in content stays a chain of objects, freed by reference counting.
+The augmentation and inclusion morphisms are built on request
+(``_cover_maps``).
 
 Hom spaces, add-membership and the stable category are read from these
-presentations in ``homspace``; this module imports nothing above it.
+steps in ``homspace``; this module imports nothing above it.
 """
 
 from __future__ import annotations
@@ -302,8 +305,7 @@ def kernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
     """The kernel of f and its inclusion, from the left kernel at each vertex.
 
     The blocks come from ``_kernel_blocks``, so the kernel of a cover's
-    augmentation reuses the eliminations that ``projective_cover`` ran for
-    its onto guard.
+    augmentation reuses the eliminations of its onto guard.
     """
     return _echelon_submodule(f.src, _kernel_blocks(f)[0], "kernel")
 
@@ -368,61 +370,48 @@ def cokernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
 
 
 class Cover:
-    """A finite direct sum of indecomposable projectives with marked generators.
-
-    The algebra caches the sum's dimensions, action, record and generator
-    offsets under the vertex tuple, as ``_cached`` does for one P(v), so
-    the cache holds nothing that points back at the algebra; each Cover
-    wraps them in a new Representation with no re-check.
-    """
+    """A finite direct sum of indecomposable projectives, one P(v) per
+    vertex in ``vertices``, its j-th generator the trivial path of the j-th
+    summand.  The sum is cached per vertex tuple (``_cached``)."""
 
     def __init__(self, algebra: BoundQuiverAlgebra, vertices: Sequence[str]):
         self.algebra = algebra
         self.vertices = list(vertices)
-        key = ("cover", tuple(self.vertices))
-        data = algebra.cache.get(key)
-        if data is None:
-            summands = [projective_module(algebra, v) for v in self.vertices]
-            rep = direct_sum(summands) if summands else zero_rep(algebra)
-            # row offset of summand j inside the block at its own vertex
-            offsets = []
-            run = {w: 0 for w in algebra.quiver.vertices}
-            for v, s in zip(self.vertices, summands):
-                offsets.append(run[v])
-                for w in run:
-                    run[w] += s.dims[w]
-            data = algebra.cache[key] = (rep.dims, rep.action, _record(rep),
-                                         tuple(offsets))
-        *data, self._offsets = data
-        self.rep = Representation._wrap(algebra, *data)
-
-    def gen_row(self, j: int) -> tuple[str, int]:
-        """Vertex and row index of the j-th summand's generator, its trivial
-        path: row 0, since ``compute_basis`` puts trivial paths first."""
-        return self.vertices[j], self._offsets[j]
+        self.rep = _cached(algebra, ("cover", tuple(self.vertices)), lambda: (
+            direct_sum([projective_module(algebra, v) for v in self.vertices])
+            if self.vertices else zero_rep(algebra)))
 
 
-class Presentation:
-    """A projective presentation P1 -> P0 -> M -> 0 from one cover step.
+class Step:
+    """The cover step 0 -> Omega M -> P_M -> M -> 0 of one module content.
 
-    P0 is the cover, sum_j P(v_j), whose j-th generator maps to M's top
-    generator ``gens[j]`` = (v_j, its row of M at v_j).  ``section[w]`` is
-    a section s_w of the cover map eps at w, s_w eps_w = 1
-    (``_kernel_blocks``).  The
-    relations are the top generators of the kernel Omega M, each written in
+    P_M is the cover, sum_j P(v_j) over ``vertices``, whose j-th generator
+    maps to M's top generator ``gens[j]`` = (v_j, its row of M at v_j).
+    The cover map eps is checked onto (``is_onto``) by the eliminations
+    that give its kernel and a section s_w of each block, s_w eps_w = 1
+    (``_kernel_blocks``); ``eps`` and ``section`` hold their blocks.
+    Omega M is kept as its dimensions, action and content key, and ``inc``
+    holds its inclusion into the cover.  The relations of the presentation
+    P1 -> P0 -> M -> 0 are the top generators of Omega M, each written in
     the cover's path basis: a vector of P0 at its vertex u with coefficient
     c on the basis path p from v_j of summand j.  They are built on first
-    use (``relations``) from the kernel's action and its inclusion into the
-    cover.  A presentation holds matrices and tuples only, no module and no
-    algebra, so the record of a content keeps it (``_presentation``).
+    use (``relations``).  A step holds matrices, tuples and a content key,
+    no module and no algebra, so the record of a content keeps it
+    (``_step``).
     """
 
-    def __init__(self, gens: tuple, kernel_action: dict[str, Matrix],
-                 inc_mats: dict[str, Matrix], section: dict[str, Matrix]):
+    __slots__ = ("gens", "vertices", "eps", "section", "dims", "action",
+                 "key", "inc", "_relations")
+
+    def __init__(self, gens: tuple, eps: RepMorphism):
+        if not is_onto(eps):
+            raise InternalCheckFailed("cover map is not onto")
+        K = kernel(eps)[0]
         self.gens = gens
         self.vertices = tuple(v for v, _ in gens)
-        self.section = section
-        self._kernel = (kernel_action, inc_mats)
+        self.eps = eps.mats
+        self.inc, self.section = _kernel_blocks(eps)
+        self.dims, self.action, self.key = K.dims, K.action, _record(K).content
         self._relations = None
 
     def relations(self, alg: BoundQuiverAlgebra) -> tuple:
@@ -430,61 +419,58 @@ class Presentation:
         and its nonzero coefficients, a path index counting in
         ``paths_from(v_j)``.  Memoised."""
         if self._relations is None:
-            action, inc = self._kernel
             z = alg.field.zero
             # the summand and path of each row of the cover's block at u
             at: dict[str, list] = {w: [] for w in alg.quiver.vertices}
             for j, v in enumerate(self.vertices):
                 for idx, key in enumerate(alg.paths_from(v)):
                     at[alg.key_target(key)].append((j, idx))
-            dims = {w: m.rows for w, m in inc.items()}
             self._relations = tuple(
                 (u, tuple((j, idx, c) for (j, idx), c
-                          in zip(at[u], inc[u].entries[i])
+                          in zip(at[u], self.inc[u].entries[i])
                           if c is not z and c))
-                for u, i in _top_rows(alg, dims, action))
+                for u, i in _top_rows(alg, self.dims, self.action))
         return self._relations
 
 
-def _cover_step(M: Representation) -> tuple:
-    """(cover, eps matrices, Omega M, inclusion, presentation) of M's
-    projective cover, memoised on M as ``_syzygy_step``.
+def _build_step(M: Representation) -> Step:
+    """M's cover step, one P(v) per top generator at v: the one function
+    that covers a module."""
+    alg = M.algebra
+    gens = tuple((v, tuple(g)) for v, g in top_generators(M))
+    verts = [v for v, _ in gens]
+    return Step(gens, RepMorphism(Cover(alg, verts).rep, M, _gen_image_mats(
+        alg, verts, M, [g for _, g in gens]), check=False))
 
-    Built from the step's data in M's record (``_step_data``), the syzygy
-    wrapped with its own record, so a module of a content stepped before is
-    not covered again.  The tuple is M's own, since ``RepMorphism.compose``
-    matches modules by identity.  eps is kept as its per-vertex matrices,
-    not as a morphism onto M: the augmentation's target is the module, so
-    storing it as a morphism would put every stepped module in a reference
-    cycle that only the cyclic garbage collector frees.  The inclusion
-    points into the cover, so nothing cached on M points back at M.
+
+def _step(M: Representation) -> Step:
+    """M's cover step, memoised in M's record: one per content."""
+    return _memoised(M, "step", _build_step, M)
+
+
+def _cover_step(M: Representation) -> tuple[Cover, Representation]:
+    """(cover, Omega M) of M's step, memoised on M as ``_syzygy_step``.
+
+    The pair is M's own, since ``RepMorphism.compose`` matches modules by
+    identity; Omega M is wrapped with its record, so a module of a content
+    stepped before is not covered again.  Neither points back at M, so an
+    orbit that closes in content stays a chain of objects.
     """
-    step = M.__dict__.get("_syzygy_step")
-    if step is None:
-        alg = M.algebra
-        verts, eps, dims, action, key, inc, pres = _step_data(M)
-        cover = Cover(alg, verts)
-        K = Representation._wrap(alg, dims, action, _record_at(alg, key))
-        step = M._syzygy_step = (
-            cover, eps, K, RepMorphism(K, cover.rep, inc, check=False), pres)
-    return step
+    pair = M.__dict__.get("_syzygy_step")
+    if pair is None:
+        alg, s = M.algebra, _step(M)
+        pair = M._syzygy_step = (Cover(alg, s.vertices), Representation._wrap(
+            alg, s.dims, s.action, _record_at(alg, s.key)))
+    return pair
 
 
-def _step_data(M: Representation) -> tuple:
-    """(cover vertices, eps matrices, Omega M's dimensions, action and
-    content key, inclusion matrices, presentation), memoised in M's
-    record: the cover step of M's content, run once."""
-    rec = _record(M)
-    if rec.step is None:
-        cover, eps = projective_cover(M)
-        K, inc = kernel(eps)
-        gens = tuple((v, eps.mats[v].entries[r]) for v, r
-                     in map(cover.gen_row, range(len(cover.vertices))))
-        rec.step = (tuple(cover.vertices), eps.mats, K.dims, K.action,
-                    _record(K).content, inc.mats,
-                    Presentation(gens, K.action, inc.mats,
-                                 _kernel_blocks(eps)[1]))
-    return rec.step
+def _cover_maps(M: Representation) -> tuple[RepMorphism, RepMorphism]:
+    """(eps: P_M -> M, inclusion Omega M -> P_M) on M's own cover and
+    syzygy (``_cover_step``), built on each call: eps points at M, so
+    keeping it on M would put M in a reference cycle."""
+    (cover, K), s = _cover_step(M), _step(M)
+    return (RepMorphism(cover.rep, M, s.eps, check=False),
+            RepMorphism(K, cover.rep, s.inc, check=False))
 
 
 class _Content:
@@ -511,21 +497,19 @@ class _Content:
 class _Record:
     """What is memoised for one module content over one algebra.
 
-    ``paths`` maps a vertex to its path-action table, ``step`` is the cover
-    step's data (``_step_data``), and ``memo`` holds the rest under a name,
-    or a name and another module's content key: the Hom and stable Hom
-    dimensions, stable classes and P(M, M) rows of ``homspace``, and the
-    orbit certificates and Ext^1 test of ``homology`` and ``stab``.  Its
-    values are matrices, tuples, ints, presentations and content keys,
-    never a module, a morphism, a cover or an algebra.
+    ``memo`` holds it under a name, or a name and a vertex or another
+    module's content key (``_memoised``): the cover step (``Step``), the
+    path-action tables, Hom and stable Hom dimensions, stable classes and
+    P(M, M) rows of ``homspace``, and the orbit certificates and Ext^1 test
+    of ``homology`` and ``stab``.  Its values are matrices, tuples, ints,
+    steps and content keys, never a module, a morphism, a cover or an
+    algebra.
     """
 
-    __slots__ = ("content", "paths", "step", "memo")
+    __slots__ = ("content", "memo")
 
     def __init__(self, content: _Content):
         self.content = content
-        self.paths: dict[str, tuple] = {}
-        self.step = None
         self.memo: dict = {}
 
 
@@ -553,11 +537,6 @@ def _memoised(M: Representation, key, compute, *args):
     if val is None:
         val = memo[key] = compute(*args)
     return val
-
-
-def _presentation(M: Representation) -> Presentation:
-    """M's presentation, from the cover step's data in M's record."""
-    return _step_data(M)[-1]
 
 
 def projective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
@@ -755,19 +734,16 @@ def is_onto(f: RepMorphism) -> bool:
 
 
 def projective_cover(M: Representation) -> tuple[Cover, RepMorphism]:
-    """The minimal cover sum_v P(v) -> M, one P(v) per top generator at v.
+    """The minimal cover sum_v P(v) -> M, one P(v) per top generator at v,
+    read from M's cover step (``_step``) on a new Cover.
 
-    The map eps is checked onto (``is_onto``) by the eliminations that give
-    its kernel, which also give a section of each block eps_w.  The blocks
-    stay memoised on eps (``_kernel_blocks``), so ``kernel(eps)``
-    eliminates nothing again.
+    eps carries the step's kernel and section blocks as its eliminations
+    (``_kernel_blocks``), so ``kernel(eps)`` eliminates nothing again.
     """
-    gens = top_generators(M)
-    cover = Cover(M.algebra, [v for v, _ in gens])
-    eps = RepMorphism(cover.rep, M, _gen_image_mats(
-        M.algebra, cover.vertices, M, [g for _, g in gens]), check=False)
-    if not is_onto(eps):
-        raise InternalCheckFailed("cover map is not onto")
+    s = _step(M)
+    cover = Cover(M.algebra, s.vertices)
+    eps = RepMorphism(cover.rep, M, s.eps, check=False)
+    eps._kernel_mats = (s.inc, s.section)
     return cover, eps
 
 
@@ -776,7 +752,7 @@ def is_projective(M: Representation) -> bool:
 
     The minimal cover sum_v P(v) -> M, one P(v) per top generator at v, is
     onto, so it is an isomorphism exactly when its kernel Omega M is zero.
-    Omega M's dimension vector is read from the cover step's data in M's
-    record (``_step_data``), so no cover, syzygy or inclusion is wrapped.
+    Omega M's dimension vector is read from M's cover step (``_step``), so
+    no cover, syzygy or morphism is wrapped.
     """
-    return M.total_dim == 0 or not any(_step_data(M)[2].values())
+    return M.total_dim == 0 or not any(_step(M).dims.values())

@@ -47,7 +47,7 @@ from .rep import (
     AlgebraMismatch,
     RepMorphism,
     Representation,
-    _cover_step,
+    _cover_maps,
     _memoised,
     injective_module,
     is_projective,
@@ -345,10 +345,9 @@ def standard_triangle(E: Representation, k: int = 0) -> StTriangle:
     Shifting the sequence k times multiplies all three maps by (-1)^k;
     the connecting map is recorded by its sign.
     """
-    cover, eps_mats, K, inc, _ = _cover_step(E)
-    eps = RepMorphism(cover.rep, E, eps_mats, check=False)
+    eps, inc = _cover_maps(E)
     sgn = -1 if k % 2 else 1
-    objects = (StableObject(K, -k), StableObject(cover.rep, -k),
+    objects = (StableObject(inc.src, -k), StableObject(eps.src, -k),
                StableObject(E, -k))
     if sgn == 1:
         maps = (inc, eps)

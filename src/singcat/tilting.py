@@ -77,7 +77,8 @@ class SubcatSpec:
     indecomposable, and indecomposability is the caller's assertion, not
     re-verified here.  ``labels`` names generators in reports, and reports
     key their entries by it, so no two may be equal; ``claims``
-    is an optional list of claim tags carried through serialization.
+    is an optional list of claim tags carried through serialization, and a
+    ``skeleton_count=N`` tag must give a non-negative integer N.
     """
 
     def __init__(self, algebra: BoundQuiverAlgebra,
@@ -105,6 +106,10 @@ class SubcatSpec:
         self.d = d
         self.labels = list(labels)
         self.claims = list(claims) if claims else []
+        for tag in self.claims:
+            count = tag.partition("=")[2]
+            if tag.startswith("skeleton_count=") and not count.isdecimal():
+                raise ValueError(f"claim {tag!r} is not a non-negative count")
 
     def label(self, i: int) -> str:
         return self.labels[i]

@@ -10,8 +10,8 @@ column join and the cokernel walk that ``tilting`` now reads off A^op.
 Ext is computed as ker d_{i+1}* / im d_i* from the dual differentials in
 generator coordinates, where ``homology`` now reads it from Hom dimensions
 by dimension shifting.  ``step_unpooled`` is the cover step with a fresh
-cover, kernel and presentation for every module, where ``rep._cover_step``
-shares content-identical syzygies and reuses a content twin's step.
+cover, eps and kernel for every module, built by the full loops here,
+where ``rep._step`` keeps one step per content in its record.
 ``omega_stabilizes_strided`` walks the d-step orbit itself, where
 ``homology._stride`` reads it off the 1-step orbit of ``pd_certificate``;
 at stride 1 it keeps the members that ``gp_certificate_pairwise`` scans.  ``add_membership_by_trace`` and
@@ -27,14 +27,14 @@ from singcat.exact_linalg import (
     InternalCheckFailed, Matrix, _eliminate, echelon_solve, kernel_basis, rank,
     rref, sparse_rank, sparse_span_contains,
 )
-from singcat.homology import ext_dim, syzygy
+from singcat.homology import ext_dim, resolve, syzygy
 from singcat.homspace import (
     add_membership, hom, stable_end_dim, stable_hom, stable_iso,
 )
 from singcat.rep import (
-    Presentation, RepMorphism, Representation, _cover_step, _kernel_blocks, _path_images, cokernel, direct_sum, injectives,
-    is_projective, kernel, projective_cover, projective_module, projectives,
-    simple_module, zero_rep,
+    RepMorphism, Representation, Step, _path_images, cokernel, direct_sum,
+    injectives, is_projective, projective_cover, projective_module,
+    projectives, simple_module, zero_rep,
 )
 from singcat.stab import GpCertificate
 from singcat.tilting import (
@@ -217,7 +217,7 @@ def omega_stabilizes_strided(M, horizon=24, step=1):
     taken = 0
     while taken + step <= horizon:
         for _ in range(step):
-            cur = _cover_step(cur)[2]
+            cur = syzygy(cur)
             taken += 1
             if cur.total_dim == 0:
                 return {"kind": "zero", "steps": taken, "reps": reps}
@@ -232,24 +232,17 @@ def omega_stabilizes_strided(M, horizon=24, step=1):
 
 
 def step_unpooled(M):
-    """(cover, eps matrices, syzygy, inclusion, presentation) of M's own
-    projective cover, memoised on M as ``_syzygy_step`` like the recorded
-    step: a fresh cover, kernel and presentation per module, read from no
-    content record, so no step is shared."""
-    step = getattr(M, "_syzygy_step", None)
+    """M's cover step (``rep.Step``, which takes the kernel of eps) from its
+    own top generators, cover and eps, built by ``top_generators_full`` and
+    ``projective_cover_full``, memoised on M: a fresh step per module, read
+    from and kept in no content record, so no step is shared."""
+    step = M.__dict__.get("_unpooled_step")
     if step is None:
-        cover, eps = projective_cover(M)
-        K, inc = kernel(eps)
-        gens = tuple((v, eps.mats[v].entries[r]) for v, r
-                     in map(cover.gen_row, range(len(cover.vertices))))
-        pres = Presentation(gens, K.action, inc.mats, _kernel_blocks(eps)[1])
-        step = M._syzygy_step = (cover, eps.mats, K, inc, pres)
+        _, P, mats = projective_cover_full(M)
+        gens = tuple((v, tuple(g)) for v, g in top_generators_full(M))
+        step = M._unpooled_step = Step(gens, RepMorphism(P, M, mats,
+                                                         check=False))
     return step
-
-
-def presentation_unpooled(M):
-    """M's presentation from ``step_unpooled``, not from its record."""
-    return step_unpooled(M)[4]
 
 
 def verify_dZ_closure_pairwise(spec):
@@ -441,6 +434,8 @@ def dual_map_matrix(cover_lo, cover_hi, eps, inc, N):
     f = alg.field
     z, p = f.zero, f.p
     offsets = summand_offsets(cover_lo)
+    gen_rows = [o[w] for o, w in zip(summand_offsets(cover_hi),
+                                     cover_hi.vertices)]
     pmats = {}  # path matrices of N, by basis path
     row_off = []
     r = 0
@@ -454,11 +449,11 @@ def dual_map_matrix(cover_lo, cover_hi, eps, inc, N):
         c += N.dims[w]
     out = [{} for _ in range(r)]
     for j, w in enumerate(cover_hi.vertices):
-        wv, grow = cover_hi.gen_row(j)
-        img = inc[wv].act(eps[wv].entries[grow])
+        # the generator of summand j is its trivial path, a row at w
+        img = inc[w].act(eps[w].entries[gen_rows[j]])
         for k, v in enumerate(cover_lo.vertices):
-            base = offsets[k][wv]
-            for idx, key in enumerate(alg.basis(v, wv)):
+            base = offsets[k][w]
+            for idx, key in enumerate(alg.basis(v, w)):
                 coef = img[base + idx]
                 if coef is z or not coef:
                     continue
@@ -501,15 +496,10 @@ def dual_differentials(M, N, i):
     (rows, ncols) pair of ``dual_map_matrix``, read from the cached steps
     0 .. i+1 of M's resolution.
     """
-    steps = []
-    cur = M
-    for _ in range(i + 2):
-        steps.append(_cover_step(cur))
-        cur = steps[-1][2]
-    (c_lo, _, _, inc_lo, _), (c_mid, eps_mid, _, inc_mid, _), \
-        (c_hi, eps_hi, _, _, _) = steps[i - 1:i + 2]
-    d_lo = dual_map_matrix(c_lo, c_mid, eps_mid, inc_lo.mats, N)
-    d_hi = dual_map_matrix(c_mid, c_hi, eps_hi, inc_mid.mats, N)
+    res = resolve(M, i + 1)
+    c, eps, inc = res.covers, res.eps, res.incs
+    d_lo = dual_map_matrix(c[i - 1], c[i], eps[i].mats, inc[i - 1].mats, N)
+    d_hi = dual_map_matrix(c[i], c[i + 1], eps[i + 1].mats, inc[i].mats, N)
     return d_lo, d_hi
 
 
@@ -582,10 +572,10 @@ def identity_in_trace_full(M, pairs, base=()):
 def projective_end_rows_full(M):
     """Echelon rows of End_k(M) spanning P(M, M) = {h then eps : h in
     Hom(M, P_M)}, h over the basis maps of hom(M, P_M)."""
-    cover, eps = _cover_step(M)[:2]
+    cover, eps = projective_cover(M)
     off, width = end_offsets(M)
     rows = composite_rows_full(
-        M, off, [h.mats for h in hom(M, cover.rep).basis], [eps])
+        M, off, [h.mats for h in hom(M, cover.rep).basis], [eps.mats])
     return rows[:len(_eliminate(M.algebra.field, rows, width))]
 
 

@@ -1,8 +1,8 @@
 """The cover step's shared data and the isomorphism-first add-membership.
 
-A ``Cover`` wraps dimensions, action and offsets cached per vertex tuple
-in its algebra, which must equal a fresh direct sum of the P(v) and hold
-no module; ``add_membership`` and ``stable_add_membership`` try an
+A ``Cover`` wraps dimensions and action cached per vertex tuple in its
+algebra, which must equal a fresh direct sum of the P(v) and hold no
+module; ``add_membership`` and ``stable_add_membership`` try an
 isomorphism certificate to each generator before the trace test, and must
 answer as the trace test alone does (``pairwise_reference``).
 """
@@ -64,23 +64,27 @@ def test_cached_cover_matches_a_fresh_direct_sum():
         summands = [projective_module(alg, v) for v in verts]
         fresh = direct_sum(summands)
         assert a.rep.dims == fresh.dims and a.rep.action == fresh.action
-        for j, v in enumerate(verts):
-            assert a.gen_row(j) == (v, sum(s.dims[v] for s in summands[:j]))
+        # summand j's generator, its trivial path, is a top row at v_j
+        gen_rows = [(v, sum(s.dims[v] for s in summands[:j]))
+                    for j, v in enumerate(verts)]
+        assert sorted(rep._top_rows(alg, a.rep.dims, a.rep.action)) == sorted(
+            gen_rows)
 
 
 def _record_entries(alg) -> tuple[list, list]:
-    """(path-action tables, presentations) kept in the records of the
+    """(path-action tables, cover steps) kept in the records of the
     algebra cache, but the shared empty tuple of a vertex where a module is
     zero."""
     records = [r for r in alg.cache.values() if isinstance(r, rep._Record)]
-    tables = [t for r in records for t in r.paths.values() if t]
-    return tables, [r.step[-1] for r in records if r.step]
+    tables = [t for r in records for k, t in r.memo.items()
+              if k[0] == "paths" and t]
+    return tables, [r.memo["step"] for r in records if "step" in r.memo]
 
 
 def test_dropping_the_algebra_frees_its_modules():
     """No record holds a module, so an algebra, its generators, their
     syzygies and the covers' modules die by reference counting, and so do
-    the records with their path-action tables and presentations."""
+    the records with their path-action tables and cover steps."""
     gc.collect()
     gc.disable()
     try:
@@ -89,9 +93,9 @@ def test_dropping_the_algebra_frees_its_modules():
         mods = [syzygy(g, k) for g in spec.generators for k in range(3)]
         covers = [rep._cover_step(M)[0].rep for M in mods]
         assert _cover_tuples(alg)
-        tables, presentations = _record_entries(alg)
+        tables, steps = _record_entries(alg)
         assert tables and all(isinstance(t, tuple) for t in tables)
-        assert presentations
+        assert steps
         # one entry per record: modules of one content share it
         records = list({id(r): r for r in map(rep._record, mods)}.values())
         refs = [weakref.ref(x) for x in [alg] + mods + covers]
@@ -107,9 +111,9 @@ def test_dropping_the_algebra_frees_its_modules():
             t = tables.pop()
             kept += sys.getrefcount(t) > 2
         assert kept == 0, f"{kept} path tables kept alive"
-        while presentations:
-            kept += sys.getrefcount(presentations.pop()) > 2
-        assert kept == 0, f"{kept} presentations kept alive"
+        while steps:
+            kept += sys.getrefcount(steps.pop()) > 2
+        assert kept == 0, f"{kept} cover steps kept alive"
     finally:
         gc.enable()
 

@@ -48,7 +48,9 @@ from singcat.tilting import SubcatSpec
 
 from builders import jordan_module, uniserial
 from dense_reference import dense_solve_left, dense_solve_right
-from pairwise_reference import dual_map_matrix, omega_stabilizes_strided
+from pairwise_reference import (
+    dual_map_matrix, omega_stabilizes_strided, summand_offsets,
+)
 
 KS = (3, 2, 3, 3)
 
@@ -243,13 +245,13 @@ def test_ext_dim_covers_each_syzygy_below_the_degree_once(orbit, monkeypatch):
     # presentation of Omega^i M, so M is covered i + 1 times over an
     # algebra with no records: Omega^0 .. Omega^i, none beyond; but
     # Omega^6 M has the content of M, whose step it reuses
-    real = rep.projective_cover
+    real = rep._build_step
     covered = []
 
     def counting(M):
         covered.append(M)
         return real(M)
-    monkeypatch.setattr(rep, "projective_cover", counting)
+    monkeypatch.setattr(rep, "_build_step", counting)
     for i in range(1, 7):
         covered.clear()
         orbit.clear_cache()
@@ -574,6 +576,36 @@ def test_only_homspace_reads_maps_at_top_generators():
     assert not found, found
 
 
+# The names through which a module is covered: the step builder, the
+# per-module pair it is kept in, and the eliminations behind it.
+STEP_NAMES = {"_build_step", "_syzygy_step", "_kernel_blocks",
+              "kernel_and_section"}
+
+
+def test_only_rep_steps_a_module():
+    """A module is covered by ``rep`` alone: no other module names the step
+    builder, the per-module step or the eliminations behind it, or calls
+    ``Cover``; the layers above read ``rep.Step`` fields and ask ``rep``
+    for the cover maps."""
+    src = Path(rep.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "rep":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in STEP_NAMES:
+                found.append((path.stem, getattr(node, "lineno", "import"),
+                              name))
+            elif isinstance(node, ast.Call) and "Cover" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                found.append((path.stem, node.lineno, "Cover(...)"))
+    assert not found, found
+
+
 def _dual_map_reference(cover_lo, cover_hi, d, N):
     """Precomposition with a whole differential d, summing path matrices."""
     alg = cover_lo.algebra
@@ -584,14 +616,15 @@ def _dual_map_reference(cover_lo, cover_hi, d, N):
     for w in cover_hi.vertices:
         col_off.append(col_off[-1] + N.dims[w])
     out = [[f.zero] * col_off[-1] for _ in range(row_off[-1])]
+    hi_offsets = summand_offsets(cover_hi)
     for j, w in enumerate(cover_hi.vertices):
-        wv, grow = cover_hi.gen_row(j)
-        img = d.mats[wv].entries[grow]
+        # summand j's generator, its trivial path, is its first row at w
+        img = d.mats[w].entries[hi_offsets[j][w]]
         for k, v in enumerate(cover_lo.vertices):
-            # the rows of P(u) at wv are the basis paths from u to wv
-            base = sum(len(alg.basis(u, wv)) for u in cover_lo.vertices[:k])
+            # the rows of P(u) at w are the basis paths from u to w
+            base = sum(len(alg.basis(u, w)) for u in cover_lo.vertices[:k])
             block = Matrix.zeros(f, N.dims[v], N.dims[w])
-            for idx, key in enumerate(alg.basis(v, wv)):
+            for idx, key in enumerate(alg.basis(v, w)):
                 block = block.add(N.path_matrix(v, key[1]).scale(img[base + idx]))
             for a in range(N.dims[v]):
                 for b in range(N.dims[w]):
@@ -664,15 +697,15 @@ def test_dual_map_from_generator_rows_matches_full_differential(fld):
 def _omega_by_dense_lift(f):
     """Omega(f) from a cover lift solved by the dense reference solver."""
     M, N = f.src, f.tgt
-    coverM, epsM, KM, incM, _ = rep._cover_step(M)
-    coverN, epsN, KN, incN, _ = rep._cover_step(N)
+    (coverM, KM), (coverN, KN) = rep._cover_step(M), rep._cover_step(N)
+    (epsM, incM), (epsN, incN) = rep._cover_maps(M), rep._cover_maps(N)
     fld = M.algebra.field
     xs = []
-    for j in range(len(coverM.vertices)):
-        v, row = coverM.gen_row(j)
-        y = Matrix.from_rows(fld, [f.mats[v].act(epsM[v].entries[row])],
-                             N.dims[v])
-        xs.append(dense_solve_left(epsN[v], y).entries[0])
+    for v, off in zip(coverM.vertices, summand_offsets(coverM)):
+        # summand j's generator, its trivial path, is its row off[v] at v
+        gen = epsM.mats[v].entries[off[v]]
+        y = Matrix.from_rows(fld, [f.mats[v].act(gen)], N.dims[v])
+        xs.append(dense_solve_left(epsN.mats[v], y).entries[0])
     lam = rep._gen_image_mats(M.algebra, coverM.vertices, coverN.rep, xs)
     return RepMorphism(KM, KN, {
         v: dense_solve_left(incN.mats[v], incM.mats[v].mul(lam[v]))

@@ -100,7 +100,7 @@ def test_cover_check_runs_where_the_module_is_nonzero(monkeypatch,
                                                       hereditary_a2):
     # S_v is zero at u: "cover map is onto" is decided by one elimination,
     # the kernel and section of the block at v, which the kernel of eps and
-    # the presentation's section then reuse
+    # the step's section then reuse
     # S's content must not have been stepped before: records go first
     hereditary_a2.clear_cache()
     S = rep.simple_module(hereditary_a2, "v")
@@ -117,9 +117,13 @@ def test_cover_check_runs_where_the_module_is_nonzero(monkeypatch,
     K, _ = rep.kernel(eps)
     assert seen == [(1, 1)] and K.total_dim == 0
     one = S.algebra.field.one
-    assert rep._presentation(S).section["v"].entries == ((one,),)
-    assert seen == [(1, 1), (1, 1)]  # the presentation's own cover step
-    # a kernel one too large leaves eps of rank 0 at v
+    assert rep._step(S).section["v"].entries == ((one,),)
+    rep.projective_cover(S)
+    assert seen == [(1, 1)]  # one cover step per content
+    # a kernel one too large leaves eps of rank 0 at v; the step is built
+    # afresh once the records are gone
+    hereditary_a2.clear_cache()
+    S = rep.simple_module(hereditary_a2, "v")
     monkeypatch.setattr(rep, "kernel_and_section",
                         lambda m: ([(m.field.one,) * m.rows], []))
     with pytest.raises(InternalCheckFailed, match="not onto"):

@@ -349,7 +349,10 @@ def test_exit_internal_on_stable_hom_fault(tilde_dir, monkeypatch, capsys):
     ["mod", "ext", "m_S.json", "m_P.json", "--degree", "-1"],
     ["mod", "syzygy", "m_S.json", "--steps", "-2"],
     ["mod", "resolve", "m_S.json", "--length", "-1"],
-], ids=["degree", "steps", "length"])
+    ["sing", "skeleton", "--subcat", "subcat.json", "--horizon", "-1"],
+    ["sing", "skeleton", "--subcat", "subcat.json", "--claimed", "-1"],
+    ["sing", "gorenstein", "--algebra", "algebra.json", "--horizon", "-3"],
+], ids=["degree", "steps", "length", "horizon", "claimed", "gorenstein"])
 def test_negative_count_is_malformed_input(args, kx2_dir, capsys):
     args = [str(kx2_dir / a) if a.endswith(".json") else a for a in args]
     assert main(args) == EXIT_INPUT
@@ -357,6 +360,31 @@ def test_negative_count_is_malformed_input(args, kx2_dir, capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage: singcat ")
     assert f"{args[-2]}: must not be negative: {args[-1]}" in captured.err
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_length_bound_below_one_is_malformed_input(bound, kx2_dir, capsys):
+    # 0 is a bound of its own, not the default of 16
+    rc = main(["alg", "validate", str(kx2_dir / "algebra.json"),
+               "--length-bound", bound])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == "error: length bound must be positive\n"
+
+
+@pytest.mark.parametrize("count", ["four", "-1", "", "2.5"])
+def test_malformed_skeleton_count_claim_is_malformed_input(count, kx2_dir,
+                                                           tmp_path, capsys):
+    sub = json.loads((kx2_dir / "subcat.json").read_text())
+    sub["algebra"] = str(kx2_dir / "algebra.json")
+    sub["generators"] = [str(kx2_dir / g) for g in sub["generators"]]
+    sub["claims"] = [f"skeleton_count={count}"]
+    path = tmp_path / "subcat.json"
+    path.write_text(json.dumps(sub))
+    rc = main(["sing", "skeleton", "--subcat", str(path)])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: claim 'skeleton_count={count}' is not a non-negative "
+        f"count\n")
 
 
 def test_angle_of_a_projective_is_malformed_input(kx2_dir, capsys):
@@ -614,6 +642,25 @@ def test_mod_syzygy_writes_module_file(tilde_dir, tmp_path):
     W = syzygy(loader.module(tilde_dir / "m_4_4_4.json"), 2)
     assert S.dims == W.dims
     assert is_isomorphic(S, M233) or S.dims == M233.dims
+    # the file names the input's algebra, relative to itself
+    assert Loader().module(out).dims == W.dims
+    assert main(["mod", "hom", str(out), str(tilde_dir / "m_2_3_3.json")]) \
+        == EXIT_OK
+
+
+def test_mod_syzygy_output_loads_from_another_directory(tmp_path,
+                                                        monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["example", "a2-tilde-3233", "--out", "fx"]) == EXIT_OK
+    assert main(["mod", "syzygy", "fx/m_1_1_1.json",
+                 "--out", "out/syz.json"]) == EXIT_OK
+    assert json.loads(Path("out/syz.json").read_text())["algebra"] == \
+        os.path.join("..", "fx", "algebra.json")
+    capsys.readouterr()
+    assert main(["mod", "hom", "out/syz.json", "fx/m_1_1_1.json"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    S = Loader().module(Path("out/syz.json"))
+    assert S.dims == syzygy(Loader().module(Path("fx/m_1_1_1.json"))).dims
 
 
 def test_mod_resolve_reports_term_dims(kx2_dir, capsys):

@@ -1,12 +1,12 @@
 """Hom spaces read from the source's projective presentation.
 
 ``homspace.hom_dim(M, N)`` and ``homspace.hom(M, N)`` both solve one
-system, sized by the tops of M and Omega M, from the ``Presentation`` of
-M's cover step.  They must give the dimension of the dense commuting
+system, sized by the tops of M and Omega M, from the presentation in M's
+cover step (``rep.Step``).  They must give the dimension of the dense commuting
 system (``pairwise_reference.hom_dim_full``), over every field, for
 twisted modules, direct sums, quotients of projectives by random elements,
 cached injectives, projective sources (no relations), zero modules and
-content twins, which share one presentation.
+content twins, which share one step.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from singcat.rep import (
 )
 
 from builders import jordan_module, twisted, uniserial
-from pairwise_reference import hom_dim_full
+from pairwise_reference import hom_dim_full, summand_offsets
 
 FIELDS = {"Q": rational_field(), "F2": prime_field(2),
           "F101": prime_field(101)}
@@ -100,7 +100,8 @@ def hom_pairs(draw):
             # than one
             P0 = Cover(alg, draw(st.lists(st.sampled_from(verts),
                                           min_size=2, max_size=2)))
-            tops = {P0.gen_row(j) for j in range(2)}
+            tops = {(v, o[v]) for v, o in zip(P0.vertices,
+                                              summand_offsets(P0))}
             us = draw(st.lists(st.sampled_from(verts), min_size=1, max_size=2))
             xs = [[alg.field.zero if (u, i) in tops else alg.field.of_int(
                        draw(st.sampled_from([0, 1, -1, 2, 3])))
@@ -139,11 +140,11 @@ def test_presented_hom_dim_matches_the_commuting_system(case):
         rep._cover_step(M)
         twin = Representation._wrap(M.algebra, M.dims, M.action)
         rep._cover_step(twin)
-        assert rep._presentation(twin) is rep._presentation(M)
+        assert rep._step(twin) is rep._step(M)
         M = twin
     assert hom_dim(M, N) == want
     if kind in ("projective", "zero"):
-        assert rep._presentation(M).relations(M.algebra) == ()
+        assert rep._step(M).relations(M.algebra) == ()
     H = hom(M, N)
     assert H.dim == want
     for b in H.basis:
@@ -160,7 +161,7 @@ def test_relations_of_a_jordan_block():
         M = jordan_module(alg, 3)
         cover = rep._cover_step(M)[0]
         assert cover.vertices == ["0"]
-        ((u, terms),) = rep._presentation(M).relations(alg)
+        ((u, terms),) = rep._step(M).relations(alg)
         assert u == "0" and terms == ((0, 3, fld.one),)
         assert alg.paths_from("0")[3] == ("0", ("a0",) * 3)
         for i in range(1, 6):
@@ -188,7 +189,7 @@ def test_relation_coefficients_matter(field):
     targets = quotients + [P, S]
     for M in quotients:
         want = [hom_dim_full(M, N) for N in targets]
-        assert len(rep._presentation(M).relations(alg)) == 1
+        assert len(rep._step(M).relations(alg)) == 1
         assert [hom_dim(M, N) for N in targets] == want
         assert [hom(M, N).dim for N in targets] == want
     assert hom_dim(quotients[0], S) == hom_dim(quotients[1], S)
@@ -207,12 +208,12 @@ def test_hom_dim_of_a_stepped_source_builds_no_commuting_system(
     # its record, and M would be covered no time at all
     alg, base = _family.__wrapped__("grid", field)
     covered = []
-    real = rep.projective_cover
+    real = rep._build_step
 
     def counting(M):
         covered.append(id(M))  # not M, which would keep it alive
         return real(M)
-    monkeypatch.setattr(rep, "projective_cover", counting)
+    monkeypatch.setattr(rep, "_build_step", counting)
     M = Representation._wrap(alg, base[2].dims, base[2].action)
     targets = list(base) + [projective_module(alg, v)
                             for v in alg.quiver.vertices]
@@ -234,8 +235,9 @@ def test_cached_projectives_share_one_path_table():
     P = projective_module(alg, "0")
     assert hom_dim(M, P) == hom(M, P).dim == 0
     record = projective_module(alg, "0")._memo
-    assert record is P._memo and record.paths
-    assert all(isinstance(t, tuple) for t in record.paths.values())
+    tables = [t for k, t in record.memo.items() if k[0] == "paths"]
+    assert record is P._memo and tables
+    assert all(isinstance(t, tuple) for t in tables)
     assert record is alg.cache[("projective", "0")][2]
     gc.collect()
     gc.disable()
@@ -257,12 +259,12 @@ def test_cached_injectives_share_one_presentation(field, monkeypatch):
     alg = nakayama_cyclic((3, 2, 3), FIELDS[field])
     targets = [uniserial(alg, i, l) for i in range(3) for l in (1, 2)]
     covered = []
-    real = rep.projective_cover
+    real = rep._build_step
 
     def counting(M):
         covered.append(id(M))
         return real(M)
-    monkeypatch.setattr(rep, "projective_cover", counting)
+    monkeypatch.setattr(rep, "_build_step", counting)
     for build in (injective_module, injective_mod_socle):
         for v in alg.quiver.vertices:
             first = build(alg, v)
@@ -270,14 +272,14 @@ def test_cached_injectives_share_one_presentation(field, monkeypatch):
             assert [hom_dim(first, N) for N in targets] == want
             again = build(alg, v)
             assert again is not first
-            assert rep._presentation(again) is rep._presentation(first)
+            assert rep._step(again) is rep._step(first)
             assert [hom(again, N).dim for N in targets] == want
     # one cover per content: I(1)/soc has the matrices of I(0)
     assert len(covered) == 2 * len(alg.quiver.vertices) - 1
     assert rep._record(injective_mod_socle(alg, "1")) is rep._record(
         injective_module(alg, "0"))
-    pres = rep._presentation(injective_module(alg, "0"))
-    assert pres is alg.cache[("injective", "0")][2].step[-1]
+    pres = rep._step(injective_module(alg, "0"))
+    assert pres is alg.cache[("injective", "0")][2].memo["step"]
     ref = weakref.ref(alg)
     gc.collect()
     gc.disable()

@@ -211,9 +211,10 @@ def test_opposite_algebra_roundtrip(orbit):
 
 
 def test_trivial_path_is_first_at_every_vertex(orbit):
-    # rep.Cover.gen_row and rep.projective_radical read the trivial path
-    # (v, ()) as row 0 of P(v) at v, which holds because compute_basis puts
-    # the length-0 paths first
+    # rep.projective_radical, and the cover generator rows that the tests
+    # locate from summand offsets (pairwise_reference.summand_offsets),
+    # read the trivial path (v, ()) as row 0 of P(v) at v, which holds
+    # because compute_basis puts the length-0 paths first
     f = rational_field()
     quiver = Quiver(["u", "v"], [Arrow("a", "u", "v"), Arrow("b", "v", "u")])
     rels = [RelationElement([(f.one, PathWord(quiver, "u", ["a", "b"]))])]

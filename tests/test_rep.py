@@ -826,9 +826,8 @@ def test_projective_hom_memo_holds_ints_by_vertex(orbit):
     memo = rep._record(A).memo
     by_vertex = {v: memo.get(("hom", rep._record(projective_module(orbit, v))
                               .content)) for v in orbit.quiver.vertices}
-    cover = rep._cover_step(B)[0]
-    assert cover.vertices and all(by_vertex[v] is not None
-                                  for v in cover.vertices)
+    verts = rep._step(B).vertices
+    assert verts and all(by_vertex[v] is not None for v in verts)
     for v, d in by_vertex.items():
         if d is not None:
             assert type(d) is int
@@ -848,7 +847,7 @@ def test_projective_endomorphism_memo_holds_scalar_rows(fld):
             assert _projective_end_rows(M) is rows
             assert type(rows) is list
             # one column per coordinate of each top generator's vertex
-            width = sum(M.dims[v] for v, _ in rep._presentation(M).gens)
+            width = sum(M.dims[v] for v, _ in rep._step(M).gens)
             for r in rows:
                 assert type(r) is dict and r
                 for c, x in r.items():

@@ -283,7 +283,7 @@ def test_seeded_orbit_certificates_match_fresh_walks(fld):
     for g in spec.generators:
         cur = g
         while getattr(cur, "_syzygy_step", None) is not None:
-            cur = cur._syzygy_step[2]
+            cur = cur._syzygy_step[1]
             record = rep._record(cur)
             cert = record.memo.get(("pd", 24))
             if cert is None or record.content in seen:

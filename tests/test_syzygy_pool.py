@@ -1,12 +1,12 @@
-"""The content records behind ``rep._cover_step``, the one step of every
+"""The content records behind ``rep._step``, the one cover step of every
 module.
 
 A module whose content (dimension vector and arrow entries) was stepped
 before over its algebra reads the step from the content's record, so its
 cover step and memos are computed once per content, whether the earlier
 module is still alive or not.  Answers must equal those of a fresh cover,
-kernel and presentation per module (``pairwise_reference.step_unpooled``),
-and an orbit that closes in content must stay a chain of objects, freed by
+eps and kernel per module (``pairwise_reference.step_unpooled``), and an
+orbit that closes in content must stay a chain of objects, freed by
 reference counting.
 """
 
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcat import rep
+from singcat import homology, rep
 from singcat.exact_linalg import Matrix, prime_field, rational_field
 from singcat.families import interval_module, nakayama2_tilde
 from singcat.homology import ext_dim, pd_certificate, syzygy
@@ -36,7 +36,7 @@ from singcat.stab import OrbitNotResolved, skeleton
 from singcat.tilting import SubcatSpec, verify_cluster_tilting
 
 from builders import is_canonical_scalar, jordan_module, jordan_spec, twisted
-from pairwise_reference import presentation_unpooled, step_unpooled
+from pairwise_reference import step_unpooled
 
 FIELDS = [rational_field(), prime_field(2), prime_field(101)]
 KS = (3, 2, 3, 3)
@@ -91,19 +91,18 @@ def _answers(fld, family, picks, seed, pairs=6):
 
 
 def _recorded_and_fresh(*args, **kwargs):
-    """The answers with the recorded step, and with ``step_unpooled`` and
-    ``presentation_unpooled`` bound in every namespace that binds the step
-    or the presentation, rep's own included."""
+    """The answers with the recorded step, and with ``step_unpooled`` bound
+    in every namespace that binds ``rep._step``, rep's own included, so
+    that no step is read from a record."""
     recorded = _answers(*args, **kwargs)
-    unpooled = {"_cover_step": (rep._cover_step, step_unpooled),
-                "_presentation": (rep._presentation, presentation_unpooled)}
     with pytest.MonkeyPatch.context() as mp:
-        for name, mod in list(sys.modules.items()):
-            if name.partition(".")[0] != "singcat":
-                continue
-            for attr, (real, fresh) in unpooled.items():
-                if getattr(mod, attr, None) is real:
-                    mp.setattr(mod, attr, fresh)
+        bound = [mod for name, mod in list(sys.modules.items())
+                 if name.partition(".")[0] == "singcat"
+                 and getattr(mod, "_step", None) is rep._step]
+        assert rep in bound
+        for mod in bound:
+            mp.setattr(mod, "_step", step_unpooled)
+        mp.setattr(rep, "_build_step", None)  # every step is step_unpooled's
         fresh = _answers(*args, **kwargs)
     return recorded, fresh
 
@@ -145,13 +144,13 @@ def test_equal_first_syzygies_share_one_record(fld, monkeypatch):
                        {"a0": Matrix.from_rows(fld, [[z, z], [o, z]], 2)})
     assert A.action != B.action
     covers = []
-    orig = rep.projective_cover
+    orig = rep._build_step
 
     def counting(M):
         covers.append(id(M))  # not M, which would keep it alive
         return orig(M)
 
-    monkeypatch.setattr(rep, "projective_cover", counting)
+    monkeypatch.setattr(rep, "_build_step", counting)
     K = syzygy(A)
     KB = syzygy(B)
     assert KB is not K and rep._record(KB) is rep._record(K)
@@ -162,10 +161,12 @@ def test_equal_first_syzygies_share_one_record(fld, monkeypatch):
                 for X in [A, B] + [syzygy(A, k) for k in range(1, 5)]}
     assert len(covers) == len(contents)
     # B's inclusion starts at B's own syzygy and ends in B's own cover
-    cover, eps, KB, inc, _ = rep._cover_step(B)
-    assert inc.src is KB and inc.tgt is cover.rep
+    cover, KB = rep._cover_step(B)
+    eps, inc = rep._cover_maps(B)
+    assert inc.src is KB and inc.tgt is cover.rep is eps.src and eps.tgt is B
     inc = RepMorphism(KB, cover.rep, inc.mats, check=True)
-    assert inc.compose(RepMorphism(cover.rep, B, eps, check=True)).is_zero()
+    assert inc.compose(RepMorphism(cover.rep, B, eps.mats,
+                                   check=True)).is_zero()
     assert stable_iso(K, KB)
 
 
@@ -195,18 +196,18 @@ def test_orbit_closing_in_content_stays_acyclic(n, i, period):
 def test_orbit_laps_reuse_the_twin_cover_step(fld, n, i, period,
                                               monkeypatch):
     """An orbit walk computes one cover per distinct content: each later
-    lap reads its twin's record, with the twin's cover, eps, inclusion
+    lap reads its twin's step, with the twin's cover, eps, inclusion
     matrices and presentation, wrapped in fresh objects, and stays a chain
     of objects freed by reference counting."""
     alg = nakayama_cyclic((n,), fld)
     covers = []
-    orig = rep.projective_cover
+    orig = rep._build_step
 
     def counting(M):
         covers.append(id(M))  # not M, which would keep it alive
         return orig(M)
 
-    monkeypatch.setattr(rep, "projective_cover", counting)
+    monkeypatch.setattr(rep, "_build_step", counting)
     J = jordan_module(alg, i)
     K = syzygy(J)
     laps = 3
@@ -220,36 +221,38 @@ def test_orbit_laps_reuse_the_twin_cover_step(fld, n, i, period,
         twin = rep._cover_step(stepped[k - period])
         lap = rep._cover_step(stepped[k])
         assert rep._record(stepped[k]) is rep._record(stepped[k - period])
+        assert rep._step(stepped[k]) is rep._step(stepped[k - period])
         assert lap[0] is not twin[0] and lap[0].vertices == twin[0].vertices
-        assert lap[1] is twin[1] and lap[4] is twin[4]
-        assert all(lap[3].mats[v] is m for v, m in twin[3].mats.items())
-        assert lap[3].src is lap[2] and lap[2] is not twin[2]
-        assert lap[2].action is twin[2].action
+        inc = rep._cover_maps(stepped[k])[1]
+        assert all(inc.mats[v] is m
+                   for v, m in rep._step(stepped[k - period]).inc.items())
+        assert inc.src is lap[1] and lap[1] is not twin[1]
+        assert lap[1].action is twin[1].action
     gc.collect()
     gc.disable()
     try:
         refs = [weakref.ref(X) for X in [J] + stepped + [last]]
-        del J, K, stepped, last, twin, lap
+        del J, K, stepped, last, twin, lap, inc
         alive = sum(r() is not None for r in refs)
         assert alive == 0, f"{alive} of {len(refs)} modules kept alive"
     finally:
         gc.enable()
 
 
-# Each cover step of one a2-tilde-3233 skeleton is a projective_cover call;
+# Each cover step of one a2-tilde-3233 skeleton is a _build_step call;
 # with one record per content there are 31 (88 with a cover per module).
 TILDE_SKELETON_COVER_STEPS = 31
 
 
 def test_tilde_skeleton_cover_step_budget(monkeypatch):
     calls = []
-    orig = rep.projective_cover
+    orig = rep._build_step
 
     def counting(M):
         calls.append(M)
         return orig(M)
 
-    monkeypatch.setattr(rep, "projective_cover", counting)
+    monkeypatch.setattr(rep, "_build_step", counting)
     _, spec = nakayama2_tilde(KS, len(KS), rational_field())
     assert skeleton(spec).count == 3
     assert len(calls) <= TILDE_SKELETON_COVER_STEPS
@@ -262,13 +265,13 @@ def test_generator_whose_content_recurs_is_stepped_once(fld, monkeypatch):
     contents once, and the orbit of J_2 over k[x]/(x^4), whose syzygy has
     J_2's matrices, is covered once."""
     covers = []
-    orig = rep.projective_cover
+    orig = rep._build_step
 
     def counting(M):
         covers.append(rep._record(M).content)
         return orig(M)
 
-    monkeypatch.setattr(rep, "projective_cover", counting)
+    monkeypatch.setattr(rep, "_build_step", counting)
     assert skeleton(jordan_spec(nakayama_cyclic((5,), fld), 5)).count == 4
     assert len(covers) == len(set(covers)) == 5
     covers.clear()
@@ -289,19 +292,19 @@ def test_hom_source_donates_its_step_to_a_content_twin(fld, monkeypatch):
     M = interval_module(alg, (1, 1, 3))
     N = interval_module(alg, (1, 2, 3))
     covers = []
-    orig = rep.projective_cover
+    orig = rep._build_step
 
     def counting(X):
         covers.append(id(X))  # not X, which would keep it alive
         return orig(X)
 
-    monkeypatch.setattr(rep, "projective_cover", counting)
+    monkeypatch.setattr(rep, "_build_step", counting)
     assert hom_dim(M, N) == 1
     assert covers == [id(M)]
     twin = Representation._wrap(alg, M.dims, M.action)
     K = syzygy(twin)
     assert covers == [id(M)]
-    assert K is not syzygy(M) and K is twin._syzygy_step[2]
+    assert K is not syzygy(M) and K is twin._syzygy_step[1]
     assert rep._record(K) is rep._record(syzygy(M))
 
 
@@ -312,13 +315,13 @@ def test_freed_module_leaves_its_step_to_a_later_twin(fld, monkeypatch):
     again."""
     alg = nakayama_cyclic((5,), fld)
     covers = []
-    orig = rep.projective_cover
+    orig = rep._build_step
 
     def counting(M):
         covers.append(id(M))  # not M, which would keep it alive
         return orig(M)
 
-    monkeypatch.setattr(rep, "projective_cover", counting)
+    monkeypatch.setattr(rep, "_build_step", counting)
     M = jordan_module(alg, 3)
     dims, action = M.dims, M.action
     rep._cover_step(M)
@@ -341,7 +344,8 @@ def test_records_hold_no_module_morphism_cover_or_algebra():
     assert verify_cluster_tilting(spec).verdict == "certificate_only"
     assert skeleton(spec).count == 3
     records = [x for x in alg.cache.values() if isinstance(x, rep._Record)]
-    assert any(r.step for r in records) and any(r.memo for r in records)
+    assert any("step" in r.memo for r in records)
+    assert any(k != "step" for r in records for k in r.memo)
     forbidden = (Representation, RepMorphism, rep.Cover, BoundQuiverAlgebra)
     seen, stack, found = set(), [v for k, v in alg.cache.items()
                                  if k != "opposite"], []
@@ -369,3 +373,31 @@ def test_records_hold_no_module_morphism_cover_or_algebra():
             stack += list(getattr(x, "__dict__", {}).values())
     assert not found, f"the cache reaches {sorted(set(found))}"
     assert scalars and not bad, f"{bad} of {scalars} scalars not canonical"
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=repr)
+def test_orbit_walk_over_stepped_contents_builds_no_morphism(fld,
+                                                             monkeypatch):
+    """An orbit walk reads each syzygy and its dimensions off the cover
+    steps and builds no morphism: once every content of an orbit was
+    stepped and its stable classes decided, walking the orbit of a fresh
+    module of that content constructs no RepMorphism at all."""
+    cases = [(interval_module(orbit_grid_algebra(KS, fld), t), 24)
+             for t in ((0, 0, 0), (2, 2, 3), (1, 2, 2), (3, 3, 3))]
+    cases.append((jordan_module(nakayama_cyclic((5,), fld), 2), 24))
+    walked = [(M, h, pd_certificate(M, h)) for M, h in cases]
+    built = []
+    real = RepMorphism.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self))
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(RepMorphism, "__init__", counting)
+    for M, h, cert in walked:
+        twin = Representation(M.algebra, M.dims, M.action)
+        assert homology._walk_orbit(twin, h) == cert
+        # the walk passed Omega^1 M at least: twin keeps its own syzygy
+        assert "_syzygy_step" in vars(twin) and syzygy(twin) is not syzygy(M)
+    assert built == []
+    assert {c.status for _, _, c in walked} == {"finite",
+                                                "infinite_periodic"}
