@@ -107,7 +107,7 @@ def field_from_json(obj) -> Field:
         return rational_field()
     if obj["kind"] == "prime":
         try:
-            return prime_field(int(obj["p"]))
+            return prime_field(_typed(obj["p"], int, "field p"))
         except (KeyError, TypeError, ValueError, FieldError) as e:
             raise InputError(f"bad prime field spec: {e}")
     raise InputError(f"unknown field kind {obj['kind']!r}")
@@ -130,11 +130,11 @@ def algebra_to_json(alg: BoundQuiverAlgebra) -> dict:
 def algebra_from_json(obj, length_bound: int | None = None) -> BoundQuiverAlgebra:
     try:
         field = field_from_json(obj["field"])
-        quiver = Quiver(list(obj["vertices"]),
+        quiver = Quiver(_typed(obj["vertices"], list, "vertices"),
                         [Arrow(a["id"], a["src"], a["tgt"])
-                         for a in obj["arrows"]])
+                         for a in _typed(obj["arrows"], list, "arrows")])
         rels = []
-        for group in obj["relations"]:
+        for group in _typed(obj["relations"], list, "relations"):
             terms = []
             for t in group:
                 arrows = list(t["path"])
@@ -175,7 +175,8 @@ def module_to_json(M: Representation, algebra_ref: str) -> dict:
 def module_from_json(obj, alg: BoundQuiverAlgebra) -> Representation:
     f = alg.field
     try:
-        dims = {v: int(n) for v, n in obj["dims"].items()}
+        dims = {v: _typed(n, int, f"dims {v!r}")
+                for v, n in obj["dims"].items()}
         action = {}
         for aid, rows in obj.get("arrows", {}).items():
             a = alg.quiver.arrow_by_id.get(aid)
@@ -237,13 +238,32 @@ def dumps_canonical(obj) -> str:
     return "".join(out)
 
 
-def _read_json(path: Path):
+def _read_json(path: Path) -> dict:
+    """The JSON object in the file at ``path``: every fixture is one."""
     try:
-        return json.loads(path.read_text())
+        obj = json.loads(path.read_text())
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise InputError(f"{path} is not valid JSON: {e}")
+    if not isinstance(obj, dict):
+        raise InputError(f"{path} does not hold a JSON object")
+    return obj
+
+
+def _ref(path: Path, ref) -> Path:
+    """The file that ``ref``, read in the file at ``path``, names."""
+    if not isinstance(ref, str):
+        raise InputError(f"file reference {ref!r} in {path} is not a string")
+    return path.parent / ref
+
+
+def _typed(value, kind: type, name: str):
+    """value, if it is a JSON integer (kind int, and no bool) or array."""
+    if type(value) is not kind:
+        what = "integer" if kind is int else "array"
+        raise InputError(f"{name} must be a JSON {what}, not {value!r}")
+    return value
 
 
 class Loader:
@@ -270,31 +290,29 @@ class Loader:
                alg: BoundQuiverAlgebra | None = None) -> Representation:
         obj = _read_json(path)
         if alg is None:
-            try:
-                ref = obj["algebra"]
-            except (KeyError, TypeError):
+            if "algebra" not in obj:
                 raise InputError(f"{path} has no algebra ref")
-            alg = self.algebra(path.parent / ref)
+            alg = self.algebra(_ref(path, obj["algebra"]))
         return module_from_json(obj, alg)
 
     def subcat(self, path: Path,
                algebra_path: Path | None = None) -> SubcatSpec:
         obj = _read_json(path)
         try:
-            d = int(obj["d"])
-            gen_refs = list(obj["generators"])
+            d = _typed(obj["d"], int, "d")
+            gen_refs = _typed(obj["generators"], list, "generators")
             alg_ref = obj["algebra"]
-            claims = [str(c) for c in obj.get("claims", [])]
-        except (KeyError, TypeError, ValueError) as e:
+            claims = [str(c) for c in _typed(obj.get("claims", []), list,
+                                             "claims")]
+        except KeyError as e:
             raise InputError(f"malformed subcat JSON: {e}")
-        apath = Path(algebra_path if algebra_path
-                     else path.parent / alg_ref).resolve()
+        apath = Path(algebra_path or _ref(path, alg_ref)).resolve()
         alg = self.algebra(apath)
         gens, labels = [], []
         for ref in gen_refs:
-            mpath = path.parent / ref
+            mpath = _ref(path, ref)
             mobj = _read_json(mpath)
-            own = (mpath.parent / mobj.get("algebra", alg_ref)).resolve()
+            own = _ref(mpath, mobj.get("algebra", alg_ref)).resolve()
             if own != apath and algebra_path is None:
                 raise InputError(
                     f"{mpath} references a different algebra file")

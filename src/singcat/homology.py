@@ -7,8 +7,8 @@ its own cover and syzygy (``rep._cover_step``), so iterated syzygies,
 morphism lifts, orbit walks and Hom spaces of one module all see the
 same objects.  Syzygies, syzygy maps, Ext dimensions and orbit walks read
 the step's matrices and build no morphism; only ``ProjectiveResolution``,
-``ext``, ``homspace.StableHomSpace``, ``homspace._projective_end_rows``
-and ``stab.standard_triangle`` ask for the augmentation and inclusion
+``ext``, ``homspace._cover_composites``, ``rep.projective_cover`` and
+``stab.standard_triangle`` ask for the augmentation and inclusion
 morphisms (``rep._cover_maps``).
 
 Ext dimensions are read from Hom dimensions of one cached cover step, with

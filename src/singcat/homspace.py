@@ -263,12 +263,13 @@ def _generator_row(M: Representation) -> tuple[dict, int]:
 
 def _composite_rows(H: HomSpace, bs: Sequence[dict]) -> list[dict]:
     """The composites h then b, read at the top generators m_j of M, as
-    sparse {column: value} rows in the layout of ``_generator_row``.
+    sparse {column: value} rows in the layout of a vector of hom(M, N)
+    (for N = M, of ``_generator_row``).
 
     h runs over the vectors of H = hom(M, X), which list h(m_j), and b over
-    bs, maps X -> M given by their per-vertex matrices; the row lists
+    bs, maps X -> N given by their per-vertex matrices; the row lists
     b_{v_j}(h(m_j)).  A map out of M is fixed by its generator images, so
-    the reading is injective on End(M).  A zero composite gives no row.
+    the reading is injective on Hom(M, N).  A zero composite gives no row.
     """
     z = H.src.algebra.field.zero
     rows = []
@@ -397,22 +398,18 @@ class StableHomSpace:
 
     A map factors through some projective iff it factors through the cover
     of N, so the projective subspace is the image of composition with the
-    cover's augmentation, read in the coordinates of ``hom(M, N)`` at M's
-    top generators.  Quotient coordinates are read off the non-pivot
-    positions of that subspace's row echelon form.
+    cover's augmentation (``_cover_composites``), read in the coordinates
+    of ``hom(M, N)`` at M's top generators.  Quotient coordinates are read
+    off the non-pivot positions of that subspace's row echelon form.
     """
 
     def __init__(self, M: Representation, N: Representation):
-        alg = _same_algebra(M, N)
-        fld = alg.field
+        fld = _same_algebra(M, N).field
         self.hom = hom(M, N)
-        eps = _cover_maps(N)[0]
-        hp = hom(M, eps.src)
         bmat = self.hom._bmat
-        # h then eps sends the generator m_j to eps(h(m_j))
         comps = Matrix.from_rows(
-            fld, [[y for v, x in hp._images(vec) for y in eps.mats[v].act(x)]
-                  for vec in hp.vecs], bmat.cols)
+            fld, [[r.get(c, fld.zero) for c in range(bmat.cols)]
+                  for r in _cover_composites(M, N)], bmat.cols)
         sol = echelon_solve(bmat, comps)
         if sol is None:
             raise InternalCheckFailed("composite with the cover is outside Hom")
@@ -499,9 +496,17 @@ def _projective_end_rows(M: Representation) -> list[dict]:
 
 
 def _projective_end_span(M: Representation) -> list[dict]:
-    eps = _cover_maps(M)[0]
-    rows = _composite_rows(hom(M, eps.src), [eps.mats])
+    rows = _cover_composites(M, M)
     return rows[:len(_eliminate(M.algebra.field, rows, _generator_row(M)[1]))]
+
+
+def _cover_composites(M: Representation, N: Representation) -> list[dict]:
+    """The composites h then eps, h over the vectors of hom(M, P_N) and eps:
+    P_N -> N the cover map (``rep._cover_maps``), read at M's top
+    generators (``_composite_rows``): they span the maps M -> N that factor
+    through a projective."""
+    eps = _cover_maps(N)[0]
+    return _composite_rows(hom(M, eps.src), [eps.mats])
 
 
 def stable_add_membership(M: Representation,

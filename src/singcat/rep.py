@@ -38,7 +38,8 @@ syzygy (``_cover_step``), wrapped from its content's step, so a module
 whose content was stepped before is not covered again, and an orbit that
 closes in content stays a chain of objects, freed by reference counting.
 The augmentation and inclusion morphisms are built on request
-(``_cover_maps``).
+(``_cover_maps``), the augmentation with the step's eliminations; it is
+the map ``projective_cover`` returns.
 
 Hom spaces, add-membership and the stable category are read from these
 steps in ``homspace``; this module imports nothing above it.
@@ -467,10 +468,15 @@ def _cover_step(M: Representation) -> tuple[Cover, Representation]:
 def _cover_maps(M: Representation) -> tuple[RepMorphism, RepMorphism]:
     """(eps: P_M -> M, inclusion Omega M -> P_M) on M's own cover and
     syzygy (``_cover_step``), built on each call: eps points at M, so
-    keeping it on M would put M in a reference cycle."""
+    keeping it on M would put M in a reference cycle.
+
+    eps carries the step's kernel and section blocks as its eliminations
+    (``_kernel_blocks``), so ``kernel(eps)`` eliminates nothing again.
+    """
     (cover, K), s = _cover_step(M), _step(M)
-    return (RepMorphism(cover.rep, M, s.eps, check=False),
-            RepMorphism(K, cover.rep, s.inc, check=False))
+    eps = RepMorphism(cover.rep, M, s.eps, check=False)
+    eps._kernel_mats = (s.inc, s.section)
+    return eps, RepMorphism(K, cover.rep, s.inc, check=False)
 
 
 class _Content:
@@ -734,17 +740,9 @@ def is_onto(f: RepMorphism) -> bool:
 
 
 def projective_cover(M: Representation) -> tuple[Cover, RepMorphism]:
-    """The minimal cover sum_v P(v) -> M, one P(v) per top generator at v,
-    read from M's cover step (``_step``) on a new Cover.
-
-    eps carries the step's kernel and section blocks as its eliminations
-    (``_kernel_blocks``), so ``kernel(eps)`` eliminates nothing again.
-    """
-    s = _step(M)
-    cover = Cover(M.algebra, s.vertices)
-    eps = RepMorphism(cover.rep, M, s.eps, check=False)
-    eps._kernel_mats = (s.inc, s.section)
-    return cover, eps
+    """The minimal cover sum_v P(v) -> M, one P(v) per top generator at v:
+    M's own cover and its map (``_cover_maps``)."""
+    return _cover_step(M)[0], _cover_maps(M)[0]
 
 
 def is_projective(M: Representation) -> bool:

@@ -32,6 +32,9 @@ Hom entries reuse their generators' walks.  Routes, in the order tried:
 These two read each d-step orbit off the 1-step orbit: Omega is a functor
 on the stable category, so preperiod p and period L give ceil(p/d) and
 L/gcd(L, d) (``homology._stride``).
+
+Generators are sorted into stable classes, with Omega^d on them, by one
+table (``_stable_classes``).  Triangles are the stabilized 1-angles.
 """
 
 from __future__ import annotations
@@ -101,10 +104,24 @@ def _ext1_clean(M: Representation) -> bool:
         M, regular_module(M.algebra), 1) == 0)
 
 
-def _class_of(M: Representation, reps: list[Representation]) -> int | None:
-    """The index of the first of reps in M's stable class, or None."""
-    return next((i for i, r in enumerate(reps) if stable_iso(M, r)),
-                None)
+def _stable_classes(mods: list[Representation], d: int,
+                    ) -> tuple[list[int], list[int], list[int | None]]:
+    """(firsts, cls, sigma): the index in mods of the first module of each
+    stable class, the class of each module, and the class of Omega^d of
+    each class's first module, None when it matches no class."""
+    firsts: list[int] = []
+
+    def class_of(M: Representation) -> int | None:
+        return next((c for c, i in enumerate(firsts)
+                     if stable_iso(M, mods[i])), None)
+    cls = []
+    for i, M in enumerate(mods):
+        c = class_of(M)
+        if c is None:
+            c = len(firsts)
+            firsts.append(i)
+        cls.append(c)
+    return firsts, cls, [class_of(syzygy(mods[i], d)) for i in firsts]
 
 
 def stab_hom(x: StableObject, y: StableObject, spec: SubcatSpec,
@@ -182,13 +199,6 @@ class SkeletonReport:
     horizon: int
 
 
-def _claimed_from_spec(spec: SubcatSpec) -> int | None:
-    for tag in spec.claims:
-        if tag.startswith("skeleton_count="):
-            return int(tag.split("=", 1)[1])
-    return None
-
-
 def skeleton(spec: SubcatSpec, horizon: int = 24, all_shifts: bool = False,
              claimed_count: int | None = None) -> SkeletonReport:
     """Distinct shifted generator classes in the stabilized category.
@@ -207,12 +217,12 @@ def skeleton(spec: SubcatSpec, horizon: int = 24, all_shifts: bool = False,
     identified with shifted copies of cycle members, recorded in the
     membership map and the identification chains.
 
-    A claimed class count (argument, or a "skeleton_count=N" tag in the
-    spec's claims) is compared against the computed count; disagreement is
-    flagged, never reconciled silently in either direction.
+    A claimed class count (argument, or the spec's ``claimed_count``, from
+    a "skeleton_count=N" tag) is compared against the computed count;
+    disagreement is flagged, never reconciled silently in either direction.
     """
     if claimed_count is None:
-        claimed_count = _claimed_from_spec(spec)
+        claimed_count = spec.claimed_count
     d = spec.d
     zero_classes: list[tuple[str, PdCertificate]] = []
     surv: list[tuple[str, Representation]] = []
@@ -227,26 +237,12 @@ def skeleton(spec: SubcatSpec, horizon: int = 24, all_shifts: bool = False,
                 spec.label(i),
                 f"projective dimension undetermined within {horizon} steps")
 
-    # dedup survivors into stable classes
-    reps: list[tuple[str, Representation]] = []
-    mods: list[Representation] = []
-    cls_of_label: dict[str, int] = {}
-    for lbl, g in surv:
-        idx = _class_of(g, mods)
-        if idx is None:
-            idx = len(reps)
-            reps.append((lbl, g))
-            mods.append(g)
-        cls_of_label[lbl] = idx
-
-    # the d-th syzygy as a function on stable classes
-    sigma: list[int] = []
-    for lbl, rm in reps:
-        idx = _class_of(syzygy(rm, d), mods)
-        if idx is None:
-            raise OrbitNotResolved(
-                lbl, "d-th syzygy matches no surviving generator")
-        sigma.append(idx)
+    # the survivors' stable classes, with the d-th syzygy on them
+    firsts, cls, sigma = _stable_classes([g for _, g in surv], d)
+    reps = [surv[i] for i in firsts]
+    if None in sigma:
+        raise OrbitNotResolved(reps[sigma.index(None)][0],
+                               "d-th syzygy matches no surviving generator")
 
     # sigma's tails are shorter than its n classes: sigma^n has the cycles
     # as its image
@@ -301,8 +297,7 @@ def skeleton(spec: SubcatSpec, horizon: int = 24, all_shifts: bool = False,
         identification.append(
             f"{chain}; shifts collapse mod {L * d}, giving {L} classes at "
             f"shift multiples of {d}")
-    for lbl, _ in surv:
-        i = cls_of_label[lbl]
+    for (lbl, _), i in zip(surv, cls):
         cid, j, k = landing(i)
         membership[lbl] = ("class", class_index[(cid, j, 0)])
         if i not in on_cycle:
@@ -332,33 +327,6 @@ def skeleton(spec: SubcatSpec, horizon: int = 24, all_shifts: bool = False,
 
 
 @dataclass
-class StTriangle:
-    objects: tuple[StableObject, StableObject, StableObject]
-    maps: tuple[RepMorphism, RepMorphism]
-    connecting_sign: int
-    k: int
-
-
-def standard_triangle(E: Representation, k: int = 0) -> StTriangle:
-    """The triangle induced by the projective cover sequence of E.
-
-    Shifting the sequence k times multiplies all three maps by (-1)^k;
-    the connecting map is recorded by its sign.
-    """
-    eps, inc = _cover_maps(E)
-    sgn = -1 if k % 2 else 1
-    objects = (StableObject(inc.src, -k), StableObject(eps.src, -k),
-               StableObject(E, -k))
-    if sgn == 1:
-        maps = (inc, eps)
-    else:
-        m1 = inc.scale(E.algebra.field.of_int(-1))
-        m2 = eps.scale(E.algebra.field.of_int(-1))
-        maps = (m1, m2)
-    return StTriangle(objects, maps, sgn, k)
-
-
-@dataclass
 class StAngle:
     objects: list[StableObject]
     maps: list[RepMorphism]
@@ -367,7 +335,11 @@ class StAngle:
 
 
 def stabilize_angle(angle: Angle, k: int = 0) -> StAngle:
-    """Push an exact angle into the stabilization at shift -k."""
+    """Push an exact angle into the stabilization at shift -k.
+
+    Shifting the sequence k times multiplies all its maps by (-1)^k; the
+    connecting map is recorded by its sign.
+    """
     sgn = -1 if k % 2 else 1
     objects = [StableObject(T, -k) for T in angle.objects]
     if sgn == 1:
@@ -376,6 +348,13 @@ def stabilize_angle(angle: Angle, k: int = 0) -> StAngle:
         c = angle.objects[0].algebra.field.of_int(-1)
         maps = [m.scale(c) for m in angle.maps]
     return StAngle(objects, maps, sgn, k)
+
+
+def standard_triangle(E: Representation, k: int = 0) -> StAngle:
+    """The triangle Omega E -> P_E -> E of E's cover sequence
+    (``rep._cover_maps``): its stabilized 1-angle at shift -k."""
+    eps, inc = _cover_maps(E)
+    return stabilize_angle(Angle([inc.src, eps.src, E], [inc, eps], 1), k)
 
 
 @dataclass
@@ -499,14 +478,10 @@ def gp_intersection_check(spec: SubcatSpec,
                          spec.d, labels=gp_labels)
         rigid = verify_rigid(sub)
         closure = verify_dZ_closure(sub)
-        reps: list[Representation] = []
-        for i in gp_idx:
-            g = spec.generators[i]
-            if not is_projective(g) and _class_of(g, reps) is None:
-                reps.append(g)
-        images = [_class_of(syzygy(r, spec.d), reps) for r in reps]
+        _, _, images = _stable_classes(
+            [g for g in sub.generators if not is_projective(g)], spec.d)
         sigma_bijective = (None not in images
-                           and sorted(images) == list(range(len(reps))))
+                           and sorted(images) == list(range(len(images))))
     gor = is_iwanaga_gorenstein(spec.algebra, horizon)
     hypothesis = {"gorenstein": "certified",
                   "not_gorenstein": "failed"}.get(gor.verdict, "undetermined")

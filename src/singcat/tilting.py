@@ -38,6 +38,7 @@ from .rep import (
     RepMorphism,
     Representation,
     _record,
+    _step,
     direct_sum,
     dual_module,
     injective_mod_socle,
@@ -48,7 +49,6 @@ from .rep import (
     projective_module,
     projective_radical,
     projectives,
-    top_generators,
     zero_rep,
 )
 from .homspace import add_membership, hom, hom_dim, stable_add_membership
@@ -78,7 +78,8 @@ class SubcatSpec:
     re-verified here.  ``labels`` names generators in reports, and reports
     key their entries by it, so no two may be equal; ``claims``
     is an optional list of claim tags carried through serialization, and a
-    ``skeleton_count=N`` tag must give a non-negative integer N.
+    ``skeleton_count=N`` tag must give a non-negative integer N; the first
+    such N is ``claimed_count`` (None without one).
     """
 
     def __init__(self, algebra: BoundQuiverAlgebra,
@@ -106,10 +107,12 @@ class SubcatSpec:
         self.d = d
         self.labels = list(labels)
         self.claims = list(claims) if claims else []
-        for tag in self.claims:
-            count = tag.partition("=")[2]
-            if tag.startswith("skeleton_count=") and not count.isdecimal():
+        counts = [(tag, tag.partition("=")[2]) for tag in self.claims
+                  if tag.startswith("skeleton_count=")]
+        for tag, count in counts:
+            if not count.isdecimal():
                 raise ValueError(f"claim {tag!r} is not a non-negative count")
+        self.claimed_count = int(counts[0][1]) if counts else None
 
     def label(self, i: int) -> str:
         return self.labels[i]
@@ -341,11 +344,11 @@ def _is_copy_of_projective(L: Representation, v: str,
                            p: Representation) -> bool:
     """Is L isomorphic to p = P(v)?
 
-    Exactly when L has the dimension vector of P(v) and a single top
-    generator, at v: the cover P(v) -> L is then onto between spaces of
-    equal dimension, so it is an isomorphism.
+    Exactly when L has the dimension vector of P(v) and its cover step
+    (``rep._step``) has a single summand, P(v): the cover P(v) -> L is then
+    onto between spaces of equal dimension, so it is an isomorphism.
     """
-    return L.dims == p.dims and [w for w, _ in top_generators(L)] == [v]
+    return L.dims == p.dims and _step(L).vertices == (v,)
 
 
 def _indec_list_sanity(alg: BoundQuiverAlgebra,

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcat import homspace, rep
+from singcat import homology, homspace, rep
 from singcat.exact_linalg import prime_field, rational_field
 from singcat.families import interval_module, nakayama2_tilde
 from singcat.homology import syzygy
@@ -45,6 +45,34 @@ TRIPLES = valid_triples_window(KS, 0, len(KS))
 
 def _cover_tuples(alg) -> list[tuple]:
     return [k[1] for k in alg.cache if isinstance(k, tuple) and k[0] == "cover"]
+
+
+@pytest.mark.parametrize("fld", [rational_field(), prime_field(101)],
+                         ids=repr)
+def test_projective_cover_is_the_modules_own_cover(fld):
+    """``projective_cover(M)`` returns M's own cover, the one a resolution
+    of M starts with."""
+    _, spec = nakayama2_tilde(KS, len(KS), fld)
+    for M in spec.generators[:6]:
+        assert projective_cover(M)[0] is homology.resolve(M, 0).covers[0]
+
+
+@pytest.mark.parametrize("fld", [rational_field(), prime_field(101)],
+                         ids=repr)
+def test_kernel_of_a_resolutions_cover_map_eliminates_nothing(fld,
+                                                              monkeypatch):
+    """The cover map of a resolution carries its step's eliminations, so
+    its kernel, Omega M, is read with no elimination."""
+    _, spec = nakayama2_tilde(KS, len(KS), fld)
+    for M in spec.generators[:6]:
+        res = homology.resolve(M, 0)
+        calls = []
+        monkeypatch.setattr(rep, "kernel_and_section", calls.append)
+        K, _ = rep.kernel(res.eps[0])
+        monkeypatch.undo()
+        assert calls == []
+        assert (K.dims, K.action) == (res.kernels[1].dims,
+                                      res.kernels[1].action)
 
 
 def test_cached_cover_matches_a_fresh_direct_sum():

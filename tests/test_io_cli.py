@@ -6,6 +6,7 @@ import gc
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import weakref
@@ -385,6 +386,78 @@ def test_malformed_skeleton_count_claim_is_malformed_input(count, kx2_dir,
     assert capsys.readouterr().err == (
         f"error: claim 'skeleton_count={count}' is not a non-negative "
         f"count\n")
+
+
+def _edit_json(path: Path, edit) -> None:
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize("case", ["generator_ref", "module_algebra_ref",
+                                  "generator_file"])
+def test_malformed_fixture_reference_is_malformed_input(case, tilde_dir,
+                                                        tmp_path, capsys):
+    """A file reference that is not a string, or a fixture file that is
+    not a JSON object, is malformed input, not a crash."""
+    d = tmp_path / "t"
+    shutil.copytree(tilde_dir, d)
+    sub, gen = d / "subcat.json", d / "m_0_0_0.json"
+    verify = ["ct", "verify", "--subcat", str(sub)]
+    if case == "generator_ref":
+        _edit_json(sub, lambda o: o["generators"].insert(0, 5))
+        args, err = verify, f"file reference 5 in {sub} is not a string"
+    elif case == "module_algebra_ref":
+        _edit_json(gen, lambda o: o.update(algebra=5))
+        args = ["mod", "hom", str(gen), str(d / "m_1_1_1.json")]
+        err = f"file reference 5 in {gen} is not a string"
+    else:
+        gen.write_text("[]")
+        args, err = verify, f"{gen} does not hold a JSON object"
+    assert main(args) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("example, fname, edit, verb, err", [
+    ("a2-tilde-3233", "subcat.json", lambda o: o.update(d=2.7), "verify",
+     "d must be a JSON integer, not 2.7"),
+    ("a2-tilde-3233", "subcat.json", lambda o: o.update(d=True), "verify",
+     "d must be a JSON integer, not True"),
+    ("a2-tilde-3233", "m_0_0_0.json", lambda o: o["dims"].update(
+        {"(0,0)": 1.5}), "hom", "dims '(0,0)' must be a JSON integer, not 1.5"),
+    ("kx2", "algebra.json", lambda o: o["field"].update(kind="prime", p="2"),
+     "validate", "bad prime field spec: field p must be a JSON integer, "
+     "not '2'"),
+    ("kx2", "algebra.json", lambda o: o.update(vertices="0"), "validate",
+     "vertices must be a JSON array, not '0'"),
+    ("kx2", "algebra.json", lambda o: o.update(arrows=o["arrows"][0]),
+     "validate", "arrows must be a JSON array, not {'id': 'a0', 'src': '0', "
+     "'tgt': '0'}"),
+    ("kx2", "algebra.json", lambda o: o.update(relations={}), "validate",
+     "relations must be a JSON array, not {}"),
+    ("a2-tilde-3233", "subcat.json", lambda o: o.update(
+        generators="m_0_0_0.json"), "skeleton",
+     "generators must be a JSON array, not 'm_0_0_0.json'"),
+    ("a2-tilde-3233", "subcat.json", lambda o: o.update(
+        claims="skeleton_count=4"), "skeleton",
+     "claims must be a JSON array, not 'skeleton_count=4'"),
+], ids=["d_float", "d_bool", "dims_float", "p_string", "vertices",
+        "arrows", "relations", "generators", "claims"])
+def test_mistyped_field_is_malformed_input(example, fname, edit, verb, err,
+                                           tmp_path, capsys):
+    """Integer fields take JSON integers only, and list fields JSON arrays
+    only: nothing is coerced into a value the file does not hold."""
+    emit_examples(example, tmp_path, rational_field())
+    _edit_json(tmp_path / fname, edit)
+    args = {"verify": ["ct", "verify", "--subcat", "subcat.json"],
+            "skeleton": ["sing", "skeleton", "--subcat", "subcat.json"],
+            "hom": ["mod", "hom", "m_0_0_0.json", "m_1_1_1.json"],
+            "validate": ["alg", "validate", "algebra.json"]}[verb]
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    assert main(args) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {err}\n")
 
 
 def test_angle_of_a_projective_is_malformed_input(kx2_dir, capsys):

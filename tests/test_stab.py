@@ -363,6 +363,27 @@ def test_standard_triangle_signs_and_shifts(orbit_spec):
     assert double.connecting_sign == 1
 
 
+@pytest.mark.parametrize("fld", [rational_field(), prime_field(101)],
+                         ids=repr)
+def test_standard_triangle_is_the_stabilized_one_angle(fld):
+    """The triangle of E's cover sequence and E's standard 1-angle pushed
+    into the stabilization agree at every shift: modules, shifts, map
+    matrices and connecting sign."""
+    _, spec = nakayama2_tilde((3, 2, 3, 3), 4, fld)
+    ends = [E for E in spec.generators if not is_projective(E)]
+    assert ends
+    for E in ends:
+        for k in range(4):
+            tr = standard_triangle(E, k)
+            ang = stabilize_angle(standard_angle(spec, E, 1), k)
+            assert [(o.module.dims, o.module.action, o.shift)
+                    for o in tr.objects] == [
+                (o.module.dims, o.module.action, o.shift)
+                for o in ang.objects]
+            assert [m.mats for m in tr.maps] == [m.mats for m in ang.maps]
+            assert (tr.connecting_sign, tr.k) == (ang.connecting_sign, k)
+
+
 def test_pushing_an_angle_into_the_stabilization(orbit_spec):
     ang = standard_angle(orbit_spec, orbit_spec.by_label("(4,4,4)"))
     st = stabilize_angle(ang, k=3)
