@@ -137,7 +137,7 @@ def algebra_from_json(obj, length_bound: int | None = None) -> BoundQuiverAlgebr
         for group in _typed(obj["relations"], list, "relations"):
             terms = []
             for t in group:
-                arrows = list(t["path"])
+                arrows = _typed(t["path"], list, "relation path")
                 if not arrows:
                     raise InputError("relation path is empty")
                 first = quiver.arrow_by_id.get(arrows[0])
@@ -182,8 +182,14 @@ def module_from_json(obj, alg: BoundQuiverAlgebra) -> Representation:
             a = alg.quiver.arrow_by_id.get(aid)
             if a is None:
                 raise InputError(f"unknown arrow {aid!r} in module")
-            data = [[f.from_str(x) for x in row] for row in rows]
-            action[aid] = Matrix.from_rows(f, data, dims.get(a.tgt, 0))
+            what = f"arrow {aid!r}"
+            rows = [_typed(r, list, what + " row")
+                    for r in _typed(rows, list, what)]
+            if rows or dims.get(a.src, 0):
+                # no rows out of a zero vertex: Representation fills it in
+                action[aid] = Matrix.from_rows(
+                    f, [[f.from_str(x) for x in row] for row in rows],
+                    dims.get(a.tgt, 0))
         return Representation(alg, dims, action)
     except InputError:
         raise
@@ -309,10 +315,17 @@ class Loader:
         apath = Path(algebra_path or _ref(path, alg_ref)).resolve()
         alg = self.algebra(apath)
         gens, labels = [], []
+        # each algebra ref is resolved once per directory that holds it
+        resolved: dict[tuple[Path, str], Path] = {}
         for ref in gen_refs:
             mpath = _ref(path, ref)
             mobj = _read_json(mpath)
-            own = _ref(mpath, mobj.get("algebra", alg_ref)).resolve()
+            aref = mobj.get("algebra", alg_ref)
+            own = (resolved.get((mpath.parent, aref))
+                   if type(aref) is str else None)
+            if own is None:
+                # _ref rejects a ref that is not a string
+                own = resolved[mpath.parent, aref] = _ref(mpath, aref).resolve()
             if own != apath and algebra_path is None:
                 raise InputError(
                     f"{mpath} references a different algebra file")

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterable
 
 from .exact_linalg import InternalCheckFailed, echelon_solve
 from .rep import (
@@ -170,6 +171,30 @@ def ext_dim(M: Representation, N: Representation, i: int) -> int:
     return _ext(M, N, i)[1]
 
 
+def ext_witness(M: Representation, total: Representation,
+                parts: Iterable[Representation], i: int,
+                names: tuple[str, str]) -> tuple[int, int] | None:
+    """(j, dim) of the first of ``parts`` with Ext^i(M, parts[j]) nonzero,
+    or None when Ext^i(M, -) vanishes on all of them.
+
+    ``total`` is a direct sum that every part is a summand of, and that is
+    a summand of a sum of parts, so Ext^i(M, total) vanishes exactly when
+    every Ext^i(M, part) does: one ``ext_dim`` against it decides the whole
+    list, and the parts are scanned only when it is nonzero, to name the
+    first witness.  ``parts`` is read only then.  A nonzero Ext into total
+    with every part clean is InternalCheckFailed, naming the sum and a part
+    by ``names``.
+    """
+    if not ext_dim(M, total, i):
+        return None
+    for j, N in enumerate(parts):
+        dim = ext_dim(M, N, i)
+        if dim:
+            return j, dim
+    raise InternalCheckFailed(
+        f"Ext into {names[0]} is nonzero but vanishes on every {names[1]}")
+
+
 @dataclass(frozen=True)
 class PdCertificate:
     status: str  # "finite" | "infinite_periodic" | "undetermined"
@@ -201,10 +226,16 @@ def _walk_orbit(M: Representation, horizon: int) -> PdCertificate:
     periodic one.  An entry already in a member's memo is kept; an
     undetermined walk seeds nothing.  A member of M's own content gets the
     certificate M's walk returns.
+
+    Stably isomorphic modules have isomorphic syzygies, and ``stable_iso``
+    rejects two non-projective ones whose Omega dimension vectors differ,
+    so each new member is compared only with the earlier ones of its Omega
+    dimension vector, in walk order.
     """
     if is_projective(M):
         return PdCertificate("finite", 0)
     orbit = [M]
+    by_omega = {tuple(_step(M).dims.values()): [0]}
     for taken in range(1, horizon + 1):
         cur = _cover_step(orbit[-1])[1]
         orbit.append(cur)
@@ -212,13 +243,15 @@ def _walk_orbit(M: Representation, horizon: int) -> PdCertificate:
             for r in range(1, taken + 1):
                 _seed(orbit[r], horizon, PdCertificate("finite", taken - r))
             return PdCertificate("finite", taken)
-        for t in range(taken):
+        key = tuple(_step(cur).dims.values())
+        for t in by_omega.get(key, ()):
             if stable_iso(orbit[t], cur):
                 period = taken - t
                 for r in range(1, taken + 1):
                     _seed(orbit[r], horizon, PdCertificate(
                         "infinite_periodic", None, max(t - r, 0), period))
                 return PdCertificate("infinite_periodic", None, t, period)
+        by_omega.setdefault(key, []).append(taken)
     return PdCertificate("undetermined", horizon=horizon)
 
 

@@ -5,17 +5,23 @@ arrow; elements are row vectors and act on the right.  A morphism is a
 per-vertex matrix commuting with the arrow actions.  Everything here is
 exact: kernels, images, cokernels and projective covers.
 
-Work runs only on nonempty blocks.  A module is supported on few of its
+Work runs only on the support.  A module is supported on few of its
 algebra's vertices, so most of the per-vertex and per-arrow blocks that a
 kernel, a cover, a Hom system or a relation check touches have 0 rows or 0
-columns.  Such a block is built directly as the empty matrix, with no
-elimination and no product: the kernel block of an n x 0 map is the n x n
+columns.  The builders (a module's construction, a projective, a kernel,
+a cover map and its eliminations) visit only the vertices where the module
+is nonzero and the arrows with an end there (``_touching``).  Every other
+block is the field's shared 0 x 0 matrix, filled in for all of them at
+once, and an arrow with one end on the support gets its shared n x 0 or
+0 x n matrix (``exact_linalg._empty``): no matrix is built, eliminated or
+multiplied for them.  The kernel block of an n x 0 map is the n x n
 identity, a vertex of dimension 0 has no top generators, a relation out of
-or into a zero vertex holds, and two modules whose supports share no vertex
-have no Hom system at all.  Every guard still runs where its block is
-nonempty: "cover map is onto" at each vertex where M is nonzero, and
+or into a zero vertex holds, and two modules whose supports share no
+vertex have no Hom system at all.  Every guard still runs where its block
+is nonempty: "cover map is onto" at each vertex where M is nonzero,
 "kernel is not arrow-stable" at each arrow whose source kernel block has
-rows and whose target vertex carries part of M.
+rows and whose target vertex carries part of M, and the shape checks of
+``Representation`` and ``RepMorphism`` on every block they are given.
 
 A projective cover is built once per vertex tuple and algebra
 (``Cover``), and each cover vertex is eliminated once: the elimination of
@@ -47,41 +53,63 @@ steps in ``homspace``; this module imports nothing above it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Sequence
 
 from .exact_linalg import (
-    InternalCheckFailed, Matrix, canonical, echelon_solve, kernel_and_section,
-    rank, rref,
+    InternalCheckFailed, Matrix, _empty, canonical, echelon_solve,
+    kernel_and_section, rank, rref,
 )
-from .quiver_algebra import BoundQuiverAlgebra, PathKey, opposite_algebra
+from .quiver_algebra import BoundQuiverAlgebra, PathKey, Quiver, opposite_algebra
 
 
 class AlgebraMismatch(ValueError):
     pass
 
 
+def _touching(q: Quiver, dims: dict[str, int]):
+    """(arrow, source dim, target dim) of each arrow with an end where dims
+    is nonzero, once each: the arrows out of the support, then those into
+    it from outside.  Every other arrow acts by the 0 x 0 matrix."""
+    for v, n in dims.items():
+        if n:
+            for a in q.arrows_from[v]:
+                yield a, n, dims[a.tgt]
+            for a in q.arrows_into[v]:
+                if not dims[a.src]:
+                    yield a, 0, n
+
+
 class Representation:
     def __init__(self, algebra: BoundQuiverAlgebra, dims: dict[str, int],
                  action: dict[str, Matrix], check: bool = True):
+        q = algebra.quiver
         for v in dims:
-            if v not in algebra.quiver.arrows_from:
+            if v not in q.arrows_from:
                 raise AlgebraMismatch(f"unknown vertex {v!r}")
         for aid in action:
-            if aid not in algebra.quiver.arrow_by_id:
+            if aid not in q.arrow_by_id:
                 raise AlgebraMismatch(f"unknown arrow {aid!r}")
         self.algebra = algebra
-        self.dims = {v: int(dims.get(v, 0)) for v in algebra.quiver.vertices}
+        self.dims = d = dict.fromkeys(q.arrows_from, 0)
+        for v, n in dims.items():
+            d[v] = int(n)
         f = algebra.field
-        self.action: dict[str, Matrix] = {}
-        for a in algebra.quiver.arrows:
-            m = action.get(a.id)
-            if m is None:
-                m = Matrix.zeros(f, self.dims[a.src], self.dims[a.tgt])
-            if (m.rows, m.cols) != (self.dims[a.src], self.dims[a.tgt]):
+        self.action = act = dict.fromkeys(q.arrow_by_id, _empty(f, 0, 0))
+        for aid, m in action.items():
+            a = q.arrow_by_id[aid]
+            if (m.rows, m.cols) != (d[a.src], d[a.tgt]):
                 raise AlgebraMismatch(
-                    f"action of {a.id} has shape {(m.rows, m.cols)}, expected "
-                    f"{(self.dims[a.src], self.dims[a.tgt])}")
-            self.action[a.id] = canonical(m)
+                    f"action of {aid} has shape {(m.rows, m.cols)}, expected "
+                    f"{(d[a.src], d[a.tgt])}")
+            act[aid] = canonical(m) if m.rows and m.cols else m
+        if len(action) < len(act):
+            # an arrow not given acts by zero: a block of its own only
+            # where it touches the support
+            for a, n, k in _touching(q, d):
+                if a.id not in action:
+                    act[a.id] = (Matrix.zeros(f, n, k) if n and k
+                                 else _empty(f, n, k))
         if check:
             self._check_relations()
 
@@ -92,7 +120,8 @@ class Representation:
         """A module on data that a constructor already checked.
 
         ``dims`` and ``action`` are shared, not copied: they must name every
-        vertex and arrow, as the ones a Representation holds do.  Nothing in
+        vertex and arrow in the algebra's order, as the ones a
+        Representation holds do (``_Content`` reads them so).  Nothing in
         the package mutates either after construction.  ``record``, when
         given, is the record of this content, kept beside cached data and
         in cover steps, so the content is not hashed again.
@@ -145,10 +174,10 @@ class Representation:
 
 def zero_rep(algebra: BoundQuiverAlgebra) -> Representation:
     # every arrow acts by the same (immutable) 0x0 matrix
-    empty = Matrix.zeros(algebra.field, 0, 0)
-    return Representation._wrap(
-        algebra, {v: 0 for v in algebra.quiver.vertices},
-        {a.id: empty for a in algebra.quiver.arrows})
+    q = algebra.quiver
+    return Representation._wrap(algebra, dict.fromkeys(q.arrows_from, 0),
+                                dict.fromkeys(q.arrow_by_id,
+                                              _empty(algebra.field, 0, 0)))
 
 
 def simple_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
@@ -202,11 +231,12 @@ class RepMorphism:
         self.tgt = tgt
         f = src.algebra.field
         self.mats: dict[str, Matrix] = {}
-        for v in src.algebra.quiver.vertices:
+        td = tgt.dims
+        for v, n in src.dims.items():
             m = mats.get(v)
             if m is None:
-                m = Matrix.zeros(f, src.dims[v], tgt.dims[v])
-            if (m.rows, m.cols) != (src.dims[v], tgt.dims[v]):
+                m = Matrix.zeros(f, n, td[v])
+            elif m.rows != n or m.cols != td[v]:
                 raise AlgebraMismatch(f"component at {v!r} has the wrong shape")
             self.mats[v] = m
         if check and not self._commutes():
@@ -256,15 +286,18 @@ def _echelon_submodule(M: Representation, inc_mats: dict[str, Matrix],
     """The submodule of M spanned by the echelon rows inc_mats[v], with its
     inclusion; each arrow acts by the coordinates of the acted rows.
 
-    An arrow whose source block has no rows, or whose target vertex carries
-    nothing of M, acts by the empty matrix, with no product and no check.
+    Only the arrows with an end on the submodule's support are visited
+    (``_touching``).  An arrow whose source block has no rows, or whose
+    target vertex carries nothing of M, acts by the shared empty matrix,
+    with no product and no check.
     """
     alg = M.algebra
-    dims = {v: inc_mats[v].rows for v in alg.quiver.vertices}
-    action = {}
-    for a in alg.quiver.arrows:
-        if not dims[a.src] or not M.dims[a.tgt]:
-            action[a.id] = Matrix.zeros(alg.field, dims[a.src], dims[a.tgt])
+    fld = alg.field
+    dims = {v: m.rows for v, m in inc_mats.items()}
+    action = dict.fromkeys(alg.quiver.arrow_by_id, _empty(fld, 0, 0))
+    for a, n, k in _touching(alg.quiver, dims):
+        if not n or not M.dims[a.tgt]:
+            action[a.id] = _empty(fld, n, k)
             continue
         rhs = inc_mats[a.src].mul(M.action[a.id])
         sol = echelon_solve(inc_mats[a.tgt], rhs)
@@ -281,23 +314,28 @@ def _kernel_blocks(f: RepMorphism) -> tuple[dict[str, Matrix],
     elimination per block (``kernel_and_section``); memoised on f.
 
     The section block has one row per pivot of f's block, so it is a
-    section of f (s f_v = 1) exactly where f is onto.  A block of f with no
-    rows has the empty kernel, and one with no columns (an n x 0 map) the
-    n x n identity and the empty section; neither is eliminated.  The memo holds
+    section of f (s f_v = 1) exactly where f is onto.  Only the support of
+    f's source is visited: a block of f with no rows has the shared empty
+    kernel and section, and one with no columns (an n x 0 map) the n x n
+    identity and the empty section; neither is eliminated.  The memo holds
     matrices only, so it keeps no module alive.
     """
     blocks = getattr(f, "_kernel_mats", None)
     if blocks is None:
         fld = f.src.algebra.field
-        ker, sec = {}, {}
-        for v, m in f.mats.items():
-            if not m.rows or not m.cols:
-                ker[v] = Matrix.identity(fld, m.rows)
-                sec[v] = Matrix.zeros(fld, 0, m.rows)
-            else:
-                k, s = kernel_and_section(m)
-                ker[v] = Matrix.from_rows(fld, k, m.rows)
-                sec[v] = Matrix.from_rows(fld, s, m.rows)
+        ker = dict.fromkeys(f.mats, _empty(fld, 0, 0))
+        sec = ker.copy()
+        for v, n in f.src.dims.items():
+            if not n:
+                continue
+            m = f.mats[v]
+            if not m.cols:
+                ker[v] = Matrix.identity(fld, n)
+                sec[v] = _empty(fld, 0, n)
+                continue
+            k, s = kernel_and_section(m)
+            ker[v] = Matrix(fld, len(k), n, k) if k else _empty(fld, 0, n)
+            sec[v] = Matrix(fld, len(s), n, s) if s else _empty(fld, 0, n)
         blocks = f._kernel_mats = (ker, sec)
     return blocks
 
@@ -488,9 +526,10 @@ class _Content:
     __slots__ = ("key", "hash")
 
     def __init__(self, M: Representation):
-        alg = M.algebra
-        self.key = (tuple(M.dims[v] for v in alg.quiver.vertices),
-                    tuple(M.action[a.id].entries for a in alg.quiver.arrows))
+        # a module's dims and action follow its algebra's vertex and arrow
+        # order (``Representation._wrap``), so their values are the key
+        self.key = (tuple(M.dims.values()),
+                    tuple([m.entries for m in M.action.values()]))
         self.hash = hash(self.key)
 
     def __hash__(self) -> int:
@@ -555,19 +594,20 @@ def projective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
         by_tgt: dict[str, list[PathKey]] = {}
         for key in algebra.paths_from(v):
             by_tgt.setdefault(algebra.key_target(key), []).append(key)
-        dims = {w: len(by_tgt.get(w, [])) for w in algebra.quiver.vertices}
-        action = {}
-        for a in algebra.quiver.arrows:
-            src_keys = by_tgt.get(a.src, [])
-            tgt_keys = by_tgt.get(a.tgt, [])
-            pos = {k: i for i, k in enumerate(tgt_keys)}
+        dims = {w: len(by_tgt.get(w, ())) for w in algebra.quiver.vertices}
+        action = dict.fromkeys(algebra.quiver.arrow_by_id, _empty(f, 0, 0))
+        for a, n, m in _touching(algebra.quiver, dims):
+            if not n or not m:
+                action[a.id] = _empty(f, n, m)
+                continue
+            pos = {key: i for i, key in enumerate(by_tgt[a.tgt])}
             rows = []
-            for key in src_keys:
-                row = [f.zero] * len(tgt_keys)
+            for key in by_tgt[a.src]:
+                row = [f.zero] * m
                 for k2, c in algebra.mult_by_arrow(key, a.id).items():
                     row[pos[k2]] = c
                 rows.append(row)
-            action[a.id] = Matrix.from_rows(f, rows, len(tgt_keys))
+            action[a.id] = Matrix(f, n, m, rows)
         return Representation._wrap(algebra, dims, action)
     return _cached(algebra, ("projective", v), build)
 
@@ -666,8 +706,7 @@ def _top_rows(alg: BoundQuiverAlgebra, dims: dict[str, int],
     """
     f = alg.field
     out = []
-    for v in alg.quiver.vertices:
-        n = dims[v]
+    for v, n in dims.items():
         if not n:
             continue
         rows = _radical_rows(alg, action, v)
@@ -718,13 +757,24 @@ def _gen_image_mats(alg: BoundQuiverAlgebra, vertices: Sequence[str],
                     T: Representation, xs: list) -> dict[str, Matrix]:
     """The matrices of the map sum_j P(v_j) -> T sending the j-th generator
     to row xs[j]: at each vertex, the generator images walked along the
-    basis paths, in the (summand, path) order of the cover's basis rows."""
-    rows_at: dict[str, list] = {w: [] for w in alg.quiver.vertices}
+    basis paths, in the (summand, path) order of the cover's basis rows.
+    Only the supports of the cover and of T are visited: a vertex of
+    neither gets the shared 0 x 0 matrix, and one of T's alone its shared
+    0 x n matrix."""
+    fld = alg.field
+    rows_at: dict[str, list] = defaultdict(list)
     for v, x in zip(vertices, xs):
         for key, img in _path_images(T, v, x).items():
             rows_at[alg.key_target(key)].append(img)
-    return {w: Matrix.from_rows(alg.field, rows_at[w], T.dims[w])
-            for w in alg.quiver.vertices}
+    mats = dict.fromkeys(alg.quiver.arrows_from, _empty(fld, 0, 0))
+    for w, n in T.dims.items():
+        if n and w not in rows_at:
+            mats[w] = _empty(fld, 0, n)
+    for w, rows in rows_at.items():
+        n = T.dims[w]
+        mats[w] = (Matrix(fld, len(rows), n, rows) if n
+                   else _empty(fld, len(rows), 0))
+    return mats
 
 
 def is_onto(f: RepMorphism) -> bool:
@@ -732,11 +782,13 @@ def is_onto(f: RepMorphism) -> bool:
     its rows minus the dimension of its left kernel are dim N_v.
 
     Read from the memoised eliminations of ``_kernel_blocks``, so a
-    ``kernel(f)`` asked for after this eliminates nothing again.
+    ``kernel(f)`` asked for after this eliminates nothing again.  Only the
+    vertices where N is nonzero are read: every map is onto a zero block.
     """
     ker = _kernel_blocks(f)[0]
-    return all(m.rows - ker[v].rows == f.tgt.dims[v]
-               for v, m in f.mats.items())
+    mats = f.mats
+    return all(mats[v].rows - ker[v].rows == n
+               for v, n in f.tgt.dims.items() if n)
 
 
 def projective_cover(M: Representation) -> tuple[Cover, RepMorphism]:

@@ -43,7 +43,9 @@ from dataclasses import dataclass
 from math import lcm
 
 from .exact_linalg import InternalCheckFailed
-from .homology import PdCertificate, _stride, ext_dim, pd_certificate, syzygy
+from .homology import (
+    PdCertificate, _stride, ext_dim, ext_witness, pd_certificate, syzygy,
+)
 from .homspace import _stable_dim, stable_iso
 from .quiver_algebra import BoundQuiverAlgebra, opposite_algebra
 from .rep import (
@@ -409,7 +411,7 @@ def gp_certificate(M: Representation, horizon: int = 24) -> GpCertificate:
 
     A nonzero Ext against a projective in any degree up to the horizon is
     a witness against the property (scan order: degree outer, sorted
-    vertex inner).  Each degree is decided by ``_ext1_clean``, one
+    vertex inner).  Each degree is decided by ``ext_witness``, one
     ``ext_dim`` against the regular module; only a nonzero one scans the
     vertices, to name the first P(v).  If instead the syzygy orbit closes
     into a cycle whose members all have clean first Ext against every
@@ -424,16 +426,12 @@ def gp_certificate(M: Representation, horizon: int = 24) -> GpCertificate:
             if cert.status == "undetermined" else cert.preperiod + cert.period)
     verts = sorted(alg.quiver.vertices)
     for j in range(kept):
-        r = syzygy(M, j)
-        if _ext1_clean(r):
-            continue
-        for v in verts:
-            if ext_dim(r, projective_module(alg, v), 1):
-                return GpCertificate("not_gp", (j + 1, v), None, None,
-                                     horizon)
-        raise InternalCheckFailed(
-            "Ext into the regular module is nonzero but vanishes on every "
-            "projective")
+        hit = ext_witness(syzygy(M, j), regular_module(alg),
+                          (projective_module(alg, v) for v in verts), 1,
+                          ("the regular module", "projective"))
+        if hit is not None:
+            return GpCertificate("not_gp", (j + 1, verts[hit[0]]), None, None,
+                                 horizon)
     if cert.status == "infinite_periodic":
         return GpCertificate("gp_certified", None, cert.preperiod,
                              cert.period, horizon)

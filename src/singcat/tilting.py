@@ -52,7 +52,7 @@ from .rep import (
     zero_rep,
 )
 from .homspace import add_membership, hom, hom_dim, stable_add_membership
-from .homology import ext_dim, resolve, syzygy
+from .homology import ext_dim, ext_witness, resolve, syzygy
 
 class IncompleteIndecList(ValueError):
     """The supplied indecomposable list fails a completeness sanity check."""
@@ -200,10 +200,10 @@ def left_approximation(spec: SubcatSpec, N: Representation) -> RepMorphism:
 def verify_rigid(spec: SubcatSpec) -> Check:
     """No self-extensions among generators in degrees 1..d-1.
 
-    For each degree t and generator g_i, one ``ext_dim`` against the direct
-    sum of all generators (built once) decides whether Ext^t(g_i, g_j)
-    vanishes for every j.  Only a nonzero sum scans the j, so the witness
-    is the first nonzero pair in (t, i, j) order.
+    For each degree t and generator g_i, ``ext_witness`` decides whether
+    Ext^t(g_i, g_j) vanishes for every j by one ``ext_dim`` against the
+    direct sum of all generators (built once), and scans the j only when it
+    does not, so the witness is the first nonzero pair in (t, i, j) order.
     """
     d = spec.d
     if d == 1:
@@ -212,16 +212,11 @@ def verify_rigid(spec: SubcatSpec) -> Check:
     total = direct_sum(gens)
     for t in range(1, d):
         for i, gi in enumerate(gens):
-            if not ext_dim(gi, total, t):
-                continue
-            for j, gj in enumerate(gens):
-                dim = ext_dim(gi, gj, t)
-                if dim:
-                    return Check(False,
-                                 witness=(spec.labels[i], spec.labels[j], t),
-                                 note=f"ext dimension {dim}")
-            raise InternalCheckFailed(
-                "Ext into the direct sum is nonzero but vanishes on every summand")
+            hit = ext_witness(gi, total, gens, t, ("the direct sum", "summand"))
+            if hit is not None:
+                j, dim = hit
+                return Check(False, witness=(spec.labels[i], spec.labels[j], t),
+                             note=f"ext dimension {dim}")
     return Check(True)
 
 

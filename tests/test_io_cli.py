@@ -460,6 +460,37 @@ def test_mistyped_field_is_malformed_input(example, fname, edit, verb, err,
     assert (captured.out, captured.err) == ("", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("case", ["row", "row_list", "relation_path"])
+def test_string_for_an_array_is_malformed_input(case, tmp_path, capsys):
+    """A string where a module row, a row list or a relation path belongs
+    is malformed input: it is not read as the array of its characters."""
+    emit_examples("kx2", tmp_path, rational_field())
+    if case == "row":
+        # read by characters, "01" and "00" would be the 2 x 2 action of P
+        path = tmp_path / "m_P.json"
+        _edit_json(path, lambda o: o["arrows"].update(a0=["01", "00"]))
+        args = ["mod", "hom", str(path), str(path)]
+        err = "arrow 'a0' row must be a JSON array, not '01'"
+    elif case == "row_list":
+        # read by characters, "0" would be the 1 x 1 action of S
+        path = tmp_path / "m_S.json"
+        _edit_json(path, lambda o: o["arrows"].update(a0="0"))
+        args = ["mod", "hom", str(path), str(path)]
+        err = "arrow 'a0' must be a JSON array, not '0'"
+    else:
+        # read by characters, "xx" would be the path x, x
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps({
+            "field": {"kind": "rational"}, "vertices": ["0"],
+            "arrows": [{"id": "x", "src": "0", "tgt": "0"}],
+            "relations": [[{"coef": "1", "path": "xx"}]]}))
+        args = ["alg", "validate", str(path)]
+        err = "relation path must be a JSON array, not 'xx'"
+    assert main(args) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {err}\n")
+
+
 def test_angle_of_a_projective_is_malformed_input(kx2_dir, capsys):
     rc = main(["ct", "angle", "--subcat", str(kx2_dir / "subcat.json"),
                "--module", str(kx2_dir / "m_P.json")])

@@ -11,6 +11,12 @@ disjoint supports.
 A count guard checks that the syzygy steps of the intervals, and Hom
 between modules with disjoint supports, hand the elimination no empty
 system.
+
+The builders visit only a module's support and the arrows touching it.
+The a2-tilde-3233 algebra beside a disjoint path of 21 more vertices gives
+its generators, extended by zero, the same syzygies, orbit certificates
+and Hom dimensions, and a cover step of each builds no more matrices there
+than on the algebra alone.
 """
 
 from __future__ import annotations
@@ -23,17 +29,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singcat import exact_linalg
-from singcat.exact_linalg import prime_field, rank, rational_field
+from singcat.exact_linalg import Matrix, prime_field, rank, rational_field
 from singcat.families import nakayama2_tilde
-from singcat.homology import syzygy
+from singcat.homology import pd_certificate, syzygy
 from singcat.homspace import HomSpace, hom, hom_dim
 from singcat.quiver_algebra import (
-    Arrow, Quiver, compute_basis, nakayama_cyclic, opposite_algebra,
+    Arrow, PathWord, Quiver, RelationElement, compute_basis, nakayama_cyclic,
+    opposite_algebra,
 )
 from singcat.rep import (
-    RepMorphism, _cover_step, direct_sum, dual_module, injective_module,
-    is_onto, kernel, projective_cover, projective_module,
-    simple_module, top_generators, zero_rep,
+    Representation, RepMorphism, _build_step, _cover_step, direct_sum,
+    dual_module, injective_module, is_onto, kernel, projective_cover,
+    projective_module, simple_module, top_generators, zero_rep,
 )
 from singcat.tilting import _dual_map
 
@@ -195,3 +202,70 @@ def test_duals_satisfy_the_opposite_relations(field):
                 D._check_relations()
                 DD = dual_module(alg, D)
                 assert DD.dims == M.dims and DD.action == M.action
+
+
+PAD = 20
+
+
+def _padded(alg):
+    """alg beside a disjoint path pad0 -> ... -> pad20 whose arrows compose
+    to zero."""
+    q = alg.quiver
+    pad = [f"pad{i}" for i in range(PAD + 1)]
+    quiver = Quiver(q.vertices + pad, [Arrow(a.id, a.src, a.tgt) for a in q.arrows]
+                    + [Arrow(f"p{i}", pad[i], pad[i + 1]) for i in range(PAD)])
+    rels = [RelationElement([(c, PathWord(quiver, p.src, p.arrows))
+                             for c, p in r.terms]) for r in alg.relations]
+    rels += [RelationElement([(alg.field.one, PathWord(
+        quiver, pad[i], [f"p{i}", f"p{i + 1}"]))]) for i in range(PAD - 1)]
+    return compute_basis(quiver, rels, alg.field, 16)
+
+
+@lru_cache(maxsize=None)
+def padded_pair(field: str) -> tuple:
+    """(generators, the same extended by zero to the padded algebra)."""
+    alg, spec = nakayama2_tilde((3, 2, 3, 3), 4, _field(field))
+    big = _padded(alg)
+    return (tuple(spec.generators),
+            tuple(Representation(big, g.dims, g.action) for g in spec.generators))
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+def test_padding_changes_no_omega_orbit_or_hom(field):
+    plain, padded = padded_pair(field)
+    for g, G in zip(plain, padded):
+        omega, Omega = syzygy(g), syzygy(G)
+        assert Omega.dims == {**dict.fromkeys(G.dims, 0), **omega.dims}
+        assert pd_certificate(G) == pd_certificate(g)
+        assert [hom_dim(G, H) for H in padded] == [hom_dim(g, h) for h in plain]
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+def test_cover_step_makes_the_same_matrix_calls_when_padded(field, monkeypatch):
+    counts: dict[str, int] = {}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("zeros", "identity", "from_rows"):
+        monkeypatch.setattr(Matrix, name, staticmethod(
+            counting(name, getattr(Matrix, name))))
+    real = exact_linalg._empty
+    for name, mod in list(sys.modules.items()):
+        if (name.split(".")[0] == "singcat"
+                and getattr(mod, "_empty", None) is real):
+            monkeypatch.setattr(mod, "_empty", counting("_empty", real))
+
+    def calls(M):
+        # a fresh cache, so the step builds its cover's projectives too
+        M.algebra.clear_cache()
+        counts.clear()
+        _build_step(M)
+        return dict(counts)
+
+    plain, padded = padded_pair(field)
+    for g, G in zip(plain, padded):
+        assert calls(G) == calls(g)
